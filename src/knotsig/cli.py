@@ -2,7 +2,12 @@
 
 Exit codes: 0 for any successfully computed answer (including negative
 verdicts), 2 for parse or input-validation errors, 3 when an internal
-iteration budget was exhausted before the answer was certain.
+iteration budget was exhausted before the answer was certain, 4 when an
+internal consistency check failed (a bug: please report the input).
+Every error is one line on stderr, never a traceback.
+
+The values of --delta, --p, --poly and --tau may begin with '-', as in
+``knotsig factor --poly -1,0,49``.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetExceededError, CertificationError, PolyParseError
+from .errors import BudgetExceededError, CertificationError, KnotsigError, PolyParseError
 from .milnor import mil_enum
 from .obstruction import obstruction_group
 from .pipeline import AnalysisRequest, analyze, analyze_tau, report_render
@@ -31,6 +36,9 @@ from .version import TOOL_VERSION
 from .zfactor import factor_z, standing_assumptions
 
 MILNOR_RHO_CAP = 64
+
+# options whose value may begin with '-' (a negative coefficient or tau)
+DASH_VALUE_OPTIONS = ("--delta", "--p", "--poly", "--tau")
 
 
 def _parse_tau(text: str) -> tuple[int, ...]:
@@ -230,9 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--poly -1,0,49`` as ``--poly=-1,0,49``: argparse takes a
+    separate value beginning with '-' for an option and rejects it."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in DASH_VALUE_OPTIONS and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{arg}={nxt}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except PolyParseError as exc:
@@ -244,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KnotsigError as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

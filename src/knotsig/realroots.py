@@ -169,6 +169,28 @@ def refine_interval(f: RatPoly, iv: IsolatingInterval) -> IsolatingInterval:
     return IsolatingInterval(iv.lo, mid)
 
 
+def root_gaps(
+    f: RatPoly, ivs: list[IsolatingInterval], top: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Root-free open intervals (lo, hi) with lo < hi: one between each
+    two consecutive roots isolated by the sorted ``ivs``, and one between
+    the last root and ``top`` (which must lie above it).  Intervals that
+    touch, or a last one that reaches ``top``, are refined with ``f``
+    until a gap of positive width opens; both ends of a gap are interval
+    endpoints, so never roots."""
+    ivs = list(ivs)
+    gaps: list[tuple[Fraction, Fraction]] = []
+    for j in range(len(ivs)):
+        upper = ivs[j + 1].lo if j + 1 < len(ivs) else top
+        while ivs[j].hi >= upper:
+            ivs[j] = refine_interval(f, ivs[j])
+            if j + 1 < len(ivs):
+                ivs[j + 1] = refine_interval(f, ivs[j + 1])
+                upper = ivs[j + 1].lo
+        gaps.append((ivs[j].hi, upper))
+    return gaps
+
+
 def interval_eval(p: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Exact interval Horner evaluation: bounds for p([lo, hi])."""
     acc_lo = acc_hi = p.lc if not p.is_zero else Fraction(0)

@@ -7,25 +7,26 @@ S(ax, y) = S(x, (1-a)y).  Bilinear forms evaluate as x^T M y throughout;
 the correspondence A <-> (S, a) is A = a^T S, a = S^(-1) A^T, and all
 public identities are convention-free.
 
-Milnor signatures restrict S to the two-dimensional eigenspaces of
-b = a^2 - a at the real eigenvalues lambda < -1/4 of the v-model of the
-characteristic polynomial.  The eigenspace is computed exactly over the
-number field Q[Y]/(minpoly of lambda); the one leftover analytic step,
-choosing the correct real embedding, is certified by exact rational
-interval refinement of the isolating interval of lambda.
+Milnor signatures are read off the Levine-Tristram signature function
+t -> sig(S + i t K), K = A - A^T, which is constant between the
+unit-circle roots of Delta_A and drops by the Milnor signature of the
+root pair at each one.  Every evaluation is the exact signature of an
+integer matrix at a rational t chosen between the isolated roots, so no
+number field and no approximation is involved.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, RatPoly, is_squarefree_q, rat_gcd, v_polynomial
-from .realroots import IrrRFactor, irr_r_factors, sign_at_root, sturm_count
-from .zfactor import factor_z
+from .polys import IntPoly, RatPoly, is_squarefree_q, v_polynomial
+from .realroots import IrrRFactor, irr_r_factors, root_gaps
+from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -167,7 +168,9 @@ class SeifertPair:
 class MilnorAssignmentComputed:
     """Signature of S restricted to each unit-circle eigenplane, in the
     sorted order of the v-root intervals.  A zero value means the
-    restriction is indefinite and deserves attention."""
+    restriction is indefinite and deserves attention.  Each eigenplane
+    has dimension 2 because the characteristic polynomial is squarefree;
+    ``kernel_dims`` records it."""
 
     factors: tuple[IrrRFactor, ...]
     values: tuple[int, ...]
@@ -261,48 +264,53 @@ def charpoly_of_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[
 
 
 def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
-    """Signature of a nonsingular symmetric integer matrix by exact
-    rational congruence diagonalization (2x2 hyperbolic blocks absorb
-    zero-diagonal pivots)."""
+    """Signature of a nonsingular symmetric integer matrix by congruence
+    diagonalization in integers.  After a pivot d (a diagonal entry, or
+    else a 2x2 hyperbolic block [[0, b], [b, 0]] of signature 0) the rest
+    is replaced by |d| times its Schur complement, which is integral and
+    has the same signature, and then divided by its content."""
     m = as_matrix(m_rows)
     if m != transpose(m):
         raise ValueError("signature needs a symmetric matrix")
-    n = len(m)
-    w = [[Fraction(c) for c in row] for row in m]
-    active = list(range(n))
+    w = [list(row) for row in m]
+    active = list(range(len(m)))
     sig = 0
     while active:
         piv = next((k for k in active if w[k][k] != 0), None)
         if piv is not None:
             d = w[piv][piv]
-            sig += 1 if d > 0 else -1
+            sign, scale = (1 if d > 0 else -1), abs(d)
+            sig += sign
             active.remove(piv)
+            wp = w[piv]
             for i in active:
-                if w[i][piv] != 0:
-                    f = w[i][piv] / d
-                    for j in active:
-                        w[i][j] -= f * w[piv][j]
+                wi = w[i]
+                f = sign * wi[piv]
+                for j in active:
+                    wi[j] = scale * wi[j] - f * wp[j]
+        else:
+            off = next(
+                ((k, l) for k in active for l in active if k < l and w[k][l] != 0), None
+            )
+            if off is None:
+                raise ValueError("matrix is singular; signature undefined")
+            k, l = off
+            b = w[k][l]
+            sign, scale = (1 if b > 0 else -1), abs(b)
+            active.remove(k)
+            active.remove(l)
+            wk, wl = w[k], w[l]
             for i in active:
-                w[i][piv] = w[piv][i] = Fraction(0)
-            continue
-        off = next(
-            ((k, l) for k in active for l in active if k < l and w[k][l] != 0), None
-        )
-        if off is None:
-            raise ValueError("matrix is singular; signature undefined")
-        k, l = off
-        b = w[k][l]
-        active.remove(k)
-        active.remove(l)
-        # hyperbolic block [[0, b], [b, 0]]: contributes +1 and -1
-        for i in active:
-            rk, rl = w[i][k] / b, w[i][l] / b
-            if rk == 0 and rl == 0:
-                continue
-            for j in active:
-                w[i][j] -= rk * w[l][j] + rl * w[k][j]
-        for i in active:
-            w[i][k] = w[k][i] = w[i][l] = w[l][i] = Fraction(0)
+                wi = w[i]
+                fk, fl = sign * wi[k], sign * wi[l]
+                for j in active:
+                    wi[j] = scale * wi[j] - fk * wl[j] - fl * wk[j]
+        g = math.gcd(*(w[i][j] for i in active for j in active))
+        if g > 1:
+            for i in active:
+                wi = w[i]
+                for j in active:
+                    wi[j] //= g
     return sig
 
 
@@ -331,66 +339,46 @@ def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
 # Milnor signatures of a concrete pair
 
 
-def _kmul(x: RatPoly, y: RatPoly, q: RatPoly) -> RatPoly:
-    return (x * y) % q
+def _t_with_square_in(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """A rational t > 0 with lo < t^2 < hi (hi None for no upper bound),
+    0 <= lo < hi, with the smallest power-of-two denominator."""
+    d = 1
+    while True:
+        p = math.isqrt(math.floor(lo * d * d)) + 1  # least p with p^2 > lo d^2
+        if hi is None or p * p < hi * d * d:
+            return Fraction(p, d)
+        d *= 2
 
 
-def _kinv(x: RatPoly, q: RatPoly) -> RatPoly:
-    """Inverse of x modulo the irreducible q over Q."""
-    a, b = q, x % q
-    ua, ub = RatPoly.zero(), RatPoly((Fraction(1),))
-    while not b.is_zero:
-        quo, rem = a.divrem(b)
-        a, b = b, rem
-        ua, ub = ub, ua - quo * ub
-    if a.degree != 0:
-        raise KnotsigError("internal error: non-invertible element in number field")
-    return (ua * (1 / a.lc)) % q
-
-
-def _kernel_basis_over_field(
-    m: list[list[RatPoly]], q: RatPoly
-) -> list[list[RatPoly]]:
-    """Kernel basis of a matrix over Q[Y]/(q) by Gauss-Jordan elimination."""
-    n = len(m)
-    rows = [[entry % q for entry in row] for row in m]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][c].is_zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _kinv(rows[r][c], q)
-        rows[r] = [_kmul(x, inv, q) for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [(x - _kmul(f, y, q)) % q for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    basis: list[list[RatPoly]] = []
-    one = RatPoly((Fraction(1),))
-    for free in (c for c in range(n) if c not in pivots):
-        v = [RatPoly.zero()] * n
-        v[free] = one
-        for c, pr in pivots.items():
-            v[c] = (-rows[pr][free]) % q
-        basis.append(v)
-    return basis
+def _hermitian_signature(s: Matrix, k: Matrix, t: Fraction) -> int:
+    """Signature of the Hermitian form S + i t K (S symmetric, K skew):
+    half that of the real symmetric [[dS, -pK], [pK, dS]] for t = p/d."""
+    p, d = t.numerator, t.denominator
+    top = [tuple(d * x for x in rs) + tuple(-p * x for x in rk) for rs, rk in zip(s, k)]
+    bottom = [tuple(p * x for x in rk) + tuple(d * x for x in rs) for rs, rk in zip(s, k)]
+    return signature_exact(top + bottom) // 2
 
 
 def milnor_signatures(
     s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]
 ) -> MilnorAssignmentComputed:
-    """Signature of S restricted to Ker(f(a)) for each monic irreducible
-    real quadratic factor f = X^2 - X - lambda of the characteristic
-    polynomial; requires the characteristic polynomial squarefree.
+    """Milnor signature of the pair at each monic irreducible real
+    quadratic factor X^2 - X - lambda of the characteristic polynomial P
+    (which must be squarefree), as the jump of the Levine-Tristram
+    signature across the corresponding root of Delta_A.
 
-    Ker(f(a)) is the eigenspace of the S-self-adjoint b = a^2 - a at
-    lambda; the restricted 2x2 Gram matrix lives in Q(lambda) and its
-    signature is decided by certified interval signs.  The total is
-    reconciled against signature_exact(S)."""
+    With A = a^T S and K = A - A^T, the Hermitian form S + i t K is a
+    positive multiple of (1 + w) A + (1 + conj w) A^T at the unit-circle
+    point w = (1 + ti)/(1 - ti), so it is singular exactly at the roots of
+    Delta_A and its signature is constant between them.  Because
+    t^2 = 1/(-4 lambda - 1) increases with lambda, the sorted v-root
+    intervals give the roots in increasing t.  The signature is evaluated
+    exactly at t = 0 (sig S), at one rational t between each two
+    consecutive roots and at one above the last; each value is the drop
+    across its root, so the values sum to sig S.  Checks that can fail:
+    the signature above the last root (sig S when there is none) is 0,
+    since K is nonsingular (det K = +-Delta_A(-1), and P(1/2) != 0 for a
+    monic integer P); and every drop is -2, 0 or 2."""
     val = validate_pair(s_rows, a_rows)
     if not val.ok:
         raise ValueError("; ".join(val.problems))
@@ -399,69 +387,28 @@ def milnor_signatures(
     if not is_squarefree_q(p):
         raise ValueError("Milnor signatures need a squarefree characteristic polynomial")
     factors = irr_r_factors(p)
-    total_expected = signature_exact(s)
-    if not factors:
-        return MilnorAssignmentComputed(factors=(), values=(), kernel_dims=(), total=0)
-    q_model = v_polynomial(p)
-    minpolys = [f for f, _ in factor_z(q_model).factors]
-    b = mat_sub(mat_mul(a, a), a)
-    n = len(a)
-    values: list[int] = []
-    dims: list[int] = []
-    for factor in factors:
-        iv = factor.v_root_interval
-        q = next(
-            (
-                mp
-                for mp in minpolys
-                if sturm_count(mp.to_rat(), iv.lo, iv.hi) == 1
-            ),
-            None,
-        )
-        if q is None:
-            raise KnotsigError("internal error: no minimal polynomial matches the root interval")
-        q_rat = q.to_rat().monic()
-        # entries of b - Y*I as elements of Q[Y]/(q)
-        m = [
-            [
-                RatPoly((Fraction(b[i][j]), Fraction(-1))) if i == j else RatPoly((Fraction(b[i][j]),))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        basis = _kernel_basis_over_field(m, q_rat)
-        dims.append(len(basis))
-        if len(basis) != 2:
-            raise KnotsigError(
-                f"internal error: eigenspace dimension {len(basis)}, expected 2"
-            )
-        v1, v2 = basis
+    a_form = mat_mul(transpose(a), s)
+    k = mat_sub(a_form, transpose(a_form))
+    gaps = root_gaps(
+        v_polynomial(p).to_rat(), [f.v_root_interval for f in factors], Fraction(-1, 4)
+    )
 
-        def gram(u: list[RatPoly], w: list[RatPoly]) -> RatPoly:
-            acc = RatPoly.zero()
-            for i in range(n):
-                if u[i].is_zero:
-                    continue
-                for j in range(n):
-                    if s[i][j] and not w[j].is_zero:
-                        acc = acc + s[i][j] * (u[i] * w[j])
-            return acc % q_rat
+    def t_squared(lam: Fraction) -> Fraction:
+        return 1 / (-4 * lam - 1)
 
-        g11, g12, g22 = gram(v1, v1), gram(v1, v2), gram(v2, v2)
-        det_g = (g11 * g22 - g12 * g12) % q_rat
-        if det_g.is_zero:
-            raise KnotsigError("internal error: restricted form is degenerate")
-        if sign_at_root(det_g, q_rat, iv) < 0:
-            values.append(0)
-            continue
-        values.append(2 * sign_at_root(g11, q_rat, iv))
-    total = sum(values)
-    if total != total_expected:
+    # one t in each gap; the last gap, above the last root, is unbounded in t
+    bounds = [t_squared(hi) for _, hi in gaps[:-1]] + [None]
+    samples = [_t_with_square_in(t_squared(lo), hi) for (lo, _), hi in zip(gaps, bounds)]
+    sigmas = [signature_exact(s)] + [_hermitian_signature(s, k, t) for t in samples]
+    if sigmas[-1] != 0:
         raise KnotsigError(
-            f"internal error: Milnor values sum to {total}, signature is {total_expected}"
+            f"internal error: signature {sigmas[-1]} above the last root, expected 0"
         )
+    values = tuple(before - after for before, after in zip(sigmas, sigmas[1:]))
+    if any(v not in (-2, 0, 2) for v in values):
+        raise KnotsigError(f"internal error: Milnor values {values} outside -2, 0, 2")
     return MilnorAssignmentComputed(
-        factors=tuple(factors), values=tuple(values), kernel_dims=tuple(dims), total=total
+        factors=tuple(factors), values=values, kernel_dims=(2,) * len(values), total=sum(values)
     )
 
 

@@ -259,7 +259,7 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
         G = g
     else:
         # monic model l^(d-1) * g(X/l); factors map back by X -> l*X
-        G = IntPoly(c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs))
+        G = IntPoly([c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs[:-1])] + [1])
     primes = _next_good_primes(G, lc, 4)
     p, aux = primes[0], primes[1:]
     fac = factor_mod_p(PolyModP.from_int_poly(G, p), seed)

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different route than the package:
 Sylvester determinants for resultants, exhaustive enumeration for the
 symmetric common-factor test and irreducibility, floating-point
 eigenvalues for root counts and signatures, and plain trial division for
-integer factorization.
+integer factorization, and the number-field eigenspace route for the
+Milnor signatures of a Seifert pair.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from knotsig import IntPoly, divrem
+from knotsig import IntPoly, RatPoly, divrem, factor_z, irr_r_factors, v_polynomial
 from knotsig.modp import PolyModP, is_symmetric_mod_p
+from knotsig.realroots import sign_at_root, sturm_count
+from knotsig.seifert import as_matrix, charpoly, mat_mul, mat_sub
 
 
 def det_fraction(rows: list[list[int]]) -> int:
@@ -161,3 +164,117 @@ def is_irreducible_bruteforce(h: IntPoly) -> bool:
                         if all(c.denominator == 1 for c in q.coeffs):
                             return False
     return True
+
+
+def _kmul(x: RatPoly, y: RatPoly, q: RatPoly) -> RatPoly:
+    return (x * y) % q
+
+
+def _kinv(x: RatPoly, q: RatPoly) -> RatPoly:
+    """Inverse of x modulo the irreducible q over Q."""
+    a, b = q, x % q
+    ua, ub = RatPoly.zero(), RatPoly((Fraction(1),))
+    while not b.is_zero:
+        quo, rem = a.divrem(b)
+        a, b = b, rem
+        ua, ub = ub, ua - quo * ub
+    assert a.degree == 0, "non-invertible element in number field"
+    return (ua * (1 / a.lc)) % q
+
+
+def _kernel_basis_over_field(m: list[list[RatPoly]], q: RatPoly) -> list[list[RatPoly]]:
+    """Kernel basis of a matrix over Q[Y]/(q) by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [[entry % q for entry in row] for row in m]
+    pivots: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if not rows[i][c].is_zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = _kinv(rows[r][c], q)
+        rows[r] = [_kmul(x, inv, q) for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero:
+                f = rows[i][c]
+                rows[i] = [(x - _kmul(f, y, q)) % q for x, y in zip(rows[i], rows[r])]
+        pivots[c] = r
+        r += 1
+    basis: list[list[RatPoly]] = []
+    one = RatPoly((Fraction(1),))
+    for free in (c for c in range(n) if c not in pivots):
+        v = [RatPoly.zero()] * n
+        v[free] = one
+        for c, pr in pivots.items():
+            v[c] = (-rows[pr][free]) % q
+        basis.append(v)
+    return basis
+
+
+def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
+    """Milnor values of a Seifert pair (S, a) with squarefree charpoly,
+    one per v-root interval of ``irr_r_factors`` in its order: the
+    signature of S on the eigenplane Ker(a^2 - a - lambda), computed over
+    the number field Q[Y]/(minpoly of lambda), with the real embedding
+    chosen by certified interval signs."""
+    s, a = as_matrix(s_rows), as_matrix(a_rows)
+    p = charpoly(a)
+    factors = irr_r_factors(p)
+    if not factors:
+        return ()
+    minpolys = [f for f, _ in factor_z(v_polynomial(p)).factors]
+    b = mat_sub(mat_mul(a, a), a)
+    n = len(a)
+    values: list[int] = []
+    for factor in factors:
+        iv = factor.v_root_interval
+        (q,) = [mp for mp in minpolys if sturm_count(mp.to_rat(), iv.lo, iv.hi) == 1]
+        q_rat = q.to_rat().monic()
+        # entries of b - Y*I as elements of Q[Y]/(q)
+        m = [
+            [
+                RatPoly((Fraction(b[i][j]), Fraction(-1))) if i == j else RatPoly((Fraction(b[i][j]),))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        basis = _kernel_basis_over_field(m, q_rat)
+        assert len(basis) == 2, f"eigenspace dimension {len(basis)}, expected 2"
+        v1, v2 = basis
+
+        def gram(u: list[RatPoly], w: list[RatPoly]) -> RatPoly:
+            acc = RatPoly.zero()
+            for i in range(n):
+                if u[i].is_zero:
+                    continue
+                for j in range(n):
+                    if s[i][j] and not w[j].is_zero:
+                        acc = acc + s[i][j] * (u[i] * w[j])
+            return acc % q_rat
+
+        g11, g12, g22 = gram(v1, v1), gram(v1, v2), gram(v2, v2)
+        det_g = (g11 * g22 - g12 * g12) % q_rat
+        assert not det_g.is_zero, "restricted form is degenerate"
+        if sign_at_root(det_g, q_rat, iv) < 0:
+            values.append(0)
+        else:
+            values.append(2 * sign_at_root(g11, q_rat, iv))
+    return tuple(values)
+
+
+def sympy_factors(f: IntPoly) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factors of f over Z from ``sympy.factor_list``, as
+    sorted (coefficients low to high with positive leading one,
+    multiplicity) pairs."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x).factor_list()
+    out = []
+    for q, e in factors:
+        coeffs = tuple(int(c) for c in reversed(q.all_coeffs()))
+        if coeffs[-1] < 0:
+            coeffs = tuple(-c for c in coeffs)
+        out.append((coeffs, e))
+    return sorted(out)

@@ -166,3 +166,47 @@ def test_e8_milnor_through_cli(capsys):
     code, out, _ = run(capsys, "seifert", "--matrix", json.dumps(rows), "--op", "milnor")
     assert code == 0
     assert "total: 8" in out
+
+
+class TestLeadingMinus:
+    """Values beginning with '-' are taken as values, not as options."""
+
+    def test_factor_poly(self, capsys):
+        code, out, _ = run(capsys, "factor", "--poly", "-1,0,49")
+        assert code == 0 and out.splitlines() == ["7*x - 1", "7*x + 1"]
+
+    def test_delta_and_p(self, capsys):
+        code, out, _ = run(capsys, "rho", "--delta", "-1,0,1,0,-1")
+        assert code == 0 and out.strip() == "4"
+        code, out, _ = run(capsys, "transform", "--p", "-1,4,-5,2,-1")
+        assert code == 0 and out.strip() == "-x^4 + x^2 - 1"
+        code, out, _ = run(capsys, "analyze", "--delta", "-x^4 + x^2 - 1", "--m", "7",
+                           "--signature", "0")
+        assert code == 0 and "Delta(1) = -1" in out
+
+    def test_tau(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--delta", "1,0,-1,0,1", "--m", "7", "--tau", "-2,2")
+        assert code == 0 and "REALIZABLE" in out
+
+    def test_missing_value_still_an_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--poly"])
+        assert exc.value.code == 2
+
+
+def test_non_monic_factor_through_cli(capsys):
+    # (49x^2 + x + 1)(x^2 - x + 1): the monic model once lost its leading term
+    code, out, _ = run(capsys, "factor", "--poly=1,0,49,-48,49")
+    assert code == 0 and out.splitlines() == ["x^2 - x + 1", "49*x^2 + x + 1"]
+
+
+def test_internal_error_exit_four(capsys, monkeypatch):
+    from knotsig import KnotsigError, cli
+
+    def broken(*args, **kwargs):
+        raise KnotsigError("internal error: first line\nsecond line")
+
+    monkeypatch.setattr(cli, "factor_z", broken)
+    code, out, err = run(capsys, "factor", "--poly", "x^2 - 1")
+    assert code == 4 and out == ""
+    assert err == "error: internal error: first line second line\n"

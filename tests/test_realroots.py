@@ -17,7 +17,13 @@ from knotsig import (
     rho_p,
     sturm_count,
 )
-from knotsig.realroots import interval_eval, refine_interval, sign_at_root
+from knotsig.realroots import (
+    IsolatingInterval,
+    interval_eval,
+    refine_interval,
+    root_gaps,
+    sign_at_root,
+)
 from conftest import make_delta_a
 from oracles import count_real_roots_float
 
@@ -212,3 +218,29 @@ class TestCertifiedSigns:
         for _ in range(20):
             iv = refine_interval(minpoly, iv)
         assert iv.lo < Fraction(1414214, 1000000) and iv.hi > Fraction(1414213, 1000000)
+
+
+class TestRootGaps:
+    # Q = (x + 1)(2048x + 2049): roots -1 - 1/2048 and -1
+    Q = (IntPoly([1, 1]) * IntPoly([2049, 2048])).to_rat()
+    SHARED = Fraction(-1) - Fraction(1, 4096)
+    TOUCHING = [
+        IsolatingInterval(Fraction(-3, 2), SHARED),
+        IsolatingInterval(SHARED, Fraction(-1, 2)),
+    ]
+
+    def test_touching_intervals_are_separated(self):
+        gaps = root_gaps(self.Q, self.TOUCHING, Fraction(-1, 4))
+        assert len(gaps) == 2
+        (lo0, hi0), (lo1, hi1) = gaps
+        assert Fraction(-2049, 2048) < lo0 < hi0 < -1 < lo1 < hi1 == Fraction(-1, 4)
+        for lo, hi in gaps:
+            assert sturm_count(self.Q, lo, hi) == 0
+
+    def test_last_interval_reaching_top_is_refined(self):
+        gaps = root_gaps(self.Q, self.TOUCHING, Fraction(-1, 2))
+        lo, hi = gaps[-1]
+        assert -1 < lo < hi == Fraction(-1, 2)
+
+    def test_no_roots_no_gaps(self):
+        assert root_gaps(self.Q, [], Fraction(-1, 4)) == []

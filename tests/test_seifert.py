@@ -4,16 +4,20 @@ Milnor signatures of concrete pairs."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from knotsig import (
+    IntPoly,
+    IsolatingInterval,
     alexander_check,
     alexander_of_form,
     block_diag,
     charpoly_of_pair,
     delta_to_p,
     form_to_pair,
+    is_squarefree_q,
     milnor_signatures,
     pair_to_form,
     parse_matrix,
@@ -33,10 +37,45 @@ from knotsig.seifert import (
     mat_add,
     mat_mul,
     transpose,
+    _t_with_square_in,
 )
-from oracles import signature_float
+from knotsig.realroots import root_gaps
+from oracles import milnor_values_number_field, signature_float
 
 A2 = ((0, 2), (-1, 0))
+H = ((0, 1), (1, 0))
+E8_MINUS_E8 = half_form(block_diag(e8_gram(), tuple(tuple(-x for x in row) for row in e8_gram())))
+
+
+def skew_perturbed(form, seed, frac=0.25, steps=(-2, -1, 1, 2)):
+    """form + K for a seeded random integer skew K: each entry above the
+    diagonal is moved by a step with probability ``frac``.  A + A^T is
+    unchanged; a draw with det A = 0 is drawn again."""
+    rng = random.Random(seed)
+    n = len(form)
+    while True:
+        a = [list(row) for row in form]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < frac:
+                    c = rng.choice(steps)
+                    a[i][j] += c
+                    a[j][i] -= c
+        if mat_det(a) != 0:
+            return tuple(tuple(row) for row in a)
+
+
+def squarefree_pairs(form, count, frac=0.25, steps=(-2, -1, 1, 2)):
+    """The first ``count`` seeded perturbations of ``form`` whose
+    companion has a squarefree characteristic polynomial."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        pair = form_to_pair(skew_perturbed(form, seed, frac, steps))
+        if is_squarefree_q(charpoly_of_pair(pair.s, pair.a)):
+            out.append(pair)
+        seed += 1
+    return out
 
 
 def random_conjugates(base, count, seed):
@@ -182,6 +221,23 @@ class TestSignature:
             assert signature_exact(m) == want
             checked += 1
 
+    def test_against_float_oracle_zero_diagonal(self):
+        # mostly zero diagonals, so hyperbolic 2x2 pivots occur
+        rng = random.Random(89)
+        checked = 0
+        while checked < 200:
+            n = rng.randrange(2, 9)
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    v = rng.choice((0, 0, 1, -1, 2, -3, 5))
+                    m[i][j] = m[j][i] = v if i != j or rng.random() < 0.3 else 0
+            want = signature_float(m)
+            if want is None:
+                continue
+            assert signature_exact(m) == want
+            checked += 1
+
 
 class TestUnimodularT:
     def test_e8_isometry(self, e8, e8_half):
@@ -243,6 +299,74 @@ class TestMilnorSignatures:
         a = block_diag(pair_e8.a, pair_h.a)
         ms = milnor_signatures(s, a)
         assert ms.total == 8 and ms.values == (2, 2, 2, 2)
+
+
+class TestMilnorOracle:
+    """The Levine-Tristram jumps agree with the number-field eigenspace
+    signatures (tests/oracles.py) value by value."""
+
+    @staticmethod
+    def assert_agrees(s, a):
+        ms = milnor_signatures(s, a)
+        assert ms.values == milnor_values_number_field(s, a)
+        assert ms.total == signature_exact(s)
+        return ms
+
+    def test_forms_of_the_suite(self, e8_half):
+        pair = form_to_pair(e8_half)
+        neg_s = tuple(tuple(-x for x in row) for row in pair.s)
+        pair_h = form_to_pair(A2)
+        cases = [(pair_h.s, pair_h.a), (pair.s, pair.a), (neg_s, pair.a)]
+        cases.append((block_diag(pair.s, pair_h.s), block_diag(pair.a, pair_h.a)))
+        for mat in random_conjugates(e8_half, 5, seed=13):
+            conj = form_to_pair(mat)
+            cases.append((conj.s, conj.a))
+        for s, a in cases:
+            self.assert_agrees(s, a)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            half_form(e8_gram()),
+            block_diag(half_form(e8_gram()), A2),
+            half_form(block_diag(e8_gram(), H)),
+        ],
+        ids=["E8", "E8+A2", "E8+H"],
+    )
+    def test_skew_perturbed(self, form):
+        for pair in squarefree_pairs(form, 2):
+            self.assert_agrees(pair.s, pair.a)
+
+    def test_mixed_sign_e8_minus_e8(self):
+        pair = form_to_pair(skew_perturbed(E8_MINUS_E8, 12, frac=0.1, steps=(-1, 1)))
+        ms = self.assert_agrees(pair.s, pair.a)
+        assert ms.values == (2, -2) and ms.total == 0
+
+    def test_mixed_sign_four_factors(self):
+        """Seed 2 gives four unit-circle factors; the number-field route
+        (11 s) gives the same values."""
+        pair = form_to_pair(skew_perturbed(E8_MINUS_E8, 2, frac=0.1, steps=(-1, 1)))
+        assert milnor_signatures(pair.s, pair.a).values == (-2, 2, -2, 2)
+
+
+class TestSamplePoints:
+    def test_t_with_square_in(self):
+        for lo, hi in [(Fraction(0), Fraction(1, 3)), (Fraction(2), Fraction(3)),
+                       (Fraction(1024, 3073), Fraction(1025, 3073)), (Fraction(7), None)]:
+            t = _t_with_square_in(lo, hi)
+            assert t > 0 and lo < t * t and (hi is None or t * t < hi)
+
+    def test_touching_v_root_intervals(self):
+        """Q = (x + 1)(2048x + 2049) has v-roots 1/2048 apart; intervals
+        sharing the endpoint -1 - 1/4096 leave no room for a sample point
+        until they are refined."""
+        q = (IntPoly([1, 1]) * IntPoly([2049, 2048])).to_rat()
+        shared = Fraction(-1) - Fraction(1, 4096)
+        ivs = [IsolatingInterval(Fraction(-3, 2), shared), IsolatingInterval(shared, Fraction(-1, 2))]
+        (lo, hi), _ = root_gaps(q, ivs, Fraction(-1, 4))
+        t = _t_with_square_in(1 / (-4 * lo - 1), 1 / (-4 * hi - 1))
+        lam = -(1 + 1 / (t * t)) / 4  # inverse of t^2 = 1/(-4 lambda - 1)
+        assert Fraction(-2049, 2048) < lam < -1
 
 
 class TestParseMatrix:

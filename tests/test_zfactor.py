@@ -16,7 +16,7 @@ from knotsig import (
 )
 from knotsig.modp import PolyModP, factor_mod_p
 from conftest import make_delta_a
-from oracles import is_irreducible_bruteforce
+from oracles import is_irreducible_bruteforce, sympy_factors
 
 
 class TestFactorZ:
@@ -108,6 +108,36 @@ class TestFactorZ:
             poly = poly * IntPoly((-r, 1))
         with pytest.raises(BudgetExceededError):
             factor_z(poly)
+
+
+class TestNonMonic:
+    """The monic model l^(d-1) g(X/l) of a non-monic g has leading
+    coefficient exactly 1; building it must not leave the integers."""
+
+    def test_49x2_minus_1(self):
+        fz = factor_z(IntPoly([-1, 0, 49]))
+        assert fz.factors == ((IntPoly([-1, 7]), 1), (IntPoly([1, 7]), 1))
+
+    def test_2916x2_minus_1(self):
+        fz = factor_z(IntPoly([-1, 0, 2916]))
+        assert fz.factors == ((IntPoly([-1, 54]), 1), (IntPoly([1, 54]), 1))
+
+    def test_product_not_reported_irreducible(self):
+        f = IntPoly([1, 1, 49]) * IntPoly([1, -1, 1])
+        assert f == IntPoly([1, 0, 49, -48, 49])
+        assert factor_z(f).factors == ((IntPoly([1, -1, 1]), 1), (IntPoly([1, 1, 49]), 1))
+
+    def test_against_sympy_up_to_lc_200(self):
+        for lc in range(1, 201):
+            corpus = [
+                IntPoly([-1, 0, lc]),
+                IntPoly([1, 1, lc]) * IntPoly([1, -1, 1]),
+                IntPoly([-lc, 1, 0, lc]) * IntPoly([2, 1, lc]),
+            ]
+            for f in corpus:
+                fz = factor_z(f)
+                assert fz.product() == f
+                assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(f), (lc, f)
 
 
 class TestStandingAssumptions:
