@@ -56,11 +56,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.tau is not None:
         req = AnalysisRequest(delta=delta, m=args.m, tau=_parse_tau(args.tau), seed=args.seed)
         report = analyze_tau(req)
-    elif args.signature is not None:
+    else:
         req = AnalysisRequest(delta=delta, m=args.m, signature=args.signature, seed=args.seed)
         report = analyze(req)
-    else:
-        raise PolyParseError("analyze needs --signature or --tau")
     print(report_render(report, args.format))
     return 0
 
@@ -194,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="full realizability analysis of (Delta, m, s) or (Delta, m, tau)")
     p_an.add_argument("--delta", required=True, help="Alexander polynomial")
     p_an.add_argument("--m", type=int, required=True, help="knot dimension, 3 mod 4")
-    p_an.add_argument("--signature", type=int, help="target signature s")
-    p_an.add_argument("--tau", help="explicit assignment, e.g. '2,-2,2,2'")
+    target = p_an.add_mutually_exclusive_group(required=True)
+    target.add_argument("--signature", type=int, help="target signature s")
+    target.add_argument("--tau", help="explicit assignment, e.g. '2,-2,2,2'")
     p_an.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     p_an.add_argument("--format", choices=("json", "text"), default="text")
     p_an.set_defaults(func=_cmd_analyze)

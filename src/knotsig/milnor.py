@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .polys import IntPoly
-from .realroots import IrrRFactor, irr_r_factors
+from .realroots import rho_p
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ def mil_nonempty(rho: int, s: int) -> bool:
 def mil_enum(p: IntPoly, s: int) -> MilnorFamily:
     """All Milnor assignments on the unit-circle factors of P summing to s
     (empty when infeasible)."""
-    factors = irr_r_factors(p)
-    k = len(factors)
+    k = rho_p(p) // 2
     assignments = tuple(MilnorAssignment(t) for t in enumerate_sign_tuples(k, s))
     return MilnorFamily(rho=2 * k, s=s, assignments=assignments)

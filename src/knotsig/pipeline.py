@@ -18,10 +18,11 @@ from typing import Any
 
 from .errors import KnotsigError
 from .milnor import enumerate_sign_tuples, expected_count, mil_nonempty
-from .polys import IntPoly, alexander_check, delta_to_p, poly_text, symmetric_check
+from .polys import ConditionReport, IntPoly, alexander_check, delta_to_p, poly_text
 from .realroots import rho_delta, rho_p
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
-from .zfactor import FactorizationZ, SymmetricFactorSet, factor_z
+from .zfactor import SymmetricFactorSet, standing_assumptions
+from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches pipeline.factor_z
 from .version import TOOL_VERSION
 
 VERDICT_REALIZABLE = "REALIZABLE"
@@ -82,8 +83,7 @@ class AnalysisReport:
         return AnalysisReport(**data)
 
 
-def _conditions_dict(delta: IntPoly) -> dict[str, Any]:
-    rep = alexander_check(delta)
+def _conditions_dict(rep: ConditionReport) -> dict[str, Any]:
     return {
         "degree_even": rep.degree_even,
         "reciprocal": rep.cond_reciprocal,
@@ -95,8 +95,7 @@ def _conditions_dict(delta: IntPoly) -> dict[str, Any]:
     }
 
 
-def _condition_failure(delta: IntPoly) -> str | None:
-    rep = alexander_check(delta)
+def _condition_failure(delta: IntPoly, rep: ConditionReport) -> str | None:
     if not rep.degree_even:
         return "the degree is odd, so Delta(X) = X^2n * Delta(1/X) fails"
     if not rep.cond_reciprocal:
@@ -108,16 +107,13 @@ def _condition_failure(delta: IntPoly) -> str | None:
     return None
 
 
-def _factors_dict(fz: FactorizationZ, sfs: SymmetricFactorSet) -> dict[str, Any]:
+def _factors_dict(sfs: SymmetricFactorSet) -> dict[str, Any]:
+    fz = sfs.factorization
     return {
         "content": fz.content,
         "factors": [
-            {
-                "coeffs": list(q.coeffs),
-                "multiplicity": e,
-                "symmetric": symmetric_check(q),
-            }
-            for q, e in fz.factors
+            {"coeffs": list(q.coeffs), "multiplicity": e, "symmetric": sym}
+            for (q, e), sym in zip(fz.factors, sfs.symmetric)
         ],
         "squarefree": sfs.squarefree,
         "all_symmetric": sfs.all_symmetric,
@@ -144,23 +140,19 @@ def _first_assignment(k: int, s: int) -> list[int]:
     return [2] * n_plus + [-2] * (k - n_plus)
 
 
-def _indecomposability_note(delta: IntPoly, s: int, mod_required: int, seed: int) -> str | None:
+def _indecomposability_note(rhos: list[int], s: int, mod_required: int) -> str | None:
     """When every irreducible factor of Delta has rho below the signature
-    modulus, a nonzero-signature knot cannot split as a connected sum."""
-    if s == 0:
+    modulus, a knot of nonzero signature cannot split as a connected sum.
+    Called once the gates pass, so mod_required <= |s| <= sum(rhos): the
+    condition already fails when Delta has a single factor.
+
+    ``rhos`` holds the rho of each irreducible factor of P.  The change
+    X -> 1 - 1/X maps the irreducible factors of Delta one to one onto
+    those of P and the unit circle onto the line Re z = 1/2, so each
+    factor of Delta has the rho of its factor of P, and no second
+    factorization is needed."""
+    if s == 0 or max(rhos) >= mod_required:
         return None
-    fz = factor_z(delta, seed)
-    if len(fz.factors) < 2:
-        return None
-    rhos = []
-    for q, _ in fz.factors:
-        rep = alexander_check(q)
-        if not rep.cond_reciprocal or q.evaluate(1) == 0 or q.evaluate(-1) == 0:
-            return None
-        r = rho_delta(q)
-        if r >= mod_required:
-            return None
-        rhos.append(r)
     return (
         f"every irreducible factor of Delta has rho < {mod_required}, forcing factor "
         f"signature 0; a knot realizing signature {s} with this Alexander polynomial "
@@ -168,110 +160,125 @@ def _indecomposability_note(delta: IntPoly, s: int, mod_required: int, seed: int
     )
 
 
-def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, SymmetricFactorSet | None]:
+def _reject(report: AnalysisReport, verdict: str, reason: str) -> AnalysisReport:
+    report.verdict = verdict
+    report.reason = reason
+    return report
+
+
+def _analyze_common(
+    req: AnalysisRequest,
+) -> tuple[AnalysisReport, SymmetricFactorSet | None, list[int]]:
     """Stages shared by the signature and tau entry points: conditions on
-    Delta, standing assumptions on P, and rho.  The obstruction group is
+    Delta, the one factorization of P with its standing assumptions, and
+    rho.  Returns the report (its verdict set when out of scope), the
+    factor set and the rho of each factor of P.
+
+    By the correspondence X -> 1 - 1/X between the factors of Delta and
+    of P (see :func:`_indecomposability_note`), rho(Delta) is the sum of
+    the per-factor rho of P; computing rho(Delta) on its own as well is a
+    cross-check that raises on disagreement.  The obstruction group is
     attached later, only once the admissibility gates pass."""
-    delta, m, seed = req.delta, req.m, req.seed
+    delta, seed = req.delta, req.seed
     report = AnalysisReport(
         verdict="",
-        m=m,
+        m=req.m,
         s=req.signature,
         seed=seed,
         tool_version=TOOL_VERSION,
     )
-    report.conditions = _conditions_dict(delta)
-    failure = _condition_failure(delta)
+    conditions = alexander_check(delta)
+    report.conditions = _conditions_dict(conditions)
+    failure = _condition_failure(delta, conditions)
     if failure is not None:
-        report.verdict = VERDICT_OUT_OF_SCOPE
-        report.reason = failure
-        return report, None
+        return _reject(report, VERDICT_OUT_OF_SCOPE, failure), None, []
 
     p_poly = delta_to_p(delta)
     report.p = list(p_poly.coeffs)
-    fz = factor_z(p_poly, seed)
-    sfs = SymmetricFactorSet(
-        factors=tuple(q for q, _ in fz.factors),
-        all_symmetric=p_poly.is_monic and all(symmetric_check(q) for q, _ in fz.factors),
-        squarefree=fz.is_squarefree,
-    )
-    report.factors = _factors_dict(fz, sfs)
+    sfs = standing_assumptions(p_poly, seed)
+    report.factors = _factors_dict(sfs)
     if not sfs.squarefree:
-        report.verdict = VERDICT_OUT_OF_SCOPE
-        report.reason = "the companion polynomial P is not squarefree"
-        return report, None
+        reason = "the companion polynomial P is not squarefree"
+        return _reject(report, VERDICT_OUT_OF_SCOPE, reason), None, []
     if not sfs.all_symmetric:
-        bad = next(q for q, _ in fz.factors if not symmetric_check(q))
-        report.verdict = VERDICT_OUT_OF_SCOPE
-        report.reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
-        return report, None
+        bad = sfs.factors[sfs.symmetric.index(False)]
+        reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
+        return _reject(report, VERDICT_OUT_OF_SCOPE, reason), None, []
 
-    rho = rho_delta(delta)
-    if rho != rho_p(p_poly):
+    rhos = [rho_p(f) for f in sfs.factors]
+    report.rho = sum(rhos)
+    if report.rho != rho_delta(delta):
         raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
-    report.rho = rho
-    return report, sfs
+    return report, sfs, rhos
 
 
-def _attach_group(report: AnalysisReport, sfs: SymmetricFactorSet, seed: int) -> int:
-    """Compute the prime table and the obstruction group; returns the rank."""
+def _modulus(m: int) -> int:
+    """The signature of an m-knot is divisible by 16 when m = 3, else by 8."""
+    return 16 if m == 3 else 8
+
+
+def _divisibility_failure(subject: str, s: int, m: int) -> str | None:
+    """The first gate of both entry points."""
+    mod = _modulus(m)
+    if s % mod == 0:
+        return None
+    return f"{subject} not divisible by {mod} (required for knot dimension m = {m})"
+
+
+def _conclude(
+    report: AnalysisReport,
+    sfs: SymmetricFactorSet,
+    seed: int,
+    witness: list[int],
+    note: str | None = None,
+) -> AnalysisReport:
+    """The verdict tail of both entry points once the gates pass: the
+    prime table and the obstruction group.  A trivial group gives
+    REALIZABLE with the witness assignment (and the note, if any); a
+    nonzero one gives OBSTRUCTION_UNKNOWN."""
     group, table = obstruction_group(sfs, seed)
     report.pi_table = _pi_table_dicts(table)
     report.group = _group_dict(group)
-    report.epsilon_status = (
-        "trivially zero" if group.rank == 0 else "requires external evaluation"
-    )
-    return group.rank
-
-
-def analyze(req: AnalysisRequest) -> AnalysisReport:
-    """Verdict for the target signature req.signature."""
-    if req.signature is None:
-        raise ValueError("analyze needs a target signature; use analyze_tau for assignments")
-    report, sfs = _analyze_common(req)
-    if report.verdict:
-        return report
-    assert sfs is not None
-    s, m = req.signature, req.m
-    rho = report.rho
-    assert rho is not None
-    mod_required = 16 if m == 3 else 8
-
-    if s % mod_required != 0:
-        report.verdict = VERDICT_NOT_ADMISSIBLE
-        report.reason = (
-            f"signature {s} is not divisible by {mod_required} "
-            f"(required for knot dimension m = {m})"
-        )
-        return report
-    if abs(s) > rho:
-        report.verdict = VERDICT_NOT_ADMISSIBLE
-        report.reason = f"|s| = {abs(s)} exceeds the unit-circle root count rho = {rho}"
-        return report
-    k = rho // 2
-    count = expected_count(rho, s)
-    report.mil = {"rho": rho, "s": s, "count": count}
-    if count <= MAX_LISTED_ASSIGNMENTS:
-        report.mil["assignments"] = [list(t) for t in enumerate_sign_tuples(k, s)]
-    if not mil_nonempty(rho, s):
-        report.verdict = VERDICT_NOT_ADMISSIBLE
-        report.reason = f"no assignment of +-2 over {k} factors sums to {s}"
-        return report
-
-    rank = _attach_group(report, sfs, req.seed)
-    if rank == 0:
+    if group.rank == 0:
+        report.epsilon_status = "trivially zero"
         report.verdict = VERDICT_REALIZABLE
-        report.witnesses["tau"] = _first_assignment(k, s)
-        note = _indecomposability_note(req.delta, s, mod_required, req.seed)
+        report.witnesses["tau"] = witness
         if note:
             report.notes.append(note)
     else:
+        report.epsilon_status = "requires external evaluation"
         report.verdict = VERDICT_OBSTRUCTION_UNKNOWN
         report.notes.append(
             "the obstruction group is nonzero; deciding realizability needs an "
             "evaluation outside this tool's scope"
         )
     return report
+
+
+def analyze(req: AnalysisRequest) -> AnalysisReport:
+    """Verdict for the target signature req.signature."""
+    if req.signature is None:
+        raise ValueError("analyze needs a target signature; use analyze_tau for assignments")
+    report, sfs, rhos = _analyze_common(req)
+    if sfs is None:
+        return report
+    s, m, rho = req.signature, req.m, sum(rhos)
+    failure = _divisibility_failure(f"signature {s} is", s, m)
+    if failure is not None:
+        return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
+    if abs(s) > rho:
+        failure = f"|s| = {abs(s)} exceeds the unit-circle root count rho = {rho}"
+        return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
+    k = rho // 2
+    count = expected_count(rho, s)
+    report.mil = {"rho": rho, "s": s, "count": count}
+    if count <= MAX_LISTED_ASSIGNMENTS:
+        report.mil["assignments"] = [list(t) for t in enumerate_sign_tuples(k, s)]
+    if not mil_nonempty(rho, s):
+        failure = f"no assignment of +-2 over {k} factors sums to {s}"
+        return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
+    note = _indecomposability_note(rhos, s, _modulus(m))
+    return _conclude(report, sfs, req.seed, _first_assignment(k, s), note)
 
 
 def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
@@ -279,13 +286,10 @@ def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
     unit-circle factor, in sorted interval order)."""
     if req.tau is None:
         raise ValueError("analyze_tau needs an assignment tau")
-    report, sfs = _analyze_common(req)
-    if report.verdict:
+    report, sfs, rhos = _analyze_common(req)
+    if sfs is None:
         return report
-    assert sfs is not None
-    rho = report.rho
-    assert rho is not None
-    k = rho // 2
+    k = sum(rhos) // 2
     if len(req.tau) != k:
         raise ValueError(
             f"tau must assign one value to each of the {k} unit-circle factors; got {len(req.tau)}"
@@ -293,25 +297,10 @@ def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
     s = sum(req.tau)
     report.s = s
     report.mil = {"tau": list(req.tau), "sum": s}
-    mod_required = 16 if req.m == 3 else 8
-    if s % mod_required != 0:
-        report.verdict = VERDICT_NOT_ADMISSIBLE
-        report.reason = (
-            f"the assignment sums to {s}, which is not divisible by {mod_required} "
-            f"(required for knot dimension m = {req.m})"
-        )
-        return report
-    rank = _attach_group(report, sfs, req.seed)
-    if rank == 0:
-        report.verdict = VERDICT_REALIZABLE
-        report.witnesses["tau"] = list(req.tau)
-    else:
-        report.verdict = VERDICT_OBSTRUCTION_UNKNOWN
-        report.notes.append(
-            "the obstruction group is nonzero; deciding realizability needs an "
-            "evaluation outside this tool's scope"
-        )
-    return report
+    failure = _divisibility_failure(f"the assignment sums to {s}, which is", s, req.m)
+    if failure is not None:
+        return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
+    return _conclude(report, sfs, req.seed, list(req.tau))
 
 
 # ---------------------------------------------------------------------------

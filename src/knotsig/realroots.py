@@ -96,16 +96,20 @@ def _require_squarefree(f: RatPoly) -> None:
         raise ValueError("Sturm counting requires a squarefree polynomial")
 
 
-def sturm_count(f: RatPoly, a: Endpoint, b: Endpoint) -> int:
-    """Number of real roots of squarefree f in the open interval (a, b);
-    finite endpoints must not be roots."""
-    _require_squarefree(f)
+def _require_interval(f: RatPoly, a: Endpoint, b: Endpoint) -> None:
     if a != NEG_INF and b != POS_INF and Fraction(a) >= Fraction(b):
         raise ValueError("empty interval: need a < b")
     if a != NEG_INF and _sign_at(f, a) == 0:
         raise ValueError(f"left endpoint {a} is a root; perturb the interval")
     if b != POS_INF and _sign_at(f, b) == 0:
         raise ValueError(f"right endpoint {b} is a root; perturb the interval")
+
+
+def sturm_count(f: RatPoly, a: Endpoint, b: Endpoint) -> int:
+    """Number of real roots of squarefree f in the open interval (a, b);
+    finite endpoints must not be roots."""
+    _require_squarefree(f)
+    _require_interval(f, a, b)
     if f.degree == 0:
         return 0
     seq = sturm_sequence(f)
@@ -124,22 +128,19 @@ def isolate_roots(
     (a, b), bisection-refined below ``width``.  Midpoints that happen to
     hit a root are dodged by halved dyadic offsets."""
     _require_squarefree(f)
-    total = sturm_count(f, a, b)
-    if total == 0:
+    _require_interval(f, a, b)
+    seq = sturm_sequence(f)
+    if _variations(seq, a) == _variations(seq, b):
         return []
     bound = _cauchy_bound(f)
     lo = Fraction(a) if a != NEG_INF else -bound
     hi = Fraction(b) if b != POS_INF else bound
-    seq = sturm_sequence(f)
-
-    def count(l: Fraction, h: Fraction) -> int:
-        return _variations(seq, l) - _variations(seq, h)
 
     out: list[IsolatingInterval] = []
-    stack = [(lo, hi)]
+    stack = [(lo, hi, _variations(seq, lo), _variations(seq, hi))]
     while stack:
-        l, h = stack.pop()
-        c = count(l, h)
+        l, h, vl, vh = stack.pop()
+        c = vl - vh
         if c == 0:
             continue
         if c == 1 and h - l <= width:
@@ -150,8 +151,9 @@ def isolate_roots(
         while f.evaluate(mid) == 0:
             mid += offset
             offset /= 2
-        stack.append((l, mid))
-        stack.append((mid, h))
+        vm = _variations(seq, mid)
+        stack.append((l, mid, vl, vm))
+        stack.append((mid, h, vm, vh))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -246,9 +248,9 @@ def rho_delta(delta: IntPoly) -> int:
 
 def _validate_p(p: IntPoly) -> None:
     if p.is_zero or not symmetric_check(p):
-        raise ValueError("rho needs P with P(1-X) = P(X)")
+        raise ValueError("P must satisfy P(1-X) = P(X)")
     if not is_squarefree_q(p):
-        raise ValueError("rho needs a squarefree polynomial")
+        raise ValueError("P must be squarefree")
 
 
 def rho_p(p: IntPoly) -> int:

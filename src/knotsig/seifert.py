@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, RatPoly, is_squarefree_q, v_polynomial
+from .polys import IntPoly, RatPoly, v_polynomial
 from .realroots import IrrRFactor, irr_r_factors, root_gaps
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
@@ -384,9 +384,7 @@ def milnor_signatures(
         raise ValueError("; ".join(val.problems))
     s, a = as_matrix(s_rows), as_matrix(a_rows)
     p = charpoly(a)
-    if not is_squarefree_q(p):
-        raise ValueError("Milnor signatures need a squarefree characteristic polynomial")
-    factors = irr_r_factors(p)
+    factors = irr_r_factors(p)  # raises ValueError unless P is squarefree
     a_form = mat_mul(transpose(a), s)
     k = mat_sub(a_form, transpose(a_form))
     gaps = root_gaps(

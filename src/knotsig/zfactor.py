@@ -43,11 +43,21 @@ class FactorizationZ:
 
 @dataclass(frozen=True)
 class SymmetricFactorSet:
-    """Irreducible factor set of P with the standing-assumption flags."""
+    """The factorization of P with the standing-assumption flags: whether
+    each factor is fixed by X -> 1-X, and whether P is monic with every
+    factor fixed."""
 
-    factors: tuple[IntPoly, ...]
+    factorization: FactorizationZ
+    symmetric: tuple[bool, ...]
     all_symmetric: bool
-    squarefree: bool
+
+    @property
+    def factors(self) -> tuple[IntPoly, ...]:
+        return tuple(q for q, _ in self.factorization.factors)
+
+    @property
+    def squarefree(self) -> bool:
+        return self.factorization.is_squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +360,5 @@ def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
     """Factor P and flag whether it is a product of distinct monic
     irreducible polynomials, each fixed by X -> 1-X."""
     fz = factor_z(p_poly, seed)
-    squarefree = fz.is_squarefree
-    all_symmetric = p_poly.is_monic and all(symmetric_check(q) for q, _ in fz.factors)
-    return SymmetricFactorSet(
-        factors=tuple(q for q, _ in fz.factors),
-        all_symmetric=all_symmetric,
-        squarefree=squarefree,
-    )
+    symmetric = tuple(symmetric_check(q) for q, _ in fz.factors)
+    return SymmetricFactorSet(fz, symmetric, p_poly.is_monic and all(symmetric))

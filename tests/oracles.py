@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a different route than the package:
 Sylvester determinants for resultants, exhaustive enumeration for the
 symmetric common-factor test and irreducibility, floating-point
 eigenvalues for root counts and signatures, and plain trial division for
-integer factorization, and the number-field eigenspace route for the
-Milnor signatures of a Seifert pair.
+integer factorization, the number-field eigenspace route for the
+Milnor signatures of a Seifert pair, and the factors of Delta (rather
+than of P) for the per-factor unit-circle root counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from knotsig import IntPoly, RatPoly, divrem, factor_z, irr_r_factors, v_polynomial
+from knotsig import (
+    IntPoly,
+    RatPoly,
+    alexander_check,
+    divrem,
+    factor_z,
+    irr_r_factors,
+    rho_delta,
+    v_polynomial,
+)
 from knotsig.modp import PolyModP, is_symmetric_mod_p
 from knotsig.realroots import sign_at_root, sturm_count
 from knotsig.seifert import as_matrix, charpoly, mat_mul, mat_sub
@@ -278,3 +288,23 @@ def sympy_factors(f: IntPoly) -> list[tuple[tuple[int, ...], int]]:
             coeffs = tuple(-c for c in coeffs)
         out.append((coeffs, e))
     return sorted(out)
+
+
+def delta_factor_rhos(delta: IntPoly) -> list[int] | None:
+    """The Delta-side route to the per-factor rho, which the pipeline once
+    took for its indecomposability note: factor Delta itself and count the
+    unit-circle roots of each factor with ``rho_delta``.  Sorted; None when
+    a factor is not reciprocal or has a root at 1 or -1."""
+    rhos = []
+    for q, _ in factor_z(delta).factors:
+        if not alexander_check(q).cond_reciprocal or q.evaluate(1) == 0 or q.evaluate(-1) == 0:
+            return None
+        rhos.append(rho_delta(q))
+    return sorted(rhos)
+
+
+def indecomposable_by_delta_factors(delta: IntPoly, s: int, mod_required: int) -> bool:
+    """Whether the note applies, read off the factors of Delta: s != 0 and
+    at least two factors, each with rho below the signature modulus."""
+    rhos = delta_factor_rhos(delta)
+    return s != 0 and rhos is not None and len(rhos) >= 2 and max(rhos) < mod_required

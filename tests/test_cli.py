@@ -89,6 +89,20 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["seed"] == 11
 
+    def test_signature_and_tau_together_exit_two(self, capsys):
+        # --signature was once silently dropped in favour of --tau
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--delta", "1,-3,5,-3,1", "--m", "7", "--signature", "4",
+                  "--tau", "2,2"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_neither_signature_nor_tau_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--delta", "1,-3,5,-3,1", "--m", "7"])
+        assert exc.value.code == 2
+        assert "--signature" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_transform_both_ways(self, capsys):

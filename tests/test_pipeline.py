@@ -2,22 +2,32 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from knotsig import (
     AnalysisRequest,
+    IntPoly,
+    KnotsigError,
     VERDICT_NOT_ADMISSIBLE,
     VERDICT_OBSTRUCTION_UNKNOWN,
     VERDICT_OUT_OF_SCOPE,
     VERDICT_REALIZABLE,
+    alexander_of_form,
     analyze,
     analyze_tau,
+    block_diag,
+    e8_gram,
+    half_form,
     mil_nonempty,
     parse_poly,
     report_from_json,
     report_render,
+    rho_p,
 )
 from conftest import make_delta_a
+from oracles import delta_factor_rhos, indecomposable_by_delta_factors
 
 
 class TestVerdicts:
@@ -163,3 +173,84 @@ class TestReports:
                 assert mil_nonempty(rep.rho, rep.s)
                 assert rep.group["rank"] == 0
                 assert rep.s % 8 == 0 and abs(rep.s) <= rep.rho
+
+
+def _seifert_deltas(count: int, seed: int) -> list[IntPoly]:
+    """Alexander polynomials of forms A = half_form(S) + K for random skew
+    K, S in {E8, E8+H}, and of each one's block sum with half_form(E8)
+    (whose Delta is the cyclotomic Phi_30), sign-normalised so that
+    Delta(1) = (-1)^n."""
+    lattices = (e8_gram(), block_diag(e8_gram(), ((0, 1), (1, 0))))
+    rng = random.Random(seed)
+    forms = []
+    for i in range(count):
+        a = [list(row) for row in half_form(lattices[i % len(lattices)])]
+        for r in range(len(a)):
+            for c in range(r + 1, len(a)):
+                k = rng.choice((0, 0, 1, -1))
+                a[r][c] += k
+                a[c][r] -= k
+        forms.append(a)
+    out = []
+    for a in forms + [block_diag(a, half_form(e8_gram())) for a in forms]:
+        delta = alexander_of_form(a)
+        if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
+            delta = -delta
+        out.append(delta)
+    return out
+
+
+class TestDeltaSideOracle:
+    """The pipeline reads the rho of each factor off the factors of P; the
+    Delta-side oracle factors Delta again.  Both routes must agree, on the
+    per-factor counts and on the indecomposability note."""
+
+    def _check(self, delta: IntPoly, m: int, s: int) -> str:
+        rep = analyze(AnalysisRequest(delta=delta, m=m, signature=s))
+        if rep.rho is None:
+            return rep.verdict
+        p_rhos = sorted(rho_p(IntPoly(f["coeffs"])) for f in rep.factors["factors"])
+        assert delta_factor_rhos(delta) == p_rhos
+        assert sum(p_rhos) == rep.rho
+        if rep.verdict == VERDICT_REALIZABLE:
+            has_note = any("indecomposable" in note for note in rep.notes)
+            assert has_note == indecomposable_by_delta_factors(delta, s, 16 if m == 3 else 8)
+        return rep.verdict
+
+    def test_delta_a_products(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(12):
+            k = rng.randint(1, 3)
+            a_values = rng.sample([a for a in range(-6, 8) if a not in (-1, -3)], k)
+            delta = IntPoly((1,))
+            for a in a_values:
+                delta = delta * make_delta_a(a)
+            for m, s in ((7, 0), (7, 8), (7, -8), (3, 16)):
+                verdicts.add(self._check(delta, m, s))
+        assert VERDICT_REALIZABLE in verdicts
+
+    def test_note_suppressed_by_a_large_factor(self, delta2):
+        phi15 = parse_poly("x^8 - x^7 + x^5 - x^4 + x^3 - x + 1")  # rho 8
+        assert self._check(phi15 * delta2, 7, 8) == VERDICT_REALIZABLE
+        assert not indecomposable_by_delta_factors(phi15 * delta2, 8, 8)
+
+    def test_seifert_form_deltas(self):
+        verdicts = []
+        for delta in _seifert_deltas(4, seed=3):
+            for m, s in ((7, 8), (3, 16)):
+                verdicts.append(self._check(delta, m, s))
+        assert verdicts.count(VERDICT_REALIZABLE) >= 8
+
+
+def test_rho_cross_check_raises(monkeypatch, delta1, delta2):
+    """rho(Delta) is recomputed on its own and must equal the sum of the
+    per-factor rho of P."""
+    import knotsig.pipeline
+
+    real = knotsig.pipeline.rho_delta
+    monkeypatch.setattr(knotsig.pipeline, "rho_delta", lambda d: real(d) + 2)
+    with pytest.raises(KnotsigError, match="disagree"):
+        analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
+    with pytest.raises(KnotsigError, match="disagree"):
+        analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)))
