@@ -3,7 +3,10 @@
 Coefficients are stored in ascending degree order with no trailing zeros;
 the zero polynomial has an empty coefficient tuple and degree -inf.  All
 arithmetic is exact: integer coefficients stay integers, rational ones are
-`fractions.Fraction` in lowest terms.
+`fractions.Fraction` in lowest terms.  Questions about integer polynomials
+are answered in integers: divisibility over Z by integer long division
+with leading- and constant-coefficient pre-checks, squarefreeness over Q
+by a mod-p certificate with a rational gcd only as the fallback.
 
 Besides ring arithmetic this module carries the knot-specific transforms:
 the condition checker for Alexander polynomials, the involution-equivariant
@@ -309,20 +312,52 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     return h * c if h.degree >= 1 else IntPoly((c,))
 
 
+def _quotient_z(f: IntPoly, g: IntPoly) -> IntPoly | None:
+    """f / g by integer long division for nonzero g, or None when g does
+    not divide f over Z.  Stops at the first quotient coefficient that is
+    not an integer: the rational quotient has one exactly then."""
+    gc = g.coeffs
+    d, lc = len(gc) - 1, gc[-1]
+    rem = list(f.coeffs)
+    n = len(rem) - 1 - d
+    if n < 0:
+        return None if rem else IntPoly.zero()
+    quot = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        top = rem[k + d]
+        if top:
+            q, r = divmod(top, lc)
+            if r:
+                return None
+            quot[k] = q
+            for i in range(d):
+                if gc[i]:
+                    rem[k + i] -= q * gc[i]
+    return None if any(rem[:d]) else IntPoly(quot)
+
+
 def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     """f // g when g divides f exactly over Z; raises otherwise."""
-    q, r = f.to_rat().divrem(g.to_rat())
-    if not r.is_zero or any(c.denominator != 1 for c in q.coeffs):
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = _quotient_z(f, g)
+    if q is None:
         raise ValueError("polynomial division is not exact over Z")
-    return IntPoly(int(c) for c in q.coeffs)
+    return q
 
 
 def divides(g: IntPoly, f: IntPoly) -> bool:
-    """True when g divides f over Z."""
+    """True when g divides f over Z.
+
+    f = g*h forces lc(g) | lc(f) and g(0) | f(0); a wrong Zassenhaus
+    candidate has a g(0) about the size of the Hensel modulus, so the
+    constant test rejects it before any division."""
     if g.is_zero:
         return f.is_zero
-    q, r = f.to_rat().divrem(g.to_rat())
-    return r.is_zero and all(c.denominator == 1 for c in q.coeffs)
+    g0 = g.coeffs[0]
+    if f.lc % g.lc or (g0 and f.coeff(0) % g0):
+        return False
+    return _quotient_z(f, g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +511,34 @@ def symmetric_check(f: IntPoly) -> bool:
     return f.compose(IntPoly((1, -1))) == f
 
 
+# the three largest primes below 2^30, so residues and their products stay small
+CERTIFICATE_PRIMES = (1073741789, 1073741783, 1073741741)
+
+
+def certified_squarefree(f: IntPoly) -> bool:
+    """True when a prime p of CERTIFICATE_PRIMES with p not dividing lc(f)
+    has gcd(f mod p, f' mod p) = 1; False decides nothing.
+
+    Such a p shows f squarefree over Q: by Gauss's lemma h^2 | f over Q
+    with deg h >= 1 gives h^2 | f in Z[X], reducing mod p keeps deg h,
+    and then h mod p would divide that gcd."""
+    from .modp import PolyModP, gcd_mod_p  # modp imports this module
+
+    df = f.derivative()
+    return any(
+        f.lc % p and gcd_mod_p(PolyModP(p, f.coeffs), PolyModP(p, df.coeffs)).degree == 0
+        for p in CERTIFICATE_PRIMES
+    )
+
+
 def is_squarefree_q(f: IntPoly) -> bool:
-    """True when gcd(f, f') is constant over Q."""
+    """True when gcd(f, f') is constant over Q: by a mod-p certificate, or
+    else (always when f is not squarefree) by the rational gcd."""
     if f.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if f.degree == 0:
+    if f.degree == 0 or certified_squarefree(f):
         return True
-    g = rat_gcd(f.to_rat(), f.derivative().to_rat())
-    return g.degree == 0
+    return rat_gcd(f.to_rat(), f.derivative().to_rat()).degree == 0
 
 
 def v_polynomial(p: IntPoly) -> IntPoly:

@@ -20,8 +20,6 @@ from .polys import (
     RatPoly,
     alexander_check,
     is_squarefree_q,
-    rat_gcd,
-    symmetric_check,
     trace_polynomial,
     v_polynomial,
 )
@@ -92,7 +90,7 @@ def _variations(seq: list[RatPoly], x: Endpoint) -> int:
 def _require_squarefree(f: RatPoly) -> None:
     if f.is_zero:
         raise ValueError("zero polynomial has no root count")
-    if f.degree >= 1 and rat_gcd(f, f.derivative()).degree > 0:
+    if not is_squarefree_q(f.clear_denominators()):
         raise ValueError("Sturm counting requires a squarefree polynomial")
 
 
@@ -246,25 +244,28 @@ def rho_delta(delta: IntPoly) -> int:
     return 2 * sturm_count(d.to_rat(), Fraction(-2), Fraction(2))
 
 
-def _validate_p(p: IntPoly) -> None:
-    if p.is_zero or not symmetric_check(p):
-        raise ValueError("P must satisfy P(1-X) = P(X)")
+def _validated_v_model(p: IntPoly) -> IntPoly:
+    """The v-model Q of P; raises ValueError unless P is symmetric and
+    squarefree.  ``v_polynomial`` makes the one symmetry test."""
+    try:
+        q = v_polynomial(p)
+    except ValueError:
+        raise ValueError("P must satisfy P(1-X) = P(X)") from None
     if not is_squarefree_q(p):
         raise ValueError("P must be squarefree")
+    return q
 
 
 def rho_p(p: IntPoly) -> int:
     """Number of roots z of P with z + conj(z) = 1: twice the count of real
     roots of the v-model Q below -1/4."""
-    _validate_p(p)
-    q = v_polynomial(p)
+    q = _validated_v_model(p)
     return 2 * sturm_count(q.to_rat(), NEG_INF, Fraction(-1, 4))
 
 
 def irr_r_factors(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[IrrRFactor]:
     """The monic irreducible degree-2 real factors of P, one per real
     v-root lambda < -1/4, sorted by interval position."""
-    _validate_p(p)
-    q = v_polynomial(p)
+    q = _validated_v_model(p)
     ivs = isolate_roots(q.to_rat(), NEG_INF, Fraction(-1, 4), width)
     return [IrrRFactor(iv) for iv in ivs]

@@ -4,9 +4,13 @@ Zassenhaus route: content/primitive split, Yun squarefree decomposition,
 then per squarefree part a monic model is factored modulo a good prime,
 Hensel-lifted (quadratic steps, binary factor tree) past the Mignotte
 coefficient bound, and modular factors are recombined by subsets with
-degree-pattern pruning from three auxiliary primes.  The modular factor
-count is capped at 16; results are verified by re-multiplication and do
-not depend on the splitting seed.
+degree-pattern pruning from three auxiliary primes.  Each candidate is
+tried by integer trial division (`polys.divides`), whose constant-term
+pre-check rejects almost every wrong one before dividing.  Fractions
+appear only in Yun's gcd, which runs only when no mod-p certificate
+shows the input squarefree.  The modular factor count is capped at 16;
+results are verified by re-multiplication and do not depend on the
+splitting seed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, KnotsigError
 from .modp import PolyModP, factor_mod_p, gcd_mod_p, xgcd_mod_p
-from .polys import IntPoly, divides, exact_div, gcd_z, symmetric_check
+from .polys import IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check
 
 MAX_MODULAR_FACTORS = 16
 
@@ -66,7 +70,7 @@ class SymmetricFactorSet:
 
 def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Squarefree decomposition of a primitive positive-lc polynomial."""
-    if f.degree <= 1:
+    if f.degree <= 1 or certified_squarefree(f):
         return [(f, 1)]
     a0 = gcd_z(f, f.derivative())
     if a0.degree == 0:

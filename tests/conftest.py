@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
+from knotsig import IntPoly, RatPoly, delta_to_p, e8_gram, half_form, parse_poly
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,21 @@ def g1() -> IntPoly:
 
 def make_delta_a(a: int) -> IntPoly:
     return IntPoly([1, -a, -1, 2 * a - 1, -1, -a, 1])
+
+
+@pytest.fixture
+def divrem_calls(monkeypatch) -> list[int]:
+    """Counts calls of RatPoly.divrem, the rational long division behind
+    ``%``, ``//`` and ``rat_gcd``, during the test; read element 0."""
+    calls = [0]
+    original = RatPoly.divrem
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(RatPoly, "divrem", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,10 @@ Sylvester determinants for resultants, exhaustive enumeration for the
 symmetric common-factor test and irreducibility, floating-point
 eigenvalues for root counts and signatures, and plain trial division for
 integer factorization, the number-field eigenspace route for the
-Milnor signatures of a Seifert pair, and the factors of Delta (rather
-than of P) for the per-factor unit-circle root counts.
+Milnor signatures of a Seifert pair, the factors of Delta (rather
+than of P) for the per-factor unit-circle root counts, and rational
+(`Fraction`) long division and gcd for divisibility over Z and
+squarefreeness over Q.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from knotsig import (
     divrem,
     factor_z,
     irr_r_factors,
+    rat_gcd,
     rho_delta,
     v_polynomial,
 )
@@ -86,6 +89,27 @@ def trial_division(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def exact_div_by_divrem(f: IntPoly, g: IntPoly) -> IntPoly | None:
+    """f / g for nonzero g by rational long division, or None unless the
+    remainder is zero and the quotient integral."""
+    q, r = divrem(f.to_rat(), g.to_rat())
+    if not r.is_zero or any(c.denominator != 1 for c in q.coeffs):
+        return None
+    return IntPoly(int(c) for c in q.coeffs)
+
+
+def divides_by_divrem(g: IntPoly, f: IntPoly) -> bool:
+    """Whether g divides f over Z, by rational long division."""
+    if g.is_zero:
+        return f.is_zero
+    return exact_div_by_divrem(f, g) is not None
+
+
+def squarefree_by_rat_gcd(f: IntPoly) -> bool:
+    """Whether gcd(f, f') is constant, by Euclid's algorithm in Fractions."""
+    return f.degree < 1 or rat_gcd(f.to_rat(), f.derivative().to_rat()).degree == 0
 
 
 def brute_force_symmetric_common_factor(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,15 @@ from knotsig import (
     trace_polynomial,
     v_polynomial,
 )
-from oracles import sylvester_resultant
+from knotsig.modp import PolyModP, gcd_mod_p
+from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div
+from conftest import make_delta_a
+from oracles import (
+    divides_by_divrem,
+    exact_div_by_divrem,
+    squarefree_by_rat_gcd,
+    sylvester_resultant,
+)
 
 
 def P(text: str) -> IntPoly:
@@ -86,6 +95,107 @@ class TestDivrem:
             q, r = divrem(a, b)
             assert b * q + r == a
             assert r.is_zero or r.degree < b.degree
+
+
+def _random_poly(rng: random.Random, max_len: int, bound: int = 9) -> IntPoly:
+    return IntPoly([rng.randint(-bound, bound) for _ in range(rng.randrange(0, max_len + 1))])
+
+
+def _division_pairs(seed: int, count: int):
+    """(g, f) pairs mixing true products g*h (a fifth of them scaled by a
+    constant), g*h plus a small perturbation, unrelated f and f = 0; g is
+    often non-monic, has g(0) = 0 or a negative leading coefficient, and
+    may outrank f."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _random_poly(rng, 5)
+        if g.is_zero:
+            continue
+        if rng.random() < 0.3:
+            g = g * IntPoly.x()
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = g * _random_poly(rng, 5)
+            if rng.random() < 0.2:
+                f = f * rng.choice((2, 3, -5))
+        elif kind == 1:
+            f = g * _random_poly(rng, 5) + IntPoly.monomial(rng.choice((-1, 1, 2)), rng.randrange(0, 6))
+        elif kind == 2:
+            f = _random_poly(rng, 8)
+        else:
+            f = IntPoly.zero()
+        out.append((g, f))
+    return out
+
+
+class TestIntegerDivision:
+    """``divides`` and ``exact_div`` divide in integers; the rational
+    long division they replaced is the oracle."""
+
+    def test_against_divrem_oracle(self):
+        seen = {"hit": 0, "miss": 0, "non_monic_hit": 0, "g0_zero_hit": 0,
+                "negative_lc": 0, "g_outranks_f": 0, "f_zero": 0}
+        for g, f in _division_pairs(71, 1500):
+            expected = exact_div_by_divrem(f, g)
+            assert divides(g, f) == divides_by_divrem(g, f) == (expected is not None), (g, f)
+            if expected is None:
+                with pytest.raises(ValueError, match="not exact"):
+                    exact_div(f, g)
+            else:
+                assert exact_div(f, g) == expected
+            hit = expected is not None
+            seen["hit" if hit else "miss"] += 1
+            seen["non_monic_hit"] += hit and abs(g.lc) > 1
+            seen["g0_zero_hit"] += hit and g.coeff(0) == 0 and not f.is_zero
+            seen["negative_lc"] += g.lc < 0
+            seen["g_outranks_f"] += g.degree > f.degree and not f.is_zero
+            seen["f_zero"] += f.is_zero
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "g,f,quotient",
+        [
+            ("2*x + 1", "2*x^2 - 5*x - 3", "x - 3"),
+            ("-x + 2", "-x^2 + 4", "x + 2"),
+            ("x^2 - 3*x", "x^4 - 3*x^3 + x^2 - 3*x", "x^2 + 1"),
+            ("3", "6*x^2 - 3", "2*x^2 - 1"),
+            ("x + 1", "0", "0"),
+        ],
+    )
+    def test_exact_cases(self, g, f, quotient):
+        assert divides(P(g), P(f))
+        assert exact_div(P(f), P(g)) == P(quotient)
+
+    @pytest.mark.parametrize(
+        "g,f",
+        [
+            ("2*x", "x"),                         # lc(g) does not divide lc(f)
+            ("x + 3", "x^2 + 1"),                 # g(0) does not divide f(0)
+            ("x + 1", "x^2 + 3*x + 1"),           # pre-checks pass, remainder -1
+            ("2*x + 1", "2*x^3 + x^2 + x + 1"),   # pre-checks pass, quotient x^2 + 1/2 + ...
+            ("x^3 + 1", "x + 1"),                 # deg g > deg f
+            ("3", "6*x^2 - 2"),                   # constant g
+            ("0", "x"),
+        ],
+    )
+    def test_inexact_cases(self, g, f):
+        assert not divides(P(g), P(f))
+        assert divides_by_divrem(P(g), P(f)) is False
+
+    def test_zero_divisor(self):
+        assert divides(IntPoly.zero(), IntPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            exact_div(P("x"), IntPoly.zero())
+
+    def test_wrong_candidate_with_hensel_sized_constant(self):
+        # the shape of a rejected Zassenhaus candidate: right degree and
+        # leading coefficient, constant term a residue near the modulus
+        f = delta_to_p(make_delta_a(0)) * delta_to_p(make_delta_a(2))
+        modulus = 3 ** 40
+        g = delta_to_p(make_delta_a(2)) + IntPoly((modulus // 2 + 17,))
+        assert not divides(g, f) and not divides_by_divrem(g, f)
+        assert divides(delta_to_p(make_delta_a(2)), f)
 
 
 class TestParsing:
@@ -218,6 +328,84 @@ class TestSymmetryAndSquarefree:
         sq = P("x^2 + x + 1")
         assert not is_squarefree_q(sq * sq)
         assert not is_squarefree_q(P("x^2"))
+
+
+class TestSquarefreeCertificate:
+    """``is_squarefree_q`` answers by a mod-p certificate when one of
+    CERTIFICATE_PRIMES gives one, else by the rational gcd oracle's route."""
+
+    def test_against_rat_gcd_oracle(self):
+        rng = random.Random(73)
+        squarefree = 0
+        for _ in range(600):
+            f = _random_poly(rng, 7, 20)
+            if f.is_zero:
+                continue
+            if rng.random() < 0.35:
+                h = _random_poly(rng, 3, 20)
+                if h.degree >= 1:
+                    f = f * h * h
+            expected = squarefree_by_rat_gcd(f)
+            assert is_squarefree_q(f) == expected, f
+            squarefree += expected
+        assert 100 <= squarefree <= 500
+
+    def test_primes_are_distinct_primes(self):
+        import sympy
+
+        assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES)
+        assert all(sympy.isprime(p) for p in CERTIFICATE_PRIMES)
+
+    def test_fallback_when_every_prime_divides_the_discriminant(self, divrem_calls):
+        # disc(X (X - n)) = n^2 with n the product of all certificate primes
+        n = math.prod(CERTIFICATE_PRIMES)
+        f = IntPoly((0, -n, 1))
+        for p in CERTIFICATE_PRIMES:
+            fp = PolyModP(p, f.coeffs)
+            assert gcd_mod_p(fp, fp.derivative()).degree == 1
+        assert not certified_squarefree(f)
+        assert is_squarefree_q(f)
+        assert divrem_calls[0] > 0
+
+    def test_fallback_when_every_prime_divides_the_leading_coefficient(self):
+        f = IntPoly((-1, 0, math.prod(CERTIFICATE_PRIMES)))
+        assert not certified_squarefree(f)
+        assert is_squarefree_q(f)
+        # one prime dividing lc(f) is skipped; the next certifies
+        assert certified_squarefree(IntPoly((-1, 0, CERTIFICATE_PRIMES[0])))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            P("3*x^2 - 7") ** 2 * P("5*x + 2"),
+            P("x^3"),
+            P("x - 1") ** 2 * P("x + 1"),
+            P("2*x + 1") ** 2 * P("x^4 - x + 9"),
+        ],
+        ids=str,
+    )
+    def test_not_squarefree(self, f, divrem_calls):
+        assert not certified_squarefree(f)
+        assert not is_squarefree_q(f)
+        assert divrem_calls[0] > 0
+
+
+class TestNoFractionDivision:
+    """Integer questions take no rational long division: these count
+    RatPoly.divrem calls instead of timing anything."""
+
+    def test_divides_and_exact_div(self, divrem_calls):
+        for g, f in _division_pairs(79, 300):
+            if divides(g, f):
+                exact_div(f, g)
+        assert divrem_calls[0] == 0
+
+    def test_certified_squarefree_input(self, divrem_calls):
+        p_poly = IntPoly.one()
+        for a in (0, 2, 4, 5, 7, 9):
+            p_poly = p_poly * delta_to_p(make_delta_a(a))
+        assert is_squarefree_q(p_poly)
+        assert divrem_calls[0] == 0
 
 
 class TestVPolynomial:

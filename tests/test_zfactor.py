@@ -9,6 +9,7 @@ import pytest
 from knotsig import (
     BudgetExceededError,
     IntPoly,
+    delta_to_p,
     factor_z,
     parse_poly,
     standing_assumptions,
@@ -164,3 +165,18 @@ class TestStandingAssumptions:
             assert len(set(sa.factors)) == len(sa.factors)
             for q in sa.factors:
                 assert q.is_monic and symmetric_check(q)
+
+
+class TestNoFractionDivision:
+    def test_delta_a_product_k6(self, divrem_calls):
+        """Yun's test on a certified squarefree input and every trial
+        division of the recombination run in integers: no RatPoly.divrem."""
+        parts = [delta_to_p(make_delta_a(a)) for a in (0, 2, 4, 5, 7, 9)]
+        f = IntPoly.one()
+        for q in parts:
+            f = f * q
+        trace: list[str] = []
+        fz = factor_z(f, trace=trace)
+        assert divrem_calls[0] == 0
+        assert fz.factors == tuple(sorted(((q, 1) for q in parts), key=lambda fe: fe[0].coeffs))
+        assert sum(line.startswith("accepted subset") for line in trace) >= 2
