@@ -5,6 +5,17 @@ whether two polynomials acquire a common factor h mod p with h(1-X) = h(X).
 The involution X -> 1-X acts on monic irreducible factors; a qualifying h
 exists exactly when the gcd contains an orbit pair {q, q~}, an even-degree
 fixed factor, or (p odd) the square of X - 1/2.
+
+All arithmetic runs in the private kernels `_add`, `_sub`, `_mul`,
+`_divrem`, `_rem`, `_powmod`, `_gcd` and `_xgcd` on plain ascending
+coefficient lists.  They accumulate products and subtractions unreduced
+(Python integers do not overflow) and reduce each output coefficient
+once, plus the leading coefficient once per division step: a reduction
+per inner multiply-add costs more than the multiply-add itself.  Every
+result is reduced and trimmed.  Beyond the inverse of a divisor's leading
+coefficient they need no prime modulus, so `zfactor`'s Hensel lifting
+runs on them over Z/m with monic divisors.  `PolyModP` methods delegate
+to the kernels and wrap results with `_wrap`, which skips re-reduction.
 """
 
 from __future__ import annotations
@@ -15,12 +26,120 @@ from typing import Iterable, Sequence
 
 from .polys import IntPoly
 
+Coeffs = Sequence[int]
 
-def _trimmed_mod(coeffs: Iterable[int], p: int) -> tuple[int, ...]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _reduced(c: Iterable[int], m: int) -> list[int]:
+    return _trim([x % m for x in c])
+
+
+def _add(a: Coeffs, b: Coeffs, m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _reduced(out, m)
+
+
+def _sub(a: Coeffs, b: Coeffs, m: int) -> list[int]:
+    return _add(a, [-c for c in b], m)
+
+
+def _product(a: Coeffs, b: Coeffs) -> list[int]:
+    """a*b over Z, untrimmed; empty when a factor is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
+
+
+def _mul(a: Coeffs, b: Coeffs, m: int) -> list[int]:
+    return _reduced(_product(a, b), m)
+
+
+def _divrem(a: Coeffs, b: Coeffs, m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over Z/m; the leading coefficient
+    of b must be a unit mod m.  a may be unreduced."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    d = len(b) - 1
+    rem = list(a)
+    n = len(rem) - d
+    if n <= 0:
+        return [], _reduced(rem, m)
+    inv = pow(b[-1], -1, m)
+    low = b[:d]
+    quot = [0] * n
+    for k in range(n - 1, -1, -1):
+        q = rem[k + d] * inv % m
+        quot[k] = q
+        if q:
+            for i, c in enumerate(low, k):
+                rem[i] -= q * c
+    return _trim(quot), _reduced(rem[:d], m)
+
+
+def _rem(a: Coeffs, b: Coeffs, m: int) -> list[int]:
+    return _divrem(a, b, m)[1]
+
+
+def _powmod(a: Coeffs, e: int, f: Coeffs, m: int) -> list[int]:
+    """a**e mod f over Z/m by square-and-multiply; [1] for e = 0."""
+    base = _rem(a, f, m)
+    result = [1]
+    while e:
+        if e & 1:
+            result = _rem(_product(result, base), f, m)
+        e >>= 1
+        if e:
+            base = _rem(_product(base, base), f, m)
+    return result
+
+
+def _monic(a: Coeffs, p: int) -> list[int]:
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: Coeffs, b: Coeffs, p: int) -> list[int]:
+    """Monic gcd over F_p."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    return _monic(a, p)
+
+
+def _xgcd(a: Coeffs, b: Coeffs, p: int) -> tuple[list[int], list[int]]:
+    """(d, u) with d the monic gcd of a and b over F_p and u*a = d mod b."""
+    u, w = [1], []
+    while b:
+        q, r = _divrem(a, b, p)
+        a, b = b, r
+        u, w = w, _sub(u, _product(q, w), p)
+    if not a:
+        return [], u
+    inv = pow(a[-1], -1, p)
+    return _monic(a, p), [c * inv % p for c in u]
+
+
+def _wrap(p: int, coeffs: Coeffs) -> "PolyModP":
+    """A PolyModP from coefficients already reduced mod p and trimmed."""
+    poly = object.__new__(PolyModP)
+    object.__setattr__(poly, "p", p)
+    object.__setattr__(poly, "coeffs", tuple(coeffs))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -36,7 +155,7 @@ class PolyModP:
         if p >= 1 << 62:
             raise ValueError("modulus exceeds the machine-word prime limit")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _trimmed_mod(coeffs, p))
+        object.__setattr__(self, "coeffs", tuple(_reduced(coeffs, p)))
 
     @staticmethod
     def from_int_poly(f: IntPoly, p: int) -> "PolyModP":
@@ -79,56 +198,27 @@ class PolyModP:
 
     def __add__(self, other: "PolyModP") -> "PolyModP":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return PolyModP(self.p, out)
+        return _wrap(self.p, _add(self.coeffs, other.coeffs, self.p))
 
     def __sub__(self, other: "PolyModP") -> "PolyModP":
         self._check(other)
-        return self + (-other)
+        return _wrap(self.p, _sub(self.coeffs, other.coeffs, self.p))
 
     def __neg__(self) -> "PolyModP":
-        return PolyModP(self.p, (-c % self.p for c in self.coeffs))
+        return PolyModP(self.p, (-c for c in self.coeffs))
 
     def __mul__(self, other: "PolyModP | int") -> "PolyModP":
         if isinstance(other, int):
-            return PolyModP(self.p, (c * other % self.p for c in self.coeffs))
+            return PolyModP(self.p, (c * other for c in self.coeffs))
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return PolyModP.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + c * d) % self.p
-        return PolyModP(self.p, out)
+        return _wrap(self.p, _mul(self.coeffs, other.coeffs, self.p))
 
     __rmul__ = __mul__
 
     def divrem(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
         self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv = pow(other.lc, -1, p)
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        quot = [0] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            k = len(rem) - 1 - d
-            q = rem[-1] * inv % p
-            quot[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = (rem[k + i] - q * c) % p
-            rem.pop()
-        return PolyModP(p, quot), PolyModP(p, rem)
+        q, r = _divrem(self.coeffs, other.coeffs, self.p)
+        return _wrap(self.p, q), _wrap(self.p, r)
 
     def __floordiv__(self, other: "PolyModP") -> "PolyModP":
         return self.divrem(other)[0]
@@ -148,18 +238,12 @@ class PolyModP:
         return acc
 
     def derivative(self) -> "PolyModP":
-        return PolyModP(self.p, (k * c % self.p for k, c in enumerate(self.coeffs) if k >= 1))
+        return PolyModP(self.p, (k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def pow_mod(self, e: int, mod: "PolyModP") -> "PolyModP":
         """self**e reduced mod ``mod``."""
-        result = PolyModP.one(self.p)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = result * base % mod
-            base = base * base % mod
-            e >>= 1
-        return result
+        self._check(mod)
+        return _wrap(self.p, _powmod(self.coeffs, e, mod.coeffs, self.p))
 
     def __repr__(self) -> str:
         return f"PolyModP(p={self.p}, coeffs={list(self.coeffs)})"
@@ -168,28 +252,7 @@ class PolyModP:
 def gcd_mod_p(f: PolyModP, g: PolyModP) -> PolyModP:
     """Monic gcd over F_p."""
     f._check(g)
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def xgcd_mod_p(f: PolyModP, g: PolyModP) -> tuple[PolyModP, PolyModP, PolyModP]:
-    """(d, u, v) with d = gcd monic and u*f + v*g = d over F_p."""
-    f._check(g)
-    p = f.p
-    a, b = f, g
-    ua, va = PolyModP.one(p), PolyModP.zero(p)
-    ub, vb = PolyModP.zero(p), PolyModP.one(p)
-    while not b.is_zero:
-        q, r = a.divrem(b)
-        a, b = b, r
-        ua, ub = ub, ua - q * ub
-        va, vb = vb, va - q * vb
-    if a.is_zero:
-        return a, ua, va
-    inv = pow(a.lc, -1, p)
-    return a * inv, ua * inv, va * inv
+    return _wrap(f.p, _gcd(f.coeffs, g.coeffs, f.p))
 
 
 @dataclass(frozen=True)
@@ -239,59 +302,55 @@ def _squarefree_parts(f: PolyModP) -> list[tuple[PolyModP, int]]:
     return out
 
 
-def _distinct_degree(f: PolyModP) -> list[tuple[PolyModP, int]]:
+def _distinct_degree(f: Coeffs, p: int) -> list[tuple[Coeffs, int]]:
     """Split monic squarefree f into [(product of irreducibles of degree d, d)]."""
-    p = f.p
-    out: list[tuple[PolyModP, int]] = []
-    rem = f
-    h = PolyModP.x(p)
+    out: list[tuple[Coeffs, int]] = []
+    h = [0, 1]
     d = 0
-    while int(rem.degree) >= 2 * (d + 1):
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = h.pow_mod(p, rem)
-        g = gcd_mod_p(h - PolyModP.x(p), rem)
-        if g.degree > 0:
+        h = _powmod(h, p, f, p)
+        g = _gcd(_sub(h, [0, 1], p), f, p)
+        if len(g) > 1:
             out.append((g, d))
-            rem = (rem // g).monic()
-            h = h % rem
-    if rem.degree > 0:
-        out.append((rem, int(rem.degree)))
+            f = _divrem(f, g, p)[0]
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _random_poly(p: int, max_deg: int, rng: random.Random) -> PolyModP:
-    coeffs = [rng.randrange(p) for _ in range(max_deg + 1)]
-    return PolyModP(p, coeffs)
-
-
-def _equal_degree_split(f: PolyModP, d: int, rng: random.Random) -> list[PolyModP]:
+def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[Coeffs]:
     """Cantor-Zassenhaus equal-degree factorization of monic squarefree f
     whose irreducible factors all have degree d."""
-    p = f.p
-    if int(f.degree) == d:
+    if len(f) - 1 == d:
         return [f]
     while True:
-        u = _random_poly(p, int(f.degree) - 1, rng)
-        if u.degree < 1:
+        u = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(u) < 2:
             continue
-        g = gcd_mod_p(u, f)
-        if 0 < g.degree < f.degree:
-            w = g
-        elif p == 2:
-            # trace map over F_2: u + u^2 + u^4 + ... + u^(2^(d-1))
-            t = PolyModP.zero(p)
-            v = u % f
-            for _ in range(d):
-                t = (t + v) % f
-                v = v * v % f
-            w = gcd_mod_p(t, f)
-        else:
-            t = u.pow_mod((p**d - 1) // 2, f) - PolyModP.one(p)
-            w = gcd_mod_p(t, f)
-        if 0 < w.degree < f.degree:
-            left = w.monic()
-            right = (f // w).monic()
-            return _equal_degree_split(left, d, rng) + _equal_degree_split(right, d, rng)
+        w = _gcd(u, f, p)
+        if not 1 < len(w) < len(f):
+            if p == 2:
+                # trace map over F_2: u + u^2 + u^4 + ... + u^(2^(d-1))
+                t: list[int] = []
+                for _ in range(d):
+                    t = _add(t, u, p)
+                    u = _rem(_product(u, u), f, p)
+            else:
+                t = _sub(_powmod(u, (p**d - 1) // 2, f, p), [1], p)
+            w = _gcd(t, f, p)
+        if 1 < len(w) < len(f):
+            right = _divrem(f, w, p)[0]
+            return _equal_degree_split(w, d, p, rng) + _equal_degree_split(right, d, p, rng)
+
+
+def degree_pattern(f: PolyModP) -> list[int]:
+    """Ascending degrees of the irreducible factors of f over F_p, read off
+    the distinct-degree blocks without splitting them.  f must be
+    squarefree mod p; the caller certifies that (zfactor's good primes)."""
+    blocks = _distinct_degree(_monic(f.coeffs, f.p), f.p)
+    return [d for block, d in blocks for _ in range((len(block) - 1) // d)]
 
 
 def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
@@ -304,33 +363,29 @@ def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
     factors: list[tuple[PolyModP, int]] = []
     if f.degree >= 1:
         for part, mult in _squarefree_parts(f):
-            for block, d in _distinct_degree(part):
-                for q in _equal_degree_split(block, d, rng):
-                    factors.append((q, mult))
+            for block, d in _distinct_degree(part.coeffs, f.p):
+                for q in _equal_degree_split(block, d, f.p, rng):
+                    factors.append((_wrap(f.p, q), mult))
     factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
     return FactorizationModP(unit=unit, factors=tuple(factors))
 
 
+def _at_one_minus_x(h: PolyModP) -> list[int]:
+    """Coefficients of h(1-X), by Horner's rule."""
+    acc: list[int] = []
+    for c in reversed(h.coeffs):
+        acc = _add(_product(acc, (1, -1)), (c,), h.p)
+    return acc
+
+
 def involution_image(h: PolyModP) -> PolyModP:
     """Monic normalization of h(1-X); an involution on monic polynomials."""
-    p = h.p
-    if h.is_zero:
-        return h
-    one_minus_x = PolyModP(p, (1, p - 1))
-    acc = PolyModP.zero(p)
-    for c in reversed(h.coeffs):
-        acc = acc * one_minus_x + PolyModP(p, (c,))
-    return acc.monic()
+    return _wrap(h.p, _monic(_at_one_minus_x(h), h.p))
 
 
 def is_symmetric_mod_p(h: PolyModP) -> bool:
     """True when h(1-X) = h(X) exactly (not just up to a unit)."""
-    p = h.p
-    one_minus_x = PolyModP(p, (1, p - 1))
-    acc = PolyModP.zero(p)
-    for c in reversed(h.coeffs):
-        acc = acc * one_minus_x + PolyModP(p, (c,))
-    return acc == h
+    return tuple(_at_one_minus_x(h)) == h.coeffs
 
 
 def symmetric_common_factor(

@@ -4,13 +4,15 @@ Zassenhaus route: content/primitive split, Yun squarefree decomposition,
 then per squarefree part a monic model is factored modulo a good prime,
 Hensel-lifted (quadratic steps, binary factor tree) past the Mignotte
 coefficient bound, and modular factors are recombined by subsets with
-degree-pattern pruning from three auxiliary primes.  Each candidate is
-tried by integer trial division (`polys.divides`), whose constant-term
-pre-check rejects almost every wrong one before dividing.  Fractions
-appear only in Yun's gcd, which runs only when no mod-p certificate
-shows the input squarefree.  The modular factor count is capped at 16;
-results are verified by re-multiplication and do not depend on the
-splitting seed.
+degree-pattern pruning from three auxiliary primes; their patterns come
+from distinct-degree splitting alone, since the model is squarefree
+modulo each.  Lifting runs on `modp`'s coefficient-list kernels over
+Z/m.  Each candidate is tried by integer trial division
+(`polys.divides`), whose constant-term pre-check rejects almost every
+wrong one before dividing.  Fractions appear only in Yun's gcd, which
+runs only when no mod-p certificate shows the input squarefree.  The
+modular factor count is capped at 16; results are verified by
+re-multiplication and do not depend on the splitting seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, KnotsigError
-from .modp import PolyModP, factor_mod_p, gcd_mod_p, xgcd_mod_p
+from .modp import (
+    PolyModP,
+    _add,
+    _divrem,
+    _mul,
+    _product,
+    _rem,
+    _sub,
+    _xgcd,
+    degree_pattern,
+    factor_mod_p,
+    gcd_mod_p,
+)
 from .polys import IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check
 
 MAX_MODULAR_FACTORS = 16
@@ -93,73 +107,26 @@ def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
 # Hensel lifting (monic, quadratic, binary factor tree)
 
 
-def _pm_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pm_add(a, b, m) -> tuple[int, ...]:
-    out = list(a) if len(a) >= len(b) else list(b)
-    small = b if len(a) >= len(b) else a
-    for i, c in enumerate(small):
-        out[i] = (out[i] + c) % m
-    return _pm_trim([c % m for c in out])
-
-
-def _pm_sub(a, b, m) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _pm_trim([c % m for c in out])
-
-
-def _pm_mul(a, b, m) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % m
-    return _pm_trim(out)
-
-
-def _pm_divrem_monic(a, b, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _pm_divrem_monic(a, b, m) -> tuple[list[int], list[int]]:
     """Division by a monic polynomial works over Z/m."""
     if not b or b[-1] != 1:
         raise ValueError("divisor must be monic")
-    rem = list(a)
-    d = len(b) - 1
-    quot = [0] * max(len(rem) - d, 0)
-    while len(rem) - 1 >= d:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        k = len(rem) - 1 - d
-        q = rem[-1] % m
-        quot[k] = q
-        for i, c in enumerate(b):
-            rem[k + i] = (rem[k + i] - q * c) % m
-        rem.pop()
-    return _pm_trim(quot), _pm_trim(rem)
+    return _divrem(a, b, m)
 
 
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the
-    same congruences mod m^2, with g, h monic."""
+    same congruences mod m^2, with g, h monic.  Products stay unreduced
+    until the sum or division that takes them reduces once."""
     m2 = m * m
-    one = (1,)
-    e = _pm_sub(f, _pm_mul(g, h, m2), m2)
-    q, r = _pm_divrem_monic(_pm_mul(s, e, m2), h, m2)
-    g2 = _pm_add(_pm_add(g, _pm_mul(t, e, m2), m2), _pm_mul(q, g, m2), m2)
-    h2 = _pm_add(h, r, m2)
-    b = _pm_sub(_pm_add(_pm_mul(s, g2, m2), _pm_mul(t, h2, m2), m2), one, m2)
-    c, d = _pm_divrem_monic(_pm_mul(s, b, m2), h2, m2)
-    s2 = _pm_sub(s, d, m2)
-    t2 = _pm_sub(_pm_sub(t, _pm_mul(t, b, m2), m2), _pm_mul(c, g2, m2), m2)
+    e = _sub(f, _product(g, h), m2)
+    q, r = _pm_divrem_monic(_product(s, e), h, m2)
+    g2 = _add(_add(g, _product(t, e), m2), _product(q, g), m2)
+    h2 = _add(h, r, m2)
+    b = _sub(_add(_product(s, g2), _product(t, h2), m2), (1,), m2)
+    c, d = _pm_divrem_monic(_product(s, b), h2, m2)
+    s2 = _sub(s, d, m2)
+    t2 = _sub(_sub(t, _product(t, b), m2), _product(c, g2), m2)
     return g2, h2, s2, t2
 
 
@@ -167,7 +134,7 @@ class _Node:
     __slots__ = ("poly", "left", "right", "s", "t")
 
     def __init__(self, poly, left=None, right=None):
-        self.poly = poly  # coefficient tuple mod current modulus
+        self.poly = poly  # coefficient list mod current modulus
         self.left = left
         self.right = right
         self.s = None
@@ -176,20 +143,18 @@ class _Node:
 
 def _build_tree(factors: list[PolyModP], p: int) -> _Node:
     if len(factors) == 1:
-        return _Node(factors[0].coeffs)
+        return _Node(list(factors[0].coeffs))
     mid = len(factors) // 2
     left = _build_tree(factors[:mid], p)
     right = _build_tree(factors[mid:], p)
-    g = PolyModP(p, left.poly if left.poly else ())
-    h = PolyModP(p, right.poly)
-    node = _Node(_pm_mul(left.poly, right.poly, p), left, right)
-    d, u, v = xgcd_mod_p(g, h)
-    if d.degree != 0:
+    g, h = left.poly, right.poly
+    node = _Node(_mul(g, h, p), left, right)
+    d, u = _xgcd(g, h, p)
+    if len(d) != 1:
         raise KnotsigError("modular factors are not coprime")
     # enforce deg(s) < deg(h), deg(t) < deg(g)
-    u = u % h
-    v = (PolyModP.one(p) - u * g) // h
-    node.s, node.t = u.coeffs, v.coeffs
+    node.s = _rem(u, h, p)
+    node.t = _divrem(_sub((1,), _product(node.s, g), p), h, p)[0]
     return node
 
 
@@ -203,7 +168,7 @@ def _lift_round(node: _Node, f, m: int) -> None:
     _lift_round(node.right, h2, m)
 
 
-def _collect_leaves(node: _Node, out: list[tuple[int, ...]]) -> None:
+def _collect_leaves(node: _Node, out: list[list[int]]) -> None:
     if node.left is None:
         out.append(node.poly)
         return
@@ -213,13 +178,13 @@ def _collect_leaves(node: _Node, out: list[tuple[int, ...]]) -> None:
 
 def _hensel_lift(F: IntPoly, factors: list[PolyModP], p: int, target: int):
     """Lift the mod-p factorization of monic F until the modulus reaches
-    ``target``; returns (leaf coefficient tuples, modulus)."""
+    ``target``; returns (leaf coefficient lists, modulus)."""
     root = _build_tree(factors, p)
     m = p
     while m < target:
         _lift_round(root, tuple(c % (m * m) for c in F.coeffs), m)
         m = m * m
-    leaves: list[tuple[int, ...]] = []
+    leaves: list[list[int]] = []
     _collect_leaves(root, leaves)
     return leaves, m
 
@@ -288,8 +253,7 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
         )
     allowed = _subset_sums([int(q.degree) for q in modular])
     for q in aux:
-        qa = factor_mod_p(PolyModP.from_int_poly(G, q), seed)
-        degs = [int(h.degree) for h, e in qa.factors for _ in range(e)]
+        degs = degree_pattern(PolyModP.from_int_poly(G, q))
         allowed &= _subset_sums(degs)
         if trace is not None:
             trace.append(f"auxiliary prime {q}: modular degrees {degs}")
@@ -314,9 +278,9 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
                 degsum = sum(len(lifted[i]) - 1 for i in combo)
                 if degsum not in allowed:
                     continue
-                prod: tuple[int, ...] = (1,)
+                prod = [1]
                 for i in combo:
-                    prod = _pm_mul(prod, lifted[i], modulus)
+                    prod = _mul(prod, lifted[i], modulus)
                 cand = _sym_int_poly(prod, modulus)
                 if not divides(cand, current):
                     continue

@@ -6,9 +6,10 @@ symmetric common-factor test and irreducibility, floating-point
 eigenvalues for root counts and signatures, and plain trial division for
 integer factorization, the number-field eigenspace route for the
 Milnor signatures of a Seifert pair, the factors of Delta (rather
-than of P) for the per-factor unit-circle root counts, and rational
+than of P) for the per-factor unit-circle root counts, rational
 (`Fraction`) long division and gcd for divisibility over Z and
-squarefreeness over Q.
+squarefreeness over Q, and polynomial arithmetic over F_p and Z/m that
+reduces at every inner step.
 """
 
 from __future__ import annotations
@@ -110,6 +111,68 @@ def divides_by_divrem(g: IntPoly, f: IntPoly) -> bool:
 def squarefree_by_rat_gcd(f: IntPoly) -> bool:
     """Whether gcd(f, f') is constant, by Euclid's algorithm in Fractions."""
     return f.degree < 1 or rat_gcd(f.to_rat(), f.derivative().to_rat()).degree == 0
+
+
+def _trim_steps(c: list[int]) -> tuple[int, ...]:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def pm_mul_by_steps(a, b, m: int) -> tuple[int, ...]:
+    """Product over Z/m, reduced after every multiply-add."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] = (out[i + j] + c * d) % m
+    return _trim_steps(out)
+
+
+def pm_divrem_by_steps(a, b, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Long division over Z/m by b whose leading coefficient is a unit,
+    reduced after every multiply-subtract; b monic is the Z/m case."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    d = len(b) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    while len(rem) - 1 >= d:
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        k = len(rem) - 1 - d
+        q = rem[-1] * inv % m
+        quot[k] = q
+        for i, c in enumerate(b):
+            rem[k + i] = (rem[k + i] - q * c) % m
+        rem.pop()
+    return _trim_steps([c % m for c in quot]), _trim_steps([c % m for c in rem])
+
+
+def pm_pow_mod_by_steps(a, e: int, f, m: int) -> tuple[int, ...]:
+    """a**e mod f over Z/m by square-and-multiply on the oracles above."""
+    result: tuple[int, ...] = (1,)
+    base = pm_divrem_by_steps(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = pm_divrem_by_steps(pm_mul_by_steps(result, base, m), f, m)[1]
+        base = pm_divrem_by_steps(pm_mul_by_steps(base, base, m), f, m)[1]
+        e >>= 1
+    return result
+
+
+def pm_gcd_by_steps(a, b, p: int) -> tuple[int, ...]:
+    """Monic gcd over F_p by Euclid on the oracles above."""
+    while b:
+        a, b = b, pm_divrem_by_steps(a, b, p)[1]
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
 
 
 def brute_force_symmetric_common_factor(

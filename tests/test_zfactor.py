@@ -180,3 +180,71 @@ class TestNoFractionDivision:
         assert divrem_calls[0] == 0
         assert fz.factors == tuple(sorted(((q, 1) for q in parts), key=lambda fe: fe[0].coeffs))
         assert sum(line.startswith("accepted subset") for line in trace) >= 2
+
+
+class TestModularWork:
+    """Where the modular arithmetic of one factorization goes, counted by
+    monkeypatching instead of timing anything."""
+
+    @staticmethod
+    def delta_a_product_p() -> IntPoly:
+        f = IntPoly.one()
+        for a in (0, 2, 4, 5, 7, 9):
+            f = f * delta_to_p(make_delta_a(a))
+        return f
+
+    def test_one_full_modular_factorization_per_squarefree_part(self, monkeypatch):
+        from knotsig import zfactor
+
+        calls = {"factor_mod_p": 0, "parts": 0}
+        factor_original, parts_original = zfactor.factor_mod_p, zfactor._factor_squarefree
+
+        def counting_factor(f, seed=0):
+            calls["factor_mod_p"] += 1
+            return factor_original(f, seed)
+
+        def counting_parts(g, seed, trace):
+            calls["parts"] += g.degree >= 2
+            return parts_original(g, seed, trace)
+
+        monkeypatch.setattr(zfactor, "factor_mod_p", counting_factor)
+        monkeypatch.setattr(zfactor, "_factor_squarefree", counting_parts)
+        P = self.delta_a_product_p()
+        for f, parts in ((P, 1), (P * parse_poly("x^2 + 1") ** 2, 2)):
+            calls.update(factor_mod_p=0, parts=0)
+            factor_z(f)
+            assert calls["parts"] == parts
+            assert calls["factor_mod_p"] == calls["parts"]
+
+    def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch):
+        from knotsig import zfactor
+
+        inside = {"_hensel_lift": 0, "degree_pattern": 0}
+        scope: list[str] = []
+        arithmetic = {"divrem": 0, "__mul__": 0}
+        in_scope = {"divrem": 0, "__mul__": 0}
+        for name in arithmetic:
+            original = getattr(PolyModP, name)
+
+            def counting(self, other, _original=original, _name=name):
+                arithmetic[_name] += 1
+                in_scope[_name] += bool(scope)
+                return _original(self, other)
+
+            monkeypatch.setattr(PolyModP, name, counting)
+        for name in inside:
+            original = getattr(zfactor, name)
+
+            def scoped(*args, _original=original, _name=name):
+                inside[_name] += 1
+                scope.append(_name)
+                try:
+                    return _original(*args)
+                finally:
+                    scope.pop()
+
+            monkeypatch.setattr(zfactor, name, scoped)
+        factor_z(self.delta_a_product_p())
+        assert inside == {"_hensel_lift": 1, "degree_pattern": 3}
+        assert arithmetic["divrem"] > 0  # the counters see factor_mod_p's work
+        assert in_scope == {"divrem": 0, "__mul__": 0}
