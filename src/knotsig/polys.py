@@ -5,8 +5,9 @@ the zero polynomial has an empty coefficient tuple and degree -inf.  All
 arithmetic is exact: integer coefficients stay integers, rational ones are
 `fractions.Fraction` in lowest terms.  Questions about integer polynomials
 are answered in integers: divisibility over Z by integer long division
-with leading- and constant-coefficient pre-checks, squarefreeness over Q
-by a mod-p certificate with a rational gcd only as the fallback.
+with leading- and constant-coefficient pre-checks, gcds by primitive
+pseudo-remainder sequences, squarefreeness over Q by a mod-p certificate
+with that gcd as the fallback; `RatPoly` serves the public API only.
 
 Besides ring arithmetic this module carries the knot-specific transforms:
 the condition checker for Alexander polynomials, the involution-equivariant
@@ -302,14 +303,13 @@ def rat_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
 
 
 def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd over Z, normalized to positive leading coefficient."""
-    if f.is_zero:
-        return g if g.lc >= 0 else -g
-    if g.is_zero:
-        return f if f.lc >= 0 else -f
-    h = rat_gcd(f.to_rat(), g.to_rat()).clear_denominators().primitive()
+    """gcd over Z with positive leading coefficient: the gcd of the contents
+    times the last nonzero term of the primitive pseudo-remainder sequence."""
+    a, b = f.primitive(), g.primitive()
+    while not b.is_zero:
+        a, b = b, _pseudo_rem(a, b).primitive()
     c = math.gcd(f.content(), g.content())
-    return h * c if h.degree >= 1 else IntPoly((c,))
+    return a * c if a.degree >= 1 else IntPoly((c,))
 
 
 def _quotient_z(f: IntPoly, g: IntPoly) -> IntPoly | None:
@@ -533,12 +533,12 @@ def certified_squarefree(f: IntPoly) -> bool:
 
 def is_squarefree_q(f: IntPoly) -> bool:
     """True when gcd(f, f') is constant over Q: by a mod-p certificate, or
-    else (always when f is not squarefree) by the rational gcd."""
+    else (always when f is not squarefree) by ``gcd_z``."""
     if f.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
     if f.degree == 0 or certified_squarefree(f):
         return True
-    return rat_gcd(f.to_rat(), f.derivative().to_rat()).degree == 0
+    return gcd_z(f, f.derivative()).degree == 0
 
 
 def v_polynomial(p: IntPoly) -> IntPoly:
@@ -588,17 +588,23 @@ def trace_polynomial(delta: IntPoly) -> IntPoly:
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b, all over Z."""
-    d = b.lc
-    delta = int(a.degree) - int(b.degree)
-    rem = a
+    bc = b.coeffs
+    db, d = len(bc) - 1, bc[-1]
+    rem = list(a.coeffs)
+    delta = len(rem) - 1 - db
     scaled = 0
-    while not rem.is_zero and rem.degree >= b.degree:
-        k = int(rem.degree) - int(b.degree)
-        rem = d * rem - rem.lc * (IntPoly.monomial(1, k) * b)
+    while len(rem) > db:
+        top = rem.pop()  # each step cancels the leading term
+        k = len(rem) - db
+        rem = [d * c for c in rem]
+        for i in range(db):
+            rem[k + i] -= top * bc[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
         scaled += 1
     if scaled < delta + 1:
-        rem = d ** (delta + 1 - scaled) * rem
-    return rem
+        rem = [d ** (delta + 1 - scaled) * c for c in rem]
+    return IntPoly(rem)
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:

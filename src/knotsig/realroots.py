@@ -1,10 +1,12 @@
 """Exact real-root counting and isolation via Sturm sequences.
 
-Everything runs over Fraction endpoints, so counts and intervals are
-certificates, not approximations.  On top of the generic machinery sit the
-two unit-circle root counters: rho of a reciprocal polynomial Delta via its
-trace model D (Delta(X) = X^n D(X + 1/X), roots on |z| = 1 become roots of
-D in (-2, 2)), and rho of a symmetric P via its model Q (P(X) = Q(X^2 - X),
+Endpoints are exact rationals and every sign is exact, so counts and
+intervals are certificates, not approximations.  Sturm sequences are
+sign-corrected primitive pseudo-remainder sequences over Z, with signs at
+p/q from homogeneous integer Horner sums.  On top sit the two unit-circle
+root counters: rho of a reciprocal polynomial Delta via its trace model D
+(Delta(X) = X^n D(X + 1/X), roots on |z| = 1 become roots of D in
+(-2, 2)), and rho of a symmetric P via its model Q (P(X) = Q(X^2 - X),
 root pairs with z + conj(z) = 1 become roots of Q below -1/4).
 """
 
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CertificationError
 from .polys import (
     IntPoly,
     RatPoly,
+    _pseudo_rem,
     alexander_check,
     is_squarefree_q,
     trace_polynomial,
@@ -30,7 +32,6 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 DEFAULT_WIDTH = Fraction(1, 1 << 10)
-MAX_BISECTIONS = (1 << 16) + 64  # interval-width analogue of a precision cap
 
 
 @dataclass(frozen=True)
@@ -58,82 +59,95 @@ class IrrRFactor:
     v_root_interval: IsolatingInterval
 
 
-def sturm_sequence(f: RatPoly) -> list[RatPoly]:
-    """f, f', then negated Euclidean remainders until constant."""
-    seq = [f, f.derivative()]
+def _as_int(f: IntPoly | RatPoly) -> IntPoly:
+    """f, or a positive integer multiple of a RatPoly: same signs."""
+    return f if isinstance(f, IntPoly) else f.clear_denominators()
+
+
+def sturm_sequence(f: IntPoly | RatPoly, g: IntPoly | None = None) -> list[IntPoly]:
+    """f, g (by default f'), then negated remainders until constant, each
+    a positive multiple of the rational one: the pseudo-remainder, negated
+    unless lc(b)^(deg a - deg b + 1) < 0, over its content."""
+    f = _as_int(f)
+    seq = [f, f.derivative() if g is None else g]
     while not seq[-1].is_zero and seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
+        a, b = seq[-2], seq[-1]
+        r = _pseudo_rem(a, b)
+        c = r.content() or 1
+        if b.lc > 0 or (a.degree - b.degree) % 2 or a.degree < b.degree:
+            c = -c
+        seq.append(IntPoly(x // c for x in r.coeffs))
     if seq[-1].is_zero:
         seq.pop()
     return seq
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(f: RatPoly, x: Endpoint) -> int:
-    if x == NEG_INF:
-        if f.is_zero:
-            return 0
-        return _sign(f.lc) * (-1 if int(f.degree) % 2 else 1)
-    if x == POS_INF:
-        return _sign(f.lc) if not f.is_zero else 0
-    return _sign(f.evaluate(Fraction(x)))
+def _sign_at(f: IntPoly, x: Endpoint) -> int:
+    """At x = p/q (q > 0) the sign of q^d f(p/q) = sum c_i p^i q^(d-i),
+    by Horner in integers."""
+    if isinstance(x, float) and x in (NEG_INF, POS_INF):
+        return _sign(f.lc) * (-1 if x < 0 and int(f.degree) % 2 else 1)
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    acc, qk = f.coeffs[-1], 1
+    for c in reversed(f.coeffs[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return _sign(acc)
 
 
-def _variations(seq: list[RatPoly], x: Endpoint) -> int:
+def _variations(seq: list[IntPoly], x: Endpoint) -> int:
     signs = [s for s in (_sign_at(f, x) for f in seq) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _require_squarefree(f: RatPoly) -> None:
+def _checked_sequence(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
+    """The Sturm sequence of f, once f is squarefree, a < b, and neither
+    finite endpoint is a root."""
     if f.is_zero:
         raise ValueError("zero polynomial has no root count")
-    if not is_squarefree_q(f.clear_denominators()):
+    seq = sturm_sequence(f)
+    if not is_squarefree_q(seq[0]):
         raise ValueError("Sturm counting requires a squarefree polynomial")
-
-
-def _require_interval(f: RatPoly, a: Endpoint, b: Endpoint) -> None:
     if a != NEG_INF and b != POS_INF and Fraction(a) >= Fraction(b):
         raise ValueError("empty interval: need a < b")
-    if a != NEG_INF and _sign_at(f, a) == 0:
+    if a != NEG_INF and _sign_at(seq[0], a) == 0:
         raise ValueError(f"left endpoint {a} is a root; perturb the interval")
-    if b != POS_INF and _sign_at(f, b) == 0:
+    if b != POS_INF and _sign_at(seq[0], b) == 0:
         raise ValueError(f"right endpoint {b} is a root; perturb the interval")
+    return seq
 
 
-def sturm_count(f: RatPoly, a: Endpoint, b: Endpoint) -> int:
+def sturm_count(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> int:
     """Number of real roots of squarefree f in the open interval (a, b);
     finite endpoints must not be roots."""
-    _require_squarefree(f)
-    _require_interval(f, a, b)
-    if f.degree == 0:
-        return 0
-    seq = sturm_sequence(f)
+    seq = _checked_sequence(f, a, b)
     return _variations(seq, a) - _variations(seq, b)
 
 
-def _cauchy_bound(f: RatPoly) -> Fraction:
-    lead = abs(f.lc)
-    return 2 + max(abs(c) for c in f.coeffs) / lead
+def _split_point(g: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """The midpoint of (lo, hi), moved off a root of g by halved offsets."""
+    mid, offset = (lo + hi) / 2, (hi - lo) / 4
+    while _sign_at(g, mid) == 0:
+        mid += offset
+        offset /= 2
+    return mid
 
 
 def isolate_roots(
-    f: RatPoly, a: Endpoint = NEG_INF, b: Endpoint = POS_INF, width: Fraction = DEFAULT_WIDTH
+    f: IntPoly | RatPoly, a: Endpoint = NEG_INF, b: Endpoint = POS_INF, width: Fraction = DEFAULT_WIDTH
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per real root of squarefree f in
-    (a, b), bisection-refined below ``width``.  Midpoints that happen to
-    hit a root are dodged by halved dyadic offsets."""
-    _require_squarefree(f)
-    _require_interval(f, a, b)
-    seq = sturm_sequence(f)
-    if _variations(seq, a) == _variations(seq, b):
-        return []
-    bound = _cauchy_bound(f)
+    (a, b), bisection-refined below ``width``."""
+    seq = _checked_sequence(f, a, b)
+    g = seq[0]
+    bound = 2 + Fraction(max(abs(c) for c in g.coeffs), abs(g.lc))  # Cauchy
     lo = Fraction(a) if a != NEG_INF else -bound
     hi = Fraction(b) if b != POS_INF else bound
-
     out: list[IsolatingInterval] = []
     stack = [(lo, hi, _variations(seq, lo), _variations(seq, hi))]
     while stack:
@@ -144,11 +158,7 @@ def isolate_roots(
         if c == 1 and h - l <= width:
             out.append(IsolatingInterval(l, h))
             continue
-        mid = (l + h) / 2
-        offset = (h - l) / 4
-        while f.evaluate(mid) == 0:
-            mid += offset
-            offset /= 2
+        mid = _split_point(g, l, h)
         vm = _variations(seq, mid)
         stack.append((l, mid, vl, vm))
         stack.append((mid, h, vm, vh))
@@ -156,21 +166,18 @@ def isolate_roots(
     return out
 
 
-def refine_interval(f: RatPoly, iv: IsolatingInterval) -> IsolatingInterval:
+def refine_interval(f: IntPoly | RatPoly, iv: IsolatingInterval) -> IsolatingInterval:
     """One bisection step preserving the single contained root."""
-    mid = iv.midpoint
-    offset = iv.width / 4
-    while f.evaluate(mid) == 0:
-        mid += offset
-        offset /= 2
-    sl = _sign_at(f, iv.lo)
-    if sl != 0 and _sign(f.evaluate(mid)) == sl:
+    g = _as_int(f)
+    mid = _split_point(g, iv.lo, iv.hi)
+    sl = _sign_at(g, iv.lo)
+    if sl != 0 and _sign_at(g, mid) == sl:
         return IsolatingInterval(mid, iv.hi)
     return IsolatingInterval(iv.lo, mid)
 
 
 def root_gaps(
-    f: RatPoly, ivs: list[IsolatingInterval], top: Fraction
+    f: IntPoly | RatPoly, ivs: list[IsolatingInterval], top: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Root-free open intervals (lo, hi) with lo < hi: one between each
     two consecutive roots isolated by the sorted ``ivs``, and one between
@@ -191,33 +198,15 @@ def root_gaps(
     return gaps
 
 
-def interval_eval(p: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact interval Horner evaluation: bounds for p([lo, hi])."""
-    acc_lo = acc_hi = p.lc if not p.is_zero else Fraction(0)
-    for c in reversed(p.coeffs[:-1]) if p.coeffs else ():
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
-
-
-def sign_at_root(expr: RatPoly, minpoly: RatPoly, iv: IsolatingInterval) -> int:
-    """Certified sign of expr(lambda) for the root lambda of ``minpoly``
-    isolated by ``iv``; expr must not vanish at lambda (so deg expr <
-    deg minpoly and expr != 0 suffice for an irreducible minpoly)."""
+def sign_at_root(expr: IntPoly | RatPoly, minpoly: IntPoly | RatPoly, iv: IsolatingInterval) -> int:
+    """Sign of expr(lambda) for the root lambda of ``minpoly`` isolated by
+    ``iv``, by the Sturm-Tarski theorem: the Sturm sequence of (m, m' expr)
+    drops across iv by the sum of sign(expr(x)) over the roots x of m in iv."""
     if expr.is_zero:
         raise ValueError("expression is identically zero")
-    lo, hi = iv.lo, iv.hi
-    current = IsolatingInterval(lo, hi)
-    for _ in range(MAX_BISECTIONS):
-        vlo, vhi = interval_eval(expr, current.lo, current.hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        current = refine_interval(minpoly, current)
-    raise CertificationError(
-        "sign certification did not converge within the bisection cap"
-    )
+    m = _as_int(minpoly)
+    seq = sturm_sequence(m, m.derivative() * _as_int(expr))
+    return _variations(seq, iv.lo) - _variations(seq, iv.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,7 @@ def rho_delta(delta: IntPoly) -> int:
     roots of the trace model D in (-2, 2)."""
     _validate_delta(delta)
     d = trace_polynomial(delta)
-    return 2 * sturm_count(d.to_rat(), Fraction(-2), Fraction(2))
+    return 2 * sturm_count(d, Fraction(-2), Fraction(2))
 
 
 def _validated_v_model(p: IntPoly) -> IntPoly:
@@ -260,12 +249,12 @@ def rho_p(p: IntPoly) -> int:
     """Number of roots z of P with z + conj(z) = 1: twice the count of real
     roots of the v-model Q below -1/4."""
     q = _validated_v_model(p)
-    return 2 * sturm_count(q.to_rat(), NEG_INF, Fraction(-1, 4))
+    return 2 * sturm_count(q, NEG_INF, Fraction(-1, 4))
 
 
 def irr_r_factors(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[IrrRFactor]:
     """The monic irreducible degree-2 real factors of P, one per real
     v-root lambda < -1/4, sorted by interval position."""
     q = _validated_v_model(p)
-    ivs = isolate_roots(q.to_rat(), NEG_INF, Fraction(-1, 4), width)
+    ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4), width)
     return [IrrRFactor(iv) for iv in ivs]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, RatPoly, v_polynomial
+from .polys import IntPoly, v_polynomial
 from .realroots import IrrRFactor, irr_r_factors, root_gaps
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
@@ -102,45 +102,46 @@ def mat_det(a: Matrix) -> int:
 
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
-    """Integer inverse of a matrix with determinant +-1."""
+    """Integer inverse of a matrix with determinant +-1, by fraction-free
+    (Bareiss) Gauss-Jordan elimination on [A | I]: the divisions by the
+    previous pivot are exact, and a last pivot d = +-1 leaves [dI | dA^-1]."""
     n = len(a)
-    det = mat_det(a)
-    if det not in (1, -1):
-        raise ValueError(f"matrix has determinant {det}, not +-1")
-    work = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+    w = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if w[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix has determinant 0, not +-1")
+        w[k], w[piv] = w[piv], w[k]
+        wk, d = w[k], w[k][k]
         for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return tuple(tuple(int(x) for x in row[n:]) for row in work)
+            if i != k:
+                f = w[i][k]
+                w[i] = [(d * x - f * y) // prev for x, y in zip(w[i], wk)]
+        prev = d
+    if prev not in (1, -1):
+        raise ValueError(f"matrix has determinant {mat_det(a)}, not +-1")
+    return tuple(tuple(prev * x for x in row[n:]) for row in w)
 
 
 def pencil_det(m0: Matrix, m1: Matrix) -> IntPoly:
-    """det(m0 + X*m1) by exact evaluation/interpolation."""
+    """det(m0 + X*m1) = f(X) from the values f(0..n) by Newton's formula
+    n! f(X) = sum_k (n!/k!) D^k f(0) X(X-1)...(X-k+1) in integers."""
     n = len(m0)
-    points = range(n + 1)
     values = [
         mat_det(tuple(tuple(m0[i][j] + x * m1[i][j] for j in range(n)) for i in range(n)))
-        for x in points
+        for x in range(n + 1)
     ]
-    # Lagrange interpolation over Fraction; the result is integral.
-    acc = RatPoly.zero()
-    for i, xi in enumerate(points):
-        term = RatPoly((Fraction(values[i]),))
-        for j, xj in enumerate(points):
-            if i == j:
-                continue
-            term = term * RatPoly((Fraction(-xj, 1), Fraction(1))) * Fraction(1, xi - xj)
-        acc = acc + term
-    if any(c.denominator != 1 for c in acc.coeffs):
+    acc, falling, weight = IntPoly.zero(), IntPoly.one(), math.factorial(n)
+    for k in range(n + 1):  # falling = X(X-1)...(X-k+1), weight = n!/k!
+        acc = acc + falling * (weight * values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+        falling = falling * IntPoly((-k, 1))
+        weight //= k + 1
+    scale = math.factorial(n)
+    if any(c % scale for c in acc.coeffs):
         raise KnotsigError("internal error: interpolated determinant is not integral")
-    return IntPoly(int(c) for c in acc.coeffs)
+    return IntPoly(c // scale for c in acc.coeffs)
 
 
 def charpoly(a: Matrix) -> IntPoly:
@@ -166,11 +167,12 @@ class SeifertPair:
 
 @dataclass(frozen=True)
 class MilnorAssignmentComputed:
-    """Signature of S restricted to each unit-circle eigenplane, in the
-    sorted order of the v-root intervals.  A zero value means the
-    restriction is indefinite and deserves attention.  Each eigenplane
-    has dimension 2 because the characteristic polynomial is squarefree;
-    ``kernel_dims`` records it."""
+    """The Milnor signature at each monic irreducible real quadratic
+    factor of P, in the sorted order of the v-root intervals: the jump of
+    the Levine-Tristram signature across the matching root of Delta_A.
+    A zero value means the signature does not jump there and deserves
+    attention.  ``kernel_dims`` is always all 2s (P is squarefree, so
+    each such factor has a 2-dimensional kernel); reports still carry it."""
 
     factors: tuple[IrrRFactor, ...]
     values: tuple[int, ...]
@@ -387,9 +389,7 @@ def milnor_signatures(
     factors = irr_r_factors(p)  # raises ValueError unless P is squarefree
     a_form = mat_mul(transpose(a), s)
     k = mat_sub(a_form, transpose(a_form))
-    gaps = root_gaps(
-        v_polynomial(p).to_rat(), [f.v_root_interval for f in factors], Fraction(-1, 4)
-    )
+    gaps = root_gaps(v_polynomial(p), [f.v_root_interval for f in factors], Fraction(-1, 4))
 
     def t_squared(lam: Fraction) -> Fraction:
         return 1 / (-4 * lam - 1)

@@ -9,10 +9,10 @@ from distinct-degree splitting alone, since the model is squarefree
 modulo each.  Lifting runs on `modp`'s coefficient-list kernels over
 Z/m.  Each candidate is tried by integer trial division
 (`polys.divides`), whose constant-term pre-check rejects almost every
-wrong one before dividing.  Fractions appear only in Yun's gcd, which
-runs only when no mod-p certificate shows the input squarefree.  The
-modular factor count is capped at 16; results are verified by
-re-multiplication and do not depend on the splitting seed.
+wrong one before dividing.  Yun's gcds (run only when no mod-p
+certificate shows the input squarefree) are integer `gcd_z`, so no step
+uses Fractions.  The modular factor count is capped at 16; results are
+verified by re-multiplication and do not depend on the splitting seed.
 """
 
 from __future__ import annotations
@@ -114,15 +114,18 @@ def _pm_divrem_monic(a, b, m) -> tuple[list[int], list[int]]:
     return _divrem(a, b, m)
 
 
-def _hensel_step(f, g, h, s, t, m):
+def _hensel_step(f, g, h, s, t, m, last=False):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the
     same congruences mod m^2, with g, h monic.  Products stay unreduced
-    until the sum or division that takes them reduces once."""
+    until the sum or division that takes them reduces once.  After the
+    ``last`` round nothing reads s, t, so they are returned unlifted."""
     m2 = m * m
     e = _sub(f, _product(g, h), m2)
     q, r = _pm_divrem_monic(_product(s, e), h, m2)
     g2 = _add(_add(g, _product(t, e), m2), _product(q, g), m2)
     h2 = _add(h, r, m2)
+    if last:
+        return g2, h2, s, t
     b = _sub(_add(_product(s, g2), _product(t, h2), m2), (1,), m2)
     c, d = _pm_divrem_monic(_product(s, b), h2, m2)
     s2 = _sub(s, d, m2)
@@ -158,14 +161,14 @@ def _build_tree(factors: list[PolyModP], p: int) -> _Node:
     return node
 
 
-def _lift_round(node: _Node, f, m: int) -> None:
+def _lift_round(node: _Node, f, m: int, last: bool) -> None:
     node.poly = f
     if node.left is None:
         return
-    g2, h2, s2, t2 = _hensel_step(f, node.left.poly, node.right.poly, node.s, node.t, m)
+    g2, h2, s2, t2 = _hensel_step(f, node.left.poly, node.right.poly, node.s, node.t, m, last)
     node.s, node.t = s2, t2
-    _lift_round(node.left, g2, m)
-    _lift_round(node.right, h2, m)
+    _lift_round(node.left, g2, m, last)
+    _lift_round(node.right, h2, m, last)
 
 
 def _collect_leaves(node: _Node, out: list[list[int]]) -> None:
@@ -182,7 +185,7 @@ def _hensel_lift(F: IntPoly, factors: list[PolyModP], p: int, target: int):
     root = _build_tree(factors, p)
     m = p
     while m < target:
-        _lift_round(root, tuple(c % (m * m) for c in F.coeffs), m)
+        _lift_round(root, tuple(c % (m * m) for c in F.coeffs), m, m * m >= target)
         m = m * m
     leaves: list[list[int]] = []
     _collect_leaves(root, leaves)

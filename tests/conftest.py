@@ -38,17 +38,20 @@ def make_delta_a(a: int) -> IntPoly:
 
 
 @pytest.fixture
-def divrem_calls(monkeypatch) -> list[int]:
-    """Counts calls of RatPoly.divrem, the rational long division behind
-    ``%``, ``//`` and ``rat_gcd``, during the test; read element 0."""
-    calls = [0]
-    original = RatPoly.divrem
+def ratpoly_calls(monkeypatch) -> dict[str, int]:
+    """Counts the RatPoly arithmetic done during the test, by method:
+    ``divrem`` (behind ``%``, ``//`` and ``rat_gcd``), ``__mul__`` (with
+    ``__rmul__``) and ``evaluate``."""
+    calls = {"divrem": 0, "__mul__": 0, "evaluate": 0}
+    for attr, name in (("divrem", "divrem"), ("__mul__", "__mul__"),
+                       ("__rmul__", "__mul__"), ("evaluate", "evaluate")):
+        original = getattr(RatPoly, attr)
 
-    def counting(self, other):
-        calls[0] += 1
-        return original(self, other)
+        def counting(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
 
-    monkeypatch.setattr(RatPoly, "divrem", counting)
+        monkeypatch.setattr(RatPoly, attr, counting)
     return calls
 
 

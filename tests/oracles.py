@@ -8,8 +8,12 @@ integer factorization, the number-field eigenspace route for the
 Milnor signatures of a Seifert pair, the factors of Delta (rather
 than of P) for the per-factor unit-circle root counts, rational
 (`Fraction`) long division and gcd for divisibility over Z and
-squarefreeness over Q, and polynomial arithmetic over F_p and Z/m that
-reduces at every inner step.
+squarefreeness over Q, polynomial arithmetic over F_p and Z/m that
+reduces at every inner step, and the `Fraction` routes the Seifert path
+took before its integer kernels: Lagrange interpolation for pencil
+determinants, Euclidean Sturm chains with root isolation, sign
+certification by interval bisection, Gauss-Jordan inversion, and Hensel
+lifting that lifts the Bezout cofactors in every round.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from knotsig import (
     rho_delta,
     v_polynomial,
 )
+from knotsig import zfactor
 from knotsig.modp import PolyModP, is_symmetric_mod_p
-from knotsig.realroots import sign_at_root, sturm_count
-from knotsig.seifert import as_matrix, charpoly, mat_mul, mat_sub
+from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count
+from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
 
 
 def det_fraction(rows: list[list[int]]) -> int:
@@ -395,3 +400,153 @@ def indecomposable_by_delta_factors(delta: IntPoly, s: int, mod_required: int) -
     at least two factors, each with rho below the signature modulus."""
     rhos = delta_factor_rhos(delta)
     return s != 0 and rhos is not None and len(rhos) >= 2 and max(rhos) < mod_required
+
+
+# ---------------------------------------------------------------------------
+# the Fraction routes of the Seifert path
+
+
+def pencil_det_by_lagrange(m0, m1) -> IntPoly:
+    """det(m0 + X*m1) by Lagrange interpolation over RatPoly through the
+    values at X = 0..n."""
+    n = len(m0)
+    points = range(n + 1)
+    values = [
+        mat_det(tuple(tuple(m0[i][j] + x * m1[i][j] for j in range(n)) for i in range(n)))
+        for x in points
+    ]
+    acc = RatPoly.zero()
+    for i, xi in enumerate(points):
+        term = RatPoly((Fraction(values[i]),))
+        for xj in points:
+            if xj != xi:
+                term = term * RatPoly((Fraction(-xj), Fraction(1))) * Fraction(1, xi - xj)
+        acc = acc + term
+    assert all(c.denominator == 1 for c in acc.coeffs)
+    return IntPoly(int(c) for c in acc.coeffs)
+
+
+def inverse_by_fractions(rows) -> tuple[tuple[int, ...], ...]:
+    """Inverse of a matrix with determinant +-1 by Gauss-Jordan
+    elimination over Fraction."""
+    n = len(rows)
+    det = mat_det(rows)
+    if det not in (1, -1):
+        raise ValueError(f"matrix has determinant {det}, not +-1")
+    work = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if work[i][col] != 0)
+        work[col], work[piv] = work[piv], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return tuple(tuple(int(x) for x in row[n:]) for row in work)
+
+
+def rat_sturm_sequence(f: RatPoly) -> list[RatPoly]:
+    """f, f', then negated Euclidean remainders over Fraction."""
+    seq = [f, f.derivative()]
+    while not seq[-1].is_zero and seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    if seq[-1].is_zero:
+        seq.pop()
+    return seq
+
+
+def _rat_variations(seq: list[RatPoly], x) -> int:
+    signs = []
+    for f in seq:
+        if x == float("-inf"):
+            v = f.lc * (-1 if int(f.degree) % 2 else 1)
+        elif x == float("inf"):
+            v = f.lc
+        else:
+            v = f.evaluate(Fraction(x))
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def rat_sturm_count(f: RatPoly, a, b) -> int:
+    """Real roots of squarefree f in (a, b) from the Fraction chain."""
+    seq = rat_sturm_sequence(f)
+    return _rat_variations(seq, a) - _rat_variations(seq, b)
+
+
+def rat_isolate_roots(f: RatPoly, a, b, width=Fraction(1, 1 << 10)) -> list[IsolatingInterval]:
+    """Isolating intervals by the Fraction chain and Fraction evaluation,
+    bisecting at the same points as ``isolate_roots``."""
+    seq = rat_sturm_sequence(f)
+    bound = 2 + max(abs(c) for c in f.coeffs) / abs(f.lc)
+    lo = Fraction(a) if a != float("-inf") else -bound
+    hi = Fraction(b) if b != float("inf") else bound
+    out = []
+    stack = [(lo, hi, _rat_variations(seq, lo), _rat_variations(seq, hi))]
+    while stack:
+        l, h, vl, vh = stack.pop()
+        if vl == vh:
+            continue
+        if vl - vh == 1 and h - l <= width:
+            out.append(IsolatingInterval(l, h))
+            continue
+        mid, offset = (l + h) / 2, (h - l) / 4
+        while f.evaluate(mid) == 0:
+            mid += offset
+            offset /= 2
+        vm = _rat_variations(seq, mid)
+        stack.append((l, mid, vl, vm))
+        stack.append((mid, h, vm, vh))
+    return sorted(out, key=lambda iv: iv.lo)
+
+
+def interval_eval(p: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact interval Horner evaluation: bounds for p([lo, hi])."""
+    acc_lo = acc_hi = p.lc if not p.is_zero else Fraction(0)
+    for c in reversed(p.coeffs[:-1]) if p.coeffs else ():
+        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(cands) + c, max(cands) + c
+    return acc_lo, acc_hi
+
+
+def sign_at_root_by_bisection(expr: RatPoly, minpoly: RatPoly, iv: IsolatingInterval) -> int:
+    """Sign of expr at the root of ``minpoly`` in ``iv``: bisect with the
+    Fraction chain until interval Horner bounds exclude zero."""
+    lo, hi = iv.lo, iv.hi
+    while True:
+        vlo, vhi = interval_eval(expr, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+        mid = (lo + hi) / 2
+        if minpoly.evaluate(mid) == 0:
+            return 0 if expr.evaluate(mid) == 0 else (1 if expr.evaluate(mid) > 0 else -1)
+        if rat_sturm_count(minpoly, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+
+
+def hensel_lift_every_cofactor(F: IntPoly, factors: list[PolyModP], p: int, target: int):
+    """``zfactor._hensel_lift`` with the Bezout cofactors lifted in every
+    round, the last one included; returns (leaves, modulus)."""
+
+    def lift(node, f, m):
+        node.poly = f
+        if node.left is not None:
+            g2, h2, node.s, node.t = zfactor._hensel_step(
+                f, node.left.poly, node.right.poly, node.s, node.t, m
+            )
+            lift(node.left, g2, m)
+            lift(node.right, h2, m)
+
+    root = zfactor._build_tree(factors, p)
+    m = p
+    while m < target:
+        lift(root, tuple(c % (m * m) for c in F.coeffs), m)
+        m = m * m
+    leaves: list[list[int]] = []
+    zfactor._collect_leaves(root, leaves)
+    return leaves, m

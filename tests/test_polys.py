@@ -24,7 +24,7 @@ from knotsig import (
     v_polynomial,
 )
 from knotsig.modp import PolyModP, gcd_mod_p
-from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div
+from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div, gcd_z
 from conftest import make_delta_a
 from oracles import (
     divides_by_divrem,
@@ -330,9 +330,27 @@ class TestSymmetryAndSquarefree:
         assert not is_squarefree_q(P("x^2"))
 
 
+@pytest.fixture
+def gcd_z_calls(monkeypatch) -> list[int]:
+    """Counts the calls of ``gcd_z`` that ``is_squarefree_q`` makes; read
+    element 0."""
+    from knotsig import polys
+
+    calls = [0]
+    original = polys.gcd_z
+
+    def counting(f, g):
+        calls[0] += 1
+        return original(f, g)
+
+    monkeypatch.setattr(polys, "gcd_z", counting)
+    return calls
+
+
 class TestSquarefreeCertificate:
     """``is_squarefree_q`` answers by a mod-p certificate when one of
-    CERTIFICATE_PRIMES gives one, else by the rational gcd oracle's route."""
+    CERTIFICATE_PRIMES gives one, else by the integer ``gcd_z``; the
+    rational gcd is the oracle."""
 
     def test_against_rat_gcd_oracle(self):
         rng = random.Random(73)
@@ -356,7 +374,7 @@ class TestSquarefreeCertificate:
         assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES)
         assert all(sympy.isprime(p) for p in CERTIFICATE_PRIMES)
 
-    def test_fallback_when_every_prime_divides_the_discriminant(self, divrem_calls):
+    def test_fallback_when_every_prime_divides_the_discriminant(self, ratpoly_calls, gcd_z_calls):
         # disc(X (X - n)) = n^2 with n the product of all certificate primes
         n = math.prod(CERTIFICATE_PRIMES)
         f = IntPoly((0, -n, 1))
@@ -365,7 +383,8 @@ class TestSquarefreeCertificate:
             assert gcd_mod_p(fp, fp.derivative()).degree == 1
         assert not certified_squarefree(f)
         assert is_squarefree_q(f)
-        assert divrem_calls[0] > 0
+        assert gcd_z_calls[0] == 1
+        assert not any(ratpoly_calls.values())
 
     def test_fallback_when_every_prime_divides_the_leading_coefficient(self):
         f = IntPoly((-1, 0, math.prod(CERTIFICATE_PRIMES)))
@@ -384,28 +403,76 @@ class TestSquarefreeCertificate:
         ],
         ids=str,
     )
-    def test_not_squarefree(self, f, divrem_calls):
+    def test_not_squarefree(self, f, ratpoly_calls, gcd_z_calls):
         assert not certified_squarefree(f)
         assert not is_squarefree_q(f)
-        assert divrem_calls[0] > 0
+        assert gcd_z_calls[0] == 1
+        assert not any(ratpoly_calls.values())
 
 
 class TestNoFractionDivision:
-    """Integer questions take no rational long division: these count
-    RatPoly.divrem calls instead of timing anything."""
+    """Integer questions take no rational arithmetic: these count RatPoly
+    calls instead of timing anything."""
 
-    def test_divides_and_exact_div(self, divrem_calls):
+    def test_divides_and_exact_div(self, ratpoly_calls):
         for g, f in _division_pairs(79, 300):
             if divides(g, f):
                 exact_div(f, g)
-        assert divrem_calls[0] == 0
+        assert not any(ratpoly_calls.values())
 
-    def test_certified_squarefree_input(self, divrem_calls):
+    def test_certified_squarefree_input(self, ratpoly_calls):
         p_poly = IntPoly.one()
         for a in (0, 2, 4, 5, 7, 9):
             p_poly = p_poly * delta_to_p(make_delta_a(a))
         assert is_squarefree_q(p_poly)
-        assert divrem_calls[0] == 0
+        assert not any(ratpoly_calls.values())
+
+
+class TestGcdZ:
+    """``gcd_z`` by the integer primitive pseudo-remainder sequence
+    against the monic rational gcd."""
+
+    @staticmethod
+    def pairs(seed: int, count: int):
+        rng = random.Random(seed)
+        for i in range(count):
+            f = _random_poly(rng, 6, 9)
+            g = _random_poly(rng, 6, 9)
+            h = IntPoly([rng.randint(-5, 5) for _ in range(rng.randrange(1, 3))] + [rng.randint(1, 5)])
+            if i % 3 == 0:
+                f, g = f * h, g * h
+            elif i % 3 == 1:
+                f, g = f * h * h, g * h * h * rng.choice((1, 2, -3))
+            yield f, g
+
+    def test_against_rat_gcd(self):
+        from knotsig import rat_gcd
+
+        common = 0
+        for f, g in self.pairs(83, 400):
+            got = gcd_z(f, g)
+            if f.is_zero or g.is_zero:
+                other = g if f.is_zero else f
+                assert got == (other if other.lc >= 0 else -other)
+                continue
+            assert got.lc > 0
+            want = rat_gcd(f.to_rat(), g.to_rat())
+            assert got.to_rat().monic() == want, (f, g)
+            assert got.content() == math.gcd(f.content(), g.content())
+            assert divides(got, f) and divides(got, g)
+            common += got.degree >= 1
+        assert common >= 180
+
+    def test_common_square_factor(self):
+        h = P("2*x^2 - 3*x + 5")
+        f, g = h * h * P("x - 4"), h * h * h * P("3*x + 1")
+        assert gcd_z(f, g) == h * h
+        assert gcd_z(f, f.derivative()) == h
+
+    def test_no_rational_arithmetic(self, ratpoly_calls):
+        for f, g in self.pairs(89, 150):
+            gcd_z(f, g)
+        assert not any(ratpoly_calls.values())
 
 
 class TestVPolynomial:

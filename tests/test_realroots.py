@@ -10,22 +10,33 @@ import pytest
 from knotsig import (
     IntPoly,
     delta_to_p,
+    factor_z,
+    gcd_z,
     irr_r_factors,
     isolate_roots,
     parse_poly,
     rho_delta,
     rho_p,
     sturm_count,
+    v_polynomial,
 )
 from knotsig.realroots import (
     IsolatingInterval,
-    interval_eval,
     refine_interval,
     root_gaps,
     sign_at_root,
+    sturm_sequence,
 )
 from conftest import make_delta_a
-from oracles import count_real_roots_float
+from oracles import (
+    count_real_roots_float,
+    interval_eval,
+    rat_isolate_roots,
+    rat_sturm_count,
+    rat_sturm_sequence,
+    sign_at_root_by_bisection,
+    squarefree_by_rat_gcd,
+)
 
 INF = float("inf")
 
@@ -218,6 +229,78 @@ class TestCertifiedSigns:
         for _ in range(20):
             iv = refine_interval(minpoly, iv)
         assert iv.lo < Fraction(1414214, 1000000) and iv.hi > Fraction(1414213, 1000000)
+
+
+def _v_models() -> list[IntPoly]:
+    """The v-models Q of P for the k = 4..7 Delta_a products and of each
+    of their irreducible factors."""
+    out = []
+    for k in range(4, 8):
+        p_poly = IntPoly.one()
+        for a in range(k):
+            p_poly = p_poly * delta_to_p(make_delta_a(a))
+        q = v_polynomial(p_poly)
+        out.append(q)
+        if k == 7:
+            out.extend(f for f, _ in factor_z(q).factors)
+    return out
+
+
+def _random_squarefree(seed: int, count: int) -> list[IntPoly]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randrange(2, 14))])
+        if f.degree >= 1 and squarefree_by_rat_gcd(f):
+            out.append(f)
+    return out
+
+
+class TestAgainstFractionChain:
+    """The integer Sturm sequences, counts, intervals and signs against
+    the Fraction routes of tests/oracles.py."""
+
+    CASES = _v_models() + _random_squarefree(97, 60)
+
+    def test_sequence_is_a_positive_multiple(self):
+        for f in self.CASES:
+            seq, rat_seq = sturm_sequence(f), rat_sturm_sequence(f.to_rat())
+            assert len(seq) == len(rat_seq)
+            for g, r in zip(seq, rat_seq):
+                assert g.degree == r.degree
+                ratio = Fraction(g.lc) / r.lc
+                assert ratio > 0 and g.to_rat() == r * ratio
+            assert all(g.content() == 1 for g in seq[2:])
+
+    def test_counts(self):
+        rng = random.Random(101)
+        points = [-INF, INF] + [Fraction(rng.randint(-40, 40), rng.randint(1, 16)) for _ in range(12)]
+        for f in self.CASES:
+            fr = f.to_rat()
+            usable = [x for x in points if x in (-INF, INF) or fr.evaluate(x) != 0]
+            for _ in range(6):
+                a, b = sorted(rng.sample(usable, 2))
+                want = rat_sturm_count(fr, a, b)
+                assert sturm_count(f, a, b) == want == sturm_count(fr, a, b)
+
+    def test_intervals(self):
+        for f in self.CASES:
+            for a, b in ((-INF, INF), (-INF, Fraction(-1, 4)), (Fraction(-3, 7), Fraction(5, 2))):
+                if b != INF and f.evaluate(b) == 0 or a != -INF and f.evaluate(a) == 0:
+                    continue
+                want = rat_isolate_roots(f.to_rat(), a, b)
+                assert isolate_roots(f, a, b) == want == isolate_roots(f.to_rat(), a, b)
+
+    def test_signs_at_roots(self):
+        rng = random.Random(103)
+        for f in self.CASES[:20]:
+            fr = f.to_rat()
+            for iv in isolate_roots(f):
+                expr = IntPoly([rng.randint(-9, 9) for _ in range(int(f.degree))])
+                if expr.is_zero or gcd_z(f, expr).degree > 0:
+                    continue  # expr might vanish at the root
+                want = sign_at_root_by_bisection(expr.to_rat(), fr, iv)
+                assert sign_at_root(expr, f, iv) == want == sign_at_root(expr.to_rat(), fr, iv)
 
 
 class TestRootGaps:

@@ -22,6 +22,8 @@ from knotsig import (
     pair_to_form,
     parse_matrix,
     parse_poly,
+    rho_delta,
+    rho_p,
     signature_exact,
     symmetric_check,
     unimodular_t,
@@ -35,12 +37,20 @@ from knotsig.seifert import (
     identity,
     mat_det,
     mat_add,
+    mat_inverse_unimodular,
     mat_mul,
+    pencil_det,
     transpose,
     _t_with_square_in,
 )
 from knotsig.realroots import root_gaps
-from oracles import milnor_values_number_field, signature_float
+from oracles import (
+    det_fraction,
+    inverse_by_fractions,
+    milnor_values_number_field,
+    pencil_det_by_lagrange,
+    signature_float,
+)
 
 A2 = ((0, 2), (-1, 0))
 H = ((0, 1), (1, 0))
@@ -367,6 +377,87 @@ class TestSamplePoints:
         t = _t_with_square_in(1 / (-4 * lo - 1), 1 / (-4 * hi - 1))
         lam = -(1 + 1 / (t * t)) / 4  # inverse of t^2 = 1/(-4 lambda - 1)
         assert Fraction(-2049, 2048) < lam < -1
+
+
+class TestIntegerKernels:
+    """pencil_det and mat_inverse_unimodular against the Fraction routes
+    of tests/oracles.py."""
+
+    def test_pencil_det_against_lagrange(self):
+        rng = random.Random(107)
+        for trial in range(60):
+            n = 1 + trial % 16
+            m0 = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            m1 = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 1 and n > 1:
+                m1[0] = [2 * x for x in m1[-1]]  # singular m1: degree below n
+            if trial % 4 == 2 and n > 1:
+                m0[0], m1[0] = list(m0[-1]), list(m1[-1])  # singular pencil: zero
+            m0, m1 = tuple(map(tuple, m0)), tuple(map(tuple, m1))
+            got = pencil_det(m0, m1)
+            assert got == pencil_det_by_lagrange(m0, m1)
+            assert got.evaluate(3) == det_fraction(
+                [[m0[i][j] + 3 * m1[i][j] for j in range(n)] for i in range(n)]
+            )
+            if trial % 4 == 2 and n > 1:
+                assert got.is_zero
+
+    def test_pencil_det_of_forms(self, e8_half):
+        for form in (e8_half, half_form(block_diag(e8_gram(), H)), E8_MINUS_E8):
+            pert = skew_perturbed(form, 5)
+            assert pencil_det(transpose(pert), pert) == pencil_det_by_lagrange(transpose(pert), pert)
+
+    def test_inverse_against_fractions(self, e8, e8_half):
+        mats = [e8, e8_half, block_diag(e8, H), E8_MINUS_E8, ((-1,),)]
+        mats += random_conjugates(e8_half, 12, seed=17)
+        mats += random_conjugates(block_diag(e8, H), 8, seed=19)
+        for m in mats:
+            inv = mat_inverse_unimodular(m)
+            assert inv == inverse_by_fractions(m)
+            assert mat_mul(m, inv) == identity(len(m))
+
+    @pytest.mark.parametrize(
+        "m, det", [(((2, 0), (0, 1)), 2), (((1, 2), (2, 4)), 0), (((0, 0), (0, 0)), 0), (((3,),), 3)]
+    )
+    def test_inverse_refuses_non_unimodular(self, m, det):
+        with pytest.raises(ValueError, match=f"determinant {det}, not"):
+            mat_inverse_unimodular(m)
+
+
+class TestNoRatPolyArithmetic:
+    """The Seifert path and the rho counts take no RatPoly arithmetic on
+    the E8+H forms (counted, not timed)."""
+
+    FORMS = [skew_perturbed(half_form(block_diag(e8_gram(), H)), seed) for seed in range(4)]
+
+    def test_form_to_pair_and_alexander(self, ratpoly_calls):
+        for form in self.FORMS:
+            form_to_pair(form)
+            alexander_of_form(form)
+        assert ratpoly_calls == {"divrem": 0, "__mul__": 0, "evaluate": 0}
+
+    def test_milnor_signatures(self, ratpoly_calls):
+        done = 0
+        for form in self.FORMS:
+            pair = form_to_pair(form)
+            if is_squarefree_q(charpoly_of_pair(pair.s, pair.a)):
+                milnor_signatures(pair.s, pair.a)
+                done += 1
+        assert done >= 2
+        assert ratpoly_calls == {"divrem": 0, "__mul__": 0, "evaluate": 0}
+
+    def test_rho(self, ratpoly_calls):
+        done = 0
+        for form in self.FORMS:
+            delta = alexander_of_form(form)
+            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
+                delta = -delta
+            if delta.evaluate(-1) == 0 or not is_squarefree_q(delta):
+                continue
+            assert rho_delta(delta) == rho_p(delta_to_p(delta))
+            done += 1
+        assert done >= 2
+        assert ratpoly_calls == {"divrem": 0, "__mul__": 0, "evaluate": 0}
 
 
 class TestParseMatrix:

@@ -2,7 +2,8 @@
 realizes sig S, so its own invariants must pass every gate.
 
 Forms are A = half_form(S) + K for a random integer skew K (which leaves
-A + A^T = S unchanged), with S in {E8, E8+H, H, H+H, H+H+H}.
+A + A^T = S unchanged), with S in {E8, E8+H, E8+(-E8), H, H+H, H+H+H}.
+E8+(-E8) has signature 0 and mixed Milnor values such as (-2, 2).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ H = ((0, 1), (1, 0))
 LATTICES = {
     "E8": e8_gram(),
     "E8+H": block_diag(e8_gram(), H),
+    "E8+(-E8)": block_diag(e8_gram(), tuple(tuple(-x for x in row) for row in e8_gram())),
     "H": H,
     "H+H": block_diag(H, H),
     "H+H+H": block_diag(block_diag(H, H), H),

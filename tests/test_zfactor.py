@@ -17,7 +17,7 @@ from knotsig import (
 )
 from knotsig.modp import PolyModP, factor_mod_p
 from conftest import make_delta_a
-from oracles import is_irreducible_bruteforce, sympy_factors
+from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
 
 
 class TestFactorZ:
@@ -168,7 +168,7 @@ class TestStandingAssumptions:
 
 
 class TestNoFractionDivision:
-    def test_delta_a_product_k6(self, divrem_calls):
+    def test_delta_a_product_k6(self, ratpoly_calls):
         """Yun's test on a certified squarefree input and every trial
         division of the recombination run in integers: no RatPoly.divrem."""
         parts = [delta_to_p(make_delta_a(a)) for a in (0, 2, 4, 5, 7, 9)]
@@ -177,9 +177,58 @@ class TestNoFractionDivision:
             f = f * q
         trace: list[str] = []
         fz = factor_z(f, trace=trace)
-        assert divrem_calls[0] == 0
+        assert ratpoly_calls["divrem"] == 0
         assert fz.factors == tuple(sorted(((q, 1) for q in parts), key=lambda fe: fe[0].coeffs))
         assert sum(line.startswith("accepted subset") for line in trace) >= 2
+
+
+class TestHenselLift:
+    """The last lifting round skips the Bezout cofactors; the lifted
+    leaves are those of lifting them in every round (tests/oracles.py)."""
+
+    @staticmethod
+    def setup_lift(k: int):
+        from knotsig import zfactor
+
+        G = IntPoly.one()
+        for a in range(k):
+            G = G * delta_to_p(make_delta_a(a))
+        p = zfactor._next_good_primes(G, 1, 1)[0]
+        modular = [q for q, _ in factor_mod_p(PolyModP.from_int_poly(G, p)).factors]
+        return G, modular, p, 2 * zfactor._mignotte_bound(G) + 1
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_leaves_unchanged(self, k):
+        from knotsig import zfactor
+        from knotsig.modp import _mul
+
+        G, modular, p, target = self.setup_lift(k)
+        leaves, m = zfactor._hensel_lift(G, modular, p, target)
+        assert (leaves, m) == hensel_lift_every_cofactor(G, modular, p, target)
+        assert len(leaves) == len(modular) >= 2 * k
+        prod = [1]
+        for leaf in leaves:
+            prod = _mul(prod, leaf, m)
+        assert prod == [c % m for c in G.coeffs]
+        assert [PolyModP(p, leaf) for leaf in leaves] == modular
+
+    def test_only_the_last_round_skips(self, monkeypatch):
+        from knotsig import zfactor
+
+        G, modular, p, target = self.setup_lift(6)
+        flags: list[tuple[int, bool]] = []
+        original = zfactor._hensel_step
+
+        def recording(f, g, h, s, t, m, last=False):
+            flags.append((m, last))
+            return original(f, g, h, s, t, m, last)
+
+        monkeypatch.setattr(zfactor, "_hensel_step", recording)
+        _, modulus = zfactor._hensel_lift(G, modular, p, target)
+        final = max(m for m, _ in flags)
+        assert final * final == modulus and final < target <= modulus
+        assert all(last == (m == final) for m, last in flags)
+        assert sum(last for _, last in flags) == len(modular) - 1
 
 
 class TestModularWork:
