@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .errors import BudgetExceededError, CertificationError, KnotsigError, PolyParseError
-from .milnor import mil_enum
+from .milnor import enumerate_sign_tuples
 from .obstruction import obstruction_group
 from .pipeline import AnalysisRequest, analyze, analyze_tau, report_render
 from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
@@ -139,10 +139,10 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
         raise BudgetExceededError(
             f"rho = {rho} exceeds the enumeration cap of {MILNOR_RHO_CAP}"
         )
-    family = mil_enum(p_poly, args.signature)
-    print(f"rho = {family.rho}, target s = {family.s}: {len(family)} assignment(s)")
-    for a in family.assignments:
-        print(" ".join(f"{v:+d}" for v in a.values))
+    tuples = enumerate_sign_tuples(rho // 2, args.signature)
+    print(f"rho = {rho}, target s = {args.signature}: {len(tuples)} assignment(s)")
+    for values in tuples:
+        print(" ".join(f"{v:+d}" for v in values))
     return 0
 
 

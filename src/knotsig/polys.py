@@ -473,37 +473,28 @@ def alexander_check(delta: IntPoly) -> ConditionReport:
 
 
 def delta_to_p(delta: IntPoly) -> IntPoly:
-    """Companion polynomial (-1)^n X^{2n} delta(1 - 1/X), computed by the
-    exact binomial expansion sum_k c_k (X-1)^k X^{2n-k}."""
+    """Companion polynomial (-1)^n X^{2n} delta(1 - 1/X), computed as
+    (-1)^n rev(delta(1 - X)): delta(1 - X) keeps degree 2n, and reversing
+    its coefficients is X^{2n} delta(1 - 1/X)."""
     deg = delta.degree
     if delta.is_zero or int(deg) % 2 != 0:
         raise ValueError("delta_to_p needs a nonzero polynomial of even degree")
     n = int(deg) // 2
-    x_minus_1 = IntPoly((-1, 1))
-    acc = IntPoly.zero()
-    pow_xm1 = IntPoly.one()
-    for k, c in enumerate(delta.coeffs):
-        if c:
-            acc = acc + c * (pow_xm1 * IntPoly.monomial(1, 2 * n - k))
-        if k < len(delta.coeffs) - 1:
-            pow_xm1 = pow_xm1 * x_minus_1
-    return acc if n % 2 == 0 else -acc
+    p = delta.compose(IntPoly((1, -1))).reversed_()
+    return p if n % 2 == 0 else -p
 
 
 def p_to_delta(p: IntPoly) -> IntPoly:
     """Inverse transform (-1)^n (X-1)^{2n} P(X/(X-1)); requires P symmetric
-    under X -> 1-X and P(0) != 0."""
+    under X -> 1-X and P(0) != 0.  Since P(X/(X-1)) = P(1/(1-X)) by that
+    symmetry, this is (-1)^n rev(P)(1 - X)."""
     if p.is_zero or not symmetric_check(p):
         raise ValueError("p_to_delta needs P with P(1-X) = P(X)")
     if p.evaluate(0) == 0:
         raise ValueError("p_to_delta needs P(0) != 0")
     n = int(p.degree) // 2
-    x_minus_1 = IntPoly((-1, 1))
-    acc = IntPoly.zero()
-    for k, c in enumerate(p.coeffs):
-        if c:
-            acc = acc + c * (IntPoly.monomial(1, k) * x_minus_1 ** (2 * n - k))
-    return acc if n % 2 == 0 else -acc
+    delta = p.reversed_().compose(IntPoly((1, -1)))
+    return delta if n % 2 == 0 else -delta
 
 
 def symmetric_check(f: IntPoly) -> bool:
@@ -542,35 +533,34 @@ def is_squarefree_q(f: IntPoly) -> bool:
 
 
 def v_polynomial(p: IntPoly) -> IntPoly:
-    """The unique Q with P(X) = Q(X^2 - X), for symmetric P of degree 2n.
+    """The unique Q with P(X) = Q(X^2 - X), for P with P(1-X) = P(X).
 
-    Peels the coefficient of (X^2-X)^k off the top for k = n..0; any
-    residue left over means P was not symmetric."""
-    if p.is_zero or not symmetric_check(p):
-        raise ValueError("v_polynomial needs P with P(1-X) = P(X)")
-    n = int(p.degree) // 2
-    v = IntPoly((0, -1, 1))
-    rem = p
-    q = [0] * (n + 1)
-    for k in range(n, -1, -1):
-        q[k] = rem.coeff(2 * k)
-        if q[k]:
-            rem = rem - q[k] * v**k
-    if not rem.is_zero:
-        raise ValueError("v_polynomial: input is not a polynomial in X^2 - X")
-    out = IntPoly(q)
-    assert out.compose(v) == p
-    return out
+    This is also the symmetry test.  Dividing by v = X^2 - X over and over
+    writes any P as sum_k (q_k + b_k X) v^k; X -> 1-X fixes v and sends
+    X v^k to (1 - X) v^k, so P is symmetric exactly when every b_k is 0,
+    and then Q = sum_k q_k Y^k."""
+    if p.is_zero:
+        raise ValueError("P must satisfy P(1-X) = P(X)")
+    rem, q = list(p.coeffs), []
+    while rem:
+        for i in range(len(rem) - 1, 1, -1):  # rem[i] X^i = rem[i] X^(i-2) v + rem[i] X^(i-1)
+            rem[i - 1] += rem[i]
+        if len(rem) > 1 and rem[1]:
+            raise ValueError("P must satisfy P(1-X) = P(X)")
+        q.append(rem[0])
+        rem = rem[2:]
+    return IntPoly(q)
 
 
 def trace_polynomial(delta: IntPoly) -> IntPoly:
     """The unique D of degree n with Delta(X) = X^n * D(X + 1/X), for
     reciprocal Delta of degree 2n.  Uses the integer basis
     V_j(Y) = X^j + X^{-j}: V_0 = 2, V_1 = Y, V_{j+1} = Y*V_j - V_{j-1}."""
-    rep = alexander_check(delta)
-    if not rep.cond_reciprocal:
+    if delta.is_zero:
+        raise ValueError("the zero polynomial has no Alexander conditions")
+    if len(delta.coeffs) % 2 == 0 or delta.coeffs != delta.coeffs[::-1]:
         raise ValueError("trace_polynomial needs a reciprocal polynomial of even degree")
-    n = rep.n
+    n = len(delta.coeffs) // 2
     y = IntPoly.x()
     d = IntPoly((delta.coeff(n),))
     v_prev, v_cur = IntPoly((2,)), y

@@ -8,6 +8,15 @@ root counters: rho of a reciprocal polynomial Delta via its trace model D
 (Delta(X) = X^n D(X + 1/X), roots on |z| = 1 become roots of D in
 (-2, 2)), and rho of a symmetric P via its model Q (P(X) = Q(X^2 - X),
 root pairs with z + conj(z) = 1 become roots of Q below -1/4).
+
+Each input check runs once, on an object already built for the count:
+- the Sturm sequence of f is the Euclidean sequence of (f, f'), so f is
+  squarefree exactly when it ends in a nonzero constant;
+- Delta = X^n D(X + 1/X) is squarefree with no root at +-1 exactly when
+  D is squarefree and D(+-2) != 0 (each root y != +-2 of D gives the two
+  roots z, 1/z of z + 1/z = y);
+- P = Q(X^2 - X) is squarefree exactly when Q is squarefree and
+  Q(-1/4) != 0 (each root y != -1/4 of Q gives two roots of X^2 - X = y).
 """
 
 from __future__ import annotations
@@ -20,8 +29,6 @@ from .polys import (
     IntPoly,
     RatPoly,
     _pseudo_rem,
-    alexander_check,
-    is_squarefree_q,
     trace_polynomial,
     v_polynomial,
 )
@@ -41,14 +48,6 @@ class IsolatingInterval:
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,12 @@ def _variations(seq: list[IntPoly], x: Endpoint) -> int:
 
 
 def _checked_sequence(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
-    """The Sturm sequence of f, once f is squarefree, a < b, and neither
-    finite endpoint is a root."""
+    """The Sturm sequence of f, once f is squarefree (the sequence ends in
+    a constant), a < b, and neither finite endpoint is a root."""
     if f.is_zero:
         raise ValueError("zero polynomial has no root count")
     seq = sturm_sequence(f)
-    if not is_squarefree_q(seq[0]):
+    if seq[-1].degree > 0:
         raise ValueError("Sturm counting requires a squarefree polynomial")
     if a != NEG_INF and b != POS_INF and Fraction(a) >= Fraction(b):
         raise ValueError("empty interval: need a < b")
@@ -213,48 +212,51 @@ def sign_at_root(expr: IntPoly | RatPoly, minpoly: IntPoly | RatPoly, iv: Isolat
 # unit-circle root counts
 
 
-def _validate_delta(delta: IntPoly) -> None:
-    rep = alexander_check(delta)
-    if not rep.cond_reciprocal:
-        raise ValueError("rho needs a reciprocal polynomial of even degree")
-    # a root at +-1 is necessarily doubled in a reciprocal polynomial, so
-    # test it first to report the sharper violation
-    if delta.evaluate(1) == 0 or delta.evaluate(-1) == 0:
-        raise ValueError("rho excludes roots at X = 1 or X = -1")
-    if not is_squarefree_q(delta):
-        raise ValueError("rho needs a squarefree polynomial")
-
-
 def rho_delta(delta: IntPoly) -> int:
     """Number of roots of Delta on the unit circle: twice the count of real
-    roots of the trace model D in (-2, 2)."""
-    _validate_delta(delta)
-    d = trace_polynomial(delta)
-    return 2 * sturm_count(d, Fraction(-2), Fraction(2))
+    roots of the trace model D in (-2, 2).
 
-
-def _validated_v_model(p: IntPoly) -> IntPoly:
-    """The v-model Q of P; raises ValueError unless P is symmetric and
-    squarefree.  ``v_polynomial`` makes the one symmetry test."""
+    ``trace_polynomial`` refuses a Delta that is not reciprocal of even
+    degree, D(2) and D(-2) (Delta(1) and +-Delta(-1)) refuse a root at
+    X = 1 or X = -1, and the Sturm sequence of D refuses the rest of a
+    Delta that is not squarefree."""
     try:
-        q = v_polynomial(p)
+        d = trace_polynomial(delta)
     except ValueError:
-        raise ValueError("P must satisfy P(1-X) = P(X)") from None
-    if not is_squarefree_q(p):
-        raise ValueError("P must be squarefree")
-    return q
+        if delta.is_zero:
+            raise
+        raise ValueError("rho needs a reciprocal polynomial of even degree") from None
+    # a root at +-1 is necessarily doubled in a reciprocal polynomial, so
+    # test it first to report the sharper violation
+    if d.evaluate(2) == 0 or d.evaluate(-2) == 0:
+        raise ValueError("rho excludes roots at X = 1 or X = -1")
+    try:
+        return 2 * sturm_count(d, Fraction(-2), Fraction(2))
+    except ValueError:  # the one left: the sequence of D ends in a nonconstant
+        raise ValueError("rho needs a squarefree polynomial") from None
 
 
 def rho_p(p: IntPoly) -> int:
     """Number of roots z of P with z + conj(z) = 1: twice the count of real
-    roots of the v-model Q below -1/4."""
-    q = _validated_v_model(p)
-    return 2 * sturm_count(q, NEG_INF, Fraction(-1, 4))
+    roots of the v-model Q below -1/4.
+
+    ``v_polynomial`` refuses a P with P(1-X) != P(X); the Sturm count of Q
+    refuses the rest of a P that is not squarefree, through its sequence
+    (Q not squarefree) or its endpoint (Q(-1/4) = P(1/2) = 0)."""
+    q = v_polynomial(p)
+    try:
+        return 2 * sturm_count(q, NEG_INF, Fraction(-1, 4))
+    except ValueError:
+        raise ValueError("P must be squarefree") from None
 
 
 def irr_r_factors(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[IrrRFactor]:
     """The monic irreducible degree-2 real factors of P, one per real
-    v-root lambda < -1/4, sorted by interval position."""
-    q = _validated_v_model(p)
-    ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4), width)
+    v-root lambda < -1/4, sorted by interval position; P is checked as in
+    :func:`rho_p`."""
+    q = v_polynomial(p)
+    try:
+        ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4), width)
+    except ValueError:
+        raise ValueError("P must be squarefree") from None
     return [IrrRFactor(iv) for iv in ivs]

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
 from .polys import IntPoly, v_polynomial
-from .realroots import IrrRFactor, irr_r_factors, root_gaps
+from .realroots import NEG_INF, IrrRFactor, isolate_roots, root_gaps
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -385,11 +385,14 @@ def milnor_signatures(
     if not val.ok:
         raise ValueError("; ".join(val.problems))
     s, a = as_matrix(s_rows), as_matrix(a_rows)
-    p = charpoly(a)
-    factors = irr_r_factors(p)  # raises ValueError unless P is squarefree
+    q = v_polynomial(charpoly(a))  # P(1-X) = P(X) holds for every pair
+    try:
+        ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4))
+    except ValueError:
+        raise ValueError("P must be squarefree") from None
     a_form = mat_mul(transpose(a), s)
     k = mat_sub(a_form, transpose(a_form))
-    gaps = root_gaps(v_polynomial(p), [f.v_root_interval for f in factors], Fraction(-1, 4))
+    gaps = root_gaps(q, ivs, Fraction(-1, 4))
 
     def t_squared(lam: Fraction) -> Fraction:
         return 1 / (-4 * lam - 1)
@@ -406,7 +409,8 @@ def milnor_signatures(
     if any(v not in (-2, 0, 2) for v in values):
         raise KnotsigError(f"internal error: Milnor values {values} outside -2, 0, 2")
     return MilnorAssignmentComputed(
-        factors=tuple(factors), values=values, kernel_dims=(2,) * len(values), total=sum(values)
+        factors=tuple(IrrRFactor(iv) for iv in ivs), values=values,
+        kernel_dims=(2,) * len(values), total=sum(values),
     )
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
+from collections import Counter
+
 import pytest
 
 from knotsig import IntPoly, RatPoly, delta_to_p, e8_gram, half_form, parse_poly
@@ -53,6 +57,37 @@ def ratpoly_calls(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(RatPoly, attr, counting)
     return calls
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls("polys.is_squarefree_q", ...)`` starts counting the named
+    knotsig functions and returns the Counter, keyed by those names; call
+    it once per test.
+
+    Like perfbench's tracer, it replaces every attribute of every loaded
+    knotsig module that holds the function with a counting wrapper;
+    callers look the names up at call time, so the count sees calls from
+    other modules and from the defining module's own functions alike."""
+    counts: Counter[str] = Counter()
+
+    def track(*names: str) -> Counter[str]:
+        modules = [m for n, m in list(sys.modules.items()) if m and n.split(".")[0] == "knotsig"]
+        for name in names:
+            layer, _, attr = name.partition(".")
+            original = getattr(importlib.import_module(f"knotsig.{layer}"), attr)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counting)
+        return counts
+
+    return track
 
 
 @pytest.fixture(scope="session")

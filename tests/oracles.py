@@ -13,7 +13,11 @@ reduces at every inner step, and the `Fraction` routes the Seifert path
 took before its integer kernels: Lagrange interpolation for pencil
 determinants, Euclidean Sturm chains with root isolation, sign
 certification by interval bisection, Gauss-Jordan inversion, and Hensel
-lifting that lifts the Bezout cofactors in every round.
+lifting that lifts the Bezout cofactors in every round; and the
+term-by-term binomial expansions of the Delta <-> P transforms and the
+top-down peel of the v-model behind a separate symmetry test, as the
+transforms were computed before coefficient reversal and division by
+X^2 - X.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from knotsig import (
     rho_delta,
     v_polynomial,
 )
-from knotsig import zfactor
+from knotsig import symmetric_check, zfactor
 from knotsig.modp import PolyModP, is_symmetric_mod_p
 from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count
 from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
@@ -550,3 +554,42 @@ def hensel_lift_every_cofactor(F: IntPoly, factors: list[PolyModP], p: int, targ
     leaves: list[list[int]] = []
     zfactor._collect_leaves(root, leaves)
     return leaves, m
+
+
+def delta_to_p_by_expansion(delta: IntPoly) -> IntPoly:
+    """(-1)^n X^{2n} delta(1 - 1/X) as sum_k c_k (X-1)^k X^{2n-k}."""
+    n = int(delta.degree) // 2
+    x_minus_1 = IntPoly((-1, 1))
+    acc = IntPoly.zero()
+    pow_xm1 = IntPoly.one()
+    for k, c in enumerate(delta.coeffs):
+        if c:
+            acc = acc + c * (pow_xm1 * IntPoly.monomial(1, 2 * n - k))
+        pow_xm1 = pow_xm1 * x_minus_1
+    return acc if n % 2 == 0 else -acc
+
+
+def p_to_delta_by_expansion(p: IntPoly) -> IntPoly:
+    """(-1)^n (X-1)^{2n} P(X/(X-1)) as sum_k c_k X^k (X-1)^{2n-k}."""
+    n = int(p.degree) // 2
+    x_minus_1 = IntPoly((-1, 1))
+    acc = IntPoly.zero()
+    for k, c in enumerate(p.coeffs):
+        if c:
+            acc = acc + c * (IntPoly.monomial(1, k) * x_minus_1 ** (2 * n - k))
+    return acc if n % 2 == 0 else -acc
+
+
+def v_polynomial_by_peeling(p: IntPoly) -> IntPoly | None:
+    """Q with P(X) = Q(X^2 - X), peeling q_k (X^2 - X)^k off the top after
+    testing P(1-X) = P(X) by composition; None for an asymmetric P."""
+    if not symmetric_check(p):
+        return None
+    n = int(p.degree) // 2
+    v = IntPoly((0, -1, 1))
+    rem, q = p, [0] * (n + 1)
+    for k in range(n, -1, -1):
+        q[k] = rem.coeff(2 * k)
+        rem = rem - q[k] * v**k
+    assert rem.is_zero
+    return IntPoly(q)

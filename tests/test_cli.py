@@ -145,6 +145,18 @@ class TestSubcommands:
         lines = out.splitlines()
         assert "2 assignment(s)" in lines[0]
 
+    def test_milnor_counts_rho_once(self, capsys, calls):
+        counts = calls("realroots.rho_p")
+        code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "0")
+        assert code == 0 and counts == {"realroots.rho_p": 1}
+        assert out == "rho = 4, target s = 0: 2 assignment(s)\n+2 -2\n-2 +2\n"
+        code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "2")
+        assert code == 0 and out == "rho = 4, target s = 2: 0 assignment(s)\n"
+
+    def test_rho_refuses_non_squarefree_p(self, capsys):
+        code, out, err = run(capsys, "rho", "--p", "1,-4,4")
+        assert code == 2 and out == "" and err == "error: P must be squarefree\n"
+
     def test_seifert_ops(self, capsys):
         code, out, _ = run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", "validate")
         assert code == 0 and "valid" in out

@@ -254,3 +254,22 @@ def test_rho_cross_check_raises(monkeypatch, delta1, delta2):
         analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
     with pytest.raises(KnotsigError, match="disagree"):
         analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)))
+
+
+class TestOneCheckPerFact:
+    """Squarefreeness is read off the Sturm sequences and the models, and
+    the conditions on Delta are checked once per request (counted)."""
+
+    DELTA = make_delta_a(0) * make_delta_a(1) * make_delta_a(2) * make_delta_a(3)
+
+    def test_analyze(self, calls):
+        counts = calls("polys.is_squarefree_q", "polys.alexander_check")
+        rep = analyze(AnalysisRequest(delta=self.DELTA, m=7, signature=0))
+        assert rep.verdict == VERDICT_REALIZABLE and rep.rho == 16
+        assert counts == {"polys.alexander_check": 1}
+
+    def test_analyze_tau(self, calls):
+        counts = calls("polys.is_squarefree_q", "polys.alexander_check")
+        rep = analyze_tau(AnalysisRequest(delta=self.DELTA, m=7, tau=(2, -2) * 4))
+        assert rep.verdict == VERDICT_REALIZABLE
+        assert counts == {"polys.alexander_check": 1}

@@ -27,10 +27,13 @@ from knotsig.modp import PolyModP, gcd_mod_p
 from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div, gcd_z
 from conftest import make_delta_a
 from oracles import (
+    delta_to_p_by_expansion,
     divides_by_divrem,
     exact_div_by_divrem,
+    p_to_delta_by_expansion,
     squarefree_by_rat_gcd,
     sylvester_resultant,
+    v_polynomial_by_peeling,
 )
 
 
@@ -307,6 +310,25 @@ class TestTransforms:
         with pytest.raises(ValueError):
             delta_to_p(P("x^3 + 1"))
 
+    def test_against_expansion_oracles(self):
+        """Reversal and X -> 1-X against the term-by-term expansions, on
+        even-degree inputs (reciprocal or not, some vanishing at 0 or 1)
+        and on the symmetric images of the reciprocal ones, of lower
+        degree when Delta(1) = 0."""
+        rng = random.Random(37)
+        for _ in range(400):
+            n = rng.randrange(0, 13)
+            coeffs = [rng.randint(-9, 9) if rng.random() < 0.8 else 0 for _ in range(2 * n + 1)]
+            coeffs[-1] = coeffs[-1] or 1
+            delta = IntPoly(coeffs)
+            assert delta_to_p(delta) == delta_to_p_by_expansion(delta)
+            recip = IntPoly(coeffs[: n + 1] + coeffs[:n][::-1])
+            if recip.degree == 2 * n and recip.evaluate(0) != 0:
+                p = delta_to_p(recip)
+                assert p_to_delta(p) == p_to_delta_by_expansion(p)
+                if recip.evaluate(1) != 0:  # else P drops degree
+                    assert p_to_delta(p) == recip
+
     def test_p_to_delta_requires_symmetry(self):
         with pytest.raises(ValueError):
             p_to_delta(P("x^2 + 1"))
@@ -489,6 +511,33 @@ class TestVPolynomial:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             v_polynomial(P("x^2 + 1"))
+
+    @pytest.mark.parametrize("text", ["0", "x", "x^3 - x", "x^4 - x^3 + 1", "x^2 - x + x^5"])
+    def test_rejected_inputs(self, text):
+        with pytest.raises(ValueError, match="P\\(1-X\\) = P\\(X\\)"):
+            v_polynomial(P(text))
+
+    def test_against_peeling_oracle(self):
+        """Division by X^2 - X accepts exactly the symmetric P and returns
+        the peeled Q: images Q(X^2 - X) of random Q, and those images
+        moved by a random term (almost never symmetric)."""
+        rng = random.Random(41)
+        v = P("x^2 - x")
+        for _ in range(300):
+            q = IntPoly([rng.randint(-20, 20) for _ in range(rng.randrange(1, 12))])
+            if q.is_zero:
+                continue
+            p = q.compose(v)
+            assert v_polynomial(p) == v_polynomial_by_peeling(p) == q
+            moved = p + IntPoly.monomial(rng.choice([-1, 1]), rng.randrange(0, 2 * int(q.degree) + 3))
+            if moved.is_zero:
+                continue
+            want = v_polynomial_by_peeling(moved)
+            if want is None:
+                with pytest.raises(ValueError):
+                    v_polynomial(moved)
+            else:
+                assert v_polynomial(moved) == want
 
 
 class TestTracePolynomial:

@@ -13,6 +13,7 @@ from knotsig import (
     factor_z,
     gcd_z,
     irr_r_factors,
+    is_squarefree_q,
     isolate_roots,
     parse_poly,
     rho_delta,
@@ -64,16 +65,25 @@ class TestSturmCount:
             sturm_count(rat("x^2 - 2*x + 1"), -INF, INF)
 
     def test_against_float_oracle(self):
+        """On random f, a third of them times the square of a random
+        g: the Sturm sequence ends in a constant exactly when
+        ``is_squarefree_q`` (and the rational gcd) say f is squarefree,
+        counting refuses the others, and counts match the float roots."""
         rng = random.Random(61)
-        checked = 0
+        checked = squares = 0
         while checked < 200:
             f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randrange(2, 10))])
+            if rng.random() < 1 / 3:
+                f = f * IntPoly([rng.randint(-3, 3) for _ in range(rng.randrange(2, 4))]) ** 2
             if f.is_zero or f.degree < 1:
                 continue
             fr = f.to_rat()
-            from knotsig.polys import rat_gcd
-
-            if rat_gcd(fr, fr.derivative()).degree > 0:
+            squarefree = sturm_sequence(f)[-1].degree == 0
+            assert squarefree == is_squarefree_q(f) == squarefree_by_rat_gcd(f), f.coeffs
+            if not squarefree:
+                squares += 1
+                with pytest.raises(ValueError, match="squarefree"):
+                    sturm_count(fr, -INF, INF)
                 continue
             a, b = sorted(rng.sample(range(-12, 13), 2))
             if fr.evaluate(a) == 0 or fr.evaluate(b) == 0:
@@ -83,6 +93,7 @@ class TestSturmCount:
                 continue
             assert sturm_count(fr, a, b) == want, (f.coeffs, a, b)
             checked += 1
+        assert squares >= 50
 
 
 class TestIsolateRoots:
@@ -188,6 +199,44 @@ class TestRho:
             rho_delta(parse_poly("x^2 - 2*x + 1") * parse_poly("x^2 + 3*x + 1"))
         with pytest.raises(ValueError, match="symmetr|1-X"):
             rho_p(parse_poly("x^2 + 1"))
+
+
+class TestRefusals:
+    """The wording of each refusal, whichever check now makes it: the
+    model's construction, its value at the endpoint, or the Sturm
+    sequence of the model."""
+
+    # (2X - 1)^2, whose v-model 4Y + 1 vanishes at -1/4; squares of
+    # symmetric factors with v-roots above and below -1/4
+    NOT_SQUAREFREE_P = [parse_poly("4*x^2 - 4*x + 1"), parse_poly("x^2 - x - 1") ** 2,
+                        parse_poly("x^2 - x + 1") ** 2,
+                        parse_poly("x^2 - x + 1") ** 2 * parse_poly("x^2 - x - 1")]
+
+    @pytest.mark.parametrize("p", NOT_SQUAREFREE_P, ids=str)
+    def test_p_not_squarefree(self, p):
+        with pytest.raises(ValueError, match="^P must be squarefree$"):
+            rho_p(p)
+        with pytest.raises(ValueError, match="^P must be squarefree$"):
+            irr_r_factors(p)
+
+    @pytest.mark.parametrize("text", ["0", "x^2 + 1", "x^3 - x", "x^4 - x + 1"])
+    def test_p_not_symmetric(self, text):
+        for fn in (rho_p, irr_r_factors):
+            with pytest.raises(ValueError, match="^P must satisfy P\\(1-X\\) = P\\(X\\)$"):
+                fn(parse_poly(text))
+
+    @pytest.mark.parametrize("delta, message", [
+        (parse_poly("x + 1") ** 2 * parse_poly("x^2 + 3*x + 1"), "^rho excludes roots at X = 1 or X = -1$"),
+        (parse_poly("x - 1") ** 2, "^rho excludes roots at X = 1 or X = -1$"),
+        (parse_poly("x^2 + 3*x + 1") ** 2, "^rho needs a squarefree polynomial$"),
+        (parse_poly("x^2 + 1") ** 2 * parse_poly("x^2 - x + 1"), "^rho needs a squarefree polynomial$"),
+        (parse_poly("x^2 + x + 2"), "^rho needs a reciprocal polynomial of even degree$"),
+        (parse_poly("x^3 + 1"), "^rho needs a reciprocal polynomial of even degree$"),
+        (IntPoly.zero(), "^the zero polynomial has no Alexander conditions$"),
+    ], ids=str)
+    def test_delta(self, delta, message):
+        with pytest.raises(ValueError, match=message):
+            rho_delta(delta)
 
 
 class TestIrrRFactors:

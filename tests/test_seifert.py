@@ -9,10 +9,13 @@ from fractions import Fraction
 import pytest
 
 from knotsig import (
+    AnalysisRequest,
     IntPoly,
     IsolatingInterval,
     alexander_check,
     alexander_of_form,
+    analyze,
+    analyze_tau,
     block_diag,
     charpoly_of_pair,
     delta_to_p,
@@ -458,6 +461,39 @@ class TestNoRatPolyArithmetic:
             done += 1
         assert done >= 2
         assert ratpoly_calls == {"divrem": 0, "__mul__": 0, "evaluate": 0}
+
+
+class TestOneCheckPerFact:
+    """One request of the Seifert path, as the benchmark sends it, on the
+    E8+H forms: the v-model is built once per Milnor computation, the
+    conditions on Delta are checked once per analysis, and squarefreeness
+    is never tested apart from the Sturm sequences (counted)."""
+
+    def test_e8_plus_h(self, calls):
+        cases = []
+        for form in TestNoRatPolyArithmetic.FORMS:
+            delta = alexander_of_form(form)
+            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
+                delta = -delta
+            cases.append((form_to_pair(form), delta))
+        counts = calls("polys.is_squarefree_q", "polys.alexander_check", "polys.v_polynomial")
+        done = 0
+        for pair, delta in cases:
+            counts.clear()
+            try:
+                ms = milnor_signatures(pair.s, pair.a)
+            except ValueError:  # P is not squarefree
+                ms = None
+            assert counts == {"polys.v_polynomial": 1}
+            if ms is None:
+                continue
+            counts.clear()
+            analyze(AnalysisRequest(delta=delta, m=7, signature=8))
+            analyze_tau(AnalysisRequest(delta=delta, m=7, tau=ms.values))
+            assert counts["polys.alexander_check"] == 2
+            assert counts["polys.is_squarefree_q"] == 0
+            done += 1
+        assert done >= 2
 
 
 class TestParseMatrix:
