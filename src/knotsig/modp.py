@@ -345,6 +345,20 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[C
             return _equal_degree_split(w, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
+def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of monic f, squarefree mod p, ascending by
+    (degree, coefficients): distinct-degree blocks, each split by seeded
+    equal-degree splitting.  The caller certifies squarefreeness
+    (`_squarefree_parts`, or zfactor's good primes)."""
+    out = [
+        list(q)
+        for block, d in _distinct_degree(f, p)
+        for q in _equal_degree_split(block, d, p, rng)
+    ]
+    out.sort(key=lambda q: (len(q), q))
+    return out
+
+
 def degree_pattern(f: PolyModP) -> list[int]:
     """Ascending degrees of the irreducible factors of f over F_p, read off
     the distinct-degree blocks without splitting them.  f must be
@@ -363,9 +377,8 @@ def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
     factors: list[tuple[PolyModP, int]] = []
     if f.degree >= 1:
         for part, mult in _squarefree_parts(f):
-            for block, d in _distinct_degree(part.coeffs, f.p):
-                for q in _equal_degree_split(block, d, f.p, rng):
-                    factors.append((_wrap(f.p, q), mult))
+            for q in _squarefree_factors(part.coeffs, f.p, rng):
+                factors.append((_wrap(f.p, q), mult))
     factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
     return FactorizationModP(unit=unit, factors=tuple(factors))
 

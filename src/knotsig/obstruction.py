@@ -57,6 +57,18 @@ def pi_set(
             raise ValueError(f"factor {q} is not monic")
         if not symmetric_check(q):
             raise ValueError(f"factor {q} is not fixed by X -> 1-X")
+    return _pi_entry(f, g, seed, indices, max_rho_iterations)
+
+
+def _pi_entry(
+    f: IntPoly,
+    g: IntPoly,
+    seed: int,
+    indices: tuple[int, int],
+    max_rho_iterations: int = PI_RHO_BUDGET,
+) -> PiEntry:
+    """The prime set of two distinct monic factors, each fixed by
+    X -> 1-X, which the caller has checked."""
     res = resultant(f, g)
     if abs(res) == 1:
         return PiEntry(pair=indices, primes=(), witnesses=())
@@ -100,7 +112,7 @@ def obstruction_group(
 
     for i in range(k):
         for j in range(i + 1, k):
-            entry = pi_set(factors[i], factors[j], seed, (i, j))
+            entry = _pi_entry(factors[i], factors[j], seed, (i, j))
             table.append(entry)
             if entry.primes:
                 parent[find(i)] = find(j)

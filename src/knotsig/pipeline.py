@@ -8,12 +8,27 @@ divisible by 8 (by 16 when m = 3), bounded by rho, and reachable by some
 Milnor assignment.  When the gates pass, a trivial obstruction group means
 REALIZABLE; a nonzero group means the answer depends on an evaluation this
 tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
+
+The facts about Delta do not depend on the target, so they are computed
+once per Delta and splitting seed as a frozen :class:`DeltaFacts`: the
+conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set, the
+rho of each factor with the rho(Delta) cross-check, and, on first use,
+the prime table and the obstruction group.  The checks per target are
+the gates on m and s (or tau): divisibility by 8 or 16, |s| <= rho, and a
+nonempty Milnor set.  :func:`_delta_facts` is memoized per process, keyed
+on (Delta, seed), for at most DELTA_FACTS_MEMO = 64 entries, least
+recently used first out.  One entry of the largest benchmark Delta
+(degree 36, P with 6 factors and 15 prime-table pairs, table and group
+included) holds about 15 KB (tracemalloc), so a full memo holds about
+1 MB.  Exceptions are never memoized: a budget that runs out, or the
+cross-check failing, raises again on every request.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 from typing import Any
 
 from .errors import KnotsigError
@@ -31,6 +46,8 @@ VERDICT_OBSTRUCTION_UNKNOWN = "OBSTRUCTION_UNKNOWN"
 VERDICT_OUT_OF_SCOPE = "OUT_OF_SCOPE"
 
 MAX_LISTED_ASSIGNMENTS = 128
+
+DELTA_FACTS_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,7 @@ def _factors_dict(sfs: SymmetricFactorSet) -> dict[str, Any]:
     }
 
 
-def _pi_table_dicts(table: list[PiEntry]) -> list[dict[str, Any]]:
+def _pi_table_dicts(table: tuple[PiEntry, ...]) -> list[dict[str, Any]]:
     return [
         {
             "pair": list(entry.pair),
@@ -140,7 +157,7 @@ def _first_assignment(k: int, s: int) -> list[int]:
     return [2] * n_plus + [-2] * (k - n_plus)
 
 
-def _indecomposability_note(rhos: list[int], s: int, mod_required: int) -> str | None:
+def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) -> str | None:
     """When every irreducible factor of Delta has rho below the signature
     modulus, a knot of nonzero signature cannot split as a connected sum.
     Called once the gates pass, so mod_required <= |s| <= sum(rhos): the
@@ -166,50 +183,78 @@ def _reject(report: AnalysisReport, verdict: str, reason: str) -> AnalysisReport
     return report
 
 
-def _analyze_common(
-    req: AnalysisRequest,
-) -> tuple[AnalysisReport, SymmetricFactorSet | None, list[int]]:
-    """Stages shared by the signature and tau entry points: conditions on
-    Delta, the one factorization of P with its standing assumptions, and
-    rho.  Returns the report (its verdict set when out of scope), the
-    factor set and the rho of each factor of P.
+@dataclass(frozen=True)
+class DeltaFacts:
+    """What the pipeline knows about one Delta (and splitting seed),
+    independent of the target.  ``reason`` is the OUT_OF_SCOPE reason, or
+    None when Delta is in scope; ``p`` and ``factor_set`` are None when
+    the conditions fail, and ``rhos`` (the rho of each factor of P) is
+    empty unless Delta is in scope."""
+
+    seed: int
+    conditions: ConditionReport
+    reason: str | None = None
+    p: IntPoly | None = None
+    factor_set: SymmetricFactorSet | None = None
+    rhos: tuple[int, ...] = ()
+
+    @cached_property
+    def obstruction(self) -> tuple[ObstructionGroup, tuple[PiEntry, ...]]:
+        """The obstruction group and the prime table, computed on first
+        use: a NOT_ADMISSIBLE target never needs them."""
+        group, table = obstruction_group(self.factor_set, self.seed)
+        return group, tuple(table)
+
+
+@lru_cache(maxsize=DELTA_FACTS_MEMO)
+def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
+    """Conditions on Delta, the one factorization of P with its standing
+    assumptions, and rho per factor of P; memoized per (Delta, seed).
 
     By the correspondence X -> 1 - 1/X between the factors of Delta and
     of P (see :func:`_indecomposability_note`), rho(Delta) is the sum of
     the per-factor rho of P; computing rho(Delta) on its own as well is a
-    cross-check that raises on disagreement.  The obstruction group is
-    attached later, only once the admissibility gates pass."""
-    delta, seed = req.delta, req.seed
+    cross-check that raises on disagreement."""
+    conditions = alexander_check(delta)
+    failure = _condition_failure(delta, conditions)
+    if failure is not None:
+        return DeltaFacts(seed, conditions, failure)
+    p_poly = delta_to_p(delta)
+    sfs = standing_assumptions(p_poly, seed)
+    if not sfs.squarefree:
+        reason = "the companion polynomial P is not squarefree"
+        return DeltaFacts(seed, conditions, reason, p_poly, sfs)
+    if not sfs.all_symmetric:
+        bad = sfs.factors[sfs.symmetric.index(False)]
+        reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
+        return DeltaFacts(seed, conditions, reason, p_poly, sfs)
+    rhos = tuple(rho_p(f) for f in sfs.factors)
+    if sum(rhos) != rho_delta(delta):
+        raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
+    return DeltaFacts(seed, conditions, None, p_poly, sfs, rhos)
+
+
+def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, DeltaFacts]:
+    """The facts of req.delta, copied into the fields of a new report
+    (its verdict set when out of scope).  Every list and dict is built
+    here, so a caller mutating the report cannot reach the memo."""
+    facts = _delta_facts(req.delta, req.seed)
     report = AnalysisReport(
         verdict="",
         m=req.m,
         s=req.signature,
-        seed=seed,
+        seed=req.seed,
         tool_version=TOOL_VERSION,
+        conditions=_conditions_dict(facts.conditions),
     )
-    conditions = alexander_check(delta)
-    report.conditions = _conditions_dict(conditions)
-    failure = _condition_failure(delta, conditions)
-    if failure is not None:
-        return _reject(report, VERDICT_OUT_OF_SCOPE, failure), None, []
-
-    p_poly = delta_to_p(delta)
-    report.p = list(p_poly.coeffs)
-    sfs = standing_assumptions(p_poly, seed)
-    report.factors = _factors_dict(sfs)
-    if not sfs.squarefree:
-        reason = "the companion polynomial P is not squarefree"
-        return _reject(report, VERDICT_OUT_OF_SCOPE, reason), None, []
-    if not sfs.all_symmetric:
-        bad = sfs.factors[sfs.symmetric.index(False)]
-        reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
-        return _reject(report, VERDICT_OUT_OF_SCOPE, reason), None, []
-
-    rhos = [rho_p(f) for f in sfs.factors]
-    report.rho = sum(rhos)
-    if report.rho != rho_delta(delta):
-        raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
-    return report, sfs, rhos
+    if facts.factor_set is not None:
+        report.p = list(facts.p.coeffs)
+        report.factors = _factors_dict(facts.factor_set)
+    if facts.reason is not None:
+        _reject(report, VERDICT_OUT_OF_SCOPE, facts.reason)
+    else:
+        report.rho = sum(facts.rhos)
+    return report, facts
 
 
 def _modulus(m: int) -> int:
@@ -227,8 +272,7 @@ def _divisibility_failure(subject: str, s: int, m: int) -> str | None:
 
 def _conclude(
     report: AnalysisReport,
-    sfs: SymmetricFactorSet,
-    seed: int,
+    facts: DeltaFacts,
     witness: list[int],
     note: str | None = None,
 ) -> AnalysisReport:
@@ -236,7 +280,7 @@ def _conclude(
     prime table and the obstruction group.  A trivial group gives
     REALIZABLE with the witness assignment (and the note, if any); a
     nonzero one gives OBSTRUCTION_UNKNOWN."""
-    group, table = obstruction_group(sfs, seed)
+    group, table = facts.obstruction
     report.pi_table = _pi_table_dicts(table)
     report.group = _group_dict(group)
     if group.rank == 0:
@@ -259,10 +303,10 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     """Verdict for the target signature req.signature."""
     if req.signature is None:
         raise ValueError("analyze needs a target signature; use analyze_tau for assignments")
-    report, sfs, rhos = _analyze_common(req)
-    if sfs is None:
+    report, facts = _analyze_common(req)
+    if facts.reason is not None:
         return report
-    s, m, rho = req.signature, req.m, sum(rhos)
+    s, m, rho = req.signature, req.m, report.rho
     failure = _divisibility_failure(f"signature {s} is", s, m)
     if failure is not None:
         return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
@@ -277,8 +321,8 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     if not mil_nonempty(rho, s):
         failure = f"no assignment of +-2 over {k} factors sums to {s}"
         return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
-    note = _indecomposability_note(rhos, s, _modulus(m))
-    return _conclude(report, sfs, req.seed, _first_assignment(k, s), note)
+    note = _indecomposability_note(facts.rhos, s, _modulus(m))
+    return _conclude(report, facts, _first_assignment(k, s), note)
 
 
 def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
@@ -286,10 +330,10 @@ def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
     unit-circle factor, in sorted interval order)."""
     if req.tau is None:
         raise ValueError("analyze_tau needs an assignment tau")
-    report, sfs, rhos = _analyze_common(req)
-    if sfs is None:
+    report, facts = _analyze_common(req)
+    if facts.reason is not None:
         return report
-    k = sum(rhos) // 2
+    k = report.rho // 2
     if len(req.tau) != k:
         raise ValueError(
             f"tau must assign one value to each of the {k} unit-circle factors; got {len(req.tau)}"
@@ -300,7 +344,7 @@ def analyze_tau(req: AnalysisRequest) -> AnalysisReport:
     failure = _divisibility_failure(f"the assignment sums to {s}, which is", s, req.m)
     if failure is not None:
         return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
-    return _conclude(report, sfs, req.seed, list(req.tau))
+    return _conclude(report, facts, list(req.tau))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Complete factorization of integer polynomials into irreducibles over Z.
 
 Zassenhaus route: content/primitive split, Yun squarefree decomposition,
-then per squarefree part a monic model is factored modulo a good prime,
+then per squarefree part a monic model is factored modulo a good prime
+(distinct-degree, then equal-degree splitting; the prime is good because
+the model is squarefree modulo it, so no modular squarefree split runs),
 Hensel-lifted (quadratic steps, binary factor tree) past the Mignotte
 coefficient bound, and modular factors are recombined by subsets with
 degree-pattern pruning from three auxiliary primes; their patterns come
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, KnotsigError
@@ -29,10 +32,11 @@ from .modp import (
     _mul,
     _product,
     _rem,
+    _squarefree_factors,
     _sub,
+    _wrap,
     _xgcd,
     degree_pattern,
-    factor_mod_p,
     gcd_mod_p,
 )
 from .polys import IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check
@@ -244,8 +248,9 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
         G = IntPoly([c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs[:-1])] + [1])
     primes = _next_good_primes(G, lc, 4)
     p, aux = primes[0], primes[1:]
-    fac = factor_mod_p(PolyModP.from_int_poly(G, p), seed)
-    modular = [q for q, _ in fac.factors]
+    # G is monic and certified squarefree mod p: no squarefree split again
+    gp = PolyModP.from_int_poly(G, p)
+    modular = [_wrap(p, q) for q in _squarefree_factors(gp.coeffs, p, random.Random(seed))]
     if trace is not None:
         trace.append(f"prime {p}: modular degrees {[int(q.degree) for q in modular]}")
     if len(modular) == 1:

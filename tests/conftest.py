@@ -9,6 +9,16 @@ from collections import Counter
 import pytest
 
 from knotsig import IntPoly, RatPoly, delta_to_p, e8_gram, half_form, parse_poly
+from knotsig.pipeline import _delta_facts
+
+
+@pytest.fixture(autouse=True)
+def empty_delta_facts_memo():
+    """Every test starts and ends with an empty memo of Delta facts, so
+    counted and monkeypatched stages run in the test that checks them."""
+    _delta_facts.cache_clear()
+    yield
+    _delta_facts.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -273,3 +273,139 @@ class TestOneCheckPerFact:
         rep = analyze_tau(AnalysisRequest(delta=self.DELTA, m=7, tau=(2, -2) * 4))
         assert rep.verdict == VERDICT_REALIZABLE
         assert counts == {"polys.alexander_check": 1}
+
+    def test_symmetric_check_once_per_factor(self, calls):
+        """The prime table trusts the factor set's symmetry flags."""
+        counts = calls("polys.symmetric_check")
+        rep = analyze(AnalysisRequest(delta=self.DELTA, m=7, signature=0))
+        assert rep.verdict == VERDICT_REALIZABLE and len(rep.pi_table) == 6
+        assert counts == {"polys.symmetric_check": len(rep.factors["factors"])} == {
+            "polys.symmetric_check": 4
+        }
+
+
+def _mutate_all(value) -> None:
+    """Change every list and dict reachable from ``value`` in place."""
+    children = value.values() if isinstance(value, dict) else value
+    for child in list(children):
+        if isinstance(child, (list, dict)):
+            _mutate_all(child)
+    if isinstance(value, dict):
+        value.clear()
+        value["mutated"] = True
+    else:
+        value.clear()
+        value.append("mutated")
+
+
+class TestDeltaFactsMemo:
+    """The facts of a Delta are computed once per (Delta, seed) and kept
+    in a bounded memo; reports are built fresh from them."""
+
+    @staticmethod
+    def requests(delta1, delta2, g1) -> list[AnalysisRequest]:
+        reqs = []
+        deltas = (
+            delta1 * delta2,
+            g1 * delta1,
+            make_delta_a(0) * make_delta_a(2),
+            delta1 * delta1,  # P not squarefree
+            parse_poly("2*x^2 - 5*x + 2"),  # asymmetric factor
+            parse_poly("x^2 - x + 1"),  # conditions fail
+        )
+        for seed in (0, 1):
+            for delta in deltas:
+                for m, s in ((7, 8), (3, 8), (7, 0), (11, -8)):
+                    reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
+                reqs.append(AnalysisRequest(delta=delta, m=7, tau=(2, 2, 2, 2), seed=seed))
+        return reqs
+
+    @staticmethod
+    def run(req: AnalysisRequest) -> str:
+        try:
+            rep = analyze(req) if req.tau is None else analyze_tau(req)
+        except ValueError as exc:  # a tau of the wrong length
+            return f"ValueError: {exc}"
+        return report_render(rep, "json")
+
+    def test_never_answers_for_another_delta_or_seed(self, delta1, delta2, g1):
+        from knotsig.pipeline import _delta_facts
+
+        reqs = self.requests(delta1, delta2, g1)
+        random.Random(3).shuffle(reqs)
+        warm = [self.run(req) for req in reqs]
+        assert _delta_facts.cache_info().currsize == 12  # 6 Deltas x 2 seeds
+        assert _delta_facts.cache_info().hits == len(reqs) - 12
+        for req, text in zip(reqs, warm):
+            _delta_facts.cache_clear()
+            assert self.run(req) == text, req
+
+    def test_mutating_a_report_cannot_reach_the_memo(self, delta1, delta2, g1):
+        for req in self.requests(delta1, delta2, g1):
+            if req.tau is not None and "ValueError" in self.run(req):
+                continue
+            first = analyze(req) if req.tau is None else analyze_tau(req)
+            before = report_render(first, "json")
+            for value in vars(first).values():
+                if isinstance(value, (list, dict)):
+                    _mutate_all(value)
+            assert self.run(req) == before, req
+
+    def test_bounded(self, delta1):
+        from knotsig.pipeline import DELTA_FACTS_MEMO, _delta_facts
+
+        assert _delta_facts.cache_info().maxsize == DELTA_FACTS_MEMO
+        for seed in range(DELTA_FACTS_MEMO + 1):
+            analyze(AnalysisRequest(delta=delta1, m=7, signature=0, seed=seed))
+            assert _delta_facts.cache_info().currsize == min(seed + 1, DELTA_FACTS_MEMO)
+        assert _delta_facts.cache_info().misses == DELTA_FACTS_MEMO + 1
+
+    def test_budget_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
+        from knotsig import BudgetExceededError, zfactor
+
+        counts = calls("zfactor.factor_z")
+        req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
+        monkeypatch.setattr(zfactor, "MAX_MODULAR_FACTORS", 1)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="recombination cap of 1"):
+                analyze(req)
+        assert counts["zfactor.factor_z"] == 2
+        monkeypatch.setattr(zfactor, "MAX_MODULAR_FACTORS", 16)
+        assert analyze(req).verdict == VERDICT_REALIZABLE
+
+    def test_obstruction_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
+        from knotsig import BudgetExceededError, obstruction
+
+        counts = calls("zfactor.factor_z", "obstruction.obstruction_group")
+        req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
+
+        def exhausted(n, seed, budget):
+            raise BudgetExceededError(f"rho budget {budget} spent on {n}")
+
+        real = obstruction.integer_factor
+        monkeypatch.setattr(obstruction, "integer_factor", exhausted)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="candidate prime set incomplete"):
+                analyze(req)
+        monkeypatch.setattr(obstruction, "integer_factor", real)
+        assert analyze(req).verdict == VERDICT_REALIZABLE
+        assert counts == {"zfactor.factor_z": 1, "obstruction.obstruction_group": 3}
+
+    def test_analyze_then_tau_factors_once(self, calls, delta1, delta2):
+        counts = calls("zfactor.factor_z", "obstruction.obstruction_group", "realroots.rho_delta")
+        delta = delta1 * delta2
+        assert analyze(AnalysisRequest(delta=delta, m=7, signature=8)).verdict == VERDICT_REALIZABLE
+        rep = analyze_tau(AnalysisRequest(delta=delta, m=7, tau=(2, 2, -2, -2)))
+        assert rep.verdict == VERDICT_REALIZABLE
+        assert counts == {
+            "zfactor.factor_z": 1,
+            "obstruction.obstruction_group": 1,
+            "realroots.rho_delta": 1,
+        }
+
+    def test_not_admissible_skips_the_obstruction_group(self, calls, delta1, delta2):
+        counts = calls("zfactor.factor_z", "obstruction.obstruction_group")
+        for s in (4, 16, 24):
+            rep = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=s))
+            assert rep.verdict == VERDICT_NOT_ADMISSIBLE
+        assert counts == {"zfactor.factor_z": 1}

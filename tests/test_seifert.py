@@ -466,8 +466,9 @@ class TestNoRatPolyArithmetic:
 class TestOneCheckPerFact:
     """One request of the Seifert path, as the benchmark sends it, on the
     E8+H forms: the v-model is built once per Milnor computation, the
-    conditions on Delta are checked once per analysis, and squarefreeness
-    is never tested apart from the Sturm sequences (counted)."""
+    conditions on Delta are checked and P is factored once for the
+    analysis and the tau analysis together, and squarefreeness is never
+    tested apart from the Sturm sequences (counted)."""
 
     def test_e8_plus_h(self, calls):
         cases = []
@@ -476,7 +477,8 @@ class TestOneCheckPerFact:
             if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
                 delta = -delta
             cases.append((form_to_pair(form), delta))
-        counts = calls("polys.is_squarefree_q", "polys.alexander_check", "polys.v_polynomial")
+        counts = calls("polys.is_squarefree_q", "polys.alexander_check", "polys.v_polynomial",
+                       "zfactor.factor_z")
         done = 0
         for pair, delta in cases:
             counts.clear()
@@ -490,7 +492,8 @@ class TestOneCheckPerFact:
             counts.clear()
             analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             analyze_tau(AnalysisRequest(delta=delta, m=7, tau=ms.values))
-            assert counts["polys.alexander_check"] == 2
+            assert counts["polys.alexander_check"] == 1
+            assert counts["zfactor.factor_z"] == 1
             assert counts["polys.is_squarefree_q"] == 0
             done += 1
         assert done >= 2

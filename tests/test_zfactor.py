@@ -243,27 +243,50 @@ class TestModularWork:
         return f
 
     def test_one_full_modular_factorization_per_squarefree_part(self, monkeypatch):
-        from knotsig import zfactor
+        """One modular factorization per squarefree part over Z, and no
+        modular squarefree split: the good prime already certified the
+        part squarefree mod p."""
+        from knotsig import modp, zfactor
 
-        calls = {"factor_mod_p": 0, "parts": 0}
-        factor_original, parts_original = zfactor.factor_mod_p, zfactor._factor_squarefree
+        calls = {"factor_mod_p": 0, "parts": 0, "modular_split": 0}
+        factor_original, parts_original = zfactor._squarefree_factors, zfactor._factor_squarefree
+        split_original = modp._squarefree_parts
 
-        def counting_factor(f, seed=0):
+        def counting_factor(f, p, rng):
             calls["factor_mod_p"] += 1
-            return factor_original(f, seed)
+            return factor_original(f, p, rng)
 
         def counting_parts(g, seed, trace):
             calls["parts"] += g.degree >= 2
             return parts_original(g, seed, trace)
 
-        monkeypatch.setattr(zfactor, "factor_mod_p", counting_factor)
+        def counting_split(f):
+            calls["modular_split"] += 1
+            return split_original(f)
+
+        monkeypatch.setattr(zfactor, "_squarefree_factors", counting_factor)
         monkeypatch.setattr(zfactor, "_factor_squarefree", counting_parts)
+        monkeypatch.setattr(modp, "_squarefree_parts", counting_split)
         P = self.delta_a_product_p()
         for f, parts in ((P, 1), (P * parse_poly("x^2 + 1") ** 2, 2)):
-            calls.update(factor_mod_p=0, parts=0)
+            calls.update(factor_mod_p=0, parts=0, modular_split=0)
             factor_z(f)
             assert calls["parts"] == parts
             assert calls["factor_mod_p"] == calls["parts"]
+            assert calls["modular_split"] == 0
+
+    def test_first_prime_factors_are_factor_mod_p_s(self):
+        """The first prime's factors, taken without the modular squarefree
+        split, are those of factor_mod_p with the same seed."""
+        from knotsig import zfactor
+        from knotsig.modp import _squarefree_factors
+
+        G = self.delta_a_product_p()
+        p = zfactor._next_good_primes(G, 1, 1)[0]
+        gp = PolyModP.from_int_poly(G, p)
+        for seed in (0, 1, 7):
+            direct = _squarefree_factors(gp.coeffs, p, random.Random(seed))
+            assert [PolyModP(p, q) for q in direct] == [q for q, _ in factor_mod_p(gp, seed).factors]
 
     def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch):
         from knotsig import zfactor
@@ -293,7 +316,12 @@ class TestModularWork:
                     scope.pop()
 
             monkeypatch.setattr(zfactor, name, scoped)
-        factor_z(self.delta_a_product_p())
+        P = self.delta_a_product_p()
+        factor_z(P)
         assert inside == {"_hensel_lift": 1, "degree_pattern": 3}
-        assert arithmetic["divrem"] > 0  # the counters see factor_mod_p's work
         assert in_scope == {"divrem": 0, "__mul__": 0}
+        # nowhere else in factor_z either, now that the first prime skips
+        # the modular squarefree split; the counters see factor_mod_p's work
+        assert arithmetic == {"divrem": 0, "__mul__": 0}
+        factor_mod_p(PolyModP.from_int_poly(P, 13))
+        assert arithmetic["divrem"] > 0
