@@ -42,6 +42,16 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _spend(budget: list[int], steps: int, n: int) -> None:
+    """Count ``steps`` rho iterations against ``budget`` = [spent, limit]."""
+    budget[0] += steps
+    if budget[0] > budget[1]:
+        raise BudgetExceededError(
+            f"rho iteration budget of {budget[1]} exhausted after {budget[0]} iterations"
+            f" while factoring {n}"
+        )
+
+
 def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
     """A nontrivial factor of odd composite n, or raises on budget."""
     while True:
@@ -60,11 +70,7 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget[0] -= min(m, r - k)
-                if budget[0] < 0:
-                    raise BudgetExceededError(
-                        f"rho iteration budget exhausted while factoring {n}"
-                    )
+                _spend(budget, min(m, r - k), n)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -73,11 +79,7 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceededError(
-                        f"rho iteration budget exhausted while factoring {n}"
-                    )
+                _spend(budget, 1, n)
         if g != n:
             return g
         # cycle degenerated; retry with new parameters
@@ -105,7 +107,7 @@ def integer_factor(
     if n == 1:
         return primes
     rng = random.Random(seed)
-    budget = [max_rho_iterations]
+    budget = [0, max_rho_iterations]
     stack = [n]
     while stack:
         m = stack.pop()

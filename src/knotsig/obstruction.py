@@ -76,7 +76,7 @@ def _pi_entry(
         support = sorted(set(integer_factor(res, seed, max_rho_iterations)))
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"candidate prime set incomplete: resultant {res} resisted factorization"
+            f"candidate prime set incomplete: resultant {res} resisted factorization: {exc}"
         ) from exc
     primes: list[int] = []
     witnesses: list[tuple[int, PolyModP]] = []

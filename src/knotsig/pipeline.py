@@ -11,9 +11,11 @@ tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
 
 The facts about Delta do not depend on the target, so they are computed
 once per Delta and splitting seed as a frozen :class:`DeltaFacts`: the
-conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set, the
-rho of each factor with the rho(Delta) cross-check, and, on first use,
-the prime table and the obstruction group.  The checks per target are
+conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set
+(found through the half-degree v-model Q of P, see
+:func:`zfactor.standing_assumptions`), the rho of each factor with the
+rho(Delta) cross-check, and, on first use, the prime table and the
+obstruction group.  The checks per target are
 the gates on m and s (or tau): divisibility by 8 or 16, |s| <= rho, and a
 nonempty Milnor set.  :func:`_delta_facts` is memoized per process, keyed
 on (Delta, seed), for at most DELTA_FACTS_MEMO = 64 entries, least

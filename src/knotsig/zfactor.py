@@ -1,20 +1,26 @@
-"""Complete factorization of integer polynomials into irreducibles over Z.
+"""Complete factorization of integer polynomials over Z, and the factor set
+of a companion polynomial P with its standing-assumption flags.
 
-Zassenhaus route: content/primitive split, Yun squarefree decomposition,
-then per squarefree part a monic model is factored modulo a good prime
-(distinct-degree, then equal-degree splitting; the prime is good because
-the model is squarefree modulo it, so no modular squarefree split runs),
-Hensel-lifted (quadratic steps, binary factor tree) past the Mignotte
-coefficient bound, and modular factors are recombined by subsets with
-degree-pattern pruning from three auxiliary primes; their patterns come
-from distinct-degree splitting alone, since the model is squarefree
-modulo each.  Lifting runs on `modp`'s coefficient-list kernels over
-Z/m.  Each candidate is tried by integer trial division
-(`polys.divides`), whose constant-term pre-check rejects almost every
-wrong one before dividing.  Yun's gcds (run only when no mod-p
-certificate shows the input squarefree) are integer `gcd_z`, so no step
-uses Fractions.  The modular factor count is capped at 16; results are
-verified by re-multiplication and do not depend on the splitting seed.
+`factor_z` is the Zassenhaus route: content/primitive split, Yun
+squarefree decomposition, then per squarefree part a monic model is
+factored modulo a good prime (distinct-degree, then equal-degree
+splitting; the prime is good because the model is squarefree modulo it,
+so no modular squarefree split runs), Hensel-lifted (quadratic steps,
+binary factor tree) past the Mignotte coefficient bound, and modular
+factors are recombined by subsets with degree-pattern pruning from three
+auxiliary primes; their patterns come from distinct-degree splitting
+alone, since the model is squarefree modulo each.  Lifting runs on
+`modp`'s coefficient-list kernels over Z/m.  Each candidate is tried by
+integer trial division (`polys.divides`), whose constant-term pre-check
+rejects almost every wrong one before dividing.  Yun's gcds (run only
+when no mod-p certificate shows the input squarefree) are integer
+`gcd_z`, so no step uses Fractions.  A part with more than
+MAX_MODULAR_FACTORS = 16 modular factors at its first prime is refused
+with `BudgetExceededError`; results are verified by re-multiplication and
+do not depend on the splitting seed.
+
+`standing_assumptions` runs this route on the half-degree v-model Q of a
+P fixed by X -> 1-X, and lifts each factor back under a mod-p certificate.
 """
 
 from __future__ import annotations
@@ -22,14 +28,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, KnotsigError
 from .modp import (
     PolyModP,
     _add,
+    _distinct_degree,
     _divrem,
+    _monic,
     _mul,
+    _powmod,
     _product,
     _rem,
     _squarefree_factors,
@@ -39,9 +49,16 @@ from .modp import (
     degree_pattern,
     gcd_mod_p,
 )
-from .polys import IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check
+from .polys import (IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check,
+                    v_polynomial)
 
 MAX_MODULAR_FACTORS = 16
+# Primes tried per lift certificate: 584 of the 598 irreducible lifts of the
+# Delta_a sextics, a = -300..299, are certified within the first 8.
+LIFT_PRIMES = 8
+
+_V = IntPoly((0, -1, 1))  # X^2 - X
+_QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
 
 
 @dataclass(frozen=True)
@@ -206,20 +223,22 @@ def _sym_int_poly(coeffs, m: int) -> IntPoly:
     return IntPoly((c - m if c > half else c) for c in coeffs)
 
 
-def _next_good_primes(G: IntPoly, lc_orig: int, count: int) -> list[int]:
-    """Smallest odd primes p with p coprime to the original leading
-    coefficient and G squarefree mod p."""
+def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
+    """The odd primes p, ascending, with p not dividing lc(g) and g
+    squarefree mod p (so is its monic model).  With ``lift`` also
+    g(-1/4) != 0 mod p, which makes g(X^2 - X) squarefree mod p too."""
     from .intfactor import is_probable_prime
 
-    out: list[int] = []
-    p = 3
-    while len(out) < count:
-        if is_probable_prime(p) and lc_orig % p != 0:
-            gp = PolyModP.from_int_poly(G, p)
-            if gp.degree == G.degree and gcd_mod_p(gp, gp.derivative()).degree == 0:
-                out.append(p)
+    p = 1
+    while True:
         p += 2
-    return out
+        if not is_probable_prime(p) or g.lc % p == 0:
+            continue
+        gp = PolyModP.from_int_poly(g, p)
+        if gcd_mod_p(gp, gp.derivative()).degree == 0 and not (
+            lift and gp.evaluate(-pow(4, -1, p)) == 0
+        ):
+            yield p
 
 
 def _subset_sums(degrees: list[int]) -> set[int]:
@@ -235,8 +254,11 @@ def _mignotte_bound(G: IntPoly) -> int:
     return (1 << int(G.degree)) * norm2
 
 
-def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial."""
+def _factor_squarefree(
+    g: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
+) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree positive-lc polynomial;
+    ``lift`` as in `_good_primes`."""
     d = int(g.degree)
     if d <= 1:
         return [g]
@@ -246,8 +268,7 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
     else:
         # monic model l^(d-1) * g(X/l); factors map back by X -> l*X
         G = IntPoly([c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs[:-1])] + [1])
-    primes = _next_good_primes(G, lc, 4)
-    p, aux = primes[0], primes[1:]
+    p, *aux = itertools.islice(_good_primes(g, lift), 4)
     # G is monic and certified squarefree mod p: no squarefree split again
     gp = PolyModP.from_int_poly(G, p)
     modular = [_wrap(p, q) for q in _squarefree_factors(gp.coeffs, p, random.Random(seed))]
@@ -257,7 +278,8 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
         return [g]
     if len(modular) > MAX_MODULAR_FACTORS:
         raise BudgetExceededError(
-            f"{len(modular)} modular factors exceeds the recombination cap of {MAX_MODULAR_FACTORS}"
+            f"{len(modular)} modular factors of a degree-{d} polynomial at p = {p} exceed"
+            f" the recombination cap of {MAX_MODULAR_FACTORS}"
         )
     allowed = _subset_sums([int(q.degree) for q in modular])
     for q in aux:
@@ -306,6 +328,36 @@ def _factor_squarefree(g: IntPoly, seed: int, trace: list[str] | None) -> list[I
     return found
 
 
+def _factor(
+    f: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
+) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """Content and unsorted (irreducible, multiplicity) pairs of nonzero f,
+    not yet checked by re-multiplication; ``lift`` as in `_good_primes`."""
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    content = f.content() if f.lc > 0 else -f.content()
+    prim = f.primitive()
+    out: list[tuple[IntPoly, int]] = []
+    if prim.degree == 0:
+        return content, out
+    for part, mult in _yun(prim):
+        if trace is not None and part != prim:
+            trace.append(f"squarefree part of multiplicity {mult}: {part}")
+        for irr in _factor_squarefree(part, seed, trace, lift):
+            out.append((irr, mult))
+    return content, out
+
+
+def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> FactorizationZ:
+    """The factorization of f sorted by (degree, coefficients), once it
+    multiplies out to f."""
+    factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
+    result = FactorizationZ(content=content, factors=tuple(factors))
+    if result.product() != f:
+        raise KnotsigError("internal error: factorization failed re-multiplication")
+    return result
+
+
 def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> FactorizationZ:
     """Factor f completely into irreducibles over Z.
 
@@ -313,28 +365,62 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
     seed-independent.  Pass a list as ``trace`` to collect the prime
     choices and recombination events.
     """
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    content = f.content() if f.lc > 0 else -f.content()
-    prim = f.primitive()
-    if prim.degree == 0:
-        return FactorizationZ(content=content, factors=())
-    out: list[tuple[IntPoly, int]] = []
-    for part, mult in _yun(prim):
-        if trace is not None and part != prim:
-            trace.append(f"squarefree part of multiplicity {mult}: {part}")
-        for irr in _factor_squarefree(part, seed, trace):
-            out.append((irr, mult))
-    out.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
-    result = FactorizationZ(content=content, factors=tuple(out))
-    if result.product() != f:
-        raise KnotsigError("internal error: factorization failed re-multiplication")
-    return result
+    return _verified(f, *_factor(f, seed, trace))
+
+
+def _lift_certified(q: IntPoly) -> bool:
+    """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
+    over Z other than 4Y + 1: at one of the first LIFT_PRIMES primes p of
+    ``_good_primes(q, lift=True)``, 1 + 4y is a non-square in F_p[y]/r for
+    some monic irreducible factor r of q mod p.  False decides nothing.
+
+    Then X^2 - X - y has no root in that field, so r(X^2 - X) is
+    irreducible mod p and fixed by X -> 1-X.  A split lift
+    q(X^2 - X) = +-h(X) h(1-X) would put it into h or h(1-X) mod p, by
+    symmetry into both, and so its square into q(X^2 - X), which is
+    squarefree mod p.  Euler's criterion runs on each distinct-degree block
+    B of q mod p: (1 + 4y)^((p^k - 1)/2) mod B is +-1 modulo each degree-k
+    factor of B, so it differs from 1 exactly when one factor has a
+    non-square."""
+    for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
+        qp = _monic(PolyModP.from_int_poly(q, p).coeffs, p)
+        if any(_powmod([1, 4], (p**k - 1) // 2, block, p) != [1]
+               for block, k in _distinct_degree(qp, p)):
+            return True
+    return False
 
 
 def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
     """Factor P and flag whether it is a product of distinct monic
-    irreducible polynomials, each fixed by X -> 1-X."""
-    fz = factor_z(p_poly, seed)
+    irreducible polynomials, each fixed by X -> 1-X.
+
+    A symmetric P is factored through its v-model: P(X) = Q(X^2 - X)
+    (`polys.v_polynomial`), and Q has half the degree of P.  Q is factored
+    by the Zassenhaus route at primes good for P as well (Q squarefree and
+    Q(-1/4) != 0 mod p), so its modular factors, which the cap
+    MAX_MODULAR_FACTORS counts, are at most P's at the same prime.  Each
+    irreducible q of Q lifts to q(X^2 - X): one factor of P fixed by
+    X -> 1-X, or a pair h(X), h(1-X).  The lift is kept whole when
+    `_lift_certified` proves it irreducible, and is otherwise factored by
+    `factor_z`, whose cap then counts the lift.  `factor_z` factors P
+    directly when P is not symmetric, or when 4Y + 1 divides Q: then
+    (2X - 1)^2 divides P and no prime is good for P.  The factor set is
+    checked against P by re-multiplication either way."""
+    try:
+        q_poly = v_polynomial(p_poly)
+    except ValueError:  # P is zero or not fixed by X -> 1-X
+        q_poly = None
+    if q_poly is None or divides(_QUARTER, q_poly):
+        fz = factor_z(p_poly, seed)
+    else:
+        content, q_factors = _factor(q_poly, seed, None, lift=True)
+        factors: list[tuple[IntPoly, int]] = []
+        for q, e in q_factors:
+            lifted = q.compose(_V)
+            if _lift_certified(q):
+                factors.append((lifted, e))
+            else:
+                factors += [(h, m * e) for h, m in factor_z(lifted, seed).factors]
+        fz = _verified(p_poly, content, factors)
     symmetric = tuple(symmetric_check(q) for q, _ in fz.factors)
     return SymmetricFactorSet(fz, symmetric, p_poly.is_monic and all(symmetric))

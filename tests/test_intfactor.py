@@ -62,5 +62,6 @@ def test_budget_raises():
     # two large primes with an unusably small rho budget
     p = 2**61 - 1
     q = 2**89 - 1
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"rho iteration budget of 5 exhausted after "
+                       rf"\d+ iterations while factoring {p * q}$"):
         integer_factor(p * q, seed=0, max_rho_iterations=5)

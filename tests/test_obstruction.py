@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from knotsig import (
+    BudgetExceededError,
     delta_to_p,
     obstruction_group,
     pi_set,
@@ -17,6 +18,18 @@ from conftest import make_delta_a
 
 
 class TestPiSet:
+    def test_budget_message_keeps_the_inner_one(self):
+        """The refusal names the resultant and keeps the rho budget's own
+        message (its value and the iterations spent)."""
+        n = 1_000_003 * 999_983
+        f, g = parse_poly("x^2 - x"), parse_poly(f"x^2 - x - {n}")
+        with pytest.raises(BudgetExceededError, match=(
+            rf"resultant {n * n} resisted factorization: rho iteration budget of 1 "
+            rf"exhausted after \d+ iterations while factoring {n * n}$"
+        )):
+            pi_set(f, g, max_rho_iterations=1)
+        assert pi_set(f, g).primes == (999_983, 1_000_003)
+
     def test_example_pair(self, f1, f2):
         entry = pi_set(f1, f2)
         assert entry.primes == (2,)

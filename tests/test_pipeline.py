@@ -363,20 +363,20 @@ class TestDeltaFactsMemo:
     def test_budget_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
         from knotsig import BudgetExceededError, zfactor
 
-        counts = calls("zfactor.factor_z")
+        counts = calls("zfactor.standing_assumptions")
         req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
         monkeypatch.setattr(zfactor, "MAX_MODULAR_FACTORS", 1)
         for _ in range(2):
             with pytest.raises(BudgetExceededError, match="recombination cap of 1"):
                 analyze(req)
-        assert counts["zfactor.factor_z"] == 2
+        assert counts["zfactor.standing_assumptions"] == 2
         monkeypatch.setattr(zfactor, "MAX_MODULAR_FACTORS", 16)
         assert analyze(req).verdict == VERDICT_REALIZABLE
 
     def test_obstruction_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
         from knotsig import BudgetExceededError, obstruction
 
-        counts = calls("zfactor.factor_z", "obstruction.obstruction_group")
+        counts = calls("zfactor.standing_assumptions", "obstruction.obstruction_group")
         req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
 
         def exhausted(n, seed, budget):
@@ -389,23 +389,23 @@ class TestDeltaFactsMemo:
                 analyze(req)
         monkeypatch.setattr(obstruction, "integer_factor", real)
         assert analyze(req).verdict == VERDICT_REALIZABLE
-        assert counts == {"zfactor.factor_z": 1, "obstruction.obstruction_group": 3}
+        assert counts == {"zfactor.standing_assumptions": 1, "obstruction.obstruction_group": 3}
 
     def test_analyze_then_tau_factors_once(self, calls, delta1, delta2):
-        counts = calls("zfactor.factor_z", "obstruction.obstruction_group", "realroots.rho_delta")
+        counts = calls("zfactor.standing_assumptions", "obstruction.obstruction_group", "realroots.rho_delta")
         delta = delta1 * delta2
         assert analyze(AnalysisRequest(delta=delta, m=7, signature=8)).verdict == VERDICT_REALIZABLE
         rep = analyze_tau(AnalysisRequest(delta=delta, m=7, tau=(2, 2, -2, -2)))
         assert rep.verdict == VERDICT_REALIZABLE
         assert counts == {
-            "zfactor.factor_z": 1,
+            "zfactor.standing_assumptions": 1,
             "obstruction.obstruction_group": 1,
             "realroots.rho_delta": 1,
         }
 
     def test_not_admissible_skips_the_obstruction_group(self, calls, delta1, delta2):
-        counts = calls("zfactor.factor_z", "obstruction.obstruction_group")
+        counts = calls("zfactor.standing_assumptions", "obstruction.obstruction_group")
         for s in (4, 16, 24):
             rep = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=s))
             assert rep.verdict == VERDICT_NOT_ADMISSIBLE
-        assert counts == {"zfactor.factor_z": 1}
+        assert counts == {"zfactor.standing_assumptions": 1}

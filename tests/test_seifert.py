@@ -478,7 +478,7 @@ class TestOneCheckPerFact:
                 delta = -delta
             cases.append((form_to_pair(form), delta))
         counts = calls("polys.is_squarefree_q", "polys.alexander_check", "polys.v_polynomial",
-                       "zfactor.factor_z")
+                       "zfactor.standing_assumptions")
         done = 0
         for pair, delta in cases:
             counts.clear()
@@ -493,7 +493,7 @@ class TestOneCheckPerFact:
             analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             analyze_tau(AnalysisRequest(delta=delta, m=7, tau=ms.values))
             assert counts["polys.alexander_check"] == 1
-            assert counts["zfactor.factor_z"] == 1
+            assert counts["zfactor.standing_assumptions"] == 1
             assert counts["polys.is_squarefree_q"] == 0
             done += 1
         assert done >= 2

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knotsig import (
     BudgetExceededError,
@@ -14,8 +16,10 @@ from knotsig import (
     parse_poly,
     standing_assumptions,
     symmetric_check,
+    zfactor,
 )
-from knotsig.modp import PolyModP, factor_mod_p
+from knotsig.modp import PolyModP, degree_pattern, factor_mod_p
+from knotsig.polys import v_polynomial
 from conftest import make_delta_a
 from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
 
@@ -167,6 +171,145 @@ class TestStandingAssumptions:
                 assert q.is_monic and symmetric_check(q)
 
 
+def delta_a_product_p(a_values) -> IntPoly:
+    delta = IntPoly.one()
+    for a in a_values:
+        delta = delta * make_delta_a(a)
+    return delta_to_p(delta)
+
+
+def direct_route(P: IntPoly, seed: int = 0):
+    """Content, factors and flags from factoring P itself with factor_z."""
+    fz = factor_z(P, seed)
+    return fz.content, fz.factors, tuple(symmetric_check(q) for q, _ in fz.factors)
+
+
+V = IntPoly((0, -1, 1))  # X^2 - X
+
+
+class TestVModelRoute:
+    """standing_assumptions factors P(X) = Q(X^2 - X) through Q and keeps a
+    lift q(X^2 - X) whole only when a mod-p certificate proves it
+    irreducible; sympy is the oracle."""
+
+    # the two factor_heavy products (corpus seed 0) that P's 18 modular
+    # factors at p = 13 pushed over the cap
+    HEAVY_REFUSED = ((-5, 0, 1, 2, 9, 10), (-6, -5, 0, 3, 6, 10))
+
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_delta_a_products_against_sympy(self, k):
+        P = delta_a_product_p(range(k))
+        sa = standing_assumptions(P)
+        assert sorted((q.coeffs, e) for q, e in sa.factorization.factors) == sympy_factors(P)
+        assert sa.all_symmetric and sa.squarefree and len(sa.factors) == k
+
+    def test_k10_still_refused(self):
+        """Q of the k = 10 product has 17 modular factors at p = 13 (P has
+        24): the cap, not a work budget, still refuses it."""
+        with pytest.raises(BudgetExceededError, match="17 modular factors of a degree-30 "
+                           "polynomial at p = 13 exceed the recombination cap of 16"):
+            standing_assumptions(delta_a_product_p(range(10)))
+
+    @pytest.mark.parametrize("a_values", HEAVY_REFUSED)
+    def test_factor_heavy_refusals_answered(self, a_values):
+        P = delta_a_product_p(a_values)
+        with pytest.raises(BudgetExceededError, match="18 modular factors of a degree-36 "):
+            factor_z(P)
+        sa = standing_assumptions(P)
+        assert sorted((q.coeffs, e) for q, e in sa.factorization.factors) == sympy_factors(P)
+        assert sa.all_symmetric and len(sa.factors) == 6
+
+    @pytest.mark.parametrize("a_values", HEAVY_REFUSED + ((0, 1, 2, 3, 4, 5, 6, 7, 8),
+                                                          (-1, 2, 5), (-3, -2, 4)))
+    def test_q_prime_is_p_prime(self, a_values):
+        """Q's first prime is P's first good prime, and Q has at most P's
+        modular factors there, so the cap never counts more for Q."""
+        P = delta_a_product_p(a_values)
+        Q = v_polynomial(P)
+        p = next(zfactor._good_primes(P))
+        assert next(zfactor._good_primes(Q, lift=True)) == p
+        count = [len(degree_pattern(PolyModP.from_int_poly(f, p))) for f in (Q, P)]
+        assert count[0] <= count[1]
+
+    def test_split_lift_not_certified(self):
+        """X^2 - X - 2 = (X - 2)(X + 1) is the lift of Y - 2."""
+        assert not zfactor._lift_certified(IntPoly((-2, 1)))
+        sa = standing_assumptions(parse_poly("x^2 - x - 2"))
+        assert sa.factors == (parse_poly("x - 2"), parse_poly("x + 1"))
+        assert sa.symmetric == (False, False)
+
+    @pytest.mark.parametrize("a", [-1, -3])
+    def test_nonsymmetric_delta_a_pairs(self, a):
+        """P of Delta_-1 and Delta_-3 is a split lift h(X) h(1-X)."""
+        P = delta_to_p(make_delta_a(a))
+        (q, _), = factor_z(v_polynomial(P)).factors
+        assert not zfactor._lift_certified(q)
+        sa = standing_assumptions(P)
+        assert (sa.factorization.content, sa.factorization.factors, sa.symmetric) == direct_route(P)
+        assert len(sa.factors) == 2 and sa.symmetric == (False, False)
+
+    def test_quarter_root_lifts_to_a_square(self, f1):
+        """4Y + 1 lifts to (2X - 1)^2, which is not squarefree."""
+        P = parse_poly("4*x^2 - 4*x + 1") * f1 * 3
+        sa = standing_assumptions(P)
+        assert sa.factorization.content == 3
+        assert sa.factorization.factors == ((parse_poly("2*x - 1"), 2), (f1, 1))
+        assert not sa.squarefree and sa.symmetric == (False, True)
+
+    def test_half_degree_only(self, monkeypatch, calls):
+        """On a symmetric P whose lifts are certified, Zassenhaus only ever
+        sees polynomials of at most half P's degree: the degree-2n route
+        does not come back."""
+        P = delta_a_product_p((0, 2, 4, 5, 7, 9))
+        degrees: list[int] = []
+        original = zfactor._factor_squarefree
+
+        def recording(g, *args):
+            degrees.append(int(g.degree))
+            return original(g, *args)
+
+        monkeypatch.setattr(zfactor, "_factor_squarefree", recording)
+        counts = calls("zfactor.factor_z")
+        sa = standing_assumptions(P)
+        assert sa.all_symmetric and len(sa.factors) == 6
+        assert counts["zfactor.factor_z"] == 0
+        assert degrees and max(degrees) <= P.degree // 2
+
+
+@st.composite
+def symmetric_products(draw):
+    """A symmetric P: a content times lifts q(X^2 - X) and split pairs
+    h(X) h(1-X), some of them squared."""
+    coeffs = st.integers(-6, 6)
+    content = draw(st.sampled_from((1, 1, 2, 3, -1, -2)))
+    P = IntPoly((content,))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("lift", "lift", "pair")))
+        body = draw(st.lists(coeffs, min_size=1, max_size=3 if kind == "lift" else 2))
+        lead = draw(st.integers(1, 3))
+        block = IntPoly(body + [lead])
+        if kind == "lift":
+            block = block.compose(V)
+        else:
+            block = block * block.compose(IntPoly((1, -1)))
+        P = P * block ** draw(st.sampled_from((1, 1, 1, 2)))
+    return P
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_products())
+def test_v_model_route_matches_direct_route_and_sympy(P):
+    sa = standing_assumptions(P, seed=3)
+    fz = sa.factorization
+    assert (fz.content, fz.factors, sa.symmetric) == direct_route(P, seed=3)
+    assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(P)
+    for q, _ in factor_z(v_polynomial(P)).factors:
+        if q != IntPoly((1, 4)) and zfactor._lift_certified(q):  # 4Y + 1 lifts to a square
+            lifted = q.compose(V)
+            assert factor_z(lifted).factors == ((lifted, 1),)
+
+
 class TestNoFractionDivision:
     def test_delta_a_product_k6(self, ratpoly_calls):
         """Yun's test on a certified squarefree input and every trial
@@ -193,7 +336,7 @@ class TestHenselLift:
         G = IntPoly.one()
         for a in range(k):
             G = G * delta_to_p(make_delta_a(a))
-        p = zfactor._next_good_primes(G, 1, 1)[0]
+        p = next(zfactor._good_primes(G))
         modular = [q for q, _ in factor_mod_p(PolyModP.from_int_poly(G, p)).factors]
         return G, modular, p, 2 * zfactor._mignotte_bound(G) + 1
 
@@ -256,9 +399,9 @@ class TestModularWork:
             calls["factor_mod_p"] += 1
             return factor_original(f, p, rng)
 
-        def counting_parts(g, seed, trace):
+        def counting_parts(g, *args):
             calls["parts"] += g.degree >= 2
-            return parts_original(g, seed, trace)
+            return parts_original(g, *args)
 
         def counting_split(f):
             calls["modular_split"] += 1
@@ -282,7 +425,7 @@ class TestModularWork:
         from knotsig.modp import _squarefree_factors
 
         G = self.delta_a_product_p()
-        p = zfactor._next_good_primes(G, 1, 1)[0]
+        p = next(zfactor._good_primes(G))
         gp = PolyModP.from_int_poly(G, p)
         for seed in (0, 1, 7):
             direct = _squarefree_factors(gp.coeffs, p, random.Random(seed))
