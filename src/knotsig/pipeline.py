@@ -29,7 +29,7 @@ cross-check failing, raises again on every request.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Any
 
@@ -72,6 +72,18 @@ class AnalysisRequest:
             raise ValueError("tau values must be -2 or +2")
 
 
+def _json_tree(x: Any) -> Any:
+    """A copy of x with every dict, list and tuple rebuilt and the
+    (immutable) leaves shared."""
+    if isinstance(x, dict):
+        return {k: _json_tree(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_tree(v) for v in x]
+    if isinstance(x, tuple):
+        return tuple(_json_tree(v) for v in x)
+    return x
+
+
 @dataclass(eq=True)
 class AnalysisReport:
     """Everything the pipeline computed, JSON-ready.  Polynomials appear
@@ -95,7 +107,9 @@ class AnalysisReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields as a fresh JSON tree; ``dataclasses.asdict`` gives
+        the same, but deep-copies every leaf."""
+        return {f.name: _json_tree(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "AnalysisReport":

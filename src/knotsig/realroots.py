@@ -2,8 +2,13 @@
 
 Endpoints are exact rationals and every sign is exact, so counts and
 intervals are certificates, not approximations.  Sturm sequences are
-sign-corrected primitive pseudo-remainder sequences over Z, with signs at
-p/q from homogeneous integer Horner sums.  On top sit the two unit-circle
+sign-corrected primitive pseudo-remainder sequences over Z, and every sign
+at a point p/q (or at +-infinity, as (+-1, 0)) is that of one homogeneous
+integer Horner sum.  Bisection keeps its endpoints as integer numerators
+over a shared denominator d 2^j (d that of the starting interval), so no
+step reduces a fraction; ``Fraction``s appear only in the returned
+intervals.  Once an interval holds one root, the sign of f alone says
+which half holds it.  On top sit the two unit-circle
 root counters: rho of a reciprocal polynomial Delta via its trace model D
 (Delta(X) = X^n D(X + 1/X), roots on |z| = 1 become roots of D in
 (-2, 2)), and rho of a symmetric P via its model Q (P(X) = Q(X^2 - X),
@@ -21,6 +26,7 @@ Each input check runs once, on an object already built for the count:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -81,26 +87,27 @@ def sturm_sequence(f: IntPoly | RatPoly, g: IntPoly | None = None) -> list[IntPo
     return seq
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at(f: IntPoly, x: Endpoint) -> int:
-    """At x = p/q (q > 0) the sign of q^d f(p/q) = sum c_i p^i q^(d-i),
-    by Horner in integers."""
-    if isinstance(x, float) and x in (NEG_INF, POS_INF):
-        return _sign(f.lc) * (-1 if x < 0 and int(f.degree) % 2 else 1)
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
+def _sign_hom(f: IntPoly, p: int, q: int) -> int:
+    """Sign of sum c_i p^i q^(d-i), by Horner in integers: for q > 0 the
+    sign of f(p/q), and for (p, q) = (+-1, 0) that of f at +-infinity."""
     acc, qk = f.coeffs[-1], 1
     for c in reversed(f.coeffs[:-1]):
         qk *= q
         acc = acc * p + c * qk
-    return _sign(acc)
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(seq: list[IntPoly], x: Endpoint) -> int:
-    signs = [s for s in (_sign_at(f, x) for f in seq) if s != 0]
+def _point(x: Endpoint) -> tuple[int, int]:
+    """x as (p, q) with q >= 0: p/q in lowest terms, or (+-1, 0) for +-inf."""
+    if isinstance(x, float) and x in (NEG_INF, POS_INF):
+        return (-1 if x < 0 else 1), 0
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _variations(seq: list[IntPoly], p: int, q: int) -> int:
+    """Sign variations of the Sturm sequence at the point (p, q)."""
+    signs = [s for s in (_sign_hom(f, p, q) for f in seq) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -114,9 +121,9 @@ def _checked_sequence(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> list[In
         raise ValueError("Sturm counting requires a squarefree polynomial")
     if a != NEG_INF and b != POS_INF and Fraction(a) >= Fraction(b):
         raise ValueError("empty interval: need a < b")
-    if a != NEG_INF and _sign_at(seq[0], a) == 0:
+    if a != NEG_INF and _sign_hom(seq[0], *_point(a)) == 0:
         raise ValueError(f"left endpoint {a} is a root; perturb the interval")
-    if b != POS_INF and _sign_at(seq[0], b) == 0:
+    if b != POS_INF and _sign_hom(seq[0], *_point(b)) == 0:
         raise ValueError(f"right endpoint {b} is a root; perturb the interval")
     return seq
 
@@ -125,42 +132,73 @@ def sturm_count(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> int:
     """Number of real roots of squarefree f in the open interval (a, b);
     finite endpoints must not be roots."""
     seq = _checked_sequence(f, a, b)
-    return _variations(seq, a) - _variations(seq, b)
+    return _variations(seq, *_point(a)) - _variations(seq, *_point(b))
 
 
-def _split_point(g: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    """The midpoint of (lo, hi), moved off a root of g by halved offsets."""
-    mid, offset = (lo + hi) / 2, (hi - lo) / 4
-    while _sign_at(g, mid) == 0:
-        mid += offset
-        offset /= 2
-    return mid
+def _split(g: IntPoly, lo: int, hi: int, d: int) -> tuple[int, int, int]:
+    """Split (lo/d, hi/d): the midpoint, moved off a root of g by the
+    offsets (hi - lo)/4d, (hi - lo)/8d, ..., as (m, e, sign of g there)
+    for the point m/(d 2^e)."""
+    mid, e, offset = lo + hi, 1, hi - lo  # offset is over the denominator d 2^(e+1)
+    while True:
+        s = _sign_hom(g, mid, d << e)
+        if s:
+            return mid, e, s
+        mid, e = 2 * mid + offset, e + 1
+
+
+def _numerators(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(lo, hi) as integer numerators over their least common denominator."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+def _fractions(lo: int, hi: int, d: int) -> IsolatingInterval:
+    return IsolatingInterval(Fraction(lo, d), Fraction(hi, d))
+
+
+def _isolated(g: IntPoly, lo: int, hi: int, d: int, width: Fraction) -> IsolatingInterval:
+    """Bisect (lo/d, hi/d), which holds exactly one root of g, to width at
+    most ``width``, keeping at each step the half on which g changes sign."""
+    sl = _sign_hom(g, lo, d)
+    wn, wd = width.numerator, width.denominator
+    while (hi - lo) * wd > wn * d:
+        mid, e, sm = _split(g, lo, hi, d)
+        if sm != sl:
+            lo, hi = lo << e, mid
+        else:
+            lo, hi, sl = mid, hi << e, sm
+        d <<= e
+    return _fractions(lo, hi, d)
 
 
 def isolate_roots(
     f: IntPoly | RatPoly, a: Endpoint = NEG_INF, b: Endpoint = POS_INF, width: Fraction = DEFAULT_WIDTH
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per real root of squarefree f in
-    (a, b), bisection-refined below ``width``."""
+    (a, b), bisection-refined below ``width``: Sturm counts split the
+    intervals until each holds one root, then the sign of f alone picks
+    the half that holds it.  Every split point is a midpoint, moved by a
+    quarter, an eighth, ... of the width while it is a root."""
     seq = _checked_sequence(f, a, b)
     g = seq[0]
     bound = 2 + Fraction(max(abs(c) for c in g.coeffs), abs(g.lc))  # Cauchy
     lo = Fraction(a) if a != NEG_INF else -bound
     hi = Fraction(b) if b != POS_INF else bound
+    lo_n, hi_n, d = _numerators(lo, hi)
     out: list[IsolatingInterval] = []
-    stack = [(lo, hi, _variations(seq, lo), _variations(seq, hi))]
+    stack = [(lo_n, hi_n, d, _variations(seq, lo_n, d), _variations(seq, hi_n, d))]
     while stack:
-        l, h, vl, vh = stack.pop()
+        l, h, d, vl, vh = stack.pop()
         c = vl - vh
-        if c == 0:
-            continue
-        if c == 1 and h - l <= width:
-            out.append(IsolatingInterval(l, h))
-            continue
-        mid = _split_point(g, l, h)
-        vm = _variations(seq, mid)
-        stack.append((l, mid, vl, vm))
-        stack.append((mid, h, vm, vh))
+        if c == 1:
+            out.append(_isolated(g, l, h, d, width))
+        elif c:
+            mid, e, _ = _split(g, l, h, d)
+            d <<= e
+            vm = _variations(seq, mid, d)
+            stack.append((l << e, mid, d, vl, vm))
+            stack.append((mid, h << e, d, vm, vh))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -168,11 +206,11 @@ def isolate_roots(
 def refine_interval(f: IntPoly | RatPoly, iv: IsolatingInterval) -> IsolatingInterval:
     """One bisection step preserving the single contained root."""
     g = _as_int(f)
-    mid = _split_point(g, iv.lo, iv.hi)
-    sl = _sign_at(g, iv.lo)
-    if sl != 0 and _sign_at(g, mid) == sl:
-        return IsolatingInterval(mid, iv.hi)
-    return IsolatingInterval(iv.lo, mid)
+    lo_n, hi_n, d = _numerators(iv.lo, iv.hi)
+    mid, e, sm = _split(g, lo_n, hi_n, d)
+    if sm == _sign_hom(g, lo_n, d):
+        return _fractions(mid, hi_n << e, d << e)
+    return _fractions(lo_n << e, mid, d << e)
 
 
 def root_gaps(
@@ -205,7 +243,7 @@ def sign_at_root(expr: IntPoly | RatPoly, minpoly: IntPoly | RatPoly, iv: Isolat
         raise ValueError("expression is identically zero")
     m = _as_int(minpoly)
     seq = sturm_sequence(m, m.derivative() * _as_int(expr))
-    return _variations(seq, iv.lo) - _variations(seq, iv.hi)
+    return _variations(seq, *_point(iv.lo)) - _variations(seq, *_point(iv.hi))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ t -> sig(S + i t K), K = A - A^T, which is constant between the
 unit-circle roots of Delta_A and drops by the Milnor signature of the
 root pair at each one.  Every evaluation is the exact signature of an
 integer matrix at a rational t chosen between the isolated roots, so no
-number field and no approximation is involved.
+number field and no approximation is involved.  At t = p/d that matrix is
+the n x n Hermitian dS + i pK over the Gaussian integers Z[i], and one
+fraction-free congruence elimination of its upper triangle gives the
+signature; ``signature_exact`` is the same elimination with no imaginary
+part.
 """
 
 from __future__ import annotations
@@ -184,23 +188,43 @@ class MilnorAssignmentComputed:
         return any(v == 0 for v in self.values)
 
 
+def _symmetrization(a: Matrix) -> tuple[Matrix, int, list[str]]:
+    """S = A + A^T, det S, and the problem if det S is not +-1."""
+    s = mat_add(a, transpose(a))
+    d = mat_det(s)
+    return s, d, ([] if d in (1, -1) else [f"symmetrization has determinant {d}, not +-1"])
+
+
 def validate_form(a_rows: Sequence[Sequence[int]]) -> Validation:
     """A square integer matrix A is a Seifert form iff det(A + A^T) = +-1."""
-    problems: list[str] = []
     try:
         a = as_matrix(a_rows)
     except ValueError as exc:
         return Validation(False, (str(exc),))
-    d = mat_det(mat_add(a, transpose(a)))
-    if d not in (1, -1):
-        problems.append(f"symmetrization has determinant {d}, not +-1")
+    problems = _symmetrization(a)[2]
     return Validation(not problems, tuple(problems))
+
+
+def _pair_problems(s: Matrix, a: Matrix, det_s: int, det_a: int) -> list[str]:
+    """What keeps two square matrices of one size, with the determinants
+    given, from being a Seifert pair."""
+    problems: list[str] = []
+    if s != transpose(s):
+        problems.append("S is not symmetric")
+    if any(s[i][i] % 2 for i in range(len(s))):
+        problems.append("S has an odd diagonal entry, so it is not even")
+    if det_s not in (1, -1):
+        problems.append(f"S has determinant {det_s}, not +-1")
+    if det_a == 0:
+        problems.append("a has determinant 0, so it is not injective")
+    if mat_add(mat_mul(transpose(a), s), mat_mul(s, a)) != s:
+        problems.append("the relation S(ax, y) = S(x, (1-a)y) fails")
+    return problems
 
 
 def validate_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> Validation:
     """S must be symmetric, even, unimodular; a injective with
     S(ax, y) = S(x, (1-a)y), i.e. a^T S + S a = S."""
-    problems: list[str] = []
     try:
         s = as_matrix(s_rows)
         a = as_matrix(a_rows)
@@ -208,35 +232,26 @@ def validate_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int
         return Validation(False, (str(exc),))
     if len(s) != len(a):
         return Validation(False, ("S and a have different sizes",))
-    if s != transpose(s):
-        problems.append("S is not symmetric")
-    if any(s[i][i] % 2 for i in range(len(s))):
-        problems.append("S has an odd diagonal entry, so it is not even")
-    ds = mat_det(s)
-    if ds not in (1, -1):
-        problems.append(f"S has determinant {ds}, not +-1")
-    if mat_det(a) == 0:
-        problems.append("a has determinant 0, so it is not injective")
-    if mat_add(mat_mul(transpose(a), s), mat_mul(s, a)) != s:
-        problems.append("the relation S(ax, y) = S(x, (1-a)y) fails")
+    problems = _pair_problems(s, a, mat_det(s), mat_det(a))
     return Validation(not problems, tuple(problems))
 
 
 def form_to_pair(a_rows: Sequence[Sequence[int]]) -> SeifertPair:
-    """S = A + A^T and the unique companion a with A(x,y) = S(ax,y)."""
+    """S = A + A^T and the unique companion a with A(x,y) = S(ax,y).
+    The pair is checked as by :func:`validate_pair`, reusing det S and
+    det a = det(S^-1 A^T) = det S * det A (det S = +-1)."""
     a_mat = as_matrix(a_rows)
-    val = validate_form(a_mat)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    if mat_det(a_mat) == 0:
+    s, det_s, problems = _symmetrization(a_mat)
+    if problems:
+        raise ValueError("; ".join(problems))
+    det_a = mat_det(a_mat)
+    if det_a == 0:
         raise ValueError("degenerate form, no injective companion")
-    s = mat_add(a_mat, transpose(a_mat))
     comp = mat_mul(mat_inverse_unimodular(s), transpose(a_mat))
-    pair = SeifertPair(s=s, a=comp)
-    check = validate_pair(pair.s, pair.a)
-    if not check.ok:
-        raise KnotsigError(f"internal error: companion pair invalid: {check.problems}")
-    return pair
+    problems = _pair_problems(s, comp, det_s, det_s * det_a)
+    if problems:
+        raise KnotsigError(f"internal error: companion pair invalid: {tuple(problems)}")
+    return SeifertPair(s=s, a=comp)
 
 
 def pair_to_form(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> Matrix:
@@ -265,55 +280,105 @@ def charpoly_of_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[
     return charpoly(as_matrix(a_rows))
 
 
-def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
-    """Signature of a nonsingular symmetric integer matrix by congruence
-    diagonalization in integers.  After a pivot d (a diagonal entry, or
-    else a 2x2 hyperbolic block [[0, b], [b, 0]] of signature 0) the rest
-    is replaced by |d| times its Schur complement, which is integral and
-    has the same signature, and then divided by its content."""
-    m = as_matrix(m_rows)
-    if m != transpose(m):
-        raise ValueError("signature needs a symmetric matrix")
-    w = [list(row) for row in m]
-    active = list(range(len(m)))
+# A Hermitian matrix H over Z[i] is kept as its upper triangle: two lists
+# of rows, real and imaginary parts, row i holding H_ij for j >= i.
+
+
+def _column(re, im, k: int) -> tuple[list[int], list[int]]:
+    """H_ik for i != k, as real and imaginary parts; H_ik = conj(H_ki)
+    for i > k."""
+    return (
+        [re[i][k - i] for i in range(k)] + re[k][1:],
+        [im[i][k - i] for i in range(k)] + [-x for x in im[k][1:]],
+    )
+
+
+def _drop(rows: list[list[int]], k: int) -> list[list[int]]:
+    """The triangle without row and column k."""
+    return [row[: k - i] + row[k - i + 1 :] for i, row in enumerate(rows[:k])] + rows[k + 1 :]
+
+
+def _times(b: tuple[int, int], u: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    """b u for a Gaussian integer b and a vector u, as real and imaginary parts."""
+    br, bi = b
+    return [br * x - bi * y for x, y in zip(*u)], [br * y + bi * x for x, y in zip(*u)]
+
+
+def _outer_update(re, im, scale: int, a, c):
+    """The triangle of scale H - a c^*, i.e. scale H_ij - a_i conj(c_j)."""
+    (ar, ai), (cr, ci) = a, c
+    new_re, new_im = [], []
+    for x, (rr, ri) in enumerate(zip(re, im)):
+        pr, pi, tr, ti = ar[x], ai[x], cr[x:], ci[x:]
+        new_re.append([scale * v - pr * qr - pi * qi for v, qr, qi in zip(rr, tr, ti)])
+        new_im.append([scale * v - pi * qr + pr * qi for v, qr, qi in zip(ri, tr, ti)])
+    return new_re, new_im
+
+
+def _pivot_diagonal(re, im, k: int):
+    """|d| times the Schur complement of the real pivot d = H_kk:
+    H_ij <- |d| H_ij - sign(d) H_ik H_kj."""
+    d = re[k][0]
+    u = _column(re, im, k)
+    a = u if d > 0 else ([-x for x in u[0]], [-x for x in u[1]])
+    return _outer_update(_drop(re, k), _drop(im, k), abs(d), a, u)
+
+
+def _pivot_block(re, im, k: int, l: int):
+    """|b|^2 times the Schur complement of the block [[0, b], [conj b, 0]],
+    b = H_kl (k < l): H_ij <- |b|^2 H_ij - b H_ik H_lj - conj(b) H_il H_kj,
+    where H_lj = conj(H_jl) and H_kj = conj(H_jk)."""
+    br, bi = re[k][l - k], im[k][l - k]
+    u = [c[: l - 1] + c[l:] for c in _column(re, im, k)]  # i != k, l
+    v = [c[:k] + c[k + 1 :] for c in _column(re, im, l)]
+    re, im = _drop(_drop(re, l), k), _drop(_drop(im, l), k)
+    re, im = _outer_update(re, im, br * br + bi * bi, _times((br, bi), u), v)
+    return _outer_update(re, im, 1, _times((br, -bi), v), u)
+
+
+def _hermitian_elimination(re: list[list[int]], im: list[list[int]]) -> int:
+    """Signature of a nonsingular Hermitian H = re + i im over Z[i], given
+    as its upper triangle.
+
+    Fraction-free congruence diagonalization: a nonzero (real) diagonal
+    entry d contributes sign(d), and the rest becomes |d| times its Schur
+    complement; when every diagonal entry is 0, a nonzero H_kl gives the
+    block [[0, b], [conj b, 0]] of signature 0 (its determinant is
+    -|b|^2), and the rest becomes |b|^2 times its Schur complement.  Both
+    complements are Hermitian over Z[i] with the signature of the rest,
+    and each is divided by the content of its entries."""
     sig = 0
-    while active:
-        piv = next((k for k in active if w[k][k] != 0), None)
-        if piv is not None:
-            d = w[piv][piv]
-            sign, scale = (1 if d > 0 else -1), abs(d)
-            sig += sign
-            active.remove(piv)
-            wp = w[piv]
-            for i in active:
-                wi = w[i]
-                f = sign * wi[piv]
-                for j in active:
-                    wi[j] = scale * wi[j] - f * wp[j]
+    while re:
+        size = len(re)
+        k = next((k for k in range(size) if re[k][0]), None)
+        if k is not None:
+            sig += 1 if re[k][0] > 0 else -1
+            re, im = _pivot_diagonal(re, im, k)
         else:
             off = next(
-                ((k, l) for k in active for l in active if k < l and w[k][l] != 0), None
+                ((k, l) for k in range(size) for l in range(k + 1, size)
+                 if re[k][l - k] or im[k][l - k]),
+                None,
             )
             if off is None:
                 raise ValueError("matrix is singular; signature undefined")
-            k, l = off
-            b = w[k][l]
-            sign, scale = (1 if b > 0 else -1), abs(b)
-            active.remove(k)
-            active.remove(l)
-            wk, wl = w[k], w[l]
-            for i in active:
-                wi = w[i]
-                fk, fl = sign * wi[k], sign * wi[l]
-                for j in active:
-                    wi[j] = scale * wi[j] - fk * wl[j] - fl * wk[j]
-        g = math.gcd(*(w[i][j] for i in active for j in active))
+            re, im = _pivot_block(re, im, *off)
+        g = math.gcd(*(math.gcd(*row) for row in re + im))
         if g > 1:
-            for i in active:
-                wi = w[i]
-                for j in active:
-                    wi[j] //= g
+            re = [[x // g for x in row] for row in re]
+            im = [[x // g for x in row] for row in im]
     return sig
+
+
+def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
+    """Signature of a nonsingular symmetric integer matrix: the Hermitian
+    elimination of :func:`_hermitian_elimination` with imaginary part 0."""
+    m = as_matrix(m_rows)
+    if m != transpose(m):
+        raise ValueError("signature needs a symmetric matrix")
+    n = len(m)
+    return _hermitian_elimination([list(row[i:]) for i, row in enumerate(m)],
+                                  [[0] * (n - i) for i in range(n)])
 
 
 def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
@@ -354,11 +419,14 @@ def _t_with_square_in(lo: Fraction, hi: Fraction | None) -> Fraction:
 
 def _hermitian_signature(s: Matrix, k: Matrix, t: Fraction) -> int:
     """Signature of the Hermitian form S + i t K (S symmetric, K skew):
-    half that of the real symmetric [[dS, -pK], [pK, dS]] for t = p/d."""
+    that of its positive multiple H = dS + i pK for t = p/d, an n x n
+    matrix over Z[i], by :func:`_hermitian_elimination` (diagonal pivots,
+    and the 2 x 2 block pivot when the remaining diagonal is all 0)."""
     p, d = t.numerator, t.denominator
-    top = [tuple(d * x for x in rs) + tuple(-p * x for x in rk) for rs, rk in zip(s, k)]
-    bottom = [tuple(p * x for x in rk) + tuple(d * x for x in rs) for rs, rk in zip(s, k)]
-    return signature_exact(top + bottom) // 2
+    return _hermitian_elimination(
+        [[d * x for x in row[i:]] for i, row in enumerate(s)],
+        [[p * x for x in row[i:]] for i, row in enumerate(k)],
+    )
 
 
 def milnor_signatures(

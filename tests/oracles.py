@@ -13,7 +13,10 @@ reduces at every inner step, and the `Fraction` routes the Seifert path
 took before its integer kernels: Lagrange interpolation for pencil
 determinants, Euclidean Sturm chains with root isolation, sign
 certification by interval bisection, Gauss-Jordan inversion, and Hensel
-lifting that lifts the Bezout cofactors in every round; and the
+lifting that lifts the Bezout cofactors in every round; the routes the
+Milnor signatures took before their half-size kernels: Hermitian
+signatures of the real 2n x 2n realification, and bisection with
+`Fraction` endpoints and a full Sturm sequence at every midpoint; and the
 term-by-term binomial expansions of the Delta <-> P transforms and the
 top-down peel of the v-model behind a separate symmetry test, as the
 transforms were computed before coefficient reversal and division by
@@ -23,6 +26,7 @@ X^2 - X.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +44,7 @@ from knotsig import (
 )
 from knotsig import symmetric_check, zfactor
 from knotsig.modp import PolyModP, is_symmetric_mod_p
-from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count
+from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count, sturm_sequence
 from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
 
 
@@ -593,3 +597,134 @@ def v_polynomial_by_peeling(p: IntPoly) -> IntPoly | None:
         rem = rem - q[k] * v**k
     assert rem.is_zero
     return IntPoly(q)
+
+
+def signature_by_real_elimination(m: tuple[tuple[int, ...], ...]) -> int:
+    """Signature of a nonsingular symmetric integer matrix by congruence
+    diagonalization of the full real matrix: after a pivot d (a diagonal
+    entry, or else a 2x2 block [[0, b], [b, 0]] of signature 0) the rest
+    is replaced by |d| times its Schur complement, then divided by its
+    content.  The kernel ``signature_exact`` ran before the Z[i] one."""
+    w = [list(row) for row in m]
+    active = list(range(len(m)))
+    sig = 0
+    while active:
+        piv = next((k for k in active if w[k][k] != 0), None)
+        if piv is not None:
+            d = w[piv][piv]
+            sign, scale = (1 if d > 0 else -1), abs(d)
+            sig += sign
+            active.remove(piv)
+            wp = w[piv]
+            for i in active:
+                wi = w[i]
+                f = sign * wi[piv]
+                for j in active:
+                    wi[j] = scale * wi[j] - f * wp[j]
+        else:
+            off = next(
+                ((k, l) for k in active for l in active if k < l and w[k][l] != 0), None
+            )
+            if off is None:
+                raise ValueError("matrix is singular; signature undefined")
+            k, l = off
+            b = w[k][l]
+            sign, scale = (1 if b > 0 else -1), abs(b)
+            active.remove(k)
+            active.remove(l)
+            wk, wl = w[k], w[l]
+            for i in active:
+                wi = w[i]
+                fk, fl = sign * wi[k], sign * wi[l]
+                for j in active:
+                    wi[j] = scale * wi[j] - fk * wl[j] - fl * wk[j]
+        g = math.gcd(*(w[i][j] for i in active for j in active))
+        if g > 1:
+            for i in active:
+                wi = w[i]
+                for j in active:
+                    wi[j] //= g
+    return sig
+
+
+def hermitian_signature_by_realification(s, k, t: Fraction) -> int:
+    """Signature of S + i t K as half that of the real symmetric 2n x 2n
+    matrix [[dS, -pK], [pK, dS]] for t = p/d."""
+    p, d = t.numerator, t.denominator
+    top = [tuple(d * x for x in rs) + tuple(-p * x for x in rk) for rs, rk in zip(s, k)]
+    bottom = [tuple(p * x for x in rk) + tuple(d * x for x in rs) for rs, rk in zip(s, k)]
+    return signature_by_real_elimination(tuple(top + bottom)) // 2
+
+
+def _fraction_sign_at(f: IntPoly, x) -> int:
+    if x in (float("-inf"), float("inf")):
+        s = (f.lc > 0) - (f.lc < 0)
+        return -s if x < 0 and int(f.degree) % 2 else s
+    v = f.evaluate(Fraction(x))
+    return (v > 0) - (v < 0)
+
+
+def _fraction_variations(seq: list[IntPoly], x) -> int:
+    signs = [s for s in (_fraction_sign_at(f, x) for f in seq) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _fraction_split_point(g: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """The midpoint of (lo, hi), moved off a root of g by halved offsets."""
+    mid, offset = (lo + hi) / 2, (hi - lo) / 4
+    while _fraction_sign_at(g, mid) == 0:
+        mid += offset
+        offset /= 2
+    return mid
+
+
+def fraction_isolate_roots(f, a=float("-inf"), b=float("inf"), width=Fraction(1, 1 << 10)):
+    """``isolate_roots`` with Fraction endpoints, a Fraction per sign and
+    the whole Sturm sequence at every midpoint, as it ran before its
+    endpoints became integer numerators."""
+    seq = sturm_sequence(f)
+    g = seq[0]
+    bound = 2 + Fraction(max(abs(c) for c in g.coeffs), abs(g.lc))
+    lo = Fraction(a) if a != float("-inf") else -bound
+    hi = Fraction(b) if b != float("inf") else bound
+    out = []
+    stack = [(lo, hi, _fraction_variations(seq, lo), _fraction_variations(seq, hi))]
+    while stack:
+        l, h, vl, vh = stack.pop()
+        c = vl - vh
+        if c == 0:
+            continue
+        if c == 1 and h - l <= width:
+            out.append(IsolatingInterval(l, h))
+            continue
+        mid = _fraction_split_point(g, l, h)
+        vm = _fraction_variations(seq, mid)
+        stack.append((l, mid, vl, vm))
+        stack.append((mid, h, vm, vh))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+def fraction_refine_interval(f, iv: IsolatingInterval) -> IsolatingInterval:
+    """One Fraction bisection step preserving the single contained root."""
+    g = sturm_sequence(f)[0]
+    mid = _fraction_split_point(g, iv.lo, iv.hi)
+    sl = _fraction_sign_at(g, iv.lo)
+    if sl != 0 and _fraction_sign_at(g, mid) == sl:
+        return IsolatingInterval(mid, iv.hi)
+    return IsolatingInterval(iv.lo, mid)
+
+
+def fraction_root_gaps(f, ivs: list[IsolatingInterval], top: Fraction):
+    """``root_gaps`` over :func:`fraction_refine_interval`."""
+    ivs = list(ivs)
+    gaps = []
+    for j in range(len(ivs)):
+        upper = ivs[j + 1].lo if j + 1 < len(ivs) else top
+        while ivs[j].hi >= upper:
+            ivs[j] = fraction_refine_interval(f, ivs[j])
+            if j + 1 < len(ivs):
+                ivs[j + 1] = fraction_refine_interval(f, ivs[j + 1])
+                upper = ivs[j + 1].lo
+        gaps.append((ivs[j].hi, upper))
+    return gaps

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -130,6 +132,18 @@ class TestTauPath:
             AnalysisRequest(delta=delta1, m=7, tau=(1, 2))
 
 
+def scribble(tree) -> None:
+    """Change every dict and list in a JSON tree, at every depth."""
+    items = list(tree.values()) if isinstance(tree, dict) else list(tree)
+    for item in items:
+        if isinstance(item, (dict, list)):
+            scribble(item)
+    if isinstance(tree, dict):
+        tree["scribbled"] = True
+    elif isinstance(tree, list):
+        tree.append("scribbled")
+
+
 class TestReports:
     def test_json_round_trip(self, delta1, delta2, g1):
         for req in (
@@ -140,6 +154,31 @@ class TestReports:
         ):
             rep = analyze(req)
             assert report_from_json(report_render(rep, "json")) == rep
+
+    def test_to_dict_equals_asdict(self, delta1, delta2, g1):
+        """``to_dict`` gives what ``dataclasses.asdict`` gives, with the same
+        keys, order, types and JSON, on every verdict, with and without the
+        listed assignments; the dict it returns is the caller's own."""
+        big = make_delta_a(0) * make_delta_a(1) * make_delta_a(2) * make_delta_a(3) * make_delta_a(4)
+        reports = [
+            analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)),
+            analyze(AnalysisRequest(delta=g1 * delta1, m=7, signature=8)),
+            analyze(AnalysisRequest(delta=delta1 * delta2, m=3, signature=8)),
+            analyze(AnalysisRequest(delta=parse_poly("x^2 - x + 1"), m=7, signature=0)),
+            analyze(AnalysisRequest(delta=big, m=7, signature=0)),
+            analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2))),
+        ]
+        assert {rep.verdict for rep in reports} == {
+            VERDICT_REALIZABLE, VERDICT_OBSTRUCTION_UNKNOWN, VERDICT_NOT_ADMISSIBLE, VERDICT_OUT_OF_SCOPE,
+        }
+        assert "assignments" in reports[0].mil and "assignments" not in reports[4].mil
+        for rep in reports:
+            want, got = dataclasses.asdict(rep), rep.to_dict()
+            assert got == want and repr(got) == repr(want)
+            assert json.dumps(got) == json.dumps(want)
+            before = dataclasses.asdict(rep)
+            scribble(got)
+            assert got != want and dataclasses.asdict(rep) == before
 
     def test_text_contains_verdict_and_rank(self, delta1, delta2):
         text = report_render(analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)), "text")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
@@ -21,7 +23,9 @@ from knotsig import (
     sturm_count,
     v_polynomial,
 )
+from knotsig import realroots, seifert
 from knotsig.realroots import (
+    NEG_INF,
     IsolatingInterval,
     refine_interval,
     root_gaps,
@@ -31,6 +35,9 @@ from knotsig.realroots import (
 from conftest import make_delta_a
 from oracles import (
     count_real_roots_float,
+    fraction_isolate_roots,
+    fraction_refine_interval,
+    fraction_root_gaps,
     interval_eval,
     rat_isolate_roots,
     rat_sturm_count,
@@ -376,3 +383,109 @@ class TestRootGaps:
 
     def test_no_roots_no_gaps(self):
         assert root_gaps(self.Q, [], Fraction(-1, 4)) == []
+
+
+def _seifert_forms_v_models() -> list[IntPoly]:
+    """The v-models Q of the 16 benchmark Seifert forms: the 8 requests of
+    ``perfbench/workloads.py`` seifert_forms (seed 1) on corpus seeds 0
+    and 1001."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for corpus in (0, 1001):
+        for op in workloads.seifert_forms(1, 8, corpus):
+            a = seifert.form_to_pair(op["form"]).a
+            out.append(v_polynomial(seifert.charpoly(a)))
+    return out
+
+
+class TestIntegerBisection:
+    """Bisection on integer numerators over a shared denominator gives
+    byte-identical intervals to the Fraction routes of tests/oracles.py:
+    the Fraction-endpoint bisection it replaced and the Fraction Sturm
+    chain."""
+
+    CASES = _v_models() + _random_squarefree(211, 20)
+    SPANS = ((-INF, INF), (-INF, Fraction(-1, 4)), (Fraction(-3, 7), Fraction(5, 2)), (Fraction(1, 3), INF))
+
+    @staticmethod
+    def assert_same(f, a, b, width=Fraction(1, 1 << 10), rat_chain=True):
+        got = isolate_roots(f, a, b, width)
+        want = fraction_isolate_roots(f, a, b, width)
+        assert [(str(iv.lo), str(iv.hi)) for iv in got] == [(str(iv.lo), str(iv.hi)) for iv in want]
+        if rat_chain:
+            assert got == rat_isolate_roots(f.to_rat(), a, b, width)
+        return got
+
+    def test_cases(self):
+        """Against the Fraction-endpoint route only: TestAgainstFractionChain
+        already checks the v-models against the Fraction chain."""
+        for f in self.CASES:
+            for a, b in self.SPANS:
+                if b != INF and f.evaluate(b) == 0 or a != -INF and f.evaluate(a) == 0:
+                    continue
+                self.assert_same(f, a, b, rat_chain=False)
+
+    def test_root_at_a_midpoint(self):
+        # X^2 - 5X on (-1, 1): the first midpoint 0 is a root, moved by 1/2
+        f = parse_poly("x^2 - 5*x")
+        (iv,) = self.assert_same(f, -1, 1)
+        assert iv.lo < 0 < iv.hi
+        # roots at dyadic points hit by later midpoints too
+        dyadic = IntPoly([-3, 8]) * IntPoly([1, 4]) * IntPoly([-1, 1])
+        self.assert_same(dyadic, -2, 3)
+        self.assert_same(dyadic, -INF, INF, Fraction(1, 3))
+
+    def test_cauchy_bound_off_powers_of_two(self):
+        # bound 2 + 7/3 = 13/3 and 2 + 10/9 = 28/9: denominators 3 and 9
+        for text in ("3*x^2 - 7", "9*x^3 - 10*x + 1", "6*x^4 - 5*x^2 + 1"):
+            f = parse_poly(text)
+            for a, b in ((-INF, INF), (-INF, Fraction(1, 5)), (Fraction(-1, 7), INF)):
+                self.assert_same(f, a, b)
+
+    def test_refine_interval(self):
+        f = parse_poly("x^2 - 5*x")
+        ivs = [IsolatingInterval(Fraction(-1), Fraction(1)),  # midpoint root
+               IsolatingInterval(Fraction(-1, 3), Fraction(1, 2)),  # unequal denominators
+               IsolatingInterval(Fraction(9, 2), Fraction(16, 3))]
+        for iv in ivs:
+            for _ in range(12):
+                want = fraction_refine_interval(f, iv)
+                assert refine_interval(f, iv) == want == refine_interval(f.to_rat(), iv)
+                iv = want
+        for g in self.CASES[:20]:
+            for iv in isolate_roots(g, -INF, INF, Fraction(1, 4)):
+                assert refine_interval(g, iv) == fraction_refine_interval(g, iv)
+
+    def test_root_gaps(self):
+        q = TestRootGaps.Q
+        for top in (Fraction(-1, 4), Fraction(-1, 2)):
+            assert root_gaps(q, TestRootGaps.TOUCHING, top) == fraction_root_gaps(
+                q.clear_denominators(), TestRootGaps.TOUCHING, top
+            )
+        for f in self.CASES:
+            if f.evaluate(Fraction(-1, 4)) == 0:
+                continue
+            ivs = isolate_roots(f, -INF, Fraction(-1, 4), Fraction(1, 2))
+            assert root_gaps(f, ivs, Fraction(-1, 4)) == fraction_root_gaps(f, ivs, Fraction(-1, 4))
+
+    def test_sturm_variations_only_until_roots_are_apart(self, monkeypatch):
+        """On the 16 benchmark v-models the Sturm sequence is evaluated
+        only where an interval holds two or more roots: 15.25 times per
+        call, against 61.6 when every bisection step evaluated it."""
+        qs = _seifert_forms_v_models()
+        count = 0
+        original = realroots._variations
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return original(*args)
+
+        monkeypatch.setattr(realroots, "_variations", counting)
+        for q in qs:
+            isolate_roots(q, NEG_INF, Fraction(-1, 4))
+        assert len(qs) == 16
+        assert count / len(qs) < 20

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knotsig import (
     AnalysisRequest,
@@ -44,11 +46,14 @@ from knotsig.seifert import (
     mat_mul,
     pencil_det,
     transpose,
+    _hermitian_signature,
     _t_with_square_in,
 )
+from knotsig import seifert
 from knotsig.realroots import root_gaps
 from oracles import (
     det_fraction,
+    hermitian_signature_by_realification,
     inverse_by_fractions,
     milnor_values_number_field,
     pencil_det_by_lagrange,
@@ -163,6 +168,31 @@ class TestBijection:
         with pytest.raises(ValueError, match="degenerate"):
             form_to_pair(((0, 1), (0, 0)))
 
+    def test_non_unimodular_rejected(self):
+        with pytest.raises(ValueError, match=r"^symmetrization has determinant 3, not \+-1$"):
+            form_to_pair(((-1, 1), (0, -1)))
+
+    def test_one_determinant_per_matrix(self, calls, e8_half):
+        """form_to_pair takes det S and det A once each and reads det a off
+        them; validate_pair on the result agrees and takes both again."""
+        forms = [A2, e8_half] + [skew_perturbed(half_form(block_diag(e8_gram(), H)), seed) for seed in range(3)]
+        counts = calls("seifert.mat_det")
+        for form in forms:
+            counts.clear()
+            pair = form_to_pair(form)
+            assert counts["seifert.mat_det"] == 2
+            assert mat_det(pair.a) == mat_det(pair.s) * mat_det(form)
+            assert validate_pair(pair.s, pair.a).ok
+
+    def test_every_pair_message(self):
+        assert validate_pair(((1, 2), (3, 4)), ((0, 0), (0, 0))).problems == (
+            "S is not symmetric",
+            "S has an odd diagonal entry, so it is not even",
+            "S has determinant -2, not +-1",
+            "a has determinant 0, so it is not injective",
+            "the relation S(ax, y) = S(x, (1-a)y) fails",
+        )
+
 
 class TestAlexanderAndCharpoly:
     def test_small_form(self):
@@ -250,6 +280,120 @@ class TestSignature:
                 continue
             assert signature_exact(m) == want
             checked += 1
+
+
+def skew_from(entries, n):
+    """The n x n skew matrix with ``entries`` above the diagonal, row by row."""
+    k = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            k[i][j] = next(it)
+            k[j][i] = -k[i][j]
+    return tuple(map(tuple, k))
+
+
+def hermitian_or_singular(fn, s, k, t):
+    try:
+        return fn(s, k, t)
+    except ValueError as exc:
+        assert "singular" in str(exc)
+        return "singular"
+
+
+LATTICE_GRAMS = {
+    "E8": e8_gram(),
+    "E8+H": block_diag(e8_gram(), H),
+    "E8+H+H": block_diag(block_diag(e8_gram(), H), H),
+}
+
+# t = p/d: negative, zero, small and large, with power-of-two and other d
+T_VALUES = st.builds(
+    Fraction,
+    st.one_of(st.integers(-40, 40), st.integers(-10**12, 10**12)),
+    st.sampled_from((1, 2, 3, 7, 64, 1024, 3 * 2**20)),
+)
+
+
+@st.composite
+def lattice_pencils(draw):
+    """(S, K, t): S a Gram matrix of E8, E8+H or E8+H+H, and K = A - A^T
+    for a Seifert form A = half_form(S) + skew over S."""
+    s = LATTICE_GRAMS[draw(st.sampled_from(sorted(LATTICE_GRAMS)))]
+    n = len(s)
+    skew = skew_from(draw(st.lists(st.sampled_from((0, 0, 0, -2, -1, 1, 2)),
+                                   min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)), n)
+    a = mat_add(half_form(s), skew)
+    return s, mat_add(a, tuple(tuple(-x for x in row) for row in transpose(a))), draw(T_VALUES)
+
+
+class TestHermitianKernel:
+    """The n x n elimination over Z[i] against the real 2n x 2n
+    realification of tests/oracles.py."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_pencils())
+    def test_lattice_pencils_match_realification(self, case):
+        s, k, t = case
+        want = hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
+        assert hermitian_or_singular(_hermitian_signature, s, k, t) == want
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6), T_VALUES)
+    def test_zero_diagonal_takes_the_block_pivot(self, entries, t):
+        """S = H + H and K skew: the whole diagonal of dS + i pK is 0, so
+        the first step is the 2 x 2 block pivot on b = d + i p K_01,
+        complex whenever p K_01 != 0."""
+        s = block_diag(H, H)
+        k = skew_from(entries, 4)
+        blocks = []
+        original = seifert._pivot_block
+
+        def counting(*args):
+            blocks.append(args[2:])
+            return original(*args)
+
+        seifert._pivot_block = counting
+        try:
+            got = hermitian_or_singular(_hermitian_signature, s, k, t)
+        finally:
+            seifert._pivot_block = original
+        assert got == hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
+        assert blocks and blocks[0] == (0, 1)
+
+    def test_zero_negative_and_huge_t(self):
+        grams = list(LATTICE_GRAMS.values()) + [block_diag(H, H)]
+        for seed, s in enumerate(grams):
+            a = skew_perturbed(half_form(s), seed)
+            k = mat_add(a, tuple(tuple(-x for x in row) for row in transpose(a)))
+            for t in (Fraction(0), Fraction(-5, 3), Fraction(10**30 + 1, 2**40), Fraction(-(10**30), 7)):
+                want = hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
+                assert hermitian_or_singular(_hermitian_signature, s, k, t) == want
+
+    def test_milnor_signatures_stays_at_size_n(self, monkeypatch):
+        """Every signature of a Milnor computation is taken on an n x n
+        matrix: ``signature_exact`` on S, the elimination on dS + i pK."""
+        sizes = []
+        for name in ("signature_exact", "_hermitian_elimination"):
+            original = getattr(seifert, name)
+
+            def sized(m, *rest, _original=original, _name=name):
+                sizes.append((_name, len(m)))
+                return _original(m, *rest)
+
+            monkeypatch.setattr(seifert, name, sized)
+        done = 0
+        for gram in LATTICE_GRAMS.values():
+            for pair in squarefree_pairs(half_form(gram), 2):
+                sizes.clear()
+                ms = milnor_signatures(pair.s, pair.a)
+                n = len(gram)
+                assert ("signature_exact", n) in sizes
+                assert sizes.count(("_hermitian_elimination", n)) == len(ms.values) + 1
+                assert all(size <= n for _, size in sizes)
+                done += 1
+        assert done == 6
 
 
 class TestUnimodularT:
