@@ -16,11 +16,8 @@ from .errors import (
 )
 from .intfactor import integer_factor, is_probable_prime
 from .milnor import (
-    MilnorAssignment,
-    MilnorFamily,
     enumerate_sign_tuples,
     expected_count,
-    mil_enum,
     mil_nonempty,
 )
 from .modp import (
@@ -48,16 +45,13 @@ from .pipeline import (
 from .polys import (
     ConditionReport,
     IntPoly,
-    RatPoly,
     alexander_check,
     delta_to_p,
-    divrem,
     gcd_z,
     is_squarefree_q,
     p_to_delta,
     parse_poly,
     poly_text,
-    rat_gcd,
     resultant,
     symmetric_check,
     trace_polynomial,

@@ -17,8 +17,7 @@ import sys
 
 from .errors import BudgetExceededError, CertificationError, KnotsigError, PolyParseError
 from .milnor import enumerate_sign_tuples
-from .obstruction import obstruction_group
-from .pipeline import AnalysisRequest, analyze, analyze_tau, report_render
+from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, report_render
 from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
 from .realroots import rho_delta, rho_p
 from .seifert import (
@@ -33,7 +32,7 @@ from .seifert import (
     validate_form,
 )
 from .version import TOOL_VERSION
-from .zfactor import factor_z, standing_assumptions
+from .zfactor import factor_z
 
 MILNOR_RHO_CAP = 64
 
@@ -106,17 +105,15 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    delta = parse_poly(args.delta)
-    rep = alexander_check(delta)
-    if not rep.all_pass:
+    facts = _delta_facts(parse_poly(args.delta), 0)
+    if facts.p is None:
         print("conditions on Delta fail; the obstruction group is not defined")
         return 0
-    p_poly = delta_to_p(delta)
-    sfs = standing_assumptions(p_poly)
-    if not (sfs.squarefree and sfs.all_symmetric):
+    if facts.reason is not None:
         print("standing assumptions fail (P must be a squarefree product of symmetric factors)")
         return 0
-    group, table = obstruction_group(sfs)
+    sfs = facts.factor_set
+    group, table = facts.obstruction
     for i, f in enumerate(sfs.factors):
         print(f"factor {i}: {poly_text(f)}")
     for entry in table:

@@ -13,5 +13,6 @@ class BudgetExceededError(KnotsigError):
     """An internal iteration budget ran out before the answer was certain."""
 
 
+# raised nowhere; kept because perfbench/worker.py counts it as a refusal
 class CertificationError(KnotsigError):
     """Sign certification did not converge within the precision cap."""

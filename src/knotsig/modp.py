@@ -240,11 +240,6 @@ class PolyModP:
     def derivative(self) -> "PolyModP":
         return PolyModP(self.p, (k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def pow_mod(self, e: int, mod: "PolyModP") -> "PolyModP":
-        """self**e reduced mod ``mod``."""
-        self._check(mod)
-        return _wrap(self.p, _powmod(self.coeffs, e, mod.coeffs, self.p))
-
     def __repr__(self) -> str:
         return f"PolyModP(p={self.p}, coeffs={list(self.coeffs)})"
 

@@ -41,6 +41,7 @@ class ObstructionGroup:
     rank: int
 
 
+# no caller in knotsig; kept because perfbench/tracing.py traces it
 def pi_set(
     f: IntPoly,
     g: IntPoly,

@@ -1,13 +1,13 @@
-"""Exact dense univariate polynomials over Z and Q.
+"""Exact dense univariate polynomials over Z.
 
-Coefficients are stored in ascending degree order with no trailing zeros;
-the zero polynomial has an empty coefficient tuple and degree -inf.  All
-arithmetic is exact: integer coefficients stay integers, rational ones are
-`fractions.Fraction` in lowest terms.  Questions about integer polynomials
-are answered in integers: divisibility over Z by integer long division
-with leading- and constant-coefficient pre-checks, gcds by primitive
+Coefficients are integers stored in ascending degree order with no
+trailing zeros; the zero polynomial has an empty coefficient tuple and
+degree -inf.  A `fractions.Fraction` appears only as a point at which a
+polynomial is evaluated.  Questions about integer polynomials are
+answered in integers: divisibility over Z by integer long division with
+leading- and constant-coefficient pre-checks, gcds by primitive
 pseudo-remainder sequences, squarefreeness over Q by a mod-p certificate
-with that gcd as the fallback; `RatPoly` serves the public API only.
+with that gcd as the fallback.
 
 Besides ring arithmetic this module carries the knot-specific transforms:
 the condition checker for Alexander polynomials, the involution-equivariant
@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import PolyParseError
 
@@ -59,10 +59,6 @@ class IntPoly:
     @staticmethod
     def x() -> "IntPoly":
         return IntPoly((0, 1))
-
-    @staticmethod
-    def monomial(c: int, k: int) -> "IntPoly":
-        return IntPoly((0,) * k + (c,))
 
     @property
     def is_zero(self) -> bool:
@@ -156,9 +152,6 @@ class IntPoly:
             g = -g
         return IntPoly(c // g for c in self.coeffs)
 
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(Fraction(c) for c in self.coeffs)
-
     def reversed_(self) -> "IntPoly":
         """Coefficient reversal X^deg * p(1/X)."""
         return IntPoly(reversed(self.coeffs))
@@ -168,138 +161,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
-
-
-@dataclass(frozen=True)
-class RatPoly:
-    """Rational polynomial; denominators positive, fractions in lowest terms."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(Fraction(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            return self
-        inv = 1 / self.lc
-        return RatPoly(c * inv for c in self.coeffs)
-
-    def divrem(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Quotient and remainder with deg(remainder) < deg(other)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        inv = 1 / other.lc
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] * inv
-            quot[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            rem.pop()
-        return RatPoly(quot), RatPoly(rem)
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return self.divrem(other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return self.divrem(other)[1]
-
-    def clear_denominators(self) -> IntPoly:
-        """Smallest positive integer multiple with integer coefficients,
-        returned as a primitive integer polynomial up to that scaling."""
-        if self.is_zero:
-            return IntPoly.zero()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return IntPoly(int(c * den) for c in self.coeffs)
-
-    def __str__(self) -> str:
-        return poly_text(self)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({[str(c) for c in self.coeffs]!r})"
-
-
-def divrem(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Euclidean division of rational polynomials."""
-    return p.divrem(q)
-
-
-def rat_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (Euclid)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a.divrem(b)[1]
-    return a.monic() if not a.is_zero else a
 
 
 def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -398,7 +259,7 @@ def parse_poly(text: str) -> IntPoly:
     return IntPoly(out)
 
 
-def poly_text(p: "IntPoly | RatPoly") -> str:
+def poly_text(p: IntPoly) -> str:
     """Render in the ``x^k`` syntax accepted by :func:`parse_poly`."""
     if p.is_zero:
         return "0"
@@ -522,6 +383,7 @@ def certified_squarefree(f: IntPoly) -> bool:
     )
 
 
+# no caller in knotsig; kept because perfbench/tracing.py traces it
 def is_squarefree_q(f: IntPoly) -> bool:
     """True when gcd(f, f') is constant over Q: by a mod-p certificate, or
     else (always when f is not squarefree) by ``gcd_z``."""

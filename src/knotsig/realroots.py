@@ -1,7 +1,8 @@
 """Exact real-root counting and isolation via Sturm sequences.
 
-Endpoints are exact rationals and every sign is exact, so counts and
-intervals are certificates, not approximations.  Sturm sequences are
+Inputs are integer polynomials (`IntPoly`).  Endpoints are exact
+rationals and every sign is exact, so counts and intervals are
+certificates, not approximations.  Sturm sequences are
 sign-corrected primitive pseudo-remainder sequences over Z, and every sign
 at a point p/q (or at +-infinity, as (+-1, 0)) is that of one homogeneous
 integer Horner sum.  Bisection keeps its endpoints as integer numerators
@@ -31,13 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .polys import (
-    IntPoly,
-    RatPoly,
-    _pseudo_rem,
-    trace_polynomial,
-    v_polynomial,
-)
+from .polys import IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
 
 Endpoint = Union[Fraction, int, float]  # float only for +-inf
 
@@ -64,16 +59,10 @@ class IrrRFactor:
     v_root_interval: IsolatingInterval
 
 
-def _as_int(f: IntPoly | RatPoly) -> IntPoly:
-    """f, or a positive integer multiple of a RatPoly: same signs."""
-    return f if isinstance(f, IntPoly) else f.clear_denominators()
-
-
-def sturm_sequence(f: IntPoly | RatPoly, g: IntPoly | None = None) -> list[IntPoly]:
+def sturm_sequence(f: IntPoly, g: IntPoly | None = None) -> list[IntPoly]:
     """f, g (by default f'), then negated remainders until constant, each
     a positive multiple of the rational one: the pseudo-remainder, negated
     unless lc(b)^(deg a - deg b + 1) < 0, over its content."""
-    f = _as_int(f)
     seq = [f, f.derivative() if g is None else g]
     while not seq[-1].is_zero and seq[-1].degree > 0:
         a, b = seq[-2], seq[-1]
@@ -111,7 +100,7 @@ def _variations(seq: list[IntPoly], p: int, q: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _checked_sequence(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
+def _checked_sequence(f: IntPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
     """The Sturm sequence of f, once f is squarefree (the sequence ends in
     a constant), a < b, and neither finite endpoint is a root."""
     if f.is_zero:
@@ -128,7 +117,7 @@ def _checked_sequence(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> list[In
     return seq
 
 
-def sturm_count(f: IntPoly | RatPoly, a: Endpoint, b: Endpoint) -> int:
+def sturm_count(f: IntPoly, a: Endpoint, b: Endpoint) -> int:
     """Number of real roots of squarefree f in the open interval (a, b);
     finite endpoints must not be roots."""
     seq = _checked_sequence(f, a, b)
@@ -173,7 +162,7 @@ def _isolated(g: IntPoly, lo: int, hi: int, d: int, width: Fraction) -> Isolatin
 
 
 def isolate_roots(
-    f: IntPoly | RatPoly, a: Endpoint = NEG_INF, b: Endpoint = POS_INF, width: Fraction = DEFAULT_WIDTH
+    f: IntPoly, a: Endpoint = NEG_INF, b: Endpoint = POS_INF, width: Fraction = DEFAULT_WIDTH
 ) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, one per real root of squarefree f in
     (a, b), bisection-refined below ``width``: Sturm counts split the
@@ -181,8 +170,7 @@ def isolate_roots(
     the half that holds it.  Every split point is a midpoint, moved by a
     quarter, an eighth, ... of the width while it is a root."""
     seq = _checked_sequence(f, a, b)
-    g = seq[0]
-    bound = 2 + Fraction(max(abs(c) for c in g.coeffs), abs(g.lc))  # Cauchy
+    bound = 2 + Fraction(max(abs(c) for c in f.coeffs), abs(f.lc))  # Cauchy
     lo = Fraction(a) if a != NEG_INF else -bound
     hi = Fraction(b) if b != POS_INF else bound
     lo_n, hi_n, d = _numerators(lo, hi)
@@ -192,9 +180,9 @@ def isolate_roots(
         l, h, d, vl, vh = stack.pop()
         c = vl - vh
         if c == 1:
-            out.append(_isolated(g, l, h, d, width))
+            out.append(_isolated(f, l, h, d, width))
         elif c:
-            mid, e, _ = _split(g, l, h, d)
+            mid, e, _ = _split(f, l, h, d)
             d <<= e
             vm = _variations(seq, mid, d)
             stack.append((l << e, mid, d, vl, vm))
@@ -203,18 +191,17 @@ def isolate_roots(
     return out
 
 
-def refine_interval(f: IntPoly | RatPoly, iv: IsolatingInterval) -> IsolatingInterval:
+def refine_interval(f: IntPoly, iv: IsolatingInterval) -> IsolatingInterval:
     """One bisection step preserving the single contained root."""
-    g = _as_int(f)
     lo_n, hi_n, d = _numerators(iv.lo, iv.hi)
-    mid, e, sm = _split(g, lo_n, hi_n, d)
-    if sm == _sign_hom(g, lo_n, d):
+    mid, e, sm = _split(f, lo_n, hi_n, d)
+    if sm == _sign_hom(f, lo_n, d):
         return _fractions(mid, hi_n << e, d << e)
     return _fractions(lo_n << e, mid, d << e)
 
 
 def root_gaps(
-    f: IntPoly | RatPoly, ivs: list[IsolatingInterval], top: Fraction
+    f: IntPoly, ivs: list[IsolatingInterval], top: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Root-free open intervals (lo, hi) with lo < hi: one between each
     two consecutive roots isolated by the sorted ``ivs``, and one between
@@ -235,14 +222,14 @@ def root_gaps(
     return gaps
 
 
-def sign_at_root(expr: IntPoly | RatPoly, minpoly: IntPoly | RatPoly, iv: IsolatingInterval) -> int:
+# no caller in knotsig; kept because perfbench/tracing.py traces it
+def sign_at_root(expr: IntPoly, minpoly: IntPoly, iv: IsolatingInterval) -> int:
     """Sign of expr(lambda) for the root lambda of ``minpoly`` isolated by
     ``iv``, by the Sturm-Tarski theorem: the Sturm sequence of (m, m' expr)
     drops across iv by the sum of sign(expr(x)) over the roots x of m in iv."""
     if expr.is_zero:
         raise ValueError("expression is identically zero")
-    m = _as_int(minpoly)
-    seq = sturm_sequence(m, m.derivative() * _as_int(expr))
+    seq = sturm_sequence(minpoly, minpoly.derivative() * expr)
     return _variations(seq, *_point(iv.lo)) - _variations(seq, *_point(iv.hi))
 
 

@@ -180,7 +180,7 @@ class MilnorAssignmentComputed:
 
     factors: tuple[IrrRFactor, ...]
     values: tuple[int, ...]
-    kernel_dims: tuple[int, ...]
+    kernel_dims: tuple[int, ...]  # kept because perfbench/worker.py writes it
     total: int
 
     @property

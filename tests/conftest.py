@@ -8,8 +8,9 @@ from collections import Counter
 
 import pytest
 
-from knotsig import IntPoly, RatPoly, delta_to_p, e8_gram, half_form, parse_poly
+from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.pipeline import _delta_facts
+from oracles import RatPoly
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +54,8 @@ def make_delta_a(a: int) -> IntPoly:
 
 @pytest.fixture
 def ratpoly_calls(monkeypatch) -> dict[str, int]:
-    """Counts the RatPoly arithmetic done during the test, by method:
-    ``divrem`` (behind ``%``, ``//`` and ``rat_gcd``), ``__mul__`` (with
+    """Counts the arithmetic of the oracles' RatPoly done during the test,
+    by method: ``divrem`` (behind ``%`` and ``rat_gcd``), ``__mul__`` (with
     ``__rmul__``) and ``evaluate``."""
     calls = {"divrem": 0, "__mul__": 0, "evaluate": 0}
     for attr, name in (("divrem", "divrem"), ("__mul__", "__mul__"),

@@ -27,18 +27,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from knotsig import (
     IntPoly,
-    RatPoly,
     alexander_check,
-    divrem,
     factor_z,
     irr_r_factors,
-    rat_gcd,
     rho_delta,
     v_polynomial,
 )
@@ -46,6 +44,124 @@ from knotsig import symmetric_check, zfactor
 from knotsig.modp import PolyModP, is_symmetric_mod_p
 from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count, sturm_sequence
 from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
+
+
+@dataclass(frozen=True)
+class RatPoly:
+    """Rational polynomial for the Fraction oracles: ascending
+    coefficients, no trailing zeros, fractions in lowest terms."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def zero() -> "RatPoly":
+        return RatPoly(())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int | float:
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    @property
+    def lc(self) -> Fraction:
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __add__(self, other: "RatPoly") -> "RatPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RatPoly(out)
+
+    def __sub__(self, other: "RatPoly") -> "RatPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "RatPoly":
+        return RatPoly(-c for c in self.coeffs)
+
+    def __mul__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
+        if isinstance(other, (int, Fraction)):
+            return RatPoly(c * other for c in self.coeffs)
+        if self.is_zero or other.is_zero:
+            return RatPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, d in enumerate(other.coeffs):
+                    out[i + j] += c * d
+        return RatPoly(out)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, x) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "RatPoly":
+        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+
+    def monic(self) -> "RatPoly":
+        if self.is_zero:
+            return self
+        inv = 1 / self.lc
+        return RatPoly(c * inv for c in self.coeffs)
+
+    def divrem(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
+        """Quotient and remainder with deg(remainder) < deg(other)."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = list(self.coeffs)
+        d = len(other.coeffs) - 1
+        inv = 1 / other.lc
+        while len(rem) - 1 >= d and any(rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < d:
+                break
+            k = len(rem) - 1 - d
+            q = rem[-1] * inv
+            quot[k] = q
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= q * c
+            rem.pop()
+        return RatPoly(quot), RatPoly(rem)
+
+    def __mod__(self, other: "RatPoly") -> "RatPoly":
+        return self.divrem(other)[1]
+
+    def clear_denominators(self) -> IntPoly:
+        """Smallest positive integer multiple with integer coefficients."""
+        den = 1
+        for c in self.coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return IntPoly(int(c * den) for c in self.coeffs)
+
+
+def divrem(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Euclidean division of rational polynomials."""
+    return p.divrem(q)
+
+
+def rat_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Monic gcd over Q (Euclid)."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a.divrem(b)[1]
+    return a.monic() if not a.is_zero else a
 
 
 def det_fraction(rows: list[list[int]]) -> int:
@@ -108,7 +224,7 @@ def trial_division(n: int) -> list[int]:
 def exact_div_by_divrem(f: IntPoly, g: IntPoly) -> IntPoly | None:
     """f / g for nonzero g by rational long division, or None unless the
     remainder is zero and the quotient integral."""
-    q, r = divrem(f.to_rat(), g.to_rat())
+    q, r = divrem(RatPoly(f.coeffs), RatPoly(g.coeffs))
     if not r.is_zero or any(c.denominator != 1 for c in q.coeffs):
         return None
     return IntPoly(int(c) for c in q.coeffs)
@@ -123,7 +239,7 @@ def divides_by_divrem(g: IntPoly, f: IntPoly) -> bool:
 
 def squarefree_by_rat_gcd(f: IntPoly) -> bool:
     """Whether gcd(f, f') is constant, by Euclid's algorithm in Fractions."""
-    return f.degree < 1 or rat_gcd(f.to_rat(), f.derivative().to_rat()).degree == 0
+    return f.degree < 1 or rat_gcd(RatPoly(f.coeffs), RatPoly(f.derivative().coeffs)).degree == 0
 
 
 def _trim_steps(c: list[int]) -> tuple[int, ...]:
@@ -268,9 +384,8 @@ def is_irreducible_bruteforce(h: IntPoly) -> bool:
                     g = IntPoly((c0,) + tuple(mid) + (lc,))
                     if g.degree != d1:
                         continue
-                    _, rem = divrem(h.to_rat(), g.to_rat())
+                    q, rem = divrem(RatPoly(h.coeffs), RatPoly(g.coeffs))
                     if rem.is_zero:
-                        q = h.to_rat().divrem(g.to_rat())[0]
                         if all(c.denominator == 1 for c in q.coeffs):
                             return False
     return True
@@ -339,8 +454,8 @@ def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
     values: list[int] = []
     for factor in factors:
         iv = factor.v_root_interval
-        (q,) = [mp for mp in minpolys if sturm_count(mp.to_rat(), iv.lo, iv.hi) == 1]
-        q_rat = q.to_rat().monic()
+        (q,) = [mp for mp in minpolys if sturm_count(mp, iv.lo, iv.hi) == 1]
+        q_rat = RatPoly(q.coeffs).monic()
         # entries of b - Y*I as elements of Q[Y]/(q)
         m = [
             [
@@ -366,10 +481,11 @@ def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
         g11, g12, g22 = gram(v1, v1), gram(v1, v2), gram(v2, v2)
         det_g = (g11 * g22 - g12 * g12) % q_rat
         assert not det_g.is_zero, "restricted form is degenerate"
-        if sign_at_root(det_g, q_rat, iv) < 0:
+        # sign_at_root takes integer polynomials: positive multiples keep the signs
+        if sign_at_root(det_g.clear_denominators(), q, iv) < 0:
             values.append(0)
         else:
-            values.append(2 * sign_at_root(g11, q_rat, iv))
+            values.append(2 * sign_at_root(g11.clear_denominators(), q, iv))
     return tuple(values)
 
 
@@ -568,7 +684,7 @@ def delta_to_p_by_expansion(delta: IntPoly) -> IntPoly:
     pow_xm1 = IntPoly.one()
     for k, c in enumerate(delta.coeffs):
         if c:
-            acc = acc + c * (pow_xm1 * IntPoly.monomial(1, 2 * n - k))
+            acc = acc + c * (pow_xm1 * IntPoly.x() ** (2 * n - k))
         pow_xm1 = pow_xm1 * x_minus_1
     return acc if n % 2 == 0 else -acc
 
@@ -580,7 +696,7 @@ def p_to_delta_by_expansion(p: IntPoly) -> IntPoly:
     acc = IntPoly.zero()
     for k, c in enumerate(p.coeffs):
         if c:
-            acc = acc + c * (IntPoly.monomial(1, k) * x_minus_1 ** (2 * n - k))
+            acc = acc + c * (IntPoly.x() ** k * x_minus_1 ** (2 * n - k))
     return acc if n % 2 == 0 else -acc
 
 

@@ -23,7 +23,6 @@ from knotsig import (
     factor_z,
     form_to_pair,
     is_squarefree_q,
-    mil_enum,
     mil_nonempty,
     milnor_signatures,
     obstruction_group,
@@ -42,13 +41,13 @@ from knotsig import (
     validate_pair,
 )
 from knotsig.modp import PolyModP, symmetric_common_factor
-from knotsig.polys import rat_gcd
 from knotsig.seifert import charpoly, e8_gram, half_form, mat_add, mat_det, mat_mul, transpose
 
 from conftest import make_delta_a
 from oracles import (
     brute_force_symmetric_common_factor,
     count_real_roots_float,
+    squarefree_by_rat_gcd,
     sylvester_resultant,
 )
 from test_seifert import A2, random_conjugates
@@ -221,16 +220,15 @@ def test_c8_oracles():
         f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randrange(2, 10))])
         if f.is_zero or f.degree < 1:
             continue
-        fr = f.to_rat()
-        if rat_gcd(fr, fr.derivative()).degree > 0:
+        if not squarefree_by_rat_gcd(f):
             continue
         a, b = sorted(rng.sample(range(-12, 13), 2))
-        if fr.evaluate(a) == 0 or fr.evaluate(b) == 0:
+        if f.evaluate(a) == 0 or f.evaluate(b) == 0:
             continue
         want = count_real_roots_float(f, a, b)
         if want is None:
             continue
-        assert sturm_count(fr, a, b) == want
+        assert sturm_count(f, a, b) == want
         checked += 1
 
     # resultant vs Sylvester determinant, 100 cases, deg <= 6, coeffs in [-9, 9]
@@ -253,8 +251,8 @@ def test_c8_oracles():
 def test_c9_mil_combinatorics():
     p = delta_to_p(DELTA1 * DELTA2)
     assert rho_p(p) == 8
-    assert len(mil_enum(p, 0)) == 6
-    assert len(mil_enum(p, 8)) == 1
+    assert len(enumerate_sign_tuples(rho_p(p) // 2, 0)) == 6
+    assert len(enumerate_sign_tuples(rho_p(p) // 2, 8)) == 1
     for rho in range(0, 13, 2):
         for s in range(-rho - 4, rho + 5):
             assert mil_nonempty(rho, s) == (len(enumerate_sign_tuples(rho // 2, s)) > 0)

@@ -139,6 +139,18 @@ class TestSubcommands:
         assert code == 0
         assert "group rank: 0" in out and "primes(0,1) = {2}" in out
 
+    def test_group_conditions_fail(self, capsys):
+        # Delta(1) = 1, not (-1)^1
+        code, out, _ = run(capsys, "group", "--delta", "1,-1,1")
+        assert code == 0
+        assert out == "conditions on Delta fail; the obstruction group is not defined\n"
+
+    def test_group_standing_assumptions_fail(self, capsys):
+        # (x^2 - x + 1)^2 meets the conditions, but P is a square
+        code, out, _ = run(capsys, "group", "--delta", "1,-2,3,-2,1")
+        assert code == 0
+        assert out == "standing assumptions fail (P must be a squarefree product of symmetric factors)\n"
+
     def test_milnor(self, capsys):
         code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "0")
         assert code == 0

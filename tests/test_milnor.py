@@ -10,9 +10,9 @@ from knotsig import (
     delta_to_p,
     enumerate_sign_tuples,
     expected_count,
-    mil_enum,
     mil_nonempty,
     parse_poly,
+    rho_p,
 )
 
 
@@ -67,23 +67,27 @@ class TestNonempty:
 
 
 class TestMilEnum:
+    """The family of a P and a target s: ``enumerate_sign_tuples`` on the
+    rho_p(P)/2 unit-circle factors of P."""
+
     def test_on_example_product(self, delta1, delta2):
         p = delta_to_p(delta1 * delta2)
-        fam = mil_enum(p, 0)
-        assert fam.rho == 8 and len(fam) == 6
-        fam8 = mil_enum(p, 8)
-        assert len(fam8) == 1 and fam8.assignments[0].values == (2, 2, 2, 2)
-        assert len(mil_enum(p, 4)) == 4
-        assert mil_enum(p, 2).assignments == ()
-        assert mil_enum(p, 10).assignments == ()
+        k = rho_p(p) // 2
+        assert 2 * k == 8 and len(enumerate_sign_tuples(k, 0)) == 6
+        fam8 = enumerate_sign_tuples(k, 8)
+        assert len(fam8) == 1 and fam8[0] == (2, 2, 2, 2)
+        assert len(enumerate_sign_tuples(k, 4)) == 4
+        assert enumerate_sign_tuples(k, 2) == []
+        assert enumerate_sign_tuples(k, 10) == []
 
     def test_assignments_resum(self, delta1):
-        p = delta_to_p(delta1)
+        k = rho_p(delta_to_p(delta1)) // 2
         for s in (-4, 0, 4):
-            for a in mil_enum(p, s).assignments:
-                assert a.total == s
+            for t in enumerate_sign_tuples(k, s):
+                assert sum(t) == s
 
     def test_no_factors(self):
-        fam = mil_enum(parse_poly("x^2 - x - 2"), 0)
-        assert fam.rho == 0 and len(fam) == 1
-        assert fam.assignments[0].values == ()
+        k = rho_p(parse_poly("x^2 - x - 2")) // 2
+        fam = enumerate_sign_tuples(k, 0)
+        assert 2 * k == 0 and len(fam) == 1
+        assert fam[0] == ()

@@ -13,7 +13,6 @@ from knotsig import (
     PolyParseError,
     alexander_check,
     delta_to_p,
-    divrem,
     is_squarefree_q,
     p_to_delta,
     parse_poly,
@@ -27,10 +26,13 @@ from knotsig.modp import PolyModP, gcd_mod_p
 from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div, gcd_z
 from conftest import make_delta_a
 from oracles import (
+    RatPoly,
     delta_to_p_by_expansion,
     divides_by_divrem,
+    divrem,
     exact_div_by_divrem,
     p_to_delta_by_expansion,
+    rat_gcd,
     squarefree_by_rat_gcd,
     sylvester_resultant,
     v_polynomial_by_peeling,
@@ -39,6 +41,10 @@ from oracles import (
 
 def P(text: str) -> IntPoly:
     return parse_poly(text)
+
+
+def R(text: str) -> RatPoly:
+    return RatPoly(parse_poly(text).coeffs)
 
 
 class TestArithmetic:
@@ -70,29 +76,31 @@ class TestArithmetic:
 
 
 class TestDivrem:
+    """The oracles' rational long division."""
+
     def test_exact(self):
-        q, r = divrem(P("x^2 - 1").to_rat(), P("x - 1").to_rat())
-        assert q == P("x + 1").to_rat() and r.is_zero
+        q, r = divrem(R("x^2 - 1"), R("x - 1"))
+        assert q == R("x + 1") and r.is_zero
 
     def test_self(self):
-        q, r = divrem(P("x^2").to_rat(), P("x^2").to_rat())
-        assert q == IntPoly.one().to_rat() and r.is_zero
+        q, r = divrem(R("x^2"), R("x^2"))
+        assert q == R("1") and r.is_zero
 
     def test_remainder_remultiplies(self):
-        a, b = P("x^3").to_rat(), P("x^2 - 1").to_rat()
+        a, b = R("x^3"), R("x^2 - 1")
         q, r = divrem(a, b)
-        assert q == P("x").to_rat() and r == P("x").to_rat()
+        assert q == R("x") and r == R("x")
         assert b * q + r == a
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            divrem(P("x").to_rat(), IntPoly.zero().to_rat())
+            divrem(R("x"), RatPoly.zero())
 
     def test_random_remultiplication(self):
         rng = random.Random(11)
         for _ in range(100):
-            a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randrange(1, 8))]).to_rat()
-            b = IntPoly([rng.randint(-9, 9) for _ in range(rng.randrange(1, 6))]).to_rat()
+            a = RatPoly([rng.randint(-9, 9) for _ in range(rng.randrange(1, 8))])
+            b = RatPoly([rng.randint(-9, 9) for _ in range(rng.randrange(1, 6))])
             if b.is_zero:
                 continue
             q, r = divrem(a, b)
@@ -123,7 +131,7 @@ def _division_pairs(seed: int, count: int):
             if rng.random() < 0.2:
                 f = f * rng.choice((2, 3, -5))
         elif kind == 1:
-            f = g * _random_poly(rng, 5) + IntPoly.monomial(rng.choice((-1, 1, 2)), rng.randrange(0, 6))
+            f = g * _random_poly(rng, 5) + rng.choice((-1, 1, 2)) * IntPoly.x() ** rng.randrange(0, 6)
         elif kind == 2:
             f = _random_poly(rng, 8)
         else:
@@ -468,8 +476,6 @@ class TestGcdZ:
             yield f, g
 
     def test_against_rat_gcd(self):
-        from knotsig import rat_gcd
-
         common = 0
         for f, g in self.pairs(83, 400):
             got = gcd_z(f, g)
@@ -478,8 +484,8 @@ class TestGcdZ:
                 assert got == (other if other.lc >= 0 else -other)
                 continue
             assert got.lc > 0
-            want = rat_gcd(f.to_rat(), g.to_rat())
-            assert got.to_rat().monic() == want, (f, g)
+            want = rat_gcd(RatPoly(f.coeffs), RatPoly(g.coeffs))
+            assert RatPoly(got.coeffs).monic() == want, (f, g)
             assert got.content() == math.gcd(f.content(), g.content())
             assert divides(got, f) and divides(got, g)
             common += got.degree >= 1
@@ -529,7 +535,7 @@ class TestVPolynomial:
                 continue
             p = q.compose(v)
             assert v_polynomial(p) == v_polynomial_by_peeling(p) == q
-            moved = p + IntPoly.monomial(rng.choice([-1, 1]), rng.randrange(0, 2 * int(q.degree) + 3))
+            moved = p + rng.choice([-1, 1]) * IntPoly.x() ** rng.randrange(0, 2 * int(q.degree) + 3)
             if moved.is_zero:
                 continue
             want = v_polynomial_by_peeling(moved)
@@ -564,7 +570,7 @@ class TestTracePolynomial:
             # X^n * D(X + 1/X) = sum d_k X^(n-k) (X^2+1)^k, all times X^k/X^k
             acc = IntPoly.zero()
             for k, c in enumerate(d.coeffs):
-                acc = acc + c * (P("x^2 + 1") ** k * IntPoly.monomial(1, n - k))
+                acc = acc + c * (P("x^2 + 1") ** k * IntPoly.x() ** (n - k))
             assert acc == delta
             done += 1
 

@@ -34,6 +34,7 @@ from knotsig.realroots import (
 )
 from conftest import make_delta_a
 from oracles import (
+    RatPoly,
     count_real_roots_float,
     fraction_isolate_roots,
     fraction_refine_interval,
@@ -49,27 +50,23 @@ from oracles import (
 INF = float("inf")
 
 
-def rat(text: str):
-    return parse_poly(text).to_rat()
-
-
 class TestSturmCount:
     def test_sqrt2_positive(self):
-        assert sturm_count(rat("x^2 - 2"), 0, INF) == 1
+        assert sturm_count(parse_poly("x^2 - 2"), 0, INF) == 1
 
     def test_no_real_roots(self):
-        assert sturm_count(rat("x^2 + 1"), -INF, INF) == 0
+        assert sturm_count(parse_poly("x^2 + 1"), -INF, INF) == 0
 
     def test_trace_quartic(self):
-        assert sturm_count(rat("x^2 - 3"), -2, 2) == 2
+        assert sturm_count(parse_poly("x^2 - 3"), -2, 2) == 2
 
     def test_endpoint_root_raises(self):
         with pytest.raises(ValueError, match="endpoint"):
-            sturm_count(rat("x^2 - 4"), 2, INF)
+            sturm_count(parse_poly("x^2 - 4"), 2, INF)
 
     def test_non_squarefree_raises(self):
         with pytest.raises(ValueError, match="squarefree"):
-            sturm_count(rat("x^2 - 2*x + 1"), -INF, INF)
+            sturm_count(parse_poly("x^2 - 2*x + 1"), -INF, INF)
 
     def test_against_float_oracle(self):
         """On random f, a third of them times the square of a random
@@ -84,57 +81,53 @@ class TestSturmCount:
                 f = f * IntPoly([rng.randint(-3, 3) for _ in range(rng.randrange(2, 4))]) ** 2
             if f.is_zero or f.degree < 1:
                 continue
-            fr = f.to_rat()
             squarefree = sturm_sequence(f)[-1].degree == 0
             assert squarefree == is_squarefree_q(f) == squarefree_by_rat_gcd(f), f.coeffs
             if not squarefree:
                 squares += 1
                 with pytest.raises(ValueError, match="squarefree"):
-                    sturm_count(fr, -INF, INF)
+                    sturm_count(f, -INF, INF)
                 continue
             a, b = sorted(rng.sample(range(-12, 13), 2))
-            if fr.evaluate(a) == 0 or fr.evaluate(b) == 0:
+            if f.evaluate(a) == 0 or f.evaluate(b) == 0:
                 continue
             want = count_real_roots_float(f, a, b)
             if want is None:
                 continue
-            assert sturm_count(fr, a, b) == want, (f.coeffs, a, b)
+            assert sturm_count(f, a, b) == want, (f.coeffs, a, b)
             checked += 1
         assert squares >= 50
 
 
 class TestIsolateRoots:
     def test_single(self):
-        ivs = isolate_roots(rat("x^2 - 2"), 0, 3)
+        ivs = isolate_roots(parse_poly("x^2 - 2"), 0, 3)
         assert len(ivs) == 1
         iv = ivs[0]
         assert iv.lo < Fraction(141421, 100000) < iv.hi
 
     def test_three_known_roots(self):
-        ivs = isolate_roots(rat("-6,11,-6,1"), 0, 4)
+        ivs = isolate_roots(parse_poly("-6,11,-6,1"), 0, 4)
         assert len(ivs) == 3
         for iv, root in zip(ivs, (1, 2, 3)):
             assert iv.lo < root < iv.hi
 
     def test_empty(self):
-        assert isolate_roots(rat("x^2 + 1")) == []
+        assert isolate_roots(parse_poly("x^2 + 1")) == []
 
     def test_disjoint_and_sorted(self):
         rng = random.Random(67)
         for _ in range(40):
             f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randrange(2, 9))])
-            fr = f.to_rat()
-            from knotsig.polys import rat_gcd
-
-            if f.is_zero or f.degree < 1 or rat_gcd(fr, fr.derivative()).degree > 0:
+            if f.is_zero or f.degree < 1 or not squarefree_by_rat_gcd(f):
                 continue
-            ivs = isolate_roots(fr)
-            assert len(ivs) == sturm_count(fr, -INF, INF)
+            ivs = isolate_roots(f)
+            assert len(ivs) == sturm_count(f, -INF, INF)
             for a, b in zip(ivs, ivs[1:]):
                 assert a.hi <= b.lo
             for iv in ivs:
-                assert fr.evaluate(iv.lo) != 0 and fr.evaluate(iv.hi) != 0
-                assert sturm_count(fr, iv.lo, iv.hi) == 1
+                assert f.evaluate(iv.lo) != 0 and f.evaluate(iv.hi) != 0
+                assert sturm_count(f, iv.lo, iv.hi) == 1
 
 
 class TestRho:
@@ -267,20 +260,20 @@ class TestIrrRFactors:
 
 class TestCertifiedSigns:
     def test_interval_eval_contains_value(self):
-        p = rat("x^3 - 2*x + 1")
+        p = parse_poly("x^3 - 2*x + 1")
         lo, hi = interval_eval(p, Fraction(1, 3), Fraction(1, 2))
         for x in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
             assert lo <= p.evaluate(x) <= hi
 
     def test_sign_at_sqrt2(self):
-        minpoly = rat("x^2 - 2")
+        minpoly = parse_poly("x^2 - 2")
         ivs = isolate_roots(minpoly, 0, 3)
-        # sign of (x - 1) at sqrt(2) is +, sign of (x - 3/2) is -
-        assert sign_at_root(rat("x - 1"), minpoly, ivs[0]) == 1
-        assert sign_at_root(parse_poly("-3,2").to_rat() * Fraction(1, 2), minpoly, ivs[0]) == -1
+        # sign of (x - 1) at sqrt(2) is +, sign of 2(x - 3/2) is -
+        assert sign_at_root(parse_poly("x - 1"), minpoly, ivs[0]) == 1
+        assert sign_at_root(parse_poly("2*x - 3"), minpoly, ivs[0]) == -1
 
     def test_refine_keeps_root(self):
-        minpoly = rat("x^2 - 2")
+        minpoly = parse_poly("x^2 - 2")
         iv = isolate_roots(minpoly, 0, 3)[0]
         for _ in range(20):
             iv = refine_interval(minpoly, iv)
@@ -320,48 +313,47 @@ class TestAgainstFractionChain:
 
     def test_sequence_is_a_positive_multiple(self):
         for f in self.CASES:
-            seq, rat_seq = sturm_sequence(f), rat_sturm_sequence(f.to_rat())
+            seq, rat_seq = sturm_sequence(f), rat_sturm_sequence(RatPoly(f.coeffs))
             assert len(seq) == len(rat_seq)
             for g, r in zip(seq, rat_seq):
                 assert g.degree == r.degree
                 ratio = Fraction(g.lc) / r.lc
-                assert ratio > 0 and g.to_rat() == r * ratio
+                assert ratio > 0 and RatPoly(g.coeffs) == r * ratio
             assert all(g.content() == 1 for g in seq[2:])
 
     def test_counts(self):
         rng = random.Random(101)
         points = [-INF, INF] + [Fraction(rng.randint(-40, 40), rng.randint(1, 16)) for _ in range(12)]
         for f in self.CASES:
-            fr = f.to_rat()
+            fr = RatPoly(f.coeffs)
             usable = [x for x in points if x in (-INF, INF) or fr.evaluate(x) != 0]
             for _ in range(6):
                 a, b = sorted(rng.sample(usable, 2))
                 want = rat_sturm_count(fr, a, b)
-                assert sturm_count(f, a, b) == want == sturm_count(fr, a, b)
+                assert sturm_count(f, a, b) == want
 
     def test_intervals(self):
         for f in self.CASES:
             for a, b in ((-INF, INF), (-INF, Fraction(-1, 4)), (Fraction(-3, 7), Fraction(5, 2))):
                 if b != INF and f.evaluate(b) == 0 or a != -INF and f.evaluate(a) == 0:
                     continue
-                want = rat_isolate_roots(f.to_rat(), a, b)
-                assert isolate_roots(f, a, b) == want == isolate_roots(f.to_rat(), a, b)
+                assert isolate_roots(f, a, b) == rat_isolate_roots(RatPoly(f.coeffs), a, b)
 
     def test_signs_at_roots(self):
         rng = random.Random(103)
         for f in self.CASES[:20]:
-            fr = f.to_rat()
+            fr = RatPoly(f.coeffs)
             for iv in isolate_roots(f):
                 expr = IntPoly([rng.randint(-9, 9) for _ in range(int(f.degree))])
                 if expr.is_zero or gcd_z(f, expr).degree > 0:
                     continue  # expr might vanish at the root
-                want = sign_at_root_by_bisection(expr.to_rat(), fr, iv)
-                assert sign_at_root(expr, f, iv) == want == sign_at_root(expr.to_rat(), fr, iv)
+                want = sign_at_root_by_bisection(RatPoly(expr.coeffs), fr, iv)
+                assert sign_at_root(expr, f, iv) == want
 
 
 class TestRootGaps:
     # Q = (x + 1)(2048x + 2049): roots -1 - 1/2048 and -1
-    Q = (IntPoly([1, 1]) * IntPoly([2049, 2048])).to_rat()
+    Q = IntPoly([1, 1]) * IntPoly([2049, 2048])
     SHARED = Fraction(-1) - Fraction(1, 4096)
     TOUCHING = [
         IsolatingInterval(Fraction(-3, 2), SHARED),
@@ -416,7 +408,7 @@ class TestIntegerBisection:
         want = fraction_isolate_roots(f, a, b, width)
         assert [(str(iv.lo), str(iv.hi)) for iv in got] == [(str(iv.lo), str(iv.hi)) for iv in want]
         if rat_chain:
-            assert got == rat_isolate_roots(f.to_rat(), a, b, width)
+            assert got == rat_isolate_roots(RatPoly(f.coeffs), a, b, width)
         return got
 
     def test_cases(self):
@@ -453,7 +445,7 @@ class TestIntegerBisection:
         for iv in ivs:
             for _ in range(12):
                 want = fraction_refine_interval(f, iv)
-                assert refine_interval(f, iv) == want == refine_interval(f.to_rat(), iv)
+                assert refine_interval(f, iv) == want
                 iv = want
         for g in self.CASES[:20]:
             for iv in isolate_roots(g, -INF, INF, Fraction(1, 4)):
@@ -462,9 +454,7 @@ class TestIntegerBisection:
     def test_root_gaps(self):
         q = TestRootGaps.Q
         for top in (Fraction(-1, 4), Fraction(-1, 2)):
-            assert root_gaps(q, TestRootGaps.TOUCHING, top) == fraction_root_gaps(
-                q.clear_denominators(), TestRootGaps.TOUCHING, top
-            )
+            assert root_gaps(q, TestRootGaps.TOUCHING, top) == fraction_root_gaps(q, TestRootGaps.TOUCHING, top)
         for f in self.CASES:
             if f.evaluate(Fraction(-1, 4)) == 0:
                 continue

@@ -517,7 +517,7 @@ class TestSamplePoints:
         """Q = (x + 1)(2048x + 2049) has v-roots 1/2048 apart; intervals
         sharing the endpoint -1 - 1/4096 leave no room for a sample point
         until they are refined."""
-        q = (IntPoly([1, 1]) * IntPoly([2049, 2048])).to_rat()
+        q = IntPoly([1, 1]) * IntPoly([2049, 2048])
         shared = Fraction(-1) - Fraction(1, 4096)
         ivs = [IsolatingInterval(Fraction(-3, 2), shared), IsolatingInterval(shared, Fraction(-1, 2))]
         (lo, hi), _ = root_gaps(q, ivs, Fraction(-1, 4))
