@@ -4,12 +4,13 @@ the resultant that ties the two together.
 The Z-side factorization runs squarefree decomposition, a mod-p
 factorization, quadratic Hensel lifting past the coefficient bound, and
 subset recombination; results are verified by re-multiplication and do not
-depend on the internal seed.  A companion polynomial P, fixed by X -> 1-X,
-is factored through its half-degree v-model Q with P(X) = Q(X^2 - X).
+depend on the internal seed.  factor_z takes a companion polynomial P, fixed
+by X -> 1-X, through its half-degree v-model Q with P(X) = Q(X^2 - X), and
+keeps each lift q(X^2 - X) whole once a mod-p certificate proves it
+irreducible; the trace shows Q's primes.
 """
 
-from knotsig import (factor_z, integer_factor, parse_poly, poly_text, resultant, standing_assumptions,
-                     v_polynomial)
+from knotsig import factor_z, integer_factor, parse_poly, poly_text, resultant, standing_assumptions
 from knotsig.modp import PolyModP, factor_mod_p
 
 f1 = parse_poly("x^4 - 2*x^3 + 5*x^2 - 4*x + 1")
@@ -25,8 +26,6 @@ print("how the factorization went:")
 for line in trace:
     print(f"  {line}")
 
-print(f"P(X) = Q(X^2 - X) with Q = {poly_text(v_polynomial(P))}: standing_assumptions factors Q,")
-print("then keeps each lift q(X^2 - X) whole once a mod-p certificate proves it irreducible")
 sa = standing_assumptions(P)
 print(f"squarefree: {sa.squarefree}, every factor symmetric under X -> 1-X: {sa.all_symmetric}")
 

@@ -11,19 +11,19 @@ tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
 
 The facts about Delta do not depend on the target, so they are computed
 once per Delta and splitting seed as a frozen :class:`DeltaFacts`: the
-conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set
-(found through the half-degree v-model Q of P, see
-:func:`zfactor.standing_assumptions`), the rho of each factor with the
+conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set (by
+:func:`zfactor.factor_z`, which always takes P through its half-degree
+v-model, see :func:`_delta_facts`), the rho of each factor with the
 rho(Delta) cross-check, and, on first use, the prime table and the
-obstruction group.  The checks per target are
-the gates on m and s (or tau): divisibility by 8 or 16, |s| <= rho, and a
-nonempty Milnor set.  :func:`_delta_facts` is memoized per process, keyed
-on (Delta, seed), for at most DELTA_FACTS_MEMO = 64 entries, least
-recently used first out.  One entry of the largest benchmark Delta
-(degree 36, P with 6 factors and 15 prime-table pairs, table and group
-included) holds about 15 KB (tracemalloc), so a full memo holds about
-1 MB.  Exceptions are never memoized: a budget that runs out, or the
-cross-check failing, raises again on every request.
+obstruction group.  The checks per target are the gates on m and s (or
+tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
+:func:`_delta_facts` is memoized per process, keyed on (Delta, seed),
+for at most DELTA_FACTS_MEMO = 64 entries, least recently used first
+out.  One entry of the largest benchmark Delta (degree 36, P with 6
+factors and 15 prime-table pairs, table and group included) holds about
+15 KB (tracemalloc), so a full memo holds about 1 MB.  Exceptions are
+never memoized: a budget that runs out, or the cross-check failing,
+raises again on every request.
 """
 
 from __future__ import annotations
@@ -226,6 +226,10 @@ class DeltaFacts:
 def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
     assumptions, and rho per factor of P; memoized per (Delta, seed).
+
+    Once the conditions pass, `factor_z` takes P through its v-model: P is
+    fixed by X -> 1-X (Delta is reciprocal), lc P = (-1)^n Delta(1) = 1, and
+    4^n P(1/2) = (-1)^n Delta(-1) is odd, as Delta(-1) = Delta(1) (mod 2).
 
     By the correspondence X -> 1 - 1/X between the factors of Delta and
     of P (see :func:`_indecomposability_note`), rho(Delta) is the sum of

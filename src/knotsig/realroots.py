@@ -275,13 +275,17 @@ def rho_p(p: IntPoly) -> int:
         raise ValueError("P must be squarefree") from None
 
 
-def irr_r_factors(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> list[IrrRFactor]:
-    """The monic irreducible degree-2 real factors of P, one per real
-    v-root lambda < -1/4, sorted by interval position; P is checked as in
-    :func:`rho_p`."""
+def _v_roots(p: IntPoly) -> tuple[IntPoly, list[IsolatingInterval]]:
+    """The v-model Q of P and the isolating intervals of its real roots
+    below -1/4, sorted; P is checked as in :func:`rho_p`."""
     q = v_polynomial(p)
     try:
-        ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4), width)
+        return q, isolate_roots(q, NEG_INF, Fraction(-1, 4))
     except ValueError:
         raise ValueError("P must be squarefree") from None
-    return [IrrRFactor(iv) for iv in ivs]
+
+
+def irr_r_factors(p: IntPoly) -> list[IrrRFactor]:
+    """The monic irreducible degree-2 real factors of P, one per real
+    v-root lambda < -1/4, sorted by interval position."""
+    return [IrrRFactor(iv) for iv in _v_roots(p)[1]]

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, v_polynomial
-from .realroots import NEG_INF, IrrRFactor, isolate_roots, root_gaps
+from .polys import IntPoly
+from .realroots import IrrRFactor, _v_roots, root_gaps
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -453,11 +453,7 @@ def milnor_signatures(
     if not val.ok:
         raise ValueError("; ".join(val.problems))
     s, a = as_matrix(s_rows), as_matrix(a_rows)
-    q = v_polynomial(charpoly(a))  # P(1-X) = P(X) holds for every pair
-    try:
-        ivs = isolate_roots(q, NEG_INF, Fraction(-1, 4))
-    except ValueError:
-        raise ValueError("P must be squarefree") from None
+    q, ivs = _v_roots(charpoly(a))  # P(1-X) = P(X) holds for every pair
     a_form = mat_mul(transpose(a), s)
     k = mat_sub(a_form, transpose(a_form))
     gaps = root_gaps(q, ivs, Fraction(-1, 4))

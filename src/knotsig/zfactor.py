@@ -1,26 +1,24 @@
 """Complete factorization of integer polynomials over Z, and the factor set
 of a companion polynomial P with its standing-assumption flags.
 
-`factor_z` is the Zassenhaus route: content/primitive split, Yun
-squarefree decomposition, then per squarefree part a monic model is
-factored modulo a good prime (distinct-degree, then equal-degree
-splitting; the prime is good because the model is squarefree modulo it,
-so no modular squarefree split runs), Hensel-lifted (quadratic steps,
-binary factor tree) past the Mignotte coefficient bound, and modular
-factors are recombined by subsets with degree-pattern pruning from three
-auxiliary primes; their patterns come from distinct-degree splitting
-alone, since the model is squarefree modulo each.  Lifting runs on
-`modp`'s coefficient-list kernels over Z/m.  Each candidate is tried by
-integer trial division (`polys.divides`), whose constant-term pre-check
-rejects almost every wrong one before dividing.  Yun's gcds (run only
-when no mod-p certificate shows the input squarefree) are integer
-`gcd_z`, so no step uses Fractions.  A part with more than
-MAX_MODULAR_FACTORS = 16 modular factors at its first prime is refused
-with `BudgetExceededError`; results are verified by re-multiplication and
-do not depend on the splitting seed.
-
-`standing_assumptions` runs this route on the half-degree v-model Q of a
-P fixed by X -> 1-X, and lifts each factor back under a mod-p certificate.
+`factor_z`, the one entry point, chooses the route: a polynomial fixed by
+X -> 1-X goes through its half-degree v-model, any other directly.  The
+direct route is Zassenhaus: content/primitive split, Yun squarefree
+decomposition, then per squarefree part a monic model is factored modulo
+a good prime (distinct-degree, then equal-degree splitting; the prime is
+good because the model is squarefree modulo it, so no modular squarefree
+split runs), Hensel-lifted (quadratic steps, binary factor tree) past the
+Mignotte coefficient bound, and modular factors are recombined by subsets
+with degree-pattern pruning from three auxiliary primes; their patterns
+come from distinct-degree splitting alone, since the model is squarefree
+modulo each.  Lifting runs on `modp`'s coefficient-list kernels over Z/m.
+Each candidate is tried by integer trial division (`polys.divides`),
+whose constant-term pre-check rejects almost every wrong one before
+dividing.  Yun's gcds (run only when no mod-p certificate shows the input
+squarefree) are integer `gcd_z`, so no step uses Fractions.  A part with
+more than MAX_MODULAR_FACTORS = 16 modular factors at its first prime is
+refused with `BudgetExceededError`; results are verified by
+re-multiplication and do not depend on the splitting seed.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ from .modp import (
     degree_pattern,
     gcd_mod_p,
 )
-from .polys import (IntPoly, certified_squarefree, divides, exact_div, gcd_z, symmetric_check,
-                    v_polynomial)
+from .polys import (IntPoly, certified_squarefree, divides, exact_div, gcd_z, poly_text,
+                    symmetric_check, v_polynomial)
 
 MAX_MODULAR_FACTORS = 16
 # Primes tried per lift certificate: 584 of the 598 irreducible lifts of the
@@ -358,16 +356,6 @@ def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> F
     return result
 
 
-def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> FactorizationZ:
-    """Factor f completely into irreducibles over Z.
-
-    The seed steers internal randomized splitting only; the factor set is
-    seed-independent.  Pass a list as ``trace`` to collect the prime
-    choices and recombination events.
-    """
-    return _verified(f, *_factor(f, seed, trace))
-
-
 def _lift_certified(q: IntPoly) -> bool:
     """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
     over Z other than 4Y + 1: at one of the first LIFT_PRIMES primes p of
@@ -390,37 +378,43 @@ def _lift_certified(q: IntPoly) -> bool:
     return False
 
 
-def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
-    """Factor P and flag whether it is a product of distinct monic
-    irreducible polynomials, each fixed by X -> 1-X.
+def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> FactorizationZ:
+    """Factor f completely into irreducibles over Z, by the route f selects.
 
-    A symmetric P is factored through its v-model: P(X) = Q(X^2 - X)
-    (`polys.v_polynomial`), and Q has half the degree of P.  Q is factored
-    by the Zassenhaus route at primes good for P as well (Q squarefree and
-    Q(-1/4) != 0 mod p), so its modular factors, which the cap
-    MAX_MODULAR_FACTORS counts, are at most P's at the same prime.  Each
-    irreducible q of Q lifts to q(X^2 - X): one factor of P fixed by
-    X -> 1-X, or a pair h(X), h(1-X).  The lift is kept whole when
-    `_lift_certified` proves it irreducible, and is otherwise factored by
-    `factor_z`, whose cap then counts the lift.  `factor_z` factors P
-    directly when P is not symmetric, or when 4Y + 1 divides Q: then
-    (2X - 1)^2 divides P and no prime is good for P.  The factor set is
-    checked against P by re-multiplication either way."""
+    A symmetric f (f(1-X) = f(X)) with f(1/2) != 0 goes through its
+    half-degree v-model Q, f(X) = Q(X^2 - X) (`polys.v_polynomial`),
+    factored at primes good for f as well (Q squarefree and Q(-1/4) != 0
+    mod p), where the cap MAX_MODULAR_FACTORS counts at most f's modular
+    factors.  Each irreducible q of Q lifts to q(X^2 - X), one factor of f
+    fixed by X -> 1-X or a pair h(X), h(1-X): kept whole when
+    `_lift_certified` proves it irreducible, else factored directly.  Any
+    other f is factored directly: it is not symmetric, or (2X - 1)^2
+    divides f (4Y + 1 divides Q) and no prime is good for f.
+
+    The seed steers randomized splitting only; the factor set is
+    seed-independent and checked by re-multiplication.  A list passed as
+    ``trace`` collects the route, the primes and recombination events.
+    """
     try:
-        q_poly = v_polynomial(p_poly)
-    except ValueError:  # P is zero or not fixed by X -> 1-X
+        q_poly = v_polynomial(f)
+    except ValueError:  # f is zero or not fixed by X -> 1-X
         q_poly = None
     if q_poly is None or divides(_QUARTER, q_poly):
-        fz = factor_z(p_poly, seed)
-    else:
-        content, q_factors = _factor(q_poly, seed, None, lift=True)
-        factors: list[tuple[IntPoly, int]] = []
-        for q, e in q_factors:
-            lifted = q.compose(_V)
-            if _lift_certified(q):
-                factors.append((lifted, e))
-            else:
-                factors += [(h, m * e) for h, m in factor_z(lifted, seed).factors]
-        fz = _verified(p_poly, content, factors)
+        return _verified(f, *_factor(f, seed, trace))
+    if trace is not None:
+        trace.append(f"through the v-model Q = {poly_text(q_poly)}")
+    content, q_factors = _factor(q_poly, seed, trace, lift=True)
+    factors: list[tuple[IntPoly, int]] = []
+    for q, e in q_factors:
+        lifted = q.compose(_V)
+        split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, seed, trace)[1]
+        factors += [(h, m * e) for h, m in split]
+    return _verified(f, content, factors)
+
+
+def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
+    """Factor P by `factor_z` (which chooses the route) and flag whether P
+    is a product of distinct monic irreducible polynomials, each symmetric."""
+    fz = factor_z(p_poly, seed)
     symmetric = tuple(symmetric_check(q) for q, _ in fz.factors)
     return SymmetricFactorSet(fz, symmetric, p_poly.is_monic and all(symmetric))

@@ -10,7 +10,6 @@ import pytest
 
 from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.pipeline import _delta_facts
-from oracles import RatPoly
 
 
 @pytest.fixture(autouse=True)
@@ -50,24 +49,6 @@ def g1() -> IntPoly:
 
 def make_delta_a(a: int) -> IntPoly:
     return IntPoly([1, -a, -1, 2 * a - 1, -1, -a, 1])
-
-
-@pytest.fixture
-def ratpoly_calls(monkeypatch) -> dict[str, int]:
-    """Counts the arithmetic of the oracles' RatPoly done during the test,
-    by method: ``divrem`` (behind ``%`` and ``rat_gcd``), ``__mul__`` (with
-    ``__rmul__``) and ``evaluate``."""
-    calls = {"divrem": 0, "__mul__": 0, "evaluate": 0}
-    for attr, name in (("divrem", "divrem"), ("__mul__", "__mul__"),
-                       ("__rmul__", "__mul__"), ("evaluate", "evaluate")):
-        original = getattr(RatPoly, attr)
-
-        def counting(self, *args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(RatPoly, attr, counting)
-    return calls
 
 
 @pytest.fixture

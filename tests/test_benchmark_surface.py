@@ -53,6 +53,17 @@ def test_tracer_installs_and_restores():
     assert _snapshot() == before
 
 
+def test_warm_up_traces_the_factor_stage():
+    """The warm-up analyze, traced as perfbench traces it, records the
+    analysis, the factorization of P and the rho count as spans."""
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.operation(0):
+            worker.warm_up(knotsig)
+    names = {s.name for s in tracer.spans}
+    assert {"pipeline.analyze", "zfactor.factor_z", "realroots.rho_delta"} <= names
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_worker_answers_the_first_request(workload):
     (op,) = workloads.operations(workload, 0, 1)

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from knotsig import IntPoly, delta_to_p, poly_text
 from knotsig.cli import main
+from conftest import make_delta_a
+from oracles import sympy_factors
 
 
 def run(capsys, *argv):
@@ -236,6 +239,22 @@ def test_non_monic_factor_through_cli(capsys):
     # (49x^2 + x + 1)(x^2 - x + 1): the monic model once lost its leading term
     code, out, _ = run(capsys, "factor", "--poly=1,0,49,-48,49")
     assert code == 0 and out.splitlines() == ["x^2 - x + 1", "49*x^2 + x + 1"]
+
+
+@pytest.mark.parametrize("a_values", [(-5, 0, 1, 2, 9, 10), (-6, -5, 0, 3, 6, 10), tuple(range(9))],
+                         ids=["heavy0", "heavy1", "k9"])
+def test_factor_through_the_v_model(capsys, a_values):
+    """P of Delta_a products whose 18 or 22 modular factors at the first
+    prime are over the cap; their half-degree v-models are not."""
+    delta = IntPoly.one()
+    for a in a_values:
+        delta = delta * make_delta_a(a)
+    p = delta_to_p(delta)
+    code, out, _ = run(capsys, "factor", "--poly", ",".join(map(str, p.coeffs)))
+    expected = sorted(sympy_factors(p), key=lambda fe: (len(fe[0]), fe[0]))
+    assert code == 0
+    assert out.splitlines() == [poly_text(IntPoly(c)) for c, e in expected if e == 1]
+    assert len(expected) == len(a_values)
 
 
 def test_internal_error_exit_four(capsys, monkeypatch):

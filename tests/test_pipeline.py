@@ -16,17 +16,21 @@ from knotsig import (
     VERDICT_OBSTRUCTION_UNKNOWN,
     VERDICT_OUT_OF_SCOPE,
     VERDICT_REALIZABLE,
+    alexander_check,
     alexander_of_form,
     analyze,
     analyze_tau,
     block_diag,
+    delta_to_p,
     e8_gram,
+    factor_z,
     half_form,
     mil_nonempty,
     parse_poly,
     report_from_json,
     report_render,
     rho_p,
+    symmetric_check,
 )
 from conftest import make_delta_a
 from oracles import delta_factor_rhos, indecomposable_by_delta_factors
@@ -293,6 +297,28 @@ def test_rho_cross_check_raises(monkeypatch, delta1, delta2):
         analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
     with pytest.raises(KnotsigError, match="disagree"):
         analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)))
+
+
+def test_conditions_send_p_through_its_v_model():
+    """For reciprocal Delta of degree 2n with Delta(1) = (-1)^n, the
+    companion P = delta_to_p(Delta) is fixed by X -> 1-X and monic, and
+    2^2n P(1/2) = (-1)^n Delta(-1) is odd, so factor_z takes P through its
+    v-model (the proof is in pipeline._delta_facts)."""
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        half = [rng.choice((-1, 1)) * rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - 1)]
+        delta = IntPoly(half + [(-1) ** n - 2 * sum(half)] + half[::-1])
+        rep = alexander_check(delta)
+        assert rep.degree_even and rep.cond_reciprocal and rep.cond_at_one
+        p = delta_to_p(delta)
+        assert symmetric_check(p)
+        assert p.lc == 1
+        at_half = sum(c << (2 * n - i) for i, c in enumerate(p.coeffs))  # 2^2n P(1/2)
+        assert at_half == (-1) ** n * delta.evaluate(-1) and at_half % 2 == 1
+        trace: list[str] = []
+        assert factor_z(p, trace=trace).product() == p
+        assert trace[0].startswith("through the v-model Q = ")
 
 
 class TestOneCheckPerFact:

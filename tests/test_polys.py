@@ -404,7 +404,7 @@ class TestSquarefreeCertificate:
         assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES)
         assert all(sympy.isprime(p) for p in CERTIFICATE_PRIMES)
 
-    def test_fallback_when_every_prime_divides_the_discriminant(self, ratpoly_calls, gcd_z_calls):
+    def test_fallback_when_every_prime_divides_the_discriminant(self, gcd_z_calls):
         # disc(X (X - n)) = n^2 with n the product of all certificate primes
         n = math.prod(CERTIFICATE_PRIMES)
         f = IntPoly((0, -n, 1))
@@ -414,7 +414,6 @@ class TestSquarefreeCertificate:
         assert not certified_squarefree(f)
         assert is_squarefree_q(f)
         assert gcd_z_calls[0] == 1
-        assert not any(ratpoly_calls.values())
 
     def test_fallback_when_every_prime_divides_the_leading_coefficient(self):
         f = IntPoly((-1, 0, math.prod(CERTIFICATE_PRIMES)))
@@ -433,29 +432,54 @@ class TestSquarefreeCertificate:
         ],
         ids=str,
     )
-    def test_not_squarefree(self, f, ratpoly_calls, gcd_z_calls):
+    def test_not_squarefree(self, f, gcd_z_calls):
         assert not certified_squarefree(f)
         assert not is_squarefree_q(f)
         assert gcd_z_calls[0] == 1
-        assert not any(ratpoly_calls.values())
+
+
+def test_src_has_no_rational_layer():
+    """No knotsig module defines or imports the oracles' rational
+    polynomials (RatPoly, divrem, rat_gcd) or anything else of
+    tests/oracles.py, so every integer question is answered in integers."""
+    import ast
+    import importlib
+    import pkgutil
+
+    import knotsig
+    import oracles
+
+    banned = {"RatPoly", "divrem", "rat_gcd"}
+    for info in pkgutil.iter_modules(knotsig.__path__):
+        mod = importlib.import_module(f"knotsig.{info.name}")
+        with open(mod.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert not banned & defined, info.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "oracles" for a in node.names), info.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module is None or node.module.split(".")[0] != "oracles", info.name
+                assert not banned & {a.name for a in node.names}, info.name
+        assert not banned & set(vars(mod)), info.name
+        assert not any(getattr(v, "__module__", None) == oracles.__name__ for v in vars(mod).values())
 
 
 class TestNoFractionDivision:
-    """Integer questions take no rational arithmetic: these count RatPoly
-    calls instead of timing anything."""
+    """Integer questions on the inputs that once counted rational
+    arithmetic; ``test_src_has_no_rational_layer`` shows there is none."""
 
-    def test_divides_and_exact_div(self, ratpoly_calls):
+    def test_divides_and_exact_div(self):
         for g, f in _division_pairs(79, 300):
             if divides(g, f):
-                exact_div(f, g)
-        assert not any(ratpoly_calls.values())
+                assert exact_div(f, g) * g == f
 
-    def test_certified_squarefree_input(self, ratpoly_calls):
+    def test_certified_squarefree_input(self):
         p_poly = IntPoly.one()
         for a in (0, 2, 4, 5, 7, 9):
             p_poly = p_poly * delta_to_p(make_delta_a(a))
         assert is_squarefree_q(p_poly)
-        assert not any(ratpoly_calls.values())
 
 
 class TestGcdZ:
@@ -497,10 +521,13 @@ class TestGcdZ:
         assert gcd_z(f, g) == h * h
         assert gcd_z(f, f.derivative()) == h
 
-    def test_no_rational_arithmetic(self, ratpoly_calls):
+    def test_no_rational_arithmetic(self):
+        """Integer inputs, integer gcds: symmetric in its arguments and,
+        for nonzero inputs, a positive-lc common divisor."""
         for f, g in self.pairs(89, 150):
-            gcd_z(f, g)
-        assert not any(ratpoly_calls.values())
+            got = gcd_z(f, g)
+            assert got == gcd_z(g, f)
+            assert f.is_zero or g.is_zero or (got.lc > 0 and divides(got, f) and divides(got, g))
 
 
 class TestVPolynomial:

@@ -24,11 +24,17 @@ from conftest import make_delta_a
 from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
 
 
+def direct(f: IntPoly, seed: int = 0, trace: list[str] | None = None):
+    """The direct Zassenhaus route on f itself, which factor_z takes for
+    every f that is not fixed by X -> 1-X (or has f(1/2) = 0)."""
+    return zfactor._verified(f, *zfactor._factor(f, seed, trace))
+
+
 class TestFactorZ:
     def test_example_product(self, f1, f2):
-        fz = factor_z(f1 * f2)
-        assert fz.content == 1
-        assert fz.factors == ((f1, 1), (f2, 1))
+        for fz in (factor_z(f1 * f2), direct(f1 * f2)):
+            assert fz.content == 1
+            assert fz.factors == ((f1, 1), (f2, 1))
 
     def test_x4_minus_1(self):
         fz = factor_z(parse_poly("x^4 - 1"))
@@ -69,7 +75,7 @@ class TestFactorZ:
     def test_seed_independent(self, f1, f2, g1):
         corpus = [f1 * f2, g1, make_delta_a(0) * make_delta_a(2), parse_poly("x^6 - 1")]
         for poly in corpus:
-            results = {factor_z(poly, seed=s).factors for s in range(5)}
+            results = {route(poly, seed=s).factors for s in range(5) for route in (factor_z, direct)}
             assert len(results) == 1
 
     def test_random_remultiplication(self):
@@ -85,7 +91,7 @@ class TestFactorZ:
     def test_small_factors_certified_irreducible(self, f1, f2):
         corpus = [f1 * f2, parse_poly("x^4 - 1"), parse_poly("6*x^4 + 5*x^2 + 1")]
         for poly in corpus:
-            for q, _ in factor_z(poly).factors:
+            for q, _ in factor_z(poly).factors + direct(poly).factors:
                 if 1 <= q.degree <= 4:
                     assert is_irreducible_bruteforce(q), q
 
@@ -93,7 +99,7 @@ class TestFactorZ:
         """Each reported factor either is irreducible mod some auxiliary
         prime, or the recombination trace records how it was assembled."""
         trace: list[str] = []
-        fz = factor_z(f1 * f2, seed=0, trace=trace)
+        fz = direct(f1 * f2, seed=0, trace=trace)
         for q, _ in fz.factors:
             witnessed = False
             for p in (5, 7, 11, 13, 17):
@@ -111,8 +117,10 @@ class TestFactorZ:
         poly = IntPoly.one()
         for r in range(-8, 10):
             poly = poly * IntPoly((-r, 1))
-        with pytest.raises(BudgetExceededError):
-            factor_z(poly)
+        with pytest.raises(BudgetExceededError, match="18 modular factors of a degree-18 "):
+            factor_z(poly.compose(IntPoly((1, 1))))  # roots -9..8: not fixed by X -> 1-X
+        # the roots r, 1 - r pair up, so Q has 9 modular factors and the cap holds
+        assert factor_z(poly).factors == tuple((IntPoly((-r, 1)), 1) for r in range(9, -9, -1))
 
 
 class TestNonMonic:
@@ -179,8 +187,8 @@ def delta_a_product_p(a_values) -> IntPoly:
 
 
 def direct_route(P: IntPoly, seed: int = 0):
-    """Content, factors and flags from factoring P itself with factor_z."""
-    fz = factor_z(P, seed)
+    """Content, factors and flags from factoring P itself, by the direct route."""
+    fz = direct(P, seed)
     return fz.content, fz.factors, tuple(symmetric_check(q) for q, _ in fz.factors)
 
 
@@ -188,7 +196,7 @@ V = IntPoly((0, -1, 1))  # X^2 - X
 
 
 class TestVModelRoute:
-    """standing_assumptions factors P(X) = Q(X^2 - X) through Q and keeps a
+    """factor_z factors a symmetric P(X) = Q(X^2 - X) through Q and keeps a
     lift q(X^2 - X) whole only when a mod-p certificate proves it
     irreducible; sympy is the oracle."""
 
@@ -214,7 +222,7 @@ class TestVModelRoute:
     def test_factor_heavy_refusals_answered(self, a_values):
         P = delta_a_product_p(a_values)
         with pytest.raises(BudgetExceededError, match="18 modular factors of a degree-36 "):
-            factor_z(P)
+            direct(P)
         sa = standing_assumptions(P)
         assert sorted((q.coeffs, e) for q, e in sa.factorization.factors) == sympy_factors(P)
         assert sa.all_symmetric and len(sa.factors) == 6
@@ -272,7 +280,7 @@ class TestVModelRoute:
         counts = calls("zfactor.factor_z")
         sa = standing_assumptions(P)
         assert sa.all_symmetric and len(sa.factors) == 6
-        assert counts["zfactor.factor_z"] == 0
+        assert counts["zfactor.factor_z"] == 1
         assert degrees and max(degrees) <= P.degree // 2
 
 
@@ -307,20 +315,19 @@ def test_v_model_route_matches_direct_route_and_sympy(P):
     for q, _ in factor_z(v_polynomial(P)).factors:
         if q != IntPoly((1, 4)) and zfactor._lift_certified(q):  # 4Y + 1 lifts to a square
             lifted = q.compose(V)
-            assert factor_z(lifted).factors == ((lifted, 1),)
+            assert direct(lifted).factors == ((lifted, 1),)
 
 
 class TestNoFractionDivision:
-    def test_delta_a_product_k6(self, ratpoly_calls):
-        """Yun's test on a certified squarefree input and every trial
-        division of the recombination run in integers: no RatPoly.divrem."""
+    def test_delta_a_product_k6(self):
+        """The direct route recombines the lifted factors of P by integer
+        trial division."""
         parts = [delta_to_p(make_delta_a(a)) for a in (0, 2, 4, 5, 7, 9)]
         f = IntPoly.one()
         for q in parts:
             f = f * q
         trace: list[str] = []
-        fz = factor_z(f, trace=trace)
-        assert ratpoly_calls["divrem"] == 0
+        fz = direct(f, trace=trace)
         assert fz.factors == tuple(sorted(((q, 1) for q in parts), key=lambda fe: fe[0].coeffs))
         assert sum(line.startswith("accepted subset") for line in trace) >= 2
 
@@ -413,7 +420,7 @@ class TestModularWork:
         P = self.delta_a_product_p()
         for f, parts in ((P, 1), (P * parse_poly("x^2 + 1") ** 2, 2)):
             calls.update(factor_mod_p=0, parts=0, modular_split=0)
-            factor_z(f)
+            direct(f)
             assert calls["parts"] == parts
             assert calls["factor_mod_p"] == calls["parts"]
             assert calls["modular_split"] == 0
@@ -460,7 +467,7 @@ class TestModularWork:
 
             monkeypatch.setattr(zfactor, name, scoped)
         P = self.delta_a_product_p()
-        factor_z(P)
+        direct(P)
         assert inside == {"_hensel_lift": 1, "degree_pattern": 3}
         assert in_scope == {"divrem": 0, "__mul__": 0}
         # nowhere else in factor_z either, now that the first prime skips
