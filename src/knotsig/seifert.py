@@ -17,22 +17,40 @@ the n x n Hermitian dS + i pK over the Gaussian integers Z[i], and one
 fraction-free congruence elimination of its upper triangle gives the
 signature; ``signature_exact`` is the same elimination with no imaginary
 part.
+
+What the toolkit computes about one form is computed once, as a frozen
+record of :func:`_form_facts`: S = A + A^T with det S, and on first use
+det A, Delta_A (one pencil determinant), the companion pair (one pair
+check) and P, read off Delta_A as ``delta_to_p`` of Delta_A normalised
+to Delta(1) = (-1)^n (no second pencil determinant; see
+:attr:`_FormFacts.p`).  ``form_to_pair``, ``alexander_of_form``,
+``validate_form`` and ``unimodular_t`` read the record of A; the entry
+points taking a pair read the record of its form a^T S.  The memo is
+keyed on the form A as a tuple of integer rows, for at most
+FORM_FACTS_MEMO = 64 entries, least recently used first out.  One
+entry of a 12 x 12 benchmark form, every field computed, holds about
+8 KB (tracemalloc), so a full memo holds about 0.5 MB.  Exceptions are
+never memoized.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly
+from .polys import IntPoly, delta_to_p
 from .realroots import IrrRFactor, _v_roots, root_gaps
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
+
+FORM_FACTS_MEMO = 64
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +92,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -188,28 +206,13 @@ class MilnorAssignmentComputed:
         return any(v == 0 for v in self.values)
 
 
-def _symmetrization(a: Matrix) -> tuple[Matrix, int, list[str]]:
-    """S = A + A^T, det S, and the problem if det S is not +-1."""
-    s = mat_add(a, transpose(a))
-    d = mat_det(s)
-    return s, d, ([] if d in (1, -1) else [f"symmetrization has determinant {d}, not +-1"])
-
-
-def validate_form(a_rows: Sequence[Sequence[int]]) -> Validation:
-    """A square integer matrix A is a Seifert form iff det(A + A^T) = +-1."""
-    try:
-        a = as_matrix(a_rows)
-    except ValueError as exc:
-        return Validation(False, (str(exc),))
-    problems = _symmetrization(a)[2]
-    return Validation(not problems, tuple(problems))
-
-
 def _pair_problems(s: Matrix, a: Matrix, det_s: int, det_a: int) -> list[str]:
     """What keeps two square matrices of one size, with the determinants
-    given, from being a Seifert pair."""
+    given, from being a Seifert pair.  For a symmetric S the relation
+    a^T S + S a = S is checked from one product, as S a = (a^T S)^T."""
     problems: list[str] = []
-    if s != transpose(s):
+    symmetric = s == transpose(s)
+    if not symmetric:
         problems.append("S is not symmetric")
     if any(s[i][i] % 2 for i in range(len(s))):
         problems.append("S has an odd diagonal entry, so it is not even")
@@ -217,9 +220,96 @@ def _pair_problems(s: Matrix, a: Matrix, det_s: int, det_a: int) -> list[str]:
         problems.append(f"S has determinant {det_s}, not +-1")
     if det_a == 0:
         problems.append("a has determinant 0, so it is not injective")
-    if mat_add(mat_mul(transpose(a), s), mat_mul(s, a)) != s:
+    at_s = mat_mul(transpose(a), s)
+    if mat_add(at_s, transpose(at_s) if symmetric else mat_mul(s, a)) != s:
         problems.append("the relation S(ax, y) = S(x, (1-a)y) fails")
     return problems
+
+
+@dataclass(frozen=True)
+class _FormFacts:
+    """What is known about one Seifert form A: S = A + A^T and det S = +-1,
+    and, on first use, det A, Delta_A, the companion pair and P."""
+
+    a: Matrix
+    s: Matrix
+    det_s: int
+
+    @cached_property
+    def det_a(self) -> int:
+        return mat_det(self.a)
+
+    @cached_property
+    def delta(self) -> IntPoly:
+        """Delta_A = det(X*A + A^T), by one pencil determinant."""
+        return pencil_det(transpose(self.a), self.a)
+
+    @cached_property
+    def pair(self) -> SeifertPair:
+        """S and the companion a = S^-1 A^T, checked as by
+        :func:`validate_pair` with det a = det S * det A (det S = +-1)."""
+        if self.det_a == 0:
+            raise ValueError("degenerate form, no injective companion")
+        comp = mat_mul(mat_inverse_unimodular(self.s), transpose(self.a))
+        problems = _pair_problems(self.s, comp, self.det_s, self.det_s * self.det_a)
+        if problems:
+            raise KnotsigError(f"internal error: companion pair invalid: {tuple(problems)}")
+        return SeifertPair(s=self.s, a=comp)
+
+    @cached_property
+    def p(self) -> IntPoly:
+        """P = charpoly(a) of the companion, read off Delta_A.  With 2n the
+        size of A and a = S^-1 A^T,
+            det(X*I - a) = det S * det(X*S - A^T) = det S * det(X*A + (X-1)*A^T)
+                         = det S * (X-1)^{2n} Delta_A(X/(X-1))
+                         = det S * X^{2n} Delta_A(1 - 1/X),
+        the last step by the palindromy X^{2n} Delta_A(1/X) = Delta_A(X).
+        Delta_A(1) = det S, so (-1)^n det S Delta_A is Delta_A normalised to
+        Delta(1) = (-1)^n, and P is its ``delta_to_p``.  The pair is taken
+        first: det A != 0 gives Delta_A the full degree 2n."""
+        self.pair  # raises unless det A != 0
+        n = len(self.a) // 2
+        return delta_to_p(self.delta if (-1) ** n * self.det_s == 1 else -self.delta)
+
+
+@lru_cache(maxsize=FORM_FACTS_MEMO)
+def _form_facts(a: Matrix) -> _FormFacts:
+    """The facts of the form A, memoized per A; raises ValueError when
+    det(A + A^T) is not +-1.  Exceptions are never memoized."""
+    s = mat_add(a, transpose(a))
+    det_s = mat_det(s)
+    if det_s not in (1, -1):
+        raise ValueError(f"symmetrization has determinant {det_s}, not +-1")
+    return _FormFacts(a, s, det_s)
+
+
+def _pair_facts(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> _FormFacts:
+    """The facts of the form A = a^T S of a Seifert pair (S, a).  The pair
+    is accepted when it is the companion pair of A, which holds for every
+    valid pair (a^T S + S a = S gives A + A^T = S and S^-1 A^T = a) and
+    only for one; any other input raises the problems of
+    :func:`validate_pair`."""
+    s, a = as_matrix(s_rows), as_matrix(a_rows)
+    if len(s) == len(a):
+        try:
+            facts = _form_facts(mat_mul(transpose(a), s))
+            if facts.pair == SeifertPair(s, a):
+                return facts
+        except ValueError:
+            pass
+    val = validate_pair(s, a)
+    if val.ok:
+        raise KnotsigError("internal error: a valid pair is not the companion pair of its form")
+    raise ValueError("; ".join(val.problems))
+
+
+def validate_form(a_rows: Sequence[Sequence[int]]) -> Validation:
+    """A square integer matrix A is a Seifert form iff det(A + A^T) = +-1."""
+    try:
+        _form_facts(as_matrix(a_rows))
+    except ValueError as exc:
+        return Validation(False, (str(exc),))
+    return Validation(True, ())
 
 
 def validate_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> Validation:
@@ -237,47 +327,25 @@ def validate_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int
 
 
 def form_to_pair(a_rows: Sequence[Sequence[int]]) -> SeifertPair:
-    """S = A + A^T and the unique companion a with A(x,y) = S(ax,y).
-    The pair is checked as by :func:`validate_pair`, reusing det S and
-    det a = det(S^-1 A^T) = det S * det A (det S = +-1)."""
-    a_mat = as_matrix(a_rows)
-    s, det_s, problems = _symmetrization(a_mat)
-    if problems:
-        raise ValueError("; ".join(problems))
-    det_a = mat_det(a_mat)
-    if det_a == 0:
-        raise ValueError("degenerate form, no injective companion")
-    comp = mat_mul(mat_inverse_unimodular(s), transpose(a_mat))
-    problems = _pair_problems(s, comp, det_s, det_s * det_a)
-    if problems:
-        raise KnotsigError(f"internal error: companion pair invalid: {tuple(problems)}")
-    return SeifertPair(s=s, a=comp)
+    """S = A + A^T and the unique companion a with A(x,y) = S(ax,y),
+    checked as by :func:`validate_pair`."""
+    return _form_facts(as_matrix(a_rows)).pair
 
 
 def pair_to_form(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> Matrix:
     """The form A(x,y) = S(ax,y), i.e. A = a^T S."""
-    val = validate_pair(s_rows, a_rows)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    s, a = as_matrix(s_rows), as_matrix(a_rows)
-    return mat_mul(transpose(a), s)
+    return _pair_facts(s_rows, a_rows).a
 
 
 def alexander_of_form(a_rows: Sequence[Sequence[int]]) -> IntPoly:
     """det(X*A + A^T), exact."""
-    a = as_matrix(a_rows)
-    val = validate_form(a)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    return pencil_det(transpose(a), a)
+    return _form_facts(as_matrix(a_rows)).delta
 
 
 def charpoly_of_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial of the endomorphism of a valid pair."""
-    val = validate_pair(s_rows, a_rows)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    return charpoly(as_matrix(a_rows))
+    """Characteristic polynomial of the endomorphism of a valid pair,
+    read off Delta_A (see :attr:`_FormFacts.p`)."""
+    return _pair_facts(s_rows, a_rows).p
 
 
 # A Hermitian matrix H over Z[i] is kept as its upper triangle: two lists
@@ -384,19 +452,15 @@ def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
 def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
     """For a unimodular form A, the isometry t with A(tx,y) = -A(y,x);
     t preserves S = A + A^T and charpoly(t) = det(A) * Delta_A."""
-    a = as_matrix(a_rows)
-    val = validate_form(a)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    det_a = mat_det(a)
+    facts = _form_facts(as_matrix(a_rows))
+    a, s, det_a = facts.a, facts.s, facts.det_a
     if det_a not in (1, -1):
         raise ValueError(f"form has determinant {det_a}, not +-1")
     # t^T A = -A^T  =>  t = -(A^(-1))^T A
     t = mat_neg(mat_mul(transpose(mat_inverse_unimodular(a)), a))
-    s = mat_add(a, transpose(a))
     if mat_mul(transpose(t), mat_mul(s, t)) != s:
         raise KnotsigError("internal error: t does not preserve the symmetrization")
-    expected = det_a * alexander_of_form(a)
+    expected = det_a * facts.delta
     if charpoly(t) != expected:
         raise KnotsigError("internal error: charpoly(t) != det(A) * Delta_A")
     return t
@@ -445,16 +509,20 @@ def milnor_signatures(
     intervals give the roots in increasing t.  The signature is evaluated
     exactly at t = 0 (sig S), at one rational t between each two
     consecutive roots and at one above the last; each value is the drop
-    across its root, so the values sum to sig S.  Checks that can fail:
-    the signature above the last root (sig S when there is none) is 0,
-    since K is nonsingular (det K = +-Delta_A(-1), and P(1/2) != 0 for a
-    monic integer P); and every drop is -2, 0 or 2."""
-    val = validate_pair(s_rows, a_rows)
-    if not val.ok:
-        raise ValueError("; ".join(val.problems))
-    s, a = as_matrix(s_rows), as_matrix(a_rows)
-    q, ivs = _v_roots(charpoly(a))  # P(1-X) = P(X) holds for every pair
-    a_form = mat_mul(transpose(a), s)
+    across its root, so the values sum to sig S.
+
+    The pair is accepted when it is the companion pair of its form
+    A = a^T S, and P = charpoly(a) is read off Delta_A; both come from the
+    memoized record of A (:func:`_form_facts`), so after ``form_to_pair``
+    and ``alexander_of_form`` on A neither is computed again.  An input
+    that is not a pair raises the problems of :func:`validate_pair`.
+
+    Checks that can fail: the signature above the last root (sig S when
+    there is none) is 0, since K is nonsingular (det K = +-Delta_A(-1),
+    and P(1/2) != 0 for a monic integer P); and every drop is -2, 0 or 2."""
+    facts = _pair_facts(s_rows, a_rows)
+    s, a_form = facts.s, facts.a
+    q, ivs = _v_roots(facts.p)  # P(1-X) = P(X) holds for every pair
     k = mat_sub(a_form, transpose(a_form))
     gaps = root_gaps(q, ivs, Fraction(-1, 4))
 

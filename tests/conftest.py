@@ -10,15 +10,19 @@ import pytest
 
 from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.pipeline import _delta_facts
+from knotsig.seifert import _form_facts
 
 
 @pytest.fixture(autouse=True)
-def empty_delta_facts_memo():
-    """Every test starts and ends with an empty memo of Delta facts, so
-    counted and monkeypatched stages run in the test that checks them."""
+def empty_facts_memos():
+    """Every test starts and ends with empty memos of Delta facts and of
+    Seifert form facts, so counted and monkeypatched stages run in the
+    test that checks them."""
     _delta_facts.cache_clear()
+    _form_facts.cache_clear()
     yield
     _delta_facts.cache_clear()
+    _form_facts.cache_clear()
 
 
 @pytest.fixture(scope="session")

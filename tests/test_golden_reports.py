@@ -3,7 +3,12 @@ fixed corpus of requests is pinned, so any change to a verdict, a reason,
 a note or the layout of a report shows here.  The pinned values also make
 the JSON byte-stable across runs and processes for a given seed.
 
-Regenerate the table (only when a report is meant to change) with
+The Seifert path is pinned the same way on the 16 forms of the
+``seifert_forms`` corpora 0 and 1001 of perfbench/workloads.py: one
+sha256 each of their Alexander polynomials, Milnor values and report
+JSON, so a change to how those are computed shows here too.
+
+Regenerate the tables (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -11,10 +16,28 @@ Regenerate the table (only when a report is meant to change) with
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import sys
 
 import pytest
 
-from knotsig import AnalysisRequest, IntPoly, analyze, analyze_tau, parse_poly, report_render
+from knotsig import (
+    AnalysisRequest,
+    IntPoly,
+    alexander_of_form,
+    analyze,
+    analyze_tau,
+    form_to_pair,
+    milnor_signatures,
+    parse_poly,
+    report_render,
+)
+
+# appended, so that ``oracles`` still names tests/oracles.py
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import workloads  # noqa: E402
 
 DELTA1 = parse_poly("x^4 - x^2 + 1")
 DELTA2 = parse_poly("3*x^4 - 2*x^3 - x^2 - 2*x + 3")
@@ -344,6 +367,45 @@ GOLDEN: dict[str, tuple[str, str]] = {
 
 CORPUS = _corpus()
 
+SEIFERT_FORMS = 16
+
+
+def _seifert_texts(corpus_seed: int) -> tuple[str, str, str]:
+    """The Alexander polynomials, Milnor values and report JSON (analysis
+    and tau analysis) of the corpus's forms, each as one text, by the
+    calls the benchmark's worker makes."""
+    deltas, milnor, reports = [], [], []
+    for op in workloads.seifert_forms(0, SEIFERT_FORMS, corpus_seed):
+        form = op["form"]
+        pair = form_to_pair(form)
+        delta = alexander_of_form(form)
+        deltas.append(list(delta.coeffs))
+        if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
+            delta = -delta
+        ms = milnor_signatures(pair.s, pair.a)
+        milnor.append([list(ms.values), ms.total])
+        req = AnalysisRequest(delta=delta, m=7, signature=op["signature"])
+        reports.append(report_render(analyze(req), "json"))
+        if all(v in (-2, 2) for v in ms.values):
+            req = AnalysisRequest(delta=delta, m=7, tau=ms.values)
+            reports.append(report_render(analyze_tau(req), "json"))
+    return json.dumps(deltas), json.dumps(milnor), "\n".join(reports)
+
+
+# corpus seed -> sha256 of (Delta_A coefficients, Milnor values, report JSON)
+SEIFERT_GOLDEN: dict[int, tuple[str, str, str]] = {
+    0: (
+        "dd7575fe365e13abdb705d2d9bb63a8fd108aba4cbf8ae8ef1cc404fa9fbe6a5",
+        "77d33e4b96f264755e2b33398b09eb3edf0797d680a923a29249fb2ef2204f9d",
+        "5067b5e28b61be626f30623a44e318e9053aa0b26654de1a614c11891f527dc8",
+    ),
+    1001: (
+        "3aa34a52bab9a88841c1dbe7b44a8214dddfb428d50c443e3d2fa9868f474a14",
+        "77d33e4b96f264755e2b33398b09eb3edf0797d680a923a29249fb2ef2204f9d",
+        "26613899f2edb735aff42aac03e322c0161ad52a539bc0ba02fa0657954c491f",
+    ),
+}
+
 
 def test_golden_table_covers_the_corpus():
     assert set(GOLDEN) == set(CORPUS)
@@ -354,6 +416,11 @@ def test_report_matches_golden(label):
     entry, req = CORPUS[label]
     json_text, text = _render(entry, req)
     assert (_sha(json_text), _sha(text)) == GOLDEN[label]
+
+
+@pytest.mark.parametrize("corpus_seed", sorted(SEIFERT_GOLDEN))
+def test_seifert_forms_match_golden(corpus_seed):
+    assert tuple(map(_sha, _seifert_texts(corpus_seed))) == SEIFERT_GOLDEN[corpus_seed]
 
 
 def test_json_byte_identical_across_reruns():
@@ -367,4 +434,9 @@ if __name__ == "__main__":
     for label, (entry, req) in CORPUS.items():
         json_text, text = _render(entry, req)
         print(f'    "{label}": (\n        "{_sha(json_text)}",\n        "{_sha(text)}",\n    ),')
+    print("}")
+    print("SEIFERT_GOLDEN: dict[int, tuple[str, str, str]] = {")
+    for corpus_seed in (0, 1001):
+        shas = "".join(f'        "{_sha(text)}",\n' for text in _seifert_texts(corpus_seed))
+        print(f"    {corpus_seed}: (\n{shas}    ),")
     print("}")

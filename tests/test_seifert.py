@@ -3,11 +3,13 @@ Milnor signatures of concrete pairs."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knotsig import (
@@ -59,6 +61,11 @@ from oracles import (
     pencil_det_by_lagrange,
     signature_float,
 )
+
+# appended, so that ``oracles`` still names tests/oracles.py
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import workloads  # noqa: E402
 
 A2 = ((0, 2), (-1, 0))
 H = ((0, 1), (1, 0))
@@ -315,15 +322,21 @@ T_VALUES = st.builds(
 )
 
 
+def draw_form(draw, grams):
+    """(S, A): S drawn from ``grams`` and a Seifert form A = half_form(S) +
+    skew over S."""
+    s = grams[draw(st.sampled_from(sorted(grams)))]
+    n = len(s)
+    skew = skew_from(draw(st.lists(st.sampled_from((0, 0, 0, -2, -1, 1, 2)),
+                                   min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)), n)
+    return s, mat_add(half_form(s), skew)
+
+
 @st.composite
 def lattice_pencils(draw):
     """(S, K, t): S a Gram matrix of E8, E8+H or E8+H+H, and K = A - A^T
     for a Seifert form A = half_form(S) + skew over S."""
-    s = LATTICE_GRAMS[draw(st.sampled_from(sorted(LATTICE_GRAMS)))]
-    n = len(s)
-    skew = skew_from(draw(st.lists(st.sampled_from((0, 0, 0, -2, -1, 1, 2)),
-                                   min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)), n)
-    a = mat_add(half_form(s), skew)
+    s, a = draw_form(draw, LATTICE_GRAMS)
     return s, mat_add(a, tuple(tuple(-x for x in row) for row in transpose(a))), draw(T_VALUES)
 
 
@@ -456,6 +469,85 @@ class TestMilnorSignatures:
         a = block_diag(pair_e8.a, pair_h.a)
         ms = milnor_signatures(s, a)
         assert ms.total == 8 and ms.values == (2, 2, 2, 2)
+
+
+@st.composite
+def perturbed_forms(draw):
+    """half_form(S) + skew for S of E8, E8+H, E8+H+H or H+H, with det A != 0."""
+    form = draw_form(draw, {**LATTICE_GRAMS, "H+H": block_diag(H, H)})[1]
+    assume(mat_det(form) != 0)
+    return form
+
+
+# (S, a) that are not Seifert pairs, each failing a different way
+INVALID_PAIRS = [
+    (((1, 2), (3, 4)), ((0, 0), (0, 0))),  # every problem at once
+    (H, identity(2)),  # the relation fails; a^T S is no Seifert form
+    (H, ((-2, 0), (0, 1))),  # the relation fails; a^T S is the form of (-H, -a)
+    (H, ((0, 0), (0, 1))),  # the relation holds, det a = 0
+    (((1, 0), (0, 1)), ((1, 0), (0, 0))),  # odd diagonal, det a = 0, relation fails
+    (((2, 1), (1, 2)), ((1, 0), (0, 1))),  # det S = 3, relation fails
+    (e8_gram(), identity(8)),
+    (H, ((1,),)),  # sizes differ
+    (((0, 1), (1,)), identity(2)),  # not square
+]
+
+
+class TestFormFacts:
+    """One memoized record per Seifert form: Delta_A by one pencil
+    determinant, P read off it, one check of the companion pair."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(perturbed_forms())
+    def test_p_read_off_delta_is_the_charpoly(self, form):
+        facts = seifert._form_facts(form)
+        assert facts.p == charpoly(form_to_pair(form).a)
+        assert facts.delta.evaluate(1) == facts.det_s == mat_det(facts.s)
+
+    @pytest.mark.parametrize("corpus_seed", [0, 1001])
+    def test_one_pass_per_benchmark_request(self, calls, corpus_seed):
+        """The calls of a seifert_forms request, as perfbench's worker
+        makes them, cost one pencil determinant (Delta_A), det S, det A
+        and one pair check; without the memo they cost two pencil
+        determinants, 2n + 7 determinants and two pair checks."""
+        counts = calls("seifert.pencil_det", "seifert.mat_det", "seifert._pair_problems",
+                       "seifert.charpoly")
+        sizes = set()
+        for op in workloads.seifert_forms(0, 16, corpus_seed):
+            form = op["form"]
+            counts.clear()
+            pair = form_to_pair(form)
+            alexander_of_form(form)
+            milnor_signatures(pair.s, pair.a)
+            n = len(form)
+            assert counts == {"seifert.pencil_det": 1, "seifert.mat_det": n + 3,
+                              "seifert._pair_problems": 1}
+            sizes.add(n)
+        assert sizes == {8, 10, 12}
+
+    def test_hand_built_pairs(self, e8, e8_half):
+        """Pairs not made by form_to_pair, given as lists: E8's companion
+        by the Fraction inverse, and a sum of two diagonal pairs on H."""
+        a = mat_mul(inverse_by_fractions(e8), transpose(e8_half))
+        pair = form_to_pair(e8_half)
+        want = milnor_signatures(pair.s, pair.a)
+        seifert._form_facts.cache_clear()
+        ms = milnor_signatures([list(r) for r in e8], [list(r) for r in a])
+        assert ms == want and ms.values == (2, 2, 2, 2)
+        s2, a2 = block_diag(H, H), block_diag(((2, 0), (0, -1)), ((3, 0), (0, -2)))
+        assert charpoly_of_pair(s2, a2) == parse_poly("x^2 - x - 2") * parse_poly("x^2 - x - 6")
+        assert milnor_signatures(s2, a2).values == ()
+        assert pair_to_form(s2, a2) == mat_mul(transpose(a2), s2)
+
+    @pytest.mark.parametrize("s, a", INVALID_PAIRS)
+    def test_invalid_pairs_raise_the_validation_problems(self, s, a):
+        val = validate_pair(s, a)
+        assert not val.ok
+        for entry in (milnor_signatures, charpoly_of_pair, pair_to_form):
+            with pytest.raises(ValueError) as exc:
+                entry(s, a)
+            assert str(exc.value) == "; ".join(val.problems)
 
 
 class TestMilnorOracle:
