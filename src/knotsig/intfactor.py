@@ -2,6 +2,11 @@
 
 Deterministic for a fixed seed; inputs are desk-scale resultants, so the
 rho stage carries an iteration budget that raises instead of stalling.
+Before rho, a composite cofactor that is a perfect square m = r^2
+(`math.isqrt`) is replaced by r twice: the resultant of two symmetric
+factors f = F(X^2 - X), g = G(X^2 - X) is Res(F, G)^2, and rho would
+otherwise have to split a square p^2 of a large prime p, which it finds
+only after about p^(1/2) iterations.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ def integer_factor(
         if is_probable_prime(m):
             primes.append(m)
             continue
-        d = _brent_rho(m, rng, budget)
+        r = math.isqrt(m)
+        d = r if r * r == m else _brent_rho(m, rng, budget)
         stack.append(d)
         stack.append(m // d)
     primes.sort()

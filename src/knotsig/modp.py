@@ -12,10 +12,11 @@ coefficient lists.  They accumulate products and subtractions unreduced
 (Python integers do not overflow) and reduce each output coefficient
 once, plus the leading coefficient once per division step: a reduction
 per inner multiply-add costs more than the multiply-add itself.  Every
-result is reduced and trimmed.  Beyond the inverse of a divisor's leading
-coefficient they need no prime modulus, so `zfactor`'s Hensel lifting
-runs on them over Z/m with monic divisors.  `PolyModP` methods delegate
-to the kernels and wrap results with `_wrap`, which skips re-reduction.
+result is reduced and trimmed, and exact for a prime of any size.
+Beyond the inverse of a divisor's leading coefficient they need no prime
+modulus, so `zfactor`'s Hensel lifting runs on them over Z/m with monic
+divisors.  `PolyModP` methods delegate to the kernels and wrap results
+with `_wrap`, which skips re-reduction.
 """
 
 from __future__ import annotations
@@ -152,8 +153,6 @@ class PolyModP:
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         if p < 2:
             raise ValueError("modulus must be a prime >= 2")
-        if p >= 1 << 62:
-            raise ValueError("modulus exceeds the machine-word prime limit")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(_reduced(coeffs, p)))
 

@@ -7,17 +7,27 @@ two monic integer polynomials forces p to divide the resultant); each
 candidate is then tested for a symmetric common factor mod p.  Linking
 factors whose prime set is nonempty partitions the factor set; the
 obstruction group is elementary abelian of rank (components - 1).
+
+A pair's primes and witnesses depend on the two factors alone, not on the
+Delta they came from, so :func:`_pair_primes` memoizes them per process,
+keyed on (f, g, seed, max_rho_iterations), for at most
+`zfactor.FACTOR_FACTS_MEMO` = 1024 entries, least recently used first
+out; :func:`_pi_entry` attaches the request's indices.  One entry of a
+benchmark pair holds about 570 B (tracemalloc, the factors themselves
+not counted).  Exceptions are never memoized: a rho budget that runs out
+raises again on every request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .intfactor import integer_factor
 from .modp import PolyModP, symmetric_common_factor
 from .polys import IntPoly, resultant, symmetric_check
-from .zfactor import SymmetricFactorSet
+from .zfactor import FACTOR_FACTS_MEMO, SymmetricFactorSet
 
 PI_RHO_BUDGET = 1_000_000
 
@@ -69,10 +79,19 @@ def _pi_entry(
     max_rho_iterations: int = PI_RHO_BUDGET,
 ) -> PiEntry:
     """The prime set of two distinct monic factors, each fixed by
-    X -> 1-X, which the caller has checked."""
+    X -> 1-X, which the caller has checked, under the request's indices."""
+    primes, witnesses = _pair_primes(f, g, seed, max_rho_iterations)
+    return PiEntry(pair=indices, primes=primes, witnesses=witnesses)
+
+
+@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+def _pair_primes(
+    f: IntPoly, g: IntPoly, seed: int, max_rho_iterations: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
+    """The primes and witnesses of :func:`_pi_entry`; memoized."""
     res = resultant(f, g)
     if abs(res) == 1:
-        return PiEntry(pair=indices, primes=(), witnesses=())
+        return (), ()
     try:
         support = sorted(set(integer_factor(res, seed, max_rho_iterations)))
     except BudgetExceededError as exc:
@@ -88,7 +107,7 @@ def _pi_entry(
         if ok:
             primes.append(p)
             witnesses.append((p, w))
-    return PiEntry(pair=indices, primes=tuple(primes), witnesses=tuple(witnesses))
+    return tuple(primes), tuple(witnesses)
 
 
 def obstruction_group(

@@ -21,9 +21,13 @@ tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
 for at most DELTA_FACTS_MEMO = 64 entries, least recently used first
 out.  One entry of the largest benchmark Delta (degree 36, P with 6
 factors and 15 prime-table pairs, table and group included) holds about
-15 KB (tracemalloc), so a full memo holds about 1 MB.  Exceptions are
-never memoized: a budget that runs out, or the cross-check failing,
-raises again on every request.
+15 KB (tracemalloc), so a full memo holds about 1 MB.  One level down,
+:func:`_factor_rho` memoizes the rho of each factor of P, keyed on the
+factor alone, since distinct Delta share factors, for at most
+`zfactor.FACTOR_FACTS_MEMO` = 1024 entries (about 340 B each), as do
+`zfactor`'s lift certificates and `obstruction`'s pair prime sets.
+Exceptions are never memoized: a budget that runs out, or the
+cross-check failing, raises again on every request.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .milnor import enumerate_sign_tuples, expected_count, mil_nonempty
 from .polys import ConditionReport, IntPoly, alexander_check, delta_to_p, poly_text
 from .realroots import rho_delta, rho_p
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
-from .zfactor import SymmetricFactorSet, standing_assumptions
+from .zfactor import FACTOR_FACTS_MEMO, SymmetricFactorSet, standing_assumptions
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches pipeline.factor_z
 from .version import TOOL_VERSION
 
@@ -222,6 +226,12 @@ class DeltaFacts:
         return group, tuple(table)
 
 
+@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+def _factor_rho(f: IntPoly) -> int:
+    """rho of one irreducible factor of P; memoized per factor."""
+    return rho_p(f)
+
+
 @lru_cache(maxsize=DELTA_FACTS_MEMO)
 def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
@@ -248,7 +258,7 @@ def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
         bad = sfs.factors[sfs.symmetric.index(False)]
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
         return DeltaFacts(seed, conditions, reason, p_poly, sfs)
-    rhos = tuple(rho_p(f) for f in sfs.factors)
+    rhos = tuple(_factor_rho(f) for f in sfs.factors)
     if sum(rhos) != rho_delta(delta):
         raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
     return DeltaFacts(seed, conditions, None, p_poly, sfs, rhos)

@@ -127,11 +127,19 @@ class IntPoly:
         return acc
 
     def compose(self, inner: "IntPoly") -> "IntPoly":
-        """Exact composition self(inner(X)) by Horner."""
-        acc = IntPoly.zero()
+        """Exact composition self(inner(X)) by Horner on a plain
+        coefficient list, acc <- acc * inner + c."""
+        b = inner.coeffs
+        acc: list[int] = []
         for c in reversed(self.coeffs):
-            acc = acc * inner + IntPoly((c,))
-        return acc
+            out = [0] * (len(acc) + len(b) - 1) if acc and b else [0]
+            for i, x in enumerate(acc):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            out[0] += c
+            acc = out
+        return IntPoly(acc)
 
     def derivative(self) -> "IntPoly":
         return IntPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)

@@ -19,6 +19,14 @@ squarefree) are integer `gcd_z`, so no step uses Fractions.  A part with
 more than MAX_MODULAR_FACTORS = 16 modular factors at its first prime is
 refused with `BudgetExceededError`; results are verified by
 re-multiplication and do not depend on the splitting seed.
+
+Distinct Delta share factors, so `_lift_certified` is memoized per
+process, keyed on the v-model factor q, for at most FACTOR_FACTS_MEMO =
+1024 entries, least recently used first out; one entry holds about 270 B
+(tracemalloc).  The same bound serves the memos of a factor's rho in
+`pipeline` and of a pair's prime set in `obstruction`: a full Delta-facts
+memo of the largest benchmark Delta (6 factors, 15 pairs) holds 384
+factors and 960 pairs.  Exceptions are never memoized.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError, KnotsigError
 from .modp import (
@@ -54,6 +63,7 @@ MAX_MODULAR_FACTORS = 16
 # Primes tried per lift certificate: 584 of the 598 irreducible lifts of the
 # Delta_a sextics, a = -300..299, are certified within the first 8.
 LIFT_PRIMES = 8
+FACTOR_FACTS_MEMO = 1024
 
 _V = IntPoly((0, -1, 1))  # X^2 - X
 _QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
@@ -356,6 +366,7 @@ def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> F
     return result
 
 
+@lru_cache(maxsize=FACTOR_FACTS_MEMO)
 def _lift_certified(q: IntPoly) -> bool:
     """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
     over Z other than 4Y + 1: at one of the first LIFT_PRIMES primes p of

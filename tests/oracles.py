@@ -20,7 +20,8 @@ signatures of the real 2n x 2n realification, and bisection with
 term-by-term binomial expansions of the Delta <-> P transforms and the
 top-down peel of the v-model behind a separate symmetry test, as the
 transforms were computed before coefficient reversal and division by
-X^2 - X.
+X^2 - X; and composition by Horner on `IntPoly` values, as
+`IntPoly.compose` ran before its coefficient-list loop.
 """
 
 from __future__ import annotations
@@ -674,6 +675,14 @@ def hensel_lift_every_cofactor(F: IntPoly, factors: list[PolyModP], p: int, targ
     leaves: list[list[int]] = []
     zfactor._collect_leaves(root, leaves)
     return leaves, m
+
+
+def compose_by_intpoly_horner(f: IntPoly, inner: IntPoly) -> IntPoly:
+    """f(inner(X)) by Horner, building two IntPolys per step."""
+    acc = IntPoly.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * inner + IntPoly((c,))
+    return acc
 
 
 def delta_to_p_by_expansion(delta: IntPoly) -> IntPoly:

@@ -257,6 +257,27 @@ def test_factor_through_the_v_model(capsys, a_values):
     assert len(expected) == len(a_values)
 
 
+@pytest.mark.parametrize("a", [-8796093022223, -2305843009213693977])
+def test_square_resultant_of_a_large_prime(capsys, a):
+    """Delta = q_a q_{9a+2} with q_a = aX^2 - (2a+1)X + a.  P has the two
+    factors X^2 - X - c for c = a and 9a + 2, whose resultant is
+    (8a + 2)^2 = 4 p^2 with p = -(4a + 1) prime; the second p exceeds 2^63."""
+    import sympy
+
+    def q(c: int) -> IntPoly:
+        return IntPoly((c, -(2 * c + 1), c))
+
+    delta = q(a) * q(9 * a + 2)
+    p = -(4 * a + 1)
+    code, out, _ = run(capsys, "analyze", "--delta", ",".join(map(str, delta.coeffs)),
+                       "--m", "7", "--signature", "0", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "REALIZABLE"
+    assert [entry["primes"] for entry in report["pi_table"]] == [[2, p]]
+    assert sympy.isprime(p)
+
+
 def test_internal_error_exit_four(capsys, monkeypatch):
     from knotsig import KnotsigError, cli
 

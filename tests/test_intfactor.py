@@ -65,3 +65,13 @@ def test_budget_raises():
     with pytest.raises(BudgetExceededError, match=r"rho iteration budget of 5 exhausted after "
                        rf"\d+ iterations while factoring {p * q}$"):
         integer_factor(p * q, seed=0, max_rho_iterations=5)
+
+
+def test_square_cofactor_needs_no_rho():
+    """A resultant of two symmetric factors is a square: a square of a
+    prime beyond trial division is split by its integer square root,
+    before any rho iteration, and so is the square of a semiprime."""
+    p = 35_184_372_088_891
+    assert integer_factor(p * p, max_rho_iterations=0) == [p, p]
+    n = 1_000_003 * 999_983
+    assert integer_factor(4 * n * n) == [2, 2, 999_983, 999_983, 1_000_003, 1_000_003]

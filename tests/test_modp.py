@@ -229,6 +229,12 @@ class TestEdgeContracts:
             with pytest.raises(ValueError):
                 op()
 
+    def test_prime_beyond_a_machine_word(self):
+        p = 9223372036854775907  # > 2^63, prime
+        a, b = mod("x^2 - 3*x + 2", p), mod("x^2 - 4*x + 3", p)
+        assert gcd_mod_p(a, b) == mod("x - 1", p)
+        assert (a * b).divrem(b) == (a, PolyModP.zero(p))
+
     def test_hensel_division_needs_a_monic_divisor(self):
         from knotsig import zfactor
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import random
 
@@ -32,7 +33,7 @@ from knotsig import (
     rho_p,
     symmetric_check,
 )
-from conftest import make_delta_a
+from conftest import FACTS_MEMOS, clear_facts_memos, make_delta_a
 from oracles import delta_factor_rhos, indecomposable_by_delta_factors
 
 
@@ -474,3 +475,108 @@ class TestDeltaFactsMemo:
             rep = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=s))
             assert rep.verdict == VERDICT_NOT_ADMISSIBLE
         assert counts == {"zfactor.standing_assumptions": 1}
+
+
+class TestFactorFactsMemo:
+    """The facts of one factor of P (its lift certificate and its rho) and
+    of one factor pair (its primes and witnesses) are computed once per
+    process, whichever Delta they came from; reports are unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reports_match_reports_from_empty_memos(self, seed):
+        from knotsig.obstruction import _pair_primes
+        from knotsig.pipeline import _factor_rho
+        from knotsig.zfactor import _lift_certified
+
+        rng = random.Random(seed)
+        a_values = (-5, -2, 0, 1, 2, 3, 6, 9, 10)
+        reqs = []
+        for k in (2, 3, 3, 4, 4, 5):
+            delta = IntPoly.one()
+            for a in rng.sample(a_values, k):
+                delta = delta * make_delta_a(a)
+            for m, s in ((7, 8), (11, 0), (7, -16)):
+                reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
+        rng.shuffle(reqs)
+        warm = [TestDeltaFactsMemo.run(req) for req in reqs]
+        for memo in (_pair_primes, _factor_rho, _lift_certified):
+            assert memo.cache_info().hits > 0
+        for req, text in zip(reqs, warm):
+            clear_facts_memos()
+            assert TestDeltaFactsMemo.run(req) == text, req
+
+    def test_shared_factors_and_pairs_are_computed_once(self, calls):
+        from knotsig.obstruction import _pair_primes
+        from knotsig.zfactor import _lift_certified
+
+        counts = calls("polys.resultant", "realroots.rho_p")
+        d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
+        for delta in (d0 * d1 * d2, d0 * d1 * d3):
+            rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
+            assert rep.verdict in (VERDICT_REALIZABLE, VERDICT_OBSTRUCTION_UNKNOWN)
+        # three pairs, then the two pairs with Delta_3's factor
+        assert counts == {"polys.resultant": 5, "realroots.rho_p": 4}
+        assert _pair_primes.cache_info()[:2] == (1, 5)
+        assert _lift_certified.cache_info()[:2] == (2, 4)
+
+    def test_pair_refusal_is_raised_again(self, monkeypatch):
+        from knotsig import BudgetExceededError, obstruction
+
+        spent = []
+
+        def exhausted(n, seed, budget):
+            spent.append(n)
+            raise BudgetExceededError(f"rho budget {budget} spent on {n}")
+
+        d0, d1, d2 = (make_delta_a(a) for a in range(3))
+        reqs = [AnalysisRequest(delta=delta, m=7, signature=8) for delta in (d0 * d2, d0 * d1 * d2)]
+        monkeypatch.setattr(obstruction, "integer_factor", exhausted)
+        for req in reqs:
+            with pytest.raises(BudgetExceededError, match="candidate prime set incomplete"):
+                analyze(req)
+        # the pair of Delta_0's and Delta_2's factors, whose resultant is 8^2,
+        # both times; the other pairs have resultant 1
+        assert spent == [64, 64]
+        monkeypatch.undo()
+        tables = [[entry["primes"] for entry in analyze(req).pi_table] for req in reqs]
+        assert tables == [[[2]], [[], [2], []]]
+
+    def test_bounded(self):
+        from knotsig.obstruction import PI_RHO_BUDGET, _pair_primes
+        from knotsig.pipeline import _factor_rho
+        from knotsig.zfactor import FACTOR_FACTS_MEMO, _lift_certified
+
+        v = IntPoly((0, -1, 1))  # X^2 - X
+        fills = (
+            (_factor_rho, lambda c: _factor_rho(v - IntPoly((c,)))),
+            (_lift_certified, lambda c: _lift_certified(IntPoly((-c, 1)))),
+            (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)), 0, PI_RHO_BUDGET)),
+        )
+        for memo, call in fills:
+            assert memo.cache_info().maxsize == FACTOR_FACTS_MEMO
+            for c in range(1, FACTOR_FACTS_MEMO + 2):
+                call(c)
+                assert memo.cache_info().currsize == min(c, FACTOR_FACTS_MEMO)
+            assert memo.cache_info().misses == FACTOR_FACTS_MEMO + 1
+
+
+def test_the_fixture_clears_every_memo(delta1, delta2, e8_half):
+    """Every module-level memo of knotsig (a callable with ``cache_clear``)
+    is one the autouse fixture of conftest.py empties."""
+    import pkgutil
+
+    import knotsig
+    from knotsig import alexander_of_form
+
+    found = {}
+    for info in pkgutil.iter_modules(knotsig.__path__):
+        module = importlib.import_module(f"knotsig.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_clear"):
+                found.setdefault(id(value), (f"{info.name}.{name}", value))
+    assert [n for n, memo in found.values() if all(memo is not m for m in FACTS_MEMOS)] == []
+    analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
+    alexander_of_form(e8_half)
+    assert all(memo.cache_info().currsize > 0 for _, memo in found.values())
+    clear_facts_memos()
+    assert all(memo.cache_info().currsize == 0 for _, memo in found.values())

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knotsig import (
     IntPoly,
@@ -27,6 +29,7 @@ from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exa
 from conftest import make_delta_a
 from oracles import (
     RatPoly,
+    compose_by_intpoly_horner,
     delta_to_p_by_expansion,
     divides_by_divrem,
     divrem,
@@ -73,6 +76,20 @@ class TestArithmetic:
         assert P("3*x^4 - 2*x^3 - x^2 - 2*x + 3").evaluate(-1) == 9
         assert P("7*x^5 - 3*x + 11").evaluate(0) == 11
         assert P("x^2 - 2").evaluate(Fraction(1, 2)) == Fraction(-7, 4)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(-50, 50), max_size=9).map(IntPoly),
+        st.lists(st.integers(-50, 50), max_size=4).map(IntPoly),
+    )
+    @example(P("3*x^2 - x + 5"), IntPoly.zero())
+    @example(P("3*x^2 - x + 5"), P("-7"))
+    @example(P("-x^3 + 2"), P("x^2 - x"))
+    @example(IntPoly.zero(), P("x - 1"))
+    def test_compose_matches_intpoly_horner(self, f, inner):
+        """The coefficient-list Horner of compose against Horner on IntPoly
+        values, zero and constant inner polynomials included."""
+        assert f.compose(inner) == compose_by_intpoly_horner(f, inner)
 
 
 class TestDivrem:
