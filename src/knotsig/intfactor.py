@@ -7,6 +7,13 @@ Before rho, a composite cofactor that is a perfect square m = r^2
 factors f = F(X^2 - X), g = G(X^2 - X) is Res(F, G)^2, and rho would
 otherwise have to split a square p^2 of a large prime p, which it finds
 only after about p^(1/2) iterations.
+
+Primality is Miller-Rabin on the first 13 primes as bases, which is
+exact below `MR_EXACT_BOUND` = 3317044064679887385961981, the least
+composite that passes all 13 (1287836182261 * 2575672364521).  A
+cofactor that passes them at or above that bound is not certified:
+`integer_factor` refuses it with `BudgetExceededError` rather than
+report a composite as a prime.
 """
 
 from __future__ import annotations
@@ -18,13 +25,14 @@ from .errors import BudgetExceededError
 
 TRIAL_LIMIT = 10_000
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witness set, exact for n < MR_EXACT_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set (deterministic far beyond the
-    sizes this package produces)."""
+    """Miller-Rabin with a fixed base set: exact for n < MR_EXACT_BOUND,
+    a probable-prime test at or above it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -97,7 +105,8 @@ def integer_factor(
 
     ``integer_factor(1)`` and ``integer_factor(-1)`` return ``[]``.
     Raises :class:`BudgetExceededError` when the rho stage exceeds its
-    iteration budget.
+    iteration budget, or when a cofactor passes Miller-Rabin at or above
+    ``MR_EXACT_BOUND``, where passing does not prove it prime.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -119,6 +128,11 @@ def integer_factor(
         if m == 1:
             continue
         if is_probable_prime(m):
+            if m >= MR_EXACT_BOUND:
+                raise BudgetExceededError(
+                    f"primality of {m} is not certified: Miller-Rabin is exact"
+                    f" only below {MR_EXACT_BOUND}"
+                )
             primes.append(m)
             continue
         r = math.isqrt(m)

@@ -12,7 +12,8 @@ coefficient lists.  They accumulate products and subtractions unreduced
 (Python integers do not overflow) and reduce each output coefficient
 once, plus the leading coefficient once per division step: a reduction
 per inner multiply-add costs more than the multiply-add itself.  Every
-result is reduced and trimmed, and exact for a prime of any size.
+result is reduced and trimmed, and exact for a modulus of any size; the
+primes come from `intfactor`, which certifies each one it returns.
 Beyond the inverse of a divisor's leading coefficient they need no prime
 modulus, so `zfactor`'s Hensel lifting runs on them over Z/m with monic
 divisors.  `PolyModP` methods delegate to the kernels and wrap results

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import PolyParseError
 
@@ -36,6 +36,18 @@ def _trimmed(coeffs: Iterable[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a*b on ascending coefficient lists, untrimmed; [] when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,14 +109,7 @@ class IntPoly:
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPoly(out)
+        return IntPoly(_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -129,16 +134,10 @@ class IntPoly:
     def compose(self, inner: "IntPoly") -> "IntPoly":
         """Exact composition self(inner(X)) by Horner on a plain
         coefficient list, acc <- acc * inner + c."""
-        b = inner.coeffs
         acc: list[int] = []
         for c in reversed(self.coeffs):
-            out = [0] * (len(acc) + len(b) - 1) if acc and b else [0]
-            for i, x in enumerate(acc):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            out[0] += c
-            acc = out
+            acc = _mul_coeffs(acc, inner.coeffs) or [0]
+            acc[0] += c
         return IntPoly(acc)
 
     def derivative(self) -> "IntPoly":

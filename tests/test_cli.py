@@ -257,25 +257,44 @@ def test_factor_through_the_v_model(capsys, a_values):
     assert len(expected) == len(a_values)
 
 
-@pytest.mark.parametrize("a", [-8796093022223, -2305843009213693977])
-def test_square_resultant_of_a_large_prime(capsys, a):
-    """Delta = q_a q_{9a+2} with q_a = aX^2 - (2a+1)X + a.  P has the two
-    factors X^2 - X - c for c = a and 9a + 2, whose resultant is
-    (8a + 2)^2 = 4 p^2 with p = -(4a + 1) prime; the second p exceeds 2^63."""
-    import sympy
+def _q_pair_delta(a: int) -> str:
+    """Delta = q_a q_{9a+2} with q_a = aX^2 - (2a+1)X + a, as CLI text.
+    P has the two factors X^2 - X - c for c = a and 9a + 2, whose
+    resultant is (8a + 2)^2 = 4 (4a + 1)^2; Delta(-1) = 9 (4a + 1)^2."""
 
     def q(c: int) -> IntPoly:
         return IntPoly((c, -(2 * c + 1), c))
 
-    delta = q(a) * q(9 * a + 2)
-    p = -(4 * a + 1)
-    code, out, _ = run(capsys, "analyze", "--delta", ",".join(map(str, delta.coeffs)),
+    return ",".join(map(str, (q(a) * q(9 * a + 2)).coeffs))
+
+
+@pytest.mark.parametrize("a", [-8796093022223, -2305843009213693977,
+                               (3317044064679887385961813 - 1) // 4])
+def test_square_resultant_of_a_large_prime(capsys, a):
+    """The resultant is 4 p^2 with p = |4a + 1| prime: the second p
+    exceeds 2^63, the third is the largest prime p = 1 mod 4 below the
+    bound where Miller-Rabin on the first 13 primes is exact."""
+    import sympy
+
+    p = abs(4 * a + 1)
+    code, out, _ = run(capsys, "analyze", "--delta", _q_pair_delta(a),
                        "--m", "7", "--signature", "0", "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "REALIZABLE"
     assert [entry["primes"] for entry in report["pi_table"]] == [[2, p]]
     assert sympy.isprime(p)
+
+
+def test_square_resultant_of_a_strong_pseudoprime_is_refused(capsys):
+    """With 4a + 1 = 1287836182261 * 2575672364521, the least composite
+    that passes Miller-Rabin on the first 13 primes, the resultant's
+    square root cannot be certified prime: a refusal, not a Pi entry."""
+    n = 3317044064679887385961981
+    code, out, err = run(capsys, "analyze", "--delta", _q_pair_delta((n - 1) // 4),
+                         "--m", "7", "--signature", "0")
+    assert code == 3 and out == ""
+    assert f"primality of {n} is not certified" in err
 
 
 def test_internal_error_exit_four(capsys, monkeypatch):

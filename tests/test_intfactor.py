@@ -75,3 +75,19 @@ def test_square_cofactor_needs_no_rho():
     assert integer_factor(p * p, max_rho_iterations=0) == [p, p]
     n = 1_000_003 * 999_983
     assert integer_factor(4 * n * n) == [2, 2, 999_983, 999_983, 1_000_003, 1_000_003]
+
+
+def test_no_prime_is_reported_beyond_the_miller_rabin_bound():
+    """Below MR_EXACT_BOUND the 13-base test is exact; the bound itself is
+    a strong pseudoprime to all 13 bases, and integer_factor refuses it,
+    alone or as the square root of a square cofactor."""
+    from knotsig.intfactor import MR_EXACT_BOUND
+
+    n = MR_EXACT_BOUND
+    assert n == 1_287_836_182_261 * 2_575_672_364_521
+    assert is_probable_prime(n)
+    for m in (n, n * n, 6 * n * n):
+        with pytest.raises(BudgetExceededError, match=f"primality of {n} is not certified"):
+            integer_factor(m)
+    p = 3_317_044_064_679_887_385_961_813  # the largest prime below the bound
+    assert integer_factor(4 * p * p, max_rho_iterations=0) == [2, 2, p, p]
