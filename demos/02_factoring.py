@@ -7,7 +7,7 @@ subset recombination; results are verified by re-multiplication and do not
 depend on the internal seed.  factor_z takes a companion polynomial P, fixed
 by X -> 1-X, through its half-degree v-model Q with P(X) = Q(X^2 - X), and
 keeps each lift q(X^2 - X) whole once a mod-p certificate proves it
-irreducible; the trace shows Q's primes.
+irreducible; the trace shows Q's one prime.
 """
 
 from knotsig import factor_z, integer_factor, parse_poly, poly_text, resultant, standing_assumptions

@@ -8,16 +8,16 @@ fixed factor, or (p odd) the square of X - 1/2.
 
 All arithmetic runs in the private kernels `_add`, `_sub`, `_mul`,
 `_divrem`, `_rem`, `_powmod`, `_gcd` and `_xgcd` on plain ascending
-coefficient lists.  They accumulate products and subtractions unreduced
-(Python integers do not overflow) and reduce each output coefficient
-once, plus the leading coefficient once per division step: a reduction
-per inner multiply-add costs more than the multiply-add itself.  Every
-result is reduced and trimmed, and exact for a modulus of any size; the
-primes come from `intfactor`, which certifies each one it returns.
-Beyond the inverse of a divisor's leading coefficient they need no prime
-modulus, so `zfactor`'s Hensel lifting runs on them over Z/m with monic
-divisors.  `PolyModP` methods delegate to the kernels and wrap results
-with `_wrap`, which skips re-reduction.
+coefficient lists.  They accumulate products (`polys._mul_coeffs`) and
+subtractions unreduced (Python integers do not overflow) and reduce each
+output coefficient once, plus the leading coefficient once per division
+step: a reduction per inner multiply-add costs more than the
+multiply-add itself.  Every result is reduced and trimmed, and exact for
+a modulus of any size; the primes come from `intfactor`, which certifies
+each one it returns.  Beyond the inverse of a divisor's leading
+coefficient they need no prime modulus, so `zfactor`'s Hensel lifting
+runs on them over Z/m with monic divisors.  `PolyModP` methods delegate
+to the kernels and wrap results with `_wrap`, which skips re-reduction.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .polys import IntPoly
+from .polys import IntPoly, _mul_coeffs
 
 Coeffs = Sequence[int]
 
@@ -54,20 +54,8 @@ def _sub(a: Coeffs, b: Coeffs, m: int) -> list[int]:
     return _add(a, [-c for c in b], m)
 
 
-def _product(a: Coeffs, b: Coeffs) -> list[int]:
-    """a*b over Z, untrimmed; empty when a factor is."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b, i):
-                out[j] += c * d
-    return out
-
-
 def _mul(a: Coeffs, b: Coeffs, m: int) -> list[int]:
-    return _reduced(_product(a, b), m)
+    return _reduced(_mul_coeffs(a, b), m)
 
 
 def _divrem(a: Coeffs, b: Coeffs, m: int) -> tuple[list[int], list[int]]:
@@ -102,10 +90,10 @@ def _powmod(a: Coeffs, e: int, f: Coeffs, m: int) -> list[int]:
     result = [1]
     while e:
         if e & 1:
-            result = _rem(_product(result, base), f, m)
+            result = _rem(_mul_coeffs(result, base), f, m)
         e >>= 1
         if e:
-            base = _rem(_product(base, base), f, m)
+            base = _rem(_mul_coeffs(base, base), f, m)
     return result
 
 
@@ -129,7 +117,7 @@ def _xgcd(a: Coeffs, b: Coeffs, p: int) -> tuple[list[int], list[int]]:
     while b:
         q, r = _divrem(a, b, p)
         a, b = b, r
-        u, w = w, _sub(u, _product(q, w), p)
+        u, w = w, _sub(u, _mul_coeffs(q, w), p)
     if not a:
         return [], u
     inv = pow(a[-1], -1, p)
@@ -331,7 +319,7 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[C
                 t: list[int] = []
                 for _ in range(d):
                     t = _add(t, u, p)
-                    u = _rem(_product(u, u), f, p)
+                    u = _rem(_mul_coeffs(u, u), f, p)
             else:
                 t = _sub(_powmod(u, (p**d - 1) // 2, f, p), [1], p)
             w = _gcd(t, f, p)
@@ -343,8 +331,7 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[C
 def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]]:
     """Monic irreducible factors of monic f, squarefree mod p, ascending by
     (degree, coefficients): distinct-degree blocks, each split by seeded
-    equal-degree splitting.  The caller certifies squarefreeness
-    (`_squarefree_parts`, or zfactor's good primes)."""
+    equal-degree splitting.  The caller certifies squarefreeness."""
     out = [
         list(q)
         for block, d in _distinct_degree(f, p)
@@ -352,14 +339,6 @@ def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]
     ]
     out.sort(key=lambda q: (len(q), q))
     return out
-
-
-def degree_pattern(f: PolyModP) -> list[int]:
-    """Ascending degrees of the irreducible factors of f over F_p, read off
-    the distinct-degree blocks without splitting them.  f must be
-    squarefree mod p; the caller certifies that (zfactor's good primes)."""
-    blocks = _distinct_degree(_monic(f.coeffs, f.p), f.p)
-    return [d for block, d in blocks for _ in range((len(block) - 1) // d)]
 
 
 def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
@@ -382,7 +361,7 @@ def _at_one_minus_x(h: PolyModP) -> list[int]:
     """Coefficients of h(1-X), by Horner's rule."""
     acc: list[int] = []
     for c in reversed(h.coeffs):
-        acc = _add(_product(acc, (1, -1)), (c,), h.p)
+        acc = _add(_mul_coeffs(acc, (1, -1)), (c,), h.p)
     return acc
 
 

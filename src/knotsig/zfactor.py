@@ -9,15 +9,17 @@ a good prime (distinct-degree, then equal-degree splitting; the prime is
 good because the model is squarefree modulo it, so no modular squarefree
 split runs), Hensel-lifted (quadratic steps, binary factor tree) past the
 Mignotte coefficient bound, and modular factors are recombined by subsets
-with degree-pattern pruning from three auxiliary primes; their patterns
-come from distinct-degree splitting alone, since the model is squarefree
-modulo each.  Lifting runs on `modp`'s coefficient-list kernels over Z/m.
-Each candidate is tried by integer trial division (`polys.divides`),
-whose constant-term pre-check rejects almost every wrong one before
-dividing.  Yun's gcds (run only when no mod-p certificate shows the input
-squarefree) are integer `gcd_z`, so no step uses Fractions.  A part with
-more than MAX_MODULAR_FACTORS = 16 modular factors at its first prime is
-refused with `BudgetExceededError`; results are verified by
+in one pass over subset sizes: the size grows only when no subset of it
+divides, since a subset that does not divide the cofactor left does not
+divide any later one.  Lifting runs on `modp`'s coefficient-list kernels
+over Z/m.  Each candidate is tried by integer trial division
+(`polys.divides`), whose constant-term pre-check rejects almost every
+wrong one before dividing.  Yun's gcds (run only when no mod-p
+certificate shows the input squarefree) are integer `gcd_z`, so no step
+uses Fractions.  A part with more than MAX_MODULAR_FACTORS = 16 modular
+factors at its prime is refused with `BudgetExceededError`, so a part
+costs at most sum_{k<=8} C(16, k) = 39,202 trial divisions, as many as an
+irreducible part with 16 factors; results are verified by
 re-multiplication and do not depend on the splitting seed.
 
 Distinct Delta share factors, so `_lift_certified` is memoized per
@@ -47,17 +49,15 @@ from .modp import (
     _monic,
     _mul,
     _powmod,
-    _product,
     _rem,
     _squarefree_factors,
     _sub,
     _wrap,
     _xgcd,
-    degree_pattern,
     gcd_mod_p,
 )
-from .polys import (IntPoly, certified_squarefree, divides, exact_div, gcd_z, poly_text,
-                    symmetric_check, v_polynomial)
+from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
+                    poly_text, symmetric_check, v_polynomial)
 
 MAX_MODULAR_FACTORS = 16
 # Primes tried per lift certificate: 584 of the 598 irreducible lifts of the
@@ -149,16 +149,16 @@ def _hensel_step(f, g, h, s, t, m, last=False):
     until the sum or division that takes them reduces once.  After the
     ``last`` round nothing reads s, t, so they are returned unlifted."""
     m2 = m * m
-    e = _sub(f, _product(g, h), m2)
-    q, r = _pm_divrem_monic(_product(s, e), h, m2)
-    g2 = _add(_add(g, _product(t, e), m2), _product(q, g), m2)
+    e = _sub(f, _mul_coeffs(g, h), m2)
+    q, r = _pm_divrem_monic(_mul_coeffs(s, e), h, m2)
+    g2 = _add(_add(g, _mul_coeffs(t, e), m2), _mul_coeffs(q, g), m2)
     h2 = _add(h, r, m2)
     if last:
         return g2, h2, s, t
-    b = _sub(_add(_product(s, g2), _product(t, h2), m2), (1,), m2)
-    c, d = _pm_divrem_monic(_product(s, b), h2, m2)
+    b = _sub(_add(_mul_coeffs(s, g2), _mul_coeffs(t, h2), m2), (1,), m2)
+    c, d = _pm_divrem_monic(_mul_coeffs(s, b), h2, m2)
     s2 = _sub(s, d, m2)
-    t2 = _sub(_sub(t, _product(t, b), m2), _product(c, g2), m2)
+    t2 = _sub(_sub(t, _mul_coeffs(t, b), m2), _mul_coeffs(c, g2), m2)
     return g2, h2, s2, t2
 
 
@@ -186,7 +186,7 @@ def _build_tree(factors: list[PolyModP], p: int) -> _Node:
         raise KnotsigError("modular factors are not coprime")
     # enforce deg(s) < deg(h), deg(t) < deg(g)
     node.s = _rem(u, h, p)
-    node.t = _divrem(_sub((1,), _product(node.s, g), p), h, p)[0]
+    node.t = _divrem(_sub((1,), _mul_coeffs(node.s, g), p), h, p)[0]
     return node
 
 
@@ -249,13 +249,6 @@ def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
             yield p
 
 
-def _subset_sums(degrees: list[int]) -> set[int]:
-    sums = {0}
-    for d in degrees:
-        sums |= {s + d for s in sums}
-    return sums
-
-
 def _mignotte_bound(G: IntPoly) -> int:
     """Coefficient bound for any monic divisor of monic G."""
     norm2 = math.isqrt(sum(c * c for c in G.coeffs)) + 1
@@ -276,7 +269,7 @@ def _factor_squarefree(
     else:
         # monic model l^(d-1) * g(X/l); factors map back by X -> l*X
         G = IntPoly([c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs[:-1])] + [1])
-    p, *aux = itertools.islice(_good_primes(g, lift), 4)
+    p = next(_good_primes(g, lift))
     # G is monic and certified squarefree mod p: no squarefree split again
     gp = PolyModP.from_int_poly(G, p)
     modular = [_wrap(p, q) for q in _squarefree_factors(gp.coeffs, p, random.Random(seed))]
@@ -289,12 +282,6 @@ def _factor_squarefree(
             f"{len(modular)} modular factors of a degree-{d} polynomial at p = {p} exceed"
             f" the recombination cap of {MAX_MODULAR_FACTORS}"
         )
-    allowed = _subset_sums([int(q.degree) for q in modular])
-    for q in aux:
-        degs = degree_pattern(PolyModP.from_int_poly(G, q))
-        allowed &= _subset_sums(degs)
-        if trace is not None:
-            trace.append(f"auxiliary prime {q}: modular degrees {degs}")
     bound = _mignotte_bound(G)
     lifted, modulus = _hensel_lift(G, modular, p, 2 * bound + 1)
     if trace is not None:
@@ -308,29 +295,24 @@ def _factor_squarefree(
     found: list[IntPoly] = []
     alive = list(range(len(lifted)))
     current = G
-    restart = True
-    while restart:
-        restart = False
-        for size in range(1, len(alive) // 2 + 1):
-            for combo in itertools.combinations(alive, size):
-                degsum = sum(len(lifted[i]) - 1 for i in combo)
-                if degsum not in allowed:
-                    continue
-                prod = [1]
-                for i in combo:
-                    prod = _mul(prod, lifted[i], modulus)
-                cand = _sym_int_poly(prod, modulus)
-                if not divides(cand, current):
-                    continue
-                found.append(demonicize(cand))
-                current = exact_div(current, cand)
-                alive = [i for i in alive if i not in combo]
-                if trace is not None:
-                    trace.append(f"accepted subset {list(combo)} of degree {degsum}")
-                restart = True
+    size = 1
+    while 2 * size <= len(alive):
+        for combo in itertools.combinations(alive, size):
+            prod = [1]
+            for i in combo:
+                prod = _mul(prod, lifted[i], modulus)
+            cand = _sym_int_poly(prod, modulus)
+            if divides(cand, current):
                 break
-            if restart:
-                break
+        else:
+            # no subset of this size divides current, so none divides a divisor of it
+            size += 1
+            continue
+        found.append(demonicize(cand))
+        current = exact_div(current, cand)
+        alive = [i for i in alive if i not in combo]
+        if trace is not None:
+            trace.append(f"accepted subset {list(combo)} of degree {int(cand.degree)}")
     if current.degree > 0:
         found.append(demonicize(current))
     return found

@@ -10,9 +10,7 @@ import pytest
 
 from knotsig import (
     FactorizationModP,
-    IntPoly,
     PolyModP,
-    delta_to_p,
     factor_mod_p,
     gcd_mod_p,
     involution_image,
@@ -20,9 +18,7 @@ from knotsig import (
     symmetric_common_factor,
 )
 from knotsig import modp, zfactor
-from knotsig.modp import degree_pattern
 from knotsig.polys import parse_poly
-from conftest import make_delta_a
 from oracles import (
     brute_force_symmetric_common_factor,
     pm_divrem_by_steps,
@@ -379,38 +375,3 @@ class TestFactorAgainstSympy:
             assert fac == sympy_factor_mod_p(f), (p, f)
             for q, _ in fac.factors:
                 assert_canonical(q)
-
-
-def delta_a_product_p(k: int = 6) -> IntPoly:
-    f = IntPoly.one()
-    for a in (0, 2, 4, 5, 7, 9)[:k]:
-        f = f * delta_to_p(make_delta_a(a))
-    return f
-
-
-class TestDegreePattern:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1073741789])
-    def test_matches_factor_mod_p_on_squarefree_inputs(self, p):
-        rng = random.Random(1100 + p)
-        checked = 0
-        while checked < (5 if p > 1000 else 25):
-            f = PolyModP(p, [rng.randrange(p) for _ in range(rng.randrange(1, 40))] + [1])
-            if gcd_mod_p(f, f.derivative()).degree != 0:
-                continue
-            want = [int(q.degree) for q, e in factor_mod_p(f, seed=2).factors for _ in range(e)]
-            assert degree_pattern(f) == want, (p, f)
-            checked += 1
-
-    def test_non_monic_input(self):
-        f = mod("3*x^3 + 2*x + 1", 7) * mod("x^2 + 1", 7)
-        assert gcd_mod_p(f, f.derivative()).degree == 0 and not f.is_monic
-        want = [int(q.degree) for q, _ in factor_mod_p(f).factors]
-        assert degree_pattern(f) == want
-
-    def test_delta_a_product_auxiliary_primes(self):
-        P = delta_a_product_p()
-        for p in itertools.islice(zfactor._good_primes(P), 4):
-            fp = PolyModP.from_int_poly(P, p)
-            want = [int(q.degree) for q, e in factor_mod_p(fp).factors for _ in range(e)]
-            assert degree_pattern(fp) == want
-            assert sum(want) == 36

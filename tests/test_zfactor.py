@@ -18,7 +18,7 @@ from knotsig import (
     symmetric_check,
     zfactor,
 )
-from knotsig.modp import PolyModP, degree_pattern, factor_mod_p
+from knotsig.modp import PolyModP, _squarefree_factors, factor_mod_p
 from knotsig.polys import v_polynomial
 from conftest import make_delta_a
 from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
@@ -96,8 +96,8 @@ class TestFactorZ:
                     assert is_irreducible_bruteforce(q), q
 
     def test_degree_pattern_certificate(self, f1, f2):
-        """Each reported factor either is irreducible mod some auxiliary
-        prime, or the recombination trace records how it was assembled."""
+        """Each reported factor either is irreducible mod some small prime,
+        or the recombination trace records how it was assembled."""
         trace: list[str] = []
         fz = direct(f1 * f2, seed=0, trace=trace)
         for q, _ in fz.factors:
@@ -151,6 +151,32 @@ class TestNonMonic:
                 fz = factor_z(f)
                 assert fz.product() == f
                 assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(f), (lc, f)
+
+
+class TestManyModularFactors:
+    """Irreducible inputs that split into many factors at their prime, so
+    recombination tries every subset up to half their number."""
+
+    def test_irreducible_with_15_factors_mod_5(self):
+        """The product of the 15 monic irreducibles of degree <= 2 mod 5,
+        plus 5h: 5 is its first good prime, where it has 15 factors."""
+        f = IntPoly([-15, 14, 0, -5, 10, 15, -10, 5, -15, -5, -15, -15, -15, 10, 5, -15,
+                     0, 10, -10, 0, 10, -15, 5, -10, 15, 1])
+        assert next(zfactor._good_primes(f)) == 5
+        assert len(factor_mod_p(PolyModP.from_int_poly(f, 5)).factors) == 15
+        assert sympy_factors(f) == [(f.coeffs, 1)]
+        assert factor_z(f).factors == ((f, 1),)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_swinnerton_dyer(self, n):
+        import sympy
+        from sympy.polys.specialpolys import swinnerton_dyer_poly
+
+        x = sympy.Symbol("x")
+        f = IntPoly(int(c) for c in reversed(sympy.Poly(swinnerton_dyer_poly(n, x), x).all_coeffs()))
+        assert f.degree == 2**n
+        assert sympy_factors(f) == [(f.coeffs, 1)]
+        assert factor_z(f).factors == ((f, 1),)
 
 
 class TestStandingAssumptions:
@@ -236,7 +262,8 @@ class TestVModelRoute:
         Q = v_polynomial(P)
         p = next(zfactor._good_primes(P))
         assert next(zfactor._good_primes(Q, lift=True)) == p
-        count = [len(degree_pattern(PolyModP.from_int_poly(f, p))) for f in (Q, P)]
+        count = [len(_squarefree_factors(PolyModP.from_int_poly(f, p).coeffs, p, random.Random(0)))
+                 for f in (Q, P)]
         assert count[0] <= count[1]
 
     def test_split_lift_not_certified(self):
@@ -438,10 +465,47 @@ class TestModularWork:
             direct = _squarefree_factors(gp.coeffs, p, random.Random(seed))
             assert [PolyModP(p, q) for q in direct] == [q for q, _ in factor_mod_p(gp, seed).factors]
 
+    def test_one_prime_per_squarefree_part(self, monkeypatch):
+        """Each squarefree part draws exactly one prime from _good_primes."""
+        from knotsig import zfactor
+
+        drawn: list[int] = []
+        original = zfactor._good_primes
+
+        def counting(g, lift=False):
+            for p in original(g, lift):
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(zfactor, "_good_primes", counting)
+        P = self.delta_a_product_p()
+        for f, parts in ((P, 1), (P * parse_poly("x^2 + 1") ** 2, 2)):
+            drawn.clear()
+            direct(f)
+            assert len(drawn) == parts
+
+    def test_recombination_trial_divisions(self, monkeypatch):
+        """One pass over subset sizes: 151 trial divisions on the k = 6
+        product, against 191 when recombination restarted from size 1
+        after each accepted factor and pruned by auxiliary primes."""
+        from knotsig import zfactor
+
+        calls = [0]
+        original = zfactor.divides
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(zfactor, "divides", counting)
+        direct(self.delta_a_product_p())
+        assert calls[0] <= 191
+        assert calls[0] == 151
+
     def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch):
         from knotsig import zfactor
 
-        inside = {"_hensel_lift": 0, "degree_pattern": 0}
+        inside = {"_hensel_lift": 0}
         scope: list[str] = []
         arithmetic = {"divrem": 0, "__mul__": 0}
         in_scope = {"divrem": 0, "__mul__": 0}
@@ -468,7 +532,7 @@ class TestModularWork:
             monkeypatch.setattr(zfactor, name, scoped)
         P = self.delta_a_product_p()
         direct(P)
-        assert inside == {"_hensel_lift": 1, "degree_pattern": 3}
+        assert inside == {"_hensel_lift": 1}
         assert in_scope == {"divrem": 0, "__mul__": 0}
         # nowhere else in factor_z either, now that the first prime skips
         # the modular squarefree split; the counters see factor_mod_p's work
