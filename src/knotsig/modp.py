@@ -328,17 +328,18 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[C
             return _equal_degree_split(w, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
-def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of monic f, squarefree mod p, ascending by
-    (degree, coefficients): distinct-degree blocks, each split by seeded
-    equal-degree splitting.  The caller certifies squarefreeness."""
-    out = [
-        list(q)
-        for block, d in _distinct_degree(f, p)
-        for q in _equal_degree_split(block, d, p, rng)
-    ]
+def _equal_degree_factors(blocks, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of distinct-degree blocks by seeded
+    equal-degree splitting, ascending by (degree, coefficients)."""
+    out = [list(q) for block, d in blocks for q in _equal_degree_split(block, d, p, rng)]
     out.sort(key=lambda q: (len(q), q))
     return out
+
+
+def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of monic f, squarefree mod p (the caller
+    certifies it), ascending by (degree, coefficients)."""
+    return _equal_degree_factors(_distinct_degree(f, p), p, rng)
 
 
 def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:

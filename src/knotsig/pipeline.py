@@ -25,7 +25,8 @@ factors and 15 prime-table pairs, table and group included) holds about
 :func:`_factor_rho` memoizes the rho of each factor of P, keyed on the
 factor alone, since distinct Delta share factors, for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries (about 340 B each), as do
-`zfactor`'s lift certificates and `obstruction`'s pair prime sets.
+`zfactor`'s known irreducible factors and lift certificates, and
+`obstruction`'s pair prime sets.
 Exceptions are never memoized: a budget that runs out, or the
 cross-check failing, raises again on every request.
 """

@@ -4,31 +4,31 @@ of a companion polynomial P with its standing-assumption flags.
 `factor_z`, the one entry point, chooses the route: a polynomial fixed by
 X -> 1-X goes through its half-degree v-model, any other directly.  The
 direct route is Zassenhaus: content/primitive split, Yun squarefree
-decomposition, then per squarefree part a monic model is factored modulo
-a good prime (distinct-degree, then equal-degree splitting; the prime is
-good because the model is squarefree modulo it, so no modular squarefree
-split runs), Hensel-lifted (quadratic steps, binary factor tree) past the
-Mignotte coefficient bound, and modular factors are recombined by subsets
-in one pass over subset sizes: the size grows only when no subset of it
-divides, since a subset that does not divide the cofactor left does not
-divide any later one.  Lifting runs on `modp`'s coefficient-list kernels
-over Z/m.  Each candidate is tried by integer trial division
-(`polys.divides`), whose constant-term pre-check rejects almost every
-wrong one before dividing.  Yun's gcds (run only when no mod-p
-certificate shows the input squarefree) are integer `gcd_z`, so no step
-uses Fractions.  A part with more than MAX_MODULAR_FACTORS = 16 modular
-factors at its prime is refused with `BudgetExceededError`, so a part
-costs at most sum_{k<=8} C(16, k) = 39,202 trial divisions, as many as an
-irreducible part with 16 factors; results are verified by
-re-multiplication and do not depend on the splitting seed.
+decomposition (integer `gcd_z`, only when no mod-p certificate shows the
+input squarefree), then per squarefree part g, in this order: one prime p
+at which g's monic model is squarefree (so no modular squarefree split
+runs); the distinct-degree pass mod p, which counts modular factors; g
+itself for one, `BudgetExceededError` for more than MAX_MODULAR_FACTORS =
+16; then the memo of known factors.  Only the cofactor they leave goes on
+at p: equal-degree splitting, a quadratic Hensel lift on a binary factor
+tree (`modp`'s kernels over Z/m) past the Mignotte bound, and subset
+recombination in one pass over subset sizes.  A subset that does not
+divide the cofactor left divides none of its divisors, so the enumeration
+goes on past an accepted subset and the size grows only when none of it
+divides: a part costs at most sum_{k<=8} C(16, k) = 39,202 trial
+divisions (`polys.divides`).  No step uses Fractions; results are checked
+by re-multiplication and do not depend on the splitting seed.
 
-Distinct Delta share factors, so `_lift_certified` is memoized per
-process, keyed on the v-model factor q, for at most FACTOR_FACTS_MEMO =
-1024 entries, least recently used first out; one entry holds about 270 B
-(tracemalloc).  The same bound serves the memos of a factor's rho in
-`pipeline` and of a pair's prime set in `obstruction`: a full Delta-facts
-memo of the largest benchmark Delta (6 factors, 15 pairs) holds 384
-factors and 960 pairs.  Exceptions are never memoized.
+Distinct Delta share factors.  `_known_factors`, keyed on the factor,
+holds those a factorization proved irreducible (Zassenhaus output, parts
+irreducible mod p, lifts of v-model factors, certified or split), about
+340 B each (tracemalloc), entered once `_verified` re-multiplied it; the cap
+comes first, so no refusal depends on them.  `_lift_certified` is memoized
+per v-model factor (about 270 B each), as are a factor's rho in `pipeline`
+and a pair's primes in `obstruction`.  Each memo holds at most
+FACTOR_FACTS_MEMO = 1024 entries per process, least recently used first
+out: a full Delta-facts memo of the largest benchmark Delta (6 factors, 15
+pairs) holds 384 factors and 960 pairs.  Exceptions are never memoized.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,11 +47,12 @@ from .modp import (
     _add,
     _distinct_degree,
     _divrem,
+    _equal_degree_factors,
+    _gcd,
     _monic,
     _mul,
     _powmod,
     _rem,
-    _squarefree_factors,
     _sub,
     _wrap,
     _xgcd,
@@ -67,6 +69,7 @@ FACTOR_FACTS_MEMO = 1024
 
 _V = IntPoly((0, -1, 1))  # X^2 - X
 _QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
+_MemoInfo = namedtuple("MemoInfo", "maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,6 @@ def _hensel_lift(F: IntPoly, factors: list[PolyModP], p: int, target: int):
 # Zassenhaus recombination
 
 
-def _sym_int_poly(coeffs, m: int) -> IntPoly:
-    """Symmetric-range representative in (-m/2, m/2]."""
-    half = m // 2
-    return IntPoly((c - m if c > half else c) for c in coeffs)
-
-
 def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
     """The odd primes p, ascending, with p not dividing lc(g) and g
     squarefree mod p (so is its monic model).  With ``lift`` also
@@ -255,6 +252,13 @@ def _mignotte_bound(G: IntPoly) -> int:
     return (1 << int(G.degree)) * norm2
 
 
+def _model(f: IntPoly, lc: int) -> IntPoly:
+    """lc^deg(f) * f(X/lc) / lc(f), for lc(f) | lc: monic over Z, with roots
+    lc times f's, so at one lc the model of a divisor divides f's model."""
+    d = len(f.coeffs) - 1
+    return f if lc == 1 else IntPoly([c * lc ** (d - k) // f.lc for k, c in enumerate(f.coeffs)])
+
+
 def _factor_squarefree(
     g: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
 ) -> list[IntPoly]:
@@ -263,59 +267,101 @@ def _factor_squarefree(
     d = int(g.degree)
     if d <= 1:
         return [g]
-    lc = g.lc
-    if lc == 1:
-        G = g
-    else:
-        # monic model l^(d-1) * g(X/l); factors map back by X -> l*X
-        G = IntPoly([c * lc ** (d - 1 - k) for k, c in enumerate(g.coeffs[:-1])] + [1])
     p = next(_good_primes(g, lift))
-    # G is monic and certified squarefree mod p: no squarefree split again
-    gp = PolyModP.from_int_poly(G, p)
-    modular = [_wrap(p, q) for q in _squarefree_factors(gp.coeffs, p, random.Random(seed))]
+    # the model G is certified squarefree mod p: no squarefree split again
+    G = _model(g, g.lc)
+    blocks = _distinct_degree(PolyModP.from_int_poly(G, p).coeffs, p)
+    degrees = [k for block, k in blocks for _ in range((len(block) - 1) // k)]
     if trace is not None:
-        trace.append(f"prime {p}: modular degrees {[int(q.degree) for q in modular]}")
-    if len(modular) == 1:
+        trace.append(f"prime {p}: modular degrees {degrees}")
+    if len(degrees) == 1:
         return [g]
-    if len(modular) > MAX_MODULAR_FACTORS:
+    if len(degrees) > MAX_MODULAR_FACTORS:
         raise BudgetExceededError(
-            f"{len(modular)} modular factors of a degree-{d} polynomial at p = {p} exceed"
+            f"{len(degrees)} modular factors of a degree-{d} polynomial at p = {p} exceed"
             f" the recombination cap of {MAX_MODULAR_FACTORS}"
         )
-    bound = _mignotte_bound(G)
-    lifted, modulus = _hensel_lift(G, modular, p, 2 * bound + 1)
+    known = _known_factors(g)
+    if known:
+        rest = exact_div(g, math.prod(known))
+        if trace is not None:
+            trace.append(f"{len(known)} known factors, cofactor of degree {int(rest.degree)}")
+        if rest.degree <= 0:
+            return known
+        G = _model(rest, g.lc)
+        gp = PolyModP.from_int_poly(G, p).coeffs
+        blocks = [(b, k) for b, k in ((_gcd(b, gp, p), k) for b, k in blocks) if len(b) > 1]
+        if sum((len(b) - 1) // k for b, k in blocks) == 1:
+            return known + [rest]
+    return known + _recombined(G, g.lc, blocks, p, seed, trace)
+
+
+def _recombined(G: IntPoly, lc: int, blocks, p: int, seed: int, trace) -> list[IntPoly]:
+    """The irreducible factors of h from G = `_model`(h, lc) and its blocks
+    mod p: equal-degree splitting, the Hensel lift, then recombination."""
+    modular = [_wrap(p, q) for q in _equal_degree_factors(blocks, p, random.Random(seed))]
+    lifted, modulus = _hensel_lift(G, modular, p, 2 * _mignotte_bound(G) + 1)
     if trace is not None:
         trace.append(f"lifted {len(lifted)} factors to modulus {p}^k = {modulus}")
 
-    def demonicize(H: IntPoly) -> IntPoly:
-        if lc == 1:
-            return H
-        return IntPoly(c * lc**k for k, c in enumerate(H.coeffs)).primitive()
-
     found: list[IntPoly] = []
-    alive = list(range(len(lifted)))
-    current = G
-    size = 1
+    alive = set(range(len(lifted)))
+    current, size, half = G, 1, modulus // 2
     while 2 * size <= len(alive):
-        for combo in itertools.combinations(alive, size):
+        # subsets passed over divide no later cofactor: go on past an accepted one
+        for combo in itertools.combinations(sorted(alive), size):
+            if not alive.issuperset(combo):
+                continue
             prod = [1]
             for i in combo:
                 prod = _mul(prod, lifted[i], modulus)
-            cand = _sym_int_poly(prod, modulus)
+            cand = IntPoly(c - modulus if c > half else c for c in prod)  # in (-m/2, m/2]
             if divides(cand, current):
-                break
-        else:
-            # no subset of this size divides current, so none divides a divisor of it
-            size += 1
-            continue
-        found.append(demonicize(cand))
-        current = exact_div(current, cand)
-        alive = [i for i in alive if i not in combo]
-        if trace is not None:
-            trace.append(f"accepted subset {list(combo)} of degree {int(cand.degree)}")
+                found.append(cand)
+                current = exact_div(current, cand)
+                alive.difference_update(combo)
+                if trace is not None:
+                    trace.append(f"accepted subset {list(combo)} of degree {int(cand.degree)}")
+                if 2 * size > len(alive):
+                    break
+        # no subset of this size divides current, so none divides a divisor of it
+        size += 1
     if current.degree > 0:
-        found.append(demonicize(current))
-    return found
+        found.append(current)
+    # back from the model: X -> lc*X, then the primitive part
+    return found if lc == 1 else [IntPoly(c * lc**k for k, c in enumerate(H.coeffs)).primitive()
+                                  for H in found]
+
+
+class _KnownFactors:
+    """Primitive positive-lc polynomials proven irreducible over Z, least
+    recently used first out past ``maxsize``, each kept with its degree and
+    |q(16)| (1 for X - 16): q | g forces q(16) | g(16), two integer tests
+    before any `divides`.  At 16 a non-divisor seldom passes (at 2 often)."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self.entries = maxsize, {}
+        # lru_cache's two methods, set here so that the class is no memo
+        self.cache_clear = self.entries.clear
+        self.cache_info = lambda: _MemoInfo(maxsize, len(self.entries))
+
+    def __call__(self, g: IntPoly) -> list[IntPoly]:
+        """The entries that divide g, refreshed."""
+        d, at16 = len(g.coeffs) - 1, g.evaluate(16)
+        found = [q for deg, v, q in self.entries.values()
+                 if not at16 % v and deg <= d and divides(q, g)]
+        self.learn(found)
+        return found
+
+    def learn(self, factors: list[IntPoly]) -> None:
+        for q in factors:
+            entry = self.entries.pop(q, None)
+            self.entries[q] = entry or (len(q.coeffs) - 1, abs(q.evaluate(16)) or 1, q)
+        while len(self.entries) > self.maxsize:
+            del self.entries[next(iter(self.entries))]
+
+
+_known_factors = _KnownFactors(FACTOR_FACTS_MEMO)
 
 
 def _factor(
@@ -392,17 +438,21 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
         q_poly = v_polynomial(f)
     except ValueError:  # f is zero or not fixed by X -> 1-X
         q_poly = None
+    q_factors: list[tuple[IntPoly, int]] = []
     if q_poly is None or divides(_QUARTER, q_poly):
-        return _verified(f, *_factor(f, seed, trace))
-    if trace is not None:
-        trace.append(f"through the v-model Q = {poly_text(q_poly)}")
-    content, q_factors = _factor(q_poly, seed, trace, lift=True)
-    factors: list[tuple[IntPoly, int]] = []
-    for q, e in q_factors:
-        lifted = q.compose(_V)
-        split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, seed, trace)[1]
-        factors += [(h, m * e) for h, m in split]
-    return _verified(f, content, factors)
+        content, factors = _factor(f, seed, trace)
+    else:
+        if trace is not None:
+            trace.append(f"through the v-model Q = {poly_text(q_poly)}")
+        content, q_factors = _factor(q_poly, seed, trace, lift=True)
+        factors = []
+        for q, e in q_factors:
+            lifted = q.compose(_V)
+            split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, seed, trace)[1]
+            factors += [(h, m * e) for h, m in split]
+    result = _verified(f, content, factors)
+    _known_factors.learn([q for q, _ in q_factors + list(result.factors)])
+    return result
 
 
 def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:

@@ -420,36 +420,45 @@ class TestModularWork:
         return f
 
     def test_one_full_modular_factorization_per_squarefree_part(self, monkeypatch):
-        """One modular factorization per squarefree part over Z, and no
-        modular squarefree split: the good prime already certified the
-        part squarefree mod p."""
+        """One distinct-degree pass per squarefree part over Z, equal-degree
+        splitting only for the parts that reach recombination, and no
+        modular squarefree split: the good prime already certified the part
+        squarefree mod p.  X^2 + 1 is irreducible at its prime 3, so its
+        one modular factor is counted and never split."""
         from knotsig import modp, zfactor
 
-        calls = {"factor_mod_p": 0, "parts": 0, "modular_split": 0}
-        factor_original, parts_original = zfactor._squarefree_factors, zfactor._factor_squarefree
+        calls = {"distinct_degree": 0, "equal_degree": 0, "parts": 0, "modular_split": 0}
+        originals = {name: getattr(zfactor, name) for name in
+                     ("_distinct_degree", "_equal_degree_factors", "_factor_squarefree")}
         split_original = modp._squarefree_parts
 
-        def counting_factor(f, p, rng):
-            calls["factor_mod_p"] += 1
-            return factor_original(f, p, rng)
+        def counting_distinct(f, p):
+            calls["distinct_degree"] += 1
+            return originals["_distinct_degree"](f, p)
+
+        def counting_equal(blocks, p, rng):
+            calls["equal_degree"] += 1
+            return originals["_equal_degree_factors"](blocks, p, rng)
 
         def counting_parts(g, *args):
             calls["parts"] += g.degree >= 2
-            return parts_original(g, *args)
+            return originals["_factor_squarefree"](g, *args)
 
         def counting_split(f):
             calls["modular_split"] += 1
             return split_original(f)
 
-        monkeypatch.setattr(zfactor, "_squarefree_factors", counting_factor)
+        monkeypatch.setattr(zfactor, "_distinct_degree", counting_distinct)
+        monkeypatch.setattr(zfactor, "_equal_degree_factors", counting_equal)
         monkeypatch.setattr(zfactor, "_factor_squarefree", counting_parts)
         monkeypatch.setattr(modp, "_squarefree_parts", counting_split)
         P = self.delta_a_product_p()
         for f, parts in ((P, 1), (P * parse_poly("x^2 + 1") ** 2, 2)):
-            calls.update(factor_mod_p=0, parts=0, modular_split=0)
+            calls.update(distinct_degree=0, equal_degree=0, parts=0, modular_split=0)
             direct(f)
             assert calls["parts"] == parts
-            assert calls["factor_mod_p"] == calls["parts"]
+            assert calls["distinct_degree"] == calls["parts"]
+            assert calls["equal_degree"] == 1
             assert calls["modular_split"] == 0
 
     def test_first_prime_factors_are_factor_mod_p_s(self):
@@ -485,9 +494,10 @@ class TestModularWork:
             assert len(drawn) == parts
 
     def test_recombination_trial_divisions(self, monkeypatch):
-        """One pass over subset sizes: 151 trial divisions on the k = 6
-        product, against 191 when recombination restarted from size 1
-        after each accepted factor and pruned by auxiliary primes."""
+        """One pass over subset sizes that goes on past each accepted
+        subset: 75 trial divisions on the k = 6 product, against 151 when
+        the enumeration restarted at each accepted factor and 191 when it
+        also restarted from size 1 and pruned by auxiliary primes."""
         from knotsig import zfactor
 
         calls = [0]
@@ -499,8 +509,7 @@ class TestModularWork:
 
         monkeypatch.setattr(zfactor, "divides", counting)
         direct(self.delta_a_product_p())
-        assert calls[0] <= 191
-        assert calls[0] == 151
+        assert calls[0] == 75
 
     def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch):
         from knotsig import zfactor
@@ -539,3 +548,126 @@ class TestModularWork:
         assert arithmetic == {"divrem": 0, "__mul__": 0}
         factor_mod_p(PolyModP.from_int_poly(P, 13))
         assert arithmetic["divrem"] > 0
+
+
+# the 17 Delta_a in scope of perfbench's workloads: -8 <= a <= 10, a != -1, -3
+IN_SCOPE_A = tuple(a for a in range(-8, 11) if a not in (-1, -3))
+
+
+@st.composite
+def taught_products(draw):
+    """Delta_a factors and random factors (up to degree 3, some
+    non-monic), a product of them in shuffled order, and earlier
+    products of some of them that teach the memo of known factors."""
+    deltas = [make_delta_a(a) for a in draw(st.lists(st.sampled_from(IN_SCOPE_A),
+                                                     min_size=1, max_size=3))]
+    extras = [IntPoly(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)) + [lead])
+              for lead in draw(st.lists(st.integers(1, 3), max_size=3))]
+    pieces = draw(st.permutations(deltas + extras))
+    teachers = draw(st.lists(st.lists(st.sampled_from(pieces), min_size=1, max_size=3),
+                             max_size=3))
+    return pieces, deltas, teachers
+
+
+def product(polys) -> IntPoly:
+    out = IntPoly.one()
+    for f in polys:
+        out = out * f
+    return out
+
+
+def answers(pieces, deltas):
+    """What factor_z and analyze answer on the products, a refusal's message
+    included: the factors of the product f (the direct route, unless f is
+    symmetric) and of its lift f(X^2 - X) (the v-model route), and the
+    report of Delta = prod Delta_a."""
+    from knotsig import AnalysisRequest, analyze
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except BudgetExceededError as exc:
+            return str(exc)
+
+    f = product(pieces)
+    return (outcome(factor_z, f, 1), outcome(factor_z, f.compose(V), 0),
+            outcome(lambda d: analyze(AnalysisRequest(delta=d, m=7, signature=8)).to_dict(),
+                    product(deltas)))
+
+
+class TestKnownFactors:
+    """The memo of irreducible factors proven by earlier requests changes
+    the work, never an answer or a refusal."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(taught_products())
+    def test_warm_memo_answers_as_cold(self, case):
+        from conftest import clear_facts_memos
+
+        pieces, deltas, teachers = case
+        clear_facts_memos()
+        cold = answers(pieces, deltas)
+        for taught in teachers:
+            answers(taught, [q for q in taught if q in deltas] or deltas)
+        assert answers(pieces, deltas) == cold
+        assert answers(pieces, deltas) == cold  # the memo now knows every factor
+
+    def test_refusal_does_not_depend_on_the_memo(self):
+        """The 18 linear factors of test_modular_factor_cap's refused input,
+        all memoized by factoring small products of them, change neither
+        the refusal nor its message."""
+        linears = [IntPoly((-r, 1)) for r in range(-9, 9)]
+        f = product(linears)
+        with pytest.raises(BudgetExceededError) as cold:
+            factor_z(f)
+        for i in range(0, 18, 3):
+            assert {q for q, _ in factor_z(product(linears[i:i + 3])).factors} == set(linears[i:i + 3])
+        assert all(q in zfactor._known_factors.entries for q in linears)
+        with pytest.raises(BudgetExceededError) as warm:
+            factor_z(f)
+        assert str(warm.value) == str(cold.value)
+        assert str(cold.value).startswith("18 modular factors of a degree-18 ")
+
+    def test_a_full_hit_skips_the_lift(self, calls):
+        P = delta_a_product_p((0, 2, 4, 5, 7, 9))
+        expected = factor_z(P)
+        counts = calls("zfactor._hensel_lift", "zfactor._equal_degree_factors")
+        for sub in ((0, 2, 4, 5, 7, 9), (9, 4, 0), (5, 7)):
+            fz = factor_z(delta_a_product_p(sub))
+            assert {q for q, _ in fz.factors} <= {q for q, _ in expected.factors}
+        assert counts["zfactor._hensel_lift"] == 0
+        assert counts["zfactor._equal_degree_factors"] == 0
+
+    @pytest.mark.parametrize("unknown", [IntPoly((1, 1, 49)) * IntPoly((-1, 0, 4)),
+                                         IntPoly((-1, 0, 4)) * IntPoly((1, 3))])
+    def test_a_partial_hit_lifts_only_the_cofactor(self, monkeypatch, unknown):
+        """Known factors leave a non-monic cofactor, lifted alone in the
+        coordinates of the whole part's model; the second cofactor has
+        three modular factors in one distinct-degree block."""
+        known = IntPoly((1, -1, 1)) * IntPoly((2, 0, 3))
+        factor_z(known)
+        degrees: list[int] = []
+        original = zfactor._hensel_lift
+
+        def recording(G, modular, p, target):
+            degrees.append(int(G.degree))
+            return original(G, modular, p, target)
+
+        monkeypatch.setattr(zfactor, "_hensel_lift", recording)
+        fz = factor_z(known * unknown)
+        assert fz.product() == known * unknown
+        assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(known * unknown)
+        assert degrees == [int(unknown.degree)]
+
+    def test_bound(self):
+        """Learning FACTOR_FACTS_MEMO + 1 factors leaves the bound, the least
+        recently used one out."""
+        memo, bound = zfactor._known_factors, zfactor.FACTOR_FACTS_MEMO
+        for r in range(bound + 1):
+            factor_z(IntPoly((-r, 1)))
+            if r == 1:
+                assert memo(IntPoly((0, -1, 1))) == [IntPoly((0, 1)), IntPoly((-1, 1))]
+                assert memo(IntPoly((0, 1))) == [IntPoly((0, 1))]  # X is now the most recent
+        assert memo.cache_info().currsize == bound
+        assert IntPoly((-1, 1)) not in memo.entries and IntPoly((0, 1)) in memo.entries
