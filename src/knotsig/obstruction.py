@@ -8,14 +8,25 @@ candidate is then tested for a symmetric common factor mod p.  Linking
 factors whose prime set is nonempty partitions the factor set; the
 obstruction group is elementary abelian of rank (components - 1).
 
+Every candidate passes the test.  Write f = F(X^2 - X), g = G(X^2 - X)
+with F, G monic.  Over F_p a Bezout identity for D = gcd(F, G) in F_p[V],
+V = X^2 - X, gives d = gcd(f, g) = D(X^2 - X) mod p, and
+Res(f, g) = +-Res(F, G)^2.  So at a candidate p, deg D >= 1 and d, fixed
+by X -> 1-X, is itself a symmetric common factor of degree >= 2.  The
+test's real work is the witness, which depends on (p, d) alone.
+
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
 keyed on (f, g, seed, max_rho_iterations), for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries, least recently used first
 out; :func:`_pi_entry` attaches the request's indices.  One entry of a
 benchmark pair holds about 570 B (tracemalloc, the factors themselves
-not counted).  Exceptions are never memoized: a rho budget that runs out
-raises again on every request.
+not counted).  Distinct pairs share d: the factors of P from Delta_a
+and Delta_b are congruent mod p whenever p | a - b.  So
+:func:`_symmetric_witness` memoizes the witness keyed on (d, seed), for
+at most `zfactor.FACTOR_FACTS_MEMO` entries, about 560 B each
+(tracemalloc, d included).  Exceptions are never memoized: a rho budget
+that runs out raises again on every request.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .intfactor import integer_factor
-from .modp import PolyModP, symmetric_common_factor
+from .modp import PolyModP, gcd_mod_p, symmetric_common_factor
 from .polys import IntPoly, resultant, symmetric_check
 from .zfactor import FACTOR_FACTS_MEMO, SymmetricFactorSet
 
@@ -101,13 +112,21 @@ def _pair_primes(
     primes: list[int] = []
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
-        ok, w = symmetric_common_factor(
-            PolyModP.from_int_poly(f, p), PolyModP.from_int_poly(g, p), seed
+        ok, w = _symmetric_witness(
+            gcd_mod_p(PolyModP.from_int_poly(f, p), PolyModP.from_int_poly(g, p)), seed
         )
         if ok:
             primes.append(p)
             witnesses.append((p, w))
     return tuple(primes), tuple(witnesses)
+
+
+@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+def _symmetric_witness(d: PolyModP, seed: int) -> tuple[bool, PolyModP | None]:
+    """The decision and witness of `modp.symmetric_common_factor` for a
+    pair whose monic gcd mod p is d, which is all they depend on
+    (gcd(d, d) = d); memoized."""
+    return symmetric_common_factor(d, d, seed)
 
 
 def obstruction_group(

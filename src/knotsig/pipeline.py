@@ -26,7 +26,7 @@ factors and 15 prime-table pairs, table and group included) holds about
 factor alone, since distinct Delta share factors, for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries (about 340 B each), as do
 `zfactor`'s known irreducible factors and lift certificates, and
-`obstruction`'s pair prime sets.
+`obstruction`'s pair prime sets and witnesses per gcd mod p.
 Exceptions are never memoized: a budget that runs out, or the
 cross-check failing, raises again on every request.
 """

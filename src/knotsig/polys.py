@@ -424,21 +424,25 @@ def v_polynomial(p: IntPoly) -> IntPoly:
 def trace_polynomial(delta: IntPoly) -> IntPoly:
     """The unique D of degree n with Delta(X) = X^n * D(X + 1/X), for
     reciprocal Delta of degree 2n.  Uses the integer basis
-    V_j(Y) = X^j + X^{-j}: V_0 = 2, V_1 = Y, V_{j+1} = Y*V_j - V_{j-1}."""
+    V_j(Y) = X^j + X^{-j}: V_0 = 2, V_1 = Y, V_{j+1} = Y*V_j - V_{j-1},
+    run on coefficient lists."""
     if delta.is_zero:
         raise ValueError("the zero polynomial has no Alexander conditions")
     if len(delta.coeffs) % 2 == 0 or delta.coeffs != delta.coeffs[::-1]:
         raise ValueError("trace_polynomial needs a reciprocal polynomial of even degree")
     n = len(delta.coeffs) // 2
-    y = IntPoly.x()
-    d = IntPoly((delta.coeff(n),))
-    v_prev, v_cur = IntPoly((2,)), y
+    d = [delta.coeff(n)] + [0] * n
+    v_prev, v_cur = [2], [0, 1]
     for j in range(1, n + 1):
         c = delta.coeff(n + j)
         if c:
-            d = d + c * v_cur
-        v_prev, v_cur = v_cur, y * v_cur - v_prev
-    return d
+            for i, v in enumerate(v_cur):
+                d[i] += c * v
+        v_next = [0] + v_cur
+        for i, v in enumerate(v_prev):
+            v_next[i] -= v
+        v_prev, v_cur = v_cur, v_next
+    return IntPoly(d)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ holds those a factorization proved irreducible (Zassenhaus output, parts
 irreducible mod p, lifts of v-model factors, certified or split), about
 340 B each (tracemalloc), entered once `_verified` re-multiplied it; the cap
 comes first, so no refusal depends on them.  `_lift_certified` is memoized
-per v-model factor (about 270 B each), as are a factor's rho in `pipeline`
-and a pair's primes in `obstruction`.  Each memo holds at most
-FACTOR_FACTS_MEMO = 1024 entries per process, least recently used first
-out: a full Delta-facts memo of the largest benchmark Delta (6 factors, 15
+per v-model factor (about 270 B each), as are a factor's rho in `pipeline`,
+and a pair's primes and the witness of a gcd mod p in `obstruction`.  Each
+memo holds at most FACTOR_FACTS_MEMO = 1024 entries per process, least
+recently used first out: a full Delta-facts memo of the largest benchmark Delta (6 factors, 15
 pairs) holds 384 factors and 960 pairs.  Exceptions are never memoized.
 """
 

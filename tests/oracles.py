@@ -20,8 +20,10 @@ signatures of the real 2n x 2n realification, and bisection with
 term-by-term binomial expansions of the Delta <-> P transforms and the
 top-down peel of the v-model behind a separate symmetry test, as the
 transforms were computed before coefficient reversal and division by
-X^2 - X; and composition by Horner on `IntPoly` values, as
-`IntPoly.compose` ran before its coefficient-list loop.
+X^2 - X; composition by Horner on `IntPoly` values, as `IntPoly.compose`
+ran before its coefficient-list loop; and the trace polynomial by its
+recurrence on `IntPoly` values, as `trace_polynomial` ran before its
+coefficient-list loop.
 """
 
 from __future__ import annotations
@@ -683,6 +685,22 @@ def compose_by_intpoly_horner(f: IntPoly, inner: IntPoly) -> IntPoly:
     for c in reversed(f.coeffs):
         acc = acc * inner + IntPoly((c,))
     return acc
+
+
+def trace_polynomial_by_intpoly(delta: IntPoly) -> IntPoly:
+    """D with Delta(X) = X^n D(X + 1/X) by the recurrence
+    V_{j+1} = Y V_j - V_{j-1} on IntPoly values, reciprocal Delta of even
+    degree only."""
+    n = len(delta.coeffs) // 2
+    y = IntPoly.x()
+    d = IntPoly((delta.coeff(n),))
+    v_prev, v_cur = IntPoly((2,)), y
+    for j in range(1, n + 1):
+        c = delta.coeff(n + j)
+        if c:
+            d = d + c * v_cur
+        v_prev, v_cur = v_cur, y * v_cur - v_prev
+    return d
 
 
 def delta_to_p_by_expansion(delta: IntPoly) -> IntPoly:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from knotsig import (
     BudgetExceededError,
+    IntPoly,
     delta_to_p,
     obstruction_group,
     pi_set,
@@ -13,6 +16,7 @@ from knotsig import (
     standing_assumptions,
 )
 from knotsig.modp import PolyModP, is_symmetric_mod_p
+from knotsig.obstruction import _symmetric_witness
 from knotsig.polys import parse_poly
 from conftest import make_delta_a
 
@@ -133,3 +137,28 @@ class TestObstructionGroup:
             obstruction_group(standing_assumptions(f1 * f1))
         with pytest.raises(ValueError, match="symmetric"):
             obstruction_group(standing_assumptions(parse_poly("x^2 - x - 2")))
+
+
+class TestWitnessMemo:
+    """A witness depends on the prime and the gcd mod p of the pair alone,
+    so it is computed once per (gcd mod p, seed), whichever pair shares
+    that gcd."""
+
+    def test_one_factorization_per_gcd_mod_p(self, calls):
+        """The factors of P from Delta_a, a in {0, 2, ..., 10}, are
+        congruent mod 2, so their 15 pairs share one gcd mod 2; the 19
+        (pair, prime) entries have 5 distinct gcds mod p."""
+        factors = (delta_to_p(make_delta_a(a)) for a in range(0, 12, 2))
+        fs = standing_assumptions(math.prod(factors, start=IntPoly.one()))
+        counts = calls("modp.factor_mod_p")
+        group, table = obstruction_group(fs)
+        assert group.rank == 0
+        assert sum(len(entry.primes) for entry in table) == 19
+        assert counts["modp.factor_mod_p"] == 5
+
+    def test_memo_key_includes_the_seed(self, calls, f1, f2):
+        counts = calls("modp.factor_mod_p")
+        entries = [pi_set(f1, f2, seed=seed) for seed in (0, 1, 0)]
+        assert entries[0] == entries[1] == entries[2]
+        assert counts["modp.factor_mod_p"] == 2
+        assert _symmetric_witness.cache_info()[:2] == (0, 2)

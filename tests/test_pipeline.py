@@ -478,13 +478,14 @@ class TestDeltaFactsMemo:
 
 
 class TestFactorFactsMemo:
-    """The facts of one factor of P (its lift certificate and its rho) and
-    of one factor pair (its primes and witnesses) are computed once per
-    process, whichever Delta they came from; reports are unchanged."""
+    """The facts of one factor of P (its lift certificate and its rho), of
+    one factor pair (its primes and witnesses) and of one gcd mod p (its
+    witness) are computed once per process, whichever Delta they came
+    from; reports are unchanged."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_match_reports_from_empty_memos(self, seed):
-        from knotsig.obstruction import _pair_primes
+        from knotsig.obstruction import _pair_primes, _symmetric_witness
         from knotsig.pipeline import _factor_rho
         from knotsig.zfactor import _lift_certified
 
@@ -499,7 +500,7 @@ class TestFactorFactsMemo:
                 reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
-        for memo in (_pair_primes, _factor_rho, _lift_certified):
+        for memo in (_pair_primes, _factor_rho, _lift_certified, _symmetric_witness):
             assert memo.cache_info().hits > 0
         for req, text in zip(reqs, warm):
             clear_facts_memos()
@@ -542,12 +543,14 @@ class TestFactorFactsMemo:
         assert tables == [[[2]], [[], [2], []]]
 
     def test_bounded(self):
-        from knotsig.obstruction import PI_RHO_BUDGET, _pair_primes
+        from knotsig.modp import PolyModP
+        from knotsig.obstruction import PI_RHO_BUDGET, _pair_primes, _symmetric_witness
         from knotsig.pipeline import _factor_rho
         from knotsig.zfactor import FACTOR_FACTS_MEMO, _lift_certified
 
         v = IntPoly((0, -1, 1))  # X^2 - X
-        fills = (
+        fills = (  # the witnesses first: filling the pair memo computes some
+            (_symmetric_witness, lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)), 0)),
             (_factor_rho, lambda c: _factor_rho(v - IntPoly((c,)))),
             (_lift_certified, lambda c: _lift_certified(IntPoly((-c, 1)))),
             (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)), 0, PI_RHO_BUDGET)),

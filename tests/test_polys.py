@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotsig import (
@@ -38,6 +38,7 @@ from oracles import (
     rat_gcd,
     squarefree_by_rat_gcd,
     sylvester_resultant,
+    trace_polynomial_by_intpoly,
     v_polynomial_by_peeling,
 )
 
@@ -621,6 +622,20 @@ class TestTracePolynomial:
     def test_non_reciprocal_rejected(self):
         with pytest.raises(ValueError):
             trace_polynomial(P("x^2 + x + 2"))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.integers(-50, 50), max_size=9), st.integers(-50, 50))
+    @example([], 5)
+    @example([3, 0, 0], 0)
+    @example([1, -1, 1, 0], -2)
+    def test_matches_intpoly_recurrence(self, half, middle):
+        """The coefficient-list recurrence against the same recurrence on
+        IntPoly values, on reciprocal Delta of degree 0 to 18 (zero middle
+        and outer coefficients included)."""
+        delta = IntPoly(half + [middle] + half[::-1])
+        # a zero constant term is trimmed off the top, leaving no palindrome
+        assume(not delta.is_zero and delta.coeffs == delta.coeffs[::-1])
+        assert trace_polynomial(delta) == trace_polynomial_by_intpoly(delta)
 
 
 class TestResultant:
