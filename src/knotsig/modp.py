@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .polys import IntPoly, _mul_coeffs
+from .polys import IntPoly, _mul_coeffs, _at_one_minus_x as _shifted
 
 Coeffs = Sequence[int]
 
@@ -359,11 +359,8 @@ def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
 
 
 def _at_one_minus_x(h: PolyModP) -> list[int]:
-    """Coefficients of h(1-X), by Horner's rule."""
-    acc: list[int] = []
-    for c in reversed(h.coeffs):
-        acc = _add(_mul_coeffs(acc, (1, -1)), (c,), h.p)
-    return acc
+    """Coefficients of h(1-X), reduced from the shift over Z."""
+    return _reduced(_shifted(h.coeffs), h.p)
 
 
 def involution_image(h: PolyModP) -> PolyModP:

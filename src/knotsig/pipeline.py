@@ -77,16 +77,16 @@ class AnalysisRequest:
             raise ValueError("tau values must be -2 or +2")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
 def _json_tree(x: Any) -> Any:
     """A copy of x with every dict, list and tuple rebuilt and the
-    (immutable) leaves shared."""
-    if isinstance(x, dict):
-        return {k: _json_tree(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_json_tree(v) for v in x]
-    if isinstance(x, tuple):
-        return tuple(_json_tree(v) for v in x)
-    return x
+    (immutable) leaves shared; only containers cost a call."""
+    if type(x) is dict:
+        return {k: _json_tree(v) if type(v) in _CONTAINERS else v for k, v in x.items()}
+    items = [_json_tree(v) if type(v) in _CONTAINERS else v for v in x]
+    return items if type(x) is list else tuple(items)
 
 
 @dataclass(eq=True)
@@ -114,7 +114,7 @@ class AnalysisReport:
     def to_dict(self) -> dict[str, Any]:
         """The fields as a fresh JSON tree; ``dataclasses.asdict`` gives
         the same, but deep-copies every leaf."""
-        return {f.name: _json_tree(getattr(self, f.name)) for f in fields(self)}
+        return _json_tree({f.name: getattr(self, f.name) for f in fields(self)})
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "AnalysisReport":

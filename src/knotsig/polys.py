@@ -50,6 +50,18 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _at_one_minus_x(a: Sequence[int]) -> list[int]:
+    """f(1 - X) on ascending coefficient lists by additions only: f(-X),
+    then the shift X -> X - 1 by repeated synthetic division."""
+    out = [-c if k & 1 else c for k, c in enumerate(a)]
+    n = len(out)
+    for i in range(n - 1):
+        acc = out[-1]
+        for j in range(n - 2, i - 1, -1):  # out[j] -= out[j + 1], downwards
+            acc = out[j] = out[j] - acc
+    return out
+
+
 @dataclass(frozen=True)
 class IntPoly:
     """Integer polynomial; ``IntPoly([1, 0, -2])`` is ``-2x^2 + 1``."""
@@ -348,7 +360,7 @@ def delta_to_p(delta: IntPoly) -> IntPoly:
     if delta.is_zero or int(deg) % 2 != 0:
         raise ValueError("delta_to_p needs a nonzero polynomial of even degree")
     n = int(deg) // 2
-    p = delta.compose(IntPoly((1, -1))).reversed_()
+    p = IntPoly(reversed(_at_one_minus_x(delta.coeffs)))
     return p if n % 2 == 0 else -p
 
 
@@ -361,13 +373,13 @@ def p_to_delta(p: IntPoly) -> IntPoly:
     if p.evaluate(0) == 0:
         raise ValueError("p_to_delta needs P(0) != 0")
     n = int(p.degree) // 2
-    delta = p.reversed_().compose(IntPoly((1, -1)))
+    delta = IntPoly(_at_one_minus_x(p.coeffs[::-1]))
     return delta if n % 2 == 0 else -delta
 
 
 def symmetric_check(f: IntPoly) -> bool:
     """True when f(1-X) = f(X) coefficientwise."""
-    return f.compose(IntPoly((1, -1))) == f
+    return _at_one_minus_x(f.coeffs) == list(f.coeffs)
 
 
 # the three largest primes below 2^30, so residues and their products stay small

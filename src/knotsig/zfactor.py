@@ -19,16 +19,19 @@ divides: a part costs at most sum_{k<=8} C(16, k) = 39,202 trial
 divisions (`polys.divides`).  No step uses Fractions; results are checked
 by re-multiplication and do not depend on the splitting seed.
 
-Distinct Delta share factors.  `_known_factors`, keyed on the factor,
-holds those a factorization proved irreducible (Zassenhaus output, parts
+Distinct Delta share factors.  `_known_factors`, keyed on the factor, holds
+those a factorization proved irreducible (Zassenhaus output, parts
 irreducible mod p, lifts of v-model factors, certified or split), about
-340 B each (tracemalloc), entered once `_verified` re-multiplied it; the cap
-comes first, so no refusal depends on them.  `_lift_certified` is memoized
-per v-model factor (about 270 B each), as are a factor's rho in `pipeline`,
-and a pair's primes and the witness of a gcd mod p in `obstruction`.  Each
-memo holds at most FACTOR_FACTS_MEMO = 1024 entries per process, least
-recently used first out: a full Delta-facts memo of the largest benchmark Delta (6 factors, 15
-pairs) holds 384 factors and 960 pairs.  Exceptions are never memoized.
+340 B each (tracemalloc), entered once `_verified` re-multiplied it.  An
+input of degree <= 16 whose memoized divisors fill its degree is answered
+from them before any modular work (proof at `_factor`); it could not reach
+the cap, and on any other input the cap comes first, so no refusal depends
+on the memo.  `_lift_certified` is memoized per v-model factor (about 270 B
+each), as are a factor's rho in `pipeline`, and a pair's primes and the
+witness of a gcd mod p in `obstruction`.  Each memo holds at most
+FACTOR_FACTS_MEMO = 1024 entries per process, least recently used first out:
+a full Delta-facts memo of the largest benchmark Delta (6 factors, 15 pairs)
+holds 384 factors and 960 pairs.  Exceptions are never memoized.
 """
 
 from __future__ import annotations
@@ -368,7 +371,14 @@ def _factor(
     f: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
 ) -> tuple[int, list[tuple[IntPoly, int]]]:
     """Content and unsorted (irreducible, multiplicity) pairs of nonzero f,
-    not yet checked by re-multiplication; ``lift`` as in `_good_primes`."""
+    not yet checked by re-multiplication; ``lift`` as in `_good_primes`.
+
+    Known factors first: if deg(prim) <= MAX_MODULAR_FACTORS and the
+    memo's divisors of prim fill its degree, they are its factorization,
+    each of multiplicity 1; no Yun, prime or distinct-degree pass runs.
+    (i) prim has at most deg(prim) modular factors, so the cap could not
+    refuse it.  (ii) Distinct primitive positive-lc irreducibles dividing
+    prim multiply to a divisor (Gauss's lemma), at full degree prim."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.lc > 0 else -f.content()
@@ -376,6 +386,12 @@ def _factor(
     out: list[tuple[IntPoly, int]] = []
     if prim.degree == 0:
         return content, out
+    if prim.degree <= MAX_MODULAR_FACTORS:
+        known = _known_factors(prim)
+        if sum(len(q.coeffs) - 1 for q in known) == prim.degree:
+            if trace is not None:
+                trace.append(f"{len(known)} known factors, cofactor of degree 0")
+            return content, [(q, 1) for q in known]
     for part, mult in _yun(prim):
         if trace is not None and part != prim:
             trace.append(f"squarefree part of multiplicity {mult}: {part}")
@@ -429,6 +445,9 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
     `_lift_certified` proves it irreducible, else factored directly.  Any
     other f is factored directly: it is not symmetric, or (2X - 1)^2
     divides f (4Y + 1 divides Q) and no prime is good for f.
+
+    On either route a part of degree <= 16 that known factors cover is
+    answered from them (`_factor`); no answer or refusal depends on them.
 
     The seed steers randomized splitting only; the factor set is
     seed-independent and checked by re-multiplication.  A list passed as

@@ -21,9 +21,10 @@ term-by-term binomial expansions of the Delta <-> P transforms and the
 top-down peel of the v-model behind a separate symmetry test, as the
 transforms were computed before coefficient reversal and division by
 X^2 - X; composition by Horner on `IntPoly` values, as `IntPoly.compose`
-ran before its coefficient-list loop; and the trace polynomial by its
+ran before its coefficient-list loop; the trace polynomial by its
 recurrence on `IntPoly` values, as `trace_polynomial` ran before its
-coefficient-list loop.
+coefficient-list loop; and f(1 - X) by composition over Z and by Horner's
+rule over F_p, as the reflections ran before their additions-only shift.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from knotsig import (
     rho_delta,
     v_polynomial,
 )
-from knotsig import symmetric_check, zfactor
-from knotsig.modp import PolyModP, is_symmetric_mod_p
+from knotsig import zfactor
+from knotsig.modp import PolyModP
 from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count, sturm_sequence
 from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
 
@@ -316,7 +317,7 @@ def brute_force_symmetric_common_factor(
     for deg in range(1, max_deg + 1):
         for tail in itertools.product(range(p), repeat=deg):
             h = PolyModP(p, tail + (1,))
-            if not is_symmetric_mod_p(h):
+            if at_one_minus_x_mod_p_by_horner(h) != h.coeffs:
                 continue
             if (f % h).is_zero and (g % h).is_zero:
                 return True
@@ -687,6 +688,25 @@ def compose_by_intpoly_horner(f: IntPoly, inner: IntPoly) -> IntPoly:
     return acc
 
 
+def at_one_minus_x_by_compose(f: IntPoly) -> IntPoly:
+    """f(1 - X) by `IntPoly.compose`, as the Delta <-> P transforms and
+    `symmetric_check` reflected before their additions-only shift."""
+    return f.compose(IntPoly((1, -1)))
+
+
+def at_one_minus_x_mod_p_by_horner(h: PolyModP) -> tuple[int, ...]:
+    """h(1 - X) over F_p by Horner's rule, acc <- acc * (1 - X) + c,
+    reduced at every step, as `modp` reflected before it reduced the
+    shift over Z."""
+    acc: list[int] = []
+    for c in reversed(h.coeffs):
+        acc = [(a - b) % h.p for a, b in zip(acc + [0], [0] + acc)] or [0]
+        acc[0] = (acc[0] + c) % h.p
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
+
+
 def trace_polynomial_by_intpoly(delta: IntPoly) -> IntPoly:
     """D with Delta(X) = X^n D(X + 1/X) by the recurrence
     V_{j+1} = Y V_j - V_{j-1} on IntPoly values, reciprocal Delta of even
@@ -730,7 +750,7 @@ def p_to_delta_by_expansion(p: IntPoly) -> IntPoly:
 def v_polynomial_by_peeling(p: IntPoly) -> IntPoly | None:
     """Q with P(X) = Q(X^2 - X), peeling q_k (X^2 - X)^k off the top after
     testing P(1-X) = P(X) by composition; None for an asymmetric P."""
-    if not symmetric_check(p):
+    if at_one_minus_x_by_compose(p) != p:
         return None
     n = int(p.degree) // 2
     v = IntPoly((0, -1, 1))

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotsig import (
     FactorizationModP,
@@ -20,6 +22,7 @@ from knotsig import (
 from knotsig import modp, zfactor
 from knotsig.polys import parse_poly
 from oracles import (
+    at_one_minus_x_mod_p_by_horner,
     brute_force_symmetric_common_factor,
     pm_divrem_by_steps,
     pm_gcd_by_steps,
@@ -109,6 +112,14 @@ class TestInvolution:
                 coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [1]
                 h = PolyModP(p, coeffs)
                 assert involution_image(involution_image(h)) == h
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.sampled_from(PRIMES), st.lists(st.integers(-10**12, 10**12), max_size=40))
+    def test_reflection_matches_horner(self, p, coeffs):
+        """h(1 - X) reduced from the shift over Z equals Horner's rule over
+        F_p, reducing at every step."""
+        h = PolyModP(p, coeffs)
+        assert tuple(modp._at_one_minus_x(h)) == at_one_minus_x_mod_p_by_horner(h)
 
     def test_symmetric_iff_even_degree_fixed_point(self):
         # monic symmetric polynomials of degree >= 1 are exactly the even-degree

@@ -25,10 +25,12 @@ from knotsig import (
     v_polynomial,
 )
 from knotsig.modp import PolyModP, gcd_mod_p
-from knotsig.polys import CERTIFICATE_PRIMES, certified_squarefree, divides, exact_div, gcd_z
+from knotsig.polys import (CERTIFICATE_PRIMES, _at_one_minus_x, certified_squarefree, divides,
+                           exact_div, gcd_z)
 from conftest import make_delta_a
 from oracles import (
     RatPoly,
+    at_one_minus_x_by_compose,
     compose_by_intpoly_horner,
     delta_to_p_by_expansion,
     divides_by_divrem,
@@ -91,6 +93,25 @@ class TestArithmetic:
         """The coefficient-list Horner of compose against Horner on IntPoly
         values, zero and constant inner polynomials included."""
         assert f.compose(inner) == compose_by_intpoly_horner(f, inner)
+
+
+class TestReflection:
+    """The additions-only f(1 - X) behind the Delta <-> P transforms and
+    `symmetric_check`, against composition with 1 - X."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=40).map(IntPoly), st.booleans())
+    @example(IntPoly.zero(), False)
+    @example(P("7"), False)
+    def test_matches_compose(self, f, symmetrize):
+        """Random f, and f(X^2 - X) for symmetric ones; the list keeps
+        f's length, since f(1 - X) keeps its degree."""
+        if symmetrize:
+            f = f.compose(P("x^2 - x"))
+        image = at_one_minus_x_by_compose(f)
+        assert _at_one_minus_x(f.coeffs) == list(image.coeffs)
+        assert symmetric_check(f) == (image == f)
+        assert symmetric_check(f) or not symmetrize
 
 
 class TestDivrem:

@@ -20,7 +20,7 @@ from knotsig import (
 )
 from knotsig.modp import PolyModP, _squarefree_factors, factor_mod_p
 from knotsig.polys import v_polynomial
-from conftest import make_delta_a
+from conftest import clear_facts_memos, make_delta_a
 from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
 
 
@@ -603,8 +603,6 @@ class TestKnownFactors:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(taught_products())
     def test_warm_memo_answers_as_cold(self, case):
-        from conftest import clear_facts_memos
-
         pieces, deltas, teachers = case
         clear_facts_memos()
         cold = answers(pieces, deltas)
@@ -659,6 +657,64 @@ class TestKnownFactors:
         assert fz.product() == known * unknown
         assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(known * unknown)
         assert degrees == [int(unknown.degree)]
+
+    @pytest.mark.parametrize("route", ["direct", "v-model"])
+    def test_a_full_hit_does_no_modular_work(self, calls, route):
+        """A product of degree <= 16 whose factors earlier requests proved
+        irreducible is answered from the memo: no Yun certificate, no
+        prime and no distinct-degree pass.  On the v-model route the
+        part is Q, of degree 9."""
+        pieces = ([IntPoly((3, 0, 1)), IntPoly((-1, -1, 0, 1)), IntPoly((5, 2, 0, 0, 2))]
+                  if route == "direct" else [make_delta_a(a) for a in (0, 2, 4)])
+        build = product if route == "direct" else (lambda ds: delta_to_p(product(ds)))
+        factor_z(build(pieces[:2]))
+        factor_z(build(pieces[2:]))
+        counts = calls("polys.certified_squarefree", "modp._distinct_degree", "zfactor._good_primes")
+        fz = factor_z(build(pieces))
+        assert fz.product() == build(pieces)
+        assert counts == {}
+        clear_facts_memos()
+        assert factor_z(build(pieces)) == fz
+
+    def test_a_squared_known_factor_goes_through_yun(self, calls):
+        """q^2 r with q and r known: the known divisors q, r fall short of
+        the degree, so Yun splits the part and q keeps multiplicity 2."""
+        q, r = IntPoly((1, 0, 1)), IntPoly((-1, -1, 0, 1))
+        factor_z(q * r)
+        counts = calls("zfactor._yun", "polys.certified_squarefree")
+        fz = factor_z(q * q * r)
+        assert fz.factors == ((q, 2), (r, 1))
+        assert counts["zfactor._yun"] == 1 and counts["polys.certified_squarefree"] >= 1
+
+    def test_sixteen_linear_factors_warm_and_cold(self, calls):
+        """At the cap's degree, 16 distinct linear factors (and their lift
+        through X^2 - X) factor the same from the memo as from the modular
+        route, which reaches exactly 16 modular factors."""
+        f = product(IntPoly((-r, 1)) for r in range(-8, 8))
+        lifted = f.compose(V)
+        cold = (factor_z(f), factor_z(lifted))
+        assert len(cold[0].factors) == 16 and len(cold[1].factors) == 19  # r = 0, 2, 6 split
+        counts = calls("modp._distinct_degree")
+        assert (factor_z(f), factor_z(lifted)) == cold
+        assert counts == {}
+
+    def test_cap_refusal_after_every_factor_is_known(self):
+        """The degree-30 product the cap refuses stays refused, with its
+        message, once each of its 8 irreducible factors is memoized."""
+        deltas = [make_delta_a(a) for a in (8, 7, 6, -6)]
+        smalls = [IntPoly((0, 1, 1)), IntPoly((1, 0, 1)), IntPoly((1, 1, 1))]
+        f = product(deltas + smalls)
+        with pytest.raises(BudgetExceededError) as cold:
+            factor_z(f)
+        for taught in (deltas[:2], deltas[2:], smalls):
+            factor_z(product(taught))
+        assert all(q in zfactor._known_factors.entries
+                   for q in deltas + [IntPoly((0, 1)), IntPoly((1, 1))] + smalls[1:])
+        with pytest.raises(BudgetExceededError) as warm:
+            factor_z(f)
+        assert str(warm.value) == str(cold.value) == (
+            "17 modular factors of a degree-30 polynomial at p = 17 exceed the recombination"
+            " cap of 16")
 
     def test_bound(self):
         """Learning FACTOR_FACTS_MEMO + 1 factors leaves the bound, the least
