@@ -15,9 +15,13 @@ step: a reduction per inner multiply-add costs more than the
 multiply-add itself.  Every result is reduced and trimmed, and exact for
 a modulus of any size; the primes come from `intfactor`, which certifies
 each one it returns.  Beyond the inverse of a divisor's leading
-coefficient they need no prime modulus, so `zfactor`'s Hensel lifting
-runs on them over Z/m with monic divisors.  `PolyModP` methods delegate
-to the kernels and wrap results with `_wrap`, which skips re-reduction.
+coefficient they need no prime modulus, so they work over Z/m with
+monic divisors too.  The factoring code (`zfactor`,
+`polys.certified_squarefree`) calls them on lists directly.  `PolyModP`
+is the type of the public mod-p API (`factor_mod_p`, `gcd_mod_p`,
+`symmetric_common_factor`, the involution helpers) and of the prime
+table's witnesses; its methods delegate to the kernels and wrap results
+with `_wrap`, which skips re-reduction.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
 keyed on (f, g, seed, max_rho_iterations), for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries, least recently used first
-out; :func:`_pi_entry` attaches the request's indices.  One entry of a
+out; its callers attach the request's indices.  One entry of a
 benchmark pair holds about 570 B (tracemalloc, the factors themselves
 not counted).  Distinct pairs share d: the factors of P from Delta_a
 and Delta_b are congruent mod p whenever p | a - b.  So
@@ -79,27 +79,16 @@ def pi_set(
             raise ValueError(f"factor {q} is not monic")
         if not symmetric_check(q):
             raise ValueError(f"factor {q} is not fixed by X -> 1-X")
-    return _pi_entry(f, g, seed, indices, max_rho_iterations)
-
-
-def _pi_entry(
-    f: IntPoly,
-    g: IntPoly,
-    seed: int,
-    indices: tuple[int, int],
-    max_rho_iterations: int = PI_RHO_BUDGET,
-) -> PiEntry:
-    """The prime set of two distinct monic factors, each fixed by
-    X -> 1-X, which the caller has checked, under the request's indices."""
-    primes, witnesses = _pair_primes(f, g, seed, max_rho_iterations)
-    return PiEntry(pair=indices, primes=primes, witnesses=witnesses)
+    return PiEntry(indices, *_pair_primes(f, g, seed, max_rho_iterations))
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
 def _pair_primes(
     f: IntPoly, g: IntPoly, seed: int, max_rho_iterations: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
-    """The primes and witnesses of :func:`_pi_entry`; memoized."""
+    """The prime set of two distinct monic factors, each fixed by
+    X -> 1-X, which the caller has checked, and one witness per prime;
+    memoized."""
     res = resultant(f, g)
     if abs(res) == 1:
         return (), ()
@@ -151,7 +140,7 @@ def obstruction_group(
 
     for i in range(k):
         for j in range(i + 1, k):
-            entry = _pi_entry(factors[i], factors[j], seed, (i, j))
+            entry = PiEntry((i, j), *_pair_primes(factors[i], factors[j], seed, PI_RHO_BUDGET))
             table.append(entry)
             if entry.primes:
                 parent[find(i)] = find(j)

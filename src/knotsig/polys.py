@@ -171,10 +171,6 @@ class IntPoly:
             g = -g
         return IntPoly(c // g for c in self.coeffs)
 
-    def reversed_(self) -> "IntPoly":
-        """Coefficient reversal X^deg * p(1/X)."""
-        return IntPoly(reversed(self.coeffs))
-
     def __str__(self) -> str:
         return poly_text(self)
 
@@ -393,11 +389,11 @@ def certified_squarefree(f: IntPoly) -> bool:
     Such a p shows f squarefree over Q: by Gauss's lemma h^2 | f over Q
     with deg h >= 1 gives h^2 | f in Z[X], reducing mod p keeps deg h,
     and then h mod p would divide that gcd."""
-    from .modp import PolyModP, gcd_mod_p  # modp imports this module
+    from .modp import _gcd, _reduced  # modp imports this module
 
-    df = f.derivative()
+    df = f.derivative().coeffs
     return any(
-        f.lc % p and gcd_mod_p(PolyModP(p, f.coeffs), PolyModP(p, df.coeffs)).degree == 0
+        f.lc % p and len(_gcd(_reduced(f.coeffs, p), _reduced(df, p), p)) == 1
         for p in CERTIFICATE_PRIMES
     )
 

@@ -9,28 +9,33 @@ input squarefree), then per squarefree part g, in this order: one prime p
 at which g's monic model is squarefree (so no modular squarefree split
 runs); the distinct-degree pass mod p, which counts modular factors; g
 itself for one, `BudgetExceededError` for more than MAX_MODULAR_FACTORS =
-16; then the memo of known factors.  Only the cofactor they leave goes on
-at p: equal-degree splitting, a quadratic Hensel lift on a binary factor
-tree (`modp`'s kernels over Z/m) past the Mignotte bound, and subset
-recombination in one pass over subset sizes.  A subset that does not
-divide the cofactor left divides none of its divisors, so the enumeration
-goes on past an accepted subset and the size grows only when none of it
-divides: a part costs at most sum_{k<=8} C(16, k) = 39,202 trial
-divisions (`polys.divides`).  No step uses Fractions; results are checked
-by re-multiplication and do not depend on the splitting seed.
+16; then the known factors that divide g.  Only the cofactor they leave
+goes on at p: equal-degree splitting, a quadratic Hensel lift past the
+Mignotte bound by recursive splitting (the products of the two halves of
+the factor list lift together, then each half against its lifted product),
+and subset recombination in one pass over subset sizes.  All modular work
+runs on coefficient lists in `modp`'s kernels, over Z/m for the lift.  A
+subset that does not divide the cofactor left divides none of its
+divisors, so the enumeration goes on past an accepted subset and the size
+grows only when none of it divides: a part costs at most
+sum_{k<=8} C(16, k) = 39,202 trial divisions (`polys.divides`).  No step
+uses Fractions; results are checked by re-multiplication and do not
+depend on the splitting seed.
 
-Distinct Delta share factors.  `_known_factors`, keyed on the factor, holds
-those a factorization proved irreducible (Zassenhaus output, parts
+Distinct Delta share factors.  `_known_factors`, keyed on the factor,
+holds those a factorization proved irreducible (Zassenhaus output, parts
 irreducible mod p, lifts of v-model factors, certified or split), about
-340 B each (tracemalloc), entered once `_verified` re-multiplied it.  An
-input of degree <= 16 whose memoized divisors fill its degree is answered
-from them before any modular work (proof at `_factor`); it could not reach
-the cap, and on any other input the cap comes first, so no refusal depends
-on the memo.  `_lift_certified` is memoized per v-model factor (about 270 B
-each), as are a factor's rho in `pipeline`, and a pair's primes and the
-witness of a gcd mod p in `obstruction`.  Each memo holds at most
-FACTOR_FACTS_MEMO = 1024 entries per process, least recently used first out:
-a full Delta-facts memo of the largest benchmark Delta (6 factors, 15 pairs)
+340 B each (tracemalloc), entered once `_verified` re-multiplied it.
+`_factor` scans it once per input and hands each squarefree part the
+divisors found that divide the part.  An input of degree <= 16 whose
+memoized divisors fill its degree is answered from them before any modular
+work (proof at `_factor`); it could not reach the cap, and on any other
+input the cap comes first, so no refusal depends on the memo.
+`_lift_certified` is memoized per v-model factor (about 270 B each), as
+are a factor's rho in `pipeline`, and a pair's primes and the witness of a
+gcd mod p in `obstruction`.  Each memo holds at most FACTOR_FACTS_MEMO =
+1024 entries per process, least recently used first out: a full
+Delta-facts memo of the largest benchmark Delta (6 factors, 15 pairs)
 holds 384 factors and 960 pairs.  Exceptions are never memoized.
 """
 
@@ -42,11 +47,10 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import BudgetExceededError, KnotsigError
 from .modp import (
-    PolyModP,
     _add,
     _distinct_degree,
     _divrem,
@@ -55,11 +59,10 @@ from .modp import (
     _monic,
     _mul,
     _powmod,
+    _reduced,
     _rem,
     _sub,
-    _wrap,
     _xgcd,
-    gcd_mod_p,
 )
 from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
                     poly_text, symmetric_check, v_polynomial)
@@ -139,7 +142,7 @@ def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (monic, quadratic, binary factor tree)
+# Hensel lifting (monic, quadratic, recursive split)
 
 
 def _pm_divrem_monic(a, b, m) -> tuple[list[int], list[int]]:
@@ -168,63 +171,33 @@ def _hensel_step(f, g, h, s, t, m, last=False):
     return g2, h2, s2, t2
 
 
-class _Node:
-    __slots__ = ("poly", "left", "right", "s", "t")
+def _hensel_lift(F: IntPoly, factors: list[list[int]], p: int, target: int):
+    """Lift the monic factors mod p of monic F, coefficient lists, until the
+    modulus reaches ``target``; returns (lifted factors, modulus).  The
+    products g, h of the two halves of the list lift against F, then each
+    half against its lifted product.  The monic lift of a coprime
+    factorization mod p is unique, so the order of the splits does not
+    change the factors."""
+    moduli = [p]
+    while moduli[-1] < target:
+        moduli.append(moduli[-1] ** 2)
 
-    def __init__(self, poly, left=None, right=None):
-        self.poly = poly  # coefficient list mod current modulus
-        self.left = left
-        self.right = right
-        self.s = None
-        self.t = None
+    def split(f, factors):
+        if len(factors) == 1:
+            return [_reduced(f, moduli[-1])]
+        mid = len(factors) // 2
+        g, h = (reduce(lambda a, b: _mul(a, b, p), half) for half in (factors[:mid], factors[mid:]))
+        d, u = _xgcd(g, h, p)
+        if len(d) != 1:
+            raise KnotsigError("modular factors are not coprime")
+        # enforce deg(s) < deg(h), deg(t) < deg(g)
+        s = _rem(u, h, p)
+        t = _divrem(_sub((1,), _mul_coeffs(s, g), p), h, p)[0]
+        for m in moduli[:-1]:
+            g, h, s, t = _hensel_step(f, g, h, s, t, m, m == moduli[-2])
+        return split(g, factors[:mid]) + split(h, factors[mid:])
 
-
-def _build_tree(factors: list[PolyModP], p: int) -> _Node:
-    if len(factors) == 1:
-        return _Node(list(factors[0].coeffs))
-    mid = len(factors) // 2
-    left = _build_tree(factors[:mid], p)
-    right = _build_tree(factors[mid:], p)
-    g, h = left.poly, right.poly
-    node = _Node(_mul(g, h, p), left, right)
-    d, u = _xgcd(g, h, p)
-    if len(d) != 1:
-        raise KnotsigError("modular factors are not coprime")
-    # enforce deg(s) < deg(h), deg(t) < deg(g)
-    node.s = _rem(u, h, p)
-    node.t = _divrem(_sub((1,), _mul_coeffs(node.s, g), p), h, p)[0]
-    return node
-
-
-def _lift_round(node: _Node, f, m: int, last: bool) -> None:
-    node.poly = f
-    if node.left is None:
-        return
-    g2, h2, s2, t2 = _hensel_step(f, node.left.poly, node.right.poly, node.s, node.t, m, last)
-    node.s, node.t = s2, t2
-    _lift_round(node.left, g2, m, last)
-    _lift_round(node.right, h2, m, last)
-
-
-def _collect_leaves(node: _Node, out: list[list[int]]) -> None:
-    if node.left is None:
-        out.append(node.poly)
-        return
-    _collect_leaves(node.left, out)
-    _collect_leaves(node.right, out)
-
-
-def _hensel_lift(F: IntPoly, factors: list[PolyModP], p: int, target: int):
-    """Lift the mod-p factorization of monic F until the modulus reaches
-    ``target``; returns (leaf coefficient lists, modulus)."""
-    root = _build_tree(factors, p)
-    m = p
-    while m < target:
-        _lift_round(root, tuple(c % (m * m) for c in F.coeffs), m, m * m >= target)
-        m = m * m
-    leaves: list[list[int]] = []
-    _collect_leaves(root, leaves)
-    return leaves, m
+    return split(F.coeffs, factors), moduli[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +210,14 @@ def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
     g(-1/4) != 0 mod p, which makes g(X^2 - X) squarefree mod p too."""
     from .intfactor import is_probable_prime
 
-    p = 1
+    p, dg = 1, g.derivative().coeffs
     while True:
         p += 2
         if not is_probable_prime(p) or g.lc % p == 0:
             continue
-        gp = PolyModP.from_int_poly(g, p)
-        if gcd_mod_p(gp, gp.derivative()).degree == 0 and not (
-            lift and gp.evaluate(-pow(4, -1, p)) == 0
-        ):
+        gp = _reduced(g.coeffs, p)
+        # with lift, g(-1/4) mod p: the remainder mod X + 1/4, by Horner's rule
+        if len(_gcd(gp, _reduced(dg, p), p)) == 1 and (not lift or _rem(gp, [pow(4, -1, p), 1], p)):
             yield p
 
 
@@ -263,17 +235,18 @@ def _model(f: IntPoly, lc: int) -> IntPoly:
 
 
 def _factor_squarefree(
-    g: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
+    g: IntPoly, known: list[IntPoly], seed: int, trace: list[str] | None, lift: bool = False
 ) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial;
-    ``lift`` as in `_good_primes`."""
+    """Irreducible factors of a primitive squarefree positive-lc polynomial
+    g, given ``known``, the memoized ones that divide it; ``lift`` as in
+    `_good_primes`."""
     d = int(g.degree)
     if d <= 1:
         return [g]
     p = next(_good_primes(g, lift))
     # the model G is certified squarefree mod p: no squarefree split again
     G = _model(g, g.lc)
-    blocks = _distinct_degree(PolyModP.from_int_poly(G, p).coeffs, p)
+    blocks = _distinct_degree(_reduced(G.coeffs, p), p)
     degrees = [k for block, k in blocks for _ in range((len(block) - 1) // k)]
     if trace is not None:
         trace.append(f"prime {p}: modular degrees {degrees}")
@@ -284,7 +257,6 @@ def _factor_squarefree(
             f"{len(degrees)} modular factors of a degree-{d} polynomial at p = {p} exceed"
             f" the recombination cap of {MAX_MODULAR_FACTORS}"
         )
-    known = _known_factors(g)
     if known:
         rest = exact_div(g, math.prod(known))
         if trace is not None:
@@ -292,7 +264,7 @@ def _factor_squarefree(
         if rest.degree <= 0:
             return known
         G = _model(rest, g.lc)
-        gp = PolyModP.from_int_poly(G, p).coeffs
+        gp = _reduced(G.coeffs, p)
         blocks = [(b, k) for b, k in ((_gcd(b, gp, p), k) for b, k in blocks) if len(b) > 1]
         if sum((len(b) - 1) // k for b, k in blocks) == 1:
             return known + [rest]
@@ -302,7 +274,7 @@ def _factor_squarefree(
 def _recombined(G: IntPoly, lc: int, blocks, p: int, seed: int, trace) -> list[IntPoly]:
     """The irreducible factors of h from G = `_model`(h, lc) and its blocks
     mod p: equal-degree splitting, the Hensel lift, then recombination."""
-    modular = [_wrap(p, q) for q in _equal_degree_factors(blocks, p, random.Random(seed))]
+    modular = _equal_degree_factors(blocks, p, random.Random(seed))
     lifted, modulus = _hensel_lift(G, modular, p, 2 * _mignotte_bound(G) + 1)
     if trace is not None:
         trace.append(f"lifted {len(lifted)} factors to modulus {p}^k = {modulus}")
@@ -373,12 +345,14 @@ def _factor(
     """Content and unsorted (irreducible, multiplicity) pairs of nonzero f,
     not yet checked by re-multiplication; ``lift`` as in `_good_primes`.
 
-    Known factors first: if deg(prim) <= MAX_MODULAR_FACTORS and the
-    memo's divisors of prim fill its degree, they are its factorization,
-    each of multiplicity 1; no Yun, prime or distinct-degree pass runs.
-    (i) prim has at most deg(prim) modular factors, so the cap could not
-    refuse it.  (ii) Distinct primitive positive-lc irreducibles dividing
-    prim multiply to a divisor (Gauss's lemma), at full degree prim."""
+    Known factors first, from one scan of the memo: if deg(prim) <=
+    MAX_MODULAR_FACTORS and the memo's divisors of prim fill its degree,
+    they are its factorization, each of multiplicity 1; no Yun, prime or
+    distinct-degree pass runs.  (i) prim has at most deg(prim) modular
+    factors, so the cap could not refuse it.  (ii) Distinct primitive
+    positive-lc irreducibles dividing prim multiply to a divisor (Gauss's
+    lemma), at full degree prim.  Otherwise each squarefree part gets the
+    known divisors of prim that divide it."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.lc > 0 else -f.content()
@@ -386,16 +360,16 @@ def _factor(
     out: list[tuple[IntPoly, int]] = []
     if prim.degree == 0:
         return content, out
-    if prim.degree <= MAX_MODULAR_FACTORS:
-        known = _known_factors(prim)
-        if sum(len(q.coeffs) - 1 for q in known) == prim.degree:
-            if trace is not None:
-                trace.append(f"{len(known)} known factors, cofactor of degree 0")
-            return content, [(q, 1) for q in known]
+    known = _known_factors(prim)
+    if prim.degree <= MAX_MODULAR_FACTORS and sum(len(q.coeffs) - 1 for q in known) == prim.degree:
+        if trace is not None:
+            trace.append(f"{len(known)} known factors, cofactor of degree 0")
+        return content, [(q, 1) for q in known]
     for part, mult in _yun(prim):
+        part_known = known if part == prim else [q for q in known if divides(q, part)]
         if trace is not None and part != prim:
             trace.append(f"squarefree part of multiplicity {mult}: {part}")
-        for irr in _factor_squarefree(part, seed, trace, lift):
+        for irr in _factor_squarefree(part, part_known, seed, trace, lift):
             out.append((irr, mult))
     return content, out
 
@@ -426,7 +400,7 @@ def _lift_certified(q: IntPoly) -> bool:
     factor of B, so it differs from 1 exactly when one factor has a
     non-square."""
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
-        qp = _monic(PolyModP.from_int_poly(q, p).coeffs, p)
+        qp = _monic(_reduced(q.coeffs, p), p)
         if any(_powmod([1, 4], (p**k - 1) // 2, block, p) != [1]
                for block, k in _distinct_degree(qp, p)):
             return True

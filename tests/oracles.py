@@ -12,8 +12,8 @@ squarefreeness over Q, polynomial arithmetic over F_p and Z/m that
 reduces at every inner step, and the `Fraction` routes the Seifert path
 took before its integer kernels: Lagrange interpolation for pencil
 determinants, Euclidean Sturm chains with root isolation, sign
-certification by interval bisection, Gauss-Jordan inversion, and Hensel
-lifting that lifts the Bezout cofactors in every round; the routes the
+certification by interval bisection, and Gauss-Jordan inversion;
+sympy's multifactor Hensel lift (``dup_zz_hensel_lift``); the routes the
 Milnor signatures took before their half-size kernels: Hermitian
 signatures of the real 2n x 2n realification, and bisection with
 `Fraction` endpoints and a full Sturm sequence at every midpoint; and the
@@ -44,7 +44,6 @@ from knotsig import (
     rho_delta,
     v_polynomial,
 )
-from knotsig import zfactor
 from knotsig.modp import PolyModP
 from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count, sturm_sequence
 from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
@@ -657,27 +656,18 @@ def sign_at_root_by_bisection(expr: RatPoly, minpoly: RatPoly, iv: IsolatingInte
             lo = mid
 
 
-def hensel_lift_every_cofactor(F: IntPoly, factors: list[PolyModP], p: int, target: int):
-    """``zfactor._hensel_lift`` with the Bezout cofactors lifted in every
-    round, the last one included; returns (leaves, modulus)."""
+def hensel_lift_by_sympy(F, factors: list[list[int]], p: int, modulus: int) -> list[list[int]]:
+    """The monic lifts to Z/modulus, modulus = p^l, of the pairwise coprime
+    monic factors mod p of monic F (ascending coefficient lists), by
+    sympy's ``dup_zz_hensel_lift``, with coefficients in [0, modulus)."""
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_zz_hensel_lift
 
-    def lift(node, f, m):
-        node.poly = f
-        if node.left is not None:
-            g2, h2, node.s, node.t = zfactor._hensel_step(
-                f, node.left.poly, node.right.poly, node.s, node.t, m
-            )
-            lift(node.left, g2, m)
-            lift(node.right, h2, m)
-
-    root = zfactor._build_tree(factors, p)
-    m = p
-    while m < target:
-        lift(root, tuple(c % (m * m) for c in F.coeffs), m)
-        m = m * m
-    leaves: list[list[int]] = []
-    zfactor._collect_leaves(root, leaves)
-    return leaves, m
+    l = round(math.log(modulus, p))
+    assert p**l == modulus
+    lifted = dup_zz_hensel_lift(ZZ(p), [ZZ(c) for c in reversed(F)],
+                                [[ZZ(c) for c in reversed(q)] for q in factors], l, ZZ)
+    return [[int(c) % modulus for c in reversed(q)] for q in lifted]
 
 
 def compose_by_intpoly_horner(f: IntPoly, inner: IntPoly) -> IntPoly:

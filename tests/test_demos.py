@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion."""
+"""Every demo script runs to completion and prints the output recorded in
+demos/expected/<name>.txt, byte for byte."""
 
 from __future__ import annotations
 
@@ -21,4 +22,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_text()

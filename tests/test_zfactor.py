@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knotsig import (
@@ -21,7 +22,7 @@ from knotsig import (
 from knotsig.modp import PolyModP, _squarefree_factors, factor_mod_p
 from knotsig.polys import v_polynomial
 from conftest import clear_facts_memos, make_delta_a
-from oracles import hensel_lift_every_cofactor, is_irreducible_bruteforce, sympy_factors
+from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
 
 def direct(f: IntPoly, seed: int = 0, trace: list[str] | None = None):
@@ -361,7 +362,7 @@ class TestNoFractionDivision:
 
 class TestHenselLift:
     """The last lifting round skips the Bezout cofactors; the lifted
-    leaves are those of lifting them in every round (tests/oracles.py)."""
+    factors are sympy's multifactor Hensel lift (tests/oracles.py)."""
 
     @staticmethod
     def setup_lift(k: int):
@@ -371,23 +372,23 @@ class TestHenselLift:
         for a in range(k):
             G = G * delta_to_p(make_delta_a(a))
         p = next(zfactor._good_primes(G))
-        modular = [q for q, _ in factor_mod_p(PolyModP.from_int_poly(G, p)).factors]
+        modular = [list(q.coeffs) for q, _ in factor_mod_p(PolyModP.from_int_poly(G, p)).factors]
         return G, modular, p, 2 * zfactor._mignotte_bound(G) + 1
 
     @pytest.mark.parametrize("k", [6, 7])
     def test_leaves_unchanged(self, k):
         from knotsig import zfactor
-        from knotsig.modp import _mul
+        from knotsig.modp import _mul, _reduced
 
         G, modular, p, target = self.setup_lift(k)
         leaves, m = zfactor._hensel_lift(G, modular, p, target)
-        assert (leaves, m) == hensel_lift_every_cofactor(G, modular, p, target)
+        assert leaves == hensel_lift_by_sympy(G.coeffs, modular, p, m)
         assert len(leaves) == len(modular) >= 2 * k
         prod = [1]
         for leaf in leaves:
             prod = _mul(prod, leaf, m)
         assert prod == [c % m for c in G.coeffs]
-        assert [PolyModP(p, leaf) for leaf in leaves] == modular
+        assert [_reduced(leaf, p) for leaf in leaves] == modular
 
     def test_only_the_last_round_skips(self, monkeypatch):
         from knotsig import zfactor
@@ -406,6 +407,34 @@ class TestHenselLift:
         assert final * final == modulus and final < target <= modulus
         assert all(last == (m == final) for m, last in flags)
         assert sum(last for _, last in flags) == len(modular) - 1
+
+
+@st.composite
+def monic_products(draw):
+    """2-16 monic integer factors of degree 1-3 and a prime at which they
+    stay pairwise coprime."""
+    from knotsig.modp import _gcd
+
+    p = draw(st.sampled_from((1009, 10007)))
+    factors = [draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)) + [1]
+               for d in draw(st.lists(st.integers(1, 3), min_size=2, max_size=16))]
+    assume(all(len(_gcd([c % p for c in f], [c % p for c in g], p)) == 1
+               for f, g in itertools.combinations(factors, 2)))
+    return factors, p
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(monic_products())
+def test_hensel_lift_of_a_monic_product(case):
+    """Past twice the Mignotte bound the lift of F's factors mod p is F's
+    factors over Z, as sympy lifts them."""
+    factors, p = case
+    F = product(IntPoly(f) for f in factors)
+    modular = [[c % p for c in f] for f in factors]
+    leaves, m = zfactor._hensel_lift(F, modular, p, 2 * zfactor._mignotte_bound(F) + 1)
+    assert leaves == [[c % m for c in f] for f in factors]
+    assert leaves == hensel_lift_by_sympy(F.coeffs, modular, p, m)
 
 
 class TestModularWork:
@@ -511,9 +540,20 @@ class TestModularWork:
         direct(self.delta_a_product_p())
         assert calls[0] == 75
 
-    def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch):
+    def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch, calls):
+        """No PolyModP is built or computed with anywhere in factor_z, on
+        the direct route or the v-model route: lifting, the good primes,
+        the distinct-degree pass and Yun's certificate run on lists."""
         from knotsig import zfactor
 
+        built = calls("modp._wrap")
+        init_original = PolyModP.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["PolyModP.__init__"] += 1
+            init_original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolyModP, "__init__", counting_init)
         inside = {"_hensel_lift": 0}
         scope: list[str] = []
         arithmetic = {"divrem": 0, "__mul__": 0}
@@ -543,11 +583,16 @@ class TestModularWork:
         direct(P)
         assert inside == {"_hensel_lift": 1}
         assert in_scope == {"divrem": 0, "__mul__": 0}
+        trace: list[str] = []
+        factor_z(P, trace=trace)
+        assert trace[0].startswith("through the v-model") and inside == {"_hensel_lift": 2}
         # nowhere else in factor_z either, now that the first prime skips
         # the modular squarefree split; the counters see factor_mod_p's work
         assert arithmetic == {"divrem": 0, "__mul__": 0}
+        assert built == {}
         factor_mod_p(PolyModP.from_int_poly(P, 13))
         assert arithmetic["divrem"] > 0
+        assert built["modp._wrap"] > 0 and built["PolyModP.__init__"] > 0
 
 
 # the 17 Delta_a in scope of perfbench's workloads: -8 <= a <= 10, a != -1, -3
@@ -685,6 +730,40 @@ class TestKnownFactors:
         fz = factor_z(q * q * r)
         assert fz.factors == ((q, 2), (r, 1))
         assert counts["zfactor._yun"] == 1 and counts["polys.certified_squarefree"] >= 1
+
+    @pytest.mark.parametrize("case", ["miss", "partial hit", "squared known factor", "v-model miss"])
+    def test_one_memo_scan_per_factorization(self, monkeypatch, case):
+        """Each `_factor` call scans the memo once, and its squarefree parts
+        get their known divisors from that scan: a miss of degree <= 16, a
+        partial hit, and q^2 r t with q and r known, whose Yun part r t
+        would scan again."""
+        q, r = IntPoly((1, 0, 1)), IntPoly((-1, -1, 0, 1))
+        s, t = IntPoly((5, 2, 0, 0, 2)), IntPoly((3, 0, 1))
+        factor_z(q * r)
+        f, expected = {
+            "miss": (s * t, ((t, 1), (s, 1))),
+            "partial hit": (q * s * t, ((q, 1), (t, 1), (s, 1))),
+            "squared known factor": (q * q * r * t, ((q, 2), (t, 1), (r, 1))),
+            "v-model miss": (delta_a_product_p((0, 2)), None),
+        }[case]
+        scans, factorizations = [0], [0]
+        scan_original, factor_original = zfactor._KnownFactors.__call__, zfactor._factor
+
+        def counting_scan(self, g):
+            scans[0] += 1
+            return scan_original(self, g)
+
+        def counting_factor(*args, **kwargs):
+            factorizations[0] += 1
+            return factor_original(*args, **kwargs)
+
+        monkeypatch.setattr(zfactor._KnownFactors, "__call__", counting_scan)
+        monkeypatch.setattr(zfactor, "_factor", counting_factor)
+        fz = factor_z(f)
+        assert fz.product() == f
+        if expected is not None:
+            assert fz.factors == expected
+        assert scans[0] == factorizations[0] == 1
 
     def test_sixteen_linear_factors_warm_and_cold(self, calls):
         """At the cap's degree, 16 distinct linear factors (and their lift
