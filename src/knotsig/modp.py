@@ -16,12 +16,12 @@ multiply-add itself.  Every result is reduced and trimmed, and exact for
 a modulus of any size; the primes come from `intfactor`, which certifies
 each one it returns.  Beyond the inverse of a divisor's leading
 coefficient they need no prime modulus, so they work over Z/m with
-monic divisors too.  The factoring code (`zfactor`,
-`polys.certified_squarefree`) calls them on lists directly.  `PolyModP`
-is the type of the public mod-p API (`factor_mod_p`, `gcd_mod_p`,
-`symmetric_common_factor`, the involution helpers) and of the prime
-table's witnesses; its methods delegate to the kernels and wrap results
-with `_wrap`, which skips re-reduction.
+monic divisors too.  Every caller computes on them: the factoring code
+(`zfactor`, `polys.certified_squarefree`) directly, and the public mod-p
+API (`factor_mod_p`, `gcd_mod_p`, `symmetric_common_factor`, the
+involution helpers) on the coefficients of its arguments.  `PolyModP`
+is only the value type of that API and of the prime table's witnesses:
+a prime and reduced, trimmed coefficients, with no arithmetic.
 """
 
 from __future__ import annotations
@@ -128,17 +128,10 @@ def _xgcd(a: Coeffs, b: Coeffs, p: int) -> tuple[list[int], list[int]]:
     return _monic(a, p), [c * inv % p for c in u]
 
 
-def _wrap(p: int, coeffs: Coeffs) -> "PolyModP":
-    """A PolyModP from coefficients already reduced mod p and trimmed."""
-    poly = object.__new__(PolyModP)
-    object.__setattr__(poly, "p", p)
-    object.__setattr__(poly, "coeffs", tuple(coeffs))
-    return poly
-
-
 @dataclass(frozen=True)
 class PolyModP:
-    """Dense polynomial over F_p, ascending coefficients in [0, p)."""
+    """Dense polynomial over F_p, ascending coefficients in [0, p),
+    trimmed; a value, not an arithmetic type."""
 
     p: int
     coeffs: tuple[int, ...]
@@ -153,93 +146,21 @@ class PolyModP:
     def from_int_poly(f: IntPoly, p: int) -> "PolyModP":
         return PolyModP(p, f.coeffs)
 
-    @staticmethod
-    def zero(p: int) -> "PolyModP":
-        return PolyModP(p, ())
-
-    @staticmethod
-    def one(p: int) -> "PolyModP":
-        return PolyModP(p, (1,))
-
-    @staticmethod
-    def x(p: int) -> "PolyModP":
-        return PolyModP(p, (0, 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int | float:
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
-    @property
-    def lc(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
-    @property
-    def is_monic(self) -> bool:
-        return self.lc == 1
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def _check(self, other: "PolyModP") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        self._check(other)
-        return _wrap(self.p, _add(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        self._check(other)
-        return _wrap(self.p, _sub(self.coeffs, other.coeffs, self.p))
-
-    def __neg__(self) -> "PolyModP":
-        return PolyModP(self.p, (-c for c in self.coeffs))
-
-    def __mul__(self, other: "PolyModP | int") -> "PolyModP":
-        if isinstance(other, int):
-            return PolyModP(self.p, (c * other for c in self.coeffs))
-        self._check(other)
-        return _wrap(self.p, _mul(self.coeffs, other.coeffs, self.p))
-
-    __rmul__ = __mul__
-
-    def divrem(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
-        self._check(other)
-        q, r = _divrem(self.coeffs, other.coeffs, self.p)
-        return _wrap(self.p, q), _wrap(self.p, r)
-
-    def __floordiv__(self, other: "PolyModP") -> "PolyModP":
-        return self.divrem(other)[0]
-
-    def __mod__(self, other: "PolyModP") -> "PolyModP":
-        return self.divrem(other)[1]
-
-    def monic(self) -> "PolyModP":
-        if self.is_zero or self.is_monic:
-            return self
-        return self * pow(self.lc, -1, self.p)
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def derivative(self) -> "PolyModP":
-        return PolyModP(self.p, (k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __repr__(self) -> str:
-        return f"PolyModP(p={self.p}, coeffs={list(self.coeffs)})"
+def _modulus(f: PolyModP, g: PolyModP) -> int:
+    if f.p != g.p:
+        raise ValueError(f"modulus mismatch: {f.p} vs {g.p}")
+    return f.p
 
 
 def gcd_mod_p(f: PolyModP, g: PolyModP) -> PolyModP:
     """Monic gcd over F_p."""
-    f._check(g)
-    return _wrap(f.p, _gcd(f.coeffs, g.coeffs, f.p))
+    p = _modulus(f, g)
+    return PolyModP(p, _gcd(f.coeffs, g.coeffs, p))
 
 
 @dataclass(frozen=True)
@@ -249,43 +170,35 @@ class FactorizationModP:
     unit: int
     factors: tuple[tuple[PolyModP, int], ...]
 
-    def product(self, p: int) -> PolyModP:
-        acc = PolyModP(p, (self.unit,))
-        for q, e in self.factors:
-            for _ in range(e):
-                acc = acc * q
-        return acc
 
+def _squarefree_parts(f: Coeffs, p: int) -> list[tuple[list[int], int]]:
+    """Monic squarefree decomposition [(g_i, mult_i)] of f, reduced and
+    nonzero, with prod g_i^mult_i = monic(f)."""
+    out: list[tuple[list[int], int]] = []
 
-def _squarefree_parts(f: PolyModP) -> list[tuple[PolyModP, int]]:
-    """Monic squarefree decomposition [(g_i, mult_i)] with prod g_i^mult_i = f."""
-    p = f.p
-    out: list[tuple[PolyModP, int]] = []
-
-    def recurse(g: PolyModP, scale: int) -> None:
-        if g.degree == 0:
+    def recurse(g: list[int], scale: int) -> None:
+        if len(g) < 2:
             return
-        dg = g.derivative()
-        if dg.is_zero:
-            # g = h(X^p) = h_frob(X)^p with c^(1/p) = c over F_p
-            h = PolyModP(p, (g.coeff(i * p) for i in range(int(g.degree) // p + 1)))
-            recurse(h.monic(), scale * p)
+        dg = _reduced([k * g[k] for k in range(1, len(g))], p)
+        if not dg:
+            # g = h(X^p) = h_frob(X)^p with c^(1/p) = c over F_p; monic as g is
+            recurse(g[::p], scale * p)
             return
-        c = gcd_mod_p(g, dg)
-        w = (g // c).monic()
+        c = _gcd(g, dg, p)
+        w = _divrem(g, c, p)[0]  # quotients of monic polynomials are monic
         mult = 1
-        while w.degree > 0:
-            y = gcd_mod_p(w, c)
-            part = (w // y).monic()
-            if part.degree > 0:
+        while len(w) > 1:
+            y = _gcd(w, c, p)
+            part = _divrem(w, y, p)[0]
+            if len(part) > 1:
                 out.append((part, mult * scale))
             w = y
-            c = c // y
+            c = _divrem(c, y, p)[0]
             mult += 1
-        if c.degree > 0:
-            recurse(c.monic(), scale)
+        if len(c) > 1:
+            recurse(c, scale)
 
-    recurse(f.monic(), 1)
+    recurse(_monic(f, p), 1)
     return out
 
 
@@ -349,32 +262,32 @@ def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]
 def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
     """Complete factorization over F_p: squarefree decomposition, then
     distinct-degree, then seeded equal-degree splitting."""
-    if f.is_zero:
+    if not f.coeffs:
         raise ValueError("cannot factor the zero polynomial")
+    p = f.p
     rng = random.Random(seed)
-    unit = f.lc
-    factors: list[tuple[PolyModP, int]] = []
-    if f.degree >= 1:
-        for part, mult in _squarefree_parts(f):
-            for q in _squarefree_factors(part.coeffs, f.p, rng):
-                factors.append((_wrap(f.p, q), mult))
-    factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
-    return FactorizationModP(unit=unit, factors=tuple(factors))
+    factors = [
+        (q, mult)
+        for part, mult in _squarefree_parts(f.coeffs, p)
+        for q in _squarefree_factors(part, p, rng)
+    ]
+    factors.sort(key=lambda fe: (len(fe[0]), fe[0]))
+    return FactorizationModP(f.coeffs[-1], tuple((PolyModP(p, q), e) for q, e in factors))
 
 
-def _at_one_minus_x(h: PolyModP) -> list[int]:
-    """Coefficients of h(1-X), reduced from the shift over Z."""
-    return _reduced(_shifted(h.coeffs), h.p)
+def _image(h: Coeffs, p: int) -> tuple[int, ...]:
+    """Monic normalization of h(1-X), reduced from the shift over Z."""
+    return tuple(_monic(_reduced(_shifted(h), p), p))
 
 
 def involution_image(h: PolyModP) -> PolyModP:
     """Monic normalization of h(1-X); an involution on monic polynomials."""
-    return _wrap(h.p, _monic(_at_one_minus_x(h), h.p))
+    return PolyModP(h.p, _image(h.coeffs, h.p))
 
 
 def is_symmetric_mod_p(h: PolyModP) -> bool:
     """True when h(1-X) = h(X) exactly (not just up to a unit)."""
-    return tuple(_at_one_minus_x(h)) == h.coeffs
+    return tuple(_reduced(_shifted(h.coeffs), h.p)) == h.coeffs
 
 
 def symmetric_common_factor(
@@ -391,22 +304,21 @@ def symmetric_common_factor(
     multiplicity >= 2 (witness its square; a single power is fixed only up
     to sign).
     """
-    f._check(g)
-    if f.is_zero or g.is_zero:
+    p = _modulus(f, g)
+    if not f.coeffs or not g.coeffs:
         raise ValueError("symmetric_common_factor needs nonzero polynomials")
-    p = f.p
-    d = gcd_mod_p(f, g)
-    if d.degree < 1:
+    d = _gcd(f.coeffs, g.coeffs, p)
+    if len(d) < 2:
         return False, None
-    fac = factor_mod_p(d, seed)
-    mult = {q: e for q, e in fac.factors}
+    fac = factor_mod_p(PolyModP(p, d), seed)
+    present = {q.coeffs for q, _ in fac.factors}
     for q, e in fac.factors:
-        qt = involution_image(q)
-        if qt == q:
-            if int(q.degree) % 2 == 0:
+        qt = _image(q.coeffs, p)
+        if qt == q.coeffs:
+            if len(qt) % 2:  # even degree
                 return True, q
             if p != 2 and e >= 2:
-                return True, q * q
-        elif qt in mult and q.coeffs < qt.coeffs:
-            return True, q * qt
+                return True, PolyModP(p, _mul(qt, qt, p))
+        elif qt in present and q.coeffs < qt:
+            return True, PolyModP(p, _mul(q.coeffs, qt, p))
     return False, None

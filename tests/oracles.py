@@ -297,6 +297,16 @@ def pm_pow_mod_by_steps(a, e: int, f, m: int) -> tuple[int, ...]:
     return result
 
 
+def pm_product_by_steps(unit: int, factors, m: int) -> tuple[int, ...]:
+    """unit * prod(q^e for (q, e) in factors) over Z/m, one factor at a
+    time on the oracle above; factors are coefficient sequences."""
+    acc = _trim_steps([unit % m])
+    for q, e in factors:
+        for _ in range(e):
+            acc = pm_mul_by_steps(acc, q, m)
+    return acc
+
+
 def pm_gcd_by_steps(a, b, p: int) -> tuple[int, ...]:
     """Monic gcd over F_p by Euclid on the oracles above."""
     while b:
@@ -311,14 +321,15 @@ def brute_force_symmetric_common_factor(
     f: PolyModP, g: PolyModP, max_deg: int = 4
 ) -> bool:
     """Enumerate every monic h over F_p with 1 <= deg h <= max_deg,
-    h(1-X) = h(X), and test divisibility directly."""
+    h(1-X) = h(X), and test divisibility by the long division above,
+    not by the kernels under test."""
     p = f.p
     for deg in range(1, max_deg + 1):
         for tail in itertools.product(range(p), repeat=deg):
             h = PolyModP(p, tail + (1,))
             if at_one_minus_x_mod_p_by_horner(h) != h.coeffs:
                 continue
-            if (f % h).is_zero and (g % h).is_zero:
+            if not any(pm_divrem_by_steps(a.coeffs, h.coeffs, p)[1] for a in (f, g)):
                 return True
     return False
 

@@ -73,3 +73,30 @@ def test_worker_answers_the_first_request(workload):
     assert result["report"]["verdict"] in ("REALIZABLE", "NOT_ADMISSIBLE", "OBSTRUCTION_UNKNOWN", "OUT_OF_SCOPE")
     if op["kind"] == "seifert":
         assert result["milnor"]["kernel_dims"] == [2] * len(result["milnor"]["values"])
+
+
+def _real_calls(f1, f2) -> dict[str, tuple]:
+    """Arguments of one real call of each function whose result a
+    perfbench extractor reads, keyed by its traced name."""
+    a, b = (knotsig.PolyModP.from_int_poly(f, 2) for f in (f1, f2))
+    return {
+        "polys.divides": (f1, f1 * f2),
+        "obstruction.pi_set": (f1, f2),
+        "modp.symmetric_common_factor": (a, b),
+        "modp.factor_mod_p": (a,),
+        "intfactor.integer_factor": (knotsig.resultant(f1, f2),),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tracing.HIT.keys() | tracing.SIZE.keys()))
+def test_extractors_read_the_result_shapes(name, f1, f2):
+    """Each hit extractor gives a bool and each size extractor an int on
+    a real result of its traced function, so a change of result shape
+    fails here and not only in a traced benchmark run."""
+    layer, _, fn = name.partition(".")
+    args = _real_calls(f1, f2)[name]
+    result = getattr(getattr(knotsig, layer), fn)(*args)
+    if name in tracing.HIT:
+        assert type(tracing.HIT[name](args, result)) is bool
+    if name in tracing.SIZE:
+        assert type(tracing.SIZE[name](args, result)) is int

@@ -20,7 +20,7 @@ from knotsig import (
     symmetric_common_factor,
 )
 from knotsig import modp, zfactor
-from knotsig.polys import parse_poly
+from knotsig.polys import _at_one_minus_x, parse_poly
 from oracles import (
     at_one_minus_x_mod_p_by_horner,
     brute_force_symmetric_common_factor,
@@ -28,6 +28,7 @@ from oracles import (
     pm_gcd_by_steps,
     pm_mul_by_steps,
     pm_pow_mod_by_steps,
+    pm_product_by_steps,
 )
 
 PRIMES = (2, 3, 5, 7, 1073741789)
@@ -46,11 +47,11 @@ class TestGcd:
     def test_example_pair(self, f1, f2):
         a = PolyModP.from_int_poly(f1, 2)
         b = PolyModP.from_int_poly(f2, 2)
-        expected = mod("x^2 + x + 1", 2)
-        assert gcd_mod_p(a, b) == expected * expected
+        expected = mod("x^2 + x + 1", 2).coeffs
+        assert gcd_mod_p(a, b) == PolyModP(2, modp._mul(expected, expected, 2))
 
     def test_coprime(self):
-        assert gcd_mod_p(mod("x", 2), mod("x + 1", 2)) == PolyModP.one(2)
+        assert gcd_mod_p(mod("x", 2), mod("x + 1", 2)) == PolyModP(2, (1,))
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
@@ -76,16 +77,17 @@ class TestFactor:
         for _ in range(500):
             coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 10))]
             f = PolyModP(p, coeffs)
-            if f.is_zero:
+            if not f.coeffs:
                 continue
             fac = factor_mod_p(f, seed=7)
-            assert fac.product(p) == f
+            factors = [(q.coeffs, e) for q, e in fac.factors]
+            assert pm_product_by_steps(fac.unit, factors, p) == f.coeffs
             for q, _ in fac.factors:
-                assert q.is_monic and q.degree >= 1
+                assert q.coeffs[-1] == 1 and q.degree >= 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            factor_mod_p(PolyModP.zero(5))
+            factor_mod_p(PolyModP(5))
 
     def test_deterministic(self):
         f = mod("x^8 + 3*x^5 + x + 2", 7)
@@ -100,10 +102,10 @@ class TestInvolution:
     def test_linear(self):
         # image of X is the monic normalization of 1 - X
         for p in (3, 5, 7):
-            assert involution_image(PolyModP.x(p)) == PolyModP(p, (p - 1, 1))
+            assert involution_image(PolyModP(p, (0, 1))) == PolyModP(p, (p - 1, 1))
 
     def test_constant(self):
-        assert involution_image(PolyModP.one(7)) == PolyModP.one(7)
+        assert involution_image(PolyModP(7, (1,))) == PolyModP(7, (1,))
 
     def test_involution_property(self):
         rng = random.Random(19)
@@ -117,9 +119,13 @@ class TestInvolution:
     @given(st.sampled_from(PRIMES), st.lists(st.integers(-10**12, 10**12), max_size=40))
     def test_reflection_matches_horner(self, p, coeffs):
         """h(1 - X) reduced from the shift over Z equals Horner's rule over
-        F_p, reducing at every step."""
+        F_p, reducing at every step, and so do the involution helpers built
+        on it."""
         h = PolyModP(p, coeffs)
-        assert tuple(modp._at_one_minus_x(h)) == at_one_minus_x_mod_p_by_horner(h)
+        horner = at_one_minus_x_mod_p_by_horner(h)
+        assert tuple(modp._reduced(_at_one_minus_x(h.coeffs), p)) == horner
+        assert involution_image(h).coeffs == tuple(modp._monic(horner, p))
+        assert is_symmetric_mod_p(h) == (horner == h.coeffs)
 
     def test_symmetric_iff_even_degree_fixed_point(self):
         # monic symmetric polynomials of degree >= 1 are exactly the even-degree
@@ -153,7 +159,7 @@ class TestSymmetricCommonFactor:
         assert involution_image(half) == half
         ok, _ = symmetric_common_factor(half, half)
         assert not ok
-        sq = half * half
+        sq = PolyModP(5, modp._mul(half.coeffs, half.coeffs, 5))
         ok2, witness = symmetric_common_factor(sq, sq)
         assert ok2 and witness == sq
 
@@ -169,8 +175,9 @@ class TestSymmetricCommonFactor:
                 if ok:
                     d = gcd_mod_p(f, g)
                     assert witness is not None and witness.degree >= 1
-                    assert is_symmetric_mod_p(witness.monic())
-                    assert (d % witness.monic()).is_zero
+                    monic = modp._monic(witness.coeffs, p)
+                    assert is_symmetric_mod_p(PolyModP(p, monic))
+                    assert not modp._divrem(d.coeffs, monic, p)[1]
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(47)
@@ -204,43 +211,38 @@ class TestEdgeContracts:
 
     def test_divrem_lower_degree(self):
         a, b = mod("x^2 + 3", 7), mod("x^4 + x + 1", 7)
-        q, r = a.divrem(b)
-        assert q == PolyModP.zero(7) and r == a
-        q, r = PolyModP.zero(7).divrem(b)
-        assert q.is_zero and r.is_zero
+        q, r = modp._divrem(a.coeffs, b.coeffs, 7)
+        assert q == [] and tuple(r) == a.coeffs
+        q, r = modp._divrem((), b.coeffs, 7)
+        assert q == [] and r == []
 
     def test_divrem_by_constant(self):
-        q, r = mod("3*x^2 + 1", 7).divrem(PolyModP(7, (2,)))
-        assert q == PolyModP(7, (4, 0, 5)) and r.is_zero
+        q, r = modp._divrem(mod("3*x^2 + 1", 7).coeffs, PolyModP(7, (2,)).coeffs, 7)
+        assert q == [4, 0, 5] and r == []
 
     def test_zero_divisor(self):
-        a, zero = mod("x^2 + 1", 5), PolyModP.zero(5)
+        a, zero = mod("x^2 + 1", 5), PolyModP(5)
         with pytest.raises(ZeroDivisionError):
-            a.divrem(zero)
+            modp._divrem(a.coeffs, zero.coeffs, 5)
         with pytest.raises(ZeroDivisionError):
-            a % zero
-        with pytest.raises(ZeroDivisionError):
-            a // zero
+            modp._rem(a.coeffs, zero.coeffs, 5)
         with pytest.raises(ZeroDivisionError):
             modp._powmod(a.coeffs, 3, zero.coeffs, 5)
 
     def test_modulus_mismatch(self):
         a, b = mod("x + 1", 5), mod("x + 1", 7)
         for op in (
-            lambda: a * b,
-            lambda: a + b,
-            lambda: a - b,
-            lambda: a.divrem(b),
             lambda: gcd_mod_p(a, b),
+            lambda: symmetric_common_factor(a, b),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="modulus mismatch: 5 vs 7"):
                 op()
 
     def test_prime_beyond_a_machine_word(self):
         p = 9223372036854775907  # > 2^63, prime
         a, b = mod("x^2 - 3*x + 2", p), mod("x^2 - 4*x + 3", p)
         assert gcd_mod_p(a, b) == mod("x - 1", p)
-        assert (a * b).divrem(b) == (a, PolyModP.zero(p))
+        assert modp._divrem(modp._mul(a.coeffs, b.coeffs, p), b.coeffs, p) == (list(a.coeffs), [])
 
     def test_hensel_division_needs_a_monic_divisor(self):
         from knotsig import zfactor
@@ -262,10 +264,15 @@ def random_coeffs(rng: random.Random, m: int, max_deg: int = 72, monic: bool = F
     return coeffs
 
 
-def assert_canonical(r: PolyModP) -> None:
-    """A kernel-built result is what the public constructor would build."""
-    canonical = PolyModP(r.p, r.coeffs)
-    assert r == canonical and hash(r) == hash(canonical)
+def assert_canonical(r: PolyModP | list[int], p: int) -> None:
+    """A kernel's list or a public function's value is reduced and
+    trimmed: it equals the value the public constructor builds from its
+    coefficients, with the same hash."""
+    coeffs = r.coeffs if isinstance(r, PolyModP) else tuple(r)
+    canonical = PolyModP(p, coeffs)
+    assert canonical.coeffs == coeffs
+    if isinstance(r, PolyModP):
+        assert r == canonical and hash(r) == hash(canonical)
 
 
 class TestListKernels:
@@ -278,22 +285,23 @@ class TestListKernels:
         for _ in range(80):
             a = PolyModP(p, random_coeffs(rng, p))
             b = PolyModP(p, random_coeffs(rng, p))
-            prod = a * b
-            assert prod.coeffs == pm_mul_by_steps(a.coeffs, b.coeffs, p)
-            assert_canonical(prod)
-            if not b.is_zero:
-                q, r = a.divrem(b)
-                assert (q.coeffs, r.coeffs) == pm_divrem_by_steps(a.coeffs, b.coeffs, p)
-                assert_canonical(q)
-                assert_canonical(r)
-                assert (a % b).coeffs == r.coeffs and (a // b).coeffs == q.coeffs
-                assert q * b + r == a
+            prod = modp._mul(a.coeffs, b.coeffs, p)
+            assert tuple(prod) == pm_mul_by_steps(a.coeffs, b.coeffs, p)
+            assert_canonical(prod, p)
+            if b.coeffs:
+                q, r = modp._divrem(a.coeffs, b.coeffs, p)
+                assert (tuple(q), tuple(r)) == pm_divrem_by_steps(a.coeffs, b.coeffs, p)
+                assert_canonical(q, p)
+                assert_canonical(r, p)
+                assert modp._rem(a.coeffs, b.coeffs, p) == r
+                assert modp._add(modp._mul(q, b.coeffs, p), r, p) == list(a.coeffs)
             g = gcd_mod_p(a, b)
             assert g.coeffs == pm_gcd_by_steps(a.coeffs, b.coeffs, p)
-            assert_canonical(g)
-            for r in (a + b, a - b, -a):
-                assert_canonical(r)
-            assert (a - b) + b == a
+            assert_canonical(g, p)
+            for r in (modp._add(a.coeffs, b.coeffs, p), modp._sub(a.coeffs, b.coeffs, p),
+                      modp._sub((), a.coeffs, p)):
+                assert_canonical(r, p)
+            assert modp._add(modp._sub(a.coeffs, b.coeffs, p), b.coeffs, p) == list(a.coeffs)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_pow_mod_over_f_p(self, p):
@@ -301,12 +309,12 @@ class TestListKernels:
         for _ in range(12):
             a = PolyModP(p, random_coeffs(rng, p))
             f = PolyModP(p, random_coeffs(rng, p, max_deg=40))
-            if f.is_zero:
+            if not f.coeffs:
                 continue
             e = rng.randrange(0, 1 << rng.randrange(1, 24))
-            r = modp._wrap(p, modp._powmod(a.coeffs, e, f.coeffs, p))
-            assert r.coeffs == pm_pow_mod_by_steps(a.coeffs, e, f.coeffs, p)
-            assert_canonical(r)
+            r = modp._powmod(a.coeffs, e, f.coeffs, p)
+            assert tuple(r) == pm_pow_mod_by_steps(a.coeffs, e, f.coeffs, p)
+            assert_canonical(r, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_xgcd_over_f_p(self, p):
@@ -378,11 +386,31 @@ class TestFactorAgainstSympy:
             deg = rng.randrange(20, 41)
             coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
             if rng.random() < 0.3:  # a repeated factor
-                sq = PolyModP(p, [rng.randrange(p) for _ in range(3)] + [1])
-                f = PolyModP(p, coeffs[: deg - 6] + [1]) * sq * sq
+                sq = PolyModP(p, [rng.randrange(p) for _ in range(3)] + [1]).coeffs
+                base = PolyModP(p, coeffs[: deg - 6] + [1]).coeffs
+                f = PolyModP(p, modp._mul(modp._mul(base, sq, p), sq, p))
             else:
                 f = PolyModP(p, coeffs)
             fac = factor_mod_p(f, seed=5)
             assert fac == sympy_factor_mod_p(f), (p, f)
             for q, _ in fac.factors:
-                assert_canonical(q)
+                assert_canonical(q, p)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from((2, 3, 5)), st.data())
+    def test_pth_powers(self, p, data):
+        """f = a * b^p * c^(p^2) with c nonconstant: the squarefree split
+        takes the p-th root of a part twice, and every factor of c comes
+        back with multiplicity at least p^2."""
+        def poly(deg: int) -> list[int]:
+            tail = st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)
+            return data.draw(tail) + [1]
+
+        a, b, c = poly(3), poly(3), poly(2 if p == 5 else 3)
+        f = a
+        for q, e in ((b, p), (c, p * p)):
+            for _ in range(e):
+                f = modp._mul(f, q, p)
+        fac = factor_mod_p(PolyModP(p, f), seed=2)
+        assert fac == sympy_factor_mod_p(PolyModP(p, f))
+        assert max(e for _, e in fac.factors) >= p * p

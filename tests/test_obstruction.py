@@ -61,12 +61,13 @@ class TestPiSet:
 
     def test_witnesses_are_symmetric_divisors(self, f1, f2):
         entry = pi_set(f1, f2)
-        from knotsig.modp import gcd_mod_p
+        from knotsig.modp import _divrem, _monic, gcd_mod_p
 
         for p, w in entry.witnesses:
-            assert is_symmetric_mod_p(w.monic())
+            monic = _monic(w.coeffs, p)
+            assert is_symmetric_mod_p(PolyModP(p, monic))
             d = gcd_mod_p(PolyModP.from_int_poly(f1, p), PolyModP.from_int_poly(f2, p))
-            assert (d % w.monic()).is_zero
+            assert not _divrem(d.coeffs, monic, p)[1]
 
     def test_brute_scan_matches_candidates(self, f1, f2):
         """Scanning all p < 200 directly finds no primes outside the

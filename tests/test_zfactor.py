@@ -541,58 +541,39 @@ class TestModularWork:
         assert calls[0] == 75
 
     def test_no_poly_mod_p_arithmetic_in_lifting_or_patterns(self, monkeypatch, calls):
-        """No PolyModP is built or computed with anywhere in factor_z, on
-        the direct route or the v-model route: lifting, the good primes,
-        the distinct-degree pass and Yun's certificate run on lists."""
-        from knotsig import zfactor
+        """PolyModP is a value without arithmetic; factor_z builds none, on
+        the direct route or the v-model route (lifting, the good primes,
+        the distinct-degree pass and Yun's certificate run on lists); and
+        factor_mod_p builds one per factor it returns and none for its work."""
+        from knotsig import modp
 
-        built = calls("modp._wrap")
+        removed = ("zero", "one", "x", "is_zero", "lc", "is_monic", "coeff", "_check",
+                   "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "divrem",
+                   "__floordiv__", "__mod__", "monic", "evaluate", "derivative")
+        assert [name for name in removed if hasattr(PolyModP, name)] == []
+        assert repr(PolyModP(3, (1, 2))) == "PolyModP(p=3, coeffs=(1, 2))"
+        assert not hasattr(modp, "_wrap") and not hasattr(modp.FactorizationModP, "product")
+
+        built = [0]
         init_original = PolyModP.__init__
 
         def counting_init(self, *args, **kwargs):
-            built["PolyModP.__init__"] += 1
+            built[0] += 1
             init_original(self, *args, **kwargs)
 
         monkeypatch.setattr(PolyModP, "__init__", counting_init)
-        inside = {"_hensel_lift": 0}
-        scope: list[str] = []
-        arithmetic = {"divrem": 0, "__mul__": 0}
-        in_scope = {"divrem": 0, "__mul__": 0}
-        for name in arithmetic:
-            original = getattr(PolyModP, name)
-
-            def counting(self, other, _original=original, _name=name):
-                arithmetic[_name] += 1
-                in_scope[_name] += bool(scope)
-                return _original(self, other)
-
-            monkeypatch.setattr(PolyModP, name, counting)
-        for name in inside:
-            original = getattr(zfactor, name)
-
-            def scoped(*args, _original=original, _name=name):
-                inside[_name] += 1
-                scope.append(_name)
-                try:
-                    return _original(*args)
-                finally:
-                    scope.pop()
-
-            monkeypatch.setattr(zfactor, name, scoped)
+        lifts = calls("zfactor._hensel_lift")
         P = self.delta_a_product_p()
         direct(P)
-        assert inside == {"_hensel_lift": 1}
-        assert in_scope == {"divrem": 0, "__mul__": 0}
+        assert lifts["zfactor._hensel_lift"] == 1
         trace: list[str] = []
         factor_z(P, trace=trace)
-        assert trace[0].startswith("through the v-model") and inside == {"_hensel_lift": 2}
-        # nowhere else in factor_z either, now that the first prime skips
-        # the modular squarefree split; the counters see factor_mod_p's work
-        assert arithmetic == {"divrem": 0, "__mul__": 0}
-        assert built == {}
-        factor_mod_p(PolyModP.from_int_poly(P, 13))
-        assert arithmetic["divrem"] > 0
-        assert built["modp._wrap"] > 0 and built["PolyModP.__init__"] > 0
+        assert trace[0].startswith("through the v-model") and lifts["zfactor._hensel_lift"] == 2
+        assert built[0] == 0
+        fp = PolyModP.from_int_poly(P, 13)
+        built[0] = 0
+        fac = factor_mod_p(fp)
+        assert built[0] == len(fac.factors) > 1
 
 
 # the 17 Delta_a in scope of perfbench's workloads: -8 <= a <= 10, a != -1, -3
