@@ -191,46 +191,22 @@ def isolate_roots(
     return out
 
 
-def refine_interval(f: IntPoly, iv: IsolatingInterval) -> IsolatingInterval:
-    """One bisection step preserving the single contained root."""
-    lo_n, hi_n, d = _numerators(iv.lo, iv.hi)
-    mid, e, sm = _split(f, lo_n, hi_n, d)
-    if sm == _sign_hom(f, lo_n, d):
-        return _fractions(mid, hi_n << e, d << e)
-    return _fractions(lo_n << e, mid, d << e)
-
-
-def root_gaps(
-    f: IntPoly, ivs: list[IsolatingInterval], top: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Root-free open intervals (lo, hi) with lo < hi: one between each
-    two consecutive roots isolated by the sorted ``ivs``, and one between
-    the last root and ``top`` (which must lie above it).  Intervals that
-    touch, or a last one that reaches ``top``, are refined with ``f``
-    until a gap of positive width opens; both ends of a gap are interval
-    endpoints, so never roots."""
-    ivs = list(ivs)
-    gaps: list[tuple[Fraction, Fraction]] = []
-    for j in range(len(ivs)):
-        upper = ivs[j + 1].lo if j + 1 < len(ivs) else top
-        while ivs[j].hi >= upper:
-            ivs[j] = refine_interval(f, ivs[j])
-            if j + 1 < len(ivs):
-                ivs[j + 1] = refine_interval(f, ivs[j + 1])
-                upper = ivs[j + 1].lo
-        gaps.append((ivs[j].hi, upper))
-    return gaps
+def root_signs(f: IntPoly, g: IntPoly, ivs: list[IsolatingInterval]) -> list[int]:
+    """For each interval of ``ivs``, isolating one root x of f, the sign of
+    f'(x) g(x), all from one Sturm sequence: by the Sturm-Tarski theorem
+    the sequence of (f, g) drops across an interval by the sum of
+    sign(f'(x) g(x)) over the roots x of f in it.  A zero g gives zeros."""
+    seq = sturm_sequence(f, g)
+    return [_variations(seq, *_point(iv.lo)) - _variations(seq, *_point(iv.hi)) for iv in ivs]
 
 
 # no caller in knotsig; kept because perfbench/tracing.py traces it
 def sign_at_root(expr: IntPoly, minpoly: IntPoly, iv: IsolatingInterval) -> int:
     """Sign of expr(lambda) for the root lambda of ``minpoly`` isolated by
-    ``iv``, by the Sturm-Tarski theorem: the Sturm sequence of (m, m' expr)
-    drops across iv by the sum of sign(expr(x)) over the roots x of m in iv."""
+    ``iv``: :func:`root_signs` of (m, m' expr), as m'(lambda)^2 > 0."""
     if expr.is_zero:
         raise ValueError("expression is identically zero")
-    seq = sturm_sequence(minpoly, minpoly.derivative() * expr)
-    return _variations(seq, *_point(iv.lo)) - _variations(seq, *_point(iv.hi))
+    return root_signs(minpoly, minpoly.derivative() * expr, [iv])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,25 @@ S(ax, y) = S(x, (1-a)y).  Bilinear forms evaluate as x^T M y throughout;
 the correspondence A <-> (S, a) is A = a^T S, a = S^(-1) A^T, and all
 public identities are convention-free.
 
-Milnor signatures are read off the Levine-Tristram signature function
-t -> sig(S + i t K), K = A - A^T, which is constant between the
-unit-circle roots of Delta_A and drops by the Milnor signature of the
-root pair at each one.  Every evaluation is the exact signature of an
-integer matrix at a rational t chosen between the isolated roots, so no
-number field and no approximation is involved.  At t = p/d that matrix is
-the n x n Hermitian dS + i pK over the Gaussian integers Z[i], and one
-fraction-free congruence elimination of its upper triangle gives the
-signature; ``signature_exact`` is the same elimination with no imaginary
-part.
+Milnor signatures are eigenplane signs (Milnor, "On isometries of inner
+product spaces", Invent. Math. 8, 1969).  For a pair (S, a) whose
+P = det(X - a) = Q(X^2 - X) is squarefree, each real root lambda < -1/4
+of the v-model Q has a real eigenplane ker(a^2 - a - lambda) on which S
+is definite; the Milnor value there is twice its sign, so always +-2,
+never 0 (proof at :func:`milnor_signatures`).  Each sign is read exactly
+by one Sturm-Tarski query on two small integer polynomials, so no number
+field and no approximation is involved.  It is also the drop of the
+Levine-Tristram signature t -> sig(S + i t K), K = A - A^T, across the
+matching root of Delta_A, which the tests evaluate as an independent
+oracle.  ``signature_exact`` is one fraction-free congruence elimination
+of the upper triangle of a symmetric integer matrix.
 
 What the toolkit computes about one form is computed once, as a frozen
 record of :func:`_form_facts`: S = A + A^T with det S, and on first use
-det A, Delta_A (one pencil determinant), the companion pair (one pair
-check) and P, read off Delta_A as ``delta_to_p`` of Delta_A normalised
-to Delta(1) = (-1)^n (no second pencil determinant; see
-:attr:`_FormFacts.p`).  ``form_to_pair``, ``alexander_of_form``,
+det A, the companion c = S^-1 A^T, the v-model Q of P = det(X - c) from
+n determinants of c (2n the size of A), P = Q(X^2 - X), Delta_A read off
+P (see :attr:`_FormFacts.delta`; no pencil determinant) and the
+companion pair (one pair check).  ``form_to_pair``, ``alexander_of_form``,
 ``validate_form`` and ``unimodular_t`` read the record of A; the entry
 points taking a pair read the record of its form a^T S.  The memo is
 keyed on the form A as a tuple of integer rows, for at most
@@ -39,13 +41,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, delta_to_p
-from .realroots import IrrRFactor, _v_roots, root_gaps
+from .polys import IntPoly, _at_one_minus_x, _mul_coeffs
+from .realroots import IrrRFactor, IsolatingInterval, _v_roots, root_signs
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -190,11 +191,15 @@ class SeifertPair:
 @dataclass(frozen=True)
 class MilnorAssignmentComputed:
     """The Milnor signature at each monic irreducible real quadratic
-    factor of P, in the sorted order of the v-root intervals: the jump of
-    the Levine-Tristram signature across the matching root of Delta_A.
-    A zero value means the signature does not jump there and deserves
-    attention.  ``kernel_dims`` is always all 2s (P is squarefree, so
-    each such factor has a 2-dimensional kernel); reports still carry it."""
+    factor X^2 - X - lambda of P, in the sorted order of the v-root
+    intervals: twice the sign of S on the eigenplane ker(a^2 - a - lambda),
+    which is the jump of the Levine-Tristram signature across the matching
+    root of Delta_A.  Over C that eigenplane is spanned by S-isotropic
+    eigenvectors of a, so S is definite on it and every value is +-2 (see
+    :func:`milnor_signatures`); ``has_zero_value`` stays in the API and is
+    always false for a squarefree P.  ``kernel_dims`` is always all 2s (P
+    is squarefree, so each such factor has a 2-dimensional kernel);
+    reports still carry it."""
 
     factors: tuple[IrrRFactor, ...]
     values: tuple[int, ...]
@@ -226,10 +231,29 @@ def _pair_problems(s: Matrix, a: Matrix, det_s: int, det_a: int) -> list[str]:
     return problems
 
 
+def _newton_interpolation(nodes: Sequence[int], values: Sequence[int]) -> IntPoly:
+    """The integer polynomial of degree < len(nodes) through the points
+    (nodes[k], values[k]), by Newton's divided differences in integers.
+    Every divided difference of an integer polynomial at distinct integer
+    nodes is an integer, so a remainder is an internal error."""
+    diffs = list(values)  # diffs[j] becomes f[x_0, ..., x_j]
+    for k in range(1, len(nodes)):
+        for j in range(len(nodes) - 1, k - 1, -1):
+            diffs[j], rem = divmod(diffs[j] - diffs[j - 1], nodes[j] - nodes[j - k])
+            if rem:
+                raise KnotsigError("internal error: a divided difference is not integral")
+    acc = [diffs[-1]]  # Horner: f = d_0 + (Y - x_0)(d_1 + (Y - x_1)(...))
+    for d, x in zip(reversed(diffs[:-1]), reversed(nodes[:-1])):
+        acc = _mul_coeffs(acc, (-x, 1))
+        acc[0] += d
+    return IntPoly(acc)
+
+
 @dataclass(frozen=True)
 class _FormFacts:
     """What is known about one Seifert form A: S = A + A^T and det S = +-1,
-    and, on first use, det A, Delta_A, the companion pair and P."""
+    and, on first use, det A, the companion c = S^-1 A^T, the v-model Q of
+    P = det(X - c), P, Delta_A and the companion pair."""
 
     a: Matrix
     s: Matrix
@@ -240,9 +264,39 @@ class _FormFacts:
         return mat_det(self.a)
 
     @cached_property
+    def companion(self) -> Matrix:
+        """c = S^-1 A^T, integral since det S = +-1, also when det A = 0."""
+        return mat_mul(mat_inverse_unimodular(self.s), transpose(self.a))
+
+    @cached_property
+    def q(self) -> IntPoly:
+        """The v-model Q of P = det(X - c), P(X) = Q(X^2 - X), monic of
+        degree n for A of size 2n.  P(1 - X) = P(X) because c^T S = A =
+        S(1 - c) makes c^T conjugate to 1 - c.  Q is interpolated at the
+        nodes k(k - 1), k = 1..n+1, from Q(k(k - 1)) = P(k) = det(k - c): n
+        determinants of the companion, and P(1) = det(S^-1 A) = det S det A."""
+        c, n = self.companion, len(self.a) // 2
+        values = [self.det_s * self.det_a] + [
+            mat_det(tuple(tuple(k * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(c)))
+            for k in range(2, n + 2)
+        ]
+        return _newton_interpolation([k * (k - 1) for k in range(1, n + 2)], values)
+
+    @cached_property
+    def p(self) -> IntPoly:
+        """P = det(X - c) = Q(X^2 - X)."""
+        return self.q.compose(IntPoly((0, -1, 1)))
+
+    @cached_property
     def delta(self) -> IntPoly:
-        """Delta_A = det(X*A + A^T), by one pencil determinant."""
-        return pencil_det(transpose(self.a), self.a)
+        """Delta_A = det(X*A + A^T), read off P.  With A = S(1 - c) and
+        A^T = S c, for A of size 2n,
+            det(X*A + A^T) = det S * det(X - (X - 1) c)
+                           = det S * (X - 1)^{2n} P(X/(X - 1))
+                           = det S * rev(P)(1 - X),
+        since P(X/(X - 1)) = P(1/(1 - X)) by P(1 - X) = P(X), where rev(P)
+        reverses the 2n + 1 coefficients of P.  Also when det A = 0."""
+        return IntPoly(self.det_s * x for x in _at_one_minus_x(self.p.coeffs[::-1]))
 
     @cached_property
     def pair(self) -> SeifertPair:
@@ -250,26 +304,10 @@ class _FormFacts:
         :func:`validate_pair` with det a = det S * det A (det S = +-1)."""
         if self.det_a == 0:
             raise ValueError("degenerate form, no injective companion")
-        comp = mat_mul(mat_inverse_unimodular(self.s), transpose(self.a))
-        problems = _pair_problems(self.s, comp, self.det_s, self.det_s * self.det_a)
+        problems = _pair_problems(self.s, self.companion, self.det_s, self.det_s * self.det_a)
         if problems:
             raise KnotsigError(f"internal error: companion pair invalid: {tuple(problems)}")
-        return SeifertPair(s=self.s, a=comp)
-
-    @cached_property
-    def p(self) -> IntPoly:
-        """P = charpoly(a) of the companion, read off Delta_A.  With 2n the
-        size of A and a = S^-1 A^T,
-            det(X*I - a) = det S * det(X*S - A^T) = det S * det(X*A + (X-1)*A^T)
-                         = det S * (X-1)^{2n} Delta_A(X/(X-1))
-                         = det S * X^{2n} Delta_A(1 - 1/X),
-        the last step by the palindromy X^{2n} Delta_A(1/X) = Delta_A(X).
-        Delta_A(1) = det S, so (-1)^n det S Delta_A is Delta_A normalised to
-        Delta(1) = (-1)^n, and P is its ``delta_to_p``.  The pair is taken
-        first: det A != 0 gives Delta_A the full degree 2n."""
-        self.pair  # raises unless det A != 0
-        n = len(self.a) // 2
-        return delta_to_p(self.delta if (-1) ** n * self.det_s == 1 else -self.delta)
+        return SeifertPair(s=self.s, a=self.companion)
 
 
 @lru_cache(maxsize=FORM_FACTS_MEMO)
@@ -348,110 +386,67 @@ def charpoly_of_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[
     return _pair_facts(s_rows, a_rows).p
 
 
-# A Hermitian matrix H over Z[i] is kept as its upper triangle: two lists
-# of rows, real and imaginary parts, row i holding H_ij for j >= i.
+# A symmetric matrix M is kept as its upper triangle, row i holding M_ij
+# for j >= i.
 
 
-def _column(re, im, k: int) -> tuple[list[int], list[int]]:
-    """H_ik for i != k, as real and imaginary parts; H_ik = conj(H_ki)
-    for i > k."""
-    return (
-        [re[i][k - i] for i in range(k)] + re[k][1:],
-        [im[i][k - i] for i in range(k)] + [-x for x in im[k][1:]],
-    )
+def _column(tri: list[list[int]], k: int) -> list[int]:
+    """M_ik for i != k; M_ik = M_ki for i > k."""
+    return [tri[i][k - i] for i in range(k)] + tri[k][1:]
 
 
-def _drop(rows: list[list[int]], k: int) -> list[list[int]]:
+def _drop(tri: list[list[int]], k: int) -> list[list[int]]:
     """The triangle without row and column k."""
-    return [row[: k - i] + row[k - i + 1 :] for i, row in enumerate(rows[:k])] + rows[k + 1 :]
+    return [row[: k - i] + row[k - i + 1 :] for i, row in enumerate(tri[:k])] + tri[k + 1 :]
 
 
-def _times(b: tuple[int, int], u: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
-    """b u for a Gaussian integer b and a vector u, as real and imaginary parts."""
-    br, bi = b
-    return [br * x - bi * y for x, y in zip(*u)], [br * y + bi * x for x, y in zip(*u)]
-
-
-def _outer_update(re, im, scale: int, a, c):
-    """The triangle of scale H - a c^*, i.e. scale H_ij - a_i conj(c_j)."""
-    (ar, ai), (cr, ci) = a, c
-    new_re, new_im = [], []
-    for x, (rr, ri) in enumerate(zip(re, im)):
-        pr, pi, tr, ti = ar[x], ai[x], cr[x:], ci[x:]
-        new_re.append([scale * v - pr * qr - pi * qi for v, qr, qi in zip(rr, tr, ti)])
-        new_im.append([scale * v - pi * qr + pr * qi for v, qr, qi in zip(ri, tr, ti)])
-    return new_re, new_im
-
-
-def _pivot_diagonal(re, im, k: int):
-    """|d| times the Schur complement of the real pivot d = H_kk:
-    H_ij <- |d| H_ij - sign(d) H_ik H_kj."""
-    d = re[k][0]
-    u = _column(re, im, k)
-    a = u if d > 0 else ([-x for x in u[0]], [-x for x in u[1]])
-    return _outer_update(_drop(re, k), _drop(im, k), abs(d), a, u)
-
-
-def _pivot_block(re, im, k: int, l: int):
-    """|b|^2 times the Schur complement of the block [[0, b], [conj b, 0]],
-    b = H_kl (k < l): H_ij <- |b|^2 H_ij - b H_ik H_lj - conj(b) H_il H_kj,
-    where H_lj = conj(H_jl) and H_kj = conj(H_jk)."""
-    br, bi = re[k][l - k], im[k][l - k]
-    u = [c[: l - 1] + c[l:] for c in _column(re, im, k)]  # i != k, l
-    v = [c[:k] + c[k + 1 :] for c in _column(re, im, l)]
-    re, im = _drop(_drop(re, l), k), _drop(_drop(im, l), k)
-    re, im = _outer_update(re, im, br * br + bi * bi, _times((br, bi), u), v)
-    return _outer_update(re, im, 1, _times((br, -bi), v), u)
-
-
-def _hermitian_elimination(re: list[list[int]], im: list[list[int]]) -> int:
-    """Signature of a nonsingular Hermitian H = re + i im over Z[i], given
-    as its upper triangle.
-
-    Fraction-free congruence diagonalization: a nonzero (real) diagonal
-    entry d contributes sign(d), and the rest becomes |d| times its Schur
-    complement; when every diagonal entry is 0, a nonzero H_kl gives the
-    block [[0, b], [conj b, 0]] of signature 0 (its determinant is
-    -|b|^2), and the rest becomes |b|^2 times its Schur complement.  Both
-    complements are Hermitian over Z[i] with the signature of the rest,
-    and each is divided by the content of its entries."""
-    sig = 0
-    while re:
-        size = len(re)
-        k = next((k for k in range(size) if re[k][0]), None)
-        if k is not None:
-            sig += 1 if re[k][0] > 0 else -1
-            re, im = _pivot_diagonal(re, im, k)
-        else:
-            off = next(
-                ((k, l) for k in range(size) for l in range(k + 1, size)
-                 if re[k][l - k] or im[k][l - k]),
-                None,
-            )
-            if off is None:
-                raise ValueError("matrix is singular; signature undefined")
-            re, im = _pivot_block(re, im, *off)
-        g = math.gcd(*(math.gcd(*row) for row in re + im))
-        if g > 1:
-            re = [[x // g for x in row] for row in re]
-            im = [[x // g for x in row] for row in im]
-    return sig
+def _outer_update(tri: list[list[int]], scale: int, u: list[int], v: list[int]) -> list[list[int]]:
+    """The triangle of scale M - u v^T."""
+    return [[scale * x - p * y for x, y in zip(row, v[i:])] for i, (row, p) in enumerate(zip(tri, u))]
 
 
 def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
-    """Signature of a nonsingular symmetric integer matrix: the Hermitian
-    elimination of :func:`_hermitian_elimination` with imaginary part 0."""
+    """Signature of a nonsingular symmetric integer matrix, by
+    fraction-free congruence diagonalization of its upper triangle.  A
+    nonzero diagonal pivot d contributes sign(d), and the rest becomes
+    M_ij <- |d| M_ij - sign(d) M_ik M_kj; when the whole remaining
+    diagonal is 0, a nonzero M_kl = b gives the block [[0, b], [b, 0]] of
+    signature 0, and the rest becomes
+    M_ij <- |b| M_ij - sign(b) (M_ik M_lj + M_il M_kj).  Both are positive
+    multiples of Schur complements; each is divided by its content."""
     m = as_matrix(m_rows)
     if m != transpose(m):
         raise ValueError("signature needs a symmetric matrix")
-    n = len(m)
-    return _hermitian_elimination([list(row[i:]) for i, row in enumerate(m)],
-                                  [[0] * (n - i) for i in range(n)])
+    tri = [list(row[i:]) for i, row in enumerate(m)]
+    sig = 0
+    while tri:
+        size = len(tri)
+        k = next((k for k in range(size) if tri[k][0]), None)
+        if k is not None:
+            d = tri[k][0]
+            sig += 1 if d > 0 else -1
+            u = _column(tri, k)
+            tri = _outer_update(_drop(tri, k), abs(d), u if d > 0 else [-x for x in u], u)
+        else:
+            off = next(((k, l) for k in range(size) for l in range(k + 1, size) if tri[k][l - k]), None)
+            if off is None:
+                raise ValueError("matrix is singular; signature undefined")
+            k, l = off
+            b = tri[k][l - k]
+            u, v = _column(tri, k), _column(tri, l)
+            del u[l - 1], v[k]  # keep i != k, l
+            tri = _outer_update(_drop(_drop(tri, l), k), abs(b), u if b > 0 else [-x for x in u], v)
+            tri = _outer_update(tri, 1, v if b > 0 else [-x for x in v], u)
+        g = math.gcd(*(math.gcd(*row) for row in tri))
+        if g > 1:
+            tri = [[x // g for x in row] for row in tri]
+    return sig
 
 
 def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
     """For a unimodular form A, the isometry t with A(tx,y) = -A(y,x);
-    t preserves S = A + A^T and charpoly(t) = det(A) * Delta_A."""
+    t preserves S = A + A^T and charpoly(t) = det(A) * Delta_A, checked
+    by a pencil determinant against Delta_A read off the companion."""
     facts = _form_facts(as_matrix(a_rows))
     a, s, det_a = facts.a, facts.s, facts.det_a
     if det_a not in (1, -1):
@@ -470,27 +465,31 @@ def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
 # Milnor signatures of a concrete pair
 
 
-def _t_with_square_in(lo: Fraction, hi: Fraction | None) -> Fraction:
-    """A rational t > 0 with lo < t^2 < hi (hi None for no upper bound),
-    0 <= lo < hi, with the smallest power-of-two denominator."""
-    d = 1
-    while True:
-        p = math.isqrt(math.floor(lo * d * d)) + 1  # least p with p^2 > lo d^2
-        if hi is None or p * p < hi * d * d:
-            return Fraction(p, d)
-        d *= 2
+def _mat_vec(m: Matrix, v: list[int]) -> list[int]:
+    return [sum(map(operator.mul, row, v)) for row in m]
 
 
-def _hermitian_signature(s: Matrix, k: Matrix, t: Fraction) -> int:
-    """Signature of the Hermitian form S + i t K (S symmetric, K skew):
-    that of its positive multiple H = dS + i pK for t = p/d, an n x n
-    matrix over Z[i], by :func:`_hermitian_elimination` (diagonal pivots,
-    and the 2 x 2 block pivot when the remaining diagonal is all 0)."""
-    p, d = t.numerator, t.denominator
-    return _hermitian_elimination(
-        [[d * x for x in row[i:]] for i, row in enumerate(s)],
-        [[p * x for x in row[i:]] for i, row in enumerate(k)],
-    )
+def _eigenplane_signs(s: Matrix, a: Matrix, q: IntPoly, ivs: list[IsolatingInterval]) -> list[int]:
+    """eps_lambda for the root lambda of Q in each interval of ``ivs``: the
+    sign of S on ker(a^2 - a - lambda), read off the basis vectors in turn
+    as in :func:`milnor_signatures`."""
+    signs, d = [0] * len(ivs), len(q.coeffs) - 1
+    for e in range(len(s)):
+        todo = [j for j, sign in enumerate(signs) if not sign]
+        if not todo:
+            break
+        w, moments = [int(i == e) for i in range(len(s))], []
+        for j in range(d):  # w = b^j e, m_j = e^T S b^j e
+            moments.append(sum(map(operator.mul, s[e], w)))
+            if j < d - 1:
+                aw = _mat_vec(a, w)
+                w = [x - y for x, y in zip(_mat_vec(a, aw), aw)]
+        r = IntPoly(sum(q.coeffs[k + 1 + j] * m for j, m in enumerate(moments[: d - k])) for k in range(d))
+        for j, sign in zip(todo, root_signs(q, r, [ivs[j] for j in todo])):
+            signs[j] = sign
+    if not all(signs):
+        raise KnotsigError("internal error: no basis vector projects onto an eigenplane")
+    return signs
 
 
 def milnor_signatures(
@@ -498,48 +497,53 @@ def milnor_signatures(
 ) -> MilnorAssignmentComputed:
     """Milnor signature of the pair at each monic irreducible real
     quadratic factor X^2 - X - lambda of the characteristic polynomial P
-    (which must be squarefree), as the jump of the Levine-Tristram
-    signature across the corresponding root of Delta_A.
+    (which must be squarefree): 2 eps_lambda, where eps_lambda is the
+    sign of S on the eigenplane V_lambda = ker(b - lambda), b = a^2 - a.
 
-    With A = a^T S and K = A - A^T, the Hermitian form S + i t K is a
-    positive multiple of (1 + w) A + (1 + conj w) A^T at the unit-circle
-    point w = (1 + ti)/(1 - ti), so it is singular exactly at the roots of
-    Delta_A and its signature is constant between them.  Because
-    t^2 = 1/(-4 lambda - 1) increases with lambda, the sorted v-root
-    intervals give the roots in increasing t.  The signature is evaluated
-    exactly at t = 0 (sig S), at one rational t between each two
-    consecutive roots and at one above the last; each value is the drop
-    across its root, so the values sum to sig S.
+    Why the sign is the Milnor value.  From a^T S = S(1 - a), b^T S = S b,
+    so eigenspaces of b for different eigenvalues are S-orthogonal, and
+    P = Q(X^2 - X) squarefree makes b semisimple with the roots of the
+    v-model Q as eigenvalues.  For a real root lambda < -1/4 of Q, V_lambda
+    is a real plane on which a has the eigenvalues z, conj z, the roots of
+    X^2 - X - lambda.  For x in ker(a - z), S(ax, x) = S(x, (1 - a)x) gives
+    (2z - 1) S(x, x) = 0 with z != 1/2, so x is S-isotropic: u = Re x and
+    v = Im x have S(u, u) = S(v, v) and S(u, v) = 0.  S is nondegenerate on
+    V_lambda, so there it is eps_lambda times a definite form.
+    K = A - A^T = S(1 - 2a) acts on V_lambda with eigenvalues
+    +-i sqrt(-1 - 4 lambda), so sig(S + i t K) drops by exactly
+    2 eps_lambda at t^2 = 1/(-1 - 4 lambda): the Levine-Tristram jump.
+    Every value is +-2 and never 0.
+
+    Reading eps_lambda.  With Q_lambda(Y) = (Q(Y) - Q(lambda))/(Y - lambda),
+    which vanishes at the other roots of Q, x = Q_lambda(b) e is
+    Q'(lambda) times the V_lambda-component of a vector e, so
+    S(x, x) = Q'(lambda) S(e, x) = Q'(lambda) r_e(lambda), where
+    r_e(Y) = sum_{i=1..d} q_i sum_{j<i} m_j Y^(i-1-j) and the integer
+    moments m_j = e^T S b^j e, j < d = deg Q, take d - 1 steps of
+    b = a a - a on a vector.  By the Sturm-Tarski theorem the Sturm
+    sequence of (Q, r_e) drops across lambda's isolating interval by
+    sign(Q'(lambda) r_e(lambda)) = eps_lambda, and by 0 exactly when x = 0
+    (:func:`root_signs`, one sequence for every interval).  The basis
+    vectors e_0, e_1, ... are tried in turn, and each lambda is decided by
+    the first with a nonzero drop; one exists, as the projection onto
+    V_lambda is not 0.
 
     The pair is accepted when it is the companion pair of its form
-    A = a^T S, and P = charpoly(a) is read off Delta_A; both come from the
-    memoized record of A (:func:`_form_facts`), so after ``form_to_pair``
-    and ``alexander_of_form`` on A neither is computed again.  An input
+    A = a^T S, and P comes from the memoized record of A
+    (:func:`_form_facts`), so after ``form_to_pair`` and
+    ``alexander_of_form`` on A no determinant is taken again.  An input
     that is not a pair raises the problems of :func:`validate_pair`.
 
-    Checks that can fail: the signature above the last root (sig S when
-    there is none) is 0, since K is nonsingular (det K = +-Delta_A(-1),
-    and P(1/2) != 0 for a monic integer P); and every drop is -2, 0 or 2."""
+    Check that can fail: the values sum to sig S, since the other
+    eigenspaces of b carry signature 0 (for real lambda > -1/4, two
+    isotropic real eigenlines of a; for non-real lambda, V_lambda is
+    Lagrangian for the Hermitian form on V_lambda + V_conj(lambda))."""
     facts = _pair_facts(s_rows, a_rows)
-    s, a_form = facts.s, facts.a
     q, ivs = _v_roots(facts.p)  # P(1-X) = P(X) holds for every pair
-    k = mat_sub(a_form, transpose(a_form))
-    gaps = root_gaps(q, ivs, Fraction(-1, 4))
-
-    def t_squared(lam: Fraction) -> Fraction:
-        return 1 / (-4 * lam - 1)
-
-    # one t in each gap; the last gap, above the last root, is unbounded in t
-    bounds = [t_squared(hi) for _, hi in gaps[:-1]] + [None]
-    samples = [_t_with_square_in(t_squared(lo), hi) for (lo, _), hi in zip(gaps, bounds)]
-    sigmas = [signature_exact(s)] + [_hermitian_signature(s, k, t) for t in samples]
-    if sigmas[-1] != 0:
-        raise KnotsigError(
-            f"internal error: signature {sigmas[-1]} above the last root, expected 0"
-        )
-    values = tuple(before - after for before, after in zip(sigmas, sigmas[1:]))
-    if any(v not in (-2, 0, 2) for v in values):
-        raise KnotsigError(f"internal error: Milnor values {values} outside -2, 0, 2")
+    values = tuple(2 * sign for sign in _eigenplane_signs(facts.s, facts.pair.a, q, ivs))
+    sig = signature_exact(facts.s)
+    if sum(values) != sig:
+        raise KnotsigError(f"internal error: Milnor values {values} do not sum to sig S = {sig}")
     return MilnorAssignmentComputed(
         factors=tuple(IrrRFactor(iv) for iv in ivs), values=values,
         kernel_dims=(2,) * len(values), total=sum(values),

@@ -23,8 +23,12 @@ transforms were computed before coefficient reversal and division by
 X^2 - X; composition by Horner on `IntPoly` values, as `IntPoly.compose`
 ran before its coefficient-list loop; the trace polynomial by its
 recurrence on `IntPoly` values, as `trace_polynomial` ran before its
-coefficient-list loop; and f(1 - X) by composition over Z and by Horner's
-rule over F_p, as the reflections ran before their additions-only shift.
+coefficient-list loop; f(1 - X) by composition over Z and by Horner's
+rule over F_p, as the reflections ran before their additions-only shift;
+and the Levine-Tristram route the Milnor signatures took before they
+were read as eigenplane signs: the n x n Hermitian elimination over
+Z[i] at rational sample points t between the roots of Delta_A, with the
+root gaps and the interval refinement that placed those points.
 """
 
 from __future__ import annotations
@@ -45,8 +49,18 @@ from knotsig import (
     v_polynomial,
 )
 from knotsig.modp import PolyModP
-from knotsig.realroots import IsolatingInterval, sign_at_root, sturm_count, sturm_sequence
-from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub
+from knotsig.realroots import (
+    IsolatingInterval,
+    _fractions,
+    _numerators,
+    _sign_hom,
+    _split,
+    isolate_roots,
+    sign_at_root,
+    sturm_count,
+    sturm_sequence,
+)
+from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub, transpose
 
 
 @dataclass(frozen=True)
@@ -768,7 +782,11 @@ def signature_by_real_elimination(m: tuple[tuple[int, ...], ...]) -> int:
     diagonalization of the full real matrix: after a pivot d (a diagonal
     entry, or else a 2x2 block [[0, b], [b, 0]] of signature 0) the rest
     is replaced by |d| times its Schur complement, then divided by its
-    content.  The kernel ``signature_exact`` ran before the Z[i] one."""
+    content.  This is the kernel ``signature_exact`` ran before the Z[i]
+    one.  ``signature_exact`` is a real elimination again, but on the
+    upper triangle with its rows rebuilt at every pivot; this route
+    updates the whole square in place over a shrinking index list, so
+    the two share no code."""
     w = [list(row) for row in m]
     active = list(range(len(m)))
     sig = 0
@@ -892,3 +910,176 @@ def fraction_root_gaps(f, ivs: list[IsolatingInterval], top: Fraction):
                 upper = ivs[j + 1].lo
         gaps.append((ivs[j].hi, upper))
     return gaps
+
+
+# A Hermitian matrix H over Z[i] is kept as its upper triangle: two lists
+# of rows, real and imaginary parts, row i holding H_ij for j >= i.
+
+
+def _column(re, im, k: int) -> tuple[list[int], list[int]]:
+    """H_ik for i != k, as real and imaginary parts; H_ik = conj(H_ki)
+    for i > k."""
+    return (
+        [re[i][k - i] for i in range(k)] + re[k][1:],
+        [im[i][k - i] for i in range(k)] + [-x for x in im[k][1:]],
+    )
+
+
+def _drop(rows: list[list[int]], k: int) -> list[list[int]]:
+    """The triangle without row and column k."""
+    return [row[: k - i] + row[k - i + 1 :] for i, row in enumerate(rows[:k])] + rows[k + 1 :]
+
+
+def _times(b: tuple[int, int], u: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    """b u for a Gaussian integer b and a vector u, as real and imaginary parts."""
+    br, bi = b
+    return [br * x - bi * y for x, y in zip(*u)], [br * y + bi * x for x, y in zip(*u)]
+
+
+def _outer_update(re, im, scale: int, a, c):
+    """The triangle of scale H - a c^*, i.e. scale H_ij - a_i conj(c_j)."""
+    (ar, ai), (cr, ci) = a, c
+    new_re, new_im = [], []
+    for x, (rr, ri) in enumerate(zip(re, im)):
+        pr, pi, tr, ti = ar[x], ai[x], cr[x:], ci[x:]
+        new_re.append([scale * v - pr * qr - pi * qi for v, qr, qi in zip(rr, tr, ti)])
+        new_im.append([scale * v - pi * qr + pr * qi for v, qr, qi in zip(ri, tr, ti)])
+    return new_re, new_im
+
+
+def _pivot_diagonal(re, im, k: int):
+    """|d| times the Schur complement of the real pivot d = H_kk:
+    H_ij <- |d| H_ij - sign(d) H_ik H_kj."""
+    d = re[k][0]
+    u = _column(re, im, k)
+    a = u if d > 0 else ([-x for x in u[0]], [-x for x in u[1]])
+    return _outer_update(_drop(re, k), _drop(im, k), abs(d), a, u)
+
+
+def _pivot_block(re, im, k: int, l: int):
+    """|b|^2 times the Schur complement of the block [[0, b], [conj b, 0]],
+    b = H_kl (k < l): H_ij <- |b|^2 H_ij - b H_ik H_lj - conj(b) H_il H_kj,
+    where H_lj = conj(H_jl) and H_kj = conj(H_jk)."""
+    br, bi = re[k][l - k], im[k][l - k]
+    u = [c[: l - 1] + c[l:] for c in _column(re, im, k)]  # i != k, l
+    v = [c[:k] + c[k + 1 :] for c in _column(re, im, l)]
+    re, im = _drop(_drop(re, l), k), _drop(_drop(im, l), k)
+    re, im = _outer_update(re, im, br * br + bi * bi, _times((br, bi), u), v)
+    return _outer_update(re, im, 1, _times((br, -bi), v), u)
+
+
+def _hermitian_elimination(re: list[list[int]], im: list[list[int]]) -> int:
+    """Signature of a nonsingular Hermitian H = re + i im over Z[i], given
+    as its upper triangle.
+
+    Fraction-free congruence diagonalization: a nonzero (real) diagonal
+    entry d contributes sign(d), and the rest becomes |d| times its Schur
+    complement; when every diagonal entry is 0, a nonzero H_kl gives the
+    block [[0, b], [conj b, 0]] of signature 0 (its determinant is
+    -|b|^2), and the rest becomes |b|^2 times its Schur complement.  Both
+    complements are Hermitian over Z[i] with the signature of the rest,
+    and each is divided by the content of its entries."""
+    sig = 0
+    while re:
+        size = len(re)
+        k = next((k for k in range(size) if re[k][0]), None)
+        if k is not None:
+            sig += 1 if re[k][0] > 0 else -1
+            re, im = _pivot_diagonal(re, im, k)
+        else:
+            off = next(
+                ((k, l) for k in range(size) for l in range(k + 1, size)
+                 if re[k][l - k] or im[k][l - k]),
+                None,
+            )
+            if off is None:
+                raise ValueError("matrix is singular; signature undefined")
+            re, im = _pivot_block(re, im, *off)
+        g = math.gcd(*(math.gcd(*row) for row in re + im))
+        if g > 1:
+            re = [[x // g for x in row] for row in re]
+            im = [[x // g for x in row] for row in im]
+    return sig
+
+
+def _t_with_square_in(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """A rational t > 0 with lo < t^2 < hi (hi None for no upper bound),
+    0 <= lo < hi, with the smallest power-of-two denominator."""
+    d = 1
+    while True:
+        p = math.isqrt(math.floor(lo * d * d)) + 1  # least p with p^2 > lo d^2
+        if hi is None or p * p < hi * d * d:
+            return Fraction(p, d)
+        d *= 2
+
+
+def _hermitian_signature(s: Matrix, k: Matrix, t: Fraction) -> int:
+    """Signature of the Hermitian form S + i t K (S symmetric, K skew):
+    that of its positive multiple H = dS + i pK for t = p/d, an n x n
+    matrix over Z[i], by :func:`_hermitian_elimination` (diagonal pivots,
+    and the 2 x 2 block pivot when the remaining diagonal is all 0)."""
+    p, d = t.numerator, t.denominator
+    return _hermitian_elimination(
+        [[d * x for x in row[i:]] for i, row in enumerate(s)],
+        [[p * x for x in row[i:]] for i, row in enumerate(k)],
+    )
+
+
+def refine_interval(f: IntPoly, iv: IsolatingInterval) -> IsolatingInterval:
+    """One bisection step preserving the single contained root."""
+    lo_n, hi_n, d = _numerators(iv.lo, iv.hi)
+    mid, e, sm = _split(f, lo_n, hi_n, d)
+    if sm == _sign_hom(f, lo_n, d):
+        return _fractions(mid, hi_n << e, d << e)
+    return _fractions(lo_n << e, mid, d << e)
+
+
+def root_gaps(
+    f: IntPoly, ivs: list[IsolatingInterval], top: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Root-free open intervals (lo, hi) with lo < hi: one between each
+    two consecutive roots isolated by the sorted ``ivs``, and one between
+    the last root and ``top`` (which must lie above it).  Intervals that
+    touch, or a last one that reaches ``top``, are refined with ``f``
+    until a gap of positive width opens; both ends of a gap are interval
+    endpoints, so never roots."""
+    ivs = list(ivs)
+    gaps: list[tuple[Fraction, Fraction]] = []
+    for j in range(len(ivs)):
+        upper = ivs[j + 1].lo if j + 1 < len(ivs) else top
+        while ivs[j].hi >= upper:
+            ivs[j] = refine_interval(f, ivs[j])
+            if j + 1 < len(ivs):
+                ivs[j + 1] = refine_interval(f, ivs[j + 1])
+                upper = ivs[j + 1].lo
+        gaps.append((ivs[j].hi, upper))
+    return gaps
+
+
+def milnor_values_levine_tristram(s_rows, a_rows) -> tuple[int, ...]:
+    """Milnor values of a Seifert pair (S, a) with squarefree charpoly, one
+    per v-root interval in sorted order, as the jumps of the
+    Levine-Tristram signature t -> sig(S + i t K), K = A - A^T, A = a^T S:
+    the signature at t = 0, at one rational t between each two
+    consecutive roots of Delta_A and at one above the last (where it is
+    0), each by :func:`_hermitian_elimination` on the n x n Hermitian
+    dS + i pK over Z[i]; each value is the drop across its root.  P is
+    taken by ``charpoly``, so nothing comes from the form's record.  This
+    is the route ``milnor_signatures`` took before it read eigenplane
+    signs."""
+    s, a = as_matrix(s_rows), as_matrix(a_rows)
+    q = v_polynomial(charpoly(a))
+    ivs = isolate_roots(q, float("-inf"), Fraction(-1, 4))
+    a_form = mat_mul(transpose(a), s)
+    k = mat_sub(a_form, transpose(a_form))
+    gaps = root_gaps(q, ivs, Fraction(-1, 4))
+
+    def t_squared(lam: Fraction) -> Fraction:
+        return 1 / (-4 * lam - 1)
+
+    # one t in each gap; the last gap, above the last root, is unbounded in t
+    bounds = [t_squared(hi) for _, hi in gaps[:-1]] + [None]
+    samples = [Fraction(0)] + [_t_with_square_in(t_squared(lo), hi) for (lo, _), hi in zip(gaps, bounds)]
+    sigmas = [_hermitian_signature(s, k, t) for t in samples]
+    assert sigmas[-1] == 0, f"signature {sigmas[-1]} above the last root"
+    return tuple(before - after for before, after in zip(sigmas, sigmas[1:]))

@@ -27,8 +27,6 @@ from knotsig import realroots, seifert
 from knotsig.realroots import (
     NEG_INF,
     IsolatingInterval,
-    refine_interval,
-    root_gaps,
     sign_at_root,
     sturm_sequence,
 )
@@ -43,6 +41,8 @@ from oracles import (
     rat_isolate_roots,
     rat_sturm_count,
     rat_sturm_sequence,
+    refine_interval,
+    root_gaps,
     sign_at_root_by_bisection,
     squarefree_by_rat_gcd,
 )

@@ -48,17 +48,20 @@ from knotsig.seifert import (
     mat_mul,
     pencil_det,
     transpose,
+)
+from knotsig import realroots, seifert
+import oracles
+from oracles import (
     _hermitian_signature,
     _t_with_square_in,
-)
-from knotsig import seifert
-from knotsig.realroots import root_gaps
-from oracles import (
     det_fraction,
     hermitian_signature_by_realification,
     inverse_by_fractions,
+    milnor_values_levine_tristram,
     milnor_values_number_field,
     pencil_det_by_lagrange,
+    root_gaps,
+    signature_by_real_elimination,
     signature_float,
 )
 
@@ -361,17 +364,17 @@ class TestHermitianKernel:
         s = block_diag(H, H)
         k = skew_from(entries, 4)
         blocks = []
-        original = seifert._pivot_block
+        original = oracles._pivot_block
 
         def counting(*args):
             blocks.append(args[2:])
             return original(*args)
 
-        seifert._pivot_block = counting
+        oracles._pivot_block = counting
         try:
             got = hermitian_or_singular(_hermitian_signature, s, k, t)
         finally:
-            seifert._pivot_block = original
+            oracles._pivot_block = original
         assert got == hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
         assert blocks and blocks[0] == (0, 1)
 
@@ -384,27 +387,40 @@ class TestHermitianKernel:
                 want = hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
                 assert hermitian_or_singular(_hermitian_signature, s, k, t) == want
 
-    def test_milnor_signatures_stays_at_size_n(self, monkeypatch):
-        """Every signature of a Milnor computation is taken on an n x n
-        matrix: ``signature_exact`` on S, the elimination on dS + i pK."""
+    def test_milnor_signatures_stays_at_size_n(self, calls, monkeypatch):
+        """A Milnor computation takes one signature, ``signature_exact`` of
+        the n x n S, runs no elimination over Z[i] (none is left in the
+        package), and builds one Sturm sequence of two polynomials per
+        basis vector it uses: here only e_0."""
         sizes = []
-        for name in ("signature_exact", "_hermitian_elimination"):
-            original = getattr(seifert, name)
+        original = seifert.signature_exact
 
-            def sized(m, *rest, _original=original, _name=name):
-                sizes.append((_name, len(m)))
-                return _original(m, *rest)
+        def sized(m):
+            sizes.append(len(m))
+            return original(m)
 
-            monkeypatch.setattr(seifert, name, sized)
+        monkeypatch.setattr(seifert, "signature_exact", sized)
+        counts = calls("realroots.root_signs")
+        pairs_of_sequences = []
+        original_sequence = realroots.sturm_sequence
+
+        def sequence(f, g=None):
+            if g is not None:
+                pairs_of_sequences.append(f)
+            return original_sequence(f, g)
+
+        monkeypatch.setattr(realroots, "sturm_sequence", sequence)
+        for name in ("_hermitian_elimination", "_hermitian_signature", "_pivot_block", "_times"):
+            assert not hasattr(seifert, name)
         done = 0
         for gram in LATTICE_GRAMS.values():
             for pair in squarefree_pairs(half_form(gram), 2):
                 sizes.clear()
-                ms = milnor_signatures(pair.s, pair.a)
-                n = len(gram)
-                assert ("signature_exact", n) in sizes
-                assert sizes.count(("_hermitian_elimination", n)) == len(ms.values) + 1
-                assert all(size <= n for _, size in sizes)
+                counts.clear()
+                pairs_of_sequences.clear()
+                milnor_signatures(pair.s, pair.a)
+                assert sizes == [len(gram)]
+                assert counts["realroots.root_signs"] == len(pairs_of_sequences) == 1
                 done += 1
         assert done == 6
 
@@ -508,9 +524,9 @@ class TestFormFacts:
     @pytest.mark.parametrize("corpus_seed", [0, 1001])
     def test_one_pass_per_benchmark_request(self, calls, corpus_seed):
         """The calls of a seifert_forms request, as perfbench's worker
-        makes them, cost one pencil determinant (Delta_A), det S, det A
-        and one pair check; without the memo they cost two pencil
-        determinants, 2n + 7 determinants and two pair checks."""
+        makes them, cost det S, det A, n/2 determinants of the companion
+        (n = len(form); they give Q, P and Delta_A) and one pair check,
+        and no pencil determinant."""
         counts = calls("seifert.pencil_det", "seifert.mat_det", "seifert._pair_problems",
                        "seifert.charpoly")
         sizes = set()
@@ -521,8 +537,7 @@ class TestFormFacts:
             alexander_of_form(form)
             milnor_signatures(pair.s, pair.a)
             n = len(form)
-            assert counts == {"seifert.pencil_det": 1, "seifert.mat_det": n + 3,
-                              "seifert._pair_problems": 1}
+            assert counts == {"seifert.mat_det": n // 2 + 2, "seifert._pair_problems": 1}
             sizes.add(n)
         assert sizes == {8, 10, 12}
 
@@ -596,6 +611,113 @@ class TestMilnorOracle:
         (11 s) gives the same values."""
         pair = form_to_pair(skew_perturbed(E8_MINUS_E8, 2, frac=0.1, steps=(-1, 1)))
         assert milnor_signatures(pair.s, pair.a).values == (-2, 2, -2, 2)
+
+
+def negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """A Seifert pair (S, a) or (-S, a) of a perturbed E8, E8+H or E8+H+H
+    form with det A != 0 and squarefree P."""
+    form = draw_form(draw, LATTICE_GRAMS)[1]
+    assume(mat_det(form) != 0)
+    pair = form_to_pair(form)
+    assume(is_squarefree_q(charpoly_of_pair(pair.s, pair.a)))
+    return (negated(pair.s) if draw(st.booleans()) else pair.s), pair.a
+
+
+class TestEigenplaneSigns:
+    """Milnor values read as eigenplane signs against both oracles of
+    tests/oracles.py: the Levine-Tristram jumps over Z[i] and the
+    number-field eigenspace signatures."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(lattice_pairs())
+    def test_against_levine_tristram(self, pair):
+        s, a = pair
+        ms = milnor_signatures(s, a)
+        assert ms.values == milnor_values_levine_tristram(s, a)
+        assert ms.total == signature_by_real_elimination(s)
+        assert all(v in (-2, 2) for v in ms.values) and not ms.has_zero_value
+
+    @settings(derandomize=True, max_examples=5, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(lattice_pairs())
+    def test_against_number_field(self, pair):
+        s, a = pair
+        assert milnor_signatures(s, a).values == milnor_values_number_field(s, a)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_e8_plus_negative_e8_needs_the_second_block(self, calls, seed):
+        """On E8's half form summed with a perturbed -E8 half form, e_0 lies
+        in the first block and is S-orthogonal to the eigenplanes of the
+        second, so their signs come from e_8, the first basis vector of
+        the second block: nine Sturm sequences."""
+        form = block_diag(half_form(e8_gram()), skew_perturbed(half_form(negated(e8_gram())), seed,
+                                                               frac=0.1, steps=(-1, 1)))
+        pair = form_to_pair(form)
+        counts = calls("realroots.root_signs")
+        ms = milnor_signatures(pair.s, pair.a)
+        assert counts["realroots.root_signs"] == 9
+        assert ms.values == milnor_values_levine_tristram(pair.s, pair.a)
+        assert sorted(ms.values) == [-2] * 4 + [2] * 4 and ms.total == 0
+
+
+@st.composite
+def any_forms(draw):
+    """half_form(S) + skew for S of E8, E8+H, E8+H+H or H+H; det A may be 0."""
+    return draw_form(draw, {**LATTICE_GRAMS, "H+H": block_diag(H, H)})[1]
+
+
+def degenerate_forms(gram, count):
+    """The first ``count`` seeded skew perturbations of half_form(gram)
+    with det A = 0; gram must be indefinite, as x^T A x = x^T S x / 2."""
+    out, n = [], len(gram)
+    rng = random.Random(f"degenerate:{n}")
+    while len(out) < count:
+        a = [list(row) for row in half_form(gram)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.25:
+                    c = rng.choice((-2, -1, 1, 2))
+                    a[i][j] += c
+                    a[j][i] -= c
+        if mat_det(a) == 0:
+            out.append(tuple(map(tuple, a)))
+    return out
+
+
+class TestCompanionDeterminants:
+    """Q, P and Delta_A from n/2 determinants of the companion c = S^-1 A^T
+    against pencil determinants, also when det A = 0."""
+
+    @staticmethod
+    def assert_matches(form):
+        facts = seifert._form_facts(form)
+        c = facts.companion
+        assert mat_mul(facts.s, c) == transpose(form)
+        assert facts.p == charpoly(c)
+        assert facts.delta == pencil_det(transpose(form), form) == alexander_of_form(form)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(any_forms())
+    def test_against_pencil_determinants(self, form):
+        self.assert_matches(form)
+
+    @pytest.mark.parametrize("name", ["E8+H", "E8+H+H", "H+H"])
+    def test_degenerate_forms(self, name):
+        """det A = 0 (which needs an indefinite S): Delta_A still answers,
+        of degree below n, while the pair is refused."""
+        gram = LATTICE_GRAMS.get(name, block_diag(H, H))
+        for form in degenerate_forms(gram, 3) + [((0, 1), (0, 0))]:
+            self.assert_matches(form)
+            assert alexander_of_form(form).degree < len(form)
+            with pytest.raises(ValueError, match="degenerate"):
+                form_to_pair(form)
 
 
 class TestSamplePoints:

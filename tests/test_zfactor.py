@@ -473,9 +473,9 @@ class TestModularWork:
             calls["parts"] += g.degree >= 2
             return originals["_factor_squarefree"](g, *args)
 
-        def counting_split(f):
+        def counting_split(f, p):
             calls["modular_split"] += 1
-            return split_original(f)
+            return split_original(f, p)
 
         monkeypatch.setattr(zfactor, "_distinct_degree", counting_distinct)
         monkeypatch.setattr(zfactor, "_equal_degree_factors", counting_equal)
