@@ -168,8 +168,6 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
             iv = factor.v_root_interval
             print(f"v-root in ({iv.lo}, {iv.hi}): {value:+d}")
         print(f"total: {ms.total}")
-        if ms.has_zero_value:
-            print("warning: an indefinite (zero) restriction occurred")
         return 0
     if op == "isometry":
         t = unimodular_t(mat)
