@@ -26,7 +26,8 @@ factors and 15 prime-table pairs, table and group included) holds about
 factor alone, since distinct Delta share factors, for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries (about 340 B each), as do
 `zfactor`'s known irreducible factors and lift certificates, and
-`obstruction`'s pair prime sets and witnesses per gcd mod p.
+`obstruction`'s pair prime sets and witnesses per gcd mod p; a factor's
+certificate and rho read one memoized Sturm sequence (`realroots`).
 Exceptions are never memoized: a budget that runs out, or the
 cross-check failing, raises again on every request.
 """
@@ -114,11 +115,14 @@ class AnalysisReport:
     def to_dict(self) -> dict[str, Any]:
         """The fields as a fresh JSON tree; ``dataclasses.asdict`` gives
         the same, but deep-copies every leaf."""
-        return _json_tree({f.name: getattr(self, f.name) for f in fields(self)})
+        return _json_tree({name: getattr(self, name) for name in _REPORT_FIELDS})
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "AnalysisReport":
         return AnalysisReport(**data)
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(AnalysisReport))
 
 
 def _conditions_dict(rep: ConditionReport) -> dict[str, Any]:

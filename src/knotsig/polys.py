@@ -31,13 +31,6 @@ NEG_INF = float("-inf")
 Scalar = Union[int, Fraction]
 
 
-def _trimmed(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a*b on ascending coefficient lists, untrimmed; [] when either is."""
     if not a or not b:
@@ -69,8 +62,10 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _trimmed(int(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", cs)
+        cs = list(map(int, coeffs))
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
     def zero() -> "IntPoly":
@@ -126,16 +121,17 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
+        """floor(log2 n) squarings, and a product per set bit past the first."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return IntPoly.one() if result is None else result
 
     def evaluate(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
@@ -183,7 +179,7 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     times the last nonzero term of the primitive pseudo-remainder sequence."""
     a, b = f.primitive(), g.primitive()
     while not b.is_zero:
-        a, b = b, _pseudo_rem(a, b).primitive()
+        a, b = b, IntPoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
     c = math.gcd(f.content(), g.content())
     return a * c if a.degree >= 1 else IntPoly((c,))
 
@@ -457,11 +453,11 @@ def trace_polynomial(delta: IntPoly) -> IntPoly:
 # resultant by subresultant polynomial remainder sequence
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b, all over Z."""
-    bc = b.coeffs
-    db, d = len(bc) - 1, bc[-1]
-    rem = list(a.coeffs)
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b, on ascending
+    coefficient lists over Z, trimmed."""
+    db, d = len(b) - 1, b[-1]
+    rem = list(a)
     delta = len(rem) - 1 - db
     scaled = 0
     while len(rem) > db:
@@ -469,56 +465,51 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         k = len(rem) - db
         rem = [d * c for c in rem]
         for i in range(db):
-            rem[k + i] -= top * bc[i]
+            rem[k + i] -= top * b[i]
         while rem and rem[-1] == 0:
             rem.pop()
         scaled += 1
     if scaled < delta + 1:
         rem = [d ** (delta + 1 - scaled) * c for c in rem]
-    return IntPoly(rem)
+    return rem
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant over Z via the subresultant PRS; equals the Sylvester
-    determinant."""
+    """Resultant over Z via the subresultant PRS on coefficient lists;
+    equals the Sylvester determinant."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    if f.degree == 0 and g.degree == 0:
-        return 1
-    if f.degree == 0:
-        return f.lc ** int(g.degree)
-    if g.degree == 0:
-        return g.lc ** int(f.degree)
-    a, b = f, g
-    sign = 1
-    if a.degree < b.degree:
-        if int(a.degree) % 2 == 1 and int(b.degree) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    ca, cb = a.content(), b.content()
-    a, b = IntPoly(c // ca for c in a.coeffs), IntPoly(c // cb for c in b.coeffs)
-    t = sign * ca ** int(b.degree) * cb ** int(a.degree)
+    a, b = f.coeffs, g.coeffs
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0:
+        return a[-1] ** db
+    if db == 0:
+        return b[-1] ** da
+    sign = -1 if da < db and da % 2 == 1 and db % 2 == 1 else 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    t = sign * ca**db * cb**da
     g_coef, h_coef = 1, 1
     while True:
-        delta = int(a.degree) - int(b.degree)
-        if int(a.degree) % 2 == 1 and int(b.degree) % 2 == 1:
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
             t = -t
         rem = _pseudo_rem(a, b)
-        a = b
+        a, da = b, db
         denom = g_coef * h_coef**delta
-        b = IntPoly(c // denom for c in rem.coeffs)
-        g_coef = a.lc
-        if delta == 0:
-            pass
-        elif delta == 1:
+        b = [c // denom for c in rem]
+        db = len(b) - 1
+        g_coef = a[-1]
+        if delta == 1:
             h_coef = g_coef
-        else:
+        elif delta > 1:
             h_coef = g_coef**delta // h_coef ** (delta - 1)
-        if b.is_zero:
+        if not b:
             return 0
-        if b.degree == 0:
+        if db == 0:
             break
-    da = int(a.degree)
     if da == 1:
-        return t * b.lc
-    return t * (b.lc**da // h_coef ** (da - 1))
+        return t * b[-1]
+    return t * (b[-1] ** da // h_coef ** (da - 1))

@@ -23,13 +23,23 @@ Each input check runs once, on an object already built for the count:
   roots z, 1/z of z + 1/z = y);
 - P = Q(X^2 - X) is squarefree exactly when Q is squarefree and
   Q(-1/4) != 0 (each root y != -1/4 of Q gives two roots of X^2 - X = y).
+
+The Sturm sequence of a v-model is built once per process and shared by
+`rho_p`, `zfactor`'s lift certificate and `seifert`'s Milnor root
+isolation: `_v_chain` memoizes it, checked on (-inf, -1/4), for at most
+V_CHAIN_MEMO = 1024 entries, least recently used first out, 0.4 to 2 KB
+each for the benchmark v-models of degree 3 to 6 (tracemalloc).
+Exceptions are never memoized.  `rho_delta` builds its own sequence of
+the trace model D, which it uses once per Delta.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .polys import IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
@@ -66,11 +76,11 @@ def sturm_sequence(f: IntPoly, g: IntPoly | None = None) -> list[IntPoly]:
     seq = [f, f.derivative() if g is None else g]
     while not seq[-1].is_zero and seq[-1].degree > 0:
         a, b = seq[-2], seq[-1]
-        r = _pseudo_rem(a, b)
-        c = r.content() or 1
+        r = _pseudo_rem(a.coeffs, b.coeffs)
+        c = math.gcd(*r) or 1
         if b.lc > 0 or (a.degree - b.degree) % 2 or a.degree < b.degree:
             c = -c
-        seq.append(IntPoly(x // c for x in r.coeffs))
+        seq.append(IntPoly(x // c for x in r))
     if seq[-1].is_zero:
         seq.pop()
     return seq
@@ -94,18 +104,17 @@ def _point(x: Endpoint) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _variations(seq: list[IntPoly], p: int, q: int) -> int:
+def _variations(seq: Sequence[IntPoly], p: int, q: int) -> int:
     """Sign variations of the Sturm sequence at the point (p, q)."""
     signs = [s for s in (_sign_hom(f, p, q) for f in seq) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _checked_sequence(f: IntPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
-    """The Sturm sequence of f, once f is squarefree (the sequence ends in
-    a constant), a < b, and neither finite endpoint is a root."""
-    if f.is_zero:
+def _checked(seq: Sequence[IntPoly], a: Endpoint, b: Endpoint) -> Sequence[IntPoly]:
+    """The Sturm sequence ``seq`` of f, once f is squarefree (the sequence
+    ends in a constant), a < b, and neither finite endpoint is a root."""
+    if seq[0].is_zero:
         raise ValueError("zero polynomial has no root count")
-    seq = sturm_sequence(f)
     if seq[-1].degree > 0:
         raise ValueError("Sturm counting requires a squarefree polynomial")
     if a != NEG_INF and b != POS_INF and Fraction(a) >= Fraction(b):
@@ -117,11 +126,14 @@ def _checked_sequence(f: IntPoly, a: Endpoint, b: Endpoint) -> list[IntPoly]:
     return seq
 
 
+def _count(seq: Sequence[IntPoly], a: Endpoint, b: Endpoint) -> int:
+    return _variations(seq, *_point(a)) - _variations(seq, *_point(b))
+
+
 def sturm_count(f: IntPoly, a: Endpoint, b: Endpoint) -> int:
     """Number of real roots of squarefree f in the open interval (a, b);
     finite endpoints must not be roots."""
-    seq = _checked_sequence(f, a, b)
-    return _variations(seq, *_point(a)) - _variations(seq, *_point(b))
+    return _count(_checked(sturm_sequence(f), a, b), a, b)
 
 
 def _split(g: IntPoly, lo: int, hi: int, d: int) -> tuple[int, int, int]:
@@ -169,7 +181,14 @@ def isolate_roots(
     intervals until each holds one root, then the sign of f alone picks
     the half that holds it.  Every split point is a midpoint, moved by a
     quarter, an eighth, ... of the width while it is a root."""
-    seq = _checked_sequence(f, a, b)
+    return _isolate(_checked(sturm_sequence(f), a, b), a, b, width)
+
+
+def _isolate(
+    seq: Sequence[IntPoly], a: Endpoint, b: Endpoint, width: Fraction
+) -> list[IsolatingInterval]:
+    """:func:`isolate_roots` of f = seq[0] from its checked Sturm sequence."""
+    f = seq[0]
     bound = 2 + Fraction(max(abs(c) for c in f.coeffs), abs(f.lc))  # Cauchy
     lo = Fraction(a) if a != NEG_INF else -bound
     hi = Fraction(b) if b != POS_INF else bound
@@ -237,6 +256,23 @@ def rho_delta(delta: IntPoly) -> int:
         raise ValueError("rho needs a squarefree polynomial") from None
 
 
+V_CHAIN_MEMO = 1024
+_MINUS_QUARTER = Fraction(-1, 4)
+
+
+@lru_cache(maxsize=V_CHAIN_MEMO)
+def _v_chain(q: IntPoly) -> tuple[IntPoly, ...]:
+    """The Sturm sequence of the v-model q, checked on (-inf, -1/4) as by
+    :func:`_checked`; memoized per q."""
+    return tuple(_checked(sturm_sequence(q), NEG_INF, _MINUS_QUARTER))
+
+
+def v_root_count(q: IntPoly) -> int:
+    """Number of real roots of the v-model q below -1/4, from its
+    memoized Sturm sequence; refuses q as :func:`_v_chain` does."""
+    return _count(_v_chain(q), NEG_INF, _MINUS_QUARTER)
+
+
 def rho_p(p: IntPoly) -> int:
     """Number of roots z of P with z + conj(z) = 1: twice the count of real
     roots of the v-model Q below -1/4.
@@ -246,17 +282,16 @@ def rho_p(p: IntPoly) -> int:
     (Q not squarefree) or its endpoint (Q(-1/4) = P(1/2) = 0)."""
     q = v_polynomial(p)
     try:
-        return 2 * sturm_count(q, NEG_INF, Fraction(-1, 4))
+        return 2 * v_root_count(q)
     except ValueError:
         raise ValueError("P must be squarefree") from None
 
 
-def _v_roots(p: IntPoly) -> tuple[IntPoly, list[IsolatingInterval]]:
-    """The v-model Q of P and the isolating intervals of its real roots
-    below -1/4, sorted; P is checked as in :func:`rho_p`."""
-    q = v_polynomial(p)
+def _v_roots(q: IntPoly) -> list[IsolatingInterval]:
+    """The isolating intervals of the real roots of the v-model Q below
+    -1/4, sorted; P = Q(X^2 - X) is checked as in :func:`rho_p`."""
     try:
-        return q, isolate_roots(q, NEG_INF, Fraction(-1, 4))
+        return _isolate(_v_chain(q), NEG_INF, _MINUS_QUARTER, DEFAULT_WIDTH)
     except ValueError:
         raise ValueError("P must be squarefree") from None
 
@@ -264,4 +299,4 @@ def _v_roots(p: IntPoly) -> tuple[IntPoly, list[IsolatingInterval]]:
 def irr_r_factors(p: IntPoly) -> list[IrrRFactor]:
     """The monic irreducible degree-2 real factors of P, one per real
     v-root lambda < -1/4, sorted by interval position."""
-    return [IrrRFactor(iv) for iv in _v_roots(p)[1]]
+    return [IrrRFactor(iv) for iv in _v_roots(v_polynomial(p))]

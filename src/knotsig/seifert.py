@@ -529,9 +529,10 @@ def milnor_signatures(
     V_lambda is not 0.
 
     The pair is accepted when it is the companion pair of its form
-    A = a^T S, and P comes from the memoized record of A
+    A = a^T S, and the v-model Q comes from the memoized record of A
     (:func:`_form_facts`), so after ``form_to_pair`` and
-    ``alexander_of_form`` on A no determinant is taken again.  An input
+    ``alexander_of_form`` on A no determinant is taken again; Q's Sturm
+    sequence is memoized too (`realroots._v_chain`).  An input
     that is not a pair raises the problems of :func:`validate_pair`.
 
     Check that can fail: the values sum to sig S, since the other
@@ -539,8 +540,8 @@ def milnor_signatures(
     isotropic real eigenlines of a; for non-real lambda, V_lambda is
     Lagrangian for the Hermitian form on V_lambda + V_conj(lambda))."""
     facts = _pair_facts(s_rows, a_rows)
-    q, ivs = _v_roots(facts.p)  # P(1-X) = P(X) holds for every pair
-    values = tuple(2 * sign for sign in _eigenplane_signs(facts.s, facts.pair.a, q, ivs))
+    ivs = _v_roots(facts.q)
+    values = tuple(2 * sign for sign in _eigenplane_signs(facts.s, facts.pair.a, facts.q, ivs))
     sig = signature_exact(facts.s)
     if sum(values) != sig:
         raise KnotsigError(f"internal error: Milnor values {values} do not sum to sig S = {sig}")

@@ -31,9 +31,10 @@ divisors found that divide the part.  An input of degree <= 16 whose
 memoized divisors fill its degree is answered from them before any modular
 work (proof at `_factor`); it could not reach the cap, and on any other
 input the cap comes first, so no refusal depends on the memo.
-`_lift_certified` is memoized per v-model factor (about 270 B each), as
-are a factor's rho in `pipeline`, and a pair's primes and the witness of a
-gcd mod p in `obstruction`.  Each memo holds at most FACTOR_FACTS_MEMO =
+`_lift_certified` needs no prime for a v-model factor with a real root
+below -1/4; it is memoized per factor (about 270 B each), as are a
+factor's rho in `pipeline`, and a pair's primes and the witness of a gcd
+mod p in `obstruction`.  Each memo holds at most FACTOR_FACTS_MEMO =
 1024 entries per process, least recently used first out: a full
 Delta-facts memo of the largest benchmark Delta (6 factors, 15 pairs)
 holds 384 factors and 960 pairs.  Exceptions are never memoized.
@@ -66,10 +67,12 @@ from .modp import (
 )
 from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
                     poly_text, symmetric_check, v_polynomial)
+from .realroots import v_root_count
 
 MAX_MODULAR_FACTORS = 16
-# Primes tried per lift certificate: 584 of the 598 irreducible lifts of the
-# Delta_a sextics, a = -300..299, are certified within the first 8.
+# Primes tried per lift certificate of a q with no real root below -1/4: of
+# the 598 irreducible lifts of the Delta_a sextics, a = -300..299, 300 are
+# certified by such a root, and 290 of the other 298 within the first 8.
 LIFT_PRIMES = 8
 FACTOR_FACTS_MEMO = 1024
 
@@ -87,10 +90,8 @@ class FactorizationZ:
     factors: tuple[tuple[IntPoly, int], ...]
 
     def product(self) -> IntPoly:
-        acc = IntPoly((self.content,))
-        for q, e in self.factors:
-            acc = acc * q**e
-        return acc
+        factors = (q.coeffs for q, e in self.factors for _ in range(e))
+        return IntPoly(reduce(_mul_coeffs, factors, [self.content]))
 
     @property
     def is_squarefree(self) -> bool:
@@ -387,18 +388,33 @@ def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> F
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
 def _lift_certified(q: IntPoly) -> bool:
     """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
-    over Z other than 4Y + 1: at one of the first LIFT_PRIMES primes p of
+    over Z other than 4Y + 1: at once when q has a real root below -1/4,
+    else when at one of the first LIFT_PRIMES primes p of
     ``_good_primes(q, lift=True)``, 1 + 4y is a non-square in F_p[y]/r for
-    some monic irreducible factor r of q mod p.  False decides nothing.
+    some monic irreducible factor r of q mod p.  False decides nothing:
+    `factor_z` then factors the lift directly, and factorization over Z
+    is unique, so no factor set depends on the certificate.
 
-    Then X^2 - X - y has no root in that field, so r(X^2 - X) is
-    irreducible mod p and fixed by X -> 1-X.  A split lift
+    A real root lambda < -1/4.  Let K = Q(theta), q(theta) = 0, and alpha a
+    root of X^2 - X - theta.  Were 1 + 4 theta = beta^2 with beta in K, the
+    real embedding theta -> lambda would give 1 + 4 lambda = sigma(beta)^2
+    >= 0.  So X^2 - X - theta is irreducible over K, [Q(alpha) : Q] =
+    2 deg q, and q(X^2 - X) is irreducible over Q; it is primitive, as
+    X^2 - X is monic, so irreducible over Z.  The count reads the Sturm
+    sequence of q that `rho_p` reads too (`realroots.v_root_count`; q is
+    squarefree, and -1/4 is a root only of 4Y + 1).  So every factor with
+    a Milnor value (rho > 0) is certified with no prime.
+
+    A prime p.  Then X^2 - X - y has no root in that field, so
+    r(X^2 - X) is irreducible mod p and fixed by X -> 1-X.  A split lift
     q(X^2 - X) = +-h(X) h(1-X) would put it into h or h(1-X) mod p, by
     symmetry into both, and so its square into q(X^2 - X), which is
     squarefree mod p.  Euler's criterion runs on each distinct-degree block
     B of q mod p: (1 + 4y)^((p^k - 1)/2) mod B is +-1 modulo each degree-k
     factor of B, so it differs from 1 exactly when one factor has a
     non-square."""
+    if v_root_count(q):
+        return True
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
         qp = _monic(_reduced(q.coeffs, p), p)
         if any(_powmod([1, 4], (p**k - 1) // 2, block, p) != [1]

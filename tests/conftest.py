@@ -11,13 +11,14 @@ import pytest
 from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.obstruction import _pair_primes, _symmetric_witness
 from knotsig.pipeline import _delta_facts, _factor_rho
+from knotsig.realroots import _v_chain
 from knotsig.seifert import _form_facts
 from knotsig.zfactor import _known_factors, _lift_certified
 
 # Every memo of the package; test_pipeline.py checks that none is missing.
 FACTS_MEMOS = (
     _delta_facts, _factor_rho, _form_facts, _known_factors, _lift_certified, _pair_primes,
-    _symmetric_witness,
+    _symmetric_witness, _v_chain,
 )
 
 
@@ -30,7 +31,8 @@ def clear_facts_memos() -> None:
 def empty_facts_memos():
     """Every test starts and ends with empty memos of Delta facts, of
     factor and factor-pair facts, of witnesses per gcd mod p, of known
-    irreducible factors and of Seifert form facts, so counted and
+    irreducible factors, of Seifert form facts and of v-model Sturm
+    sequences, so counted and
     monkeypatched stages run in the test that checks them."""
     clear_facts_memos()
     yield

@@ -520,6 +520,36 @@ class TestFactorFactsMemo:
         assert _pair_primes.cache_info()[:2] == (1, 5)
         assert _lift_certified.cache_info()[:2] == (2, 4)
 
+    def test_one_sturm_sequence_per_new_factor(self, calls, monkeypatch):
+        """A Delta-facts miss builds the Sturm sequence of each new factor's
+        v-model once: the lift certificate counts its roots below -1/4 and
+        rho_p reads the same sequence.  The trace model D of the rho(Delta)
+        cross-check builds its own, outside that memo."""
+        from knotsig import realroots
+        from knotsig.polys import trace_polynomial, v_polynomial
+
+        built = []
+        original = realroots.sturm_sequence
+
+        def recording(f, g=None):
+            built.append(f)
+            return original(f, g)
+
+        monkeypatch.setattr(realroots, "sturm_sequence", recording)
+        counts = calls("realroots.v_root_count")
+        d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
+        seen = set()
+        for delta in (d0 * d1 * d2, d0 * d1 * d3):
+            built.clear()
+            counts.clear()
+            rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
+            qs = [v_polynomial(IntPoly(f["coeffs"])) for f in rep.factors["factors"]]
+            new = [q for q in qs if q not in seen]
+            seen.update(qs)
+            assert sorted(built, key=str) == sorted(new + [trace_polynomial(delta)], key=str)
+            assert counts["realroots.v_root_count"] == 2 * len(new)
+        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (4, 4)
+
     def test_pair_refusal_is_raised_again(self, monkeypatch):
         from knotsig import BudgetExceededError, obstruction
 

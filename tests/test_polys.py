@@ -700,3 +700,81 @@ class TestResultant:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             resultant(IntPoly.zero(), P("x"))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=7),
+           st.lists(st.integers(-30, 30), min_size=1, max_size=7),
+           st.sampled_from((1, 1, -1, 2, 6)), st.lists(st.integers(-4, 4), max_size=3))
+    @example([7], [3, -2], 1, [])  # degree 0 against degree 1
+    @example([3, -2], [7], 1, [])
+    @example([7], [5], 1, [])
+    @example([1, 2, -3], [4, 0, -6], -1, [])  # negative leading coefficients
+    @example([6, 4, 2], [9, -3], 6, [])  # non-primitive inputs
+    @example([1, 1], [2, 1], 1, [1, -2, 1])  # a common factor: Res = 0
+    def test_list_kernel_against_sympy(self, fc, gc, scale, common):
+        """The subresultant loop on coefficient lists against sympy's
+        resultant: degree 0, negative leading coefficients, contents, and
+        common factors."""
+        import sympy
+
+        f, g = IntPoly(fc) * scale, IntPoly(gc)
+        if len(IntPoly(common).coeffs) > 1:
+            f, g = f * IntPoly(common), g * IntPoly(common)
+        assume(not f.is_zero and not g.is_zero)
+        x = sympy.Symbol("x")
+        want = sympy.Poly(f.coeffs[::-1], x).resultant(sympy.Poly(g.coeffs[::-1], x))
+        assert resultant(f, g) == want
+
+    def test_builds_no_intpoly(self, f1, f2, monkeypatch):
+        """The whole subresultant sequence runs on coefficient lists."""
+        f, g = f1 * P("3*x^3 - x + 2"), f2 * P("-2*x^2 + 5")
+        want = sylvester_resultant(f, g)
+        built = []
+        original = IntPoly.__init__
+
+        def counting(self, coeffs=()):
+            built.append(coeffs)
+            original(self, coeffs)
+
+        monkeypatch.setattr(IntPoly, "__init__", counting)
+        assert resultant(f, g) == want != 0
+        assert built == []
+
+
+class TestListKernels:
+    def test_constructor_takes_any_iterable_and_trims(self):
+        assert IntPoly(c for c in (1, 0, 2, 0, 0)).coeffs == (1, 0, 2)
+        assert IntPoly([True, False, True]).coeffs == (1, 0, 1)
+        assert all(type(c) is int for c in IntPoly([True, False, True]).coeffs)
+        assert IntPoly(iter([0, 0])).coeffs == () and IntPoly().is_zero
+        assert IntPoly((Fraction(6, 2), 0)).coeffs == (3,)
+
+    def test_product_with_content_and_multiplicity(self):
+        from knotsig.zfactor import FactorizationZ
+
+        q1, q2 = P("x - 1"), P("2*x^2 + x + 3")
+        fz = FactorizationZ(content=-6, factors=((q1, 3), (q2, 2)))
+        assert fz.product() == IntPoly((-6,)) * q1 * q1 * q1 * q2 * q2
+        assert FactorizationZ(content=5, factors=()).product() == IntPoly((5,))
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 8, 13])
+    def test_power_squares_floor_log2_times(self, e, monkeypatch):
+        """q**e squares floor(log2 e) times and multiplies once per set bit
+        of e past the first: q**1 takes no product at all."""
+        from knotsig import polys
+
+        squarings, products = [], []
+        original = polys._mul_coeffs
+
+        def counting(a, b):
+            (squarings if a is b else products).append(len(a))
+            return original(a, b)
+
+        q = P("x^2 - 3*x + 1")
+        want = IntPoly.one()
+        for _ in range(e):
+            want = want * q
+        monkeypatch.setattr(polys, "_mul_coeffs", counting)
+        assert q**e == want
+        assert len(squarings) == (e.bit_length() - 1 if e else 0)
+        assert len(products) == max(bin(e).count("1") - 1, 0)

@@ -19,8 +19,10 @@ from knotsig import (
     symmetric_check,
     zfactor,
 )
-from knotsig.modp import PolyModP, _squarefree_factors, factor_mod_p
+from knotsig.modp import (PolyModP, _distinct_degree, _monic, _powmod, _reduced,
+                          _squarefree_factors, factor_mod_p)
 from knotsig.polys import v_polynomial
+from knotsig.realroots import v_root_count
 from conftest import clear_facts_memos, make_delta_a
 from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
@@ -344,6 +346,86 @@ def test_v_model_route_matches_direct_route_and_sympy(P):
         if q != IntPoly((1, 4)) and zfactor._lift_certified(q):  # 4Y + 1 lifts to a square
             lifted = q.compose(V)
             assert direct(lifted).factors == ((lifted, 1),)
+
+
+@st.composite
+def real_place_v_models(draw):
+    """q of degree 1 to 6, kept when irreducible with a real root below
+    -1/4."""
+    body = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=6))
+    q = IntPoly(body + [draw(st.integers(1, 3))])
+    assume(sympy_factors(q) == [(q.coeffs, 1)] and v_root_count(q) > 0)
+    return q
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(real_place_v_models())
+def test_real_place_certifies_the_lift_without_a_prime(q):
+    """An irreducible q with a real root below -1/4 lifts to an irreducible
+    q(X^2 - X) (proof at `_lift_certified`), certified before any prime is
+    drawn; sympy agrees."""
+    clear_facts_memos()
+    drawn = []
+    original = zfactor._good_primes
+
+    def counting(*args, **kwargs):
+        drawn.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zfactor, "_good_primes", counting)
+        assert zfactor._lift_certified(q)
+    assert drawn == []
+    lifted = q.compose(V)
+    assert sympy_factors(lifted) == [(lifted.coeffs, 1)]
+
+
+class TestLiftCertificate:
+    # the v-model of the fifth request of a 24-request seifert_forms run of
+    # perfbench/workloads.py, seed 1 and corpus seed 1001
+    HELD_OUT = IntPoly((54, 373, 683, 148, 1))
+
+    def test_euler_blind_spot_is_certified_by_its_real_roots(self, calls):
+        """Q = Y^4 + 148Y^3 + 683Y^2 + 373Y + 54 has four real roots below
+        -1/4, yet 1 + 4y is a square modulo every factor of Q mod each of
+        the first LIFT_PRIMES good primes, so the Euler test alone leaves
+        the lift to be factored directly.  The real roots certify it, and
+        factor_z gives the same single factor."""
+        q = self.HELD_OUT
+        assert v_root_count(q) == 4
+        primes = list(itertools.islice(zfactor._good_primes(q, lift=True), zfactor.LIFT_PRIMES))
+        assert len(primes) == zfactor.LIFT_PRIMES
+        for p in primes:
+            qp = _monic(_reduced(q.coeffs, p), p)
+            assert all(_powmod([1, 4], (p**k - 1) // 2, block, p) == [1]
+                       for block, k in _distinct_degree(qp, p))
+        counts = calls("zfactor._good_primes")
+        assert zfactor._lift_certified(q)
+        assert counts == {}
+        lifted = q.compose(V)
+        trace: list[str] = []
+        fz = factor_z(lifted, trace=trace)
+        assert (fz.content, fz.factors) == (1, ((lifted, 1),))
+        assert sympy_factors(lifted) == [(lifted.coeffs, 1)]
+        # only Q's own factorization runs: the degree-8 lift is not factored
+        assert [line for line in trace if line.startswith("prime ")] == [
+            "prime 3: modular degrees [1, 3]"]
+
+    @pytest.mark.parametrize("q, want", [
+        (IntPoly((-1, -7, -12, 1)), ((IntPoly((-1, 4, -5, 1)), 1), (IntPoly((1, -3, 2, 1)), 1))),
+        (IntPoly((-2, 1)), ((IntPoly((-2, 1)), 1), (IntPoly((1, 1)), 1))),
+    ])
+    def test_rho_zero_factor_takes_the_modular_path(self, q, want, calls):
+        """A q with no real root below -1/4 draws its primes; these lifts
+        split, as h(X) h(1 - X), into 3 + 3 and 1 + 1."""
+        assert v_root_count(q) == 0
+        counts = calls("zfactor._good_primes")
+        assert not zfactor._lift_certified(q)
+        assert counts["zfactor._good_primes"] == 1
+        fz = factor_z(q.compose(V))
+        assert (fz.content, fz.factors) == (1, want)
+        assert sorted((h.coeffs, e) for h, e in want) == sympy_factors(q.compose(V))
 
 
 class TestNoFractionDivision:
