@@ -239,6 +239,27 @@ class TestRefusals:
             rho_delta(delta)
 
 
+class TestVChainMemo:
+    """One checked Sturm sequence per v-model and process, least recently
+    used first out past V_CHAIN_MEMO; a refusal is raised again."""
+
+    def test_bounded(self):
+        memo = realroots._v_chain
+        assert memo.cache_info().maxsize == realroots.V_CHAIN_MEMO
+        for c in range(1, realroots.V_CHAIN_MEMO + 2):
+            assert realroots.v_root_count(IntPoly((c, 1))) == 1  # the root -c
+            assert memo.cache_info().currsize == min(c, realroots.V_CHAIN_MEMO)
+        assert memo.cache_info().misses == realroots.V_CHAIN_MEMO + 1
+
+    def test_refusal_is_not_memoized(self):
+        for p in TestRefusals.NOT_SQUAREFREE_P:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^P must be squarefree$"):
+                    rho_p(p)
+        info = realroots._v_chain.cache_info()
+        assert (info.currsize, info.hits) == (0, 0)
+
+
 class TestIrrRFactors:
     def test_counts(self, delta1, delta2):
         assert len(irr_r_factors(delta_to_p(delta1))) == 2
