@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .errors import BudgetExceededError, CertificationError, KnotsigError, PolyParseError
-from .milnor import enumerate_sign_tuples
+from .milnor import enumerate_sign_tuples, expected_count
 from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, report_render
 from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
 from .realroots import rho_delta, rho_p
@@ -34,7 +34,7 @@ from .seifert import (
 from .version import TOOL_VERSION
 from .zfactor import factor_z
 
-MILNOR_RHO_CAP = 64
+MILNOR_COUNT_CAP = 184_756  # C(20, 10), the most of any rho <= 40: those list in full
 
 # options whose value may begin with '-' (a negative coefficient or tau)
 DASH_VALUE_OPTIONS = ("--delta", "--p", "--poly", "--tau")
@@ -132,10 +132,9 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
     delta = parse_poly(args.delta)
     p_poly = delta_to_p(delta)
     rho = rho_p(p_poly)
-    if rho > MILNOR_RHO_CAP:
-        raise BudgetExceededError(
-            f"rho = {rho} exceeds the enumeration cap of {MILNOR_RHO_CAP}"
-        )
+    count = expected_count(rho, args.signature)
+    if count > MILNOR_COUNT_CAP:
+        raise BudgetExceededError(f"{count} assignments exceed the enumeration cap of {MILNOR_COUNT_CAP}")
     tuples = enumerate_sign_tuples(rho // 2, args.signature)
     print(f"rho = {rho}, target s = {args.signature}: {len(tuples)} assignment(s)")
     for values in tuples:

@@ -3,10 +3,9 @@
 Deterministic for a fixed seed; inputs are desk-scale resultants, so the
 rho stage carries an iteration budget that raises instead of stalling.
 Before rho, a composite cofactor that is a perfect square m = r^2
-(`math.isqrt`) is replaced by r twice: the resultant of two symmetric
-factors f = F(X^2 - X), g = G(X^2 - X) is Res(F, G)^2, and rho would
-otherwise have to split a square p^2 of a large prime p, which it finds
-only after about p^(1/2) iterations.
+(`math.isqrt`) is replaced by r twice: rho would otherwise have to split
+a square p^2 of a large prime p, which it finds only after about p^(1/2)
+iterations.
 
 Primality is Miller-Rabin on the first 13 primes as bases, which is
 exact below `MR_EXACT_BOUND` = 3317044064679887385961981, the least

@@ -8,19 +8,20 @@ candidate is then tested for a symmetric common factor mod p.  Linking
 factors whose prime set is nonempty partitions the factor set; the
 obstruction group is elementary abelian of rank (components - 1).
 
-Every candidate passes the test.  Write f = F(X^2 - X), g = G(X^2 - X)
-with F, G monic.  Over F_p a Bezout identity for D = gcd(F, G) in F_p[V],
-V = X^2 - X, gives d = gcd(f, g) = D(X^2 - X) mod p, and
-Res(f, g) = +-Res(F, G)^2.  So at a candidate p, deg D >= 1 and d, fixed
-by X -> 1-X, is itself a symmetric common factor of degree >= 2.  The
-test's real work is the witness, which depends on (p, d) alone.
+Every candidate passes the test.  Write f = F(X^2 - X), g = G(X^2 - X),
+F and G the monic v-models.  Over F_p a Bezout identity for D = gcd(F, G)
+in F_p[V], V = X^2 - X, gives d = gcd(f, g) = D(X^2 - X) mod p; g is
+G(theta) at both roots of X^2 - X - theta, so Res(f, g) = Res(F, G)^2.
+So at a candidate p, deg D >= 1 and d, fixed by X -> 1-X, is itself a
+symmetric common factor of degree >= 2.  Resultant and gcd are taken at
+half degree; the real work is the witness, which depends on (p, d) alone.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
-keyed on (f, g, seed, max_rho_iterations), for at most
+keyed on (F, G, seed, max_rho_iterations), for at most
 `zfactor.FACTOR_FACTS_MEMO` = 1024 entries, least recently used first
 out; its callers attach the request's indices.  One entry of a
-benchmark pair holds about 570 B (tracemalloc, the factors themselves
+benchmark pair holds about 570 B (tracemalloc, the models themselves
 not counted).  Distinct pairs share d: the factors of P from Delta_a
 and Delta_b are congruent mod p whenever p | a - b.  So
 :func:`_symmetric_witness` memoizes the witness keyed on (d, seed), for
@@ -36,9 +37,9 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .intfactor import integer_factor
-from .modp import PolyModP, gcd_mod_p, symmetric_common_factor
-from .polys import IntPoly, resultant, symmetric_check
-from .zfactor import FACTOR_FACTS_MEMO, SymmetricFactorSet
+from .modp import PolyModP, _gcd, _reduced, symmetric_common_factor
+from .polys import IntPoly, resultant
+from .zfactor import _V, FACTOR_FACTS_MEMO, SymmetricFactorSet, v_model
 
 PI_RHO_BUDGET = 1_000_000
 
@@ -74,36 +75,37 @@ def pi_set(
     with h(1-X) = h(X) and deg h >= 1."""
     if f == g:
         raise ValueError("the prime set is defined for distinct factors")
+    models = []
     for q in (f, g):
         if not q.is_monic:
             raise ValueError(f"factor {q} is not monic")
-        if not symmetric_check(q):
+        models.append(v_model(q))
+        if models[-1] is None:
             raise ValueError(f"factor {q} is not fixed by X -> 1-X")
-    return PiEntry(indices, *_pair_primes(f, g, seed, max_rho_iterations))
+    return PiEntry(indices, *_pair_primes(*models, seed, max_rho_iterations))
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
 def _pair_primes(
-    f: IntPoly, g: IntPoly, seed: int, max_rho_iterations: int
+    F: IntPoly, G: IntPoly, seed: int, max_rho_iterations: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
-    """The prime set of two distinct monic factors, each fixed by
-    X -> 1-X, which the caller has checked, and one witness per prime;
-    memoized."""
-    res = resultant(f, g)
+    """The prime set of two distinct monic factors f = F(X^2 - X),
+    g = G(X^2 - X), read off their v-models F, G at half degree (module
+    docstring), and one witness per prime; memoized."""
+    res = resultant(F, G)
     if abs(res) == 1:
         return (), ()
     try:
         support = sorted(set(integer_factor(res, seed, max_rho_iterations)))
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"candidate prime set incomplete: resultant {res} resisted factorization: {exc}"
+            f"candidate prime set incomplete: resultant {res * res} resisted factorization: {exc}"
         ) from exc
     primes: list[int] = []
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
-        ok, w = _symmetric_witness(
-            gcd_mod_p(PolyModP.from_int_poly(f, p), PolyModP.from_int_poly(g, p)), seed
-        )
+        D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
+        ok, w = _symmetric_witness(PolyModP(p, IntPoly(D).compose(_V).coeffs), seed)
         if ok:
             primes.append(p)
             witnesses.append((p, w))
@@ -127,8 +129,8 @@ def obstruction_group(
         raise ValueError("obstruction group needs a squarefree P")
     if not factor_set.all_symmetric:
         raise ValueError("obstruction group needs all factors monic and symmetric")
-    factors = factor_set.factors
-    k = len(factors)
+    models = factor_set.models
+    k = len(models)
     table: list[PiEntry] = []
     parent = list(range(k))
 
@@ -140,7 +142,7 @@ def obstruction_group(
 
     for i in range(k):
         for j in range(i + 1, k):
-            entry = PiEntry((i, j), *_pair_primes(factors[i], factors[j], seed, PI_RHO_BUDGET))
+            entry = PiEntry((i, j), *_pair_primes(models[i], models[j], seed, PI_RHO_BUDGET))
             table.append(entry)
             if entry.primes:
                 parent[find(i)] = find(j)

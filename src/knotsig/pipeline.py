@@ -22,12 +22,11 @@ for at most DELTA_FACTS_MEMO = 64 entries, least recently used first
 out.  One entry of the largest benchmark Delta (degree 36, P with 6
 factors and 15 prime-table pairs, table and group included) holds about
 15 KB (tracemalloc), so a full memo holds about 1 MB.  One level down,
-:func:`_factor_rho` memoizes the rho of each factor of P, keyed on the
-factor alone, since distinct Delta share factors, for at most
-`zfactor.FACTOR_FACTS_MEMO` = 1024 entries (about 340 B each), as do
-`zfactor`'s known irreducible factors and lift certificates, and
-`obstruction`'s pair prime sets and witnesses per gcd mod p; a factor's
-certificate and rho read one memoized Sturm sequence (`realroots`).
+distinct Delta share factors, whose facts are memoized on their own, for
+at most 1024 entries each: the rho of a factor, from the root count of
+its v-model kept with the Sturm sequence (`realroots._v_chain`), the
+known irreducible factors and lift certificates of `zfactor`, and the
+pair prime sets and witnesses per gcd mod p of `obstruction`.
 Exceptions are never memoized: a budget that runs out, or the
 cross-check failing, raises again on every request.
 """
@@ -40,11 +39,11 @@ from functools import cached_property, lru_cache
 from typing import Any
 
 from .errors import KnotsigError
-from .milnor import enumerate_sign_tuples, expected_count, mil_nonempty
+from .milnor import enumerate_sign_tuples, expected_count
 from .polys import ConditionReport, IntPoly, alexander_check, delta_to_p, poly_text
-from .realroots import rho_delta, rho_p
+from .realroots import rho_delta, v_root_count
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
-from .zfactor import FACTOR_FACTS_MEMO, SymmetricFactorSet, standing_assumptions
+from .zfactor import SymmetricFactorSet, standing_assumptions
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches pipeline.factor_z
 from .version import TOOL_VERSION
 
@@ -231,12 +230,6 @@ class DeltaFacts:
         return group, tuple(table)
 
 
-@lru_cache(maxsize=FACTOR_FACTS_MEMO)
-def _factor_rho(f: IntPoly) -> int:
-    """rho of one irreducible factor of P; memoized per factor."""
-    return rho_p(f)
-
-
 @lru_cache(maxsize=DELTA_FACTS_MEMO)
 def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
@@ -263,7 +256,7 @@ def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
         bad = sfs.factors[sfs.symmetric.index(False)]
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
         return DeltaFacts(seed, conditions, reason, p_poly, sfs)
-    rhos = tuple(_factor_rho(f) for f in sfs.factors)
+    rhos = tuple(2 * v_root_count(q) for q in sfs.models)
     if sum(rhos) != rho_delta(delta):
         raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
     return DeltaFacts(seed, conditions, None, p_poly, sfs, rhos)
@@ -353,7 +346,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     report.mil = {"rho": rho, "s": s, "count": count}
     if count <= MAX_LISTED_ASSIGNMENTS:
         report.mil["assignments"] = [list(t) for t in enumerate_sign_tuples(k, s)]
-    if not mil_nonempty(rho, s):
+    if count == 0:
         failure = f"no assignment of +-2 over {k} factors sums to {s}"
         return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
     note = _indecomposability_note(facts.rhos, s, _modulus(m))

@@ -25,12 +25,13 @@ Each input check runs once, on an object already built for the count:
   Q(-1/4) != 0 (each root y != -1/4 of Q gives two roots of X^2 - X = y).
 
 The Sturm sequence of a v-model is built once per process and shared by
-`rho_p`, `zfactor`'s lift certificate and `seifert`'s Milnor root
-isolation: `_v_chain` memoizes it, checked on (-inf, -1/4), for at most
-V_CHAIN_MEMO = 1024 entries, least recently used first out, 0.4 to 2 KB
-each for the benchmark v-models of degree 3 to 6 (tracemalloc).
-Exceptions are never memoized.  `rho_delta` builds its own sequence of
-the trace model D, which it uses once per Delta.
+`rho_p`, `pipeline`'s rho per factor, `zfactor`'s lift certificate and
+`seifert`'s Milnor root isolation: `_v_chain` memoizes it, checked on
+(-inf, -1/4), with its root count there, for at most V_CHAIN_MEMO = 1024
+entries, least recently used first out, 0.4 to 2 KB each for the
+benchmark v-models of degree 3 to 6 (tracemalloc).  Exceptions are never
+memoized.  `rho_delta` builds its own sequence of the trace model D,
+which it uses once per Delta.
 """
 
 from __future__ import annotations
@@ -261,39 +262,37 @@ _MINUS_QUARTER = Fraction(-1, 4)
 
 
 @lru_cache(maxsize=V_CHAIN_MEMO)
-def _v_chain(q: IntPoly) -> tuple[IntPoly, ...]:
-    """The Sturm sequence of the v-model q, checked on (-inf, -1/4) as by
-    :func:`_checked`; memoized per q."""
-    return tuple(_checked(sturm_sequence(q), NEG_INF, _MINUS_QUARTER))
+def _v_chain(q: IntPoly) -> tuple[tuple[IntPoly, ...], int]:
+    """The Sturm sequence of the nonzero v-model q, checked on
+    (-inf, -1/4) as by :func:`_checked`, and its count of roots there;
+    memoized per q.  A refusal means P = q(X^2 - X) is not squarefree:
+    q is not squarefree, or q(-1/4) = P(1/2) = 0."""
+    try:
+        seq = tuple(_checked(sturm_sequence(q), NEG_INF, _MINUS_QUARTER))
+    except ValueError:
+        raise ValueError("P must be squarefree") from None
+    return seq, _count(seq, NEG_INF, _MINUS_QUARTER)
 
 
 def v_root_count(q: IntPoly) -> int:
-    """Number of real roots of the v-model q below -1/4, from its
-    memoized Sturm sequence; refuses q as :func:`_v_chain` does."""
-    return _count(_v_chain(q), NEG_INF, _MINUS_QUARTER)
+    """Number of real roots of the v-model q below -1/4, memoized with
+    its Sturm sequence; refuses q as :func:`_v_chain` does."""
+    return _v_chain(q)[1]
 
 
 def rho_p(p: IntPoly) -> int:
     """Number of roots z of P with z + conj(z) = 1: twice the count of real
     roots of the v-model Q below -1/4.
 
-    ``v_polynomial`` refuses a P with P(1-X) != P(X); the Sturm count of Q
-    refuses the rest of a P that is not squarefree, through its sequence
-    (Q not squarefree) or its endpoint (Q(-1/4) = P(1/2) = 0)."""
-    q = v_polynomial(p)
-    try:
-        return 2 * v_root_count(q)
-    except ValueError:
-        raise ValueError("P must be squarefree") from None
+    ``v_polynomial`` refuses a P with P(1-X) != P(X), and the Sturm
+    sequence of Q (:func:`_v_chain`) the rest of a P not squarefree."""
+    return 2 * v_root_count(v_polynomial(p))
 
 
 def _v_roots(q: IntPoly) -> list[IsolatingInterval]:
     """The isolating intervals of the real roots of the v-model Q below
     -1/4, sorted; P = Q(X^2 - X) is checked as in :func:`rho_p`."""
-    try:
-        return _isolate(_v_chain(q), NEG_INF, _MINUS_QUARTER, DEFAULT_WIDTH)
-    except ValueError:
-        raise ValueError("P must be squarefree") from None
+    return _isolate(_v_chain(q)[0], NEG_INF, _MINUS_QUARTER, DEFAULT_WIDTH)
 
 
 def irr_r_factors(p: IntPoly) -> list[IrrRFactor]:

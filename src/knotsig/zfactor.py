@@ -32,12 +32,12 @@ memoized divisors fill its degree is answered from them before any modular
 work (proof at `_factor`); it could not reach the cap, and on any other
 input the cap comes first, so no refusal depends on the memo.
 `_lift_certified` needs no prime for a v-model factor with a real root
-below -1/4; it is memoized per factor (about 270 B each), as are a
-factor's rho in `pipeline`, and a pair's primes and the witness of a gcd
-mod p in `obstruction`.  Each memo holds at most FACTOR_FACTS_MEMO =
-1024 entries per process, least recently used first out: a full
-Delta-facts memo of the largest benchmark Delta (6 factors, 15 pairs)
-holds 384 factors and 960 pairs.  Exceptions are never memoized.
+below -1/4; it is memoized per factor (about 270 B each), as are a pair's
+primes and the witness of a gcd mod p in `obstruction`.  Each memo holds
+at most FACTOR_FACTS_MEMO = 1024 entries per process, least recently
+used first out: a full Delta-facts memo of the largest benchmark Delta
+(6 factors, 15 pairs) holds 384 factors and 960 pairs.  Exceptions are
+never memoized.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .modp import (
     _xgcd,
 )
 from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
-                    poly_text, symmetric_check, v_polynomial)
+                    poly_text, v_polynomial)
 from .realroots import v_root_count
 
 MAX_MODULAR_FACTORS = 16
@@ -100,11 +100,12 @@ class FactorizationZ:
 
 @dataclass(frozen=True)
 class SymmetricFactorSet:
-    """The factorization of P with the standing-assumption flags: whether
-    each factor is fixed by X -> 1-X, and whether P is monic with every
-    factor fixed."""
+    """The factorization of P with each factor's v-model (None for a
+    factor not fixed by X -> 1-X) and the standing-assumption flags:
+    whether each factor is fixed, and whether P is monic with all fixed."""
 
     factorization: FactorizationZ
+    models: tuple[IntPoly | None, ...]
     symmetric: tuple[bool, ...]
     all_symmetric: bool
 
@@ -400,10 +401,10 @@ def _lift_certified(q: IntPoly) -> bool:
     real embedding theta -> lambda would give 1 + 4 lambda = sigma(beta)^2
     >= 0.  So X^2 - X - theta is irreducible over K, [Q(alpha) : Q] =
     2 deg q, and q(X^2 - X) is irreducible over Q; it is primitive, as
-    X^2 - X is monic, so irreducible over Z.  The count reads the Sturm
-    sequence of q that `rho_p` reads too (`realroots.v_root_count`; q is
-    squarefree, and -1/4 is a root only of 4Y + 1).  So every factor with
-    a Milnor value (rho > 0) is certified with no prime.
+    X^2 - X is monic, so irreducible over Z.  The factor's rho reads the
+    same memoized count (`realroots.v_root_count`; q is squarefree, and
+    -1/4 is a root only of 4Y + 1).  So every factor with a Milnor value
+    (rho > 0) is certified with no prime.
 
     A prime p.  Then X^2 - X - y has no root in that field, so
     r(X^2 - X) is irreducible mod p and fixed by X -> 1-X.  A split lift
@@ -421,6 +422,14 @@ def _lift_certified(q: IntPoly) -> bool:
                for block, k in _distinct_degree(qp, p)):
             return True
     return False
+
+
+def v_model(f: IntPoly) -> IntPoly | None:
+    """`polys.v_polynomial` of f (the symmetry test), or None if f is not symmetric."""
+    try:
+        return v_polynomial(f)
+    except ValueError:
+        return None
 
 
 def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> FactorizationZ:
@@ -443,10 +452,7 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
     seed-independent and checked by re-multiplication.  A list passed as
     ``trace`` collects the route, the primes and recombination events.
     """
-    try:
-        q_poly = v_polynomial(f)
-    except ValueError:  # f is zero or not fixed by X -> 1-X
-        q_poly = None
+    q_poly = v_model(f)
     q_factors: list[tuple[IntPoly, int]] = []
     if q_poly is None or divides(_QUARTER, q_poly):
         content, factors = _factor(f, seed, trace)
@@ -465,8 +471,10 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
 
 
 def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
-    """Factor P by `factor_z` (which chooses the route) and flag whether P
-    is a product of distinct monic irreducible polynomials, each symmetric."""
+    """Factor P by `factor_z` (which chooses the route), derive each factor's
+    v-model once, and flag whether P is a product of distinct monic
+    irreducible polynomials, each symmetric."""
     fz = factor_z(p_poly, seed)
-    symmetric = tuple(symmetric_check(q) for q, _ in fz.factors)
-    return SymmetricFactorSet(fz, symmetric, p_poly.is_monic and all(symmetric))
+    models = tuple(v_model(q) for q, _ in fz.factors)
+    symmetric = tuple(q is not None for q in models)
+    return SymmetricFactorSet(fz, models, symmetric, p_poly.is_monic and all(symmetric))

@@ -10,15 +10,15 @@ import pytest
 
 from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.obstruction import _pair_primes, _symmetric_witness
-from knotsig.pipeline import _delta_facts, _factor_rho
+from knotsig.pipeline import _delta_facts
 from knotsig.realroots import _v_chain
 from knotsig.seifert import _form_facts
 from knotsig.zfactor import _known_factors, _lift_certified
 
 # Every memo of the package; test_pipeline.py checks that none is missing.
 FACTS_MEMOS = (
-    _delta_facts, _factor_rho, _form_facts, _known_factors, _lift_certified, _pair_primes,
-    _symmetric_witness, _v_chain,
+    _delta_facts, _form_facts, _known_factors, _lift_certified, _pair_primes, _symmetric_witness,
+    _v_chain,
 )
 
 
@@ -67,6 +67,10 @@ def g1() -> IntPoly:
 
 def make_delta_a(a: int) -> IntPoly:
     return IntPoly([1, -a, -1, 2 * a - 1, -1, -a, 1])
+
+
+# the 17 Delta_a in scope of perfbench's workloads: -8 <= a <= 10, a != -1, -3
+IN_SCOPE_A = tuple(a for a in range(-8, 11) if a not in (-1, -3))
 
 
 @pytest.fixture

@@ -4,11 +4,12 @@ Each oracle recomputes a quantity by a different route than the package:
 Sylvester determinants for resultants, exhaustive enumeration for the
 symmetric common-factor test and irreducibility, floating-point
 eigenvalues for root counts and signatures, and plain trial division for
-integer factorization, the number-field eigenspace route for the
-Milnor signatures of a Seifert pair, the factors of Delta (rather
-than of P) for the per-factor unit-circle root counts, rational
-(`Fraction`) long division and gcd for divisibility over Z and
-squarefreeness over Q, polynomial arithmetic over F_p and Z/m that
+integer factorization, the resultant and the gcds mod p of a pair of
+factors of P taken on the factors rather than their v-models, the
+number-field eigenspace route for the Milnor signatures of a Seifert
+pair, the factors of Delta (rather than of P) for the per-factor
+unit-circle root counts, rational (`Fraction`) long division and gcd
+for divisibility over Z and squarefreeness over Q, polynomial arithmetic over F_p and Z/m that
 reduces at every inner step, and the `Fraction` routes the Seifert path
 took before its integer kernels: Lagrange interpolation for pencil
 determinants, Euclidean Sturm chains with root isolation, sign
@@ -45,10 +46,11 @@ from knotsig import (
     alexander_check,
     factor_z,
     irr_r_factors,
+    resultant,
     rho_delta,
     v_polynomial,
 )
-from knotsig.modp import PolyModP
+from knotsig.modp import PolyModP, gcd_mod_p
 from knotsig.realroots import (
     IsolatingInterval,
     _fractions,
@@ -236,6 +238,17 @@ def trial_division(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def pair_facts_on_lifts(f: IntPoly, g: IntPoly) -> tuple[int, dict[int, PolyModP]]:
+    """Res(f, g) of two monic factors of P and, at each prime p dividing
+    it, the monic gcd of f and g mod p: the full-degree route to the
+    facts that `obstruction._pair_primes` reads off the v-models."""
+    res = resultant(f, g)
+    return res, {
+        p: gcd_mod_p(PolyModP.from_int_poly(f, p), PolyModP.from_int_poly(g, p))
+        for p in sorted(set(trial_division(res)))
+    }
 
 
 def exact_div_by_divrem(f: IntPoly, g: IntPoly) -> IntPoly | None:

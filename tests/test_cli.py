@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import time
 
 import pytest
 
-from knotsig import IntPoly, delta_to_p, poly_text
-from knotsig.cli import main
+from knotsig import IntPoly, delta_to_p, expected_count, poly_text
+from knotsig.cli import MILNOR_COUNT_CAP, main
 from conftest import make_delta_a
 from oracles import sympy_factors
 
@@ -167,6 +169,22 @@ class TestSubcommands:
         assert out == "rho = 4, target s = 0: 2 assignment(s)\n+2 -2\n-2 +2\n"
         code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "2")
         assert code == 0 and out == "rho = 4, target s = 2: 0 assignment(s)\n"
+
+    def test_milnor_caps_the_count_not_rho(self, capsys, calls):
+        """The cap bounds the output: every rho <= 40 lists in full, and
+        Phi_61 (rho = 60) is refused at s = 0, with C(30, 15) assignments,
+        before any is built, but lists its one assignment at s = 60."""
+        assert MILNOR_COUNT_CAP == math.comb(20, 10) == expected_count(40, 0)
+        phi61 = ",".join(["1"] * 61)
+        counts = calls("milnor.enumerate_sign_tuples")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "milnor", "--delta", phi61, "--signature", "0")
+        assert time.perf_counter() - start < 1 and counts == {}
+        assert code == 3 and out == "" and err == (
+            "error: 155117520 assignments exceed the enumeration cap of 184756\n"
+        )
+        code, out, _ = run(capsys, "milnor", "--delta", phi61, "--signature", "60")
+        assert code == 0 and out == "rho = 60, target s = 60: 1 assignment(s)\n" + "+2 " * 29 + "+2\n"
 
     def test_rho_refuses_non_squarefree_p(self, capsys):
         code, out, err = run(capsys, "rho", "--p", "1,-4,4")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -10,15 +11,18 @@ from knotsig import (
     BudgetExceededError,
     IntPoly,
     delta_to_p,
+    factor_z,
     obstruction_group,
     pi_set,
     resultant,
     standing_assumptions,
+    v_polynomial,
 )
-from knotsig.modp import PolyModP, is_symmetric_mod_p
+from knotsig.modp import PolyModP, _gcd, _reduced, is_symmetric_mod_p, symmetric_common_factor
 from knotsig.obstruction import _symmetric_witness
 from knotsig.polys import parse_poly
-from conftest import make_delta_a
+from conftest import IN_SCOPE_A, make_delta_a
+from oracles import pair_facts_on_lifts
 
 
 class TestPiSet:
@@ -98,6 +102,37 @@ class TestPiSet:
     def test_non_monic_rejected(self, f1):
         with pytest.raises(ValueError, match="monic"):
             pi_set(f1, parse_poly("2*x^2 - 2*x + 1"))
+
+
+class TestHalfDegreeRoute:
+    """The prime table reads a pair f = F(X^2 - X), g = G(X^2 - X) off the
+    v-models: Res(f, g) = Res(F, G)^2, and gcd(f, g) mod p = D(X^2 - X)
+    mod p for D = gcd(F, G) mod p.  Checked against the route on the
+    factors themselves (`oracles.pair_facts_on_lifts`), at every p dividing
+    the resultant, over every pair of the factors of P for Delta1, Delta2
+    and the 17 in-scope Delta_a."""
+
+    def test_resultant_gcds_and_entries_match_the_lifts(self, delta1, delta2):
+        v = IntPoly((0, -1, 1))  # X^2 - X
+        deltas = [delta1, delta2] + [make_delta_a(a) for a in IN_SCOPE_A]
+        factors = [q for delta in deltas for q, _ in factor_z(delta_to_p(delta)).factors]
+        cases = 0
+        for f, g in itertools.combinations(factors, 2):
+            F, G = v_polynomial(f), v_polynomial(g)
+            res, gcds = pair_facts_on_lifts(f, g)
+            assert res == resultant(F, G) ** 2
+            primes, witnesses = [], []
+            for p, d in gcds.items():
+                D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
+                assert d == PolyModP(p, IntPoly(D).compose(v).coeffs)
+                ok, w = symmetric_common_factor(d, d)
+                if ok:
+                    primes.append(p)
+                    witnesses.append((p, w))
+                cases += 1
+            entry = pi_set(f, g)
+            assert (entry.primes, entry.witnesses) == (tuple(primes), tuple(witnesses))
+        assert (len(factors), cases) == (19, 219)
 
 
 class TestObstructionGroup:

@@ -340,13 +340,15 @@ class TestOneCheckPerFact:
         assert rep.verdict == VERDICT_REALIZABLE
         assert counts == {"polys.alexander_check": 1}
 
-    def test_symmetric_check_once_per_factor(self, calls):
-        """The prime table trusts the factor set's symmetry flags."""
-        counts = calls("polys.symmetric_check")
+    def test_one_v_model_per_factor(self, calls):
+        """A Delta-facts miss derives each factor's v-model once, and that
+        is its symmetry test: once for P's route and once per factor of P,
+        which rho and the prime table read; no `symmetric_check` runs."""
+        counts = calls("polys.symmetric_check", "polys.v_polynomial")
         rep = analyze(AnalysisRequest(delta=self.DELTA, m=7, signature=0))
         assert rep.verdict == VERDICT_REALIZABLE and len(rep.pi_table) == 6
-        assert counts == {"polys.symmetric_check": len(rep.factors["factors"])} == {
-            "polys.symmetric_check": 4
+        assert counts == {"polys.v_polynomial": 1 + len(rep.factors["factors"])} == {
+            "polys.v_polynomial": 5
         }
 
 
@@ -486,7 +488,7 @@ class TestFactorFactsMemo:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_match_reports_from_empty_memos(self, seed):
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.pipeline import _factor_rho
+        from knotsig.realroots import _v_chain
         from knotsig.zfactor import _lift_certified
 
         rng = random.Random(seed)
@@ -500,7 +502,7 @@ class TestFactorFactsMemo:
                 reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
-        for memo in (_pair_primes, _factor_rho, _lift_certified, _symmetric_witness):
+        for memo in (_pair_primes, _v_chain, _lift_certified, _symmetric_witness):
             assert memo.cache_info().hits > 0
         for req, text in zip(reqs, warm):
             clear_facts_memos()
@@ -508,23 +510,27 @@ class TestFactorFactsMemo:
 
     def test_shared_factors_and_pairs_are_computed_once(self, calls):
         from knotsig.obstruction import _pair_primes
+        from knotsig.realroots import _v_chain
         from knotsig.zfactor import _lift_certified
 
-        counts = calls("polys.resultant", "realroots.rho_p")
+        counts = calls("polys.resultant")
         d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
         for delta in (d0 * d1 * d2, d0 * d1 * d3):
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             assert rep.verdict in (VERDICT_REALIZABLE, VERDICT_OBSTRUCTION_UNKNOWN)
         # three pairs, then the two pairs with Delta_3's factor
-        assert counts == {"polys.resultant": 5, "realroots.rho_p": 4}
+        assert counts == {"polys.resultant": 5}
         assert _pair_primes.cache_info()[:2] == (1, 5)
+        # one Sturm sequence and root count per new v-model; the 6 rhos are hits
+        assert _v_chain.cache_info()[:2] == (6, 4)
         assert _lift_certified.cache_info()[:2] == (2, 4)
 
-    def test_one_sturm_sequence_per_new_factor(self, calls, monkeypatch):
+    def test_one_sturm_sequence_per_new_factor(self, monkeypatch):
         """A Delta-facts miss builds the Sturm sequence of each new factor's
-        v-model once: the lift certificate counts its roots below -1/4 and
-        rho_p reads the same sequence.  The trace model D of the rho(Delta)
-        cross-check builds its own, outside that memo."""
+        v-model once: the lift certificate counts its roots below -1/4, and
+        the rho of every factor reads that count from the same memo.  The
+        trace model D of the rho(Delta) cross-check builds its own, outside
+        that memo."""
         from knotsig import realroots
         from knotsig.polys import trace_polynomial, v_polynomial
 
@@ -536,19 +542,19 @@ class TestFactorFactsMemo:
             return original(f, g)
 
         monkeypatch.setattr(realroots, "sturm_sequence", recording)
-        counts = calls("realroots.v_root_count")
         d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
         seen = set()
         for delta in (d0 * d1 * d2, d0 * d1 * d3):
             built.clear()
-            counts.clear()
+            hits, misses = realroots._v_chain.cache_info()[:2]
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             qs = [v_polynomial(IntPoly(f["coeffs"])) for f in rep.factors["factors"]]
             new = [q for q in qs if q not in seen]
             seen.update(qs)
             assert sorted(built, key=str) == sorted(new + [trace_polynomial(delta)], key=str)
-            assert counts["realroots.v_root_count"] == 2 * len(new)
-        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (4, 4)
+            # the certificate misses on each new model, every rho hits
+            assert realroots._v_chain.cache_info()[:2] == (hits + len(qs), misses + len(new))
+        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (6, 4)
 
     def test_pair_refusal_is_raised_again(self, monkeypatch):
         from knotsig import BudgetExceededError, obstruction
@@ -565,9 +571,10 @@ class TestFactorFactsMemo:
         for req in reqs:
             with pytest.raises(BudgetExceededError, match="candidate prime set incomplete"):
                 analyze(req)
-        # the pair of Delta_0's and Delta_2's factors, whose resultant is 8^2,
-        # both times; the other pairs have resultant 1
-        assert spent == [64, 64]
+        # the pair of Delta_0's and Delta_2's factors, whose v-models have
+        # resultant -8 (the factors' is 64 = (-8)^2), both times; the other
+        # pairs have resultant +-1
+        assert spent == [-8, -8]
         monkeypatch.undo()
         tables = [[entry["primes"] for entry in analyze(req).pi_table] for req in reqs]
         assert tables == [[[2]], [[], [2], []]]
@@ -575,13 +582,11 @@ class TestFactorFactsMemo:
     def test_bounded(self):
         from knotsig.modp import PolyModP
         from knotsig.obstruction import PI_RHO_BUDGET, _pair_primes, _symmetric_witness
-        from knotsig.pipeline import _factor_rho
         from knotsig.zfactor import FACTOR_FACTS_MEMO, _lift_certified
 
         v = IntPoly((0, -1, 1))  # X^2 - X
         fills = (  # the witnesses first: filling the pair memo computes some
             (_symmetric_witness, lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)), 0)),
-            (_factor_rho, lambda c: _factor_rho(v - IntPoly((c,)))),
             (_lift_certified, lambda c: _lift_certified(IntPoly((-c, 1)))),
             (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)), 0, PI_RHO_BUDGET)),
         )

@@ -23,7 +23,7 @@ from knotsig.modp import (PolyModP, _distinct_degree, _monic, _powmod, _reduced,
                           _squarefree_factors, factor_mod_p)
 from knotsig.polys import v_polynomial
 from knotsig.realroots import v_root_count
-from conftest import clear_facts_memos, make_delta_a
+from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
 
@@ -656,10 +656,6 @@ class TestModularWork:
         built[0] = 0
         fac = factor_mod_p(fp)
         assert built[0] == len(fac.factors) > 1
-
-
-# the 17 Delta_a in scope of perfbench's workloads: -8 <= a <= 10, a != -1, -3
-IN_SCOPE_A = tuple(a for a in range(-8, 11) if a not in (-1, -3))
 
 
 @st.composite
