@@ -15,6 +15,7 @@ G(theta) at both roots of X^2 - X - theta, so Res(f, g) = Res(F, G)^2.
 So at a candidate p, deg D >= 1 and d, fixed by X -> 1-X, is itself a
 symmetric common factor of degree >= 2.  Resultant and gcd are taken at
 half degree; the real work is the witness, which depends on (p, d) alone.
+A candidate that fails is an internal error, never a smaller prime set.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
 from .modp import PolyModP, _gcd, _reduced, symmetric_common_factor
 from .polys import IntPoly, resultant
@@ -101,15 +102,14 @@ def _pair_primes(
         raise BudgetExceededError(
             f"candidate prime set incomplete: resultant {res * res} resisted factorization: {exc}"
         ) from exc
-    primes: list[int] = []
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
         D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
         ok, w = _symmetric_witness(PolyModP(p, IntPoly(D).compose(_V).coeffs), seed)
-        if ok:
-            primes.append(p)
-            witnesses.append((p, w))
-    return tuple(primes), tuple(witnesses)
+        if not ok:
+            raise KnotsigError(f"internal error: no symmetric common factor mod {p} | Res(f, g)")
+        witnesses.append((p, w))
+    return tuple(support), tuple(witnesses)
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)

@@ -34,7 +34,7 @@ cross-check failing, raises again on every request.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Any
 
@@ -77,18 +77,6 @@ class AnalysisRequest:
             raise ValueError("tau values must be -2 or +2")
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _json_tree(x: Any) -> Any:
-    """A copy of x with every dict, list and tuple rebuilt and the
-    (immutable) leaves shared; only containers cost a call."""
-    if type(x) is dict:
-        return {k: _json_tree(v) if type(v) in _CONTAINERS else v for k, v in x.items()}
-    items = [_json_tree(v) if type(v) in _CONTAINERS else v for v in x]
-    return items if type(x) is list else tuple(items)
-
-
 @dataclass(eq=True)
 class AnalysisReport:
     """Everything the pipeline computed, JSON-ready.  Polynomials appear
@@ -112,16 +100,14 @@ class AnalysisReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        """The fields as a fresh JSON tree; ``dataclasses.asdict`` gives
-        the same, but deep-copies every leaf."""
-        return _json_tree({name: getattr(self, name) for name in _REPORT_FIELDS})
+        """The fields by name, in field order, as ``dataclasses.asdict``
+        gives them, but sharing the report's own lists and dicts, which
+        :func:`_analyze_common` keeps out of the memo's reach."""
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "AnalysisReport":
         return AnalysisReport(**data)
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(AnalysisReport))
 
 
 def _conditions_dict(rep: ConditionReport) -> dict[str, Any]:
@@ -264,8 +250,9 @@ def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
 
 def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, DeltaFacts]:
     """The facts of req.delta, copied into the fields of a new report
-    (its verdict set when out of scope).  Every list and dict is built
-    here, so a caller mutating the report cannot reach the memo."""
+    (its verdict set when out of scope).  Every list and dict of a report
+    is built for it alone, here or later, so a caller mutating it or its
+    ``to_dict`` cannot reach the memo."""
     facts = _delta_facts(req.delta, req.seed)
     report = AnalysisReport(
         verdict="",

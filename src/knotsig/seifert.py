@@ -59,11 +59,19 @@ FORM_FACTS_MEMO = 64
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    m = tuple(tuple(int(c) for c in row) for row in rows)
+    m = tuple(tuple(c if type(c) is int else _integer_entry(c) for c in row) for row in rows)
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("matrix must be square and nonempty")
     return m
+
+
+def _integer_entry(c: object) -> int:
+    """An entry of an integer type other than int (one with ``__index__``,
+    not bool) as int; a float, bool or string is refused, not truncated."""
+    if isinstance(c, bool) or not hasattr(type(c), "__index__"):
+        raise ValueError(f"matrix entry {c!r} is not an integer")
+    return operator.index(c)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -148,23 +156,13 @@ def mat_inverse_unimodular(a: Matrix) -> Matrix:
 
 
 def pencil_det(m0: Matrix, m1: Matrix) -> IntPoly:
-    """det(m0 + X*m1) = f(X) from the values f(0..n) by Newton's formula
-    n! f(X) = sum_k (n!/k!) D^k f(0) X(X-1)...(X-k+1) in integers."""
+    """det(m0 + X*m1), interpolated from its values at X = 0..n."""
     n = len(m0)
     values = [
         mat_det(tuple(tuple(m0[i][j] + x * m1[i][j] for j in range(n)) for i in range(n)))
         for x in range(n + 1)
     ]
-    acc, falling, weight = IntPoly.zero(), IntPoly.one(), math.factorial(n)
-    for k in range(n + 1):  # falling = X(X-1)...(X-k+1), weight = n!/k!
-        acc = acc + falling * (weight * values[0])
-        values = [y - x for x, y in zip(values, values[1:])]
-        falling = falling * IntPoly((-k, 1))
-        weight //= k + 1
-    scale = math.factorial(n)
-    if any(c % scale for c in acc.coeffs):
-        raise KnotsigError("internal error: interpolated determinant is not integral")
-    return IntPoly(c // scale for c in acc.coeffs)
+    return _newton_interpolation(range(n + 1), values)
 
 
 def charpoly(a: Matrix) -> IntPoly:

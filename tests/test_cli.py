@@ -210,6 +210,15 @@ class TestSubcommands:
         code, _, _ = run(capsys, "seifert", "--matrix", "[[1,2],[3]]", "--op", "validate")
         assert code == 2
 
+    @pytest.mark.parametrize("matrix, op", [
+        ("[[true,1],[0,false]]", "validate"),
+        ("[[0.9,1.7],[0,0.2]]", "to-pair"),
+    ])
+    def test_seifert_non_integer_entries_refused(self, capsys, matrix, op):
+        """Bools and floats are refused, not read as the ints they truncate to."""
+        code, out, err = run(capsys, "seifert", "--matrix", matrix, "--op", op)
+        assert code == 2 and out == "" and err == f"error: bad matrix: {matrix!r}\n"
+
 
 def test_e8_milnor_through_cli(capsys):
     rows = [

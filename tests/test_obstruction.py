@@ -91,6 +91,17 @@ class TestPiSet:
                 found.append(p)
         assert tuple(found) == entry.primes
 
+    def test_a_failed_witness_search_is_an_internal_error(self, monkeypatch, delta1, delta2):
+        """Every prime of the support of Res(F, G) has a symmetric common
+        factor; a witness search that finds none raises an internal error
+        (CLI exit 4) instead of reporting a smaller prime table."""
+        from knotsig import AnalysisRequest, KnotsigError, analyze, obstruction
+
+        monkeypatch.setattr(obstruction, "_symmetric_witness", lambda d, seed: (False, None))
+        with pytest.raises(KnotsigError, match="^internal error: no symmetric common factor mod 2 ") as info:
+            analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
+        assert info.type is KnotsigError
+
     def test_equal_factors_rejected(self, f1):
         with pytest.raises(ValueError, match="distinct"):
             pi_set(f1, f1)

@@ -163,27 +163,34 @@ class TestReports:
     def test_to_dict_equals_asdict(self, delta1, delta2, g1):
         """``to_dict`` gives what ``dataclasses.asdict`` gives, with the same
         keys, order, types and JSON, on every verdict, with and without the
-        listed assignments; the dict it returns is the caller's own."""
+        listed assignments.  It hands out the report's own fields rather
+        than copies, and scribbling on them cannot reach the memo."""
         big = make_delta_a(0) * make_delta_a(1) * make_delta_a(2) * make_delta_a(3) * make_delta_a(4)
-        reports = [
-            analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)),
-            analyze(AnalysisRequest(delta=g1 * delta1, m=7, signature=8)),
-            analyze(AnalysisRequest(delta=delta1 * delta2, m=3, signature=8)),
-            analyze(AnalysisRequest(delta=parse_poly("x^2 - x + 1"), m=7, signature=0)),
-            analyze(AnalysisRequest(delta=big, m=7, signature=0)),
-            analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2))),
+        reqs = [
+            AnalysisRequest(delta=delta1 * delta2, m=7, signature=8),
+            AnalysisRequest(delta=g1 * delta1, m=7, signature=8),
+            AnalysisRequest(delta=delta1 * delta2, m=3, signature=8),
+            AnalysisRequest(delta=parse_poly("x^2 - x + 1"), m=7, signature=0),
+            AnalysisRequest(delta=big, m=7, signature=0),
+            AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)),
         ]
+
+        def run(req):
+            return analyze(req) if req.tau is None else analyze_tau(req)
+
+        reports = [run(req) for req in reqs]
         assert {rep.verdict for rep in reports} == {
             VERDICT_REALIZABLE, VERDICT_OBSTRUCTION_UNKNOWN, VERDICT_NOT_ADMISSIBLE, VERDICT_OUT_OF_SCOPE,
         }
         assert "assignments" in reports[0].mil and "assignments" not in reports[4].mil
-        for rep in reports:
+        for req, rep in zip(reqs, reports):
             want, got = dataclasses.asdict(rep), rep.to_dict()
             assert got == want and repr(got) == repr(want)
             assert json.dumps(got) == json.dumps(want)
-            before = dataclasses.asdict(rep)
+            assert all(got[f.name] is getattr(rep, f.name) for f in dataclasses.fields(rep))
+            before = report_render(rep, "json")
             scribble(got)
-            assert got != want and dataclasses.asdict(rep) == before
+            assert report_render(run(req), "json") == before, req
 
     def test_text_contains_verdict_and_rank(self, delta1, delta2):
         text = report_render(analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)), "text")

@@ -901,3 +901,18 @@ class TestParseMatrix:
             parse_matrix("[[1,2],[3]]")
         with pytest.raises(PolyParseError):
             parse_matrix("nonsense")
+
+    def test_non_integer_entries_refused(self):
+        """A float, bool or string entry is refused, naming the entry, not
+        truncated by ``int``; integer types with ``__index__`` still pass."""
+        import numpy as np
+        from knotsig import PolyParseError
+
+        val = validate_form([[0.5, 1], [0, 0.5]])
+        assert val == seifert.Validation(False, ("matrix entry 0.5 is not an integer",))
+        for text in ("[[true,1],[0,false]]", "[[0.9,1.7],[0,0.2]]", '[["0",1],[0,1]]'):
+            with pytest.raises(PolyParseError) as info:
+                parse_matrix(text)
+            assert "is not an integer" in str(info.value.__cause__)
+        a = seifert.as_matrix([[np.int64(0), np.int8(2)], [-1, 0]])
+        assert a == A2 and all(type(c) is int for row in a for c in row)
