@@ -53,10 +53,10 @@ def _parse_tau(text: str) -> tuple[int, ...]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     delta = parse_poly(args.delta)
     if args.tau is not None:
-        req = AnalysisRequest(delta=delta, m=args.m, tau=_parse_tau(args.tau), seed=args.seed)
+        req = AnalysisRequest(delta=delta, m=args.m, tau=_parse_tau(args.tau))
         report = analyze_tau(req)
     else:
-        req = AnalysisRequest(delta=delta, m=args.m, signature=args.signature, seed=args.seed)
+        req = AnalysisRequest(delta=delta, m=args.m, signature=args.signature)
         report = analyze(req)
     print(report_render(report, args.format))
     return 0
@@ -105,7 +105,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    facts = _delta_facts(parse_poly(args.delta), 0)
+    facts = _delta_facts(parse_poly(args.delta))
     if facts.p is None:
         print("conditions on Delta fail; the obstruction group is not defined")
         return 0
@@ -189,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     target = p_an.add_mutually_exclusive_group(required=True)
     target.add_argument("--signature", type=int, help="target signature s")
     target.add_argument("--tau", help="explicit assignment, e.g. '2,-2,2,2'")
-    p_an.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     p_an.add_argument("--format", choices=("json", "text"), default="text")
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -13,15 +13,21 @@ import itertools
 from math import comb
 
 
+def _plus_count(k: int, s: int) -> int | None:
+    """The number n+ = (s + 2k)/4 of +2 entries of any tuple in {-2,+2}^k
+    summing to s, or None when no such tuple exists (s + 2k not divisible
+    by 4, or n+ outside 0..k): the one rule the functions below share."""
+    n_plus, rem = divmod(s + 2 * k, 4)
+    return n_plus if rem == 0 and 0 <= n_plus <= k else None
+
+
 def enumerate_sign_tuples(k: int, s: int) -> list[tuple[int, ...]]:
     """All tuples in {-2,+2}^k summing to s, ordered by the positions of
     the +2 entries (so the all-plus-first pattern comes first)."""
     if k < 0:
         raise ValueError("need k >= 0 factors")
-    if (s + 2 * k) % 4 != 0:
-        return []
-    n_plus = (s + 2 * k) // 4
-    if not 0 <= n_plus <= k:
+    n_plus = _plus_count(k, s)
+    if n_plus is None:
         return []
     out = []
     for plus_positions in itertools.combinations(range(k), n_plus):
@@ -32,20 +38,22 @@ def enumerate_sign_tuples(k: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
+def first_assignment(k: int, s: int) -> list[int]:
+    """``enumerate_sign_tuples(k, s)[0]`` as a list, without enumerating:
+    the +2 entries first.  The family must be nonempty."""
+    n_plus = _plus_count(k, s)
+    return [2] * n_plus + [-2] * (k - n_plus)
+
+
 def expected_count(rho: int, s: int) -> int:
     """Closed form C(k, (s+2k)/4) with k = rho/2, else 0."""
     k = rho // 2
-    if (s + 2 * k) % 4 != 0:
-        return 0
-    n_plus = (s + 2 * k) // 4
-    if not 0 <= n_plus <= k:
-        return 0
-    return comb(k, n_plus)
+    n_plus = _plus_count(k, s)
+    return 0 if n_plus is None else comb(k, n_plus)
 
 
 def mil_nonempty(rho: int, s: int) -> bool:
     """True iff |s| <= rho and s = rho (mod 4)."""
     if rho < 0 or rho % 2 != 0:
         raise ValueError("rho must be an even nonnegative integer")
-    return abs(s) <= rho and (s - rho) % 4 == 0
-
+    return _plus_count(rho // 2, s) is not None

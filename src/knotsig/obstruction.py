@@ -19,16 +19,17 @@ A candidate that fails is an internal error, never a smaller prime set.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
-keyed on (F, G, seed, max_rho_iterations), for at most
-`zfactor.FACTOR_FACTS_MEMO` = 1024 entries, least recently used first
-out; its callers attach the request's indices.  One entry of a
-benchmark pair holds about 570 B (tracemalloc, the models themselves
-not counted).  Distinct pairs share d: the factors of P from Delta_a
-and Delta_b are congruent mod p whenever p | a - b.  So
-:func:`_symmetric_witness` memoizes the witness keyed on (d, seed), for
-at most `zfactor.FACTOR_FACTS_MEMO` entries, about 560 B each
-(tracemalloc, d included).  Exceptions are never memoized: a rho budget
-that runs out raises again on every request.
+keyed on the models (F, G), for at most `zfactor.FACTOR_FACTS_MEMO` =
+1024 entries, least recently used first out; its callers attach the
+request's indices.  One entry of a benchmark pair holds about 570 B
+(tracemalloc, the models themselves not counted).  Distinct pairs share
+d: the factors of P from Delta_a and Delta_b are congruent mod p whenever
+p | a - b.  So :func:`_symmetric_witness` memoizes the witness keyed on
+d, for at most `zfactor.FACTOR_FACTS_MEMO` entries, about 560 B each
+(tracemalloc, d included).  No answer depends on the random stream of
+`integer_factor` or `symmetric_common_factor`, so neither memo keys on
+it.  Exceptions are never memoized: a rho budget (PI_RHO_BUDGET) that
+runs out raises again on every request.
 """
 
 from __future__ import annotations
@@ -65,13 +66,7 @@ class ObstructionGroup:
 
 
 # no caller in knotsig; kept because perfbench/tracing.py traces it
-def pi_set(
-    f: IntPoly,
-    g: IntPoly,
-    seed: int = 0,
-    indices: tuple[int, int] = (0, 1),
-    max_rho_iterations: int = PI_RHO_BUDGET,
-) -> PiEntry:
+def pi_set(f: IntPoly, g: IntPoly, indices: tuple[int, int] = (0, 1)) -> PiEntry:
     """All primes p such that f mod p and g mod p have a common factor h
     with h(1-X) = h(X) and deg h >= 1."""
     if f == g:
@@ -83,13 +78,11 @@ def pi_set(
         models.append(v_model(q))
         if models[-1] is None:
             raise ValueError(f"factor {q} is not fixed by X -> 1-X")
-    return PiEntry(indices, *_pair_primes(*models, seed, max_rho_iterations))
+    return PiEntry(indices, *_pair_primes(*models))
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
-def _pair_primes(
-    F: IntPoly, G: IntPoly, seed: int, max_rho_iterations: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
+def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
     """The prime set of two distinct monic factors f = F(X^2 - X),
     g = G(X^2 - X), read off their v-models F, G at half degree (module
     docstring), and one witness per prime; memoized."""
@@ -97,7 +90,7 @@ def _pair_primes(
     if abs(res) == 1:
         return (), ()
     try:
-        support = sorted(set(integer_factor(res, seed, max_rho_iterations)))
+        support = sorted(set(integer_factor(res, max_rho_iterations=PI_RHO_BUDGET)))
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"candidate prime set incomplete: resultant {res * res} resisted factorization: {exc}"
@@ -105,7 +98,7 @@ def _pair_primes(
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
         D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
-        ok, w = _symmetric_witness(PolyModP(p, IntPoly(D).compose(_V).coeffs), seed)
+        ok, w = _symmetric_witness(PolyModP(p, IntPoly(D).compose(_V).coeffs))
         if not ok:
             raise KnotsigError(f"internal error: no symmetric common factor mod {p} | Res(f, g)")
         witnesses.append((p, w))
@@ -113,16 +106,14 @@ def _pair_primes(
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
-def _symmetric_witness(d: PolyModP, seed: int) -> tuple[bool, PolyModP | None]:
+def _symmetric_witness(d: PolyModP) -> tuple[bool, PolyModP | None]:
     """The decision and witness of `modp.symmetric_common_factor` for a
     pair whose monic gcd mod p is d, which is all they depend on
     (gcd(d, d) = d); memoized."""
-    return symmetric_common_factor(d, d, seed)
+    return symmetric_common_factor(d, d)
 
 
-def obstruction_group(
-    factor_set: SymmetricFactorSet, seed: int = 0
-) -> tuple[ObstructionGroup, list[PiEntry]]:
+def obstruction_group(factor_set: SymmetricFactorSet) -> tuple[ObstructionGroup, list[PiEntry]]:
     """Compute every pairwise prime set, link factors with nonempty sets,
     and return the component partition with the group rank."""
     if not factor_set.squarefree:
@@ -142,7 +133,7 @@ def obstruction_group(
 
     for i in range(k):
         for j in range(i + 1, k):
-            entry = PiEntry((i, j), *_pair_primes(models[i], models[j], seed, PI_RHO_BUDGET))
+            entry = PiEntry((i, j), *_pair_primes(models[i], models[j]))
             table.append(entry)
             if entry.primes:
                 parent[find(i)] = find(j)

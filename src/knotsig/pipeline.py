@@ -10,25 +10,27 @@ REALIZABLE; a nonzero group means the answer depends on an evaluation this
 tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
 
 The facts about Delta do not depend on the target, so they are computed
-once per Delta and splitting seed as a frozen :class:`DeltaFacts`: the
-conditions (and the OUT_OF_SCOPE reason, if any), P, its factor set (by
-:func:`zfactor.factor_z`, which always takes P through its half-degree
-v-model, see :func:`_delta_facts`), the rho of each factor with the
-rho(Delta) cross-check, and, on first use, the prime table and the
-obstruction group.  The checks per target are the gates on m and s (or
+once per Delta as a frozen :class:`DeltaFacts`: the conditions (and the
+OUT_OF_SCOPE reason, if any), P, its factor set (by :func:`zfactor.factor_z`,
+which always takes P through its half-degree v-model, see
+:func:`_delta_facts`), the rho of each factor with the rho(Delta)
+cross-check, and, on first use, the prime table and the obstruction
+group.  The checks per target are the gates on m and s (or
 tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
-:func:`_delta_facts` is memoized per process, keyed on (Delta, seed),
-for at most DELTA_FACTS_MEMO = 64 entries, least recently used first
-out.  One entry of the largest benchmark Delta (degree 36, P with 6
-factors and 15 prime-table pairs, table and group included) holds about
-15 KB (tracemalloc), so a full memo holds about 1 MB.  One level down,
+:func:`_delta_facts` is memoized per process, keyed on Delta alone, for
+at most DELTA_FACTS_MEMO = 64 entries, least recently used first out.
+One entry of the largest benchmark Delta (degree 36, P with 6 factors
+and 15 prime-table pairs, table and group included) holds about 15 KB
+(tracemalloc), so a full memo holds about 1 MB.  One level down,
 distinct Delta share factors, whose facts are memoized on their own, for
 at most 1024 entries each: the rho of a factor, from the root count of
 its v-model kept with the Sturm sequence (`realroots._v_chain`), the
 known irreducible factors and lift certificates of `zfactor`, and the
-pair prime sets and witnesses per gcd mod p of `obstruction`.
-Exceptions are never memoized: a budget that runs out, or the
-cross-check failing, raises again on every request.
+pair prime sets and witnesses per gcd mod p of `obstruction`.  Each
+memo is keyed on its polynomials alone, as no answer depends on the
+random streams of the randomized subroutines.  Exceptions are never
+memoized: a budget that runs out, or the cross-check failing, raises
+again on every request.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property, lru_cache
 from typing import Any
 
 from .errors import KnotsigError
-from .milnor import enumerate_sign_tuples, expected_count
+from .milnor import enumerate_sign_tuples, expected_count, first_assignment
 from .polys import ConditionReport, IntPoly, alexander_check, delta_to_p, poly_text
 from .realroots import rho_delta, v_root_count
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
@@ -66,7 +68,6 @@ class AnalysisRequest:
     m: int
     signature: int | None = None
     tau: tuple[int, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 3 or self.m % 4 != 3:
@@ -85,7 +86,6 @@ class AnalysisReport:
     verdict: str
     m: int
     s: int | None
-    seed: int
     tool_version: str
     conditions: dict[str, Any] | None = None
     p: list[int] | None = None
@@ -162,11 +162,6 @@ def _group_dict(group: ObstructionGroup) -> dict[str, Any]:
     return {"components": [list(c) for c in group.components], "rank": group.rank}
 
 
-def _first_assignment(k: int, s: int) -> list[int]:
-    n_plus = (s + 2 * k) // 4
-    return [2] * n_plus + [-2] * (k - n_plus)
-
-
 def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) -> str | None:
     """When every irreducible factor of Delta has rho below the signature
     modulus, a knot of nonzero signature cannot split as a connected sum.
@@ -195,13 +190,12 @@ def _reject(report: AnalysisReport, verdict: str, reason: str) -> AnalysisReport
 
 @dataclass(frozen=True)
 class DeltaFacts:
-    """What the pipeline knows about one Delta (and splitting seed),
-    independent of the target.  ``reason`` is the OUT_OF_SCOPE reason, or
-    None when Delta is in scope; ``p`` and ``factor_set`` are None when
-    the conditions fail, and ``rhos`` (the rho of each factor of P) is
-    empty unless Delta is in scope."""
+    """What the pipeline knows about one Delta, independent of the
+    target.  ``reason`` is the OUT_OF_SCOPE reason, or None when Delta is
+    in scope; ``p`` and ``factor_set`` are None when the conditions fail,
+    and ``rhos`` (the rho of each factor of P) is empty unless Delta is in
+    scope."""
 
-    seed: int
     conditions: ConditionReport
     reason: str | None = None
     p: IntPoly | None = None
@@ -212,14 +206,14 @@ class DeltaFacts:
     def obstruction(self) -> tuple[ObstructionGroup, tuple[PiEntry, ...]]:
         """The obstruction group and the prime table, computed on first
         use: a NOT_ADMISSIBLE target never needs them."""
-        group, table = obstruction_group(self.factor_set, self.seed)
+        group, table = obstruction_group(self.factor_set)
         return group, tuple(table)
 
 
 @lru_cache(maxsize=DELTA_FACTS_MEMO)
-def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
+def _delta_facts(delta: IntPoly) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
-    assumptions, and rho per factor of P; memoized per (Delta, seed).
+    assumptions, and rho per factor of P; memoized per Delta.
 
     Once the conditions pass, `factor_z` takes P through its v-model: P is
     fixed by X -> 1-X (Delta is reciprocal), lc P = (-1)^n Delta(1) = 1, and
@@ -232,20 +226,20 @@ def _delta_facts(delta: IntPoly, seed: int) -> DeltaFacts:
     conditions = alexander_check(delta)
     failure = _condition_failure(delta, conditions)
     if failure is not None:
-        return DeltaFacts(seed, conditions, failure)
+        return DeltaFacts(conditions, failure)
     p_poly = delta_to_p(delta)
-    sfs = standing_assumptions(p_poly, seed)
+    sfs = standing_assumptions(p_poly)
     if not sfs.squarefree:
         reason = "the companion polynomial P is not squarefree"
-        return DeltaFacts(seed, conditions, reason, p_poly, sfs)
+        return DeltaFacts(conditions, reason, p_poly, sfs)
     if not sfs.all_symmetric:
         bad = sfs.factors[sfs.symmetric.index(False)]
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
-        return DeltaFacts(seed, conditions, reason, p_poly, sfs)
+        return DeltaFacts(conditions, reason, p_poly, sfs)
     rhos = tuple(2 * v_root_count(q) for q in sfs.models)
     if sum(rhos) != rho_delta(delta):
         raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
-    return DeltaFacts(seed, conditions, None, p_poly, sfs, rhos)
+    return DeltaFacts(conditions, None, p_poly, sfs, rhos)
 
 
 def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, DeltaFacts]:
@@ -253,12 +247,11 @@ def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, DeltaFacts]:
     (its verdict set when out of scope).  Every list and dict of a report
     is built for it alone, here or later, so a caller mutating it or its
     ``to_dict`` cannot reach the memo."""
-    facts = _delta_facts(req.delta, req.seed)
+    facts = _delta_facts(req.delta)
     report = AnalysisReport(
         verdict="",
         m=req.m,
         s=req.signature,
-        seed=req.seed,
         tool_version=TOOL_VERSION,
         conditions=_conditions_dict(facts.conditions),
     )
@@ -337,7 +330,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         failure = f"no assignment of +-2 over {k} factors sums to {s}"
         return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
     note = _indecomposability_note(facts.rhos, s, _modulus(m))
-    return _conclude(report, facts, _first_assignment(k, s), note)
+    return _conclude(report, facts, first_assignment(k, s), note)
 
 
 def analyze_tau(req: AnalysisRequest) -> AnalysisReport:

@@ -75,12 +75,14 @@ def _integer_entry(c: object) -> int:
 
 
 def parse_matrix(text: str) -> Matrix:
-    """Row-major bracketed integers, e.g. ``[[0,2],[-1,0]]``."""
+    """Row-major bracketed integers, e.g. ``[[0,2],[-1,0]]``; a refusal says why."""
     try:
         rows = json.loads(text)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("expected a list of rows, each a list of integers")
         return as_matrix(rows)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise PolyParseError(f"bad matrix: {text!r}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep for json
+        raise PolyParseError(f"bad matrix: {text!r}: {exc}") from exc
 
 
 def identity(n: int) -> Matrix:

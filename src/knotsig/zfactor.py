@@ -470,11 +470,11 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
     return result
 
 
-def standing_assumptions(p_poly: IntPoly, seed: int = 0) -> SymmetricFactorSet:
+def standing_assumptions(p_poly: IntPoly) -> SymmetricFactorSet:
     """Factor P by `factor_z` (which chooses the route), derive each factor's
     v-model once, and flag whether P is a product of distinct monic
     irreducible polynomials, each symmetric."""
-    fz = factor_z(p_poly, seed)
+    fz = factor_z(p_poly)
     models = tuple(v_model(q) for q, _ in fz.factors)
     symmetric = tuple(q is not None for q in models)
     return SymmetricFactorSet(fz, models, symmetric, p_poly.is_monic and all(symmetric))

@@ -45,10 +45,10 @@ class TestAnalyze:
         data = json.loads(out)
         assert set(data) >= {
             "conditions", "p", "factors", "rho", "pi_table", "group",
-            "mil", "verdict", "witnesses", "epsilon_status", "tool_version", "seed",
+            "mil", "verdict", "witnesses", "epsilon_status", "tool_version",
         }
+        assert "seed" not in data
         assert data["verdict"] == "REALIZABLE"
-        assert data["seed"] == 0
 
     def test_tau(self, capsys):
         code, out, _ = run(
@@ -82,17 +82,12 @@ class TestAnalyze:
         assert code == 2
 
     def test_seed_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "analyze",
-            "--delta", "x^4 - x^2 + 1",
-            "--m", "7",
-            "--signature", "0",
-            "--seed", "11",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 11
+        """No answer depends on a random stream, so there is no --seed."""
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--delta", "x^4 - x^2 + 1", "--m", "7", "--signature", "0",
+                  "--seed", "11"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 11" in capsys.readouterr().err
 
     def test_signature_and_tau_together_exit_two(self, capsys):
         # --signature was once silently dropped in favour of --tau
@@ -207,8 +202,16 @@ class TestSubcommands:
         assert code == 2 and "determinant" in err
 
     def test_seifert_bad_matrix(self, capsys):
-        code, _, _ = run(capsys, "seifert", "--matrix", "[[1,2],[3]]", "--op", "validate")
-        assert code == 2
+        """A refusal is one line that names what is wrong, never a traceback."""
+        for matrix, reason in (
+            ("[[1,2],[3]]", "matrix must be square and nonempty"),
+            ("[[1,2],[3,4]", "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+            ("[1,2]", "expected a list of rows, each a list of integers"),
+            ("[" * 100_000, "maximum recursion depth exceeded"),
+        ):
+            code, out, err = run(capsys, "seifert", "--matrix", matrix, "--op", "validate")
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: bad matrix: {matrix!r}: {reason}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("matrix, op", [
         ("[[true,1],[0,false]]", "validate"),
@@ -217,7 +220,9 @@ class TestSubcommands:
     def test_seifert_non_integer_entries_refused(self, capsys, matrix, op):
         """Bools and floats are refused, not read as the ints they truncate to."""
         code, out, err = run(capsys, "seifert", "--matrix", matrix, "--op", op)
-        assert code == 2 and out == "" and err == f"error: bad matrix: {matrix!r}\n"
+        entry = {"validate": "True", "to-pair": "0.9"}[op]
+        expected = f"error: bad matrix: {matrix!r}: matrix entry {entry} is not an integer\n"
+        assert code == 2 and out == "" and err == expected
 
 
 def test_e8_milnor_through_cli(capsys):

@@ -14,6 +14,7 @@ from knotsig import (
     parse_poly,
     rho_p,
 )
+from knotsig.milnor import first_assignment
 
 
 class TestEnumeration:
@@ -46,6 +47,18 @@ class TestEnumeration:
     def test_deterministic_first_element(self):
         tuples = enumerate_sign_tuples(4, 0)
         assert tuples[0] == (2, 2, -2, -2)
+
+    def test_first_assignment_is_the_first_tuple(self):
+        """The witness a REALIZABLE report lists is the family's first
+        member, for every nonempty family with k <= 10."""
+        checked = 0
+        for k in range(11):
+            for s in range(-2 * k, 2 * k + 1):
+                tuples = enumerate_sign_tuples(k, s)
+                if tuples:
+                    assert first_assignment(k, s) == list(tuples[0])
+                    checked += 1
+        assert checked == sum(k + 1 for k in range(11))
 
 
 class TestNonempty:

@@ -26,16 +26,20 @@ from oracles import pair_facts_on_lifts
 
 
 class TestPiSet:
-    def test_budget_message_keeps_the_inner_one(self):
+    def test_budget_message_keeps_the_inner_one(self, monkeypatch):
         """The refusal names the resultant and keeps the rho budget's own
         message (its value and the iterations spent)."""
+        from knotsig import obstruction
+
         n = 1_000_003 * 999_983
         f, g = parse_poly("x^2 - x"), parse_poly(f"x^2 - x - {n}")
+        monkeypatch.setattr(obstruction, "PI_RHO_BUDGET", 1)
         with pytest.raises(BudgetExceededError, match=(
             rf"resultant {n * n} resisted factorization: rho iteration budget of 1 "
             rf"exhausted after \d+ iterations while factoring {n}$"
         )):
-            pi_set(f, g, max_rho_iterations=1)
+            pi_set(f, g)
+        monkeypatch.undo()
         assert pi_set(f, g).primes == (999_983, 1_000_003)
 
     def test_example_pair(self, f1, f2):
@@ -97,7 +101,7 @@ class TestPiSet:
         (CLI exit 4) instead of reporting a smaller prime table."""
         from knotsig import AnalysisRequest, KnotsigError, analyze, obstruction
 
-        monkeypatch.setattr(obstruction, "_symmetric_witness", lambda d, seed: (False, None))
+        monkeypatch.setattr(obstruction, "_symmetric_witness", lambda d: (False, None))
         with pytest.raises(KnotsigError, match="^internal error: no symmetric common factor mod 2 ") as info:
             analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
         assert info.type is KnotsigError
@@ -188,8 +192,8 @@ class TestObstructionGroup:
 
 class TestWitnessMemo:
     """A witness depends on the prime and the gcd mod p of the pair alone,
-    so it is computed once per (gcd mod p, seed), whichever pair shares
-    that gcd."""
+    so it is computed once per gcd mod p, whichever pair shares that
+    gcd."""
 
     def test_one_factorization_per_gcd_mod_p(self, calls):
         """The factors of P from Delta_a, a in {0, 2, ..., 10}, are
@@ -203,9 +207,10 @@ class TestWitnessMemo:
         assert sum(len(entry.primes) for entry in table) == 19
         assert counts["modp.factor_mod_p"] == 5
 
-    def test_memo_key_includes_the_seed(self, calls, f1, f2):
+    def test_one_entry_per_gcd_mod_p(self, calls, f1, f2):
+        """f1 and f2 share one gcd mod 2: three calls leave one entry."""
         counts = calls("modp.factor_mod_p")
-        entries = [pi_set(f1, f2, seed=seed) for seed in (0, 1, 0)]
+        entries = [pi_set(f1, f2) for _ in range(3)]
         assert entries[0] == entries[1] == entries[2]
-        assert counts["modp.factor_mod_p"] == 2
-        assert _symmetric_witness.cache_info()[:2] == (0, 2)
+        assert entries[0].primes == (2,) and counts["modp.factor_mod_p"] == 1
+        assert _symmetric_witness.cache_info()[:2] == (0, 1)

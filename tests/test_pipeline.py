@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import random
 
@@ -209,12 +210,13 @@ class TestReports:
         with pytest.raises(ValueError, match="unknown format"):
             report_render(rep, "yaml")
 
-    def test_deterministic_across_runs_and_seeds(self, delta1, delta2):
-        a = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8, seed=0))
-        b = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8, seed=0))
-        assert a == b
-        c = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8, seed=9))
-        assert c.verdict == a.verdict and c.group == a.group and c.rho == a.rho
+    def test_deterministic_across_runs(self, delta1, delta2):
+        """Equal reports with a warm memo and with cleared ones; the
+        random streams are varied in test_golden_reports.py."""
+        req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
+        a, b = analyze(req), analyze(req)
+        clear_facts_memos()
+        assert a == b == analyze(req)
 
     def test_reports_self_certifying(self, delta1, delta2, g1):
         """REALIZABLE implies the gates re-derivable from the report."""
@@ -374,8 +376,8 @@ def _mutate_all(value) -> None:
 
 
 class TestDeltaFactsMemo:
-    """The facts of a Delta are computed once per (Delta, seed) and kept
-    in a bounded memo; reports are built fresh from them."""
+    """The facts of a Delta are computed once per Delta and kept in a
+    bounded memo; reports are built fresh from them."""
 
     @staticmethod
     def requests(delta1, delta2, g1) -> list[AnalysisRequest]:
@@ -388,11 +390,10 @@ class TestDeltaFactsMemo:
             parse_poly("2*x^2 - 5*x + 2"),  # asymmetric factor
             parse_poly("x^2 - x + 1"),  # conditions fail
         )
-        for seed in (0, 1):
-            for delta in deltas:
-                for m, s in ((7, 8), (3, 8), (7, 0), (11, -8)):
-                    reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
-                reqs.append(AnalysisRequest(delta=delta, m=7, tau=(2, 2, 2, 2), seed=seed))
+        for delta in deltas:
+            for m, s in ((7, 8), (3, 8), (7, 0), (11, -8)):
+                reqs.append(AnalysisRequest(delta=delta, m=m, signature=s))
+            reqs.append(AnalysisRequest(delta=delta, m=7, tau=(2, 2, 2, 2)))
         return reqs
 
     @staticmethod
@@ -403,14 +404,14 @@ class TestDeltaFactsMemo:
             return f"ValueError: {exc}"
         return report_render(rep, "json")
 
-    def test_never_answers_for_another_delta_or_seed(self, delta1, delta2, g1):
+    def test_never_answers_for_another_delta(self, delta1, delta2, g1):
         from knotsig.pipeline import _delta_facts
 
         reqs = self.requests(delta1, delta2, g1)
         random.Random(3).shuffle(reqs)
         warm = [self.run(req) for req in reqs]
-        assert _delta_facts.cache_info().currsize == 12  # 6 Deltas x 2 seeds
-        assert _delta_facts.cache_info().hits == len(reqs) - 12
+        assert _delta_facts.cache_info().currsize == 6  # one entry per Delta
+        assert _delta_facts.cache_info().hits == len(reqs) - 6
         for req, text in zip(reqs, warm):
             _delta_facts.cache_clear()
             assert self.run(req) == text, req
@@ -426,13 +427,13 @@ class TestDeltaFactsMemo:
                     _mutate_all(value)
             assert self.run(req) == before, req
 
-    def test_bounded(self, delta1):
+    def test_bounded(self):
         from knotsig.pipeline import DELTA_FACTS_MEMO, _delta_facts
 
         assert _delta_facts.cache_info().maxsize == DELTA_FACTS_MEMO
-        for seed in range(DELTA_FACTS_MEMO + 1):
-            analyze(AnalysisRequest(delta=delta1, m=7, signature=0, seed=seed))
-            assert _delta_facts.cache_info().currsize == min(seed + 1, DELTA_FACTS_MEMO)
+        for a in range(DELTA_FACTS_MEMO + 1):
+            analyze(AnalysisRequest(delta=make_delta_a(a), m=7, signature=0))
+            assert _delta_facts.cache_info().currsize == min(a + 1, DELTA_FACTS_MEMO)
         assert _delta_facts.cache_info().misses == DELTA_FACTS_MEMO + 1
 
     def test_budget_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
@@ -454,8 +455,8 @@ class TestDeltaFactsMemo:
         counts = calls("zfactor.standing_assumptions", "obstruction.obstruction_group")
         req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
 
-        def exhausted(n, seed, budget):
-            raise BudgetExceededError(f"rho budget {budget} spent on {n}")
+        def exhausted(n, max_rho_iterations):
+            raise BudgetExceededError(f"rho budget {max_rho_iterations} spent on {n}")
 
         real = obstruction.integer_factor
         monkeypatch.setattr(obstruction, "integer_factor", exhausted)
@@ -506,7 +507,7 @@ class TestFactorFactsMemo:
             for a in rng.sample(a_values, k):
                 delta = delta * make_delta_a(a)
             for m, s in ((7, 8), (11, 0), (7, -16)):
-                reqs.append(AnalysisRequest(delta=delta, m=m, signature=s, seed=seed))
+                reqs.append(AnalysisRequest(delta=delta, m=m, signature=s))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
         for memo in (_pair_primes, _v_chain, _lift_certified, _symmetric_witness):
@@ -568,9 +569,9 @@ class TestFactorFactsMemo:
 
         spent = []
 
-        def exhausted(n, seed, budget):
+        def exhausted(n, max_rho_iterations):
             spent.append(n)
-            raise BudgetExceededError(f"rho budget {budget} spent on {n}")
+            raise BudgetExceededError(f"rho budget {max_rho_iterations} spent on {n}")
 
         d0, d1, d2 = (make_delta_a(a) for a in range(3))
         reqs = [AnalysisRequest(delta=delta, m=7, signature=8) for delta in (d0 * d2, d0 * d1 * d2)]
@@ -588,14 +589,14 @@ class TestFactorFactsMemo:
 
     def test_bounded(self):
         from knotsig.modp import PolyModP
-        from knotsig.obstruction import PI_RHO_BUDGET, _pair_primes, _symmetric_witness
+        from knotsig.obstruction import _pair_primes, _symmetric_witness
         from knotsig.zfactor import FACTOR_FACTS_MEMO, _lift_certified
 
         v = IntPoly((0, -1, 1))  # X^2 - X
         fills = (  # the witnesses first: filling the pair memo computes some
-            (_symmetric_witness, lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)), 0)),
+            (_symmetric_witness, lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)))),
             (_lift_certified, lambda c: _lift_certified(IntPoly((-c, 1)))),
-            (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)), 0, PI_RHO_BUDGET)),
+            (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)))),
         )
         for memo, call in fills:
             assert memo.cache_info().maxsize == FACTOR_FACTS_MEMO
@@ -625,3 +626,19 @@ def test_the_fixture_clears_every_memo(delta1, delta2, e8_half):
     assert all(memo.cache_info().currsize > 0 for _, memo in found.values())
     clear_facts_memos()
     assert all(memo.cache_info().currsize == 0 for _, memo in found.values())
+
+
+def test_every_memo_is_keyed_on_mathematical_objects():
+    """Every parameter of every memo is annotated as a polynomial or a
+    matrix, so no memo is keyed on a knob (a seed, a budget) that changes
+    no answer.  The ``lru_cache`` memos are read through ``__wrapped__``,
+    ``zfactor._known_factors`` through its ``__call__`` without ``self``."""
+    keys = {}
+    for memo in FACTS_MEMOS:
+        fn = memo.__wrapped__ if hasattr(memo, "__wrapped__") else type(memo).__call__
+        params = [p for p in inspect.signature(fn).parameters.values() if p.name != "self"]
+        keys[fn.__qualname__] = [p.annotation for p in params]
+    assert len(keys) == len(FACTS_MEMOS)
+    bad = {name: ann for name, ann in keys.items()
+           if not ann or any(a not in ("IntPoly", "PolyModP", "Matrix") for a in ann)}
+    assert bad == {}

@@ -338,7 +338,7 @@ def symmetric_products(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(symmetric_products())
 def test_v_model_route_matches_direct_route_and_sympy(P):
-    sa = standing_assumptions(P, seed=3)
+    sa = standing_assumptions(P)
     fz = sa.factorization
     assert (fz.content, fz.factors, sa.symmetric) == direct_route(P, seed=3)
     assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(P)
