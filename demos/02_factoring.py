@@ -3,8 +3,8 @@ the resultant that ties the two together.
 
 The Z-side factorization runs squarefree decomposition, a mod-p
 factorization, quadratic Hensel lifting past the coefficient bound, and
-subset recombination; results are verified by re-multiplication and do not
-depend on the internal seed.  factor_z takes a companion polynomial P, fixed
+subset recombination; results are verified by re-multiplication.
+factor_z takes a companion polynomial P, fixed
 by X -> 1-X, through its half-degree v-model Q with P(X) = Q(X^2 - X), and
 keeps each lift q(X^2 - X) whole once a mod-p certificate proves it
 irreducible; the trace shows Q's one prime.

@@ -6,10 +6,12 @@ map to roots of the v-model Q below -1/4 via v = z^2 - z.  Both counts are
 Sturm-sequence certificates over exact rationals, and they must agree.
 """
 
+from fractions import Fraction
+
 from knotsig import (
     IntPoly,
     delta_to_p,
-    irr_r_factors,
+    isolate_roots,
     parse_poly,
     poly_text,
     rho_delta,
@@ -34,8 +36,7 @@ print(f"v-model Q (P(X) = Q(X^2 - X)): {poly_text(q)}")
 print(f"rho(P) = {rho_p(p)}  (computed independently, equal by construction)")
 
 print("\nthe unit-circle quadratic factors X^2 - X - lambda, by isolated v-root:")
-for f in irr_r_factors(p):
-    iv = f.v_root_interval
+for iv in isolate_roots(q, b=Fraction(-1, 4)):
     print(f"  lambda in ({iv.lo}, {iv.hi})")
 
 print("\nthe sextic family Delta_a = x^6 - a*x^5 - x^4 + (2a-1)*x^3 - x^2 - a*x + 1:")

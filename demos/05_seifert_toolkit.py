@@ -47,8 +47,7 @@ print(f"v-model Q (P(X) = Q(X^2 - X)) = {poly_text(v_polynomial(p))}")
 ms = milnor_signatures(pair.s, pair.a)
 sig = signature_exact(pair.s)
 print("\nMilnor signature per unit-circle factor X^2 - X - lambda, by v-root interval:")
-for factor, value in zip(ms.factors, ms.values):
-    iv = factor.v_root_interval
+for iv, value in zip(ms.intervals, ms.values):
     print(f"  lambda in ({iv.lo}, {iv.hi}): {value:+d}")
 print(f"total {ms.total} = sig S = {sig}")
 

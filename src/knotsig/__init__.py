@@ -18,15 +18,11 @@ from .intfactor import integer_factor, is_probable_prime
 from .milnor import (
     enumerate_sign_tuples,
     expected_count,
-    mil_nonempty,
 )
 from .modp import (
     FactorizationModP,
     PolyModP,
     factor_mod_p,
-    gcd_mod_p,
-    involution_image,
-    is_symmetric_mod_p,
     symmetric_common_factor,
 )
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group, pi_set
@@ -58,9 +54,7 @@ from .polys import (
     v_polynomial,
 )
 from .realroots import (
-    IrrRFactor,
     IsolatingInterval,
-    irr_r_factors,
     isolate_roots,
     rho_delta,
     rho_p,

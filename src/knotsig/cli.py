@@ -163,8 +163,7 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
     if op == "milnor":
         pair = form_to_pair(mat)
         ms = milnor_signatures(pair.s, pair.a)
-        for factor, value in zip(ms.factors, ms.values):
-            iv = factor.v_root_interval
+        for iv, value in zip(ms.intervals, ms.values):
             print(f"v-root in ({iv.lo}, {iv.hi}): {value:+d}")
         print(f"total: {ms.total}")
         return 0

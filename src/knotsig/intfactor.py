@@ -1,7 +1,7 @@
 """Integer factorization: trial division, then Brent-cycle Pollard rho.
 
-Deterministic for a fixed seed; inputs are desk-scale resultants, so the
-rho stage carries an iteration budget that raises instead of stalling.
+Inputs are desk-scale resultants, so the rho stage carries an iteration
+budget, RHO_BUDGET, that raises instead of stalling.
 Before rho, a composite cofactor that is a perfect square m = r^2
 (`math.isqrt`) is replaced by r twice: rho would otherwise have to split
 a square p^2 of a large prime p, which it finds only after about p^(1/2)
@@ -18,11 +18,12 @@ report a composite as a prime.
 from __future__ import annotations
 
 import math
-import random
+from random import Random
 
 from .errors import BudgetExceededError
 
 TRIAL_LIMIT = 10_000
+RHO_BUDGET = 1_000_000  # rho iterations per integer_factor call
 
 # Deterministic Miller-Rabin witness set, exact for n < MR_EXACT_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -64,7 +65,7 @@ def _spend(budget: list[int], steps: int, n: int) -> None:
         )
 
 
-def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
+def _brent_rho(n: int, rng: Random, budget: list[int]) -> int:
     """A nontrivial factor of odd composite n, or raises on budget."""
     while True:
         y = rng.randrange(1, n)
@@ -97,14 +98,12 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
         # cycle degenerated; retry with new parameters
 
 
-def integer_factor(
-    n: int, seed: int = 0, max_rho_iterations: int = 1_000_000
-) -> list[int]:
+def integer_factor(n: int) -> list[int]:
     """Sorted prime factorization of ``|n|`` (with multiplicity).
 
     ``integer_factor(1)`` and ``integer_factor(-1)`` return ``[]``.
-    Raises :class:`BudgetExceededError` when the rho stage exceeds its
-    iteration budget, or when a cofactor passes Miller-Rabin at or above
+    Raises :class:`BudgetExceededError` when the rho stage exceeds
+    RHO_BUDGET iterations, or when a cofactor passes Miller-Rabin at or above
     ``MR_EXACT_BOUND``, where passing does not prove it prime.
     """
     if n == 0:
@@ -119,8 +118,8 @@ def integer_factor(
             n //= p
     if n == 1:
         return primes
-    rng = random.Random(seed)
-    budget = [0, max_rho_iterations]
+    rng = Random(0)
+    budget = [0, RHO_BUDGET]
     stack = [n]
     while stack:
         m = stack.pop()

@@ -50,10 +50,3 @@ def expected_count(rho: int, s: int) -> int:
     k = rho // 2
     n_plus = _plus_count(k, s)
     return 0 if n_plus is None else comb(k, n_plus)
-
-
-def mil_nonempty(rho: int, s: int) -> bool:
-    """True iff |s| <= rho and s = rho (mod 4)."""
-    if rho < 0 or rho % 2 != 0:
-        raise ValueError("rho must be an even nonnegative integer")
-    return _plus_count(rho // 2, s) is not None

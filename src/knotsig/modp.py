@@ -18,16 +18,17 @@ each one it returns.  Beyond the inverse of a divisor's leading
 coefficient they need no prime modulus, so they work over Z/m with
 monic divisors too.  Every caller computes on them: the factoring code
 (`zfactor`, `polys.certified_squarefree`) directly, and the public mod-p
-API (`factor_mod_p`, `gcd_mod_p`, `symmetric_common_factor`, the
-involution helpers) on the coefficients of its arguments.  `PolyModP`
-is only the value type of that API and of the prime table's witnesses:
-a prime and reduced, trimmed coefficients, with no arithmetic.
+API (`factor_mod_p`, `symmetric_common_factor`) on the coefficients of
+its arguments.  `PolyModP` is only the value type of that API and of the
+prime table's witnesses: a prime and reduced, trimmed coefficients, with
+no arithmetic.  Equal-degree splitting draws from `Random(0)`, built per
+call; no factor set or witness depends on the stream.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from random import Random
 from typing import Iterable, Sequence
 
 from .polys import IntPoly, _mul_coeffs, _at_one_minus_x as _shifted
@@ -157,12 +158,6 @@ def _modulus(f: PolyModP, g: PolyModP) -> int:
     return f.p
 
 
-def gcd_mod_p(f: PolyModP, g: PolyModP) -> PolyModP:
-    """Monic gcd over F_p."""
-    p = _modulus(f, g)
-    return PolyModP(p, _gcd(f.coeffs, g.coeffs, p))
-
-
 @dataclass(frozen=True)
 class FactorizationModP:
     """unit * prod(factor^mult) over F_p; factors monic irreducible."""
@@ -220,7 +215,7 @@ def _distinct_degree(f: Coeffs, p: int) -> list[tuple[Coeffs, int]]:
     return out
 
 
-def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[Coeffs]:
+def _equal_degree_split(f: Coeffs, d: int, p: int, rng: Random) -> list[Coeffs]:
     """Cantor-Zassenhaus equal-degree factorization of monic squarefree f
     whose irreducible factors all have degree d."""
     if len(f) - 1 == d:
@@ -245,31 +240,31 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: random.Random) -> list[C
             return _equal_degree_split(w, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
-def _equal_degree_factors(blocks, p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of distinct-degree blocks by seeded
+def _equal_degree_factors(blocks, p: int) -> list[list[int]]:
+    """Monic irreducible factors of distinct-degree blocks by randomized
     equal-degree splitting, ascending by (degree, coefficients)."""
+    rng = Random(0)
     out = [list(q) for block, d in blocks for q in _equal_degree_split(block, d, p, rng)]
     out.sort(key=lambda q: (len(q), q))
     return out
 
 
-def _squarefree_factors(f: Coeffs, p: int, rng: random.Random) -> list[list[int]]:
+def _squarefree_factors(f: Coeffs, p: int) -> list[list[int]]:
     """Monic irreducible factors of monic f, squarefree mod p (the caller
     certifies it), ascending by (degree, coefficients)."""
-    return _equal_degree_factors(_distinct_degree(f, p), p, rng)
+    return _equal_degree_factors(_distinct_degree(f, p), p)
 
 
-def factor_mod_p(f: PolyModP, seed: int = 0) -> FactorizationModP:
+def factor_mod_p(f: PolyModP) -> FactorizationModP:
     """Complete factorization over F_p: squarefree decomposition, then
-    distinct-degree, then seeded equal-degree splitting."""
+    distinct-degree, then randomized equal-degree splitting."""
     if not f.coeffs:
         raise ValueError("cannot factor the zero polynomial")
     p = f.p
-    rng = random.Random(seed)
     factors = [
         (q, mult)
         for part, mult in _squarefree_parts(f.coeffs, p)
-        for q in _squarefree_factors(part, p, rng)
+        for q in _squarefree_factors(part, p)
     ]
     factors.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return FactorizationModP(f.coeffs[-1], tuple((PolyModP(p, q), e) for q, e in factors))
@@ -280,19 +275,7 @@ def _image(h: Coeffs, p: int) -> tuple[int, ...]:
     return tuple(_monic(_reduced(_shifted(h), p), p))
 
 
-def involution_image(h: PolyModP) -> PolyModP:
-    """Monic normalization of h(1-X); an involution on monic polynomials."""
-    return PolyModP(h.p, _image(h.coeffs, h.p))
-
-
-def is_symmetric_mod_p(h: PolyModP) -> bool:
-    """True when h(1-X) = h(X) exactly (not just up to a unit)."""
-    return tuple(_reduced(_shifted(h.coeffs), h.p)) == h.coeffs
-
-
-def symmetric_common_factor(
-    f: PolyModP, g: PolyModP, seed: int = 0
-) -> tuple[bool, PolyModP | None]:
+def symmetric_common_factor(f: PolyModP, g: PolyModP) -> tuple[bool, PolyModP | None]:
     """Decide whether some h with deg h >= 1 and h(1-X) = h(X) divides both
     f and g over F_p; returns a witness when one exists.
 
@@ -310,7 +293,7 @@ def symmetric_common_factor(
     d = _gcd(f.coeffs, g.coeffs, p)
     if len(d) < 2:
         return False, None
-    fac = factor_mod_p(PolyModP(p, d), seed)
+    fac = factor_mod_p(PolyModP(p, d))
     present = {q.coeffs for q, _ in fac.factors}
     for q, e in fac.factors:
         qt = _image(q.coeffs, p)

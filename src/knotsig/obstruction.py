@@ -26,10 +26,8 @@ request's indices.  One entry of a benchmark pair holds about 570 B
 d: the factors of P from Delta_a and Delta_b are congruent mod p whenever
 p | a - b.  So :func:`_symmetric_witness` memoizes the witness keyed on
 d, for at most `zfactor.FACTOR_FACTS_MEMO` entries, about 560 B each
-(tracemalloc, d included).  No answer depends on the random stream of
-`integer_factor` or `symmetric_common_factor`, so neither memo keys on
-it.  Exceptions are never memoized: a rho budget (PI_RHO_BUDGET) that
-runs out raises again on every request.
+(tracemalloc, d included).  Exceptions are never memoized: a rho budget
+(`intfactor.RHO_BUDGET`) that runs out raises again on every request.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from .intfactor import integer_factor
 from .modp import PolyModP, _gcd, _reduced, symmetric_common_factor
 from .polys import IntPoly, resultant
 from .zfactor import _V, FACTOR_FACTS_MEMO, SymmetricFactorSet, v_model
-
-PI_RHO_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[i
     if abs(res) == 1:
         return (), ()
     try:
-        support = sorted(set(integer_factor(res, max_rho_iterations=PI_RHO_BUDGET)))
+        support = sorted(set(integer_factor(res)))
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"candidate prime set incomplete: resultant {res * res} resisted factorization: {exc}"

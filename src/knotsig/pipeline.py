@@ -36,13 +36,13 @@ again on every request.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Any
 
 from .errors import KnotsigError
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
-from .polys import ConditionReport, IntPoly, alexander_check, delta_to_p, poly_text
+from .polys import ConditionReport, IntPoly, _integer, alexander_check, delta_to_p, poly_text
 from .realroots import rho_delta, v_root_count
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
 from .zfactor import SymmetricFactorSet, standing_assumptions
@@ -62,7 +62,9 @@ DELTA_FACTS_MEMO = 64
 @dataclass(frozen=True)
 class AnalysisRequest:
     """A target: Delta plus the knot dimension m (3 mod 4), and either a
-    signature s or an explicit assignment tau."""
+    signature s or an explicit assignment tau.  m, s and the entries of
+    tau are integers as `seifert.as_matrix` takes them: of a type with
+    ``__index__``, not bool, stored as int."""
 
     delta: IntPoly
     m: int
@@ -70,6 +72,11 @@ class AnalysisRequest:
     tau: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "knot dimension m"))
+        if self.signature is not None:
+            object.__setattr__(self, "signature", _integer(self.signature, "signature"))
+        if self.tau is not None:
+            object.__setattr__(self, "tau", tuple(_integer(v, "tau value") for v in self.tau))
         if self.m < 3 or self.m % 4 != 3:
             raise ValueError(f"knot dimension m = {self.m} must be >= 3 with m = 3 (mod 4)")
         if (self.signature is None) == (self.tau is None):
@@ -104,10 +111,6 @@ class AnalysisReport:
         gives them, but sharing the report's own lists and dicts, which
         :func:`_analyze_common` keeps out of the memo's reach."""
         return dict(vars(self))
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "AnalysisReport":
-        return AnalysisReport(**data)
 
 
 def _conditions_dict(rep: ConditionReport) -> dict[str, Any]:
@@ -418,7 +421,20 @@ def report_render(report: AnalysisReport, fmt: str = "text") -> str:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    return AnalysisReport.from_dict(json.loads(text))
+    """The report whose :func:`report_render` JSON is ``text``; a JSON
+    value that is not an object with exactly this version's report keys
+    (the required ones present, no others) is refused with a ValueError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a knotsig {TOOL_VERSION} report is a JSON object, not {type(data).__name__}")
+    keys = {f.name for f in fields(AnalysisReport)}
+    required = {f.name for f in fields(AnalysisReport)
+                if f.default is MISSING and f.default_factory is MISSING}
+    unknown, missing = sorted(data.keys() - keys), sorted(required - data.keys())
+    if unknown or missing:
+        raise ValueError(f"not a knotsig {TOOL_VERSION} report: unknown keys {unknown},"
+                         f" missing keys {missing}")
+    return AnalysisReport(**data)
 
 
 def _yn(flag: bool) -> str:

@@ -19,6 +19,7 @@ Delta(X) = X^n * D(X + 1/X), and the subresultant resultant.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,28 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _coefficient(c: object) -> int:
+    """c as int when it is an exact integer (``int(c) == c``, so True and
+    Fraction(6, 2) pass); a float with a fraction part, a string, nan or
+    inf is refused, not truncated or parsed."""
+    try:
+        n = int(c)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != c:
+        raise ValueError(f"coefficient {c!r} is not an integer")
+    return n
+
+
+def _integer(value: object, what: str) -> int:
+    """value as int when its type is an integer type (one with
+    ``__index__``) other than bool; a float, bool or string is refused
+    with a ValueError that names ``what``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
 def _at_one_minus_x(a: Sequence[int]) -> list[int]:
     """f(1 - X) on ascending coefficient lists by additions only: f(-X),
     then the shift X -> X - 1 by repeated synthetic division."""
@@ -62,7 +85,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(map(int, coeffs))
+        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -62,14 +62,6 @@ class IsolatingInterval:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class IrrRFactor:
-    """A monic irreducible real quadratic factor X^2 - X - lambda of P,
-    recorded through the isolating interval of its v-root lambda < -1/4."""
-
-    v_root_interval: IsolatingInterval
-
-
 def sturm_sequence(f: IntPoly, g: IntPoly | None = None) -> list[IntPoly]:
     """f, g (by default f'), then negated remainders until constant, each
     a positive multiple of the rational one: the pseudo-remainder, negated
@@ -293,9 +285,3 @@ def _v_roots(q: IntPoly) -> list[IsolatingInterval]:
     """The isolating intervals of the real roots of the v-model Q below
     -1/4, sorted; P = Q(X^2 - X) is checked as in :func:`rho_p`."""
     return _isolate(_v_chain(q)[0], NEG_INF, _MINUS_QUARTER, DEFAULT_WIDTH)
-
-
-def irr_r_factors(p: IntPoly) -> list[IrrRFactor]:
-    """The monic irreducible degree-2 real factors of P, one per real
-    v-root lambda < -1/4, sorted by interval position."""
-    return [IrrRFactor(iv) for iv in _v_roots(v_polynomial(p))]

@@ -45,8 +45,8 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, _at_one_minus_x, _mul_coeffs
-from .realroots import IrrRFactor, IsolatingInterval, _v_roots, root_signs
+from .polys import IntPoly, _at_one_minus_x, _integer, _mul_coeffs
+from .realroots import IsolatingInterval, _v_roots, root_signs
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -59,19 +59,11 @@ FORM_FACTS_MEMO = 64
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    m = tuple(tuple(c if type(c) is int else _integer_entry(c) for c in row) for row in rows)
+    m = tuple(tuple(c if type(c) is int else _integer(c, "matrix entry") for c in row) for row in rows)
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("matrix must be square and nonempty")
     return m
-
-
-def _integer_entry(c: object) -> int:
-    """An entry of an integer type other than int (one with ``__index__``,
-    not bool) as int; a float, bool or string is refused, not truncated."""
-    if isinstance(c, bool) or not hasattr(type(c), "__index__"):
-        raise ValueError(f"matrix entry {c!r} is not an integer")
-    return operator.index(c)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -95,9 +87,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -191,24 +180,19 @@ class SeifertPair:
 @dataclass(frozen=True)
 class MilnorAssignmentComputed:
     """The Milnor signature at each monic irreducible real quadratic
-    factor X^2 - X - lambda of P, in the sorted order of the v-root
-    intervals: twice the sign of S on the eigenplane ker(a^2 - a - lambda),
-    which is the jump of the Levine-Tristram signature across the matching
-    root of Delta_A.  Over C that eigenplane is spanned by S-isotropic
-    eigenvectors of a, so S is definite on it and every value is +-2 (see
-    :func:`milnor_signatures`); ``has_zero_value`` stays in the API and is
-    always false for a squarefree P.  ``kernel_dims`` is always all 2s (P
-    is squarefree, so each such factor has a 2-dimensional kernel);
-    reports still carry it."""
+    factor X^2 - X - lambda of P, one per isolating interval of a v-root
+    lambda < -1/4, in sorted order: twice the sign of S on the eigenplane
+    ker(a^2 - a - lambda), which is the jump of the Levine-Tristram
+    signature across the matching root of Delta_A.  Over C that eigenplane
+    is spanned by S-isotropic eigenvectors of a, so S is definite on it and
+    every value is +-2, never 0 (see :func:`milnor_signatures`).
+    ``kernel_dims`` is always all 2s (P is squarefree, so each such factor
+    has a 2-dimensional kernel); reports still carry it."""
 
-    factors: tuple[IrrRFactor, ...]
+    intervals: tuple[IsolatingInterval, ...]
     values: tuple[int, ...]
     kernel_dims: tuple[int, ...]  # kept because perfbench/worker.py writes it
     total: int
-
-    @property
-    def has_zero_value(self) -> bool:
-        return any(v == 0 for v in self.values)
 
 
 def _pair_problems(s: Matrix, a: Matrix, det_s: int, det_a: int) -> list[str]:
@@ -546,7 +530,7 @@ def milnor_signatures(
     if sum(values) != sig:
         raise KnotsigError(f"internal error: Milnor values {values} do not sum to sig S = {sig}")
     return MilnorAssignmentComputed(
-        factors=tuple(IrrRFactor(iv) for iv in ivs), values=values,
+        intervals=tuple(ivs), values=values,
         kernel_dims=(2,) * len(values), total=sum(values),
     )
 

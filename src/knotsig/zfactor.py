@@ -19,8 +19,7 @@ subset that does not divide the cofactor left divides none of its
 divisors, so the enumeration goes on past an accepted subset and the size
 grows only when none of it divides: a part costs at most
 sum_{k<=8} C(16, k) = 39,202 trial divisions (`polys.divides`).  No step
-uses Fractions; results are checked by re-multiplication and do not
-depend on the splitting seed.
+uses Fractions; results are checked by re-multiplication.
 
 Distinct Delta share factors.  `_known_factors`, keyed on the factor,
 holds those a factorization proved irreducible (Zassenhaus output, parts
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -106,8 +104,11 @@ class SymmetricFactorSet:
 
     factorization: FactorizationZ
     models: tuple[IntPoly | None, ...]
-    symmetric: tuple[bool, ...]
     all_symmetric: bool
+
+    @property
+    def symmetric(self) -> tuple[bool, ...]:
+        return tuple(m is not None for m in self.models)
 
     @property
     def factors(self) -> tuple[IntPoly, ...]:
@@ -237,7 +238,7 @@ def _model(f: IntPoly, lc: int) -> IntPoly:
 
 
 def _factor_squarefree(
-    g: IntPoly, known: list[IntPoly], seed: int, trace: list[str] | None, lift: bool = False
+    g: IntPoly, known: list[IntPoly], trace: list[str] | None, lift: bool = False
 ) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree positive-lc polynomial
     g, given ``known``, the memoized ones that divide it; ``lift`` as in
@@ -270,13 +271,13 @@ def _factor_squarefree(
         blocks = [(b, k) for b, k in ((_gcd(b, gp, p), k) for b, k in blocks) if len(b) > 1]
         if sum((len(b) - 1) // k for b, k in blocks) == 1:
             return known + [rest]
-    return known + _recombined(G, g.lc, blocks, p, seed, trace)
+    return known + _recombined(G, g.lc, blocks, p, trace)
 
 
-def _recombined(G: IntPoly, lc: int, blocks, p: int, seed: int, trace) -> list[IntPoly]:
+def _recombined(G: IntPoly, lc: int, blocks, p: int, trace) -> list[IntPoly]:
     """The irreducible factors of h from G = `_model`(h, lc) and its blocks
     mod p: equal-degree splitting, the Hensel lift, then recombination."""
-    modular = _equal_degree_factors(blocks, p, random.Random(seed))
+    modular = _equal_degree_factors(blocks, p)
     lifted, modulus = _hensel_lift(G, modular, p, 2 * _mignotte_bound(G) + 1)
     if trace is not None:
         trace.append(f"lifted {len(lifted)} factors to modulus {p}^k = {modulus}")
@@ -342,7 +343,7 @@ _known_factors = _KnownFactors(FACTOR_FACTS_MEMO)
 
 
 def _factor(
-    f: IntPoly, seed: int, trace: list[str] | None, lift: bool = False
+    f: IntPoly, trace: list[str] | None, lift: bool = False
 ) -> tuple[int, list[tuple[IntPoly, int]]]:
     """Content and unsorted (irreducible, multiplicity) pairs of nonzero f,
     not yet checked by re-multiplication; ``lift`` as in `_good_primes`.
@@ -371,7 +372,7 @@ def _factor(
         part_known = known if part == prim else [q for q in known if divides(q, part)]
         if trace is not None and part != prim:
             trace.append(f"squarefree part of multiplicity {mult}: {part}")
-        for irr in _factor_squarefree(part, part_known, seed, trace, lift):
+        for irr in _factor_squarefree(part, part_known, trace, lift):
             out.append((irr, mult))
     return content, out
 
@@ -432,7 +433,7 @@ def v_model(f: IntPoly) -> IntPoly | None:
         return None
 
 
-def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> FactorizationZ:
+def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     """Factor f completely into irreducibles over Z, by the route f selects.
 
     A symmetric f (f(1-X) = f(X)) with f(1/2) != 0 goes through its
@@ -448,22 +449,21 @@ def factor_z(f: IntPoly, seed: int = 0, trace: list[str] | None = None) -> Facto
     On either route a part of degree <= 16 that known factors cover is
     answered from them (`_factor`); no answer or refusal depends on them.
 
-    The seed steers randomized splitting only; the factor set is
-    seed-independent and checked by re-multiplication.  A list passed as
+    The factor set is checked by re-multiplication.  A list passed as
     ``trace`` collects the route, the primes and recombination events.
     """
     q_poly = v_model(f)
     q_factors: list[tuple[IntPoly, int]] = []
     if q_poly is None or divides(_QUARTER, q_poly):
-        content, factors = _factor(f, seed, trace)
+        content, factors = _factor(f, trace)
     else:
         if trace is not None:
             trace.append(f"through the v-model Q = {poly_text(q_poly)}")
-        content, q_factors = _factor(q_poly, seed, trace, lift=True)
+        content, q_factors = _factor(q_poly, trace, lift=True)
         factors = []
         for q, e in q_factors:
             lifted = q.compose(_V)
-            split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, seed, trace)[1]
+            split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, trace)[1]
             factors += [(h, m * e) for h, m in split]
     result = _verified(f, content, factors)
     _known_factors.learn([q for q, _ in q_factors + list(result.factors)])
@@ -476,5 +476,4 @@ def standing_assumptions(p_poly: IntPoly) -> SymmetricFactorSet:
     irreducible polynomials, each symmetric."""
     fz = factor_z(p_poly)
     models = tuple(v_model(q) for q, _ in fz.factors)
-    symmetric = tuple(q is not None for q in models)
-    return SymmetricFactorSet(fz, models, symmetric, p_poly.is_monic and all(symmetric))
+    return SymmetricFactorSet(fz, models, p_poly.is_monic and all(m is not None for m in models))

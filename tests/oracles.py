@@ -45,12 +45,11 @@ from knotsig import (
     IntPoly,
     alexander_check,
     factor_z,
-    irr_r_factors,
     resultant,
     rho_delta,
     v_polynomial,
 )
-from knotsig.modp import PolyModP, gcd_mod_p
+from knotsig.modp import PolyModP, _gcd
 from knotsig.realroots import (
     IsolatingInterval,
     _fractions,
@@ -62,7 +61,7 @@ from knotsig.realroots import (
     sturm_count,
     sturm_sequence,
 )
-from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, mat_sub, transpose
+from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, transpose
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def pair_facts_on_lifts(f: IntPoly, g: IntPoly) -> tuple[int, dict[int, PolyModP
     facts that `obstruction._pair_primes` reads off the v-models."""
     res = resultant(f, g)
     return res, {
-        p: gcd_mod_p(PolyModP.from_int_poly(f, p), PolyModP.from_int_poly(g, p))
+        p: PolyModP(p, _gcd(PolyModP.from_int_poly(f, p).coeffs, PolyModP.from_int_poly(g, p).coeffs, p))
         for p in sorted(set(trial_division(res)))
     }
 
@@ -480,21 +479,20 @@ def _kernel_basis_over_field(m: list[list[RatPoly]], q: RatPoly) -> list[list[Ra
 
 def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
     """Milnor values of a Seifert pair (S, a) with squarefree charpoly,
-    one per v-root interval of ``irr_r_factors`` in its order: the
+    one per v-root interval below -1/4 in sorted order: the
     signature of S on the eigenplane Ker(a^2 - a - lambda), computed over
     the number field Q[Y]/(minpoly of lambda), with the real embedding
     chosen by certified interval signs."""
     s, a = as_matrix(s_rows), as_matrix(a_rows)
     p = charpoly(a)
-    factors = irr_r_factors(p)
-    if not factors:
+    ivs = isolate_roots(v_polynomial(p), b=Fraction(-1, 4))
+    if not ivs:
         return ()
     minpolys = [f for f, _ in factor_z(v_polynomial(p)).factors]
-    b = mat_sub(mat_mul(a, a), a)
+    b = tuple(tuple(x - y for x, y in zip(ra, rr)) for ra, rr in zip(mat_mul(a, a), a))
     n = len(a)
     values: list[int] = []
-    for factor in factors:
-        iv = factor.v_root_interval
+    for iv in ivs:
         (q,) = [mp for mp in minpolys if sturm_count(mp, iv.lo, iv.hi) == 1]
         q_rat = RatPoly(q.coeffs).monic()
         # entries of b - Y*I as elements of Q[Y]/(q)
@@ -733,6 +731,17 @@ def at_one_minus_x_mod_p_by_horner(h: PolyModP) -> tuple[int, ...]:
     while acc and acc[-1] == 0:
         acc.pop()
     return tuple(acc)
+
+
+def symmetric_mod_p_by_sympy(h: PolyModP) -> bool:
+    """h(1 - X) = h(X) over F_p exactly, not just up to a unit, by
+    sympy's composition over GF(p), as perfbench's oracle checks a
+    witness."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    f = sympy.Poly(list(reversed(h.coeffs)) or [0], x, modulus=h.p)
+    return f.compose(sympy.Poly(1 - x, x, modulus=h.p)) == f
 
 
 def trace_polynomial_by_intpoly(delta: IntPoly) -> IntPoly:
@@ -1084,7 +1093,7 @@ def milnor_values_levine_tristram(s_rows, a_rows) -> tuple[int, ...]:
     q = v_polynomial(charpoly(a))
     ivs = isolate_roots(q, float("-inf"), Fraction(-1, 4))
     a_form = mat_mul(transpose(a), s)
-    k = mat_sub(a_form, transpose(a_form))
+    k = tuple(tuple(x - y for x, y in zip(ra, rt)) for ra, rt in zip(a_form, transpose(a_form)))
     gaps = root_gaps(q, ivs, Fraction(-1, 4))
 
     def t_squared(lam: Fraction) -> Fraction:

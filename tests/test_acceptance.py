@@ -23,7 +23,6 @@ from knotsig import (
     factor_z,
     form_to_pair,
     is_squarefree_q,
-    mil_nonempty,
     milnor_signatures,
     obstruction_group,
     pair_to_form,
@@ -255,4 +254,4 @@ def test_c9_mil_combinatorics():
     assert len(enumerate_sign_tuples(rho_p(p) // 2, 8)) == 1
     for rho in range(0, 13, 2):
         for s in range(-rho - 4, rho + 5):
-            assert mil_nonempty(rho, s) == (len(enumerate_sign_tuples(rho // 2, s)) > 0)
+            assert (expected_count(rho, s) > 0) == (len(enumerate_sign_tuples(rho // 2, s)) > 0)

@@ -2,8 +2,8 @@
 fixed corpus of requests is pinned, so any change to a verdict, a reason,
 a note or the layout of a report shows here.  The pinned values also make
 the JSON byte-stable across runs and processes.  No report depends on the
-random streams of the randomized subroutines (`zfactor.factor_z`,
-`modp.symmetric_common_factor`, `intfactor.integer_factor`): the corpus
+random streams of the randomized subroutines (the equal-degree
+splitting of `modp` and the Pollard rho of `intfactor`): the corpus
 renders byte-identically when they draw other streams.
 
 The Seifert path is pinned the same way on the 16 forms of the
@@ -18,10 +18,10 @@ Regenerate the tables (only when a report is meant to change) with
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -33,11 +33,11 @@ from knotsig import (
     analyze,
     analyze_tau,
     form_to_pair,
+    intfactor,
     milnor_signatures,
-    obstruction,
+    modp,
     parse_poly,
     report_render,
-    zfactor,
 )
 from conftest import clear_facts_memos
 
@@ -430,9 +430,8 @@ def test_reports_do_not_depend_on_the_random_streams(monkeypatch, stream):
     """With every randomized subroutine the analysis calls drawing another
     stream, and cold memos, each report renders byte-identically."""
     want = {label: _render(*CORPUS[label]) for label in CORPUS}
-    for module, name in ((zfactor, "factor_z"), (obstruction, "symmetric_common_factor"),
-                         (obstruction, "integer_factor")):
-        monkeypatch.setattr(module, name, functools.partial(getattr(module, name), seed=stream))
+    for module in (modp, intfactor):
+        monkeypatch.setattr(module, "Random", lambda _: random.Random(stream))
     clear_facts_memos()
     assert {label: _render(*CORPUS[label]) for label in CORPUS} == want
 

@@ -1,4 +1,4 @@
-"""Integer factorization: trial division + seeded Pollard rho."""
+"""Integer factorization: trial division + Pollard rho from a fixed seed."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from knotsig import BudgetExceededError, integer_factor, is_probable_prime
+from knotsig import BudgetExceededError, integer_factor, intfactor, is_probable_prime
 from oracles import trial_division
 
 
@@ -55,29 +55,31 @@ def test_example_resultant_support(f1, f2):
 
 def test_deterministic_for_fixed_seed():
     n = 1_000_003 * 999_983 * 4
-    assert integer_factor(n, seed=5) == integer_factor(n, seed=5)
+    assert integer_factor(n) == integer_factor(n)
 
 
-def test_budget_raises():
+def test_budget_raises(monkeypatch):
     # two large primes with an unusably small rho budget
     p = 2**61 - 1
     q = 2**89 - 1
+    monkeypatch.setattr(intfactor, "RHO_BUDGET", 5)
     with pytest.raises(BudgetExceededError, match=r"rho iteration budget of 5 exhausted after "
                        rf"\d+ iterations while factoring {p * q}$"):
-        integer_factor(p * q, seed=0, max_rho_iterations=5)
+        integer_factor(p * q)
 
 
-def test_square_cofactor_needs_no_rho():
+def test_square_cofactor_needs_no_rho(monkeypatch):
     """A resultant of two symmetric factors is a square: a square of a
     prime beyond trial division is split by its integer square root,
     before any rho iteration, and so is the square of a semiprime."""
-    p = 35_184_372_088_891
-    assert integer_factor(p * p, max_rho_iterations=0) == [p, p]
     n = 1_000_003 * 999_983
     assert integer_factor(4 * n * n) == [2, 2, 999_983, 999_983, 1_000_003, 1_000_003]
+    monkeypatch.setattr(intfactor, "RHO_BUDGET", 0)
+    p = 35_184_372_088_891
+    assert integer_factor(p * p) == [p, p]
 
 
-def test_no_prime_is_reported_beyond_the_miller_rabin_bound():
+def test_no_prime_is_reported_beyond_the_miller_rabin_bound(monkeypatch):
     """Below MR_EXACT_BOUND the 13-base test is exact; the bound itself is
     a strong pseudoprime to all 13 bases, and integer_factor refuses it,
     alone or as the square root of a square cofactor."""
@@ -90,4 +92,5 @@ def test_no_prime_is_reported_beyond_the_miller_rabin_bound():
         with pytest.raises(BudgetExceededError, match=f"primality of {n} is not certified"):
             integer_factor(m)
     p = 3_317_044_064_679_887_385_961_813  # the largest prime below the bound
-    assert integer_factor(4 * p * p, max_rho_iterations=0) == [2, 2, p, p]
+    monkeypatch.setattr(intfactor, "RHO_BUDGET", 0)
+    assert integer_factor(4 * p * p) == [2, 2, p, p]

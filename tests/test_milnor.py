@@ -10,7 +10,6 @@ from knotsig import (
     delta_to_p,
     enumerate_sign_tuples,
     expected_count,
-    mil_nonempty,
     parse_poly,
     rho_p,
 )
@@ -62,21 +61,19 @@ class TestEnumeration:
 
 
 class TestNonempty:
+    """The family is nonempty iff |s| <= rho and s = rho (mod 4)."""
+
     @pytest.mark.parametrize(
         "rho,s,expect",
         [(8, 8, True), (8, 2, False), (6, 0, False), (8, 0, True), (0, 0, True), (4, -4, True)],
     )
     def test_cases(self, rho, s, expect):
-        assert mil_nonempty(rho, s) is expect
+        assert (expected_count(rho, s) > 0) is expect
 
     def test_oracle_equivalence_exhaustive(self):
         for rho in range(0, 13, 2):
             for s in range(-rho - 4, rho + 5):
-                assert mil_nonempty(rho, s) == (len(enumerate_sign_tuples(rho // 2, s)) > 0)
-
-    def test_odd_rho_rejected(self):
-        with pytest.raises(ValueError):
-            mil_nonempty(3, 0)
+                assert (expected_count(rho, s) > 0) == (len(enumerate_sign_tuples(rho // 2, s)) > 0)
 
 
 class TestMilEnum:

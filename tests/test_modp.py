@@ -14,9 +14,6 @@ from knotsig import (
     FactorizationModP,
     PolyModP,
     factor_mod_p,
-    gcd_mod_p,
-    involution_image,
-    is_symmetric_mod_p,
     symmetric_common_factor,
 )
 from knotsig import modp, zfactor
@@ -29,6 +26,7 @@ from oracles import (
     pm_mul_by_steps,
     pm_pow_mod_by_steps,
     pm_product_by_steps,
+    symmetric_mod_p_by_sympy,
 )
 
 PRIMES = (2, 3, 5, 7, 1073741789)
@@ -39,23 +37,28 @@ def mod(text: str, p: int) -> PolyModP:
     return PolyModP.from_int_poly(parse_poly(text), p)
 
 
+def gcd(a: PolyModP, b: PolyModP) -> PolyModP:
+    """The monic gcd of two values mod p, by `modp._gcd` on their coefficients."""
+    return PolyModP(a.p, modp._gcd(a.coeffs, b.coeffs, a.p))
+
+
 class TestGcd:
     def test_self(self):
         q = mod("x^2 + x + 1", 2)
-        assert gcd_mod_p(q, q) == q
+        assert gcd(q, q) == q
 
     def test_example_pair(self, f1, f2):
         a = PolyModP.from_int_poly(f1, 2)
         b = PolyModP.from_int_poly(f2, 2)
         expected = mod("x^2 + x + 1", 2).coeffs
-        assert gcd_mod_p(a, b) == PolyModP(2, modp._mul(expected, expected, 2))
+        assert gcd(a, b) == PolyModP(2, modp._mul(expected, expected, 2))
 
     def test_coprime(self):
-        assert gcd_mod_p(mod("x", 2), mod("x + 1", 2)) == PolyModP(2, (1,))
+        assert gcd(mod("x", 2), mod("x + 1", 2)) == PolyModP(2, (1,))
 
     def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            gcd_mod_p(mod("x", 2), mod("x", 3))
+        with pytest.raises(ValueError, match="modulus mismatch: 2 vs 3"):
+            modp._modulus(mod("x", 2), mod("x", 3))
 
 
 class TestFactor:
@@ -79,7 +82,7 @@ class TestFactor:
             f = PolyModP(p, coeffs)
             if not f.coeffs:
                 continue
-            fac = factor_mod_p(f, seed=7)
+            fac = factor_mod_p(f)
             factors = [(q.coeffs, e) for q, e in fac.factors]
             assert pm_product_by_steps(fac.unit, factors, p) == f.coeffs
             for q, _ in fac.factors:
@@ -91,21 +94,27 @@ class TestFactor:
 
     def test_deterministic(self):
         f = mod("x^8 + 3*x^5 + x + 2", 7)
-        assert factor_mod_p(f, seed=1) == factor_mod_p(f, seed=1)
+        assert factor_mod_p(f) == factor_mod_p(f)
+
+
+def image(h: PolyModP) -> PolyModP:
+    """The monic normalization of h(1-X) that `symmetric_common_factor`
+    pairs factors by (`modp._image`)."""
+    return PolyModP(h.p, modp._image(h.coeffs, h.p))
 
 
 class TestInvolution:
     def test_mod2_fixed_quadratic(self):
         q = mod("x^2 + x + 1", 2)
-        assert involution_image(q) == q
+        assert image(q) == q
 
     def test_linear(self):
         # image of X is the monic normalization of 1 - X
         for p in (3, 5, 7):
-            assert involution_image(PolyModP(p, (0, 1))) == PolyModP(p, (p - 1, 1))
+            assert image(PolyModP(p, (0, 1))) == PolyModP(p, (p - 1, 1))
 
     def test_constant(self):
-        assert involution_image(PolyModP(7, (1,))) == PolyModP(7, (1,))
+        assert image(PolyModP(7, (1,))) == PolyModP(7, (1,))
 
     def test_involution_property(self):
         rng = random.Random(19)
@@ -113,19 +122,19 @@ class TestInvolution:
             for _ in range(100):
                 coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [1]
                 h = PolyModP(p, coeffs)
-                assert involution_image(involution_image(h)) == h
+                assert image(image(h)) == h
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.sampled_from(PRIMES), st.lists(st.integers(-10**12, 10**12), max_size=40))
     def test_reflection_matches_horner(self, p, coeffs):
         """h(1 - X) reduced from the shift over Z equals Horner's rule over
-        F_p, reducing at every step, and so do the involution helpers built
-        on it."""
+        F_p, reducing at every step, and so does the involution built on
+        it; the sympy symmetry oracle agrees with Horner's rule."""
         h = PolyModP(p, coeffs)
         horner = at_one_minus_x_mod_p_by_horner(h)
         assert tuple(modp._reduced(_at_one_minus_x(h.coeffs), p)) == horner
-        assert involution_image(h).coeffs == tuple(modp._monic(horner, p))
-        assert is_symmetric_mod_p(h) == (horner == h.coeffs)
+        assert image(h).coeffs == tuple(modp._monic(horner, p))
+        assert symmetric_mod_p_by_sympy(h) == (horner == h.coeffs)
 
     def test_symmetric_iff_even_degree_fixed_point(self):
         # monic symmetric polynomials of degree >= 1 are exactly the even-degree
@@ -136,10 +145,10 @@ class TestInvolution:
             for deg in range(1, 5):
                 for tail in itertools.product(range(p), repeat=deg):
                     h = PolyModP(p, tail + (1,))
-                    if is_symmetric_mod_p(h):
+                    if symmetric_mod_p_by_sympy(h):
                         assert int(h.degree) % 2 == 0
-                        assert involution_image(h) == h
-                    elif involution_image(h) == h and deg % 2 == 0:
+                        assert image(h) == h
+                    elif image(h) == h and deg % 2 == 0:
                         raise AssertionError(f"even-degree fixed point not symmetric: {h}")
 
 
@@ -156,7 +165,7 @@ class TestSymmetricCommonFactor:
 
     def test_fixed_point_needs_multiplicity_two(self):
         half = mod("x + 2", 5)  # X - 3 = X - 1/2 mod 5
-        assert involution_image(half) == half
+        assert image(half) == half
         ok, _ = symmetric_common_factor(half, half)
         assert not ok
         sq = PolyModP(5, modp._mul(half.coeffs, half.coeffs, 5))
@@ -169,14 +178,14 @@ class TestSymmetricCommonFactor:
             for _ in range(150):
                 f = PolyModP(p, [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1])
                 g = PolyModP(p, [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1])
-                ok, witness = symmetric_common_factor(f, g, seed=3)
-                ok_rev, _ = symmetric_common_factor(g, f, seed=3)
+                ok, witness = symmetric_common_factor(f, g)
+                ok_rev, _ = symmetric_common_factor(g, f)
                 assert ok == ok_rev
                 if ok:
-                    d = gcd_mod_p(f, g)
+                    d = gcd(f, g)
                     assert witness is not None and witness.degree >= 1
                     monic = modp._monic(witness.coeffs, p)
-                    assert is_symmetric_mod_p(PolyModP(p, monic))
+                    assert symmetric_mod_p_by_sympy(PolyModP(p, monic))
                     assert not modp._divrem(d.coeffs, monic, p)[1]
 
     def test_against_brute_force_oracle(self):
@@ -186,7 +195,7 @@ class TestSymmetricCommonFactor:
             for _ in range(60):
                 f = PolyModP(p, [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1])
                 g = PolyModP(p, [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1])
-                got, _ = symmetric_common_factor(f, g, seed=1)
+                got, _ = symmetric_common_factor(f, g)
                 want = brute_force_symmetric_common_factor(f, g, max_deg=4)
                 assert got == want, (p, f, g)
                 agreements += 1
@@ -231,17 +240,13 @@ class TestEdgeContracts:
 
     def test_modulus_mismatch(self):
         a, b = mod("x + 1", 5), mod("x + 1", 7)
-        for op in (
-            lambda: gcd_mod_p(a, b),
-            lambda: symmetric_common_factor(a, b),
-        ):
-            with pytest.raises(ValueError, match="modulus mismatch: 5 vs 7"):
-                op()
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 7"):
+            symmetric_common_factor(a, b)
 
     def test_prime_beyond_a_machine_word(self):
         p = 9223372036854775907  # > 2^63, prime
         a, b = mod("x^2 - 3*x + 2", p), mod("x^2 - 4*x + 3", p)
-        assert gcd_mod_p(a, b) == mod("x - 1", p)
+        assert gcd(a, b) == mod("x - 1", p)
         assert modp._divrem(modp._mul(a.coeffs, b.coeffs, p), b.coeffs, p) == (list(a.coeffs), [])
 
     def test_hensel_division_needs_a_monic_divisor(self):
@@ -295,7 +300,7 @@ class TestListKernels:
                 assert_canonical(r, p)
                 assert modp._rem(a.coeffs, b.coeffs, p) == r
                 assert modp._add(modp._mul(q, b.coeffs, p), r, p) == list(a.coeffs)
-            g = gcd_mod_p(a, b)
+            g = gcd(a, b)
             assert g.coeffs == pm_gcd_by_steps(a.coeffs, b.coeffs, p)
             assert_canonical(g, p)
             for r in (modp._add(a.coeffs, b.coeffs, p), modp._sub(a.coeffs, b.coeffs, p),
@@ -391,7 +396,7 @@ class TestFactorAgainstSympy:
                 f = PolyModP(p, modp._mul(modp._mul(base, sq, p), sq, p))
             else:
                 f = PolyModP(p, coeffs)
-            fac = factor_mod_p(f, seed=5)
+            fac = factor_mod_p(f)
             assert fac == sympy_factor_mod_p(f), (p, f)
             for q, _ in fac.factors:
                 assert_canonical(q, p)
@@ -411,6 +416,6 @@ class TestFactorAgainstSympy:
         for q, e in ((b, p), (c, p * p)):
             for _ in range(e):
                 f = modp._mul(f, q, p)
-        fac = factor_mod_p(PolyModP(p, f), seed=2)
+        fac = factor_mod_p(PolyModP(p, f))
         assert fac == sympy_factor_mod_p(PolyModP(p, f))
         assert max(e for _, e in fac.factors) >= p * p

@@ -18,22 +18,22 @@ from knotsig import (
     standing_assumptions,
     v_polynomial,
 )
-from knotsig.modp import PolyModP, _gcd, _reduced, is_symmetric_mod_p, symmetric_common_factor
+from knotsig.modp import PolyModP, _gcd, _reduced, symmetric_common_factor
 from knotsig.obstruction import _symmetric_witness
 from knotsig.polys import parse_poly
 from conftest import IN_SCOPE_A, make_delta_a
-from oracles import pair_facts_on_lifts
+from oracles import pair_facts_on_lifts, symmetric_mod_p_by_sympy
 
 
 class TestPiSet:
     def test_budget_message_keeps_the_inner_one(self, monkeypatch):
         """The refusal names the resultant and keeps the rho budget's own
         message (its value and the iterations spent)."""
-        from knotsig import obstruction
+        from knotsig import intfactor
 
         n = 1_000_003 * 999_983
         f, g = parse_poly("x^2 - x"), parse_poly(f"x^2 - x - {n}")
-        monkeypatch.setattr(obstruction, "PI_RHO_BUDGET", 1)
+        monkeypatch.setattr(intfactor, "RHO_BUDGET", 1)
         with pytest.raises(BudgetExceededError, match=(
             rf"resultant {n * n} resisted factorization: rho iteration budget of 1 "
             rf"exhausted after \d+ iterations while factoring {n}$"
@@ -69,13 +69,13 @@ class TestPiSet:
 
     def test_witnesses_are_symmetric_divisors(self, f1, f2):
         entry = pi_set(f1, f2)
-        from knotsig.modp import _divrem, _monic, gcd_mod_p
+        from knotsig.modp import _divrem, _monic
 
         for p, w in entry.witnesses:
             monic = _monic(w.coeffs, p)
-            assert is_symmetric_mod_p(PolyModP(p, monic))
-            d = gcd_mod_p(PolyModP.from_int_poly(f1, p), PolyModP.from_int_poly(f2, p))
-            assert not _divrem(d.coeffs, monic, p)[1]
+            assert symmetric_mod_p_by_sympy(PolyModP(p, monic))
+            d = _gcd(_reduced(f1.coeffs, p), _reduced(f2.coeffs, p), p)
+            assert not _divrem(d, monic, p)[1]
 
     def test_brute_scan_matches_candidates(self, f1, f2):
         """Scanning all p < 200 directly finds no primes outside the

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from knotsig import (
     AnalysisRequest,
     IntPoly,
     KnotsigError,
+    TOOL_VERSION,
     VERDICT_NOT_ADMISSIBLE,
     VERDICT_OBSTRUCTION_UNKNOWN,
     VERDICT_OUT_OF_SCOPE,
@@ -25,9 +27,9 @@ from knotsig import (
     block_diag,
     delta_to_p,
     e8_gram,
+    expected_count,
     factor_z,
     half_form,
-    mil_nonempty,
     parse_poly,
     report_from_json,
     report_render,
@@ -113,6 +115,29 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="m = 2"):
             AnalysisRequest(delta=delta1, m=2, signature=0)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"signature": 0.0}, "signature"),
+        ({"signature": True}, "signature"),
+        ({"signature": "8"}, "signature"),
+        ({"tau": (2.0, -2.0)}, "tau value"),
+        ({"m": 7.0, "signature": 0}, "knot dimension m"),
+        ({"m": True, "signature": 0}, "knot dimension m"),
+    ], ids=str)
+    def test_non_integers_rejected(self, delta1, fields, name):
+        """m, s and tau take what `seifert.as_matrix` takes: no float, bool
+        or string reaches the analysis or its report."""
+        with pytest.raises(ValueError, match=f"^{name} .+ is not an integer$"):
+            AnalysisRequest(delta=delta1, **{"m": 7, **fields})
+
+    def test_integer_types_stored_as_int(self, delta1, delta2):
+        import numpy as np
+
+        req = AnalysisRequest(delta=delta1 * delta2, m=np.int64(7), signature=np.int64(8))
+        tau_req = AnalysisRequest(delta=delta1 * delta2, m=7, tau=[np.int8(2)] * 4)
+        assert (type(req.m), type(req.signature)) == (int, int) and tau_req.tau == (2, 2, 2, 2)
+        assert all(type(v) is int for v in tau_req.tau)
+        assert json.loads(report_render(analyze(req), "json"))["s"] == 8
+
 
 class TestTauPath:
     def test_all_plus_realizable(self, delta1, delta2):
@@ -160,6 +185,20 @@ class TestReports:
         ):
             rep = analyze(req)
             assert report_from_json(report_render(rep, "json")) == rep
+
+    def test_json_of_another_format_refused(self, delta1, delta2):
+        """A report with a key this version does not know (the ``seed`` of
+        earlier reports), or without a required one, is refused by name."""
+        data = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)).to_dict()
+        version = re.escape(TOOL_VERSION)
+        with pytest.raises(ValueError, match=rf"^not a knotsig {version} report: unknown keys \['seed'\], "
+                           r"missing keys \[\]$"):
+            report_from_json(json.dumps({**data, "seed": 0}))
+        del data["verdict"]
+        with pytest.raises(ValueError, match=r"unknown keys \[\], missing keys \['verdict'\]$"):
+            report_from_json(json.dumps(data))
+        with pytest.raises(ValueError, match=rf"^a knotsig {version} report is a JSON object, not list$"):
+            report_from_json("[]")
 
     def test_to_dict_equals_asdict(self, delta1, delta2, g1):
         """``to_dict`` gives what ``dataclasses.asdict`` gives, with the same
@@ -223,7 +262,7 @@ class TestReports:
         for delta in (delta1 * delta2, g1 * delta1, make_delta_a(0) * make_delta_a(2)):
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             if rep.verdict == VERDICT_REALIZABLE:
-                assert mil_nonempty(rep.rho, rep.s)
+                assert expected_count(rep.rho, rep.s) > 0
                 assert rep.group["rank"] == 0
                 assert rep.s % 8 == 0 and abs(rep.s) <= rep.rho
 
@@ -455,8 +494,8 @@ class TestDeltaFactsMemo:
         counts = calls("zfactor.standing_assumptions", "obstruction.obstruction_group")
         req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
 
-        def exhausted(n, max_rho_iterations):
-            raise BudgetExceededError(f"rho budget {max_rho_iterations} spent on {n}")
+        def exhausted(n):
+            raise BudgetExceededError(f"rho budget spent on {n}")
 
         real = obstruction.integer_factor
         monkeypatch.setattr(obstruction, "integer_factor", exhausted)
@@ -569,9 +608,9 @@ class TestFactorFactsMemo:
 
         spent = []
 
-        def exhausted(n, max_rho_iterations):
+        def exhausted(n):
             spent.append(n)
-            raise BudgetExceededError(f"rho budget {max_rho_iterations} spent on {n}")
+            raise BudgetExceededError(f"rho budget spent on {n}")
 
         d0, d1, d2 = (make_delta_a(a) for a in range(3))
         reqs = [AnalysisRequest(delta=delta, m=7, signature=8) for delta in (d0 * d2, d0 * d1 * d2)]

@@ -24,7 +24,7 @@ from knotsig import (
     trace_polynomial,
     v_polynomial,
 )
-from knotsig.modp import PolyModP, gcd_mod_p
+from knotsig.modp import PolyModP, _gcd
 from knotsig.polys import (CERTIFICATE_PRIMES, _at_one_minus_x, certified_squarefree, divides,
                            exact_div, gcd_z)
 from conftest import make_delta_a
@@ -449,7 +449,7 @@ class TestSquarefreeCertificate:
         f = IntPoly((0, -n, 1))
         for p in CERTIFICATE_PRIMES:
             fp = PolyModP(p, f.coeffs)
-            assert gcd_mod_p(fp, PolyModP(p, f.derivative().coeffs)).degree == 1
+            assert len(_gcd(fp.coeffs, PolyModP(p, f.derivative().coeffs).coeffs, p)) == 2
         assert not certified_squarefree(f)
         assert is_squarefree_q(f)
         assert gcd_z_calls[0] == 1
@@ -748,6 +748,19 @@ class TestListKernels:
         assert all(type(c) is int for c in IntPoly([True, False, True]).coeffs)
         assert IntPoly(iter([0, 0])).coeffs == () and IntPoly().is_zero
         assert IntPoly((Fraction(6, 2), 0)).coeffs == (3,)
+        import numpy as np
+        import sympy
+
+        exact = IntPoly([np.int64(3), sympy.Integer(-2), np.uint8(1)])
+        assert exact.coeffs == (3, -2, 1) and all(type(c) is int for c in exact.coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[1.9, 0, -1, 0, 1.2], ["3", True], [1, float("nan")],
+                                        [float("-inf")], [Fraction(1, 2)], [None], [1 + 0j]], ids=str)
+    def test_constructor_refuses_non_integers(self, coeffs):
+        """A coefficient c is taken only when int(c) == c: a float is not
+        truncated, nor a string parsed."""
+        with pytest.raises(ValueError, match="^coefficient .+ is not an integer$"):
+            IntPoly(coeffs)
 
     def test_product_with_content_and_multiplicity(self):
         from knotsig.zfactor import FactorizationZ

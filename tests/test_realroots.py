@@ -14,7 +14,6 @@ from knotsig import (
     delta_to_p,
     factor_z,
     gcd_z,
-    irr_r_factors,
     is_squarefree_q,
     isolate_roots,
     parse_poly,
@@ -217,13 +216,12 @@ class TestRefusals:
         with pytest.raises(ValueError, match="^P must be squarefree$"):
             rho_p(p)
         with pytest.raises(ValueError, match="^P must be squarefree$"):
-            irr_r_factors(p)
+            realroots._v_roots(v_polynomial(p))
 
     @pytest.mark.parametrize("text", ["0", "x^2 + 1", "x^3 - x", "x^4 - x + 1"])
     def test_p_not_symmetric(self, text):
-        for fn in (rho_p, irr_r_factors):
-            with pytest.raises(ValueError, match="^P must satisfy P\\(1-X\\) = P\\(X\\)$"):
-                fn(parse_poly(text))
+        with pytest.raises(ValueError, match="^P must satisfy P\\(1-X\\) = P\\(X\\)$"):
+            rho_p(parse_poly(text))
 
     @pytest.mark.parametrize("delta, message", [
         (parse_poly("x + 1") ** 2 * parse_poly("x^2 + 3*x + 1"), "^rho excludes roots at X = 1 or X = -1$"),
@@ -260,23 +258,29 @@ class TestVChainMemo:
         assert (info.currsize, info.hits) == (0, 0)
 
 
+def irr_r_intervals(p: IntPoly) -> list[IsolatingInterval]:
+    """The v-root intervals of the real quadratic factors X^2 - X - lambda
+    of P, one per lambda < -1/4, as `milnor_signatures` isolates them."""
+    return realroots._v_roots(v_polynomial(p))
+
+
 class TestIrrRFactors:
     def test_counts(self, delta1, delta2):
-        assert len(irr_r_factors(delta_to_p(delta1))) == 2
-        assert len(irr_r_factors(delta_to_p(delta1 * delta2))) == 4
-        assert irr_r_factors(parse_poly("x^2 - x - 2")) == []
+        assert len(irr_r_intervals(delta_to_p(delta1))) == 2
+        assert len(irr_r_intervals(delta_to_p(delta1 * delta2))) == 4
+        assert irr_r_intervals(parse_poly("x^2 - x - 2")) == []
 
     def test_matches_rho(self, delta1, delta2, g1):
         for delta in (delta1, delta1 * delta2, g1 * delta1):
             p = delta_to_p(delta)
-            assert 2 * len(irr_r_factors(p)) == rho_p(p)
+            assert 2 * len(irr_r_intervals(p)) == rho_p(p)
 
     def test_intervals_disjoint_below_quarter(self, delta1, delta2):
-        factors = irr_r_factors(delta_to_p(delta1 * delta2))
-        for f in factors:
-            assert f.v_root_interval.hi <= Fraction(-1, 4)
-        for a, b in zip(factors, factors[1:]):
-            assert a.v_root_interval.hi <= b.v_root_interval.lo
+        ivs = irr_r_intervals(delta_to_p(delta1 * delta2))
+        for iv in ivs:
+            assert iv.hi <= Fraction(-1, 4)
+        for a, b in zip(ivs, ivs[1:]):
+            assert a.hi <= b.lo
 
 
 class TestCertifiedSigns:

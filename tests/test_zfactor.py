@@ -14,6 +14,8 @@ from knotsig import (
     IntPoly,
     delta_to_p,
     factor_z,
+    intfactor,
+    modp,
     parse_poly,
     standing_assumptions,
     symmetric_check,
@@ -27,10 +29,10 @@ from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
 
-def direct(f: IntPoly, seed: int = 0, trace: list[str] | None = None):
+def direct(f: IntPoly, trace: list[str] | None = None):
     """The direct Zassenhaus route on f itself, which factor_z takes for
     every f that is not fixed by X -> 1-X (or has f(1/2) = 0)."""
-    return zfactor._verified(f, *zfactor._factor(f, seed, trace))
+    return zfactor._verified(f, *zfactor._factor(f, trace))
 
 
 class TestFactorZ:
@@ -75,10 +77,18 @@ class TestFactorZ:
         with pytest.raises(ValueError):
             factor_z(IntPoly.zero())
 
-    def test_seed_independent(self, f1, f2, g1):
+    def test_seed_independent(self, monkeypatch, f1, f2, g1):
+        """Both routes give one factor set whatever stream the randomized
+        subroutines draw, from cold memos."""
         corpus = [f1 * f2, g1, make_delta_a(0) * make_delta_a(2), parse_poly("x^6 - 1")]
         for poly in corpus:
-            results = {route(poly, seed=s).factors for s in range(5) for route in (factor_z, direct)}
+            results = set()
+            for stream in range(5):
+                for module in (modp, intfactor):
+                    monkeypatch.setattr(module, "Random", lambda _, s=stream: random.Random(s))
+                for route in (factor_z, direct):
+                    clear_facts_memos()
+                    results.add(route(poly).factors)
             assert len(results) == 1
 
     def test_random_remultiplication(self):
@@ -88,7 +98,7 @@ class TestFactorZ:
             f = IntPoly(coeffs)
             if f.is_zero:
                 continue
-            fz = factor_z(f, seed=2)
+            fz = factor_z(f)
             assert fz.product() == f
 
     def test_small_factors_certified_irreducible(self, f1, f2):
@@ -102,7 +112,7 @@ class TestFactorZ:
         """Each reported factor either is irreducible mod some small prime,
         or the recombination trace records how it was assembled."""
         trace: list[str] = []
-        fz = direct(f1 * f2, seed=0, trace=trace)
+        fz = direct(f1 * f2, trace=trace)
         for q, _ in fz.factors:
             witnessed = False
             for p in (5, 7, 11, 13, 17):
@@ -215,9 +225,9 @@ def delta_a_product_p(a_values) -> IntPoly:
     return delta_to_p(delta)
 
 
-def direct_route(P: IntPoly, seed: int = 0):
+def direct_route(P: IntPoly):
     """Content, factors and flags from factoring P itself, by the direct route."""
-    fz = direct(P, seed)
+    fz = direct(P)
     return fz.content, fz.factors, tuple(symmetric_check(q) for q, _ in fz.factors)
 
 
@@ -265,8 +275,7 @@ class TestVModelRoute:
         Q = v_polynomial(P)
         p = next(zfactor._good_primes(P))
         assert next(zfactor._good_primes(Q, lift=True)) == p
-        count = [len(_squarefree_factors(PolyModP.from_int_poly(f, p).coeffs, p, random.Random(0)))
-                 for f in (Q, P)]
+        count = [len(_squarefree_factors(PolyModP.from_int_poly(f, p).coeffs, p)) for f in (Q, P)]
         assert count[0] <= count[1]
 
     def test_split_lift_not_certified(self):
@@ -340,7 +349,7 @@ def symmetric_products(draw):
 def test_v_model_route_matches_direct_route_and_sympy(P):
     sa = standing_assumptions(P)
     fz = sa.factorization
-    assert (fz.content, fz.factors, sa.symmetric) == direct_route(P, seed=3)
+    assert (fz.content, fz.factors, sa.symmetric) == direct_route(P)
     assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(P)
     for q, _ in factor_z(v_polynomial(P)).factors:
         if q != IntPoly((1, 4)) and zfactor._lift_certified(q):  # 4Y + 1 lifts to a square
@@ -547,9 +556,9 @@ class TestModularWork:
             calls["distinct_degree"] += 1
             return originals["_distinct_degree"](f, p)
 
-        def counting_equal(blocks, p, rng):
+        def counting_equal(blocks, p):
             calls["equal_degree"] += 1
-            return originals["_equal_degree_factors"](blocks, p, rng)
+            return originals["_equal_degree_factors"](blocks, p)
 
         def counting_parts(g, *args):
             calls["parts"] += g.degree >= 2
@@ -572,9 +581,9 @@ class TestModularWork:
             assert calls["equal_degree"] == 1
             assert calls["modular_split"] == 0
 
-    def test_first_prime_factors_are_factor_mod_p_s(self):
+    def test_first_prime_factors_are_factor_mod_p_s(self, monkeypatch):
         """The first prime's factors, taken without the modular squarefree
-        split, are those of factor_mod_p with the same seed."""
+        split, are those of factor_mod_p drawing the same stream."""
         from knotsig import zfactor
         from knotsig.modp import _squarefree_factors
 
@@ -582,8 +591,9 @@ class TestModularWork:
         p = next(zfactor._good_primes(G))
         gp = PolyModP.from_int_poly(G, p)
         for seed in (0, 1, 7):
-            direct = _squarefree_factors(gp.coeffs, p, random.Random(seed))
-            assert [PolyModP(p, q) for q in direct] == [q for q, _ in factor_mod_p(gp, seed).factors]
+            monkeypatch.setattr(modp, "Random", lambda _, s=seed: random.Random(s))
+            direct = _squarefree_factors(gp.coeffs, p)
+            assert [PolyModP(p, q) for q in direct] == [q for q, _ in factor_mod_p(gp).factors]
 
     def test_one_prime_per_squarefree_part(self, monkeypatch):
         """Each squarefree part draws exactly one prime from _good_primes."""
@@ -694,7 +704,7 @@ def answers(pieces, deltas):
             return str(exc)
 
     f = product(pieces)
-    return (outcome(factor_z, f, 1), outcome(factor_z, f.compose(V), 0),
+    return (outcome(factor_z, f), outcome(factor_z, f.compose(V)),
             outcome(lambda d: analyze(AnalysisRequest(delta=d, m=7, signature=8)).to_dict(),
                     product(deltas)))
 
