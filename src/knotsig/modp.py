@@ -1,10 +1,12 @@
 """Polynomial arithmetic and factorization over prime fields F_p.
 
-Carries the decision procedure at the heart of the prime-set computation:
-whether two polynomials acquire a common factor h mod p with h(1-X) = h(X).
-The involution X -> 1-X acts on monic irreducible factors; a qualifying h
+Carries the decision procedure behind the prime-set computation: whether
+two polynomials acquire a common factor h mod p with h(1-X) = h(X).  The
+involution X -> 1-X acts on monic irreducible factors; a qualifying h
 exists exactly when the gcd contains an orbit pair {q, q~}, an even-degree
-fixed factor, or (p odd) the square of X - 1/2.
+fixed factor, or (p odd) the square of X - 1/2.  The prime table itself
+reads the same witness off the half-degree gcd of two v-models
+(`obstruction._symmetric_witness`).
 
 All arithmetic runs in the private kernels `_add`, `_sub`, `_mul`,
 `_divrem`, `_rem`, `_powmod`, `_gcd` and `_xgcd` on plain ascending
@@ -17,11 +19,12 @@ a modulus of any size; the primes come from `intfactor`, which certifies
 each one it returns.  Beyond the inverse of a divisor's leading
 coefficient they need no prime modulus, so they work over Z/m with
 monic divisors too.  Every caller computes on them: the factoring code
-(`zfactor`, `polys.certified_squarefree`) directly, and the public mod-p
-API (`factor_mod_p`, `symmetric_common_factor`) on the coefficients of
-its arguments.  `PolyModP` is only the value type of that API and of the
-prime table's witnesses: a prime and reduced, trimmed coefficients, with
-no arithmetic.  Equal-degree splitting draws from `Random(0)`, built per
+(`zfactor`, `polys.certified_squarefree`) and the prime table
+(`obstruction`) directly, and the public mod-p API (`factor_mod_p`,
+`symmetric_common_factor`) on the coefficients of its arguments.
+`PolyModP` is only the value type of that API and of the prime table's
+witnesses: a prime and reduced, trimmed coefficients, with no
+arithmetic.  Equal-degree splitting draws from `Random(0)`, built per
 call; no factor set or witness depends on the stream.
 """
 
@@ -255,6 +258,24 @@ def _squarefree_factors(f: Coeffs, p: int) -> list[list[int]]:
     return _equal_degree_factors(_distinct_degree(f, p), p)
 
 
+def _lifts_split(block: Coeffs, k: int, p: int) -> bool:
+    """Whether r(X^2 - X) splits mod p for every monic irreducible factor r
+    of monic squarefree ``block``, all of degree k and none Y + 1/4: that
+    is, X^2 - X - y has a root in each field F_p[y]/r.  For odd p, Euler's
+    criterion on the discriminant: (1 + 4y)^((p^k - 1)/2) mod r is +-1,
+    and 1 exactly for a square.  For p = 2, X^2 + X = y is solvable
+    exactly when the trace y + y^2 + ... + y^(2^(k-1)), which is 0 or 1
+    mod r, is 0."""
+    if p != 2:
+        return _powmod([1, 4], (p**k - 1) // 2, block, p) == [1]
+    t: list[int] = []
+    y = _rem([0, 1], block, p)
+    for _ in range(k):
+        t = _add(t, y, p)
+        y = _rem(_mul_coeffs(y, y), block, p)
+    return not t
+
+
 def factor_mod_p(f: PolyModP) -> FactorizationModP:
     """Complete factorization over F_p: squarefree decomposition, then
     distinct-degree, then randomized equal-degree splitting."""
@@ -275,6 +296,7 @@ def _image(h: Coeffs, p: int) -> tuple[int, ...]:
     return tuple(_monic(_reduced(_shifted(h), p), p))
 
 
+# no caller in knotsig; kept because perfbench/tracing.py traces it
 def symmetric_common_factor(f: PolyModP, g: PolyModP) -> tuple[bool, PolyModP | None]:
     """Decide whether some h with deg h >= 1 and h(1-X) = h(X) divides both
     f and g over F_p; returns a witness when one exists.

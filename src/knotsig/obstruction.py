@@ -13,9 +13,30 @@ F and G the monic v-models.  Over F_p a Bezout identity for D = gcd(F, G)
 in F_p[V], V = X^2 - X, gives d = gcd(f, g) = D(X^2 - X) mod p; g is
 G(theta) at both roots of X^2 - X - theta, so Res(f, g) = Res(F, G)^2.
 So at a candidate p, deg D >= 1 and d, fixed by X -> 1-X, is itself a
-symmetric common factor of degree >= 2.  Resultant and gcd are taken at
-half degree; the real work is the witness, which depends on (p, d) alone.
-A candidate that fails is an internal error, never a smaller prime set.
+symmetric common factor of degree >= 2.  A candidate that fails (deg D < 1)
+is an internal error, never a smaller prime set.
+
+The witness is taken at half degree too, from the distinct monic
+irreducible factors h of D mod p, and equals the one that
+`modp.symmetric_common_factor(d, d)` finds: the expansion of the first
+irreducible factor of d, by (degree, coefficients), that qualifies.
+Distinct h have coprime lifts h(X^2 - X), so the irreducible factors of d
+are exactly those of the lifts, and every one of them qualifies: one that
+X -> 1-X does not fix has its image in d, as d is fixed; a fixed one has
+even degree (its roots pair off as r, 1 - r), except X - 1/2, which
+enters d squared.  So the witness is the expansion of d's smallest
+factor, and that expansion is the lift of the h it divides.  For h other
+than Y + 1/4, the roots of the lift are the two roots x, 1 - x of
+X^2 - X = y for each root y of h, and they differ.  So the lift either
+splits, when X^2 - X - y has a root in F_p[y]/h (`modp._lifts_split`),
+into h(X^2 - X) = q q~ with q != q~ of degree deg h (a power of
+Frobenius taking x to 1 - x fixes y, so fixes x, and x = 1/2 would make
+h = Y + 1/4), or is irreducible; Y + 1/4 (p odd) lifts to (X - 1/2)^2.
+Its smallest factor thus has degree deg h, 2 deg h or 1, and the witness
+is the lift of an h that reaches the least such degree; a lift is split
+into q and q~ only to break a tie between several such h.  With one h,
+the common case (D = F mod p whenever p | a - b for the factors of P
+from Delta_a and Delta_b), the witness is h(X^2 - X) at once.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per process,
@@ -23,10 +44,9 @@ keyed on the models (F, G), for at most `zfactor.FACTOR_FACTS_MEMO` =
 1024 entries, least recently used first out; its callers attach the
 request's indices.  One entry of a benchmark pair holds about 570 B
 (tracemalloc, the models themselves not counted).  Distinct pairs share
-d: the factors of P from Delta_a and Delta_b are congruent mod p whenever
-p | a - b.  So :func:`_symmetric_witness` memoizes the witness keyed on
-d, for at most `zfactor.FACTOR_FACTS_MEMO` entries, about 560 B each
-(tracemalloc, d included).  Exceptions are never memoized: a rho budget
+D, so :func:`_symmetric_witness` memoizes the witness keyed on D, for at
+most `zfactor.FACTOR_FACTS_MEMO` entries, about 510 B each
+(tracemalloc, D included).  Exceptions are never memoized: a rho budget
 (`intfactor.RHO_BUDGET`) that runs out raises again on every request.
 """
 
@@ -37,7 +57,8 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
-from .modp import PolyModP, _gcd, _reduced, symmetric_common_factor
+from .modp import (PolyModP, _equal_degree_factors, _gcd, _lifts_split, _reduced, _squarefree_factors,
+                   _squarefree_parts)
 from .polys import IntPoly, resultant
 from .zfactor import _V, FACTOR_FACTS_MEMO, SymmetricFactorSet, v_model
 
@@ -94,7 +115,7 @@ def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[i
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
         D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
-        ok, w = _symmetric_witness(PolyModP(p, IntPoly(D).compose(_V).coeffs))
+        ok, w = _symmetric_witness(PolyModP(p, D))
         if not ok:
             raise KnotsigError(f"internal error: no symmetric common factor mod {p} | Res(f, g)")
         witnesses.append((p, w))
@@ -102,11 +123,52 @@ def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[i
 
 
 @lru_cache(maxsize=FACTOR_FACTS_MEMO)
-def _symmetric_witness(d: PolyModP) -> tuple[bool, PolyModP | None]:
-    """The decision and witness of `modp.symmetric_common_factor` for a
-    pair whose monic gcd mod p is d, which is all they depend on
-    (gcd(d, d) = d); memoized."""
-    return symmetric_common_factor(d, d)
+def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
+    """The decision and witness of `modp.symmetric_common_factor(d, d)`
+    for d = D(X^2 - X), D a pair's monic gcd of v-models mod p: the lift of
+    the irreducible factor h of D whose lift has the smallest factor
+    (module docstring); memoized."""
+    p = D.p
+    hs = [h for part, _ in _squarefree_parts(D.coeffs, p) for h in _squarefree_factors(part, p)]
+    if not hs:
+        return False, None
+    if len(hs) > 1:
+        degrees = [_least_degree(h, p) for h in hs]
+        m = min(degrees)
+        hs = [h for h, k in zip(hs, degrees) if k == m]
+        if len(hs) > 1:
+            hs = [min(hs, key=lambda h: _least_factor(h, m, p))]
+    return True, PolyModP(p, _lift(hs[0], p))
+
+
+def _lift(h: list[int], p: int) -> list[int]:
+    """h(X^2 - X) mod p."""
+    return _reduced(IntPoly(h).compose(_V).coeffs, p)
+
+
+def _is_quarter(h: list[int], p: int) -> bool:
+    """Whether h is Y + 1/4, which lifts to (X - 1/2)^2; never for p = 2."""
+    return len(h) == 2 and 4 * h[0] % p == 1
+
+
+def _least_degree(h: list[int], p: int) -> int:
+    """The degree of the smallest irreducible factor of h(X^2 - X) mod p,
+    for h monic irreducible."""
+    k = len(h) - 1
+    if _is_quarter(h, p):
+        return 1
+    return k if _lifts_split(h, k, p) else 2 * k
+
+
+def _least_factor(h: list[int], m: int, p: int) -> list[int]:
+    """The smallest irreducible factor of h(X^2 - X) mod p, of degree m:
+    X - 1/2, the smaller of q and q~ for a split lift, or the irreducible
+    lift itself."""
+    if _is_quarter(h, p):
+        return [(p - 1) // 2, 1]
+    if len(h) - 1 == m:
+        return _equal_degree_factors([(_lift(h, p), m)], p)[0]
+    return _lift(h, p)
 
 
 def obstruction_group(factor_set: SymmetricFactorSet) -> tuple[ObstructionGroup, list[PiEntry]]:

@@ -26,11 +26,11 @@ distinct Delta share factors, whose facts are memoized on their own, for
 at most 1024 entries each: the rho of a factor, from the root count of
 its v-model kept with the Sturm sequence (`realroots._v_chain`), the
 known irreducible factors and lift certificates of `zfactor`, and the
-pair prime sets and witnesses per gcd mod p of `obstruction`.  Each
-memo is keyed on its polynomials alone, as no answer depends on the
-random streams of the randomized subroutines.  Exceptions are never
-memoized: a budget that runs out, or the cross-check failing, raises
-again on every request.
+pair prime sets and witnesses per gcd of the two v-models mod p of
+`obstruction`.  Each memo is keyed on its polynomials alone, as no
+answer depends on the random streams of the randomized subroutines.
+Exceptions are never memoized: a budget that runs out, or the
+cross-check failing, raises again on every request.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, lru_cache
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import KnotsigError
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
@@ -62,9 +62,10 @@ DELTA_FACTS_MEMO = 64
 @dataclass(frozen=True)
 class AnalysisRequest:
     """A target: Delta plus the knot dimension m (3 mod 4), and either a
-    signature s or an explicit assignment tau.  m, s and the entries of
-    tau are integers as `seifert.as_matrix` takes them: of a type with
-    ``__index__``, not bool, stored as int."""
+    signature s or an explicit assignment tau.  Delta is an `IntPoly` and
+    tau a sequence; m, s and the entries of tau are integers as
+    `seifert.as_matrix` takes them: of a type with ``__index__``, not bool,
+    stored as int."""
 
     delta: IntPoly
     m: int
@@ -72,6 +73,10 @@ class AnalysisRequest:
     tau: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.delta, IntPoly):
+            raise ValueError(f"delta {self.delta!r} is not an IntPoly")
+        if self.tau is not None and not isinstance(self.tau, Sequence):
+            raise ValueError(f"tau {self.tau!r} is not a sequence")
         object.__setattr__(self, "m", _integer(self.m, "knot dimension m"))
         if self.signature is not None:
             object.__setattr__(self, "signature", _integer(self.signature, "signature"))

@@ -55,9 +55,9 @@ from .modp import (
     _divrem,
     _equal_degree_factors,
     _gcd,
+    _lifts_split,
     _monic,
     _mul,
-    _powmod,
     _reduced,
     _rem,
     _sub,
@@ -411,16 +411,15 @@ def _lift_certified(q: IntPoly) -> bool:
     r(X^2 - X) is irreducible mod p and fixed by X -> 1-X.  A split lift
     q(X^2 - X) = +-h(X) h(1-X) would put it into h or h(1-X) mod p, by
     symmetry into both, and so its square into q(X^2 - X), which is
-    squarefree mod p.  Euler's criterion runs on each distinct-degree block
-    B of q mod p: (1 + 4y)^((p^k - 1)/2) mod B is +-1 modulo each degree-k
-    factor of B, so it differs from 1 exactly when one factor has a
-    non-square."""
+    squarefree mod p.  Euler's criterion (`modp._lifts_split`) runs on each
+    distinct-degree block B of q mod p: (1 + 4y)^((p^k - 1)/2) mod B is +-1
+    modulo each degree-k factor of B, so it differs from 1 exactly when one
+    factor has a non-square."""
     if v_root_count(q):
         return True
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
         qp = _monic(_reduced(q.coeffs, p), p)
-        if any(_powmod([1, 4], (p**k - 1) // 2, block, p) != [1]
-               for block, k in _distinct_degree(qp, p)):
+        if not all(_lifts_split(block, k, p) for block, k in _distinct_degree(qp, p)):
             return True
     return False
 

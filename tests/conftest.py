@@ -30,10 +30,10 @@ def clear_facts_memos() -> None:
 @pytest.fixture(autouse=True)
 def empty_facts_memos():
     """Every test starts and ends with empty memos of Delta facts, of
-    factor and factor-pair facts, of witnesses per gcd mod p, of known
-    irreducible factors, of Seifert form facts and of v-model Sturm
-    sequences, so counted and
-    monkeypatched stages run in the test that checks them."""
+    factor and factor-pair facts, of witnesses per gcd of two v-models
+    mod p, of known irreducible factors, of Seifert form facts and of
+    v-model Sturm sequences, so counted and monkeypatched stages run in
+    the test that checks them."""
     clear_facts_memos()
     yield
     clear_facts_memos()

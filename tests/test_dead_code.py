@@ -115,6 +115,7 @@ def test_the_check_follows_dead_helpers():
 # outside it.
 NO_CALLER_NEEDED = {
     # traced by perfbench/tracing.py
+    "modp.symmetric_common_factor",
     "obstruction.pi_set",
     "polys.is_squarefree_q",
     "realroots.isolate_roots",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -191,26 +192,81 @@ class TestObstructionGroup:
 
 
 class TestWitnessMemo:
-    """A witness depends on the prime and the gcd mod p of the pair alone,
-    so it is computed once per gcd mod p, whichever pair shares that
-    gcd."""
+    """A witness depends on the prime and the gcd of the pair's v-models mod
+    p alone, so it is computed once per such gcd, whichever pair shares
+    it."""
 
-    def test_one_factorization_per_gcd_mod_p(self, calls):
+    def test_one_factorization_per_gcd_mod_p(self):
         """The factors of P from Delta_a, a in {0, 2, ..., 10}, are
         congruent mod 2, so their 15 pairs share one gcd mod 2; the 19
         (pair, prime) entries have 5 distinct gcds mod p."""
         factors = (delta_to_p(make_delta_a(a)) for a in range(0, 12, 2))
         fs = standing_assumptions(math.prod(factors, start=IntPoly.one()))
-        counts = calls("modp.factor_mod_p")
         group, table = obstruction_group(fs)
         assert group.rank == 0
         assert sum(len(entry.primes) for entry in table) == 19
-        assert counts["modp.factor_mod_p"] == 5
+        assert _symmetric_witness.cache_info().misses == 5
 
-    def test_one_entry_per_gcd_mod_p(self, calls, f1, f2):
+    def test_one_entry_per_gcd_mod_p(self, f1, f2):
         """f1 and f2 share one gcd mod 2: three calls leave one entry."""
-        counts = calls("modp.factor_mod_p")
         entries = [pi_set(f1, f2) for _ in range(3)]
         assert entries[0] == entries[1] == entries[2]
-        assert entries[0].primes == (2,) and counts["modp.factor_mod_p"] == 1
+        assert entries[0].primes == (2,)
         assert _symmetric_witness.cache_info()[:2] == (0, 1)
+
+
+class TestHalfDegreeWitness:
+    """The witness of a gcd D of v-models mod p is read off the factors of
+    D, at half degree, and equals `symmetric_common_factor(d, d)` for the
+    lift d = D(X^2 - X)."""
+
+    # every monic D of degree 1 to top over F_p: 1,050 of them, among them
+    # non-squarefree ones, and for odd p multiples of Y + 1/4
+    FIELDS = ((2, 5), (3, 4), (5, 3), (7, 3), (11, 2), (13, 2))
+
+    @staticmethod
+    def monic(p: int, top: int):
+        for n in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=n):
+                yield PolyModP(p, low + (1,))
+
+    @pytest.mark.parametrize("stream", [None, 7])
+    def test_witness_equals_the_one_of_the_lift(self, monkeypatch, stream):
+        """Also with the equal-degree splits of `modp` drawing another
+        stream: a tie broken by splitting a lift (142 of the cases) takes
+        the smaller factor, whichever one the split finds first."""
+        from knotsig import modp
+
+        if stream is not None:
+            monkeypatch.setattr(modp, "Random", lambda _: random.Random(stream))
+        v = IntPoly((0, -1, 1))  # X^2 - X
+        cases = 0
+        for p, top in self.FIELDS:
+            for D in self.monic(p, top):
+                d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
+                assert _symmetric_witness(D) == symmetric_common_factor(d, d), D
+                cases += 1
+        assert cases == 1050
+
+    def test_an_irreducible_gcd_is_factored_at_its_degree(self, monkeypatch):
+        """For an irreducible D no factoring routine of `modp` sees a
+        polynomial of degree above deg D."""
+        from knotsig import modp
+
+        seen: list[int] = []
+        for name in ("_distinct_degree", "_equal_degree_split"):
+            def recording(f, *args, _original=getattr(modp, name)):
+                seen.append(len(f) - 1)
+                return _original(f, *args)
+
+            monkeypatch.setattr(modp, name, recording)
+        irreducible = 0
+        for p, top in self.FIELDS:
+            for D in self.monic(p, top):
+                if modp.factor_mod_p(D).factors != ((D, 1),):
+                    continue
+                seen.clear()
+                _symmetric_witness(D)
+                assert seen and max(seen) <= D.degree, D
+                irreducible += 1
+        assert irreducible == 398

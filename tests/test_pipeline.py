@@ -129,6 +129,18 @@ class TestVerdicts:
         with pytest.raises(ValueError, match=f"^{name} .+ is not an integer$"):
             AnalysisRequest(delta=delta1, **{"m": 7, **fields})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"delta": [1, 0, -1, 0, 1], "signature": 0}, r"^delta \[1, 0, -1, 0, 1\] is not an IntPoly$"),
+        ({"delta": "x^4-x^2+1", "signature": 0}, r"^delta 'x\^4-x\^2\+1' is not an IntPoly$"),
+        ({"tau": 5}, r"^tau 5 is not a sequence$"),
+    ], ids=str)
+    def test_malformed_fields_rejected(self, delta1, fields, message):
+        """A Delta that is not an `IntPoly` or a tau that is not a sequence
+        is refused with a ValueError that names the field, not left to
+        fail as a bare Python error inside the analysis."""
+        with pytest.raises(ValueError, match=message):
+            AnalysisRequest(**{"delta": delta1, "m": 7, **fields})
+
     def test_integer_types_stored_as_int(self, delta1, delta2):
         import numpy as np
 
