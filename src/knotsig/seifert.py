@@ -25,14 +25,21 @@ record of :func:`_form_facts`: S = A + A^T with det S, and on first use
 det A, the companion c = S^-1 A^T, the v-model Q of P = det(X - c) from
 n determinants of c (2n the size of A), P = Q(X^2 - X), Delta_A read off
 P (see :attr:`_FormFacts.delta`; no pencil determinant) and the
-companion pair (one pair check).  ``form_to_pair``, ``alexander_of_form``,
-``validate_form`` and ``unimodular_t`` read the record of A; the entry
-points taking a pair read the record of its form a^T S.  The memo is
-keyed on the form A as a tuple of integer rows, for at most
-FORM_FACTS_MEMO = 64 entries, least recently used first out.  One
-entry of a 12 x 12 benchmark form, every field computed, holds about
-8 KB (tracemalloc), so a full memo holds about 0.5 MB.  Exceptions are
-never memoized.
+companion pair, checked by the one product S c = A^T.  ``form_to_pair``,
+``alexander_of_form``, ``validate_form`` and ``unimodular_t`` read the
+record of A; the entry points taking a pair read the record of its form
+a^T S.  The memo is keyed on the form A as a tuple of integer rows, for
+at most FORM_FACTS_MEMO = 64 entries, least recently used first out.
+One entry of a 12 x 12 benchmark form, every field computed, holds about
+8 KB (tracemalloc), so a full memo holds about 0.5 MB.
+
+What depends on S alone is computed once per lattice, since every form
+on S is half(S) + K for a skew K: :func:`_lattice_facts` holds det S and,
+on first use, S^-1 (read by the companion) and sig S (read by
+:func:`milnor_signatures`).  It is keyed on S as a tuple of integer rows,
+under the same bound FORM_FACTS_MEMO; an entry, both fields computed,
+holds about 4 KB for E8, 3 KB for E8 + H and 7 KB for E8 + H + H
+(tracemalloc).  Exceptions are never memoized.
 """
 
 from __future__ import annotations
@@ -233,11 +240,38 @@ def _newton_interpolation(nodes: Sequence[int], values: Sequence[int]) -> IntPol
     return IntPoly(acc)
 
 
+class _LatticeFacts:
+    """What is known about one even unimodular lattice S = A + A^T, shared
+    by every form on it: det S = +-1, and, on first use, S^-1 and sig S."""
+
+    def __init__(self, s: Matrix, det: int):
+        self.s, self.det = s, det
+
+    @cached_property
+    def inverse(self) -> Matrix:
+        return mat_inverse_unimodular(self.s)
+
+    @cached_property
+    def signature(self) -> int:
+        return signature_exact(self.s)
+
+
+@lru_cache(maxsize=FORM_FACTS_MEMO)
+def _lattice_facts(s: Matrix) -> _LatticeFacts:
+    """The facts of the lattice S, memoized per S; raises ValueError when
+    det S is not +-1.  Exceptions are never memoized."""
+    det = mat_det(s)
+    if det not in (1, -1):
+        raise ValueError(f"symmetrization has determinant {det}, not +-1")
+    return _LatticeFacts(s, det)
+
+
 @dataclass(frozen=True)
 class _FormFacts:
-    """What is known about one Seifert form A: S = A + A^T and det S = +-1,
-    and, on first use, det A, the companion c = S^-1 A^T, the v-model Q of
-    P = det(X - c), P, Delta_A and the companion pair."""
+    """What is known about one Seifert form A: S = A + A^T and det S = +-1
+    (read off the lattice's record, :func:`_lattice_facts`), and, on first
+    use, det A, the companion c = S^-1 A^T from the lattice's S^-1, the
+    v-model Q of P = det(X - c), P, Delta_A and the companion pair."""
 
     a: Matrix
     s: Matrix
@@ -250,7 +284,7 @@ class _FormFacts:
     @cached_property
     def companion(self) -> Matrix:
         """c = S^-1 A^T, integral since det S = +-1, also when det A = 0."""
-        return mat_mul(mat_inverse_unimodular(self.s), transpose(self.a))
+        return mat_mul(_lattice_facts(self.s).inverse, transpose(self.a))
 
     @cached_property
     def q(self) -> IntPoly:
@@ -284,13 +318,20 @@ class _FormFacts:
 
     @cached_property
     def pair(self) -> SeifertPair:
-        """S and the companion a = S^-1 A^T, checked as by
-        :func:`validate_pair` with det a = det S * det A (det S = +-1)."""
+        """S and the companion c = S^-1 A^T, checked by one product
+        S c = A^T.  That is no weaker than :func:`validate_pair`: S = A + A^T
+        is symmetric and even by construction, det S = +-1 is checked once
+        per S, det c = det S * det A != 0 is checked here, and S c = A^T
+        gives c^T S = A, hence c^T S + S c = A + A^T = S, the relation that
+        validate_pair tests.  S c = A^T also pins c as A's companion, which
+        the relation alone does not.  A failed check empties the form and
+        lattice memos, so no wrong S^-1 or companion outlives it."""
         if self.det_a == 0:
             raise ValueError("degenerate form, no injective companion")
-        problems = _pair_problems(self.s, self.companion, self.det_s, self.det_s * self.det_a)
-        if problems:
-            raise KnotsigError(f"internal error: companion pair invalid: {tuple(problems)}")
+        if mat_mul(self.s, self.companion) != transpose(self.a):
+            _form_facts.cache_clear()
+            _lattice_facts.cache_clear()
+            raise KnotsigError("internal error: companion pair invalid: S c = A^T fails")
         return SeifertPair(s=self.s, a=self.companion)
 
 
@@ -299,10 +340,7 @@ def _form_facts(a: Matrix) -> _FormFacts:
     """The facts of the form A, memoized per A; raises ValueError when
     det(A + A^T) is not +-1.  Exceptions are never memoized."""
     s = mat_add(a, transpose(a))
-    det_s = mat_det(s)
-    if det_s not in (1, -1):
-        raise ValueError(f"symmetrization has determinant {det_s}, not +-1")
-    return _FormFacts(a, s, det_s)
+    return _FormFacts(a, s, _lattice_facts(s).det)
 
 
 def _pair_facts(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> _FormFacts:
@@ -522,11 +560,13 @@ def milnor_signatures(
     Check that can fail: the values sum to sig S, since the other
     eigenspaces of b carry signature 0 (for real lambda > -1/4, two
     isotropic real eigenlines of a; for non-real lambda, V_lambda is
-    Lagrangian for the Hermitian form on V_lambda + V_conj(lambda))."""
+    Lagrangian for the Hermitian form on V_lambda + V_conj(lambda)).
+    sig S is a lattice invariant, read from the memo of S
+    (:func:`_lattice_facts`), so it is taken once per lattice."""
     facts = _pair_facts(s_rows, a_rows)
     ivs = _v_roots(facts.q)
     values = tuple(2 * sign for sign in _eigenplane_signs(facts.s, facts.pair.a, facts.q, ivs))
-    sig = signature_exact(facts.s)
+    sig = _lattice_facts(facts.s).signature
     if sum(values) != sig:
         raise KnotsigError(f"internal error: Milnor values {values} do not sum to sig S = {sig}")
     return MilnorAssignmentComputed(

@@ -12,13 +12,13 @@ from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
 from knotsig.obstruction import _pair_primes, _symmetric_witness
 from knotsig.pipeline import _delta_facts
 from knotsig.realroots import _v_chain
-from knotsig.seifert import _form_facts
+from knotsig.seifert import _form_facts, _lattice_facts
 from knotsig.zfactor import _known_factors, _lift_certified
 
 # Every memo of the package; test_pipeline.py checks that none is missing.
 FACTS_MEMOS = (
-    _delta_facts, _form_facts, _known_factors, _lift_certified, _pair_primes, _symmetric_witness,
-    _v_chain,
+    _delta_facts, _form_facts, _known_factors, _lattice_facts, _lift_certified, _pair_primes,
+    _symmetric_witness, _v_chain,
 )
 
 
@@ -31,9 +31,9 @@ def clear_facts_memos() -> None:
 def empty_facts_memos():
     """Every test starts and ends with empty memos of Delta facts, of
     factor and factor-pair facts, of witnesses per gcd of two v-models
-    mod p, of known irreducible factors, of Seifert form facts and of
-    v-model Sturm sequences, so counted and monkeypatched stages run in
-    the test that checks them."""
+    mod p, of known irreducible factors, of Seifert form facts, of
+    Seifert lattice facts and of v-model Sturm sequences, so counted and
+    monkeypatched stages run in the test that checks them."""
     clear_facts_memos()
     yield
     clear_facts_memos()

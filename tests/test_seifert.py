@@ -16,6 +16,7 @@ from knotsig import (
     AnalysisRequest,
     IntPoly,
     IsolatingInterval,
+    KnotsigError,
     alexander_check,
     alexander_of_form,
     analyze,
@@ -183,14 +184,15 @@ class TestBijection:
             form_to_pair(((-1, 1), (0, -1)))
 
     def test_one_determinant_per_matrix(self, calls, e8_half):
-        """form_to_pair takes det S and det A once each and reads det a off
-        them; validate_pair on the result agrees and takes both again."""
+        """form_to_pair takes det A once and det S once per lattice, and
+        reads det a off them; validate_pair on the result agrees and takes
+        both again.  The last three forms share E8 + H."""
         forms = [A2, e8_half] + [skew_perturbed(half_form(block_diag(e8_gram(), H)), seed) for seed in range(3)]
         counts = calls("seifert.mat_det")
-        for form in forms:
+        for form, dets in zip(forms, [2, 2, 2, 1, 1]):
             counts.clear()
             pair = form_to_pair(form)
-            assert counts["seifert.mat_det"] == 2
+            assert counts["seifert.mat_det"] == dets
             assert mat_det(pair.a) == mat_det(pair.s) * mat_det(form)
             assert validate_pair(pair.s, pair.a).ok
 
@@ -388,8 +390,9 @@ class TestHermitianKernel:
                 assert hermitian_or_singular(_hermitian_signature, s, k, t) == want
 
     def test_milnor_signatures_stays_at_size_n(self, calls, monkeypatch):
-        """A Milnor computation takes one signature, ``signature_exact`` of
-        the n x n S, runs no elimination over Z[i] (none is left in the
+        """A Milnor computation takes at most one signature,
+        ``signature_exact`` of the n x n S, and only on the first pair of
+        its lattice; it runs no elimination over Z[i] (none is left in the
         package), and builds one Sturm sequence of two polynomials per
         basis vector it uses: here only e_0."""
         sizes = []
@@ -414,12 +417,12 @@ class TestHermitianKernel:
             assert not hasattr(seifert, name)
         done = 0
         for gram in LATTICE_GRAMS.values():
-            for pair in squarefree_pairs(half_form(gram), 2):
+            for index, pair in enumerate(squarefree_pairs(half_form(gram), 2)):
                 sizes.clear()
                 counts.clear()
                 pairs_of_sequences.clear()
                 milnor_signatures(pair.s, pair.a)
-                assert sizes == [len(gram)]
+                assert sizes == ([] if index else [len(gram)])
                 assert counts["realroots.root_signs"] == len(pairs_of_sequences) == 1
                 done += 1
         assert done == 6
@@ -510,8 +513,10 @@ INVALID_PAIRS = [
 
 
 class TestFormFacts:
-    """One memoized record per Seifert form: Delta_A by one pencil
-    determinant, P read off it, one check of the companion pair."""
+    """One memoized record per Seifert form: Q from n/2 determinants of the
+    companion, P and Delta_A read off it, the companion pair checked by
+    one product S c = A^T; and one memoized record per lattice S: det S,
+    S^-1 and sig S, shared by every form on S."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -524,12 +529,13 @@ class TestFormFacts:
     @pytest.mark.parametrize("corpus_seed", [0, 1001])
     def test_one_pass_per_benchmark_request(self, calls, corpus_seed):
         """The calls of a seifert_forms request, as perfbench's worker
-        makes them, cost det S, det A, n/2 determinants of the companion
-        (n = len(form); they give Q, P and Delta_A) and one pair check,
-        and no pencil determinant."""
+        makes them, cost det A and n/2 determinants of the companion
+        (n = len(form); they give Q, P and Delta_A), det S on the first
+        form of a lattice only, no `_pair_problems` pass and no pencil
+        determinant."""
         counts = calls("seifert.pencil_det", "seifert.mat_det", "seifert._pair_problems",
                        "seifert.charpoly")
-        sizes = set()
+        lattices = set()
         for op in workloads.seifert_forms(0, 16, corpus_seed):
             form = op["form"]
             counts.clear()
@@ -537,9 +543,71 @@ class TestFormFacts:
             alexander_of_form(form)
             milnor_signatures(pair.s, pair.a)
             n = len(form)
-            assert counts == {"seifert.mat_det": n // 2 + 2, "seifert._pair_problems": 1}
-            sizes.add(n)
-        assert sizes == {8, 10, 12}
+            first = pair.s not in lattices
+            assert counts == {"seifert.mat_det": n // 2 + 1 + first}
+            lattices.add(pair.s)
+        assert sorted(map(len, lattices)) == [8, 10, 12]
+
+    @pytest.mark.parametrize("corpus_seed", [0, 1001])
+    def test_one_inverse_and_signature_per_lattice(self, calls, corpus_seed):
+        """The 16 seifert_forms requests, as perfbench's worker makes them,
+        invert S and take sig S once per lattice: 3 times each in all."""
+        counts = calls("seifert.mat_inverse_unimodular", "seifert.signature_exact")
+        for op in workloads.seifert_forms(0, 16, corpus_seed):
+            pair = form_to_pair(op["form"])
+            alexander_of_form(op["form"])
+            milnor_signatures(pair.s, pair.a)
+        assert counts == {"seifert.mat_inverse_unimodular": 3, "seifert.signature_exact": 3}
+
+    @pytest.mark.parametrize("corpus_seed", [0, 1001])
+    def test_warm_lattice_answers_equal_cold_ones(self, corpus_seed):
+        """Each form's pair, Delta_A, Milnor values and both reports are the
+        same whether the lattice memo is cleared before the form or left
+        warm from the forms before it."""
+
+        def answers(form, signature):
+            seifert._form_facts.cache_clear()
+            pair = form_to_pair(form)
+            delta = alexander_of_form(form)
+            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
+                delta = -delta
+            mil = milnor_signatures(pair.s, pair.a)
+            reports = (
+                analyze(AnalysisRequest(delta=delta, m=7, signature=signature)).to_dict(),
+                analyze_tau(AnalysisRequest(delta=delta, m=7, tau=mil.values)).to_dict(),
+            )
+            return pair, delta, mil, reports
+
+        ops = workloads.seifert_forms(0, 16, corpus_seed)
+        warm = [answers(op["form"], op["signature"]) for op in ops]
+        assert seifert._lattice_facts.cache_info().hits > 0
+        for op, want in zip(ops, warm):
+            seifert._lattice_facts.cache_clear()
+            assert answers(op["form"], op["signature"]) == want
+
+    def test_wrong_companion_is_an_internal_error(self, monkeypatch, e8_half):
+        """A wrong S^-1 fails the product S c = A^T, and a failed check
+        leaves nothing wrong in the memos: once the inverse is right again,
+        the same form gives its pair."""
+        original = seifert.mat_inverse_unimodular
+
+        def off_by_one(m):
+            inv = [list(row) for row in original(m)]
+            inv[0][0] += 1
+            return tuple(map(tuple, inv))
+
+        monkeypatch.setattr(seifert, "mat_inverse_unimodular", off_by_one)
+        with pytest.raises(KnotsigError, match=r"companion pair invalid: S c = A\^T fails"):
+            form_to_pair(e8_half)
+        monkeypatch.undo()
+        pair = form_to_pair(e8_half)
+        assert mat_mul(pair.s, pair.a) == transpose(e8_half)
+
+    def test_non_unimodular_refusal_is_not_memoized(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^symmetrization has determinant 3, not \+-1$"):
+                form_to_pair(((-1, 1), (0, -1)))
+        assert seifert._lattice_facts.cache_info().currsize == 0
 
     @pytest.mark.parametrize("corpus_seed", [0, 1001])
     def test_one_sturm_sequence_of_q_per_benchmark_request(self, monkeypatch, corpus_seed):
