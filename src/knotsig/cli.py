@@ -42,12 +42,9 @@ DASH_VALUE_OPTIONS = ("--delta", "--p", "--poly", "--tau")
 
 def _parse_tau(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.replace(" ", ",").split(",") if v)
+        return tuple(int(v) for v in text.replace(" ", ",").split(",") if v)
     except ValueError as exc:
         raise PolyParseError(f"bad tau list: {text!r}") from exc
-    if any(v not in (-2, 2) for v in values):
-        raise PolyParseError(f"tau values must be -2 or 2: {text!r}")
-    return values
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

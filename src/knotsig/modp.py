@@ -218,6 +218,15 @@ def _distinct_degree(f: Coeffs, p: int) -> list[tuple[Coeffs, int]]:
     return out
 
 
+def _trace_f2(u: Coeffs, k: int, f: Coeffs) -> list[int]:
+    """The trace u + u^2 + u^4 + ... + u^(2^(k-1)) mod f over F_2, for u reduced mod f."""
+    t: list[int] = []
+    for _ in range(k):
+        t = _add(t, u, 2)
+        u = _rem(_mul_coeffs(u, u), f, 2)
+    return t
+
+
 def _equal_degree_split(f: Coeffs, d: int, p: int, rng: Random) -> list[Coeffs]:
     """Cantor-Zassenhaus equal-degree factorization of monic squarefree f
     whose irreducible factors all have degree d."""
@@ -230,11 +239,7 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: Random) -> list[Coeffs]:
         w = _gcd(u, f, p)
         if not 1 < len(w) < len(f):
             if p == 2:
-                # trace map over F_2: u + u^2 + u^4 + ... + u^(2^(d-1))
-                t: list[int] = []
-                for _ in range(d):
-                    t = _add(t, u, p)
-                    u = _rem(_mul_coeffs(u, u), f, p)
+                t = _trace_f2(u, d, f)
             else:
                 t = _sub(_powmod(u, (p**d - 1) // 2, f, p), [1], p)
             w = _gcd(t, f, p)
@@ -268,12 +273,7 @@ def _lifts_split(block: Coeffs, k: int, p: int) -> bool:
     mod r, is 0."""
     if p != 2:
         return _powmod([1, 4], (p**k - 1) // 2, block, p) == [1]
-    t: list[int] = []
-    y = _rem([0, 1], block, p)
-    for _ in range(k):
-        t = _add(t, y, p)
-        y = _rem(_mul_coeffs(y, y), block, p)
-    return not t
+    return not _trace_f2(_rem([0, 1], block, p), k, block)
 
 
 def factor_mod_p(f: PolyModP) -> FactorizationModP:

@@ -39,28 +39,22 @@ the common case (D = F mod p whenever p | a - b for the factors of P
 from Delta_a and Delta_b), the witness is h(X^2 - X) at once.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
-Delta they came from, so :func:`_pair_primes` memoizes them per process,
-keyed on the models (F, G), for at most `zfactor.FACTOR_FACTS_MEMO` =
-1024 entries, least recently used first out; its callers attach the
-request's indices.  One entry of a benchmark pair holds about 570 B
-(tracemalloc, the models themselves not counted).  Distinct pairs share
-D, so :func:`_symmetric_witness` memoizes the witness keyed on D, for at
-most `zfactor.FACTOR_FACTS_MEMO` entries, about 510 B each
-(tracemalloc, D included).  Exceptions are never memoized: a rho budget
-(`intfactor.RHO_BUDGET`) that runs out raises again on every request.
+Delta they came from, so :func:`_pair_primes` memoizes them per (F, G),
+and its callers attach the request's indices; distinct pairs share D, so
+:func:`_symmetric_witness` memoizes the witness per D (see `memos`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
+from .memos import PER_FACTOR, memo
 from .modp import (PolyModP, _equal_degree_factors, _gcd, _lifts_split, _reduced, _squarefree_factors,
                    _squarefree_parts)
 from .polys import IntPoly, resultant
-from .zfactor import _V, FACTOR_FACTS_MEMO, SymmetricFactorSet, v_model
+from .zfactor import _V, SymmetricFactorSet, v_model
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ def pi_set(f: IntPoly, g: IntPoly, indices: tuple[int, int] = (0, 1)) -> PiEntry
     return PiEntry(indices, *_pair_primes(*models))
 
 
-@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+@memo(PER_FACTOR)
 def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[int, PolyModP], ...]]:
     """The prime set of two distinct monic factors f = F(X^2 - X),
     g = G(X^2 - X), read off their v-models F, G at half degree (module
@@ -122,7 +116,7 @@ def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[i
     return tuple(support), tuple(witnesses)
 
 
-@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+@memo(PER_FACTOR)
 def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
     """The decision and witness of `modp.symmetric_common_factor(d, d)`
     for d = D(X^2 - X), D a pair's monic gcd of v-models mod p: the lift of

@@ -9,38 +9,25 @@ Milnor assignment.  When the gates pass, a trivial obstruction group means
 REALIZABLE; a nonzero group means the answer depends on an evaluation this
 tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
 
-The facts about Delta do not depend on the target, so they are computed
-once per Delta as a frozen :class:`DeltaFacts`: the conditions (and the
-OUT_OF_SCOPE reason, if any), P, its factor set (by :func:`zfactor.factor_z`,
-which always takes P through its half-degree v-model, see
-:func:`_delta_facts`), the rho of each factor with the rho(Delta)
-cross-check, and, on first use, the prime table and the obstruction
-group.  The checks per target are the gates on m and s (or
+The facts about Delta do not depend on the target, so
+:func:`_delta_facts` memoizes them per Delta (see `memos`) as a frozen
+:class:`DeltaFacts`: the conditions (and the OUT_OF_SCOPE reason, if
+any), P, its factor set (by :func:`zfactor.factor_z`, which always takes
+P through its half-degree v-model), the rho of each factor with the
+rho(Delta) cross-check, and, on first use, the prime table and the
+obstruction group.  The checks per target are the gates on m and s (or
 tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
-:func:`_delta_facts` is memoized per process, keyed on Delta alone, for
-at most DELTA_FACTS_MEMO = 64 entries, least recently used first out.
-One entry of the largest benchmark Delta (degree 36, P with 6 factors
-and 15 prime-table pairs, table and group included) holds about 15 KB
-(tracemalloc), so a full memo holds about 1 MB.  One level down,
-distinct Delta share factors, whose facts are memoized on their own, for
-at most 1024 entries each: the rho of a factor, from the root count of
-its v-model kept with the Sturm sequence (`realroots._v_chain`), the
-known irreducible factors and lift certificates of `zfactor`, and the
-pair prime sets and witnesses per gcd of the two v-models mod p of
-`obstruction`.  Each memo is keyed on its polynomials alone, as no
-answer depends on the random streams of the randomized subroutines.
-Exceptions are never memoized: a budget that runs out, or the
-cross-check failing, raises again on every request.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Sequence
 
 from .errors import KnotsigError
+from .memos import PER_INPUT, memo
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
 from .polys import ConditionReport, IntPoly, _integer, alexander_check, delta_to_p, poly_text
 from .realroots import rho_delta, v_root_count
@@ -55,8 +42,6 @@ VERDICT_OBSTRUCTION_UNKNOWN = "OBSTRUCTION_UNKNOWN"
 VERDICT_OUT_OF_SCOPE = "OUT_OF_SCOPE"
 
 MAX_LISTED_ASSIGNMENTS = 128
-
-DELTA_FACTS_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -218,7 +203,7 @@ class DeltaFacts:
         return group, tuple(table)
 
 
-@lru_cache(maxsize=DELTA_FACTS_MEMO)
+@memo(PER_INPUT)
 def _delta_facts(delta: IntPoly) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
     assumptions, and rho per factor of P; memoized per Delta.

@@ -26,12 +26,10 @@ Each input check runs once, on an object already built for the count:
 
 The Sturm sequence of a v-model is built once per process and shared by
 `rho_p`, `pipeline`'s rho per factor, `zfactor`'s lift certificate and
-`seifert`'s Milnor root isolation: `_v_chain` memoizes it, checked on
-(-inf, -1/4), with its root count there, for at most V_CHAIN_MEMO = 1024
-entries, least recently used first out, 0.4 to 2 KB each for the
-benchmark v-models of degree 3 to 6 (tracemalloc).  Exceptions are never
-memoized.  `rho_delta` builds its own sequence of the trace model D,
-which it uses once per Delta.
+`seifert`'s Milnor root isolation: `_v_chain` memoizes it per v-model
+(see `memos`), checked on (-inf, -1/4), with its root count there.
+`rho_delta` builds its own sequence of the trace model D, which it uses
+once per Delta.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
+from .memos import PER_FACTOR, memo
 from .polys import IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
 
 Endpoint = Union[Fraction, int, float]  # float only for +-inf
@@ -249,11 +247,10 @@ def rho_delta(delta: IntPoly) -> int:
         raise ValueError("rho needs a squarefree polynomial") from None
 
 
-V_CHAIN_MEMO = 1024
 _MINUS_QUARTER = Fraction(-1, 4)
 
 
-@lru_cache(maxsize=V_CHAIN_MEMO)
+@memo(PER_FACTOR)
 def _v_chain(q: IntPoly) -> tuple[tuple[IntPoly, ...], int]:
     """The Sturm sequence of the nonzero v-model q, checked on
     (-inf, -1/4) as by :func:`_checked`, and its count of roots there;

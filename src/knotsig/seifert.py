@@ -20,26 +20,13 @@ matching root of Delta_A, which the tests evaluate as an independent
 oracle.  ``signature_exact`` is one fraction-free congruence elimination
 of the upper triangle of a symmetric integer matrix.
 
-What the toolkit computes about one form is computed once, as a frozen
-record of :func:`_form_facts`: S = A + A^T with det S, and on first use
-det A, the companion c = S^-1 A^T, the v-model Q of P = det(X - c) from
-n determinants of c (2n the size of A), P = Q(X^2 - X), Delta_A read off
-P (see :attr:`_FormFacts.delta`; no pencil determinant) and the
-companion pair, checked by the one product S c = A^T.  ``form_to_pair``,
-``alexander_of_form``, ``validate_form`` and ``unimodular_t`` read the
-record of A; the entry points taking a pair read the record of its form
-a^T S.  The memo is keyed on the form A as a tuple of integer rows, for
-at most FORM_FACTS_MEMO = 64 entries, least recently used first out.
-One entry of a 12 x 12 benchmark form, every field computed, holds about
-8 KB (tracemalloc), so a full memo holds about 0.5 MB.
-
-What depends on S alone is computed once per lattice, since every form
-on S is half(S) + K for a skew K: :func:`_lattice_facts` holds det S and,
-on first use, S^-1 (read by the companion) and sig S (read by
-:func:`milnor_signatures`).  It is keyed on S as a tuple of integer rows,
-under the same bound FORM_FACTS_MEMO; an entry, both fields computed,
-holds about 4 KB for E8, 3 KB for E8 + H and 7 KB for E8 + H + H
-(tracemalloc).  Exceptions are never memoized.
+What the toolkit computes about one form A is computed once, in its
+record :class:`_FormFacts` (no pencil determinant), memoized per A by
+:func:`_form_facts`: ``form_to_pair``, ``alexander_of_form``,
+``validate_form`` and ``unimodular_t`` read the record of A, the entry
+points taking a pair the record of its form a^T S.  What depends on
+S = A + A^T alone is memoized per lattice by :func:`_lattice_facts`, as
+every form on S is half(S) + K for a skew K (see `memos`).
 """
 
 from __future__ import annotations
@@ -48,17 +35,16 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
+from . import memos
 from .errors import KnotsigError, PolyParseError
 from .polys import IntPoly, _at_one_minus_x, _integer, _mul_coeffs
 from .realroots import IsolatingInterval, _v_roots, root_signs
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
 Matrix = tuple[tuple[int, ...], ...]
-
-FORM_FACTS_MEMO = 64
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +242,10 @@ class _LatticeFacts:
         return signature_exact(self.s)
 
 
-@lru_cache(maxsize=FORM_FACTS_MEMO)
+@memos.memo(memos.PER_INPUT)
 def _lattice_facts(s: Matrix) -> _LatticeFacts:
     """The facts of the lattice S, memoized per S; raises ValueError when
-    det S is not +-1.  Exceptions are never memoized."""
+    det S is not +-1."""
     det = mat_det(s)
     if det not in (1, -1):
         raise ValueError(f"symmetrization has determinant {det}, not +-1")
@@ -268,14 +254,15 @@ def _lattice_facts(s: Matrix) -> _LatticeFacts:
 
 @dataclass(frozen=True)
 class _FormFacts:
-    """What is known about one Seifert form A: S = A + A^T and det S = +-1
-    (read off the lattice's record, :func:`_lattice_facts`), and, on first
-    use, det A, the companion c = S^-1 A^T from the lattice's S^-1, the
-    v-model Q of P = det(X - c), P, Delta_A and the companion pair."""
+    """What is known about one Seifert form A of size 2n: the record of
+    its lattice S = A + A^T (:func:`_lattice_facts`), with S, det S = +-1,
+    S^-1 and sig S, and, on first use, det A, the companion c = S^-1 A^T,
+    the v-model Q of P = det(X - c) from n determinants of c, P, Delta_A
+    read off P and the companion pair, checked by the one product
+    S c = A^T."""
 
     a: Matrix
-    s: Matrix
-    det_s: int
+    lattice: _LatticeFacts
 
     @cached_property
     def det_a(self) -> int:
@@ -284,7 +271,7 @@ class _FormFacts:
     @cached_property
     def companion(self) -> Matrix:
         """c = S^-1 A^T, integral since det S = +-1, also when det A = 0."""
-        return mat_mul(_lattice_facts(self.s).inverse, transpose(self.a))
+        return mat_mul(self.lattice.inverse, transpose(self.a))
 
     @cached_property
     def q(self) -> IntPoly:
@@ -294,7 +281,7 @@ class _FormFacts:
         nodes k(k - 1), k = 1..n+1, from Q(k(k - 1)) = P(k) = det(k - c): n
         determinants of the companion, and P(1) = det(S^-1 A) = det S det A."""
         c, n = self.companion, len(self.a) // 2
-        values = [self.det_s * self.det_a] + [
+        values = [self.lattice.det * self.det_a] + [
             mat_det(tuple(tuple(k * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(c)))
             for k in range(2, n + 2)
         ]
@@ -314,7 +301,7 @@ class _FormFacts:
                            = det S * rev(P)(1 - X),
         since P(X/(X - 1)) = P(1/(1 - X)) by P(1 - X) = P(X), where rev(P)
         reverses the 2n + 1 coefficients of P.  Also when det A = 0."""
-        return IntPoly(self.det_s * x for x in _at_one_minus_x(self.p.coeffs[::-1]))
+        return IntPoly(self.lattice.det * x for x in _at_one_minus_x(self.p.coeffs[::-1]))
 
     @cached_property
     def pair(self) -> SeifertPair:
@@ -324,23 +311,22 @@ class _FormFacts:
         per S, det c = det S * det A != 0 is checked here, and S c = A^T
         gives c^T S = A, hence c^T S + S c = A + A^T = S, the relation that
         validate_pair tests.  S c = A^T also pins c as A's companion, which
-        the relation alone does not.  A failed check empties the form and
-        lattice memos, so no wrong S^-1 or companion outlives it."""
+        the relation alone does not.  A failed check is an internal error
+        and empties every memo (`memos.clear`), so no wrong S^-1 or
+        companion outlives it."""
         if self.det_a == 0:
             raise ValueError("degenerate form, no injective companion")
-        if mat_mul(self.s, self.companion) != transpose(self.a):
-            _form_facts.cache_clear()
-            _lattice_facts.cache_clear()
+        if mat_mul(self.lattice.s, self.companion) != transpose(self.a):
+            memos.clear()
             raise KnotsigError("internal error: companion pair invalid: S c = A^T fails")
-        return SeifertPair(s=self.s, a=self.companion)
+        return SeifertPair(s=self.lattice.s, a=self.companion)
 
 
-@lru_cache(maxsize=FORM_FACTS_MEMO)
+@memos.memo(memos.PER_INPUT)
 def _form_facts(a: Matrix) -> _FormFacts:
     """The facts of the form A, memoized per A; raises ValueError when
-    det(A + A^T) is not +-1.  Exceptions are never memoized."""
-    s = mat_add(a, transpose(a))
-    return _FormFacts(a, s, _lattice_facts(s).det)
+    det(A + A^T) is not +-1."""
+    return _FormFacts(a, _lattice_facts(mat_add(a, transpose(a))))
 
 
 def _pair_facts(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]]) -> _FormFacts:
@@ -470,7 +456,7 @@ def unimodular_t(a_rows: Sequence[Sequence[int]]) -> Matrix:
     t preserves S = A + A^T and charpoly(t) = det(A) * Delta_A, checked
     by a pencil determinant against Delta_A read off the companion."""
     facts = _form_facts(as_matrix(a_rows))
-    a, s, det_a = facts.a, facts.s, facts.det_a
+    a, s, det_a = facts.a, facts.lattice.s, facts.det_a
     if det_a not in (1, -1):
         raise ValueError(f"form has determinant {det_a}, not +-1")
     # t^T A = -A^T  =>  t = -(A^(-1))^T A
@@ -561,12 +547,13 @@ def milnor_signatures(
     eigenspaces of b carry signature 0 (for real lambda > -1/4, two
     isotropic real eigenlines of a; for non-real lambda, V_lambda is
     Lagrangian for the Hermitian form on V_lambda + V_conj(lambda)).
-    sig S is a lattice invariant, read from the memo of S
-    (:func:`_lattice_facts`), so it is taken once per lattice."""
+    sig S is a lattice invariant, read off the lattice record that the
+    form's record holds (:func:`_lattice_facts`), so it is taken once per
+    lattice."""
     facts = _pair_facts(s_rows, a_rows)
     ivs = _v_roots(facts.q)
-    values = tuple(2 * sign for sign in _eigenplane_signs(facts.s, facts.pair.a, facts.q, ivs))
-    sig = _lattice_facts(facts.s).signature
+    values = tuple(2 * sign for sign in _eigenplane_signs(facts.lattice.s, facts.pair.a, facts.q, ivs))
+    sig = facts.lattice.signature
     if sum(values) != sig:
         raise KnotsigError(f"internal error: Milnor values {values} do not sum to sig S = {sig}")
     return MilnorAssignmentComputed(

@@ -21,34 +21,28 @@ grows only when none of it divides: a part costs at most
 sum_{k<=8} C(16, k) = 39,202 trial divisions (`polys.divides`).  No step
 uses Fractions; results are checked by re-multiplication.
 
-Distinct Delta share factors.  `_known_factors`, keyed on the factor,
-holds those a factorization proved irreducible (Zassenhaus output, parts
-irreducible mod p, lifts of v-model factors, certified or split), about
-340 B each (tracemalloc), entered once `_verified` re-multiplied it.
-`_factor` scans it once per input and hands each squarefree part the
-divisors found that divide the part.  An input of degree <= 16 whose
-memoized divisors fill its degree is answered from them before any modular
-work (proof at `_factor`); it could not reach the cap, and on any other
-input the cap comes first, so no refusal depends on the memo.
-`_lift_certified` needs no prime for a v-model factor with a real root
-below -1/4; it is memoized per factor (about 270 B each), as are a pair's
-primes and the witness of a gcd mod p in `obstruction`.  Each memo holds
-at most FACTOR_FACTS_MEMO = 1024 entries per process, least recently
-used first out: a full Delta-facts memo of the largest benchmark Delta
-(6 factors, 15 pairs) holds 384 factors and 960 pairs.  Exceptions are
-never memoized.
+Distinct Delta share factors (see `memos`).  `_known_factors` holds
+those a factorization proved irreducible (Zassenhaus output, parts
+irreducible mod p, lifts of v-model factors, certified or split), entered
+once `_verified` re-multiplied it.  `_factor` scans it once per input and
+hands each squarefree part the divisors found that divide the part.  An
+input of degree <= 16 whose memoized divisors fill its degree is answered
+from them before any modular work (proof at `_factor`); it could not reach
+the cap, and on any other input the cap comes first, so no refusal depends
+on the memo.  `_lift_certified`, memoized per factor, needs no prime for a
+v-model factor with a real root below -1/4.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import BudgetExceededError, KnotsigError
+from .memos import PER_FACTOR, memo, register
 from .modp import (
     _add,
     _distinct_degree,
@@ -72,11 +66,9 @@ MAX_MODULAR_FACTORS = 16
 # the 598 irreducible lifts of the Delta_a sextics, a = -300..299, 300 are
 # certified by such a root, and 290 of the other 298 within the first 8.
 LIFT_PRIMES = 8
-FACTOR_FACTS_MEMO = 1024
 
 _V = IntPoly((0, -1, 1))  # X^2 - X
 _QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
-_MemoInfo = namedtuple("MemoInfo", "maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -319,9 +311,9 @@ class _KnownFactors:
 
     def __init__(self, maxsize: int):
         self.maxsize, self.entries = maxsize, {}
-        # lru_cache's two methods, set here so that the class is no memo
-        self.cache_clear = self.entries.clear
-        self.cache_info = lambda: _MemoInfo(maxsize, len(self.entries))
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
 
     def __call__(self, g: IntPoly) -> list[IntPoly]:
         """The entries that divide g, refreshed."""
@@ -339,7 +331,7 @@ class _KnownFactors:
             del self.entries[next(iter(self.entries))]
 
 
-_known_factors = _KnownFactors(FACTOR_FACTS_MEMO)
+_known_factors = register(_KnownFactors(PER_FACTOR))
 
 
 def _factor(
@@ -387,7 +379,7 @@ def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> F
     return result
 
 
-@lru_cache(maxsize=FACTOR_FACTS_MEMO)
+@memo(PER_FACTOR)
 def _lift_certified(q: IntPoly) -> bool:
     """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
     over Z other than 4Y + 1: at once when q has a real root below -1/4,

@@ -8,35 +8,19 @@ from collections import Counter
 
 import pytest
 
-from knotsig import IntPoly, delta_to_p, e8_gram, half_form, parse_poly
-from knotsig.obstruction import _pair_primes, _symmetric_witness
-from knotsig.pipeline import _delta_facts
-from knotsig.realroots import _v_chain
-from knotsig.seifert import _form_facts, _lattice_facts
-from knotsig.zfactor import _known_factors, _lift_certified
+from knotsig import IntPoly, delta_to_p, e8_gram, half_form, memos, parse_poly
 
-# Every memo of the package; test_pipeline.py checks that none is missing.
-FACTS_MEMOS = (
-    _delta_facts, _form_facts, _known_factors, _lattice_facts, _lift_certified, _pair_primes,
-    _symmetric_witness, _v_chain,
-)
-
-
-def clear_facts_memos() -> None:
-    for memo in FACTS_MEMOS:
-        memo.cache_clear()
+# the name under which test modules empty every memo mid-test
+clear_facts_memos = memos.clear
 
 
 @pytest.fixture(autouse=True)
 def empty_facts_memos():
-    """Every test starts and ends with empty memos of Delta facts, of
-    factor and factor-pair facts, of witnesses per gcd of two v-models
-    mod p, of known irreducible factors, of Seifert form facts, of
-    Seifert lattice facts and of v-model Sturm sequences, so counted and
-    monkeypatched stages run in the test that checks them."""
-    clear_facts_memos()
+    """Every test starts and ends with every memo of `memos.MEMOS` empty,
+    so counted and monkeypatched stages run in the test that checks them."""
+    memos.clear()
     yield
-    clear_facts_memos()
+    memos.clear()
 
 
 @pytest.fixture(scope="session")

@@ -61,6 +61,16 @@ class TestAnalyze:
         assert code == 0
         assert "REALIZABLE" in out
 
+    def test_tau_value_other_than_two_exit_two(self, capsys):
+        code, out, err = run(capsys, "analyze", "--delta", "x^4 - x^2 + 1", "--m", "7",
+                             "--tau", "2,3")
+        assert (code, out, err) == (2, "", "error: tau values must be -2 or +2\n")
+
+    def test_tau_not_a_list_of_integers_exit_two(self, capsys):
+        code, out, err = run(capsys, "analyze", "--delta", "x^4 - x^2 + 1", "--m", "7",
+                             "--tau", "2,x")
+        assert (code, out, err) == (2, "", "error: bad tau list: '2,x'\n")
+
     def test_not_admissible_still_exit_zero(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--delta", "x^4 - x^2 + 1", "--m", "7", "--signature", "3"

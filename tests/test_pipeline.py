@@ -30,13 +30,15 @@ from knotsig import (
     expected_count,
     factor_z,
     half_form,
+    memos,
     parse_poly,
     report_from_json,
     report_render,
     rho_p,
     symmetric_check,
 )
-from conftest import FACTS_MEMOS, clear_facts_memos, make_delta_a
+from knotsig.zfactor import _KnownFactors
+from conftest import clear_facts_memos, make_delta_a
 from oracles import delta_factor_rhos, indecomposable_by_delta_factors
 
 
@@ -479,13 +481,14 @@ class TestDeltaFactsMemo:
             assert self.run(req) == before, req
 
     def test_bounded(self):
-        from knotsig.pipeline import DELTA_FACTS_MEMO, _delta_facts
+        from knotsig.pipeline import _delta_facts
 
-        assert _delta_facts.cache_info().maxsize == DELTA_FACTS_MEMO
-        for a in range(DELTA_FACTS_MEMO + 1):
+        bound = memos.PER_INPUT
+        assert _delta_facts.cache_info().maxsize == bound
+        for a in range(bound + 1):
             analyze(AnalysisRequest(delta=make_delta_a(a), m=7, signature=0))
-            assert _delta_facts.cache_info().currsize == min(a + 1, DELTA_FACTS_MEMO)
-        assert _delta_facts.cache_info().misses == DELTA_FACTS_MEMO + 1
+            assert _delta_facts.cache_info().currsize == min(a + 1, bound)
+        assert _delta_facts.cache_info().misses == bound + 1
 
     def test_budget_refusal_is_not_memoized(self, monkeypatch, calls, delta1, delta2):
         from knotsig import BudgetExceededError, zfactor
@@ -639,27 +642,44 @@ class TestFactorFactsMemo:
         assert tables == [[[2]], [[], [2], []]]
 
     def test_bounded(self):
+        """Every memo of `memos.MEMOS`, filled from empty with one new key
+        at a time, holds at most its bound: PER_INPUT for a whole input,
+        PER_FACTOR for a part of one."""
         from knotsig.modp import PolyModP
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.zfactor import FACTOR_FACTS_MEMO, _lift_certified
+        from knotsig.pipeline import _delta_facts
+        from knotsig.realroots import _v_chain
+        from knotsig.seifert import _form_facts, _lattice_facts
+        from knotsig.zfactor import _known_factors, _lift_certified
 
         v = IntPoly((0, -1, 1))  # X^2 - X
-        fills = (  # the witnesses first: filling the pair memo computes some
-            (_symmetric_witness, lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)))),
-            (_lift_certified, lambda c: _lift_certified(IntPoly((-c, 1)))),
-            (_pair_primes, lambda c: _pair_primes(v, v - IntPoly((c,)))),
+        fills = (
+            (_delta_facts, memos.PER_INPUT, lambda c: _delta_facts(IntPoly((c, 1)))),
+            (_form_facts, memos.PER_INPUT, lambda c: _form_facts(((0, c), (1 - c, 0)))),
+            (_lattice_facts, memos.PER_INPUT, lambda c: _lattice_facts(((0, 1), (1, 2 * c)))),
+            (_known_factors, memos.PER_FACTOR, lambda c: _known_factors.learn([IntPoly((-c, 1))])),
+            (_lift_certified, memos.PER_FACTOR, lambda c: _lift_certified(IntPoly((-c, 1)))),
+            (_pair_primes, memos.PER_FACTOR, lambda c: _pair_primes(v, v - IntPoly((c,)))),
+            (_symmetric_witness, memos.PER_FACTOR,
+             lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)))),
+            (_v_chain, memos.PER_FACTOR, lambda c: _v_chain(IntPoly((c, 1)))),
         )
-        for memo, call in fills:
-            assert memo.cache_info().maxsize == FACTOR_FACTS_MEMO
-            for c in range(1, FACTOR_FACTS_MEMO + 2):
+        assert sorted(map(id, memos.MEMOS)) == sorted(id(memo) for memo, _, _ in fills)
+        for memo, bound, call in fills:
+            memos.clear()
+            for c in range(1, bound + 2):
                 call(c)
-                assert memo.cache_info().currsize == min(c, FACTOR_FACTS_MEMO)
-            assert memo.cache_info().misses == FACTOR_FACTS_MEMO + 1
+                assert memo_size(memo) == min(c, bound)
+
+
+def memo_size(memo) -> int:
+    return len(memo.entries) if isinstance(memo, _KnownFactors) else memo.cache_info().currsize
 
 
 def test_the_fixture_clears_every_memo(delta1, delta2, e8_half):
-    """Every module-level memo of knotsig (a callable with ``cache_clear``)
-    is one the autouse fixture of conftest.py empties."""
+    """Every module-level memo of knotsig (an object with ``cache_clear``,
+    classes aside) is registered in `memos.MEMOS`, which the autouse
+    fixture of conftest.py empties with `memos.clear`."""
     import pkgutil
 
     import knotsig
@@ -669,14 +689,15 @@ def test_the_fixture_clears_every_memo(delta1, delta2, e8_half):
     for info in pkgutil.iter_modules(knotsig.__path__):
         module = importlib.import_module(f"knotsig.{info.name}")
         for name, value in vars(module).items():
-            if callable(value) and hasattr(value, "cache_clear"):
+            if hasattr(value, "cache_clear") and not isinstance(value, type):
                 found.setdefault(id(value), (f"{info.name}.{name}", value))
-    assert [n for n, memo in found.values() if all(memo is not m for m in FACTS_MEMOS)] == []
+    assert [n for n, memo in found.values() if all(memo is not m for m in memos.MEMOS)] == []
+    assert len(found) == len(memos.MEMOS)
     analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
     alexander_of_form(e8_half)
-    assert all(memo.cache_info().currsize > 0 for _, memo in found.values())
-    clear_facts_memos()
-    assert all(memo.cache_info().currsize == 0 for _, memo in found.values())
+    assert all(memo_size(memo) > 0 for memo in memos.MEMOS)
+    memos.clear()
+    assert all(memo_size(memo) == 0 for memo in memos.MEMOS)
 
 
 def test_every_memo_is_keyed_on_mathematical_objects():
@@ -685,11 +706,11 @@ def test_every_memo_is_keyed_on_mathematical_objects():
     no answer.  The ``lru_cache`` memos are read through ``__wrapped__``,
     ``zfactor._known_factors`` through its ``__call__`` without ``self``."""
     keys = {}
-    for memo in FACTS_MEMOS:
+    for memo in memos.MEMOS:
         fn = memo.__wrapped__ if hasattr(memo, "__wrapped__") else type(memo).__call__
         params = [p for p in inspect.signature(fn).parameters.values() if p.name != "self"]
         keys[fn.__qualname__] = [p.annotation for p in params]
-    assert len(keys) == len(FACTS_MEMOS)
+    assert len(keys) == len(memos.MEMOS)
     bad = {name: ann for name, ann in keys.items()
            if not ann or any(a not in ("IntPoly", "PolyModP", "Matrix") for a in ann)}
     assert bad == {}

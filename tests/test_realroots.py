@@ -22,7 +22,7 @@ from knotsig import (
     sturm_count,
     v_polynomial,
 )
-from knotsig import realroots, seifert
+from knotsig import memos, realroots, seifert
 from knotsig.realroots import (
     NEG_INF,
     IsolatingInterval,
@@ -239,15 +239,15 @@ class TestRefusals:
 
 class TestVChainMemo:
     """One checked Sturm sequence per v-model and process, least recently
-    used first out past V_CHAIN_MEMO; a refusal is raised again."""
+    used first out past memos.PER_FACTOR; a refusal is raised again."""
 
     def test_bounded(self):
-        memo = realroots._v_chain
-        assert memo.cache_info().maxsize == realroots.V_CHAIN_MEMO
-        for c in range(1, realroots.V_CHAIN_MEMO + 2):
+        memo, bound = realroots._v_chain, memos.PER_FACTOR
+        assert memo.cache_info().maxsize == bound
+        for c in range(1, bound + 2):
             assert realroots.v_root_count(IntPoly((c, 1))) == 1  # the root -c
-            assert memo.cache_info().currsize == min(c, realroots.V_CHAIN_MEMO)
-        assert memo.cache_info().misses == realroots.V_CHAIN_MEMO + 1
+            assert memo.cache_info().currsize == min(c, bound)
+        assert memo.cache_info().misses == bound + 1
 
     def test_refusal_is_not_memoized(self):
         for p in TestRefusals.NOT_SQUAREFREE_P:

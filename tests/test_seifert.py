@@ -524,7 +524,7 @@ class TestFormFacts:
     def test_p_read_off_delta_is_the_charpoly(self, form):
         facts = seifert._form_facts(form)
         assert facts.p == charpoly(form_to_pair(form).a)
-        assert facts.delta.evaluate(1) == facts.det_s == mat_det(facts.s)
+        assert facts.delta.evaluate(1) == facts.lattice.det == mat_det(facts.lattice.s)
 
     @pytest.mark.parametrize("corpus_seed", [0, 1001])
     def test_one_pass_per_benchmark_request(self, calls, corpus_seed):
@@ -799,7 +799,7 @@ class TestCompanionDeterminants:
     def assert_matches(form):
         facts = seifert._form_facts(form)
         c = facts.companion
-        assert mat_mul(facts.s, c) == transpose(form)
+        assert mat_mul(facts.lattice.s, c) == transpose(form)
         assert facts.p == charpoly(c)
         assert facts.delta == pencil_det(transpose(form), form) == alexander_of_form(form)
 

@@ -15,6 +15,7 @@ from knotsig import (
     delta_to_p,
     factor_z,
     intfactor,
+    memos,
     modp,
     parse_poly,
     standing_assumptions,
@@ -865,13 +866,13 @@ class TestKnownFactors:
             " cap of 16")
 
     def test_bound(self):
-        """Learning FACTOR_FACTS_MEMO + 1 factors leaves the bound, the least
+        """Learning memos.PER_FACTOR + 1 factors leaves the bound, the least
         recently used one out."""
-        memo, bound = zfactor._known_factors, zfactor.FACTOR_FACTS_MEMO
+        memo, bound = zfactor._known_factors, memos.PER_FACTOR
         for r in range(bound + 1):
             factor_z(IntPoly((-r, 1)))
             if r == 1:
                 assert memo(IntPoly((0, -1, 1))) == [IntPoly((0, 1)), IntPoly((-1, 1))]
                 assert memo(IntPoly((0, 1))) == [IntPoly((0, 1))]  # X is now the most recent
-        assert memo.cache_info().currsize == bound
+        assert len(memo.entries) == bound
         assert IntPoly((-1, 1)) not in memo.entries and IntPoly((0, 1)) in memo.entries
