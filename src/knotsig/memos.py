@@ -11,6 +11,7 @@ The size of one entry (tracemalloc):
 
     memo                            key                    bound       entry
     pipeline._delta_facts           Delta                  PER_INPUT   15 KB, degree 36 with its table
+    pipeline._factor_delta          factor f of P          PER_FACTOR  400 B, degree 6
     seifert._form_facts             form A                 PER_INPUT   8 KB, 12 x 12, every field
     seifert._lattice_facts          lattice S = A + A^T    PER_INPUT   4 / 3 / 7 KB, E8 / +H / +H+H
     zfactor._known_factors          irreducible factor     PER_FACTOR  340 B

@@ -13,23 +13,26 @@ The facts about Delta do not depend on the target, so
 :func:`_delta_facts` memoizes them per Delta (see `memos`) as a frozen
 :class:`DeltaFacts`: the conditions (and the OUT_OF_SCOPE reason, if
 any), P, its factor set (by :func:`zfactor.factor_z`, which always takes
-P through its half-degree v-model), the rho of each factor with the
-rho(Delta) cross-check, and, on first use, the prime table and the
-obstruction group.  The checks per target are the gates on m and s (or
-tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
+P through its half-degree v-model), the rho of each factor checked
+against rho of its factor Delta_f of Delta, and, on first use, the prime
+table and the obstruction group.  :func:`_factor_delta` memoizes each
+Delta_f with its rho per factor of P, so a Delta whose factors are known
+builds no Sturm sequence.  The checks per target are the gates on m and s
+(or tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Sequence
 
 from .errors import KnotsigError
-from .memos import PER_INPUT, memo
+from .memos import PER_FACTOR, PER_INPUT, memo
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
-from .polys import ConditionReport, IntPoly, _integer, alexander_check, delta_to_p, poly_text
+from .polys import (ConditionReport, IntPoly, _integer, _mul_coeffs, _p_to_delta, alexander_check,
+                    delta_to_p, poly_text)
 from .realroots import rho_delta, v_root_count
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
 from .zfactor import SymmetricFactorSet, standing_assumptions
@@ -165,7 +168,8 @@ def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) ->
     X -> 1 - 1/X maps the irreducible factors of Delta one to one onto
     those of P and the unit circle onto the line Re z = 1/2, so each
     factor of Delta has the rho of its factor of P, and no second
-    factorization is needed."""
+    factorization is needed; :func:`_delta_facts` checks both halves of
+    this on every request."""
     if s == 0 or max(rhos) >= mod_required:
         return None
     return (
@@ -203,6 +207,15 @@ class DeltaFacts:
         return group, tuple(table)
 
 
+@memo(PER_FACTOR)
+def _factor_delta(f: IntPoly) -> tuple[IntPoly, int]:
+    """The factor Delta_f = (-1)^(deg f / 2) rev(f)(1 - X) of Delta that
+    the irreducible factor f of P, fixed by X -> 1-X, comes from, and its
+    rho by the trace model; memoized per f."""
+    delta_f = _p_to_delta(f)
+    return delta_f, rho_delta(delta_f)
+
+
 @memo(PER_INPUT)
 def _delta_facts(delta: IntPoly) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
@@ -212,10 +225,16 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
     fixed by X -> 1-X (Delta is reciprocal), lc P = (-1)^n Delta(1) = 1, and
     4^n P(1/2) = (-1)^n Delta(-1) is odd, as Delta(-1) = Delta(1) (mod 2).
 
-    By the correspondence X -> 1 - 1/X between the factors of Delta and
-    of P (see :func:`_indecomposability_note`), rho(Delta) is the sum of
-    the per-factor rho of P; computing rho(Delta) on its own as well is a
-    cross-check that raises on disagreement."""
+    The rho of P's factors is checked against Delta one factor at a time
+    (see :func:`_indecomposability_note`): each factor f of P maps back to
+    Delta_f (:func:`_factor_delta`), the product of the Delta_f must be
+    Delta, and rho(Delta_f) by its trace model must equal rho(f) by its
+    v-model; either failure raises.  This implies the whole-Delta check
+    rho(Delta) = sum of the rho of P's factors.  P is squarefree, and so
+    is Delta = (-1)^n rev(P)(1 - X), a change of variable X -> 1/(1 - X)
+    with P(0) != 0.  The roots of Delta = prod Delta_f are then the
+    disjoint union of those of the Delta_f, so rho(Delta) is the sum of
+    the rho(Delta_f), each of which equals the rho of its f."""
     conditions = alexander_check(delta)
     failure = _condition_failure(delta, conditions)
     if failure is not None:
@@ -230,8 +249,15 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
         return DeltaFacts(conditions, reason, p_poly, sfs)
     rhos = tuple(2 * v_root_count(q) for q in sfs.models)
-    if sum(rhos) != rho_delta(delta):
-        raise KnotsigError("internal error: rho(Delta) and rho(P) disagree")
+    mapped = [_factor_delta(f) for f in sfs.factors]
+    if IntPoly(reduce(_mul_coeffs, (d.coeffs for d, _ in mapped), [1])) != delta:
+        raise KnotsigError("internal error: the factors of P do not map back to Delta")
+    for f, (_, rho_trace), rho in zip(sfs.factors, mapped, rhos):
+        if rho_trace != rho:
+            raise KnotsigError(
+                f"internal error: rho(Delta) and rho(P) disagree on the factor {poly_text(f)} "
+                f"of P: {rho_trace} by the trace model of its Delta_f, {rho} by its v-model"
+            )
     return DeltaFacts(conditions, None, p_poly, sfs, rhos)
 
 

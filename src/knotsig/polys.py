@@ -387,6 +387,11 @@ def p_to_delta(p: IntPoly) -> IntPoly:
         raise ValueError("p_to_delta needs P with P(1-X) = P(X)")
     if p.evaluate(0) == 0:
         raise ValueError("p_to_delta needs P(0) != 0")
+    return _p_to_delta(p)
+
+
+def _p_to_delta(p: IntPoly) -> IntPoly:
+    """:func:`p_to_delta` of a P already known to meet its requirements."""
     n = int(p.degree) // 2
     delta = IntPoly(_at_one_minus_x(p.coeffs[::-1]))
     return delta if n % 2 == 0 else -delta

@@ -28,8 +28,9 @@ The Sturm sequence of a v-model is built once per process and shared by
 `rho_p`, `pipeline`'s rho per factor, `zfactor`'s lift certificate and
 `seifert`'s Milnor root isolation: `_v_chain` memoizes it per v-model
 (see `memos`), checked on (-inf, -1/4), with its root count there.
-`rho_delta` builds its own sequence of the trace model D, which it uses
-once per Delta.
+`rho_delta` builds its own sequence of the trace model D, which the
+pipeline uses once per factor Delta_f of Delta, memoized per factor of P
+(`pipeline._factor_delta`).
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def rho_delta(delta: IntPoly) -> int:
     if d.evaluate(2) == 0 or d.evaluate(-2) == 0:
         raise ValueError("rho excludes roots at X = 1 or X = -1")
     try:
-        return 2 * sturm_count(d, Fraction(-2), Fraction(2))
+        return 2 * sturm_count(d, -2, 2)
     except ValueError:  # the one left: the sequence of D ends in a nonconstant
         raise ValueError("rho needs a squarefree polynomial") from None
 

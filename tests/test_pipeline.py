@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import inspect
+import itertools
 import json
 import random
 import re
@@ -32,13 +34,15 @@ from knotsig import (
     half_form,
     memos,
     parse_poly,
+    poly_text,
     report_from_json,
     report_render,
+    rho_delta,
     rho_p,
     symmetric_check,
 )
 from knotsig.zfactor import _KnownFactors
-from conftest import clear_facts_memos, make_delta_a
+from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import delta_factor_rhos, indecomposable_by_delta_factors
 
 
@@ -362,6 +366,56 @@ def test_rho_cross_check_raises(monkeypatch, delta1, delta2):
         analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)))
 
 
+def test_rho_mismatch_names_the_factor(monkeypatch, delta1, delta2):
+    """A per-factor disagreement names the factor of P and both counts."""
+    import knotsig.pipeline
+
+    real = knotsig.pipeline.rho_delta
+    monkeypatch.setattr(knotsig.pipeline, "rho_delta", lambda d: real(d) + 2)
+    with pytest.raises(KnotsigError) as info:
+        analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
+    first = factor_z(delta_to_p(delta1 * delta2)).factors[0][0]
+    assert str(info.value) == (
+        f"internal error: rho(Delta) and rho(P) disagree on the factor {poly_text(first)} "
+        "of P: 6 by the trace model of its Delta_f, 4 by its v-model"
+    )
+
+
+def test_factors_of_p_must_map_back_to_delta(monkeypatch, delta1, delta2):
+    """The product of the Delta_f is compared with Delta on every request:
+    one Delta_f of the wrong sign raises twice in a row, and nothing wrong
+    outlives the patch."""
+    import knotsig.pipeline
+
+    real = knotsig.pipeline._factor_delta
+    first = factor_z(delta_to_p(delta1 * delta2)).factors[0][0]
+
+    def wrong(f):
+        delta_f, rho = real(f)
+        return (-delta_f if f == first else delta_f), rho
+
+    monkeypatch.setattr(knotsig.pipeline, "_factor_delta", wrong)
+    req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
+    for _ in range(2):
+        with pytest.raises(KnotsigError, match="the factors of P do not map back to Delta"):
+            analyze(req)
+    monkeypatch.undo()
+    assert analyze(req).verdict == VERDICT_REALIZABLE
+
+
+def test_rho_of_delta_is_the_sum_over_its_factors():
+    """The whole-Delta recount the pipeline no longer runs, as an oracle:
+    rho_delta(Delta) by the trace model of Delta equals the reported rho,
+    the sum over the factors of P, for every product of 2 or 3 distinct
+    in-scope Delta_a (816 of them)."""
+    bases = [make_delta_a(a) for a in IN_SCOPE_A]
+    deltas = [functools.reduce(lambda x, y: x * y, combo)
+              for k in (2, 3) for combo in itertools.combinations(bases, k)]
+    assert len(deltas) == 816
+    for delta in deltas:
+        assert rho_delta(delta) == analyze(AnalysisRequest(delta=delta, m=7, signature=0)).rho
+
+
 def test_conditions_send_p_through_its_v_model():
     """For reciprocal Delta of degree 2n with Delta(1) = (-1)^n, the
     companion P = delta_to_p(Delta) is fixed by X -> 1-X and monic, and
@@ -527,10 +581,12 @@ class TestDeltaFactsMemo:
         assert analyze(AnalysisRequest(delta=delta, m=7, signature=8)).verdict == VERDICT_REALIZABLE
         rep = analyze_tau(AnalysisRequest(delta=delta, m=7, tau=(2, 2, -2, -2)))
         assert rep.verdict == VERDICT_REALIZABLE
+        # one rho(Delta_f) per factor of P, computed with the Delta facts
+        assert len(rep.factors["factors"]) == 2
         assert counts == {
             "zfactor.standing_assumptions": 1,
             "obstruction.obstruction_group": 1,
-            "realroots.rho_delta": 1,
+            "realroots.rho_delta": 2,
         }
 
     def test_not_admissible_skips_the_obstruction_group(self, calls, delta1, delta2):
@@ -591,10 +647,11 @@ class TestFactorFactsMemo:
         """A Delta-facts miss builds the Sturm sequence of each new factor's
         v-model once: the lift certificate counts its roots below -1/4, and
         the rho of every factor reads that count from the same memo.  The
-        trace model D of the rho(Delta) cross-check builds its own, outside
-        that memo."""
+        rho check builds one more per new factor f, of the trace model of
+        its Delta_f, memoized per f: a Delta whose factors are all known
+        builds none."""
         from knotsig import realroots
-        from knotsig.polys import trace_polynomial, v_polynomial
+        from knotsig.polys import p_to_delta, trace_polynomial, v_polynomial
 
         built = []
         original = realroots.sturm_sequence
@@ -606,17 +663,19 @@ class TestFactorFactsMemo:
         monkeypatch.setattr(realroots, "sturm_sequence", recording)
         d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
         seen = set()
-        for delta in (d0 * d1 * d2, d0 * d1 * d3):
+        for delta in (d0 * d1 * d2, d0 * d1 * d3, d0 * d3):
             built.clear()
             hits, misses = realroots._v_chain.cache_info()[:2]
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
-            qs = [v_polynomial(IntPoly(f["coeffs"])) for f in rep.factors["factors"]]
-            new = [q for q in qs if q not in seen]
-            seen.update(qs)
-            assert sorted(built, key=str) == sorted(new + [trace_polynomial(delta)], key=str)
+            fs = [IntPoly(f["coeffs"]) for f in rep.factors["factors"]]
+            new = [f for f in fs if f not in seen]
+            seen.update(fs)
+            expected = [v_polynomial(f) for f in new] + [trace_polynomial(p_to_delta(f)) for f in new]
+            assert sorted(built, key=str) == sorted(expected, key=str)
             # the certificate misses on each new model, every rho hits
-            assert realroots._v_chain.cache_info()[:2] == (hits + len(qs), misses + len(new))
-        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (6, 4)
+            assert realroots._v_chain.cache_info()[:2] == (hits + len(fs), misses + len(new))
+        assert not built  # d0 * d3: both factors known
+        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (8, 4)
 
     def test_pair_refusal_is_raised_again(self, monkeypatch):
         from knotsig import BudgetExceededError, obstruction
@@ -647,7 +706,7 @@ class TestFactorFactsMemo:
         PER_FACTOR for a part of one."""
         from knotsig.modp import PolyModP
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.pipeline import _delta_facts
+        from knotsig.pipeline import _delta_facts, _factor_delta
         from knotsig.realroots import _v_chain
         from knotsig.seifert import _form_facts, _lattice_facts
         from knotsig.zfactor import _known_factors, _lift_certified
@@ -655,6 +714,8 @@ class TestFactorFactsMemo:
         v = IntPoly((0, -1, 1))  # X^2 - X
         fills = (
             (_delta_facts, memos.PER_INPUT, lambda c: _delta_facts(IntPoly((c, 1)))),
+            # X^2 - X + c maps back to -c X^2 + (2c - 1) X - c, squarefree with no root at +-1
+            (_factor_delta, memos.PER_FACTOR, lambda c: _factor_delta(v + IntPoly((c,)))),
             (_form_facts, memos.PER_INPUT, lambda c: _form_facts(((0, c), (1 - c, 0)))),
             (_lattice_facts, memos.PER_INPUT, lambda c: _lattice_facts(((0, 1), (1, 2 * c)))),
             (_known_factors, memos.PER_FACTOR, lambda c: _known_factors.learn([IntPoly((-c, 1))])),
