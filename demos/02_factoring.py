@@ -3,11 +3,13 @@ the resultant that ties the two together.
 
 The Z-side factorization runs squarefree decomposition, a mod-p
 factorization, quadratic Hensel lifting past the coefficient bound, and
-subset recombination; results are verified by re-multiplication.
-factor_z takes a companion polynomial P, fixed
+subset recombination.  factor_z takes a companion polynomial P, fixed
 by X -> 1-X, through its half-degree v-model Q with P(X) = Q(X^2 - X), and
 keeps each lift q(X^2 - X) whole once a mod-p certificate proves it
-irreducible; the trace shows Q's one prime.
+irreducible; the trace shows Q's one prime.  The result is checked by one
+re-multiplication at half degree, of Q's factors against Q: composing
+with X^2 - X is an injective ring homomorphism, so the lifts then
+multiply to P.
 """
 
 from knotsig import factor_z, integer_factor, parse_poly, poly_text, resultant, standing_assumptions

@@ -19,18 +19,22 @@ subset that does not divide the cofactor left divides none of its
 divisors, so the enumeration goes on past an accepted subset and the size
 grows only when none of it divides: a part costs at most
 sum_{k<=8} C(16, k) = 39,202 trial divisions (`polys.divides`).  No step
-uses Fractions; results are checked by re-multiplication.
+uses Fractions; results are checked by one re-multiplication, at half
+degree on the v-model route: f = Q(X^2 - X) exactly, and composing with
+X^2 - X is an injective ring homomorphism, so the factors of Q multiply
+to Q exactly when their lifts multiply to f (proof at `factor_z`).
 
 Distinct Delta share factors (see `memos`).  `_known_factors` holds
 those a factorization proved irreducible (Zassenhaus output, parts
 irreducible mod p, lifts of v-model factors, certified or split), entered
-once `_verified` re-multiplied it.  `_factor` scans it once per input and
-hands each squarefree part the divisors found that divide the part.  An
-input of degree <= 16 whose memoized divisors fill its degree is answered
-from them before any modular work (proof at `_factor`); it could not reach
-the cap, and on any other input the cap comes first, so no refusal depends
-on the memo.  `_lift_certified`, memoized per factor, needs no prime for a
-v-model factor with a real root below -1/4.
+once the factor set passed its check.  `_factor` scans it once per input
+and hands each squarefree part the divisors found that divide the part.
+An input of degree <= 16 whose memoized candidates fill its degree and
+multiply to it is answered from them before any `divides` or modular
+work, and that product is its check (proof at `_factor`); it could not
+reach the cap, and on any other input the cap comes first, so no refusal
+depends on the memo.  `_lift_certified`, memoized per factor, needs no
+prime for a v-model factor with a real root below -1/4.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import BudgetExceededError, KnotsigError
@@ -74,10 +78,14 @@ _QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
 @dataclass(frozen=True)
 class FactorizationZ:
     """content * prod(factor^mult); factors primitive, positive leading
-    coefficient, pairwise non-associate, sorted by (degree, coefficients)."""
+    coefficient, pairwise non-associate, sorted by (degree, coefficients).
+    ``models`` maps a factor to the v-model `factor_z` already holds for
+    it, q for each certified lift q(X^2 - X); it is left out of equality
+    and repr."""
 
     content: int
     factors: tuple[tuple[IntPoly, int], ...]
+    models: dict[IntPoly, IntPoly] = field(default_factory=dict, compare=False, repr=False)
 
     def product(self) -> IntPoly:
         factors = (q.coeffs for q, e in self.factors for _ in range(e))
@@ -306,8 +314,16 @@ def _recombined(G: IntPoly, lc: int, blocks, p: int, trace) -> list[IntPoly]:
 class _KnownFactors:
     """Primitive positive-lc polynomials proven irreducible over Z, least
     recently used first out past ``maxsize``, each kept with its degree and
-    |q(16)| (1 for X - 16): q | g forces q(16) | g(16), two integer tests
-    before any `divides`.  At 16 a non-divisor seldom passes (at 2 often)."""
+    |q(16)| (1 for X - 16): q | g forces deg q <= deg g and q(16) | g(16),
+    two integer tests that every divisor of g passes.  At 16 a non-divisor
+    seldom passes (at 2 often).
+
+    The entries are distinct irreducibles, so when those that pass for g
+    fill its degree and multiply to g, they are g's factorization, each of
+    multiplicity 1: that one product shows each of them a divisor, with no
+    `divides`, and it is the only check such an answer needs.  On the
+    v-model route of `factor_z`, g is Q's primitive part, and the product
+    checks P too (proof there)."""
 
     def __init__(self, maxsize: int):
         self.maxsize, self.entries = maxsize, {}
@@ -316,10 +332,16 @@ class _KnownFactors:
         self.entries.clear()
 
     def __call__(self, g: IntPoly) -> list[IntPoly]:
-        """The entries that divide g, refreshed."""
+        """The entries that divide g, refreshed.  When they fill g's degree,
+        one product has checked that they multiply to g: the product of the
+        entries that pass both tests, or, when that differs (a non-divisor
+        passed), the product of the divisors `divides` finds among them."""
         d, at16 = len(g.coeffs) - 1, g.evaluate(16)
-        found = [q for deg, v, q in self.entries.values()
-                 if not at16 % v and deg <= d and divides(q, g)]
+        found = [q for deg, v, q in self.entries.values() if not at16 % v and deg <= d]
+        if _degree(found) != d or _product(found) != g:
+            found = [q for q in found if divides(q, g)]
+            if _degree(found) == d and _product(found) != g:
+                raise KnotsigError("internal error: factorization failed re-multiplication")
         self.learn(found)
         return found
 
@@ -334,46 +356,60 @@ class _KnownFactors:
 _known_factors = register(_KnownFactors(PER_FACTOR))
 
 
-def _factor(
-    f: IntPoly, trace: list[str] | None, lift: bool = False
-) -> tuple[int, list[tuple[IntPoly, int]]]:
-    """Content and unsorted (irreducible, multiplicity) pairs of nonzero f,
-    not yet checked by re-multiplication; ``lift`` as in `_good_primes`.
+def _factor(f: IntPoly, trace: list[str] | None, lift: bool = False) -> FactorizationZ:
+    """The factorization of nonzero f over Z, checked by one product:
+    content * prod(factor^mult) = f; ``lift`` as in `_good_primes`.  On
+    the v-model route of `factor_z`, f is Q, and this one product at half
+    degree checks P too (proof there).
 
     Known factors first, from one scan of the memo: if deg(prim) <=
     MAX_MODULAR_FACTORS and the memo's divisors of prim fill its degree,
-    they are its factorization, each of multiplicity 1; no Yun, prime or
-    distinct-degree pass runs.  (i) prim has at most deg(prim) modular
-    factors, so the cap could not refuse it.  (ii) Distinct primitive
-    positive-lc irreducibles dividing prim multiply to a divisor (Gauss's
-    lemma), at full degree prim.  Otherwise each squarefree part gets the
-    known divisors of prim that divide it."""
+    they are its factorization, each of multiplicity 1, and the product
+    `_KnownFactors` took to find them is its check; no Yun, prime or
+    distinct-degree pass runs, and when the entries that pass the memo's
+    tests are these divisors, no `divides` either.  (i) prim has at most
+    deg(prim) modular factors, so the cap could not refuse it.  (ii)
+    Distinct primitive positive-lc irreducibles dividing prim multiply to
+    a divisor (Gauss's lemma), at full degree prim.  Otherwise each
+    squarefree part gets the known divisors of prim that divide it."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.lc > 0 else -f.content()
     prim = f.primitive()
-    out: list[tuple[IntPoly, int]] = []
     if prim.degree == 0:
-        return content, out
+        return FactorizationZ(content, ())
     known = _known_factors(prim)
-    if prim.degree <= MAX_MODULAR_FACTORS and sum(len(q.coeffs) - 1 for q in known) == prim.degree:
+    if prim.degree <= MAX_MODULAR_FACTORS and _degree(known) == prim.degree:
         if trace is not None:
             trace.append(f"{len(known)} known factors, cofactor of degree 0")
-        return content, [(q, 1) for q in known]
+        return _sorted(content, [(q, 1) for q in known])  # checked by `_known_factors`
+    out: list[tuple[IntPoly, int]] = []
     for part, mult in _yun(prim):
         part_known = known if part == prim else [q for q in known if divides(q, part)]
         if trace is not None and part != prim:
             trace.append(f"squarefree part of multiplicity {mult}: {part}")
         for irr in _factor_squarefree(part, part_known, trace, lift):
             out.append((irr, mult))
-    return content, out
+    return _verified(f, _sorted(content, out))
 
 
-def _verified(f: IntPoly, content: int, factors: list[tuple[IntPoly, int]]) -> FactorizationZ:
-    """The factorization of f sorted by (degree, coefficients), once it
-    multiplies out to f."""
+def _degree(factors: list[IntPoly]) -> int:
+    return sum(len(q.coeffs) - 1 for q in factors)
+
+
+def _product(factors: list[IntPoly]) -> IntPoly:
+    return IntPoly(reduce(_mul_coeffs, (q.coeffs for q in factors), [1]))
+
+
+def _sorted(content: int, factors: list[tuple[IntPoly, int]],
+            models: dict[IntPoly, IntPoly] | None = None) -> FactorizationZ:
+    """content * prod(factor^mult), the factors sorted by (degree, coefficients)."""
     factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
-    result = FactorizationZ(content=content, factors=tuple(factors))
+    return FactorizationZ(content, tuple(factors), models or {})
+
+
+def _verified(f: IntPoly, result: FactorizationZ) -> FactorizationZ:
+    """``result``, once it multiplies out to f."""
     if result.product() != f:
         raise KnotsigError("internal error: factorization failed re-multiplication")
     return result
@@ -440,31 +476,44 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     On either route a part of degree <= 16 that known factors cover is
     answered from them (`_factor`); no answer or refusal depends on them.
 
-    The factor set is checked by re-multiplication.  A list passed as
-    ``trace`` collects the route, the primes and recombination events.
+    The factor set is checked by one re-multiplication: of f on the
+    direct route, of Q at half degree on the v-model route, where the
+    product of known factors that answers Q is that check (`_factor`).
+    `v_polynomial` builds Q by exact division, so f = Q(X^2 - X), and
+    q -> q(X^2 - X) is a ring homomorphism Z[Y] -> Z[X], injective since
+    X^2 - X is not constant (deg q(X^2 - X) = 2 deg q).  So content *
+    prod q^e = Q exactly when content * prod q(X^2 - X)^e = f.  A lift
+    kept whole is q(X^2 - X) itself; the pieces of a split one are
+    checked against it by `_factor`, so the factors of f multiply to f
+    with no product at f's degree.  A certified lift hands its q on as
+    its v-model (``models``).  A list passed as ``trace`` collects the
+    route, the primes and recombination events.
     """
     q_poly = v_model(f)
-    q_factors: list[tuple[IntPoly, int]] = []
     if q_poly is None or divides(_QUARTER, q_poly):
-        content, factors = _factor(f, trace)
+        q_factors, result = (), _factor(f, trace)
     else:
         if trace is not None:
             trace.append(f"through the v-model Q = {poly_text(q_poly)}")
-        content, q_factors = _factor(q_poly, trace, lift=True)
-        factors = []
-        for q, e in q_factors:
+        fq = _factor(q_poly, trace, lift=True)
+        factors, models = [], {}
+        for q, e in fq.factors:
             lifted = q.compose(_V)
-            split = [(lifted, 1)] if _lift_certified(q) else _factor(lifted, trace)[1]
-            factors += [(h, m * e) for h, m in split]
-    result = _verified(f, content, factors)
-    _known_factors.learn([q for q, _ in q_factors + list(result.factors)])
+            if _lift_certified(q):
+                factors.append((lifted, e))
+                models[lifted] = q
+            else:
+                factors += [(h, m * e) for h, m in _factor(lifted, trace).factors]
+        q_factors, result = fq.factors, _sorted(fq.content, factors, models)
+    _known_factors.learn([q for q, _ in q_factors + result.factors])
     return result
 
 
 def standing_assumptions(p_poly: IntPoly) -> SymmetricFactorSet:
-    """Factor P by `factor_z` (which chooses the route), derive each factor's
-    v-model once, and flag whether P is a product of distinct monic
-    irreducible polynomials, each symmetric."""
+    """Factor P by `factor_z` (which chooses the route), take each factor's
+    v-model from it where it holds one and derive the others once, and
+    flag whether P is a product of distinct monic irreducible polynomials,
+    each symmetric."""
     fz = factor_z(p_poly)
-    models = tuple(v_model(q) for q, _ in fz.factors)
+    models = tuple(fz.models[q] if q in fz.models else v_model(q) for q, _ in fz.factors)
     return SymmetricFactorSet(fz, models, p_poly.is_monic and all(m is not None for m in models))

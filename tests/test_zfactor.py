@@ -33,7 +33,7 @@ from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_facto
 def direct(f: IntPoly, trace: list[str] | None = None):
     """The direct Zassenhaus route on f itself, which factor_z takes for
     every f that is not fixed by X -> 1-X (or has f(1/2) = 0)."""
-    return zfactor._verified(f, *zfactor._factor(f, trace))
+    return zfactor._factor(f, trace)
 
 
 class TestFactorZ:
@@ -846,6 +846,48 @@ class TestKnownFactors:
         counts = calls("modp._distinct_degree")
         assert (factor_z(f), factor_z(lifted)) == cold
         assert counts == {}
+
+    def test_a_false_candidate_falls_back_to_divides(self):
+        """c = X^2 - 16X + 7 passes the memo's tests for g = (X^2 + 1)(X^2 + 3)
+        (c(16) = 7 divides g(16) = 257 * 7 * 37) and with X^2 + 1 fills
+        g's degree, but the two do not multiply to g: each entry is then
+        tried by `divides`, and g factors as it does cold."""
+        a, b, c = IntPoly((1, 0, 1)), IntPoly((3, 0, 1)), IntPoly((7, -16, 1))
+        g = a * b
+        cold = factor_z(g)
+        clear_facts_memos()
+        assert factor_z(a * c).factors == ((a, 1), (c, 1))
+        assert zfactor._known_factors(g) == [a]
+        trace: list[str] = []
+        assert factor_z(g, trace=trace) == cold
+        assert "1 known factors, cofactor of degree 2" in trace
+
+    @pytest.mark.parametrize("route", ["direct", "v-model"])
+    def test_a_full_hit_runs_no_divides(self, calls, route):
+        """An all-known part of degree <= 16 is answered by one product of
+        its memo entries: no `divides`, but on the v-model route the one
+        test of 4Y + 1 | Q that chooses the route."""
+        pieces = ([IntPoly((3, 0, 1)), IntPoly((-1, -1, 0, 1)), IntPoly((5, 2, 0, 0, 2))]
+                  if route == "direct" else [make_delta_a(a) for a in (0, 2, 4)])
+        build = product if route == "direct" else (lambda ds: delta_to_p(product(ds)))
+        cold = factor_z(build(pieces))
+        counts = calls("polys.divides")
+        assert factor_z(build(pieces)) == cold
+        assert counts == ({} if route == "direct" else {"polys.divides": 1})
+
+    def test_a_known_part_above_the_cap_degree_meets_the_cap_first(self, calls):
+        """Delta_0 Delta_2 Delta_4, of degree 18 on the direct route, with
+        every factor known: the first prime's distinct-degree pass still
+        runs, so the cap is checked before the known factors answer."""
+        deltas = [make_delta_a(a) for a in (0, 2, 4)]
+        for delta in deltas:
+            factor_z(delta)
+        counts = calls("modp._distinct_degree")
+        trace: list[str] = []
+        fz = factor_z(product(deltas), trace=trace)
+        assert fz.factors == tuple((d, 1) for d in sorted(deltas, key=lambda d: d.coeffs))
+        assert counts == {"modp._distinct_degree": 1}
+        assert trace[0].startswith("prime ") and trace[1] == "3 known factors, cofactor of degree 0"
 
     def test_cap_refusal_after_every_factor_is_known(self):
         """The degree-30 product the cap refuses stays refused, with its
