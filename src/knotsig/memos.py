@@ -11,11 +11,11 @@ The size of one entry (tracemalloc):
 
     memo                            key                    bound       entry
     pipeline._delta_facts           Delta                  PER_INPUT   15 KB, degree 36 with its table
-    pipeline._factor_delta          factor f of P          PER_FACTOR  400 B, degree 6
+    pipeline._factor_delta          factor f of P          PER_FACTOR  340 B, degree 6, its rho
     seifert._form_facts             form A                 PER_INPUT   8 KB, 12 x 12, every field
     seifert._lattice_facts          lattice S = A + A^T    PER_INPUT   4 / 3 / 7 KB, E8 / +H / +H+H
-    zfactor._known_factors          irreducible factor     PER_FACTOR  340 B
-    zfactor._lift_certified         v-model factor q       PER_FACTOR  270 B
+    zfactor._known_factors          irreducible factor     PER_FACTOR  610 B, degree 6, degrees at 1 prime
+    zfactor._lift_certified         v-model factor q       PER_FACTOR  530 B, degree 3, its lift
     obstruction._pair_primes        v-models (F, G)        PER_FACTOR  570 B, models not counted
     obstruction._symmetric_witness  gcd D of F, G mod p    PER_FACTOR  510 B, D included
     realroots._v_chain              v-model q              PER_FACTOR  0.4 to 2 KB, degree 3 to 6

@@ -122,6 +122,7 @@ def _count(seq: Sequence[IntPoly], a: Endpoint, b: Endpoint) -> int:
     return _variations(seq, *_point(a)) - _variations(seq, *_point(b))
 
 
+# no caller in knotsig; kept because perfbench/tracing.py traces it
 def sturm_count(f: IntPoly, a: Endpoint, b: Endpoint) -> int:
     """Number of real roots of squarefree f in the open interval (a, b);
     finite endpoints must not be roots."""
@@ -231,7 +232,9 @@ def rho_delta(delta: IntPoly) -> int:
     ``trace_polynomial`` refuses a Delta that is not reciprocal of even
     degree, D(2) and D(-2) (Delta(1) and +-Delta(-1)) refuse a root at
     X = 1 or X = -1, and the Sturm sequence of D refuses the rest of a
-    Delta that is not squarefree."""
+    Delta that is not squarefree.  These are the checks of `sturm_count`
+    on (-2, 2), each run once, and the count is taken at the integer
+    points +-2."""
     try:
         d = trace_polynomial(delta)
     except ValueError:
@@ -242,10 +245,10 @@ def rho_delta(delta: IntPoly) -> int:
     # test it first to report the sharper violation
     if d.evaluate(2) == 0 or d.evaluate(-2) == 0:
         raise ValueError("rho excludes roots at X = 1 or X = -1")
-    try:
-        return 2 * sturm_count(d, -2, 2)
-    except ValueError:  # the one left: the sequence of D ends in a nonconstant
-        raise ValueError("rho needs a squarefree polynomial") from None
+    seq = sturm_sequence(d)
+    if seq[-1].degree > 0:
+        raise ValueError("rho needs a squarefree polynomial")
+    return 2 * (_variations(seq, -2, 1) - _variations(seq, 2, 1))
 
 
 _MINUS_QUARTER = Fraction(-1, 4)

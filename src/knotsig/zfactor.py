@@ -7,10 +7,11 @@ direct route is Zassenhaus: content/primitive split, Yun squarefree
 decomposition (integer `gcd_z`, only when no mod-p certificate shows the
 input squarefree), then per squarefree part g, in this order: one prime p
 at which g's monic model is squarefree (so no modular squarefree split
-runs); the distinct-degree pass mod p, which counts modular factors; g
-itself for one, `BudgetExceededError` for more than MAX_MODULAR_FACTORS =
-16; then the known factors that divide g.  Only the cofactor they leave
-goes on at p: equal-degree splitting, a quadratic Hensel lift past the
+runs); the count of modular factors mod p, by a distinct-degree pass of
+the cofactor that the known factors dividing g leave (of g when none
+does); g itself for one, `BudgetExceededError` for more than
+MAX_MODULAR_FACTORS = 16; then the known factors, and the cofactor goes
+on at p: equal-degree splitting, a quadratic Hensel lift past the
 Mignotte bound by recursive splitting (the products of the two halves of
 the factor list lift together, then each half against its lifted product),
 and subset recombination in one pass over subset sizes.  All modular work
@@ -29,12 +30,16 @@ those a factorization proved irreducible (Zassenhaus output, parts
 irreducible mod p, lifts of v-model factors, certified or split), entered
 once the factor set passed its check.  `_factor` scans it once per input
 and hands each squarefree part the divisors found that divide the part.
-An input of degree <= 16 whose memoized candidates fill its degree and
-multiply to it is answered from them before any `divides` or modular
-work, and that product is its check (proof at `_factor`); it could not
-reach the cap, and on any other input the cap comes first, so no refusal
-depends on the memo.  `_lift_certified`, memoized per factor, needs no
-prime for a v-model factor with a real root below -1/4.
+An input whose memoized candidates fill its degree and multiply to it is
+answered from them, and that product is its check (proof at `_factor`):
+no Yun, no division and no second product.  At degree <= 16 no prime is
+drawn, as the cap could not refuse.  Above, the cap is counted part by
+part (proof at `_factor_squarefree`): each known factor keeps its modular
+degrees per prime in its memo entry, and only the cofactor they leave
+gets a distinct-degree pass, so the count, and any refusal, is that of a
+cold run.  `_lift_certified`, memoized per factor with the lift it
+certifies, needs no prime for a v-model factor with a real root below
+-1/4.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .modp import (
 )
 from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
                     poly_text, v_polynomial)
-from .realroots import v_root_count
+from .realroots import _sign_hom, v_root_count
 
 MAX_MODULAR_FACTORS = 16
 # Primes tried per lift certificate of a q with no real root below -1/4: of
@@ -72,7 +77,6 @@ MAX_MODULAR_FACTORS = 16
 LIFT_PRIMES = 8
 
 _V = IntPoly((0, -1, 1))  # X^2 - X
-_QUARTER = IntPoly((1, 4))  # its lift is (2X - 1)^2
 
 
 @dataclass(frozen=True)
@@ -242,15 +246,31 @@ def _factor_squarefree(
 ) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree positive-lc polynomial
     g, given ``known``, the memoized ones that divide it; ``lift`` as in
-    `_good_primes`."""
+    `_good_primes`.
+
+    The cap counts g's modular factors at its first good prime p part by
+    part.  p does not divide lc g and g is squarefree mod p, so g mod p is
+    the product of the pairwise coprime q mod p (q known) and r mod p, r
+    the cofactor g / prod q: its irreducible factors are the disjoint
+    union of theirs.  The count is the sum of each q's degrees at p, kept
+    in its memo entry (`_KnownFactors.degrees`), and of r's own
+    distinct-degree pass.  That is the count of a pass over all of g, so
+    the prime, the trace line and the cap do not depend on the memo; when
+    the known factors fill g, no pass and no division runs at g's degree."""
     d = int(g.degree)
     if d <= 1:
         return [g]
     p = next(_good_primes(g, lift))
-    # the model G is certified squarefree mod p: no squarefree split again
-    G = _model(g, g.lc)
-    blocks = _distinct_degree(_reduced(G.coeffs, p), p)
-    degrees = [k for block, k in blocks for _ in range((len(block) - 1) // k)]
+    left = d - _degree(known)
+    degrees = [k for q in known for k in _known_factors.degrees(q, p)]
+    if left:
+        rest = exact_div(g, _product(known)) if known else g
+        # the model of a divisor of g at lc g is certified squarefree mod p with g's
+        G = _model(rest, g.lc)
+        blocks = _distinct_degree(_reduced(G.coeffs, p), p)
+        own = _modular_degrees(blocks)
+        degrees += own
+    degrees.sort()
     if trace is not None:
         trace.append(f"prime {p}: modular degrees {degrees}")
     if len(degrees) == 1:
@@ -261,17 +281,18 @@ def _factor_squarefree(
             f" the recombination cap of {MAX_MODULAR_FACTORS}"
         )
     if known:
-        rest = exact_div(g, math.prod(known))
         if trace is not None:
-            trace.append(f"{len(known)} known factors, cofactor of degree {int(rest.degree)}")
-        if rest.degree <= 0:
+            trace.append(f"{len(known)} known factors, cofactor of degree {left}")
+        if not left:
             return known
-        G = _model(rest, g.lc)
-        gp = _reduced(G.coeffs, p)
-        blocks = [(b, k) for b, k in ((_gcd(b, gp, p), k) for b, k in blocks) if len(b) > 1]
-        if sum((len(b) - 1) // k for b, k in blocks) == 1:
+        if len(own) == 1:
             return known + [rest]
     return known + _recombined(G, g.lc, blocks, p, trace)
+
+
+def _modular_degrees(blocks) -> list[int]:
+    """The degrees of the irreducible factors of distinct-degree blocks, ascending."""
+    return [k for block, k in blocks for _ in range((len(block) - 1) // k)]
 
 
 def _recombined(G: IntPoly, lc: int, blocks, p: int, trace) -> list[IntPoly]:
@@ -323,7 +344,12 @@ class _KnownFactors:
     multiplicity 1: that one product shows each of them a divisor, with no
     `divides`, and it is the only check such an answer needs.  On the
     v-model route of `factor_z`, g is Q's primitive part, and the product
-    checks P too (proof there)."""
+    checks P too (proof there).
+
+    An entry also keeps, per prime p, the degrees of q's irreducible
+    factors mod p, filled on first use (`degrees`): `_factor_squarefree`
+    counts a part's modular factors as the sum of its factors' counts, and
+    q's at p is the same in every part that q divides."""
 
     def __init__(self, maxsize: int):
         self.maxsize, self.entries = maxsize, {}
@@ -337,7 +363,7 @@ class _KnownFactors:
         entries that pass both tests, or, when that differs (a non-divisor
         passed), the product of the divisors `divides` finds among them."""
         d, at16 = len(g.coeffs) - 1, g.evaluate(16)
-        found = [q for deg, v, q in self.entries.values() if not at16 % v and deg <= d]
+        found = [q for deg, v, q, _ in self.entries.values() if not at16 % v and deg <= d]
         if _degree(found) != d or _product(found) != g:
             found = [q for q in found if divides(q, g)]
             if _degree(found) == d and _product(found) != g:
@@ -345,10 +371,19 @@ class _KnownFactors:
         self.learn(found)
         return found
 
+    def degrees(self, q: IntPoly, p: int) -> list[int]:
+        """The degrees of the irreducible factors of q mod p, ascending, for
+        an entry q that the last scan found and p not dividing lc q, with q
+        squarefree mod p: one distinct-degree pass per entry and prime."""
+        at = self.entries[q][3]
+        if p not in at:
+            at[p] = _modular_degrees(_distinct_degree(_monic(_reduced(q.coeffs, p), p), p))
+        return at[p]
+
     def learn(self, factors: list[IntPoly]) -> None:
         for q in factors:
             entry = self.entries.pop(q, None)
-            self.entries[q] = entry or (len(q.coeffs) - 1, abs(q.evaluate(16)) or 1, q)
+            self.entries[q] = entry or (len(q.coeffs) - 1, abs(q.evaluate(16)) or 1, q, {})
         while len(self.entries) > self.maxsize:
             del self.entries[next(iter(self.entries))]
 
@@ -362,16 +397,19 @@ def _factor(f: IntPoly, trace: list[str] | None, lift: bool = False) -> Factoriz
     the v-model route of `factor_z`, f is Q, and this one product at half
     degree checks P too (proof there).
 
-    Known factors first, from one scan of the memo: if deg(prim) <=
-    MAX_MODULAR_FACTORS and the memo's divisors of prim fill its degree,
-    they are its factorization, each of multiplicity 1, and the product
-    `_KnownFactors` took to find them is its check; no Yun, prime or
-    distinct-degree pass runs, and when the entries that pass the memo's
-    tests are these divisors, no `divides` either.  (i) prim has at most
-    deg(prim) modular factors, so the cap could not refuse it.  (ii)
-    Distinct primitive positive-lc irreducibles dividing prim multiply to
-    a divisor (Gauss's lemma), at full degree prim.  Otherwise each
-    squarefree part gets the known divisors of prim that divide it."""
+    Known factors first, from one scan of the memo.  When the memo's
+    divisors of prim fill its degree, they are its factorization, each of
+    multiplicity 1, and the product `_KnownFactors` took to find them is
+    its check: distinct primitive positive-lc irreducibles dividing prim
+    multiply to a divisor (Gauss's lemma), at full degree prim, which is
+    then squarefree.  So no Yun runs and no second product is taken; when
+    the entries that pass the memo's tests are these divisors, no
+    `divides` runs either.  If deg(prim) <= MAX_MODULAR_FACTORS, no prime
+    or distinct-degree pass runs: prim has at most deg(prim) modular
+    factors, so the cap could not refuse it.  Above that degree the cap is
+    counted first, from the memo (`_factor_squarefree`), and refuses as it
+    would with the memo empty.  Otherwise each squarefree part gets the
+    known divisors of prim that divide it."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.lc > 0 else -f.content()
@@ -379,10 +417,12 @@ def _factor(f: IntPoly, trace: list[str] | None, lift: bool = False) -> Factoriz
     if prim.degree == 0:
         return FactorizationZ(content, ())
     known = _known_factors(prim)
-    if prim.degree <= MAX_MODULAR_FACTORS and _degree(known) == prim.degree:
-        if trace is not None:
+    if _degree(known) == prim.degree:  # checked by `_known_factors`
+        if prim.degree > MAX_MODULAR_FACTORS:
+            known = _factor_squarefree(prim, known, trace, lift)
+        elif trace is not None:
             trace.append(f"{len(known)} known factors, cofactor of degree 0")
-        return _sorted(content, [(q, 1) for q in known])  # checked by `_known_factors`
+        return _sorted(content, [(q, 1) for q in known])
     out: list[tuple[IntPoly, int]] = []
     for part, mult in _yun(prim):
         part_known = known if part == prim else [q for q in known if divides(q, part)]
@@ -416,14 +456,15 @@ def _verified(f: IntPoly, result: FactorizationZ) -> FactorizationZ:
 
 
 @memo(PER_FACTOR)
-def _lift_certified(q: IntPoly) -> bool:
-    """True when q(X^2 - X) is shown irreducible over Z, for q irreducible
-    over Z other than 4Y + 1: at once when q has a real root below -1/4,
-    else when at one of the first LIFT_PRIMES primes p of
-    ``_good_primes(q, lift=True)``, 1 + 4y is a non-square in F_p[y]/r for
-    some monic irreducible factor r of q mod p.  False decides nothing:
+def _lift_certified(q: IntPoly) -> IntPoly | None:
+    """The lift q(X^2 - X) when it is shown irreducible over Z, else None,
+    for q irreducible over Z other than 4Y + 1: shown at once when q has a
+    real root below -1/4, else when at one of the first LIFT_PRIMES primes
+    p of ``_good_primes(q, lift=True)``, 1 + 4y is a non-square in F_p[y]/r
+    for some monic irreducible factor r of q mod p.  None decides nothing:
     `factor_z` then factors the lift directly, and factorization over Z
-    is unique, so no factor set depends on the certificate.
+    is unique, so no factor set depends on the certificate.  The memo
+    keeps the lift, so a known factor is not composed again.
 
     A real root lambda < -1/4.  Let K = Q(theta), q(theta) = 0, and alpha a
     root of X^2 - X - theta.  Were 1 + 4 theta = beta^2 with beta in K, the
@@ -444,12 +485,12 @@ def _lift_certified(q: IntPoly) -> bool:
     modulo each degree-k factor of B, so it differs from 1 exactly when one
     factor has a non-square."""
     if v_root_count(q):
-        return True
+        return q.compose(_V)
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
         qp = _monic(_reduced(q.coeffs, p), p)
         if not all(_lifts_split(block, k, p) for block, k in _distinct_degree(qp, p)):
-            return True
-    return False
+            return q.compose(_V)
+    return None
 
 
 def v_model(f: IntPoly) -> IntPoly | None:
@@ -473,8 +514,11 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     other f is factored directly: it is not symmetric, or (2X - 1)^2
     divides f (4Y + 1 divides Q) and no prime is good for f.
 
-    On either route a part of degree <= 16 that known factors cover is
-    answered from them (`_factor`); no answer or refusal depends on them.
+    The route is chosen by one integer Horner pass: 4Y + 1 divides Q
+    (Gauss's lemma: it is primitive) exactly when 4^d Q(-1/4) = 0.  On
+    either route a part that known factors cover is answered from them,
+    above degree 16 once the cap has counted it (`_factor`); no answer or
+    refusal depends on them.
 
     The factor set is checked by one re-multiplication: of f on the
     direct route, of Q at half degree on the v-model route, where the
@@ -490,7 +534,7 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     route, the primes and recombination events.
     """
     q_poly = v_model(f)
-    if q_poly is None or divides(_QUARTER, q_poly):
+    if q_poly is None or not _sign_hom(q_poly, -1, 4):
         q_factors, result = (), _factor(f, trace)
     else:
         if trace is not None:
@@ -498,12 +542,12 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
         fq = _factor(q_poly, trace, lift=True)
         factors, models = [], {}
         for q, e in fq.factors:
-            lifted = q.compose(_V)
-            if _lift_certified(q):
+            lifted = _lift_certified(q)
+            if lifted is not None:
                 factors.append((lifted, e))
                 models[lifted] = q
             else:
-                factors += [(h, m * e) for h, m in _factor(lifted, trace).factors]
+                factors += [(h, m * e) for h, m in _factor(q.compose(_V), trace).factors]
         q_factors, result = fq.factors, _sorted(fq.content, factors, models)
     _known_factors.learn([q for q, _ in q_factors + result.factors])
     return result

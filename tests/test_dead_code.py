@@ -120,6 +120,7 @@ NO_CALLER_NEEDED = {
     "polys.is_squarefree_q",
     "realroots.isolate_roots",
     "realroots.sign_at_root",
+    "realroots.sturm_count",
     # the toolkit's constructors of forms and pairs, for its users
     "seifert.block_diag",
     "seifert.charpoly_of_pair",

@@ -381,28 +381,6 @@ def test_rho_mismatch_names_the_factor(monkeypatch, delta1, delta2):
     )
 
 
-def test_factors_of_p_must_map_back_to_delta(monkeypatch, delta1, delta2):
-    """The product of the Delta_f is compared with Delta on every request:
-    one Delta_f of the wrong sign raises twice in a row, and nothing wrong
-    outlives the patch."""
-    import knotsig.pipeline
-
-    real = knotsig.pipeline._factor_delta
-    first = factor_z(delta_to_p(delta1 * delta2)).factors[0][0]
-
-    def wrong(f):
-        delta_f, rho = real(f)
-        return (-delta_f if f == first else delta_f), rho
-
-    monkeypatch.setattr(knotsig.pipeline, "_factor_delta", wrong)
-    req = AnalysisRequest(delta=delta1 * delta2, m=7, signature=8)
-    for _ in range(2):
-        with pytest.raises(KnotsigError, match="the factors of P do not map back to Delta"):
-            analyze(req)
-    monkeypatch.undo()
-    assert analyze(req).verdict == VERDICT_REALIZABLE
-
-
 def test_rho_of_delta_is_the_sum_over_its_factors():
     """The whole-Delta recount the pipeline no longer runs, as an oracle:
     rho_delta(Delta) by the trace model of Delta equals the reported rho,

@@ -865,29 +865,47 @@ class TestKnownFactors:
     @pytest.mark.parametrize("route", ["direct", "v-model"])
     def test_a_full_hit_runs_no_divides(self, calls, route):
         """An all-known part of degree <= 16 is answered by one product of
-        its memo entries: no `divides`, but on the v-model route the one
-        test of 4Y + 1 | Q that chooses the route."""
+        its memo entries: no `divides`, also not to choose the route, which
+        the sign of 4^d Q(-1/4) decides."""
         pieces = ([IntPoly((3, 0, 1)), IntPoly((-1, -1, 0, 1)), IntPoly((5, 2, 0, 0, 2))]
                   if route == "direct" else [make_delta_a(a) for a in (0, 2, 4)])
         build = product if route == "direct" else (lambda ds: delta_to_p(product(ds)))
         cold = factor_z(build(pieces))
         counts = calls("polys.divides")
         assert factor_z(build(pieces)) == cold
-        assert counts == ({} if route == "direct" else {"polys.divides": 1})
+        assert counts == {}
+
+    @staticmethod
+    def check_known_part_above_the_cap_degree(calls, f, taught, k):
+        """f, with a part of degree 18 whose k factors the requests
+        ``taught`` memoize: the cap is counted from the memo before the
+        known factors answer, with the prime and the trace line of a cold
+        run, and no Yun or division runs.  The first request runs one
+        distinct-degree pass per factor at that prime, a repeat none."""
+        cold: list[str] = []
+        expected = factor_z(f, trace=cold)
+        prime_line = [line for line in cold if line.startswith("prime ")][0]
+        clear_facts_memos()
+        for g in taught:
+            factor_z(g)
+        counts = calls("modp._distinct_degree", "zfactor._yun", "polys.exact_div")
+        for passes in (k, 0):
+            counts.clear()
+            trace: list[str] = []
+            assert factor_z(f, trace=trace) == expected
+            assert trace[-2:] == [prime_line, f"{k} known factors, cofactor of degree 0"]
+            assert counts == ({"modp._distinct_degree": passes} if passes else {})
 
     def test_a_known_part_above_the_cap_degree_meets_the_cap_first(self, calls):
-        """Delta_0 Delta_2 Delta_4, of degree 18 on the direct route, with
-        every factor known: the first prime's distinct-degree pass still
-        runs, so the cap is checked before the known factors answer."""
+        """Delta_0 Delta_2 Delta_4, of degree 18 on the direct route."""
         deltas = [make_delta_a(a) for a in (0, 2, 4)]
-        for delta in deltas:
-            factor_z(delta)
-        counts = calls("modp._distinct_degree")
-        trace: list[str] = []
-        fz = factor_z(product(deltas), trace=trace)
-        assert fz.factors == tuple((d, 1) for d in sorted(deltas, key=lambda d: d.coeffs))
-        assert counts == {"modp._distinct_degree": 1}
-        assert trace[0].startswith("prime ") and trace[1] == "3 known factors, cofactor of degree 0"
+        self.check_known_part_above_the_cap_degree(calls, product(deltas), deltas, 3)
+
+    def test_a_known_v_model_part_above_the_cap_degree_meets_the_cap_first(self, calls):
+        """The degree-18 v-model Q of the P of test_a_full_hit_skips_the_lift."""
+        taught = [delta_a_product_p(a_values) for a_values in ((0, 2, 4), (5, 7, 9))]
+        self.check_known_part_above_the_cap_degree(
+            calls, delta_a_product_p((0, 2, 4, 5, 7, 9)), taught, 6)
 
     def test_cap_refusal_after_every_factor_is_known(self):
         """The degree-30 product the cap refuses stays refused, with its
@@ -901,6 +919,26 @@ class TestKnownFactors:
             factor_z(product(taught))
         assert all(q in zfactor._known_factors.entries
                    for q in deltas + [IntPoly((0, 1)), IntPoly((1, 1))] + smalls[1:])
+        with pytest.raises(BudgetExceededError) as warm:
+            factor_z(f)
+        assert str(warm.value) == str(cold.value) == (
+            "17 modular factors of a degree-30 polynomial at p = 17 exceed the recombination"
+            " cap of 16")
+
+    def test_cap_refusal_with_half_the_factors_known(self):
+        """The same product with 4 of its 8 factors memoized: the count
+        adds their degrees at p = 17 to the cofactor's own distinct-degree
+        pass, and the refusal and its message are those of a cold run."""
+        deltas = [make_delta_a(a) for a in (8, 7, 6, -6)]
+        smalls = [IntPoly((0, 1, 1)), IntPoly((1, 0, 1)), IntPoly((1, 1, 1))]
+        f = product(deltas + smalls)
+        with pytest.raises(BudgetExceededError) as cold:
+            factor_z(f)
+        clear_facts_memos()
+        factor_z(product(deltas[:2]))
+        factor_z(smalls[0])
+        known = deltas[:2] + [IntPoly((0, 1)), IntPoly((1, 1))]
+        assert set(zfactor._known_factors.entries) == set(known)
         with pytest.raises(BudgetExceededError) as warm:
             factor_z(f)
         assert str(warm.value) == str(cold.value) == (
