@@ -9,23 +9,44 @@ reads the same witness off the half-degree gcd of two v-models
 (`obstruction._symmetric_witness`).
 
 All arithmetic runs in the private kernels `_add`, `_sub`, `_mul`,
-`_divrem`, `_rem`, `_powmod`, `_gcd` and `_xgcd` on plain ascending
-coefficient lists.  They accumulate products (`polys._mul_coeffs`) and
-subtractions unreduced (Python integers do not overflow) and reduce each
-output coefficient once, plus the leading coefficient once per division
-step: a reduction per inner multiply-add costs more than the
-multiply-add itself.  Every result is reduced and trimmed, and exact for
-a modulus of any size; the primes come from `intfactor`, which certifies
-each one it returns.  Beyond the inverse of a divisor's leading
-coefficient they need no prime modulus, so they work over Z/m with
-monic divisors too.  Every caller computes on them: the factoring code
+`_divrem`, `_rem`, `_powmod`, `_gcd`, `_xgcd` and `_roots` on plain
+ascending coefficient lists.  They accumulate products
+(`polys._mul_coeffs`) and subtractions unreduced (Python integers do not
+overflow) and reduce each output coefficient once, plus the leading
+coefficient once per division step: a reduction per inner multiply-add
+costs more than the multiply-add itself.  Every result is reduced and
+trimmed, and exact for a modulus of any size; the primes come from
+`intfactor`, which certifies each one it returns.  Beyond the inverse of
+a divisor's leading coefficient they need no prime modulus, so they work
+over Z/m with monic divisors too.  Every caller computes on them: the factoring code
 (`zfactor`, `polys.certified_squarefree`) and the prime table
 (`obstruction`) directly, and the public mod-p API (`factor_mod_p`,
-`symmetric_common_factor`) on the coefficients of its arguments.
-`PolyModP` is only the value type of that API and of the prime table's
-witnesses: a prime and reduced, trimmed coefficients, with no
-arithmetic.  Equal-degree splitting draws from `Random(0)`, built per
-call; no factor set or witness depends on the stream.
+`symmetric_common_factor`) on the coefficients of its arguments; that
+API refuses by name a modulus that `intfactor.is_probable_prime`
+rejects.  `PolyModP` is only the value type of that API and of the prime
+table's witnesses: a modulus p >= 2 and reduced, trimmed coefficients,
+with no arithmetic and no primality test (the prime table builds one per
+pair prime).
+
+The pieces factored are mostly small: linear distinct-degree blocks,
+cubic v-model factors and cubic gcds of v-models, at p <= 23 on products
+of the Delta_a sextics (`perfbench/workloads.py`).  Below
+`_SCAN_BELOW` = 256 they are read off their roots, found by `_roots`
+(Horner evaluation at every residue): a linear block splits into its
+X - r (`_equal_degree_factors`), a squarefree f of degree at most 3 is
+classed by its number of roots (`_distinct_degree`), and the prime table
+reads a gcd of degree at most 3 the same way.  Factorization mod p is
+unique and every factor list is sorted, so the results are those of
+splitting.  The bound is the measured crossover (CPython 3.11, 2 vCPUs;
+40 random squarefree cubics and 20 linear blocks per prime): a cubic's
+scan against its distinct-degree pass took 4.0 against 24 us at p = 23,
+29 against 40 us at p = 251, and 49 against 36 us at p = 401; a linear
+block of 7 roots took 7 against 239 us of splitting at p = 23, 64
+against 430 us at p = 251, and one of 2 roots still won at p = 1021.
+Other blocks go through Cantor-Zassenhaus equal-degree splitting, which
+draws from `Random(0)`; it is built only when a block of degree >= 2
+needs splitting, or a linear block at p >= `_SCAN_BELOW`, and no factor
+set or witness depends on the stream.
 """
 
 from __future__ import annotations
@@ -34,9 +55,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
+from .intfactor import is_probable_prime
 from .polys import IntPoly, _mul_coeffs, _at_one_minus_x as _shifted
 
 Coeffs = Sequence[int]
+
+# below this prime, small pieces are factored by their roots (module docstring)
+_SCAN_BELOW = 256
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -142,7 +167,7 @@ class PolyModP:
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+            raise ValueError(f"modulus {p} is not a prime >= 2")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(_reduced(coeffs, p)))
 
@@ -155,10 +180,18 @@ class PolyModP:
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
 
+def _prime(p: int) -> int:
+    """p, once `intfactor.is_probable_prime` accepts it: the public entry
+    points refuse a composite modulus by name before any inverse fails."""
+    if not is_probable_prime(p):
+        raise ValueError(f"modulus {p} is not a prime")
+    return p
+
+
 def _modulus(f: PolyModP, g: PolyModP) -> int:
     if f.p != g.p:
         raise ValueError(f"modulus mismatch: {f.p} vs {g.p}")
-    return f.p
+    return _prime(f.p)
 
 
 @dataclass(frozen=True)
@@ -200,8 +233,38 @@ def _squarefree_parts(f: Coeffs, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _roots(f: Coeffs, p: int) -> list[int]:
+    """The roots of nonzero f in F_p, ascending, by Horner evaluation at
+    every residue, stopping once deg f are found."""
+    top, rest = f[-1], f[-2::-1]
+    out: list[int] = []
+    for x in range(p):
+        v = top
+        for c in rest:
+            v = v * x + c
+        if not v % p:
+            out.append(x)
+            if len(out) == len(rest):
+                break
+    return out
+
+
 def _distinct_degree(f: Coeffs, p: int) -> list[tuple[Coeffs, int]]:
-    """Split monic squarefree f into [(product of irreducibles of degree d, d)]."""
+    """Split monic squarefree f into [(product of irreducibles of degree d, d)],
+    ascending by d.  Below `_SCAN_BELOW`, an f of degree 1 to 3 is read off
+    its roots: with none it is irreducible (a proper factor would be
+    linear), with deg f of them one linear block, and a cubic with one root
+    r is the block X - r times an irreducible quadratic block."""
+    n = len(f) - 1
+    if 1 <= n <= 3 and p < _SCAN_BELOW:
+        roots = _roots(f, p)
+        if not roots:
+            return [(f, n)]
+        if len(roots) == n:
+            return [(f, 1)]
+        if n == 3 and len(roots) == 1:
+            linear = [-roots[0] % p, 1]
+            return [(linear, 1), (_divrem(f, linear, p)[0], 2)]
     out: list[tuple[Coeffs, int]] = []
     h = [0, 1]
     d = 0
@@ -249,10 +312,21 @@ def _equal_degree_split(f: Coeffs, d: int, p: int, rng: Random) -> list[Coeffs]:
 
 
 def _equal_degree_factors(blocks, p: int) -> list[list[int]]:
-    """Monic irreducible factors of distinct-degree blocks by randomized
-    equal-degree splitting, ascending by (degree, coefficients)."""
-    rng = Random(0)
-    out = [list(q) for block, d in blocks for q in _equal_degree_split(block, d, p, rng)]
+    """Monic irreducible factors of distinct-degree blocks, ascending by
+    (degree, coefficients): below `_SCAN_BELOW` a linear block's factors
+    are X - r for its roots r, and otherwise a block that is not one
+    irreducible factor is split by Cantor-Zassenhaus, drawing from one
+    `Random(0)` built for the first such block."""
+    rng = None
+    out: list[list[int]] = []
+    for block, d in blocks:
+        if d == 1 and p < _SCAN_BELOW:
+            out += [[-r % p, 1] for r in _roots(block, p)]
+        elif len(block) - 1 == d:
+            out.append(list(block))
+        else:
+            rng = rng or Random(0)
+            out += [list(q) for q in _equal_degree_split(block, d, p, rng)]
     out.sort(key=lambda q: (len(q), q))
     return out
 
@@ -278,10 +352,11 @@ def _lifts_split(block: Coeffs, k: int, p: int) -> bool:
 
 def factor_mod_p(f: PolyModP) -> FactorizationModP:
     """Complete factorization over F_p: squarefree decomposition, then
-    distinct-degree, then randomized equal-degree splitting."""
+    distinct-degree, then equal-degree splitting; a modulus that is not
+    prime is refused by name."""
     if not f.coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    p = f.p
+    p = _prime(f.p)
     factors = [
         (q, mult)
         for part, mult in _squarefree_parts(f.coeffs, p)

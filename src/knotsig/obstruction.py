@@ -38,6 +38,15 @@ into q and q~ only to break a tie between several such h.  With one h,
 the common case (D = F mod p whenever p | a - b for the factors of P
 from Delta_a and Delta_b), the witness is h(X^2 - X) at once.
 
+A D of degree at most 3, the common case again (the v-models of the
+Delta_a are cubics), gives its h by its roots when p is below
+`modp._SCAN_BELOW` (`_factors_by_roots`), with no squarefree
+decomposition: Y - r for each root r, and the cofactor left once each
+Y - r is divided out as often as it divides.  That cofactor has no root,
+so it is constant or irreducible: were it a product of two factors of
+degree >= 1, the degrees, at most 3 in all, would put one factor at
+degree 1, which has a root.
+
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per (F, G),
 and its callers attach the request's indices; distinct pairs share D, so
@@ -51,8 +60,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
 from .memos import PER_FACTOR, memo
-from .modp import (PolyModP, _equal_degree_factors, _gcd, _lifts_split, _reduced, _squarefree_factors,
-                   _squarefree_parts)
+from .modp import (_SCAN_BELOW, Coeffs, PolyModP, _divrem, _equal_degree_factors, _gcd, _lifts_split,
+                   _reduced, _roots, _squarefree_factors, _squarefree_parts)
 from .polys import IntPoly, resultant
 from .zfactor import _V, SymmetricFactorSet, v_model
 
@@ -123,7 +132,10 @@ def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
     the irreducible factor h of D whose lift has the smallest factor
     (module docstring); memoized."""
     p = D.p
-    hs = [h for part, _ in _squarefree_parts(D.coeffs, p) for h in _squarefree_factors(part, p)]
+    if len(D.coeffs) <= 4 and p < _SCAN_BELOW:
+        hs = _factors_by_roots(D.coeffs, p)
+    else:
+        hs = [h for part, _ in _squarefree_parts(D.coeffs, p) for h in _squarefree_factors(part, p)]
     if not hs:
         return False, None
     if len(hs) > 1:
@@ -133,6 +145,20 @@ def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
         if len(hs) > 1:
             hs = [min(hs, key=lambda h: _least_factor(h, m, p))]
     return True, PolyModP(p, _lift(hs[0], p))
+
+
+def _factors_by_roots(D: Coeffs, p: int) -> list[list[int]]:
+    """The distinct monic irreducible factors of a nonzero D of degree at
+    most 3: Y - r for each root r, and the cofactor with no root left once
+    each Y - r is divided out as often as it divides, unless constant."""
+    hs, rest = [], D
+    for r in _roots(D, p):
+        hs.append([-r % p, 1])
+        quot, rem = _divrem(rest, hs[-1], p)
+        while not rem:
+            rest = quot
+            quot, rem = _divrem(rest, hs[-1], p)
+    return hs + [list(rest)] if len(rest) > 1 else hs
 
 
 def _lift(h: list[int], p: int) -> list[int]:

@@ -243,6 +243,15 @@ class TestEdgeContracts:
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 7"):
             symmetric_common_factor(a, b)
 
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_a_modulus_that_is_not_prime_is_refused_by_name(self, m):
+        """The public entry points name the modulus instead of failing on an
+        inverse mod m; 1 is refused already by `PolyModP`."""
+        with pytest.raises(ValueError, match=f"modulus {m} is not a prime"):
+            factor_mod_p(PolyModP(m, (1, 2, 1)))
+        with pytest.raises(ValueError, match=f"modulus {m} is not a prime"):
+            symmetric_common_factor(PolyModP(m, (1, 2, 1)), PolyModP(m, (1, 1)))
+
     def test_prime_beyond_a_machine_word(self):
         p = 9223372036854775907  # > 2^63, prime
         a, b = mod("x^2 - 3*x + 2", p), mod("x^2 - 4*x + 3", p)
@@ -419,3 +428,86 @@ class TestFactorAgainstSympy:
         fac = factor_mod_p(PolyModP(p, f))
         assert fac == sympy_factor_mod_p(PolyModP(p, f))
         assert max(e for _, e in fac.factors) >= p * p
+
+
+def split_both_ways(monkeypatch, f, p):
+    """(`_distinct_degree`, `_equal_degree_factors`) of f at p, by the root
+    scan where `_SCAN_BELOW` allows it and again by splitting alone."""
+    out = []
+    for bound in (modp._SCAN_BELOW, 0):
+        monkeypatch.setattr(modp, "_SCAN_BELOW", bound)
+        blocks = modp._distinct_degree(f, p)
+        out.append(([(list(b), d) for b, d in blocks], modp._equal_degree_factors(blocks, p)))
+    return out
+
+
+def squarefree(f, p) -> bool:
+    return modp._squarefree_parts(f, p) == [(f, 1)]
+
+
+class TestRootScan:
+    """Below `modp._SCAN_BELOW` small pieces are factored by their roots;
+    the factors are those of distinct-degree passes and random splitting,
+    which the tests reach by setting the bound to 0."""
+
+    def test_every_small_squarefree_polynomial(self, monkeypatch):
+        cases = 0
+        for p in (2, 3, 5, 7):
+            for n in (1, 2, 3):
+                for low in itertools.product(range(p), repeat=n):
+                    f = list(low) + [1]
+                    if squarefree(f, p):
+                        scan, split = split_both_ways(monkeypatch, f, p)
+                        assert scan == split, (p, f)
+                        cases += 1
+        # monic squarefree polynomials over F_q: q of degree 1, q^n - q^(n-1) of degree n >= 2
+        assert cases == sum(p if n == 1 else p**n - p ** (n - 1)
+                            for p in (2, 3, 5, 7) for n in (1, 2, 3))
+
+    @pytest.mark.parametrize("p", [241, 251, 257, 263])
+    def test_random_cubics_around_the_bound(self, monkeypatch, p):
+        """Seeded f of degree 1 to 3 at primes just below and above the
+        bound: the same blocks and factors either way, and above the bound
+        no root is scanned for."""
+        rng = random.Random(p)
+        if p > modp._SCAN_BELOW:
+            monkeypatch.setattr(modp, "_roots", None)
+        shapes = []
+        for _ in range(60):
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            if squarefree(f, p):
+                scan, split = split_both_ways(monkeypatch, f, p)
+                assert scan == split, (p, f)
+                shapes.append(tuple(d for _, d in scan[0]))
+        assert {(3,), (1,), (1, 2), (2,)} <= set(shapes)
+
+    @pytest.mark.parametrize("p", [11, 23, 31, 127, 251])
+    def test_linear_blocks(self, monkeypatch, p):
+        rng = random.Random(300 + p)
+        for k in range(2, 10):
+            for _ in range(3):
+                roots = rng.sample(range(p), k)
+                block = [1]
+                for r in roots:
+                    block = modp._mul(block, [-r % p, 1], p)
+                want = sorted([-r % p, 1] for r in roots)
+                monkeypatch.setattr(modp, "_SCAN_BELOW", 0)
+                assert modp._equal_degree_factors([(block, 1)], p) == want
+                monkeypatch.undo()
+                assert modp._distinct_degree(block, p) == [(block, 1)]
+                assert modp._equal_degree_factors([(block, 1)], p) == want
+
+    def test_no_random_stream_without_a_split(self, monkeypatch):
+        """`Random(0)` is built only for a block of degree >= 2 that needs
+        splitting: not for linear blocks below the bound, nor for blocks
+        that are one irreducible factor."""
+        monkeypatch.setattr(modp, "Random", None)
+        p = 7
+        # X^2 + 1 and X^3 + 2: -1 is no square mod 7, -2 no cube
+        quadratic, cubic = [1, 0, 1], [2, 0, 0, 1]
+        assert modp._roots(quadratic, p) == modp._roots(cubic, p) == []
+        linear = modp._mul([1, 1], [5, 1], p)
+        blocks = [(linear, 1), (quadratic, 2), (cubic, 3)]
+        assert modp._equal_degree_factors(blocks, p) == [[1, 1], [5, 1], quadratic, cubic]
+        one_root = modp._mul([1, 1], quadratic, p)
+        assert modp._distinct_degree(one_root, p) == [([1, 1], 1), (quadratic, 2)]

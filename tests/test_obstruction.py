@@ -19,10 +19,10 @@ from knotsig import (
     standing_assumptions,
     v_polynomial,
 )
-from knotsig.modp import PolyModP, _gcd, _reduced, symmetric_common_factor
+from knotsig.modp import PolyModP, _gcd, _reduced, factor_mod_p, symmetric_common_factor
 from knotsig.obstruction import _symmetric_witness
 from knotsig.polys import parse_poly
-from conftest import IN_SCOPE_A, make_delta_a
+from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import pair_facts_on_lifts, symmetric_mod_p_by_sympy
 
 
@@ -250,23 +250,82 @@ class TestHalfDegreeWitness:
 
     def test_an_irreducible_gcd_is_factored_at_its_degree(self, monkeypatch):
         """For an irreducible D no factoring routine of `modp` sees a
-        polynomial of degree above deg D."""
+        polynomial of degree above deg D, and below `modp._SCAN_BELOW` one
+        of degree at most 3 is read off its roots, with no distinct-degree
+        pass, no equal-degree split and no `_powmod`."""
         from knotsig import modp
 
         seen: list[int] = []
+        powers: list[int] = []
         for name in ("_distinct_degree", "_equal_degree_split"):
             def recording(f, *args, _original=getattr(modp, name)):
                 seen.append(len(f) - 1)
                 return _original(f, *args)
 
             monkeypatch.setattr(modp, name, recording)
+
+        def counting_powmod(*args, _original=modp._powmod):
+            powers.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(modp, "_powmod", counting_powmod)
         irreducible = 0
         for p, top in self.FIELDS:
+            assert p < modp._SCAN_BELOW
             for D in self.monic(p, top):
                 if modp.factor_mod_p(D).factors != ((D, 1),):
                     continue
                 seen.clear()
+                powers.clear()
                 _symmetric_witness(D)
-                assert seen and max(seen) <= D.degree, D
+                if D.degree <= 3:
+                    assert not seen and not powers, D
+                else:
+                    assert seen and max(seen) <= D.degree, D
                 irreducible += 1
         assert irreducible == 398
+
+    def test_the_factors_read_off_the_roots(self):
+        """Every monic D of degree 1 to 3 over the small fields, repeated
+        factors among them: its distinct monic irreducible factors, each
+        once."""
+        from knotsig.obstruction import _factors_by_roots
+
+        cases = 0
+        for p, _ in self.FIELDS:
+            for D in self.monic(p, 3):
+                want = sorted(q.coeffs for q, _ in factor_mod_p(D).factors)
+                assert sorted(tuple(h) for h in _factors_by_roots(D.coeffs, p)) == want, D
+                cases += 1
+        assert cases == sum(p + p**2 + p**3 for p, _ in self.FIELDS)
+
+    @pytest.mark.parametrize("p", [241, 251, 257, 263])
+    def test_witness_paths_around_the_scan_bound(self, monkeypatch, p):
+        """D of degree 1 to 5 built from a few roots, among them repeated
+        ones and -1/4, and a random monic quadratic: below the bound those
+        of degree at most 3 are read off their roots, above it every D is
+        split.  Both equal the witness of the lift, and below the bound the
+        root reading equals the split."""
+        from knotsig import modp, obstruction
+
+        v = IntPoly((0, -1, 1))  # X^2 - X
+        rng = random.Random(p)
+        pool = [(-pow(4, -1, p)) % p, rng.randrange(p), rng.randrange(p)]
+        degrees = set()
+        for _ in range(40):
+            D = [1]
+            for r in rng.choices(pool, k=rng.randint(0, 3)):
+                D = modp._mul(D, [-r % p, 1], p)
+            if len(D) == 1 or rng.random() < 0.3:
+                D = modp._mul(D, [rng.randrange(p), rng.randrange(p), 1], p)
+            D = PolyModP(p, D)
+            degrees.add(D.degree)
+            d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
+            want = symmetric_common_factor(d, d)
+            assert _symmetric_witness(D) == want, D
+            if p < modp._SCAN_BELOW:
+                monkeypatch.setattr(obstruction, "_SCAN_BELOW", 0)
+                clear_facts_memos()
+                assert _symmetric_witness(D) == want, D
+                monkeypatch.undo()
+        assert {1, 2, 3} <= degrees and max(degrees) > 3
