@@ -12,17 +12,22 @@ Every run has ``PYTHONDONTWRITEBYTECODE=1``.  Prints, per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles and the
 number of pairs the change won; ``--out`` also writes every run's final
 JSON line and the summary.  The temporary directory is removed in
-``finally``, also when a run fails or the script is interrupted.
-Standard library only.
+``finally``, also when a run fails or the script is interrupted: SIGTERM
+raises ``SystemExit`` as Ctrl-C raises ``KeyboardInterrupt``.  Each run
+starts in a session of its own, and an interrupted run's process group is
+killed, so no perfbench worker outlives the script.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -77,14 +82,34 @@ def run_once(checkout: str, workload: str, seed: int, corpus_seed: int | None,
     if corpus_seed is not None:
         cmd += ["--corpus-seed", str(corpus_seed)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    done = run_in_session(cmd, checkout, env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def run_in_session(cmd: list[str], cwd: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``cmd`` with its output captured, in a new session; when the wait is
+    interrupted, its whole process group is killed before the exception
+    goes on."""
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description="alternating parent/change perfbench pairs")
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")

@@ -120,11 +120,11 @@ def integer_factor(n: int) -> list[int]:
         return primes
     rng = Random(0)
     budget = [0, RHO_BUDGET]
+    # every entry is >= 2: n > 1, and a composite m is replaced by a
+    # nontrivial factor and its cofactor, or by its square root twice
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             if m >= MR_EXACT_BOUND:
                 raise BudgetExceededError(

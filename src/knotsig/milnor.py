@@ -40,7 +40,8 @@ def enumerate_sign_tuples(k: int, s: int) -> list[tuple[int, ...]]:
 
 def first_assignment(k: int, s: int) -> list[int]:
     """``enumerate_sign_tuples(k, s)[0]`` as a list, without enumerating:
-    the +2 entries first.  The family must be nonempty."""
+    the +2 entries first.  The family must be nonempty, as it is past
+    the gates of `pipeline.analyze` (proof there)."""
     n_plus = _plus_count(k, s)
     return [2] * n_plus + [-2] * (k - n_plus)
 

@@ -34,15 +34,16 @@ of the Delta_a sextics (`perfbench/workloads.py`).  Below
 `_SCAN_BELOW` = 256 they are read off their roots, found by `_roots`
 (Horner evaluation at every residue): a linear block splits into its
 X - r (`_equal_degree_factors`), a squarefree f of degree at most 3 is
-classed by its number of roots (`_distinct_degree`), and the prime table
-reads a gcd of degree at most 3 the same way.  Factorization mod p is
-unique and every factor list is sorted, so the results are those of
-splitting.  The bound is the measured crossover (CPython 3.11, 2 vCPUs;
-40 random squarefree cubics and 20 linear blocks per prime): a cubic's
-scan against its distinct-degree pass took 4.0 against 24 us at p = 23,
-29 against 40 us at p = 251, and 49 against 36 us at p = 401; a linear
-block of 7 roots took 7 against 239 us of splitting at p = 23, 64
-against 430 us at p = 251, and one of 2 roots still won at p = 1021.
+classed by its number of roots (`_distinct_degree`), and the prime table's
+gcd of degree at most 3 gives its distinct irreducible factors the same
+way (`_irreducible_factors`).  Factorization mod p is unique and every
+factor list is sorted, so the results are those of splitting.  The bound
+is the measured crossover (CPython 3.11, 2 vCPUs; 40 random squarefree
+cubics and 20 linear blocks per prime): a cubic's scan against its
+distinct-degree pass took 4.0 against 24 us at p = 23, 29 against 40 us
+at p = 251, and 49 against 36 us at p = 401; a linear block of 7 roots
+took 7 against 239 us of splitting at p = 23, 64 against 430 us at
+p = 251, and one of 2 roots still won at p = 1021.
 Other blocks go through Cantor-Zassenhaus equal-degree splitting, which
 draws from `Random(0)`; it is built only when a block of degree >= 2
 needs splitting, or a linear block at p >= `_SCAN_BELOW`, and no factor
@@ -335,6 +336,26 @@ def _squarefree_factors(f: Coeffs, p: int) -> list[list[int]]:
     """Monic irreducible factors of monic f, squarefree mod p (the caller
     certifies it), ascending by (degree, coefficients)."""
     return _equal_degree_factors(_distinct_degree(f, p), p)
+
+
+def _irreducible_factors(f: Coeffs, p: int) -> list[list[int]]:
+    """The distinct monic irreducible factors of nonzero f, each once.
+    Below `_SCAN_BELOW` an f of degree at most 3 is read off its roots, with
+    no squarefree decomposition: X - r for each root r, and the cofactor
+    left once each X - r is divided out as often as it divides, unless
+    constant.  That cofactor has no root, so it is irreducible: were it a
+    product of two factors of degree >= 1, the degrees, at most 3 in all,
+    would put one factor at degree 1, which has a root."""
+    if len(f) > 4 or p >= _SCAN_BELOW:
+        return [h for part, _ in _squarefree_parts(f, p) for h in _squarefree_factors(part, p)]
+    hs, rest = [], f
+    for r in _roots(f, p):
+        hs.append([-r % p, 1])
+        quot, rem = _divrem(rest, hs[-1], p)
+        while not rem:
+            rest = quot
+            quot, rem = _divrem(rest, hs[-1], p)
+    return hs + [_monic(rest, p)] if len(rest) > 1 else hs
 
 
 def _lifts_split(block: Coeffs, k: int, p: int) -> bool:

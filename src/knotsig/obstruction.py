@@ -17,9 +17,10 @@ symmetric common factor of degree >= 2.  A candidate that fails (deg D < 1)
 is an internal error, never a smaller prime set.
 
 The witness is taken at half degree too, from the distinct monic
-irreducible factors h of D mod p, and equals the one that
-`modp.symmetric_common_factor(d, d)` finds: the expansion of the first
-irreducible factor of d, by (degree, coefficients), that qualifies.
+irreducible factors h of D mod p (`modp._irreducible_factors`), and
+equals the one that `modp.symmetric_common_factor(d, d)` finds: the
+expansion of the first irreducible factor of d, by (degree,
+coefficients), that qualifies.
 Distinct h have coprime lifts h(X^2 - X), so the irreducible factors of d
 are exactly those of the lifts, and every one of them qualifies: one that
 X -> 1-X does not fix has its image in d, as d is fixed; a fixed one has
@@ -38,15 +39,6 @@ into q and q~ only to break a tie between several such h.  With one h,
 the common case (D = F mod p whenever p | a - b for the factors of P
 from Delta_a and Delta_b), the witness is h(X^2 - X) at once.
 
-A D of degree at most 3, the common case again (the v-models of the
-Delta_a are cubics), gives its h by its roots when p is below
-`modp._SCAN_BELOW` (`_factors_by_roots`), with no squarefree
-decomposition: Y - r for each root r, and the cofactor left once each
-Y - r is divided out as often as it divides.  That cofactor has no root,
-so it is constant or irreducible: were it a product of two factors of
-degree >= 1, the degrees, at most 3 in all, would put one factor at
-degree 1, which has a root.
-
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per (F, G),
 and its callers attach the request's indices; distinct pairs share D, so
@@ -60,8 +52,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
 from .memos import PER_FACTOR, memo
-from .modp import (_SCAN_BELOW, Coeffs, PolyModP, _divrem, _equal_degree_factors, _gcd, _lifts_split,
-                   _reduced, _roots, _squarefree_factors, _squarefree_parts)
+from .modp import PolyModP, _equal_degree_factors, _gcd, _irreducible_factors, _lifts_split, _reduced
 from .polys import IntPoly, resultant
 from .zfactor import _V, SymmetricFactorSet, v_model
 
@@ -86,9 +77,9 @@ class ObstructionGroup:
 
 
 # no caller in knotsig; kept because perfbench/tracing.py traces it
-def pi_set(f: IntPoly, g: IntPoly, indices: tuple[int, int] = (0, 1)) -> PiEntry:
+def pi_set(f: IntPoly, g: IntPoly) -> PiEntry:
     """All primes p such that f mod p and g mod p have a common factor h
-    with h(1-X) = h(X) and deg h >= 1."""
+    with h(1-X) = h(X) and deg h >= 1, as the entry of the pair (0, 1)."""
     if f == g:
         raise ValueError("the prime set is defined for distinct factors")
     models = []
@@ -98,7 +89,7 @@ def pi_set(f: IntPoly, g: IntPoly, indices: tuple[int, int] = (0, 1)) -> PiEntry
         models.append(v_model(q))
         if models[-1] is None:
             raise ValueError(f"factor {q} is not fixed by X -> 1-X")
-    return PiEntry(indices, *_pair_primes(*models))
+    return PiEntry((0, 1), *_pair_primes(*models))
 
 
 @memo(PER_FACTOR)
@@ -132,10 +123,7 @@ def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
     the irreducible factor h of D whose lift has the smallest factor
     (module docstring); memoized."""
     p = D.p
-    if len(D.coeffs) <= 4 and p < _SCAN_BELOW:
-        hs = _factors_by_roots(D.coeffs, p)
-    else:
-        hs = [h for part, _ in _squarefree_parts(D.coeffs, p) for h in _squarefree_factors(part, p)]
+    hs = _irreducible_factors(D.coeffs, p)
     if not hs:
         return False, None
     if len(hs) > 1:
@@ -145,20 +133,6 @@ def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
         if len(hs) > 1:
             hs = [min(hs, key=lambda h: _least_factor(h, m, p))]
     return True, PolyModP(p, _lift(hs[0], p))
-
-
-def _factors_by_roots(D: Coeffs, p: int) -> list[list[int]]:
-    """The distinct monic irreducible factors of a nonzero D of degree at
-    most 3: Y - r for each root r, and the cofactor with no root left once
-    each Y - r is divided out as often as it divides, unless constant."""
-    hs, rest = [], D
-    for r in _roots(D, p):
-        hs.append([-r % p, 1])
-        quot, rem = _divrem(rest, hs[-1], p)
-        while not rem:
-            rest = quot
-            quot, rem = _divrem(rest, hs[-1], p)
-    return hs + [list(rest)] if len(rest) > 1 else hs
 
 
 def _lift(h: list[int], p: int) -> list[int]:

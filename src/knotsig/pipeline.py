@@ -4,10 +4,12 @@ The verdict taxonomy is deliberately four-valued.  OUT_OF_SCOPE means the
 input violates a structural assumption (conditions on Delta, or the
 companion polynomial is not a squarefree product of symmetric factors).
 NOT_ADMISSIBLE means an arithmetic gate fails: the signature must be
-divisible by 8 (by 16 when m = 3), bounded by rho, and reachable by some
-Milnor assignment.  When the gates pass, a trivial obstruction group means
-REALIZABLE; a nonzero group means the answer depends on an evaluation this
-tool does not perform, reported as OBSTRUCTION_UNKNOWN rather than guessed.
+divisible by 8 (by 16 when m = 3) and bounded by rho.  A signature that
+passes both is reached by some Milnor assignment, as rho = 0 (mod 4) for
+every Delta in scope (proof at :func:`analyze`).  When the gates pass, a
+trivial obstruction group means REALIZABLE; a nonzero group means the
+answer depends on an evaluation this tool does not perform, reported as
+OBSTRUCTION_UNKNOWN rather than guessed.
 
 The facts about Delta do not depend on the target, so
 :func:`_delta_facts` memoizes them per Delta (see `memos`) as a frozen
@@ -18,7 +20,7 @@ against rho of its factor Delta_f of Delta, and, on first use, the prime
 table and the obstruction group.  :func:`_factor_delta` memoizes the rho
 of each Delta_f per factor of P, so a Delta whose factors are known
 builds no Sturm sequence.  The checks per target are the gates on m and s
-(or tau): divisibility by 8 or 16, |s| <= rho, and a nonempty Milnor set.
+(or tau): divisibility by 8 or 16, and |s| <= rho.
 """
 
 from __future__ import annotations
@@ -334,7 +336,17 @@ def _conclude(
 
 
 def analyze(req: AnalysisRequest) -> AnalysisReport:
-    """Verdict for the target signature req.signature."""
+    """Verdict for the target signature req.signature.
+
+    Past the two gates the Milnor family is nonempty, as
+    `milnor.first_assignment` requires, since rho = 0 (mod 4) in scope.
+    Write Delta(X) = X^n D(X + 1/X) with deg D = n.  Then
+    D(2) = Delta(1) = (-1)^n and D(-2) = (-1)^n Delta(-1), where Delta(-1)
+    is a square, and odd as Delta(-1) = Delta(1) (mod 2), so positive.  So
+    D(2) and D(-2) have one sign, and D, squarefree as Delta is, has an
+    even number of roots in (-2, 2), each giving two roots of Delta on the
+    unit circle.  With 8 | s and |s| <= rho, n+ = (s + rho)/4 is then an
+    integer in 0..rho/2."""
     if req.signature is None:
         raise ValueError("analyze needs a target signature; use analyze_tau for assignments")
     report, facts = _analyze_common(req)
@@ -352,9 +364,6 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     report.mil = {"rho": rho, "s": s, "count": count}
     if count <= MAX_LISTED_ASSIGNMENTS:
         report.mil["assignments"] = [list(t) for t in enumerate_sign_tuples(k, s)]
-    if count == 0:
-        failure = f"no assignment of +-2 over {k} factors sums to {s}"
-        return _reject(report, VERDICT_NOT_ADMISSIBLE, failure)
     note = _indecomposability_note(facts.rhos, s, _modulus(m))
     return _conclude(report, facts, first_assignment(k, s), note)
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import BudgetExceededError, KnotsigError
+from .intfactor import is_probable_prime
 from .memos import PER_FACTOR, memo, register
 from .modp import (
     _add,
@@ -152,27 +153,21 @@ def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
 # Hensel lifting (monic, quadratic, recursive split)
 
 
-def _pm_divrem_monic(a, b, m) -> tuple[list[int], list[int]]:
-    """Division by a monic polynomial works over Z/m."""
-    if not b or b[-1] != 1:
-        raise ValueError("divisor must be monic")
-    return _divrem(a, b, m)
-
-
 def _hensel_step(f, g, h, s, t, m, last=False):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the
-    same congruences mod m^2, with g, h monic.  Products stay unreduced
+    same congruences mod m^2, with g, h monic; so is h2 = h + r, as
+    deg r < deg h, and both divide over Z/m^2.  Products stay unreduced
     until the sum or division that takes them reduces once.  After the
     ``last`` round nothing reads s, t, so they are returned unlifted."""
     m2 = m * m
     e = _sub(f, _mul_coeffs(g, h), m2)
-    q, r = _pm_divrem_monic(_mul_coeffs(s, e), h, m2)
+    q, r = _divrem(_mul_coeffs(s, e), h, m2)
     g2 = _add(_add(g, _mul_coeffs(t, e), m2), _mul_coeffs(q, g), m2)
     h2 = _add(h, r, m2)
     if last:
         return g2, h2, s, t
     b = _sub(_add(_mul_coeffs(s, g2), _mul_coeffs(t, h2), m2), (1,), m2)
-    c, d = _pm_divrem_monic(_mul_coeffs(s, b), h2, m2)
+    c, d = _divrem(_mul_coeffs(s, b), h2, m2)
     s2 = _sub(s, d, m2)
     t2 = _sub(_sub(t, _mul_coeffs(t, b), m2), _mul_coeffs(c, g2), m2)
     return g2, h2, s2, t2
@@ -215,8 +210,6 @@ def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
     """The odd primes p, ascending, with p not dividing lc(g) and g
     squarefree mod p (so is its monic model).  With ``lift`` also
     g(-1/4) != 0 mod p, which makes g(X^2 - X) squarefree mod p too."""
-    from .intfactor import is_probable_prime
-
     p, dg = 1, g.derivative().coeffs
     while True:
         p += 2

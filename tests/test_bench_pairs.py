@@ -1,8 +1,15 @@
-"""The summary of scripts/bench_pairs.py on fake perfbench records."""
+"""The summary of scripts/bench_pairs.py on fake perfbench records, and
+its clean-up when it is stopped by SIGTERM."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,3 +52,59 @@ def test_summary_of_one_pair(bench_pairs):
                               "change_won": "1/1", "change_vs_parent": 0.2}
     assert s["latency_p50_ms"]["change_won"] == "0/1"
     assert s["latency_p50_ms"]["change_vs_parent"] == 0.25
+
+
+# bench_pairs.main with no git and no perfbench: the parent's tree holds
+# one file, and the run is a child that records its pid and sleeps
+DRIVER = """
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {script!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def unpack(ref, dest):
+    open(os.path.join(dest, "unpacked"), "w").close()
+
+
+def run_once(checkout, *args):
+    child = ("import os, time; open({pidfile!r} + '.tmp', 'w').write(str(os.getpid()));"
+             " os.replace({pidfile!r} + '.tmp', {pidfile!r}); time.sleep(60)")
+    bench_pairs.run_in_session([sys.executable, "-c", child], checkout)
+    raise AssertionError("the run was not interrupted")
+
+
+bench_pairs.unpack, bench_pairs.run_once = unpack, run_once
+sys.exit(bench_pairs.main(["--parent", "HEAD", "--pairs", "1", "--workload", "sweep_small"]))
+"""
+
+
+def test_sigterm_removes_the_tree_and_stops_the_run(tmp_path):
+    tmpdir, pidfile, driver = tmp_path / "tmp", tmp_path / "run.pid", tmp_path / "driver.py"
+    tmpdir.mkdir()
+    driver.write_text(DRIVER.format(script=str(SCRIPT), pidfile=str(pidfile)))
+    proc = subprocess.Popen([sys.executable, str(driver)], env=dict(os.environ, TMPDIR=str(tmpdir)),
+                            stderr=subprocess.PIPE, text=True)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pidfile.exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "the run never started"
+            time.sleep(0.05)
+        child = int(pidfile.read_text())
+        trees = list(tmpdir.glob("bench_pairs_*"))
+        assert len(trees) == 1 and (trees[0] / "unpacked").exists()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not list(tmpdir.glob("bench_pairs_*"))
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)

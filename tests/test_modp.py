@@ -16,7 +16,7 @@ from knotsig import (
     factor_mod_p,
     symmetric_common_factor,
 )
-from knotsig import modp, zfactor
+from knotsig import modp
 from knotsig.polys import _at_one_minus_x, parse_poly
 from oracles import (
     at_one_minus_x_mod_p_by_horner,
@@ -258,16 +258,6 @@ class TestEdgeContracts:
         assert gcd(a, b) == mod("x - 1", p)
         assert modp._divrem(modp._mul(a.coeffs, b.coeffs, p), b.coeffs, p) == (list(a.coeffs), [])
 
-    def test_hensel_division_needs_a_monic_divisor(self):
-        from knotsig import zfactor
-
-        with pytest.raises(ValueError):
-            zfactor._pm_divrem_monic((1, 2, 3), (1, 2), 9)
-        with pytest.raises(ValueError):
-            zfactor._pm_divrem_monic((1, 2, 3), (), 9)
-        q, r = zfactor._pm_divrem_monic((8, 0, 1), (1, 1), 9)
-        assert tuple(q) == (8, 1) and tuple(r) == ()
-
 
 def random_coeffs(rng: random.Random, m: int, max_deg: int = 72, monic: bool = False) -> list[int]:
     coeffs = [rng.randrange(m) for _ in range(rng.randrange(0, max_deg + 1))]
@@ -344,6 +334,7 @@ class TestListKernels:
             assert modp._rem(diff, b, p) == []
 
     def test_over_z_mod_m_with_monic_divisors(self):
+        assert modp._divrem((8, 0, 1), (1, 1), 9) == ([8, 1], [])  # x^2 - 1 = (x + 1)(x - 1)
         m = Z_MOD_M
         rng = random.Random(800)
         for _ in range(150):
@@ -351,7 +342,7 @@ class TestListKernels:
             b = random_coeffs(rng, m)
             f = random_coeffs(rng, m, max_deg=40, monic=True)
             assert tuple(modp._mul(a, b, m)) == pm_mul_by_steps(a, b, m)
-            q, r = zfactor._pm_divrem_monic(a, f, m)
+            q, r = modp._divrem(a, f, m)
             assert (tuple(q), tuple(r)) == pm_divrem_by_steps(a, f, m)
             assert tuple(modp._rem(a, f, m)) == tuple(r)
             total = [(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)]

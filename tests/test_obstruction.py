@@ -288,14 +288,14 @@ class TestHalfDegreeWitness:
     def test_the_factors_read_off_the_roots(self):
         """Every monic D of degree 1 to 3 over the small fields, repeated
         factors among them: its distinct monic irreducible factors, each
-        once."""
-        from knotsig.obstruction import _factors_by_roots
+        once, as `modp._irreducible_factors` reads them off the roots."""
+        from knotsig.modp import _irreducible_factors
 
         cases = 0
         for p, _ in self.FIELDS:
             for D in self.monic(p, 3):
                 want = sorted(q.coeffs for q, _ in factor_mod_p(D).factors)
-                assert sorted(tuple(h) for h in _factors_by_roots(D.coeffs, p)) == want, D
+                assert sorted(tuple(h) for h in _irreducible_factors(D.coeffs, p)) == want, D
                 cases += 1
         assert cases == sum(p + p**2 + p**3 for p, _ in self.FIELDS)
 
@@ -306,7 +306,7 @@ class TestHalfDegreeWitness:
         of degree at most 3 are read off their roots, above it every D is
         split.  Both equal the witness of the lift, and below the bound the
         root reading equals the split."""
-        from knotsig import modp, obstruction
+        from knotsig import modp
 
         v = IntPoly((0, -1, 1))  # X^2 - X
         rng = random.Random(p)
@@ -324,7 +324,7 @@ class TestHalfDegreeWitness:
             want = symmetric_common_factor(d, d)
             assert _symmetric_witness(D) == want, D
             if p < modp._SCAN_BELOW:
-                monkeypatch.setattr(obstruction, "_SCAN_BELOW", 0)
+                monkeypatch.setattr(modp, "_SCAN_BELOW", 0)
                 clear_facts_memos()
                 assert _symmetric_witness(D) == want, D
                 monkeypatch.undo()

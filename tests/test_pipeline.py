@@ -41,6 +41,7 @@ from knotsig import (
     rho_p,
     symmetric_check,
 )
+from knotsig.pipeline import _delta_facts
 from knotsig.zfactor import _KnownFactors
 from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import delta_factor_rhos, indecomposable_by_delta_factors
@@ -381,17 +382,41 @@ def test_rho_mismatch_names_the_factor(monkeypatch, delta1, delta2):
     )
 
 
+def sweep() -> list[IntPoly]:
+    """Every product of 2 or 3 distinct in-scope Delta_a (816 of them)."""
+    bases = [make_delta_a(a) for a in IN_SCOPE_A]
+    return [functools.reduce(lambda x, y: x * y, combo)
+            for k in (2, 3) for combo in itertools.combinations(bases, k)]
+
+
 def test_rho_of_delta_is_the_sum_over_its_factors():
     """The whole-Delta recount the pipeline no longer runs, as an oracle:
     rho_delta(Delta) by the trace model of Delta equals the reported rho,
-    the sum over the factors of P, for every product of 2 or 3 distinct
-    in-scope Delta_a (816 of them)."""
-    bases = [make_delta_a(a) for a in IN_SCOPE_A]
-    deltas = [functools.reduce(lambda x, y: x * y, combo)
-              for k in (2, 3) for combo in itertools.combinations(bases, k)]
+    the sum over the factors of P, for every Delta of the sweep."""
+    deltas = sweep()
     assert len(deltas) == 816
     for delta in deltas:
         assert rho_delta(delta) == analyze(AnalysisRequest(delta=delta, m=7, signature=0)).rho
+
+
+def test_every_signature_past_the_gates_has_an_assignment():
+    """The precondition of `milnor.first_assignment` in `analyze` (proof
+    there): rho = 0 (mod 4) for every in-scope Delta of the census (748 of
+    792) and of the sweep (816), so expected_count(rho, s) >= 1 for every s
+    with 8 | s and |s| <= rho, the multiples of 16 among them."""
+    from test_full_degree_oracle import census
+
+    in_scope = 0
+    for delta in census() + sweep():
+        facts = _delta_facts(delta)
+        if facts.reason is not None:
+            continue
+        rho = sum(facts.rhos)
+        assert rho % 4 == 0, delta
+        for s in range(-(rho // 8) * 8, rho + 1, 8):
+            assert expected_count(rho, s) >= 1, (delta, s)
+        in_scope += 1
+    assert in_scope == 748 + 816
 
 
 def test_conditions_send_p_through_its_v_model():
