@@ -8,15 +8,17 @@ directory, so nothing is added to the repository's .git.  For each
 workload (default: every workload of BENCHMARK.json), ``perfbench/run.py
 --trace 0`` runs ``--pairs`` times in the parent's copy and as often in
 the working tree, alternating within each pair which side runs first.
-Every run has ``PYTHONDONTWRITEBYTECODE=1``.  Prints, per end-to-end
-metric of BENCHMARK.json, each side's median and quartiles and the
-number of pairs the change won; ``--out`` also writes every run's final
-JSON line and the summary.  The temporary directory is removed in
-``finally``, also when a run fails or the script is interrupted: SIGTERM
-raises ``SystemExit`` as Ctrl-C raises ``KeyboardInterrupt``.  Each run
-starts in a session of its own, and an interrupted run's process group is
-killed, so no perfbench worker outlives the script.  Standard library
-only.
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
+set to an empty directory of its own, removed after the run, so both
+sides compile from source: a ``__pycache__`` left in the working tree is
+not read.  Prints, per end-to-end metric of BENCHMARK.json, each side's
+median and quartiles and the number of pairs the change won; ``--out``
+also writes every run's final JSON line and the summary.  The temporary
+directory is removed in ``finally``, also when a run fails or the script
+is interrupted: SIGTERM raises ``SystemExit`` as Ctrl-C raises
+``KeyboardInterrupt``.  Each run starts in a session of its own, and an
+interrupted run's process group is killed, so no perfbench worker
+outlives the script.  Standard library only.
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ def run_once(checkout: str, workload: str, seed: int, corpus_seed: int | None,
            "--seconds", str(seconds), "--trace", "0"]
     if corpus_seed is not None:
         cmd += ["--corpus-seed", str(corpus_seed)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = run_in_session(cmd, checkout, env)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        done = run_in_session(cmd, checkout, env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
@@ -124,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    command = (f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload <workload>"
+    command = (f"PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=<empty directory>"
+               f" python3 perfbench/run.py --workload <workload>"
                f" --seconds {args.seconds:g} --trace 0 --seed {args.seed}"
                + ("" if args.corpus_seed is None else f" --corpus-seed {args.corpus_seed}"))
     record = {"parent": args.parent, "command": command, "first": {}, "runs": {}, "summary": {}}

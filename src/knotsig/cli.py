@@ -164,11 +164,10 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
             print(f"v-root in ({iv.lo}, {iv.hi}): {value:+d}")
         print(f"total: {ms.total}")
         return 0
-    if op == "isometry":
-        t = unimodular_t(mat)
-        print(f"t = {[list(r) for r in t]}")
-        return 0
-    raise PolyParseError(f"unknown seifert op {op!r}")
+    # "isometry", the last of the parser's choices
+    t = unimodular_t(mat)
+    print(f"t = {[list(r) for r in t]}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ mod p or an integer matrix), evicts the least recently used entry first
 past its bound and never memoizes an exception: a budget that runs out,
 or a check that fails, raises again on every request.  No answer depends
 on what a memo holds.  PER_INPUT bounds the memos keyed on a whole input,
-PER_FACTOR those keyed on a part of one: PER_INPUT entries of the largest
-benchmark Delta (6 factors, 15 pairs) hold 384 factors and 960 pairs.
+PER_FACTOR = 16 * PER_INPUT those keyed on a part of one: PER_INPUT
+entries of the largest benchmark Delta (6 factors, 15 pairs) hold 384
+factors and 960 pairs, so 16 parts per input leave room for both.
 The size of one entry (tracemalloc):
 
     memo                            key                    bound       entry
@@ -14,7 +15,7 @@ The size of one entry (tracemalloc):
     pipeline._factor_delta          factor f of P          PER_FACTOR  340 B, degree 6, its rho
     seifert._form_facts             form A                 PER_INPUT   8 KB, 12 x 12, every field
     seifert._lattice_facts          lattice S = A + A^T    PER_INPUT   4 / 3 / 7 KB, E8 / +H / +H+H
-    zfactor._known_factors          irreducible factor     PER_FACTOR  610 B, degree 6, degrees at 1 prime
+    zfactor._known_factors          irreducible factor     PER_FACTOR  350 B, degree 6, q and |q(16)|
     zfactor._lift_certified         v-model factor q       PER_FACTOR  530 B, degree 3, its lift
     obstruction._pair_primes        v-models (F, G)        PER_FACTOR  570 B, models not counted
     obstruction._symmetric_witness  gcd D of F, G mod p    PER_FACTOR  510 B, D included
@@ -26,7 +27,7 @@ So full memos hold about 1 MB of Delta facts and 0.5 MB of form facts.
 from functools import lru_cache
 
 PER_INPUT = 64
-PER_FACTOR = 1024
+PER_FACTOR = 16 * PER_INPUT
 MEMOS: list = []
 
 

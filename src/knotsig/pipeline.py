@@ -161,10 +161,19 @@ def _group_dict(group: ObstructionGroup) -> dict[str, Any]:
 
 
 def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) -> str | None:
-    """When every irreducible factor of Delta has rho below the signature
-    modulus, a knot of nonzero signature cannot split as a connected sum.
-    Called once the gates pass, so mod_required <= |s| <= sum(rhos): the
-    condition already fails when Delta has a single factor.
+    """The note that a knot realizing s != 0 is indecomposable, given when
+    Delta has at least two irreducible factors and every proper sub-product
+    of them has rho below the signature modulus: rho(Delta) - min rho_f <
+    mod_required.
+
+    A connected sum K = K1 # K2 has the block sum of the two Seifert forms,
+    so Delta = Delta1 Delta2 and s = s1 + s2; in a decomposition neither
+    Deltai is a unit, so each is a proper sub-product.  Each Ki is a knot
+    of the same dimension: its signature si is divisible by the modulus,
+    and |si| <= rho(Deltai) < mod_required, so si = 0 and s = 0.  Each
+    factor's rho is then below the modulus too, as the note says; that
+    bound alone is not enough, as of three factors two may carry s
+    together.
 
     ``rhos`` holds the rho of each irreducible factor of P.  The change
     X -> 1 - 1/X maps the irreducible factors of Delta one to one onto
@@ -173,7 +182,7 @@ def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) ->
     factorization is needed; :func:`_delta_facts` checks the rho of each
     factor on every request, and the map back is an identity (proof
     there)."""
-    if s == 0 or max(rhos) >= mod_required:
+    if s == 0 or len(rhos) < 2 or sum(rhos) - min(rhos) >= mod_required:
         return None
     return (
         f"every irreducible factor of Delta has rho < {mod_required}, forcing factor "

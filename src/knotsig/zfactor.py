@@ -7,9 +7,9 @@ direct route is Zassenhaus: content/primitive split, Yun squarefree
 decomposition (integer `gcd_z`, only when no mod-p certificate shows the
 input squarefree), then per squarefree part g, in this order: one prime p
 at which g's monic model is squarefree (so no modular squarefree split
-runs); the count of modular factors mod p, by a distinct-degree pass of
-the cofactor that the known factors dividing g leave (of g when none
-does); g itself for one, `BudgetExceededError` for more than
+runs); the count of modular factors mod p, by distinct-degree passes of
+the known factors dividing g and of the cofactor they leave (of g when
+none does); g itself for one, `BudgetExceededError` for more than
 MAX_MODULAR_FACTORS = 16; then the known factors, and the cofactor goes
 on at p: equal-degree splitting, a quadratic Hensel lift past the
 Mignotte bound by recursive splitting (the products of the two halves of
@@ -34,11 +34,11 @@ An input whose memoized candidates fill its degree and multiply to it is
 answered from them, and that product is its check (proof at `_factor`):
 no Yun, no division and no second product.  At degree <= 16 no prime is
 drawn, as the cap could not refuse.  Above, the cap is counted part by
-part (proof at `_factor_squarefree`): each known factor keeps its modular
-degrees per prime in its memo entry, and only the cofactor they leave
-gets a distinct-degree pass, so the count, and any refusal, is that of a
-cold run.  `_lift_certified`, memoized per factor with the lift it
-certifies, needs no prime for a v-model factor with a real root below
+part (proof at `_factor_squarefree`): each known factor and the cofactor
+they leave get a distinct-degree pass of their own at the part's prime (a
+root scan for a cubic v-model factor), so the count, and any refusal, is
+that of a cold run.  `_lift_certified`, memoized per factor with the lift
+it certifies, needs no prime for a v-model factor with a real root below
 -1/4.
 """
 
@@ -245,9 +245,9 @@ def _factor_squarefree(
     part.  p does not divide lc g and g is squarefree mod p, so g mod p is
     the product of the pairwise coprime q mod p (q known) and r mod p, r
     the cofactor g / prod q: its irreducible factors are the disjoint
-    union of theirs.  The count is the sum of each q's degrees at p, kept
-    in its memo entry (`_KnownFactors.degrees`), and of r's own
-    distinct-degree pass.  That is the count of a pass over all of g, so
+    union of theirs.  The count is the sum of the degrees from each q's
+    own distinct-degree pass (p does not divide lc q, and q is squarefree
+    mod p) and from r's.  That is the count of a pass over all of g, so
     the prime, the trace line and the cap do not depend on the memo; when
     the known factors fill g, no pass and no division runs at g's degree."""
     d = int(g.degree)
@@ -255,7 +255,8 @@ def _factor_squarefree(
         return [g]
     p = next(_good_primes(g, lift))
     left = d - _degree(known)
-    degrees = [k for q in known for k in _known_factors.degrees(q, p)]
+    degrees = [k for q in known
+               for k in _modular_degrees(_distinct_degree(_monic(_reduced(q.coeffs, p), p), p))]
     if left:
         rest = exact_div(g, _product(known)) if known else g
         # the model of a divisor of g at lc g is certified squarefree mod p with g's
@@ -327,22 +328,17 @@ def _recombined(G: IntPoly, lc: int, blocks, p: int, trace) -> list[IntPoly]:
 
 class _KnownFactors:
     """Primitive positive-lc polynomials proven irreducible over Z, least
-    recently used first out past ``maxsize``, each kept with its degree and
-    |q(16)| (1 for X - 16): q | g forces deg q <= deg g and q(16) | g(16),
-    two integer tests that every divisor of g passes.  At 16 a non-divisor
-    seldom passes (at 2 often).
+    recently used first out past ``maxsize``, each kept with |q(16)| (1 for
+    X - 16): q | g forces deg q <= deg g and q(16) | g(16), two integer
+    tests that every divisor of g passes.  At 16 a non-divisor seldom
+    passes (at 2 often).
 
     The entries are distinct irreducibles, so when those that pass for g
     fill its degree and multiply to g, they are g's factorization, each of
     multiplicity 1: that one product shows each of them a divisor, with no
     `divides`, and it is the only check such an answer needs.  On the
     v-model route of `factor_z`, g is Q's primitive part, and the product
-    checks P too (proof there).
-
-    An entry also keeps, per prime p, the degrees of q's irreducible
-    factors mod p, filled on first use (`degrees`): `_factor_squarefree`
-    counts a part's modular factors as the sum of its factors' counts, and
-    q's at p is the same in every part that q divides."""
+    checks P too (proof there)."""
 
     def __init__(self, maxsize: int):
         self.maxsize, self.entries = maxsize, {}
@@ -355,28 +351,18 @@ class _KnownFactors:
         one product has checked that they multiply to g: the product of the
         entries that pass both tests, or, when that differs (a non-divisor
         passed), the product of the divisors `divides` finds among them."""
-        d, at16 = len(g.coeffs) - 1, g.evaluate(16)
-        found = [q for deg, v, q, _ in self.entries.values() if not at16 % v and deg <= d]
-        if _degree(found) != d or _product(found) != g:
+        n, at16 = len(g.coeffs), g.evaluate(16)
+        found = [q for q, v in self.entries.items() if not at16 % v and len(q.coeffs) <= n]
+        if _degree(found) != n - 1 or _product(found) != g:
             found = [q for q in found if divides(q, g)]
-            if _degree(found) == d and _product(found) != g:
+            if _degree(found) == n - 1 and _product(found) != g:
                 raise KnotsigError("internal error: factorization failed re-multiplication")
         self.learn(found)
         return found
 
-    def degrees(self, q: IntPoly, p: int) -> list[int]:
-        """The degrees of the irreducible factors of q mod p, ascending, for
-        an entry q that the last scan found and p not dividing lc q, with q
-        squarefree mod p: one distinct-degree pass per entry and prime."""
-        at = self.entries[q][3]
-        if p not in at:
-            at[p] = _modular_degrees(_distinct_degree(_monic(_reduced(q.coeffs, p), p), p))
-        return at[p]
-
     def learn(self, factors: list[IntPoly]) -> None:
         for q in factors:
-            entry = self.entries.pop(q, None)
-            self.entries[q] = entry or (len(q.coeffs) - 1, abs(q.evaluate(16)) or 1, q, {})
+            self.entries[q] = self.entries.pop(q, None) or abs(q.evaluate(16)) or 1
         while len(self.entries) > self.maxsize:
             del self.entries[next(iter(self.entries))]
 

@@ -559,10 +559,17 @@ def delta_factor_rhos(delta: IntPoly) -> list[int] | None:
 
 
 def indecomposable_by_delta_factors(delta: IntPoly, s: int, mod_required: int) -> bool:
-    """Whether the note applies, read off the factors of Delta: s != 0 and
-    at least two factors, each with rho below the signature modulus."""
+    """Whether the note applies, by a search over the factors of Delta
+    itself: s != 0, at least two factors, and no proper nonempty subset of
+    them whose rho reaches the signature modulus, so that no summand of a
+    connected sum can carry a nonzero signature.  Stricter than the reading
+    it replaced (each single factor's rho below the modulus), which two of
+    three factors can defeat together."""
     rhos = delta_factor_rhos(delta)
-    return s != 0 and rhos is not None and len(rhos) >= 2 and max(rhos) < mod_required
+    if s == 0 or rhos is None or len(rhos) < 2:
+        return False
+    return all(sum(part) < mod_required
+               for size in range(1, len(rhos)) for part in itertools.combinations(rhos, size))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The summary of scripts/bench_pairs.py on fake perfbench records, and
-its clean-up when it is stopped by SIGTERM."""
+"""The summary of scripts/bench_pairs.py on fake perfbench records, the
+bytecode its runs read, and its clean-up when it is stopped by SIGTERM."""
 
 from __future__ import annotations
 
 import contextlib
 import importlib.util
 import os
+import py_compile
 import signal
 import subprocess
 import sys
@@ -52,6 +53,39 @@ def test_summary_of_one_pair(bench_pairs):
                               "change_won": "1/1", "change_vs_parent": 0.2}
     assert s["latency_p50_ms"]["change_won"] == "0/1"
     assert s["latency_p50_ms"]["change_vs_parent"] == 0.25
+
+
+def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
+    """run_once gives every run PYTHONPYCACHEPREFIX, an empty directory of
+    its own that is gone after the run, so a stale __pycache__ in the
+    checkout is not read.  In place of perfbench, the run imports a module
+    whose cached bytecode holds an older value than its source."""
+    module = tmp_path / "probe.py"
+    module.write_text("VALUE = 1\n")
+    py_compile.compile(str(module), cfile=importlib.util.cache_from_source(str(module)),
+                       invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    stat = module.stat()
+    module.write_text("VALUE = 2\n")  # same size and, below, the same mtime
+    os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    stale = subprocess.run([sys.executable, "-c", "import probe; print(probe.VALUE)"],
+                           cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert stale.stdout.strip() == "1"
+
+    prefixes = []
+    real = bench_pairs.run_in_session
+
+    def run_in_session(cmd, cwd, env=None):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        prefixes.append(prefix)
+        probe = "import json, probe; print(json.dumps({'value': probe.VALUE}))"
+        return real([sys.executable, "-c", probe], cwd, env)
+
+    monkeypatch.setattr(bench_pairs, "run_in_session", run_in_session)
+    runs = [bench_pairs.run_once(str(tmp_path), "sweep_small", 1, None, 1.0) for _ in range(2)]
+    assert runs == [{"value": 2}] * 2
+    assert prefixes[0] != prefixes[1] and not any(p.exists() for p in prefixes)
 
 
 # bench_pairs.main with no git and no perfbench: the parent's tree holds

@@ -249,12 +249,12 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "25c9ece9dbd634dd5a584236332da41ffb51429df946034fad847c215c9d7c7c",
     ),
     "delta_a k=3 m=7 s=8": (
-        "f851ca3704fc15bffdb8951fb1e27e9454a033083a857bf3da2e6a281ba263b8",
-        "b2288a86542cb1a26ae68ed38c7a85e54f0ae968292a6b9629d398c2ffc8a3e3",
+        "07a94b6da59f01d587f1813bfbdcae1b15e19998d5afeb2ae309902798505491",
+        "9bf839dd27a0df98cc5666c7cdc6096c4fe5a98cc420a3ca121c1bd6ae45c41b",
     ),
     "delta_a k=3 m=7 s=-8": (
-        "62e4b25acc2a0c4ef5e275653524c838352010628e4383c511aaa5b24669ee25",
-        "7c5054609e8526910e8f0b8524723ce91eeaeacff796615878ce206a89f73fb4",
+        "01ad1ce3fb4a59b0d1f5e293ad91838667d9d2369622c7835120d744e10a795d",
+        "9af4c6f50e82fa82d732d2be64af8769dc720e590a6f902ceb2f4332705d0e11",
     ),
     "delta_a k=3 m=7 s=16": (
         "0475d4a031ff087568cb334f4232e23fd4c5977a101ec1e9fa7c516aa0f8b296",
@@ -281,12 +281,12 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "e831406786bc847b70cbd3b07516872478ab9ceef0557fa9f384e4183910cdb7",
     ),
     "delta_a k=4 m=7 s=8": (
-        "6a80cebdda2f2668b807cb41d990a5aa09600eb5fe08a4956a99a95b34471cdd",
-        "29f97d2f0d7bd6a3ca761c8f8022bc524f436be54b6843e56a2df848f474a4fb",
+        "68571efe5d228090cbafbfa373e85ba1047b8a46ad833b5bf63ab8d72be8dbd7",
+        "85828e6b2a4be64a400b41463ef631a8c8db5c54ff8bf67a198474486f3eb4ff",
     ),
     "delta_a k=4 m=7 s=-8": (
-        "b0c019647c460b0f1fa20a6f1e38672a7d0784bcc77a0521ce37417e4a9662ab",
-        "b7058093111bcc60910187a44ffce45b3ff3e20a75bf7dfe304ce058f0ccc54e",
+        "e88ec2fd2e572b0333b0f26b22bc887385f4c7a7e01d2fb9c32c5e42f49d4d48",
+        "a50650e14ce53def928fd9e308d937a17f49660d906d3171e9e6c2de795037b4",
     ),
     "delta_a k=4 m=7 s=16": (
         "f13092f7de89b8e4d2deb5658bef9a33406c9ffd416371533a36d1f63c82de2c",

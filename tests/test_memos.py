@@ -39,3 +39,9 @@ def test_the_check_sees_a_bypass():
     assert names("import functools\n\nf = functools.lru_cache(maxsize=4)(len)\n") >= {"lru_cache"}
     assert names("_memo.cache_clear()\n") >= {"cache_clear"}
     assert not names("def cache_clear(self):\n    self.entries.clear()\n") & {"cache_clear"}
+
+
+def test_the_per_factor_bound_follows_the_per_input_bound():
+    """One setting: PER_FACTOR leaves 16 parts per remembered input, room
+    for the 6 factors and 15 pairs of the largest benchmark Delta."""
+    assert knotsig.memos.PER_FACTOR == 16 * knotsig.memos.PER_INPUT == 1024

@@ -116,6 +116,17 @@ class TestVerdicts:
         rep0 = analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=0))
         assert not any("indecomposable" in note for note in rep0.notes)
 
+    def test_no_indecomposability_note_when_two_factors_carry_s(self):
+        """Delta_0 Delta_2 Delta_4 at s = 8: each factor has rho 4 < 8, but
+        Delta_0 Delta_2 at 8 and Delta_4 at 0 are both REALIZABLE, so a
+        connected sum of those two knots may realize it.  No note."""
+        d0, d2, d4 = (make_delta_a(a) for a in (0, 2, 4))
+        rep = analyze(AnalysisRequest(delta=d0 * d2 * d4, m=7, signature=8))
+        assert rep.verdict == VERDICT_REALIZABLE
+        assert not any("indecomposable" in note for note in rep.notes)
+        for delta, s in ((d0 * d2, 8), (d4, 0)):
+            assert analyze(AnalysisRequest(delta=delta, m=7, signature=s)).verdict == VERDICT_REALIZABLE
+
     def test_m_validation(self, delta1):
         with pytest.raises(ValueError, match="m = 5"):
             AnalysisRequest(delta=delta1, m=5, signature=0)

@@ -880,8 +880,9 @@ class TestKnownFactors:
         """f, with a part of degree 18 whose k factors the requests
         ``taught`` memoize: the cap is counted from the memo before the
         known factors answer, with the prime and the trace line of a cold
-        run, and no Yun or division runs.  The first request runs one
-        distinct-degree pass per factor at that prime, a repeat none."""
+        run, and no Yun or division runs.  Every request, a repeat too,
+        runs one distinct-degree pass per factor at that prime: the memo
+        keeps no modular degrees."""
         cold: list[str] = []
         expected = factor_z(f, trace=cold)
         prime_line = [line for line in cold if line.startswith("prime ")][0]
@@ -889,12 +890,12 @@ class TestKnownFactors:
         for g in taught:
             factor_z(g)
         counts = calls("modp._distinct_degree", "zfactor._yun", "polys.exact_div")
-        for passes in (k, 0):
+        for _ in range(2):
             counts.clear()
             trace: list[str] = []
             assert factor_z(f, trace=trace) == expected
             assert trace[-2:] == [prime_line, f"{k} known factors, cofactor of degree 0"]
-            assert counts == ({"modp._distinct_degree": passes} if passes else {})
+            assert counts == {"modp._distinct_degree": k}
 
     def test_a_known_part_above_the_cap_degree_meets_the_cap_first(self, calls):
         """Delta_0 Delta_2 Delta_4, of degree 18 on the direct route."""
