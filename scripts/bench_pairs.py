@@ -4,18 +4,20 @@
         [--seed 1] [--corpus-seed N] [--seconds 20] [--out FILE]
 
 The committed files of REF are unpacked (``git archive``) into a temporary
-directory, so nothing is added to the repository's .git.  For each
-workload (default: every workload of BENCHMARK.json), ``perfbench/run.py
---trace 0`` runs ``--pairs`` times in the parent's copy and as often in
-the working tree, alternating within each pair which side runs first.
-Every run has ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
-set to an empty directory of its own, removed after the run, so both
-sides compile from source: a ``__pycache__`` left in the working tree is
-not read.  Prints, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles and the number of pairs the change won; ``--out``
-also writes every run's final JSON line and the summary.  The temporary
-directory is removed in ``finally``, also when a run fails or the script
-is interrupted: SIGTERM raises ``SystemExit`` as Ctrl-C raises
+directory, so nothing is added to the repository's .git, and the working
+tree's files that git tracks or would track (``git ls-files --cached
+--others --exclude-standard``) are copied beside them.  ``__pycache__/``
+is ignored, so neither copy holds one.  For each workload (default: every
+workload of BENCHMARK.json), ``perfbench/run.py --trace 0`` runs
+``--pairs`` times in each copy, alternating within each pair which side
+runs first.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
+``PYTHONPYCACHEPREFIX``, so both sides compile ``knotsig`` and perfbench
+from source and read the standard library's bytecode, as a run in a
+fresh checkout does.  Prints, per end-to-end metric of BENCHMARK.json,
+each side's median and quartiles and the number of pairs the change won;
+``--out`` also writes every run's final JSON line and the summary.  The
+temporary directory is removed in ``finally``, also when a run fails or
+the script is interrupted: SIGTERM raises ``SystemExit`` as Ctrl-C raises
 ``KeyboardInterrupt``.  Each run starts in a session of its own, and an
 interrupted run's process group is killed, so no perfbench worker
 outlives the script.  Standard library only.
@@ -68,6 +70,18 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(q, 4) for q in qs]
 
 
+def copy_worktree(dest: str) -> None:
+    """The working tree's files that git tracks or would track under
+    ``dest``; a tracked file deleted from the tree is skipped."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        source, target = ROOT / name, Path(dest) / name
+        if name and source.is_file():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def unpack(ref: str, dest: str) -> None:
     """The committed files of ``ref`` under ``dest``."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
@@ -83,9 +97,8 @@ def run_once(checkout: str, workload: str, seed: int, corpus_seed: int | None,
            "--seconds", str(seconds), "--trace", "0"]
     if corpus_seed is not None:
         cmd += ["--corpus-seed", str(corpus_seed)]
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
-        done = run_in_session(cmd, checkout, env)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    done = run_in_session(cmd, checkout, dict(env, PYTHONDONTWRITEBYTECODE="1"))
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
@@ -127,15 +140,17 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    command = (f"PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=<empty directory>"
-               f" python3 perfbench/run.py --workload <workload>"
+    command = (f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload <workload>"
                f" --seconds {args.seconds:g} --trace 0 --seed {args.seed}"
                + ("" if args.corpus_seed is None else f" --corpus-seed {args.corpus_seed}"))
     record = {"parent": args.parent, "command": command, "first": {}, "runs": {}, "summary": {}}
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
-        unpack(args.parent, tmp)
-        sides = {"parent": tmp, "change": str(ROOT)}
+        sides = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        for path in sides.values():
+            os.mkdir(path)
+        unpack(args.parent, sides["parent"])
+        copy_worktree(sides["change"])
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             first = []

@@ -18,9 +18,10 @@ costs more than the multiply-add itself.  Every result is reduced and
 trimmed, and exact for a modulus of any size; the primes come from
 `intfactor`, which certifies each one it returns.  Beyond the inverse of
 a divisor's leading coefficient they need no prime modulus, so they work
-over Z/m with monic divisors too.  Every caller computes on them: the factoring code
-(`zfactor`, `polys.certified_squarefree`) and the prime table
-(`obstruction`) directly, and the public mod-p API (`factor_mod_p`,
+over Z/m with monic divisors too.  Every caller computes on them: the
+factoring code (`zfactor`, its squarefree certificate
+`certified_squarefree` included) and the prime table (`obstruction`)
+directly, and the public mod-p API (`factor_mod_p`,
 `symmetric_common_factor`) on the coefficients of its arguments; that
 API refuses by name a modulus that `intfactor.is_probable_prime`
 rejects.  `PolyModP` is only the value type of that API and of the prime
@@ -146,14 +147,12 @@ def _gcd(a: Coeffs, b: Coeffs, p: int) -> list[int]:
 
 
 def _xgcd(a: Coeffs, b: Coeffs, p: int) -> tuple[list[int], list[int]]:
-    """(d, u) with d the monic gcd of a and b over F_p and u*a = d mod b."""
+    """(d, u): d the monic gcd over F_p of a and b, not both zero; u*a = d mod b."""
     u, w = [1], []
     while b:
         q, r = _divrem(a, b, p)
         a, b = b, r
         u, w = w, _sub(u, _mul_coeffs(q, w), p)
-    if not a:
-        return [], u
     inv = pow(a[-1], -1, p)
     return _monic(a, p), [c * inv % p for c in u]
 

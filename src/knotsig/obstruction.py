@@ -53,8 +53,8 @@ from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
 from .memos import PER_FACTOR, memo
 from .modp import PolyModP, _equal_degree_factors, _gcd, _irreducible_factors, _lifts_split, _reduced
-from .polys import IntPoly, resultant
-from .zfactor import _V, SymmetricFactorSet, v_model
+from .polys import X2_MINUS_X, IntPoly, resultant
+from .zfactor import SymmetricFactorSet, v_model
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
 
 def _lift(h: list[int], p: int) -> list[int]:
     """h(X^2 - X) mod p."""
-    return _reduced(IntPoly(h).compose(_V).coeffs, p)
+    return _reduced(IntPoly(h).compose(X2_MINUS_X).coeffs, p)
 
 
 def _is_quarter(h: list[int], p: int) -> bool:

@@ -6,8 +6,9 @@ degree -inf.  A `fractions.Fraction` appears only as a point at which a
 polynomial is evaluated.  Questions about integer polynomials are
 answered in integers: divisibility over Z by integer long division with
 leading- and constant-coefficient pre-checks, gcds by primitive
-pseudo-remainder sequences, squarefreeness over Q by a mod-p certificate
-with that gcd as the fallback.
+pseudo-remainder sequences, squarefreeness over Q by that gcd (the
+factoring code tries the mod-p certificate `zfactor.certified_squarefree`
+first).
 
 Besides ring arithmetic this module carries the knot-specific transforms:
 the condition checker for Alexander polynomials, the involution-equivariant
@@ -402,35 +403,15 @@ def symmetric_check(f: IntPoly) -> bool:
     return _at_one_minus_x(f.coeffs) == list(f.coeffs)
 
 
-# the three largest primes below 2^30, so residues and their products stay small
-CERTIFICATE_PRIMES = (1073741789, 1073741783, 1073741741)
-
-
-def certified_squarefree(f: IntPoly) -> bool:
-    """True when a prime p of CERTIFICATE_PRIMES with p not dividing lc(f)
-    has gcd(f mod p, f' mod p) = 1; False decides nothing.
-
-    Such a p shows f squarefree over Q: by Gauss's lemma h^2 | f over Q
-    with deg h >= 1 gives h^2 | f in Z[X], reducing mod p keeps deg h,
-    and then h mod p would divide that gcd."""
-    from .modp import _gcd, _reduced  # modp imports this module
-
-    df = f.derivative().coeffs
-    return any(
-        f.lc % p and len(_gcd(_reduced(f.coeffs, p), _reduced(df, p), p)) == 1
-        for p in CERTIFICATE_PRIMES
-    )
-
-
 # no caller in knotsig; kept because perfbench/tracing.py traces it
 def is_squarefree_q(f: IntPoly) -> bool:
-    """True when gcd(f, f') is constant over Q: by a mod-p certificate, or
-    else (always when f is not squarefree) by ``gcd_z``."""
+    """True when gcd(f, f') is constant over Q, by ``gcd_z``."""
     if f.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if f.degree == 0 or certified_squarefree(f):
-        return True
-    return gcd_z(f, f.derivative()).degree == 0
+    return f.degree == 0 or gcd_z(f, f.derivative()).degree == 0
+
+
+X2_MINUS_X = IntPoly((0, -1, 1))  # v = X^2 - X, so that P(X) = Q(v)
 
 
 def v_polynomial(p: IntPoly) -> IntPoly:

@@ -42,11 +42,10 @@ from fractions import Fraction
 from typing import Union
 
 from .memos import PER_FACTOR, memo
-from .polys import IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
+from .polys import NEG_INF, IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
 
 Endpoint = Union[Fraction, int, float]  # float only for +-inf
 
-NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 DEFAULT_WIDTH = Fraction(1, 1 << 10)

@@ -18,7 +18,7 @@ field and no approximation is involved.  It is also the drop of the
 Levine-Tristram signature t -> sig(S + i t K), K = A - A^T, across the
 matching root of Delta_A, which the tests evaluate as an independent
 oracle.  ``signature_exact`` is one fraction-free congruence elimination
-of the upper triangle of a symmetric integer matrix.
+of a symmetric integer matrix.
 
 What the toolkit computes about one form A is computed once, in its
 record :class:`_FormFacts` (no pencil determinant), memoized per A by
@@ -40,7 +40,7 @@ from typing import Sequence
 
 from . import memos
 from .errors import KnotsigError, PolyParseError
-from .polys import IntPoly, _at_one_minus_x, _integer, _mul_coeffs
+from .polys import X2_MINUS_X, IntPoly, _at_one_minus_x, _integer, _mul_coeffs
 from .realroots import IsolatingInterval, _v_roots, root_signs
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
@@ -290,7 +290,7 @@ class _FormFacts:
     @cached_property
     def p(self) -> IntPoly:
         """P = det(X - c) = Q(X^2 - X)."""
-        return self.q.compose(IntPoly((0, -1, 1)))
+        return self.q.compose(X2_MINUS_X)
 
     @cached_property
     def delta(self) -> IntPoly:
@@ -394,29 +394,10 @@ def charpoly_of_pair(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[
     return _pair_facts(s_rows, a_rows).p
 
 
-# A symmetric matrix M is kept as its upper triangle, row i holding M_ij
-# for j >= i.
-
-
-def _column(tri: list[list[int]], k: int) -> list[int]:
-    """M_ik for i != k; M_ik = M_ki for i > k."""
-    return [tri[i][k - i] for i in range(k)] + tri[k][1:]
-
-
-def _drop(tri: list[list[int]], k: int) -> list[list[int]]:
-    """The triangle without row and column k."""
-    return [row[: k - i] + row[k - i + 1 :] for i, row in enumerate(tri[:k])] + tri[k + 1 :]
-
-
-def _outer_update(tri: list[list[int]], scale: int, u: list[int], v: list[int]) -> list[list[int]]:
-    """The triangle of scale M - u v^T."""
-    return [[scale * x - p * y for x, y in zip(row, v[i:])] for i, (row, p) in enumerate(zip(tri, u))]
-
-
 def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
     """Signature of a nonsingular symmetric integer matrix, by
-    fraction-free congruence diagonalization of its upper triangle.  A
-    nonzero diagonal pivot d contributes sign(d), and the rest becomes
+    fraction-free congruence diagonalization.  A nonzero diagonal pivot
+    d = M_kk contributes sign(d), and the rest becomes
     M_ij <- |d| M_ij - sign(d) M_ik M_kj; when the whole remaining
     diagonal is 0, a nonzero M_kl = b gives the block [[0, b], [b, 0]] of
     signature 0, and the rest becomes
@@ -425,29 +406,31 @@ def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
     m = as_matrix(m_rows)
     if m != transpose(m):
         raise ValueError("signature needs a symmetric matrix")
-    tri = [list(row[i:]) for i, row in enumerate(m)]
     sig = 0
-    while tri:
-        size = len(tri)
-        k = next((k for k in range(size) if tri[k][0]), None)
+    while m:
+        size = len(m)
+        k = next((k for k in range(size) if m[k][k]), None)
         if k is not None:
-            d = tri[k][0]
+            d = m[k][k]
             sig += 1 if d > 0 else -1
-            u = _column(tri, k)
-            tri = _outer_update(_drop(tri, k), abs(d), u if d > 0 else [-x for x in u], u)
+            u = m[k][:k] + m[k][k + 1 :]
+            su = u if d > 0 else [-x for x in u]
+            m = [[abs(d) * z - p * x for z, x in zip(row[:k] + row[k + 1 :], u)]
+                 for row, p in zip(m[:k] + m[k + 1 :], su)]
         else:
-            off = next(((k, l) for k in range(size) for l in range(k + 1, size) if tri[k][l - k]), None)
+            off = next(((k, l) for k in range(size) for l in range(k + 1, size) if m[k][l]), None)
             if off is None:
                 raise ValueError("matrix is singular; signature undefined")
             k, l = off
-            b = tri[k][l - k]
-            u, v = _column(tri, k), _column(tri, l)
-            del u[l - 1], v[k]  # keep i != k, l
-            tri = _outer_update(_drop(_drop(tri, l), k), abs(b), u if b > 0 else [-x for x in u], v)
-            tri = _outer_update(tri, 1, v if b > 0 else [-x for x in v], u)
-        g = math.gcd(*(math.gcd(*row) for row in tri))
+            b = m[k][l]
+            keep = [i for i in range(size) if i != k and i != l]
+            u, v = [m[k][i] for i in keep], [m[l][i] for i in keep]
+            su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
+            m = [[abs(b) * m[i][j] - p * y - q * x for j, x, y in zip(keep, u, v)]
+                 for i, p, q in zip(keep, su, sv)]
+        g = math.gcd(*(math.gcd(*row) for row in m))
         if g > 1:
-            tri = [[x // g for x in row] for row in tri]
+            m = [[x // g for x in row] for row in m]
     return sig
 
 

@@ -67,8 +67,8 @@ from .modp import (
     _sub,
     _xgcd,
 )
-from .polys import (IntPoly, _mul_coeffs, certified_squarefree, divides, exact_div, gcd_z,
-                    poly_text, v_polynomial)
+from .polys import (X2_MINUS_X, IntPoly, _mul_coeffs, divides, exact_div, gcd_z, poly_text,
+                    v_polynomial)
 from .realroots import _sign_hom, v_root_count
 
 MAX_MODULAR_FACTORS = 16
@@ -76,8 +76,8 @@ MAX_MODULAR_FACTORS = 16
 # the 598 irreducible lifts of the Delta_a sextics, a = -300..299, 300 are
 # certified by such a root, and 290 of the other 298 within the first 8.
 LIFT_PRIMES = 8
-
-_V = IntPoly((0, -1, 1))  # X^2 - X
+# the three largest primes below 2^30, so residues and their products stay small
+CERTIFICATE_PRIMES = (1073741789, 1073741783, 1073741741)
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,33 @@ def _hensel_lift(F: IntPoly, factors: list[list[int]], p: int, target: int):
 # Zassenhaus recombination
 
 
+def _squarefree_mod(g: IntPoly, dg: tuple[int, ...], p: int) -> bool:
+    """p does not divide lc(g) and gcd(g mod p, g' mod p) = 1, with
+    ``dg`` the coefficients of g'."""
+    return g.lc % p != 0 and len(_gcd(_reduced(g.coeffs, p), _reduced(dg, p), p)) == 1
+
+
+def certified_squarefree(f: IntPoly) -> bool:
+    """True when a prime p of CERTIFICATE_PRIMES passes `_squarefree_mod`;
+    False decides nothing.
+
+    Such a p shows f squarefree over Q: by Gauss's lemma h^2 | f over Q
+    with deg h >= 1 gives h^2 | f in Z[X], reducing mod p keeps deg h,
+    and then h mod p would divide that gcd."""
+    df = f.derivative().coeffs
+    return any(_squarefree_mod(f, df, p) for p in CERTIFICATE_PRIMES)
+
+
 def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
-    """The odd primes p, ascending, with p not dividing lc(g) and g
-    squarefree mod p (so is its monic model).  With ``lift`` also
+    """The odd primes p, ascending, that pass `_squarefree_mod` (so g's
+    monic model is squarefree mod p too).  With ``lift`` also
     g(-1/4) != 0 mod p, which makes g(X^2 - X) squarefree mod p too."""
     p, dg = 1, g.derivative().coeffs
     while True:
         p += 2
-        if not is_probable_prime(p) or g.lc % p == 0:
-            continue
-        gp = _reduced(g.coeffs, p)
         # with lift, g(-1/4) mod p: the remainder mod X + 1/4, by Horner's rule
-        if len(_gcd(gp, _reduced(dg, p), p)) == 1 and (not lift or _rem(gp, [pow(4, -1, p), 1], p)):
+        if (is_probable_prime(p) and _squarefree_mod(g, dg, p)
+                and (not lift or _rem(g.coeffs, [pow(4, -1, p), 1], p))):
             yield p
 
 
@@ -464,11 +479,11 @@ def _lift_certified(q: IntPoly) -> IntPoly | None:
     modulo each degree-k factor of B, so it differs from 1 exactly when one
     factor has a non-square."""
     if v_root_count(q):
-        return q.compose(_V)
+        return q.compose(X2_MINUS_X)
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
         qp = _monic(_reduced(q.coeffs, p), p)
         if not all(_lifts_split(block, k, p) for block, k in _distinct_degree(qp, p)):
-            return q.compose(_V)
+            return q.compose(X2_MINUS_X)
     return None
 
 
@@ -526,7 +541,7 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
                 factors.append((lifted, e))
                 models[lifted] = q
             else:
-                factors += [(h, m * e) for h, m in _factor(q.compose(_V), trace).factors]
+                factors += [(h, m * e) for h, m in _factor(q.compose(X2_MINUS_X), trace).factors]
         q_factors, result = fq.factors, _sorted(fq.content, factors, models)
     _known_factors.learn([q for q, _ in q_factors + result.factors])
     return result

@@ -812,10 +812,10 @@ def signature_by_real_elimination(m: tuple[tuple[int, ...], ...]) -> int:
     entry, or else a 2x2 block [[0, b], [b, 0]] of signature 0) the rest
     is replaced by |d| times its Schur complement, then divided by its
     content.  This is the kernel ``signature_exact`` ran before the Z[i]
-    one.  ``signature_exact`` is a real elimination again, but on the
-    upper triangle with its rows rebuilt at every pivot; this route
-    updates the whole square in place over a shrinking index list, so
-    the two share no code."""
+    one.  ``signature_exact`` is a real elimination again, but builds the
+    smaller matrix as new rows at every pivot; this route updates the
+    whole square in place over a shrinking index list, so the two share
+    no code."""
     w = [list(row) for row in m]
     active = list(range(len(m)))
     sig = 0

@@ -56,36 +56,49 @@ def test_summary_of_one_pair(bench_pairs):
 
 
 def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
-    """run_once gives every run PYTHONPYCACHEPREFIX, an empty directory of
-    its own that is gone after the run, so a stale __pycache__ in the
-    checkout is not read.  In place of perfbench, the run imports a module
-    whose cached bytecode holds an older value than its source."""
-    module = tmp_path / "probe.py"
+    """A stale .pyc in the working tree's src/knotsig/__pycache__ is not
+    read: the change side runs in a copy of the files git tracks or would
+    track, and __pycache__/ is ignored.  No run's environment sets
+    PYTHONPYCACHEPREFIX.  The working tree is a fresh git repository whose
+    module has cached bytecode holding an older value than its source."""
+    tree = tmp_path / "tree"
+    package = tree / "src" / "knotsig"
+    package.mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    (tree / ".gitignore").write_text("__pycache__/\n")
+    (package / "__init__.py").write_text("")
+    module = package / "probe.py"
     module.write_text("VALUE = 1\n")
     py_compile.compile(str(module), cfile=importlib.util.cache_from_source(str(module)),
                        invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
     stat = module.stat()
     module.write_text("VALUE = 2\n")  # same size and, below, the same mtime
     os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    probe = ("import json, sys; sys.path.insert(0, 'src'); from knotsig import probe;"
+             " print(json.dumps({'value': probe.VALUE}))")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
-    stale = subprocess.run([sys.executable, "-c", "import probe; print(probe.VALUE)"],
-                           cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert stale.stdout.strip() == "1"
+    stale = subprocess.run([sys.executable, "-c", probe], cwd=tree, env=env, capture_output=True,
+                           text=True)
+    assert stale.stdout.strip() == '{"value": 1}'
 
-    prefixes = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    envs = []
     real = bench_pairs.run_in_session
 
     def run_in_session(cmd, cwd, env=None):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        assert prefix.is_dir() and not any(prefix.iterdir())
-        prefixes.append(prefix)
-        probe = "import json, probe; print(json.dumps({'value': probe.VALUE}))"
+        envs.append(env)
         return real([sys.executable, "-c", probe], cwd, env)
 
     monkeypatch.setattr(bench_pairs, "run_in_session", run_in_session)
-    runs = [bench_pairs.run_once(str(tmp_path), "sweep_small", 1, None, 1.0) for _ in range(2)]
+    copy = tmp_path / "change"
+    bench_pairs.copy_worktree(str(copy))
+    assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/knotsig/__init__.py", "src/knotsig/probe.py"]
+    runs = [bench_pairs.run_once(str(copy), "sweep_small", 1, None, 1.0) for _ in range(2)]
     assert runs == [{"value": 2}] * 2
-    assert prefixes[0] != prefixes[1] and not any(p.exists() for p in prefixes)
+    assert [("PYTHONPYCACHEPREFIX" in env, env["PYTHONDONTWRITEBYTECODE"]) for env in envs] == [
+        (False, "1")] * 2
 
 
 # bench_pairs.main with no git and no perfbench: the parent's tree holds
@@ -128,7 +141,8 @@ def test_sigterm_removes_the_tree_and_stops_the_run(tmp_path):
             time.sleep(0.05)
         child = int(pidfile.read_text())
         trees = list(tmpdir.glob("bench_pairs_*"))
-        assert len(trees) == 1 and (trees[0] / "unpacked").exists()
+        assert len(trees) == 1 and (trees[0] / "parent" / "unpacked").exists()
+        assert (trees[0] / "change" / "scripts" / "bench_pairs.py").is_file()
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM
         assert not list(tmpdir.glob("bench_pairs_*"))

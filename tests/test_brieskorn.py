@@ -20,6 +20,13 @@ BP(2, 3, 5) the positive definite E8).  So, per tuple:
 
 The ten tuples are those with exponents in 2..12, Milnor number at most 48
 and A + A^T unimodular.
+
+Their block sums BP + BP' and BP + (-BP') over the 15 pairs of distinct
+tuples with mu + mu' <= 48 realize sig S = sig BP +- sig BP' and their own
+Milnor assignments, and unlike random forms they have unlinked factors.
+No question about them may get NOT_ADMISSIBLE; every other answer class
+is pinned, so a change that decides more of them moves the pins on
+purpose.
 """
 
 from __future__ import annotations
@@ -27,18 +34,21 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
 import sympy
 
 from knotsig import (
+    VERDICT_NOT_ADMISSIBLE,
     VERDICT_REALIZABLE,
     AnalysisRequest,
     IntPoly,
     alexander_of_form,
     analyze,
+    analyze_tau,
+    block_diag,
     form_to_pair,
     milnor_signatures,
     signature_exact,
@@ -118,10 +128,56 @@ def test_milnor_signatures(case):
     assert mil.total == TOTALS[exponents]
 
 
+def signed_delta(a) -> IntPoly:
+    """Delta_A, signed so that Delta(1) = (-1)^n."""
+    delta = alexander_of_form(a)
+    return delta if delta.evaluate(1) == (-1) ** (int(delta.degree) // 2) else -delta
+
+
 def test_analyze_at_the_total_is_realizable(case):
     exponents, a, _ = case
-    delta = alexander_of_form(a)
-    if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-        delta = -delta
-    rep = analyze(AnalysisRequest(delta=delta, m=7, signature=TOTALS[exponents]))
+    rep = analyze(AnalysisRequest(delta=signed_delta(a), m=7, signature=TOTALS[exponents]))
     assert rep.verdict == VERDICT_REALIZABLE
+
+
+@pytest.fixture(scope="module")
+def block_sum_answers() -> Counter:
+    """The answer class of each question about the 30 block sums, at m = 7:
+    (Delta_A, sig S), and (Delta_A, tau(A)) once milnor_signatures gives tau."""
+    counts = Counter()
+    mu = {t: prod(k - 1 for k in t) for t in TUPLES}
+    pairs = [(x, y) for x, y in combinations(TUPLES, 2) if mu[x] + mu[y] <= 48]
+    assert len(pairs) == 15
+    for x, y in pairs:
+        for sign in (1, -1):
+            second = tuple(tuple(sign * v for v in row) for row in brieskorn_pham(y))
+            a = block_diag(brieskorn_pham(x), second)
+            sig = TOTALS[x] + sign * TOTALS[y]
+            assert signature_exact(mat_add(a, transpose(a))) == sig
+            delta = signed_delta(a)
+            report = analyze(AnalysisRequest(delta=delta, m=7, signature=sig))
+            counts[f"s: {report.verdict}" + (f" ({report.reason})" if report.reason else "")] += 1
+            pair = form_to_pair(a)
+            try:
+                tau = milnor_signatures(pair.s, pair.a).values
+            except ValueError as exc:
+                counts[f"tau refused: {exc}"] += 1
+                continue
+            report = analyze_tau(AnalysisRequest(delta=delta, m=7, tau=tau))
+            counts[f"tau: {report.verdict}"] += 1
+    return counts
+
+
+def test_no_block_sum_is_refuted(block_sum_answers):
+    assert not {name for name in block_sum_answers if VERDICT_NOT_ADMISSIBLE in name}
+
+
+def test_block_sum_answers_are_pinned(block_sum_answers):
+    """24 of the 30 forms have a squarefree P and are undecided at s and
+    at tau; the other 6 are out of scope."""
+    assert block_sum_answers == {
+        "s: OBSTRUCTION_UNKNOWN": 24,
+        "tau: OBSTRUCTION_UNKNOWN": 24,
+        "s: OUT_OF_SCOPE (the companion polynomial P is not squarefree)": 6,
+        "tau refused: P must be squarefree": 6,
+    }

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import knotsig
 from knotsig import IntPoly, delta_to_p, expected_count, poly_text
 from knotsig.cli import MILNOR_COUNT_CAP, main
 from conftest import make_delta_a
@@ -349,3 +354,12 @@ def test_internal_error_exit_four(capsys, monkeypatch):
     code, out, err = run(capsys, "factor", "--poly", "x^2 - 1")
     assert code == 4 and out == ""
     assert err == "error: internal error: first line second line\n"
+
+
+def test_module_entry_point_prints_the_version():
+    """``python -m knotsig.cli`` runs ``main`` and exits with its code."""
+    src = str(Path(knotsig.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "knotsig.cli", "--version"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "knotsig 0.1.0\n", "")

@@ -25,8 +25,8 @@ from knotsig import (
     v_polynomial,
 )
 from knotsig.modp import PolyModP, _gcd
-from knotsig.polys import (CERTIFICATE_PRIMES, _at_one_minus_x, certified_squarefree, divides,
-                           exact_div, gcd_z)
+from knotsig.polys import _at_one_minus_x, divides, exact_div, gcd_z
+from knotsig.zfactor import CERTIFICATE_PRIMES, certified_squarefree
 from conftest import make_delta_a
 from oracles import (
     RatPoly,
@@ -417,9 +417,9 @@ def gcd_z_calls(monkeypatch) -> list[int]:
 
 
 class TestSquarefreeCertificate:
-    """``is_squarefree_q`` answers by a mod-p certificate when one of
-    CERTIFICATE_PRIMES gives one, else by the integer ``gcd_z``; the
-    rational gcd is the oracle."""
+    """``is_squarefree_q`` decides by the integer ``gcd_z``, and
+    ``zfactor.certified_squarefree`` by CERTIFICATE_PRIMES, where a failed
+    certificate decides nothing; the rational gcd is the oracle."""
 
     def test_against_rat_gcd_oracle(self):
         rng = random.Random(73)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from knotsig.modp import (PolyModP, _distinct_degree, _monic, _powmod, _reduced,
                           _squarefree_factors, factor_mod_p)
 from knotsig.polys import v_polynomial
 from knotsig.realroots import v_root_count
+from knotsig.zfactor import CERTIFICATE_PRIMES, certified_squarefree
 from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
 from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
@@ -34,6 +36,9 @@ def direct(f: IntPoly, trace: list[str] | None = None):
     """The direct Zassenhaus route on f itself, which factor_z takes for
     every f that is not fixed by X -> 1-X (or has f(1/2) = 0)."""
     return zfactor._factor(f, trace)
+
+
+N_CERT = math.prod(CERTIFICATE_PRIMES)
 
 
 class TestFactorZ:
@@ -135,6 +140,20 @@ class TestFactorZ:
             factor_z(poly.compose(IntPoly((1, 1))))  # roots -9..8: not fixed by X -> 1-X
         # the roots r, 1 - r pair up, so Q has 9 modular factors and the cap holds
         assert factor_z(poly).factors == tuple((IntPoly((-r, 1)), 1) for r in range(9, -9, -1))
+
+
+@pytest.mark.parametrize("f, factors", [
+    (IntPoly((0, -N_CERT, 1)), ((IntPoly((-N_CERT, 1)), 1), (IntPoly((0, 1)), 1))),
+    (IntPoly((-1, 0, N_CERT)), ((IntPoly((-1, 0, N_CERT)), 1),)),
+], ids=["x^2 - N*x", "N*x^2 - 1"])
+def test_squarefree_without_a_certificate_goes_through_the_gcd(f, factors, calls):
+    """With N the product of CERTIFICATE_PRIMES, every certificate prime
+    divides the discriminant of X^2 - N X or the leading coefficient of
+    N X^2 - 1: Yun's gcd_z finds each squarefree and returns it whole."""
+    assert not certified_squarefree(f)
+    counts = calls("zfactor._yun", "polys.gcd_z")
+    assert factor_z(f).factors == factors
+    assert counts["zfactor._yun"] == 1 and counts["polys.gcd_z"] >= 1
 
 
 class TestNonMonic:
@@ -784,7 +803,7 @@ class TestKnownFactors:
         build = product if route == "direct" else (lambda ds: delta_to_p(product(ds)))
         factor_z(build(pieces[:2]))
         factor_z(build(pieces[2:]))
-        counts = calls("polys.certified_squarefree", "modp._distinct_degree", "zfactor._good_primes")
+        counts = calls("zfactor.certified_squarefree", "modp._distinct_degree", "zfactor._good_primes")
         fz = factor_z(build(pieces))
         assert fz.product() == build(pieces)
         assert counts == {}
@@ -796,10 +815,10 @@ class TestKnownFactors:
         the degree, so Yun splits the part and q keeps multiplicity 2."""
         q, r = IntPoly((1, 0, 1)), IntPoly((-1, -1, 0, 1))
         factor_z(q * r)
-        counts = calls("zfactor._yun", "polys.certified_squarefree")
+        counts = calls("zfactor._yun", "zfactor.certified_squarefree")
         fz = factor_z(q * q * r)
         assert fz.factors == ((q, 2), (r, 1))
-        assert counts["zfactor._yun"] == 1 and counts["polys.certified_squarefree"] >= 1
+        assert counts["zfactor._yun"] == 1 and counts["zfactor.certified_squarefree"] >= 1
 
     @pytest.mark.parametrize("case", ["miss", "partial hit", "squared known factor", "v-model miss"])
     def test_one_memo_scan_per_factorization(self, monkeypatch, case):
