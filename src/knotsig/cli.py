@@ -21,13 +21,11 @@ from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, repor
 from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
 from .realroots import rho_delta, rho_p
 from .seifert import (
+    _form_facts,
     alexander_of_form,
     form_to_pair,
-    mat_add,
     milnor_signatures,
     parse_matrix,
-    signature_exact,
-    transpose,
     unimodular_t,
     validate_form,
 )
@@ -150,7 +148,7 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         print(poly_text(alexander_of_form(mat)))
         return 0
     if op == "signature":
-        print(signature_exact(mat_add(mat, transpose(mat))))
+        print(_form_facts(mat).lattice.signature)
         return 0
     if op == "to-pair":
         pair = form_to_pair(mat)

@@ -331,12 +331,6 @@ def _equal_degree_factors(blocks, p: int) -> list[list[int]]:
     return out
 
 
-def _squarefree_factors(f: Coeffs, p: int) -> list[list[int]]:
-    """Monic irreducible factors of monic f, squarefree mod p (the caller
-    certifies it), ascending by (degree, coefficients)."""
-    return _equal_degree_factors(_distinct_degree(f, p), p)
-
-
 def _irreducible_factors(f: Coeffs, p: int) -> list[list[int]]:
     """The distinct monic irreducible factors of nonzero f, each once.
     Below `_SCAN_BELOW` an f of degree at most 3 is read off its roots, with
@@ -346,7 +340,8 @@ def _irreducible_factors(f: Coeffs, p: int) -> list[list[int]]:
     product of two factors of degree >= 1, the degrees, at most 3 in all,
     would put one factor at degree 1, which has a root."""
     if len(f) > 4 or p >= _SCAN_BELOW:
-        return [h for part, _ in _squarefree_parts(f, p) for h in _squarefree_factors(part, p)]
+        return [h for part, _ in _squarefree_parts(f, p)
+                for h in _equal_degree_factors(_distinct_degree(part, p), p)]
     hs, rest = [], f
     for r in _roots(f, p):
         hs.append([-r % p, 1])
@@ -380,7 +375,7 @@ def factor_mod_p(f: PolyModP) -> FactorizationModP:
     factors = [
         (q, mult)
         for part, mult in _squarefree_parts(f.coeffs, p)
-        for q in _squarefree_factors(part, p)
+        for q in _equal_degree_factors(_distinct_degree(part, p), p)
     ]
     factors.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return FactorizationModP(f.coeffs[-1], tuple((PolyModP(p, q), e) for q, e in factors))

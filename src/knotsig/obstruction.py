@@ -109,30 +109,28 @@ def _pair_primes(F: IntPoly, G: IntPoly) -> tuple[tuple[int, ...], tuple[tuple[i
     witnesses: list[tuple[int, PolyModP]] = []
     for p in support:
         D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
-        ok, w = _symmetric_witness(PolyModP(p, D))
-        if not ok:
+        if len(D) < 2:
             raise KnotsigError(f"internal error: no symmetric common factor mod {p} | Res(f, g)")
-        witnesses.append((p, w))
+        witnesses.append((p, _symmetric_witness(PolyModP(p, D))))
     return tuple(support), tuple(witnesses)
 
 
 @memo(PER_FACTOR)
-def _symmetric_witness(D: PolyModP) -> tuple[bool, PolyModP | None]:
-    """The decision and witness of `modp.symmetric_common_factor(d, d)`
-    for d = D(X^2 - X), D a pair's monic gcd of v-models mod p: the lift of
+def _symmetric_witness(D: PolyModP) -> PolyModP:
+    """The witness of `modp.symmetric_common_factor(d, d)` for
+    d = D(X^2 - X), D a pair's monic gcd of v-models mod p, nonconstant
+    by the time it is called (:func:`_pair_primes` checks it): the lift of
     the irreducible factor h of D whose lift has the smallest factor
     (module docstring); memoized."""
     p = D.p
     hs = _irreducible_factors(D.coeffs, p)
-    if not hs:
-        return False, None
     if len(hs) > 1:
         degrees = [_least_degree(h, p) for h in hs]
         m = min(degrees)
         hs = [h for h, k in zip(hs, degrees) if k == m]
         if len(hs) > 1:
             hs = [min(hs, key=lambda h: _least_factor(h, m, p))]
-    return True, PolyModP(p, _lift(hs[0], p))
+    return PolyModP(p, _lift(hs[0], p))
 
 
 def _lift(h: list[int], p: int) -> list[int]:

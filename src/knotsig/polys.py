@@ -274,7 +274,10 @@ def parse_poly(text: str) -> IntPoly:
             return IntPoly(int(part.strip()) for part in s.split(","))
         except ValueError as exc:
             raise PolyParseError(f"bad coefficient list: {text!r}") from exc
-    s = s.replace("X", "x").replace(" ", "").replace("-", "+-")
+    s = s.replace("X", "x").replace(" ", "")
+    if "++" in s or s.endswith("+"):
+        raise PolyParseError(f"'+' with no term after it in {text!r}")
+    s = s.replace("-", "+-")
     coeffs: dict[int, int] = {}
     for chunk in s.split("+"):
         if not chunk:

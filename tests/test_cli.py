@@ -212,6 +212,17 @@ class TestSubcommands:
         code, out, _ = run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", "milnor")
         assert code == 0 and "total: 0" in out
 
+    def test_seifert_signature_refuses_a_non_form(self, capsys):
+        """sig S is read off the form's lattice record, which refuses a
+        symmetrization that is not unimodular, as the other ops do."""
+        code, out, err = run(capsys, "seifert", "--matrix", "[[1,1],[0,1]]", "--op", "signature")
+        assert code == 2 and out == "" and err == "error: symmetrization has determinant 3, not +-1\n"
+
+    def test_seifert_signature_of_e8(self, capsys, e8_half):
+        matrix = json.dumps([list(row) for row in e8_half])
+        code, out, err = run(capsys, "seifert", "--matrix", matrix, "--op", "signature")
+        assert (code, out, err) == (0, "8\n", "")
+
     def test_seifert_isometry_requires_unimodular(self, capsys):
         code, _, err = run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", "isometry")
         assert code == 2 and "determinant" in err

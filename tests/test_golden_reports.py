@@ -39,7 +39,7 @@ from knotsig import (
     parse_poly,
     report_render,
 )
-from conftest import clear_facts_memos
+from conftest import clear_facts_memos, make_delta_a
 
 # appended, so that ``oracles`` still names tests/oracles.py
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
@@ -50,10 +50,6 @@ DELTA1 = parse_poly("x^4 - x^2 + 1")
 DELTA2 = parse_poly("3*x^4 - 2*x^3 - x^2 - 2*x + 3")
 G1 = parse_poly("x^6 - 3*x^5 - x^4 + 5*x^3 - x^2 - 3*x + 1")
 PHI15 = parse_poly("x^8 - x^7 + x^5 - x^4 + x^3 - x + 1")  # one factor, rho 8
-
-
-def delta_a(a: int) -> IntPoly:
-    return IntPoly([1, -a, -1, 2 * a - 1, -1, -a, 1])
 
 
 def _product(polys) -> IntPoly:
@@ -78,13 +74,13 @@ def _corpus() -> dict[str, tuple[str, AnalysisRequest]]:
             sig(f"D1D2 m={m} s={s}", DELTA1 * DELTA2, m, s)
             sig(f"G1D1 m={m} s={s}", G1 * DELTA1, m, s)
     for k in range(1, 5):
-        delta = _product(delta_a(a) for a in (0, 2, 4, -2)[:k])
+        delta = _product(make_delta_a(a) for a in (0, 2, 4, -2)[:k])
         for m in (3, 7):
             for s in (0, 8, -8, 16):
                 sig(f"delta_a k={k} m={m} s={s}", delta, m, s)
-    sig("D1D2 delta_a(0) delta_a(2) m=3 s=16", _product((DELTA1, DELTA2, delta_a(0), delta_a(2))), 3, 16)
+    sig("D1D2 delta_a(0) delta_a(2) m=3 s=16", _product((DELTA1, DELTA2, make_delta_a(0), make_delta_a(2))), 3, 16)
     sig("Phi15 m=7 s=8", PHI15, 7, 8)
-    sig("Phi15 delta_a(0) m=7 s=8", PHI15 * delta_a(0), 7, 8)
+    sig("Phi15 delta_a(0) m=7 s=8", PHI15 * make_delta_a(0), 7, 8)
     sig("Phi15 D2 m=7 s=8", PHI15 * DELTA2, 7, 8)
     sig("D1D2 m=11 s=-8", DELTA1 * DELTA2, 11, -8)
 
@@ -92,7 +88,7 @@ def _corpus() -> dict[str, tuple[str, AnalysisRequest]]:
     tau("tau D1D2 sum 4", DELTA1 * DELTA2, 7, (2, 2, 2, -2))
     tau("tau D1D2 m=3 sum 0", DELTA1 * DELTA2, 3, (-2, 2, -2, 2))
     tau("tau G1D1 all plus", G1 * DELTA1, 7, (2, 2, 2, 2))
-    tau("tau delta_a k=3", _product(delta_a(a) for a in (0, 2, 4)), 7, (2, 2, -2, 2, 2, 2))
+    tau("tau delta_a k=3", _product(make_delta_a(a) for a in (0, 2, 4)), 7, (2, 2, -2, 2, 2, 2))
     tau("tau out of scope", DELTA1 * DELTA1, 7, (2, 2))
 
     # one input for each OUT_OF_SCOPE reason, in the order they are tested
@@ -102,7 +98,7 @@ def _corpus() -> dict[str, tuple[str, AnalysisRequest]]:
     sig("out of scope: Delta(-1) not a square", parse_poly("x^2 - 3*x + 1"), 7, 0)
     sig("out of scope: P not squarefree", DELTA1 * DELTA1, 7, 0)
     sig("out of scope: factor not symmetric", parse_poly("2*x^2 - 5*x + 2"), 7, 0)
-    sig("out of scope: delta_a(-1)", delta_a(-1) * DELTA1, 7, 0)
+    sig("out of scope: delta_a(-1)", make_delta_a(-1) * DELTA1, 7, 0)
     return out
 
 

@@ -98,11 +98,12 @@ class TestPiSet:
 
     def test_a_failed_witness_search_is_an_internal_error(self, monkeypatch, delta1, delta2):
         """Every prime of the support of Res(F, G) has a symmetric common
-        factor; a witness search that finds none raises an internal error
-        (CLI exit 4) instead of reporting a smaller prime table."""
+        factor; a constant gcd D of the v-models mod p, which has none,
+        raises an internal error (CLI exit 4) where D is made instead of
+        reporting a smaller prime table."""
         from knotsig import AnalysisRequest, KnotsigError, analyze, obstruction
 
-        monkeypatch.setattr(obstruction, "_symmetric_witness", lambda d: (False, None))
+        monkeypatch.setattr(obstruction, "_gcd", lambda a, b, p: [1])
         with pytest.raises(KnotsigError, match="^internal error: no symmetric common factor mod 2 ") as info:
             analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
         assert info.type is KnotsigError
@@ -244,7 +245,7 @@ class TestHalfDegreeWitness:
         for p, top in self.FIELDS:
             for D in self.monic(p, top):
                 d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
-                assert _symmetric_witness(D) == symmetric_common_factor(d, d), D
+                assert (True, _symmetric_witness(D)) == symmetric_common_factor(d, d), D
                 cases += 1
         assert cases == 1050
 
@@ -322,10 +323,10 @@ class TestHalfDegreeWitness:
             degrees.add(D.degree)
             d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
             want = symmetric_common_factor(d, d)
-            assert _symmetric_witness(D) == want, D
+            assert (True, _symmetric_witness(D)) == want, D
             if p < modp._SCAN_BELOW:
                 monkeypatch.setattr(modp, "_SCAN_BELOW", 0)
                 clear_facts_memos()
-                assert _symmetric_witness(D) == want, D
+                assert (True, _symmetric_witness(D)) == want, D
                 monkeypatch.undo()
         assert {1, 2, 3} <= degrees and max(degrees) > 3

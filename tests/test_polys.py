@@ -258,12 +258,14 @@ class TestParsing:
             ("7", (7,)),
             ("3x^2 + x", (0, 1, 3)),
             ("0", ()),
+            ("x^2 + -x", (0, -1, 1)),
+            ("+x - 1", (-1, 1)),
         ],
     )
     def test_accepts(self, text, coeffs):
         assert parse_poly(text) == IntPoly(coeffs)
 
-    @pytest.mark.parametrize("text", ["", "x^", "2**x", "x^4 + quux", "1,2,oops"])
+    @pytest.mark.parametrize("text", ["", "x^", "2**x", "x^4 + quux", "1,2,oops", "+", "x +", "x ++ 1", "x^2 -"])
     def test_rejects(self, text):
         with pytest.raises(PolyParseError):
             parse_poly(text)

@@ -27,15 +27,9 @@ from knotsig import (
     sturm_count,
     symmetric_common_factor,
 )
-from knotsig.cli import main
 from knotsig.realroots import IsolatingInterval, sign_at_root
 from knotsig.seifert import mat_mul, transpose
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from test_cli import run
 
 
 class TestCli:

@@ -23,8 +23,8 @@ from knotsig import (
     symmetric_check,
     zfactor,
 )
-from knotsig.modp import (PolyModP, _distinct_degree, _monic, _powmod, _reduced,
-                          _squarefree_factors, factor_mod_p)
+from knotsig.modp import (PolyModP, _distinct_degree, _equal_degree_factors, _monic, _powmod, _reduced,
+                          factor_mod_p)
 from knotsig.polys import v_polynomial
 from knotsig.realroots import v_root_count
 from knotsig.zfactor import CERTIFICATE_PRIMES, certified_squarefree
@@ -295,7 +295,8 @@ class TestVModelRoute:
         Q = v_polynomial(P)
         p = next(zfactor._good_primes(P))
         assert next(zfactor._good_primes(Q, lift=True)) == p
-        count = [len(_squarefree_factors(PolyModP.from_int_poly(f, p).coeffs, p)) for f in (Q, P)]
+        count = [len(_equal_degree_factors(_distinct_degree(PolyModP.from_int_poly(f, p).coeffs, p), p))
+                 for f in (Q, P)]
         assert count[0] <= count[1]
 
     def test_split_lift_not_certified(self):
@@ -605,14 +606,13 @@ class TestModularWork:
         """The first prime's factors, taken without the modular squarefree
         split, are those of factor_mod_p drawing the same stream."""
         from knotsig import zfactor
-        from knotsig.modp import _squarefree_factors
 
         G = self.delta_a_product_p()
         p = next(zfactor._good_primes(G))
         gp = PolyModP.from_int_poly(G, p)
         for seed in (0, 1, 7):
             monkeypatch.setattr(modp, "Random", lambda _, s=seed: random.Random(s))
-            direct = _squarefree_factors(gp.coeffs, p)
+            direct = _equal_degree_factors(_distinct_degree(gp.coeffs, p), p)
             assert [PolyModP(p, q) for q in direct] == [q for q, _ in factor_mod_p(gp).factors]
 
     def test_one_prime_per_squarefree_part(self, monkeypatch):
