@@ -15,12 +15,14 @@ runs first.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
 from source and read the standard library's bytecode, as a run in a
 fresh checkout does.  Prints, per end-to-end metric of BENCHMARK.json,
 each side's median and quartiles and the number of pairs the change won;
-``--out`` also writes every run's final JSON line and the summary.  The
-temporary directory is removed in ``finally``, also when a run fails or
-the script is interrupted: SIGTERM raises ``SystemExit`` as Ctrl-C raises
-``KeyboardInterrupt``.  Each run starts in a session of its own, and an
-interrupted run's process group is killed, so no perfbench worker
-outlives the script.  Standard library only.
+``--out`` also writes every run's final JSON line and the summary.  A run
+that is not ``correct`` or has a ``failed`` request is printed to stderr,
+and the script then exits 1.  The temporary directory is removed in
+``finally``, also when a run fails or the script is interrupted: SIGTERM
+raises ``SystemExit`` as Ctrl-C raises ``KeyboardInterrupt``.  Each run
+starts in a session of its own, and an interrupted run's process group
+is killed, so no perfbench worker outlives the script.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -174,7 +176,12 @@ def main(argv: list[str] | None = None) -> int:
                                 for side in runs.values() for run in side)
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    bad = [f"bad run: {workload} {side} run {i + 1}: correct {run['correct']}, failed {run['failed']}"
+           for workload, runs in record["runs"].items() for side, side_runs in runs.items()
+           for i, run in enumerate(side_runs) if not run["correct"] or run["failed"]]
+    for line in bad:
+        print(line, file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

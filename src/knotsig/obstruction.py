@@ -34,10 +34,12 @@ into h(X^2 - X) = q q~ with q != q~ of degree deg h (a power of
 Frobenius taking x to 1 - x fixes y, so fixes x, and x = 1/2 would make
 h = Y + 1/4), or is irreducible; Y + 1/4 (p odd) lifts to (X - 1/2)^2.
 Its smallest factor thus has degree deg h, 2 deg h or 1, and the witness
-is the lift of an h that reaches the least such degree; a lift is split
-into q and q~ only to break a tie between several such h.  With one h,
-the common case (D = F mod p whenever p | a - b for the factors of P
-from Delta_a and Delta_b), the witness is h(X^2 - X) at once.
+is the lift of an h that reaches the least such degree.  A tie between
+several such h is broken by the smallest irreducible factor of each lift
+(`modp._irreducible_factors`), by (degree, coefficients), and only a tie
+factors a lift.  With one h, the common case (D = F mod p whenever
+p | a - b for the factors of P from Delta_a and Delta_b), the witness is
+h(X^2 - X) at once.
 
 A pair's primes and witnesses depend on the two factors alone, not on the
 Delta they came from, so :func:`_pair_primes` memoizes them per (F, G),
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, KnotsigError
 from .intfactor import integer_factor
 from .memos import PER_FACTOR, memo
-from .modp import PolyModP, _equal_degree_factors, _gcd, _irreducible_factors, _lifts_split, _reduced
+from .modp import PolyModP, _gcd, _irreducible_factors, _lifts_split, _reduced
 from .polys import X2_MINUS_X, IntPoly, resultant
 from .zfactor import SymmetricFactorSet, v_model
 
@@ -129,7 +131,7 @@ def _symmetric_witness(D: PolyModP) -> PolyModP:
         m = min(degrees)
         hs = [h for h, k in zip(hs, degrees) if k == m]
         if len(hs) > 1:
-            hs = [min(hs, key=lambda h: _least_factor(h, m, p))]
+            hs = [min(hs, key=lambda h: min((len(g), g) for g in _irreducible_factors(_lift(h, p), p)))]
     return PolyModP(p, _lift(hs[0], p))
 
 
@@ -150,17 +152,6 @@ def _least_degree(h: list[int], p: int) -> int:
     if _is_quarter(h, p):
         return 1
     return k if _lifts_split(h, k, p) else 2 * k
-
-
-def _least_factor(h: list[int], m: int, p: int) -> list[int]:
-    """The smallest irreducible factor of h(X^2 - X) mod p, of degree m:
-    X - 1/2, the smaller of q and q~ for a split lift, or the irreducible
-    lift itself."""
-    if _is_quarter(h, p):
-        return [(p - 1) // 2, 1]
-    if len(h) - 1 == m:
-        return _equal_degree_factors([(_lift(h, p), m)], p)[0]
-    return _lift(h, p)
 
 
 def obstruction_group(factor_set: SymmetricFactorSet) -> tuple[ObstructionGroup, list[PiEntry]]:

@@ -15,12 +15,12 @@ The facts about Delta do not depend on the target, so
 :func:`_delta_facts` memoizes them per Delta (see `memos`) as a frozen
 :class:`DeltaFacts`: the conditions (and the OUT_OF_SCOPE reason, if
 any), P, its factor set (by :func:`zfactor.factor_z`, which always takes
-P through its half-degree v-model), the rho of each factor checked
-against rho of its factor Delta_f of Delta, and, on first use, the prime
-table and the obstruction group.  :func:`_factor_delta` memoizes the rho
-of each Delta_f per factor of P, so a Delta whose factors are known
-builds no Sturm sequence.  The checks per target are the gates on m and s
-(or tau): divisibility by 8 or 16, and |s| <= rho.
+P through its half-degree v-model), the rho of each factor of P, taken
+from its factor Delta_f of Delta, and, on first use, the prime table and
+the obstruction group.  :func:`_factor_delta` memoizes the rho of each
+Delta_f per factor of P, so a Delta whose factors are known builds no
+Sturm sequence.  The checks per target are the gates on m and s (or tau):
+divisibility by 8 or 16, and |s| <= rho.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Any, Sequence
 
-from .errors import KnotsigError
 from .memos import PER_FACTOR, PER_INPUT, memo
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
 from .polys import (ConditionReport, IntPoly, _integer, _p_to_delta, alexander_check, delta_to_p,
                     poly_text)
-from .realroots import rho_delta, v_root_count
+from .realroots import rho_delta
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
 from .zfactor import SymmetricFactorSet, standing_assumptions
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches pipeline.factor_z
@@ -175,13 +174,13 @@ def _indecomposability_note(rhos: tuple[int, ...], s: int, mod_required: int) ->
     bound alone is not enough, as of three factors two may carry s
     together.
 
-    ``rhos`` holds the rho of each irreducible factor of P.  The change
+    ``rhos`` holds the rho of each irreducible factor of Delta.  The change
     X -> 1 - 1/X maps the irreducible factors of Delta one to one onto
-    those of P and the unit circle onto the line Re z = 1/2, so each
-    factor of Delta has the rho of its factor of P, and no second
-    factorization is needed; :func:`_delta_facts` checks the rho of each
-    factor on every request, and the map back is an identity (proof
-    there)."""
+    those of P, so no second factorization is needed: :func:`_delta_facts`
+    maps each factor f of P back to its factor Delta_f of Delta (proof
+    there).  The change also maps the unit circle onto the line
+    Re z = 1/2, so Delta_f has the rho of f, which
+    tests/test_full_degree_oracle.py checks against the v-model of f."""
     if s == 0 or len(rhos) < 2 or sum(rhos) - min(rhos) >= mod_required:
         return None
     return (
@@ -202,8 +201,8 @@ class DeltaFacts:
     """What the pipeline knows about one Delta, independent of the
     target.  ``reason`` is the OUT_OF_SCOPE reason, or None when Delta is
     in scope; ``p`` and ``factor_set`` are None when the conditions fail,
-    and ``rhos`` (the rho of each factor of P) is empty unless Delta is in
-    scope."""
+    and ``rhos`` (the rho of each factor Delta_f of Delta, one per factor
+    f of P) is empty unless Delta is in scope."""
 
     conditions: ConditionReport
     reason: str | None = None
@@ -236,25 +235,23 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
     fixed by X -> 1-X (Delta is reciprocal), lc P = (-1)^n Delta(1) = 1, and
     4^n P(1/2) = (-1)^n Delta(-1) is odd, as Delta(-1) = Delta(1) (mod 2).
 
-    The rho of P's factors is checked against Delta one factor at a time
-    (see :func:`_indecomposability_note`): each factor f of P maps back to
-    Delta_f (:func:`_factor_delta`), and rho(Delta_f) by its trace model
-    must equal rho(f) by its v-model, or the request raises.  The Delta_f
-    multiply to Delta, with no product taken here: `factor_z` has checked
-    that the factors of P multiply to P (at half degree, on the v-model
-    route), and the map f -> Delta_f = (-1)^(deg f / 2) rev(f)(1 - X) is
-    multiplicative.  Reversal is, rev(gh) = rev(g) rev(h), X -> 1 - X is a
-    ring automorphism, and the signs multiply as the half degrees add (each
-    f is fixed by X -> 1-X, so of even degree).  So
+    The rho of each factor f of P is taken from Delta: f maps back to its
+    factor Delta_f of Delta, whose rho is counted by its trace model
+    (:func:`_factor_delta`).  The Delta_f multiply to Delta, with no
+    product taken here: `factor_z` has checked that the factors of P
+    multiply to P (at half degree, on the v-model route), and the map
+    f -> Delta_f = (-1)^(deg f / 2) rev(f)(1 - X) is multiplicative.
+    Reversal is, rev(gh) = rev(g) rev(h), X -> 1 - X is a ring
+    automorphism, and the signs multiply as the half degrees add (each f
+    is fixed by X -> 1-X, so of even degree).  So
     prod Delta_f = (-1)^n rev(P)(1 - X), which is Delta exactly when
     `polys._p_to_delta` inverts `polys.delta_to_p`: a fact about two fixed
     transforms, asserted on every Delta of tests/test_full_degree_oracle.py
-    and of the census.  This implies the whole-Delta check rho(Delta) =
-    sum of the rho of P's factors.  P is squarefree, and so is Delta, a
-    change of variable X -> 1/(1 - X) of P with P(0) != 0.  The roots of
+    and of the census.  So the report's rho, the sum of the rho(Delta_f),
+    is rho(Delta): P is squarefree, and so is Delta, a change of variable
+    X -> 1/(1 - X) of P with P(0) != 0, and the roots of
     Delta = prod Delta_f are then the disjoint union of those of the
-    Delta_f, so rho(Delta) is the sum of the rho(Delta_f), each of which
-    equals the rho of its f."""
+    Delta_f."""
     conditions = alexander_check(delta)
     failure = _condition_failure(delta, conditions)
     if failure is not None:
@@ -268,14 +265,7 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
         bad = sfs.factors[sfs.symmetric.index(False)]
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
         return DeltaFacts(conditions, reason, p_poly, sfs)
-    rhos = tuple(2 * v_root_count(q) for q in sfs.models)
-    for f, rho in zip(sfs.factors, rhos):
-        rho_trace = _factor_delta(f)
-        if rho_trace != rho:
-            raise KnotsigError(
-                f"internal error: rho(Delta) and rho(P) disagree on the factor {poly_text(f)} "
-                f"of P: {rho_trace} by the trace model of its Delta_f, {rho} by its v-model"
-            )
+    rhos = tuple(_factor_delta(f) for f in sfs.factors)
     return DeltaFacts(conditions, None, p_poly, sfs, rhos)
 
 

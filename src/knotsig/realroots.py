@@ -25,12 +25,12 @@ Each input check runs once, on an object already built for the count:
   Q(-1/4) != 0 (each root y != -1/4 of Q gives two roots of X^2 - X = y).
 
 The Sturm sequence of a v-model is built once per process and shared by
-`rho_p`, `pipeline`'s rho per factor, `zfactor`'s lift certificate and
-`seifert`'s Milnor root isolation: `_v_chain` memoizes it per v-model
-(see `memos`), checked on (-inf, -1/4), with its root count there.
-`rho_delta` builds its own sequence of the trace model D, which the
-pipeline uses once per factor Delta_f of Delta, memoized per factor of P
-(`pipeline._factor_delta`).
+`rho_p`, `zfactor`'s lift certificate and `seifert`'s Milnor root
+isolation: `_v_chain` memoizes it per v-model (see `memos`), checked on
+(-inf, -1/4), with its root count there.  `rho_delta` builds its own
+sequence of the trace model D; the pipeline takes the rho of each factor
+of P from it, by the factor Delta_f of Delta that the factor comes from,
+memoized per factor of P (`pipeline._factor_delta`).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from . import memos
 from .errors import KnotsigError, PolyParseError
-from .polys import X2_MINUS_X, IntPoly, _at_one_minus_x, _integer, _mul_coeffs
+from .polys import X2_MINUS_X, IntPoly, _integer, _mul_coeffs, _p_to_delta
 from .realroots import IsolatingInterval, _v_roots, root_signs
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches seifert.factor_z
 
@@ -294,14 +294,18 @@ class _FormFacts:
 
     @cached_property
     def delta(self) -> IntPoly:
-        """Delta_A = det(X*A + A^T), read off P.  With A = S(1 - c) and
-        A^T = S c, for A of size 2n,
+        """Delta_A = det(X*A + A^T), read off P by `polys._p_to_delta`.
+        With A = S(1 - c) and A^T = S c, for A of size 2n,
             det(X*A + A^T) = det S * det(X - (X - 1) c)
                            = det S * (X - 1)^{2n} P(X/(X - 1))
                            = det S * rev(P)(1 - X),
         since P(X/(X - 1)) = P(1/(1 - X)) by P(1 - X) = P(X), where rev(P)
-        reverses the 2n + 1 coefficients of P.  Also when det A = 0."""
-        return IntPoly(self.lattice.det * x for x in _at_one_minus_x(self.p.coeffs[::-1]))
+        reverses the 2n + 1 coefficients of P.  Also when det A = 0.  And
+        det S = (-1)^n, the sign that `_p_to_delta` takes: S is even and
+        unimodular, so sig S = 0 (mod 8), and n - sig S / 2 = n (mod 2) of
+        its 2n real eigenvalues are negative, none zero, which gives
+        det S = +-1 the sign (-1)^n."""
+        return _p_to_delta(self.p)
 
     @cached_property
     def pair(self) -> SeifertPair:

@@ -465,9 +465,9 @@ def _lift_certified(q: IntPoly) -> IntPoly | None:
     real embedding theta -> lambda would give 1 + 4 lambda = sigma(beta)^2
     >= 0.  So X^2 - X - theta is irreducible over K, [Q(alpha) : Q] =
     2 deg q, and q(X^2 - X) is irreducible over Q; it is primitive, as
-    X^2 - X is monic, so irreducible over Z.  The factor's rho reads the
-    same memoized count (`realroots.v_root_count`; q is squarefree, and
-    -1/4 is a root only of 4Y + 1).  So every factor with a Milnor value
+    X^2 - X is monic, so irreducible over Z.  That count is half the
+    factor's rho (`realroots.v_root_count`; q is squarefree, and -1/4 is
+    a root only of 4Y + 1).  So every factor with a Milnor value
     (rho > 0) is certified with no prime.
 
     A prime p.  Then X^2 - X - y has no root in that field, so

@@ -43,7 +43,7 @@ from knotsig.modp import PolyModP, symmetric_common_factor
 from knotsig.seifert import charpoly, e8_gram, half_form, mat_add, mat_det, mat_mul, transpose
 
 from conftest import make_delta_a
-from oracles import (
+from reference import (
     brute_force_symmetric_common_factor,
     count_real_roots_float,
     squarefree_by_rat_gcd,

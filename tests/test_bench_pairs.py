@@ -1,15 +1,18 @@
-"""The summary of scripts/bench_pairs.py on fake perfbench records, the
-bytecode its runs read, and its clean-up when it is stopped by SIGTERM."""
+"""The summary of scripts/bench_pairs.py on fake perfbench records, its
+exit status on a bad run, the bytecode its runs read, and its clean-up
+when it is stopped by SIGTERM."""
 
 from __future__ import annotations
 
 import contextlib
 import importlib.util
+import json
 import os
 import py_compile
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -99,6 +102,40 @@ def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
     assert runs == [{"value": 2}] * 2
     assert [("PYTHONPYCACHEPREFIX" in env, env["PYTHONDONTWRITEBYTECODE"]) for env in envs] == [
         (False, "1")] * 2
+
+
+@pytest.mark.parametrize("bad, code", [({}, 0), ({"correct": False}, 1), ({"failed": 2}, 1)])
+def test_a_bad_run_fails_the_script(bench_pairs, monkeypatch, tmp_path, capsys, bad, code):
+    """main exits 1 when a run is not correct or failed a request, and
+    names the run; with every run clean it exits 0 and prints nothing to
+    stderr.  The third of four fake runs, the parent's of pair 2, is the
+    bad one."""
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+    calls = []
+
+    def run_once(checkout, *args):
+        calls.append(checkout)
+        return dict({"correct": True, "attempted": 20, "failed": 0, "metrics": metrics},
+                    **(bad if len(calls) == 3 else {}))
+
+    monkeypatch.setattr(bench_pairs, "unpack", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "out.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--workload", "sweep_small", "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    assert [Path(c).name for c in calls] == ["change", "parent", "parent", "change"]
+    err = capsys.readouterr().err
+    if bad:
+        correct, failed = bad.get("correct", True), bad.get("failed", 0)
+        assert err == f"bad run: sweep_small parent run 2: correct {correct}, failed {failed}\n"
+    else:
+        assert err == ""
+    assert json.loads(out.read_text())["all_correct"] is (bad != {"correct": False})
+    assert not list(tmp_path.glob("bench_pairs_*"))
 
 
 # bench_pairs.main with no git and no perfbench: the parent's tree holds

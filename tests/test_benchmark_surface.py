@@ -17,12 +17,23 @@ import pytest
 
 import knotsig
 
-# appended, so that ``oracles`` still names tests/oracles.py
+# appended after tests/, whose module names perfbench/ does not reuse (checked below)
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 import tracing  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
+
+
+def test_tests_and_perfbench_share_no_module_name():
+    """Both directories are put on sys.path, so in one pytest session a
+    module name in both would import whichever of the two came first."""
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def names(directory):
+        return {name[:-3] for name in os.listdir(directory) if name.endswith(".py")}
+
+    assert not names(here) & names(os.path.join(here, "..", "perfbench"))
 
 
 def _snapshot() -> dict[tuple[str, str], object]:

@@ -16,7 +16,7 @@ import knotsig
 from knotsig import IntPoly, delta_to_p, expected_count, poly_text
 from knotsig.cli import MILNOR_COUNT_CAP, main
 from conftest import make_delta_a
-from oracles import sympy_factors
+from reference import sympy_factors
 
 
 def run(capsys, *argv):

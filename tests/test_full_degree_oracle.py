@@ -9,10 +9,12 @@ memo warm must equal the cold one, v-models included.
 
 `pipeline._delta_facts` takes no product at all: the factors f of P map
 back to factors Delta_f = (-1)^(deg f / 2) rev(f)(1 - X) of Delta by a
-multiplicative map (proof there).  Here, for every in-scope Delta the
-corpora come from and for every Delta of the census (ROADMAP "Terms"),
-the Delta_f must multiply to Delta, each must have the rho of its f, and
-these rho must sum to rho(Delta) by the trace model of Delta.
+multiplicative map (proof there), and the rho of each f is read off
+Delta_f by its trace model.  Here, for every in-scope Delta the corpora
+come from and for every Delta of the census (ROADMAP "Terms"), the
+Delta_f must multiply to Delta, the rho of each f must equal the count by
+its v-model q (P's factor f = q(X^2 - X)), and these rho must sum to
+rho(Delta) by the trace model of Delta.
 
 Corpora: products of k <= 6 distinct in-scope Delta_a (each one with
 k <= 2, a seeded sample of each larger k), a copy of the 20 products of
@@ -33,7 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from knotsig import IntPoly, alexander_check, alexander_of_form, delta_to_p, factor_z, memos
 from knotsig.pipeline import _delta_facts
 from knotsig.polys import _p_to_delta
-from knotsig.realroots import rho_delta
+from knotsig.realroots import rho_delta, v_root_count
 from knotsig.zfactor import FactorizationZ
 from conftest import IN_SCOPE_A, make_delta_a
 from test_brieskorn import TUPLES, brieskorn_pham
@@ -88,17 +90,16 @@ def census() -> list[IntPoly]:
 
 
 def check_maps_back(delta: IntPoly) -> bool:
-    """For an in-scope Delta, the product and the rho that
-    `pipeline._delta_facts` does not take (see the module docstring);
-    False, with nothing checked, for one out of scope."""
+    """For an in-scope Delta, the product that `pipeline._delta_facts`
+    does not take and its rho per factor by the v-model route it does not
+    take (see the module docstring); False, with nothing checked, for one
+    out of scope."""
     facts = _delta_facts(delta)
     if facts.reason is not None:
         return False
-    mapped = [_p_to_delta(f) for f in facts.factor_set.factors]
-    assert product(mapped) == delta
-    rhos = [rho_delta(d) for d in mapped]
-    assert rhos == list(facts.rhos)
-    assert sum(rhos) == rho_delta(delta)
+    assert product(_p_to_delta(f) for f in facts.factor_set.factors) == delta
+    assert list(facts.rhos) == [2 * v_root_count(q) for q in facts.factor_set.models]
+    assert sum(facts.rhos) == rho_delta(delta)
     return True
 
 

@@ -41,7 +41,8 @@ from knotsig import (
 )
 from conftest import clear_facts_memos, make_delta_a
 
-# appended, so that ``oracles`` still names tests/oracles.py
+# appended after tests/, whose module names perfbench/ does not reuse
+# (tests/test_benchmark_surface.py checks it)
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 import workloads  # noqa: E402

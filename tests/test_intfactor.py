@@ -8,7 +8,7 @@ import random
 import pytest
 
 from knotsig import BudgetExceededError, integer_factor, intfactor, is_probable_prime
-from oracles import trial_division
+from reference import trial_division
 
 
 def test_small_examples():

@@ -18,7 +18,7 @@ from knotsig import (
 )
 from knotsig import modp
 from knotsig.polys import _at_one_minus_x, parse_poly
-from oracles import (
+from reference import (
     at_one_minus_x_mod_p_by_horner,
     brute_force_symmetric_common_factor,
     pm_divrem_by_steps,

@@ -23,7 +23,7 @@ from knotsig.modp import PolyModP, _gcd, _reduced, factor_mod_p, symmetric_commo
 from knotsig.obstruction import _symmetric_witness
 from knotsig.polys import parse_poly
 from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
-from oracles import pair_facts_on_lifts, symmetric_mod_p_by_sympy
+from reference import pair_facts_on_lifts, symmetric_mod_p_by_sympy
 
 
 class TestPiSet:
@@ -125,7 +125,7 @@ class TestHalfDegreeRoute:
     """The prime table reads a pair f = F(X^2 - X), g = G(X^2 - X) off the
     v-models: Res(f, g) = Res(F, G)^2, and gcd(f, g) mod p = D(X^2 - X)
     mod p for D = gcd(F, G) mod p.  Checked against the route on the
-    factors themselves (`oracles.pair_facts_on_lifts`), at every p dividing
+    factors themselves (`reference.pair_facts_on_lifts`), at every p dividing
     the resultant, over every pair of the factors of P for Delta1, Delta2
     and the 17 in-scope Delta_a."""
 
@@ -234,8 +234,8 @@ class TestHalfDegreeWitness:
     @pytest.mark.parametrize("stream", [None, 7])
     def test_witness_equals_the_one_of_the_lift(self, monkeypatch, stream):
         """Also with the equal-degree splits of `modp` drawing another
-        stream: a tie broken by splitting a lift (142 of the cases) takes
-        the smaller factor, whichever one the split finds first."""
+        stream: a tie broken by factoring the lifts (181 of the cases) takes
+        the smallest factor, whichever one a split finds first."""
         from knotsig import modp
 
         if stream is not None:

@@ -16,7 +16,6 @@ import pytest
 from knotsig import (
     AnalysisRequest,
     IntPoly,
-    KnotsigError,
     TOOL_VERSION,
     VERDICT_NOT_ADMISSIBLE,
     VERDICT_OBSTRUCTION_UNKNOWN,
@@ -34,7 +33,6 @@ from knotsig import (
     half_form,
     memos,
     parse_poly,
-    poly_text,
     report_from_json,
     report_render,
     rho_delta,
@@ -44,7 +42,7 @@ from knotsig import (
 from knotsig.pipeline import _delta_facts
 from knotsig.zfactor import _KnownFactors
 from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
-from oracles import delta_factor_rhos, indecomposable_by_delta_factors
+from reference import delta_factor_rhos, indecomposable_by_delta_factors
 
 
 class TestVerdicts:
@@ -365,34 +363,6 @@ class TestDeltaSideOracle:
         assert verdicts.count(VERDICT_REALIZABLE) >= 8
 
 
-def test_rho_cross_check_raises(monkeypatch, delta1, delta2):
-    """rho(Delta) is recomputed on its own and must equal the sum of the
-    per-factor rho of P."""
-    import knotsig.pipeline
-
-    real = knotsig.pipeline.rho_delta
-    monkeypatch.setattr(knotsig.pipeline, "rho_delta", lambda d: real(d) + 2)
-    with pytest.raises(KnotsigError, match="disagree"):
-        analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
-    with pytest.raises(KnotsigError, match="disagree"):
-        analyze_tau(AnalysisRequest(delta=delta1 * delta2, m=7, tau=(2, 2, 2, 2)))
-
-
-def test_rho_mismatch_names_the_factor(monkeypatch, delta1, delta2):
-    """A per-factor disagreement names the factor of P and both counts."""
-    import knotsig.pipeline
-
-    real = knotsig.pipeline.rho_delta
-    monkeypatch.setattr(knotsig.pipeline, "rho_delta", lambda d: real(d) + 2)
-    with pytest.raises(KnotsigError) as info:
-        analyze(AnalysisRequest(delta=delta1 * delta2, m=7, signature=8))
-    first = factor_z(delta_to_p(delta1 * delta2)).factors[0][0]
-    assert str(info.value) == (
-        f"internal error: rho(Delta) and rho(P) disagree on the factor {poly_text(first)} "
-        "of P: 6 by the trace model of its Delta_f, 4 by its v-model"
-    )
-
-
 def sweep() -> list[IntPoly]:
     """Every product of 2 or 3 distinct in-scope Delta_a (816 of them)."""
     bases = [make_delta_a(a) for a in IN_SCOPE_A]
@@ -403,7 +373,7 @@ def sweep() -> list[IntPoly]:
 def test_rho_of_delta_is_the_sum_over_its_factors():
     """The whole-Delta recount the pipeline no longer runs, as an oracle:
     rho_delta(Delta) by the trace model of Delta equals the reported rho,
-    the sum over the factors of P, for every Delta of the sweep."""
+    the sum over the factors of Delta, for every Delta of the sweep."""
     deltas = sweep()
     assert len(deltas) == 816
     for delta in deltas:
@@ -473,8 +443,9 @@ class TestOneCheckPerFact:
     def test_one_v_model_per_factor(self, calls):
         """A Delta-facts miss derives one v-model, P's, and that is its
         symmetry test: each factor of P is a certified lift q(X^2 - X),
-        whose v-model q `factor_z` hands on for rho and the prime table to
-        read; no `symmetric_check` runs."""
+        whose v-model q `factor_z` hands on for the prime table to read,
+        and rho is taken from each factor's Delta_f; no `symmetric_check`
+        runs."""
         counts = calls("polys.symmetric_check", "polys.v_polynomial")
         rep = analyze(AnalysisRequest(delta=self.DELTA, m=7, signature=0))
         assert rep.verdict == VERDICT_REALIZABLE and len(rep.pi_table) == 6
@@ -620,7 +591,7 @@ class TestFactorFactsMemo:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_match_reports_from_empty_memos(self, seed):
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.realroots import _v_chain
+        from knotsig.pipeline import _factor_delta
         from knotsig.zfactor import _lift_certified
 
         rng = random.Random(seed)
@@ -634,7 +605,7 @@ class TestFactorFactsMemo:
                 reqs.append(AnalysisRequest(delta=delta, m=m, signature=s))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
-        for memo in (_pair_primes, _v_chain, _lift_certified, _symmetric_witness):
+        for memo in (_pair_primes, _factor_delta, _lift_certified, _symmetric_witness):
             assert memo.cache_info().hits > 0
         for req, text in zip(reqs, warm):
             clear_facts_memos()
@@ -653,16 +624,16 @@ class TestFactorFactsMemo:
         # three pairs, then the two pairs with Delta_3's factor
         assert counts == {"polys.resultant": 5}
         assert _pair_primes.cache_info()[:2] == (1, 5)
-        # one Sturm sequence and root count per new v-model; the 6 rhos are hits
-        assert _v_chain.cache_info()[:2] == (6, 4)
+        # one Sturm sequence and root count per new v-model, for its lift
+        # certificate alone
+        assert _v_chain.cache_info()[:2] == (0, 4)
         assert _lift_certified.cache_info()[:2] == (2, 4)
 
     def test_one_sturm_sequence_per_new_factor(self, monkeypatch):
         """A Delta-facts miss builds the Sturm sequence of each new factor's
-        v-model once: the lift certificate counts its roots below -1/4, and
-        the rho of every factor reads that count from the same memo.  The
-        rho check builds one more per new factor f, of the trace model of
-        its Delta_f, memoized per f: a Delta whose factors are all known
+        v-model once, for the lift certificate to count its roots below
+        -1/4, and one of the trace model of each new factor f's Delta_f,
+        for its rho, memoized per f: a Delta whose factors are all known
         builds none."""
         from knotsig import realroots
         from knotsig.polys import p_to_delta, trace_polynomial, v_polynomial
@@ -686,10 +657,10 @@ class TestFactorFactsMemo:
             seen.update(fs)
             expected = [v_polynomial(f) for f in new] + [trace_polynomial(p_to_delta(f)) for f in new]
             assert sorted(built, key=str) == sorted(expected, key=str)
-            # the certificate misses on each new model, every rho hits
-            assert realroots._v_chain.cache_info()[:2] == (hits + len(fs), misses + len(new))
+            # the certificate misses on each new model, and rho reads none
+            assert realroots._v_chain.cache_info()[:2] == (hits, misses + len(new))
         assert not built  # d0 * d3: both factors known
-        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (8, 4)
+        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (0, 4)
 
     def test_pair_refusal_is_raised_again(self, monkeypatch):
         from knotsig import BudgetExceededError, obstruction

@@ -28,7 +28,7 @@ from knotsig.modp import PolyModP, _gcd
 from knotsig.polys import _at_one_minus_x, divides, exact_div, gcd_z
 from knotsig.zfactor import CERTIFICATE_PRIMES, certified_squarefree
 from conftest import make_delta_a
-from oracles import (
+from reference import (
     RatPoly,
     at_one_minus_x_by_compose,
     compose_by_intpoly_horner,
@@ -482,13 +482,13 @@ class TestSquarefreeCertificate:
 def test_src_has_no_rational_layer():
     """No knotsig module defines or imports the oracles' rational
     polynomials (RatPoly, divrem, rat_gcd) or anything else of
-    tests/oracles.py, so every integer question is answered in integers."""
+    tests/reference.py, so every integer question is answered in integers."""
     import ast
     import importlib
     import pkgutil
 
     import knotsig
-    import oracles
+    import reference
 
     banned = {"RatPoly", "divrem", "rat_gcd"}
     for info in pkgutil.iter_modules(knotsig.__path__):
@@ -499,12 +499,12 @@ def test_src_has_no_rational_layer():
         assert not banned & defined, info.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                assert all(a.name.split(".")[0] != "oracles" for a in node.names), info.name
+                assert all(a.name.split(".")[0] != "reference" for a in node.names), info.name
             elif isinstance(node, ast.ImportFrom):
-                assert node.module is None or node.module.split(".")[0] != "oracles", info.name
+                assert node.module is None or node.module.split(".")[0] != "reference", info.name
                 assert not banned & {a.name for a in node.names}, info.name
         assert not banned & set(vars(mod)), info.name
-        assert not any(getattr(v, "__module__", None) == oracles.__name__ for v in vars(mod).values())
+        assert not any(getattr(v, "__module__", None) == reference.__name__ for v in vars(mod).values())
 
 
 class TestNoFractionDivision:

@@ -30,7 +30,7 @@ from knotsig.realroots import (
     sturm_sequence,
 )
 from conftest import make_delta_a
-from oracles import (
+from reference import (
     RatPoly,
     count_real_roots_float,
     fraction_isolate_roots,
@@ -332,7 +332,7 @@ def _random_squarefree(seed: int, count: int) -> list[IntPoly]:
 
 class TestAgainstFractionChain:
     """The integer Sturm sequences, counts, intervals and signs against
-    the Fraction routes of tests/oracles.py."""
+    the Fraction routes of tests/reference.py."""
 
     CASES = _v_models() + _random_squarefree(97, 60)
 
@@ -420,7 +420,7 @@ def _seifert_forms_v_models() -> list[IntPoly]:
 
 class TestIntegerBisection:
     """Bisection on integer numerators over a shared denominator gives
-    byte-identical intervals to the Fraction routes of tests/oracles.py:
+    byte-identical intervals to the Fraction routes of tests/reference.py:
     the Fraction-endpoint bisection it replaced and the Fraction Sturm
     chain."""
 

@@ -51,8 +51,8 @@ from knotsig.seifert import (
     transpose,
 )
 from knotsig import realroots, seifert
-import oracles
-from oracles import (
+import reference
+from reference import (
     _hermitian_signature,
     _t_with_square_in,
     det_fraction,
@@ -66,7 +66,8 @@ from oracles import (
     signature_float,
 )
 
-# appended, so that ``oracles`` still names tests/oracles.py
+# appended after tests/, whose module names perfbench/ does not reuse
+# (tests/test_benchmark_surface.py checks it)
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 import workloads  # noqa: E402
@@ -347,7 +348,7 @@ def lattice_pencils(draw):
 
 class TestHermitianKernel:
     """The n x n elimination over Z[i] against the real 2n x 2n
-    realification of tests/oracles.py."""
+    realification of tests/reference.py."""
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -366,17 +367,17 @@ class TestHermitianKernel:
         s = block_diag(H, H)
         k = skew_from(entries, 4)
         blocks = []
-        original = oracles._pivot_block
+        original = reference._pivot_block
 
         def counting(*args):
             blocks.append(args[2:])
             return original(*args)
 
-        oracles._pivot_block = counting
+        reference._pivot_block = counting
         try:
             got = hermitian_or_singular(_hermitian_signature, s, k, t)
         finally:
-            oracles._pivot_block = original
+            reference._pivot_block = original
         assert got == hermitian_or_singular(hermitian_signature_by_realification, s, k, t)
         assert blocks and blocks[0] == (0, 1)
 
@@ -668,7 +669,7 @@ class TestFormFacts:
 
 class TestMilnorOracle:
     """The Levine-Tristram jumps agree with the number-field eigenspace
-    signatures (tests/oracles.py) value by value."""
+    signatures (tests/reference.py) value by value."""
 
     @staticmethod
     def assert_agrees(s, a):
@@ -731,7 +732,7 @@ def lattice_pairs(draw):
 
 class TestEigenplaneSigns:
     """Milnor values read as eigenplane signs against both oracles of
-    tests/oracles.py: the Levine-Tristram jumps over Z[i] and the
+    tests/reference.py: the Levine-Tristram jumps over Z[i] and the
     number-field eigenspace signatures."""
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None,
@@ -843,7 +844,7 @@ class TestSamplePoints:
 
 class TestIntegerKernels:
     """pencil_det and mat_inverse_unimodular against the Fraction routes
-    of tests/oracles.py."""
+    of tests/reference.py."""
 
     def test_pencil_det_against_lagrange(self):
         rng = random.Random(107)

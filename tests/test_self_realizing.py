@@ -31,7 +31,7 @@ from knotsig import (
     milnor_signatures,
 )
 from knotsig.seifert import mat_det
-from oracles import signature_float, sympy_factors
+from reference import signature_float, sympy_factors
 
 H = ((0, 1), (1, 0))
 LATTICES = {

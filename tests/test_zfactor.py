@@ -29,7 +29,7 @@ from knotsig.polys import v_polynomial
 from knotsig.realroots import v_root_count
 from knotsig.zfactor import CERTIFICATE_PRIMES, certified_squarefree
 from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
-from oracles import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
+from reference import hensel_lift_by_sympy, is_irreducible_bruteforce, sympy_factors
 
 
 def direct(f: IntPoly, trace: list[str] | None = None):
@@ -474,7 +474,7 @@ class TestNoFractionDivision:
 
 class TestHenselLift:
     """The last lifting round skips the Bezout cofactors; the lifted
-    factors are sympy's multifactor Hensel lift (tests/oracles.py)."""
+    factors are sympy's multifactor Hensel lift (tests/reference.py)."""
 
     @staticmethod
     def setup_lift(k: int):
