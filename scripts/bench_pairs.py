@@ -7,10 +7,13 @@ The committed files of REF are unpacked (``git archive``) into a temporary
 directory, so nothing is added to the repository's .git, and the working
 tree's files that git tracks or would track (``git ls-files --cached
 --others --exclude-standard``) are copied beside them.  ``__pycache__/``
-is ignored, so neither copy holds one.  For each workload (default: every
-workload of BENCHMARK.json), ``perfbench/run.py --trace 0`` runs
-``--pairs`` times in each copy, alternating within each pair which side
-runs first.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
+is ignored, so neither copy holds one.  In a tree that is not a git
+checkout (no ``.git``, e.g. a ``git archive`` export) every file is
+copied but those under ``SKIPPED_DIRS``; REF cannot be unpacked there,
+and the script stops with one line that says so.  For each workload
+(default: every workload of BENCHMARK.json), ``perfbench/run.py
+--trace 0`` runs ``--pairs`` times in each copy, alternating within each
+pair which side runs first.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
 ``PYTHONPYCACHEPREFIX``, so both sides compile ``knotsig`` and perfbench
 from source and read the standard library's bytecode, as a run in a
 fresh checkout does.  Prints, per end-to-end metric of BENCHMARK.json,
@@ -42,6 +45,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# skipped when a tree is copied without git: .git, and what building,
+# testing and running leave in a tree
+SKIPPED_DIRS = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 
 
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
@@ -74,7 +80,11 @@ def _quartiles(values: list[float]) -> list[float]:
 
 def copy_worktree(dest: str) -> None:
     """The working tree's files that git tracks or would track under
-    ``dest``; a tracked file deleted from the tree is skipped."""
+    ``dest``; a tracked file deleted from the tree is skipped.  Outside a
+    checkout, every file but those under ``SKIPPED_DIRS``."""
+    if not (ROOT / ".git").exists():
+        shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*SKIPPED_DIRS), dirs_exist_ok=True)
+        return
     listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
                              "--exclude-standard"], check=True, capture_output=True).stdout
     for name in listed.decode().split("\0"):
@@ -85,7 +95,10 @@ def copy_worktree(dest: str) -> None:
 
 
 def unpack(ref: str, dest: str) -> None:
-    """The committed files of ``ref`` under ``dest``."""
+    """The committed files of ``ref`` under ``dest``; outside a checkout,
+    SystemExit with one line that names the tree."""
+    if not (ROOT / ".git").exists():
+        raise SystemExit(f"bench_pairs: {ROOT} is not a git checkout, so {ref} cannot be unpacked")
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:

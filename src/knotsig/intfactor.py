@@ -1,5 +1,10 @@
 """Integer factorization: trial division, then Brent-cycle Pollard rho.
 
+Trial division that stops at p^2 > n leaves a cofactor that is 1 or a
+prime, so Miller-Rabin and rho run only when it exhausts TRIAL_LIMIT,
+which leaves a cofactor above TRIAL_LIMIT^2 whose prime factors all
+exceed TRIAL_LIMIT.
+
 Inputs are desk-scale resultants, so the rho stage carries an iteration
 budget, RHO_BUDGET, that raises instead of stalling.
 Before rho, a composite cofactor that is a perfect square m = r^2
@@ -111,13 +116,11 @@ def integer_factor(n: int) -> list[int]:
     n = abs(n)
     primes: list[int] = []
     for p in range(2, TRIAL_LIMIT + 1):
-        if p * p > n:
-            break
+        if p * p > n:  # n has no prime factor below p, so it is 1 or prime
+            return primes + [n] if n > 1 else primes
         while n % p == 0:
             primes.append(p)
             n //= p
-    if n == 1:
-        return primes
     rng = Random(0)
     budget = [0, RHO_BUDGET]
     # every entry is >= 2: n > 1, and a composite m is replaced by a

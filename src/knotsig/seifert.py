@@ -24,9 +24,14 @@ What the toolkit computes about one form A is computed once, in its
 record :class:`_FormFacts` (no pencil determinant), memoized per A by
 :func:`_form_facts`: ``form_to_pair``, ``alexander_of_form``,
 ``validate_form`` and ``unimodular_t`` read the record of A, the entry
-points taking a pair the record of its form a^T S.  What depends on
-S = A + A^T alone is memoized per lattice by :func:`_lattice_facts`, as
-every form on S is half(S) + K for a skew K (see `memos`).
+points taking a pair the record of its form a^T S.  A form of size 2n
+costs det A, one product for its companion c = S^-1 A^T and n - 2
+determinants of c, which with tr c^2 and det A give the v-model Q
+(:attr:`_FormFacts.q`).  What depends on S = A + A^T alone is memoized
+per lattice by :func:`_lattice_facts`, as every form on S is half(S) + K
+for a skew K (see `memos`): det S, sig S and S^-1, which is checked
+there by the one product S S^-1 = 1, so that no form on S needs a
+product to check its companion (:attr:`_FormFacts.pair`).
 """
 
 from __future__ import annotations
@@ -219,7 +224,7 @@ def _newton_interpolation(nodes: Sequence[int], values: Sequence[int]) -> IntPol
             diffs[j], rem = divmod(diffs[j] - diffs[j - 1], nodes[j] - nodes[j - k])
             if rem:
                 raise KnotsigError("internal error: a divided difference is not integral")
-    acc = [diffs[-1]]  # Horner: f = d_0 + (Y - x_0)(d_1 + (Y - x_1)(...))
+    acc = diffs[-1:]  # Horner: f = d_0 + (Y - x_0)(d_1 + (Y - x_1)(...)); [] if no node
     for d, x in zip(reversed(diffs[:-1]), reversed(nodes[:-1])):
         acc = _mul_coeffs(acc, (-x, 1))
         acc[0] += d
@@ -228,14 +233,22 @@ def _newton_interpolation(nodes: Sequence[int], values: Sequence[int]) -> IntPol
 
 class _LatticeFacts:
     """What is known about one even unimodular lattice S = A + A^T, shared
-    by every form on it: det S = +-1, and, on first use, S^-1 and sig S."""
+    by every form on it: det S = +-1, and, on first use, S^-1 and sig S.
+    S^-1 is checked here, once per lattice, by one product S S^-1 = 1;
+    every form on S relies on that check (see :attr:`_FormFacts.pair`)."""
 
     def __init__(self, s: Matrix, det: int):
         self.s, self.det = s, det
 
     @cached_property
     def inverse(self) -> Matrix:
-        return mat_inverse_unimodular(self.s)
+        """S^-1, with S S^-1 = 1 checked.  A failed check is an internal
+        error, and a ``cached_property`` that raises stores nothing, so no
+        wrong inverse is kept, nor any companion built from it."""
+        inv = mat_inverse_unimodular(self.s)
+        if mat_mul(self.s, inv) != identity(len(inv)):
+            raise KnotsigError("internal error: lattice inverse invalid: S S^-1 = 1 fails")
+        return inv
 
     @cached_property
     def signature(self) -> int:
@@ -256,10 +269,10 @@ def _lattice_facts(s: Matrix) -> _LatticeFacts:
 class _FormFacts:
     """What is known about one Seifert form A of size 2n: the record of
     its lattice S = A + A^T (:func:`_lattice_facts`), with S, det S = +-1,
-    S^-1 and sig S, and, on first use, det A, the companion c = S^-1 A^T,
-    the v-model Q of P = det(X - c) from n determinants of c, P, Delta_A
-    read off P and the companion pair, checked by the one product
-    S c = A^T."""
+    S^-1 (checked once per lattice) and sig S, and, on first use, det A,
+    the companion c = S^-1 A^T, the v-model Q of P = det(X - c) from
+    tr c^2 and n - 2 determinants of c, P, Delta_A read off P and the
+    companion pair."""
 
     a: Matrix
     lattice: _LatticeFacts
@@ -277,15 +290,25 @@ class _FormFacts:
     def q(self) -> IntPoly:
         """The v-model Q of P = det(X - c), P(X) = Q(X^2 - X), monic of
         degree n for A of size 2n.  P(1 - X) = P(X) because c^T S = A =
-        S(1 - c) makes c^T conjugate to 1 - c.  Q is interpolated at the
-        nodes k(k - 1), k = 1..n+1, from Q(k(k - 1)) = P(k) = det(k - c): n
-        determinants of the companion, and P(1) = det(S^-1 A) = det S det A."""
+        S(1 - c) makes c^T conjugate to 1 - c.  Comparing the coefficients
+        of X^(2n-1) and X^(2n-2) in P = X^(2n) - e_1 X^(2n-1) + e_2 X^(2n-2)
+        - ... with (X^2 - X)^n + q_(n-1) (X^2 - X)^(n-1) + ... gives
+        e_1 = tr c = n and e_2 = C(n, 2) + q_(n-1), and Newton's identity
+        2 e_2 = e_1^2 - tr c^2 then gives q_(n-1) = (n - tr c^2)/2, read
+        off c in O(n^2).  The rest R = Q - Y^n - q_(n-1) Y^(n-1), of degree
+        at most n - 2, is interpolated at the n - 1 nodes k(k - 1),
+        k = 1..n-1, from Q(k(k - 1)) = P(k) = det(k - c): P(1) =
+        det(S^-1 A) = det S det A, and n - 2 determinants of the companion
+        (none for n <= 2)."""
         c, n = self.companion, len(self.a) // 2
+        top = (n - sum(c[i][j] * c[j][i] for i in range(2 * n) for j in range(2 * n))) // 2
+        nodes = [k * (k - 1) for k in range(1, n)]
         values = [self.lattice.det * self.det_a] + [
             mat_det(tuple(tuple(k * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(c)))
-            for k in range(2, n + 2)
+            for k in range(2, n)
         ]
-        return _newton_interpolation([k * (k - 1) for k in range(1, n + 2)], values)
+        rest = _newton_interpolation(nodes, [v - y**n - top * y**(n - 1) for y, v in zip(nodes, values)])
+        return rest + IntPoly([0] * (n - 1) + [top, 1])
 
     @cached_property
     def p(self) -> IntPoly:
@@ -309,20 +332,17 @@ class _FormFacts:
 
     @cached_property
     def pair(self) -> SeifertPair:
-        """S and the companion c = S^-1 A^T, checked by one product
-        S c = A^T.  That is no weaker than :func:`validate_pair`: S = A + A^T
-        is symmetric and even by construction, det S = +-1 is checked once
-        per S, det c = det S * det A != 0 is checked here, and S c = A^T
-        gives c^T S = A, hence c^T S + S c = A + A^T = S, the relation that
-        validate_pair tests.  S c = A^T also pins c as A's companion, which
-        the relation alone does not.  A failed check is an internal error
-        and empties every memo (`memos.clear`), so no wrong S^-1 or
-        companion outlives it."""
+        """S and the companion c = S^-1 A^T, with no product of its own.
+        That is no weaker than :func:`validate_pair`: S = A + A^T is
+        symmetric and even by construction, det S = +-1 and S S^-1 = 1 are
+        checked once per S (:class:`_LatticeFacts`), and det c =
+        det S * det A != 0 is checked here.  S c = S (S^-1 A^T) =
+        (S S^-1) A^T = A^T then holds by associativity, so c^T S = A and
+        c^T S + S c = A + A^T = S, the relation that validate_pair tests;
+        S c = A^T also pins c as A's companion, which the relation alone
+        does not."""
         if self.det_a == 0:
             raise ValueError("degenerate form, no injective companion")
-        if mat_mul(self.lattice.s, self.companion) != transpose(self.a):
-            memos.clear()
-            raise KnotsigError("internal error: companion pair invalid: S c = A^T fails")
         return SeifertPair(s=self.lattice.s, a=self.companion)
 
 

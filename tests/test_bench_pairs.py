@@ -64,6 +64,7 @@ def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
     track, and __pycache__/ is ignored.  No run's environment sets
     PYTHONPYCACHEPREFIX.  The working tree is a fresh git repository whose
     module has cached bytecode holding an older value than its source."""
+    monkeypatch.setattr(sys, "pycache_prefix", None)  # the stale .pyc goes in the tree
     tree = tmp_path / "tree"
     package = tree / "src" / "knotsig"
     package.mkdir(parents=True)
@@ -102,6 +103,29 @@ def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
     assert runs == [{"value": 2}] * 2
     assert [("PYTHONPYCACHEPREFIX" in env, env["PYTHONDONTWRITEBYTECODE"]) for env in envs] == [
         (False, "1")] * 2
+
+
+def test_a_tree_without_git_is_copied_whole(bench_pairs, monkeypatch, tmp_path):
+    """Outside a git checkout (no .git, as in a ``git archive`` export) the
+    change side is a copy of every file but the caches that building,
+    testing and running leave, and the parent cannot be unpacked: the
+    script stops with one line that names the tree."""
+    tree = tmp_path / "export"
+    for name in ("scripts/bench_pairs.py", "src/knotsig/probe.py", "src/knotsig/__pycache__/probe.pyc",
+                 ".pytest_cache/v/cache", ".hypothesis/examples/x", ".benchmarks/run.json",
+                 "tests/__pycache__/conftest.pyc", ".gitignore"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(name)
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    copy = tmp_path / "change"
+    copy.mkdir()
+    bench_pairs.copy_worktree(str(copy))
+    assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file()) == [
+        ".gitignore", "scripts/bench_pairs.py", "src/knotsig/probe.py"]
+    assert (copy / "src" / "knotsig" / "probe.py").read_text() == "src/knotsig/probe.py"
+    with pytest.raises(SystemExit, match=f"^bench_pairs: {tree} is not a git checkout, so HEAD cannot"
+                                         " be unpacked$"):
+        bench_pairs.unpack("HEAD", str(tmp_path / "parent"))
 
 
 @pytest.mark.parametrize("bad, code", [({}, 0), ({"correct": False}, 1), ({"failed": 2}, 1)])

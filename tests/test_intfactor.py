@@ -94,3 +94,17 @@ def test_no_prime_is_reported_beyond_the_miller_rabin_bound(monkeypatch):
     p = 3_317_044_064_679_887_385_961_813  # the largest prime below the bound
     monkeypatch.setattr(intfactor, "RHO_BUDGET", 0)
     assert integer_factor(4 * p * p) == [2, 2, p, p]
+
+
+def test_trial_division_that_stops_early_needs_no_miller_rabin(monkeypatch):
+    """Trial division that stops at p^2 > n leaves 1 or a prime: the
+    factorizations of 1..20,000, all below TRIAL_LIMIT^2, equal unbounded
+    trial division, with no Random built and no Miller-Rabin test run."""
+
+    def refuse(*args):
+        raise AssertionError("not needed below TRIAL_LIMIT^2")
+
+    monkeypatch.setattr(intfactor, "Random", refuse)
+    monkeypatch.setattr(intfactor, "is_probable_prime", refuse)
+    for n in range(1, 20_001):
+        assert integer_factor(n) == trial_division(n)

@@ -71,6 +71,7 @@ from reference import (
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 import workloads  # noqa: E402
+from test_brieskorn import TUPLES as BRIESKORN_TUPLES, brieskorn_pham  # noqa: E402
 
 A2 = ((0, 2), (-1, 0))
 H = ((0, 1), (1, 0))
@@ -513,11 +514,51 @@ INVALID_PAIRS = [
 ]
 
 
+def v_model_forms(source):
+    """Forms of every size the v-model is read at: the seifert_forms
+    corpora, the Brieskorn-Pham forms, and seeded random forms over H,
+    H+H and E8+H+H+H (n = 1, 2 and 7), det A = 0 included."""
+    if source.startswith("seifert_forms"):
+        ops = workloads.seifert_forms(0, 24, int(source.split()[1]))
+        return sorted({seifert.as_matrix(op["form"]) for op in ops})
+    if source == "brieskorn":
+        return [brieskorn_pham(t) for t in BRIESKORN_TUPLES]
+    rng, forms = random.Random(41), []
+    for gram in (H, block_diag(H, H), block_diag(block_diag(block_diag(e8_gram(), H), H), H)):
+        for _ in range(40):
+            a = [list(row) for row in half_form(gram)]
+            for i in range(len(a)):
+                for j in range(i + 1, len(a)):
+                    k = rng.choice((0, 0, 1, -1, 2, -2))
+                    a[i][j] += k
+                    a[j][i] -= k
+            forms.append(tuple(map(tuple, a)))
+    return forms
+
+
 class TestFormFacts:
-    """One memoized record per Seifert form: Q from n/2 determinants of the
-    companion, P and Delta_A read off it, the companion pair checked by
-    one product S c = A^T; and one memoized record per lattice S: det S,
-    S^-1 and sig S, shared by every form on S."""
+    """One memoized record per Seifert form: Q from tr c^2, det A and
+    n - 2 determinants of the companion c (n = len(form) / 2), P and
+    Delta_A read off it, the companion pair with no product of its own;
+    and one memoized record per lattice S: det S, S^-1 checked by one
+    product S S^-1 = 1, and sig S, shared by every form on S."""
+
+    @pytest.mark.parametrize("source", ["seifert_forms 0", "seifert_forms 1001", "brieskorn",
+                                        "random"])
+    def test_q_is_monic_with_top_coefficient_read_off_c(self, source):
+        """Q is monic of degree n with q_(n-1) = (n - tr c^2)/2, and
+        Delta_A, read off P = Q(X^2 - X), is the pencil determinant
+        det(X A + A^T) by Lagrange interpolation."""
+        forms, singular = v_model_forms(source), 0
+        for form in forms:
+            facts = seifert._form_facts(form)
+            c, n = facts.companion, len(form) // 2
+            assert len(facts.q.coeffs) == n + 1 and facts.q.coeffs[n] == 1
+            assert 2 * facts.q.coeffs[n - 1] == n - sum(mat_mul(c, c)[i][i] for i in range(2 * n))
+            assert facts.delta == pencil_det_by_lagrange(transpose(form), form)
+            singular += facts.det_a == 0
+        if source == "random":
+            assert {len(form) for form in forms} == {2, 4, 14} and singular > 0
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -530,12 +571,14 @@ class TestFormFacts:
     @pytest.mark.parametrize("corpus_seed", [0, 1001])
     def test_one_pass_per_benchmark_request(self, calls, corpus_seed):
         """The calls of a seifert_forms request, as perfbench's worker
-        makes them, cost det A and n/2 determinants of the companion
-        (n = len(form); they give Q, P and Delta_A), det S on the first
-        form of a lattice only, no `_pair_problems` pass and no pencil
-        determinant."""
+        makes them, cost det A and n/2 - 2 determinants of the companion
+        (n = len(form); with tr c^2 they give Q, P and Delta_A), two
+        products (the companion, and the form a^T S of the pair that
+        milnor_signatures is given), det S and the product S S^-1 on the
+        first form of a lattice only, no `_pair_problems` pass and no
+        pencil determinant."""
         counts = calls("seifert.pencil_det", "seifert.mat_det", "seifert._pair_problems",
-                       "seifert.charpoly")
+                       "seifert.charpoly", "seifert.mat_mul")
         lattices = set()
         for op in workloads.seifert_forms(0, 16, corpus_seed):
             form = op["form"]
@@ -545,7 +588,7 @@ class TestFormFacts:
             milnor_signatures(pair.s, pair.a)
             n = len(form)
             first = pair.s not in lattices
-            assert counts == {"seifert.mat_det": n // 2 + 1 + first}
+            assert counts == {"seifert.mat_det": n // 2 - 1 + first, "seifert.mat_mul": 2 + first}
             lattices.add(pair.s)
         assert sorted(map(len, lattices)) == [8, 10, 12]
 
@@ -587,9 +630,10 @@ class TestFormFacts:
             assert answers(op["form"], op["signature"]) == want
 
     def test_wrong_companion_is_an_internal_error(self, monkeypatch, e8_half):
-        """A wrong S^-1 fails the product S c = A^T, and a failed check
-        leaves nothing wrong in the memos: once the inverse is right again,
-        the same form gives its pair."""
+        """A wrong S^-1 fails the lattice's check S S^-1 = 1, and a failed
+        check caches nothing: neither the lattice's inverse nor the form's
+        companion or pair is kept, and once the inverse is right again, the
+        same form gives its pair."""
         original = seifert.mat_inverse_unimodular
 
         def off_by_one(m):
@@ -598,8 +642,13 @@ class TestFormFacts:
             return tuple(map(tuple, inv))
 
         monkeypatch.setattr(seifert, "mat_inverse_unimodular", off_by_one)
-        with pytest.raises(KnotsigError, match=r"companion pair invalid: S c = A\^T fails"):
-            form_to_pair(e8_half)
+        for _ in range(2):
+            with pytest.raises(KnotsigError,
+                               match=r"^internal error: lattice inverse invalid: S S\^-1 = 1 fails$"):
+                form_to_pair(e8_half)
+        facts = seifert._form_facts(e8_half)
+        assert "inverse" not in vars(facts.lattice)
+        assert not {"companion", "pair"} & set(vars(facts))
         monkeypatch.undo()
         pair = form_to_pair(e8_half)
         assert mat_mul(pair.s, pair.a) == transpose(e8_half)
