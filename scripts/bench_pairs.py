@@ -8,10 +8,9 @@ directory, so nothing is added to the repository's .git, and the working
 tree's files that git tracks or would track (``git ls-files --cached
 --others --exclude-standard``) are copied beside them.  ``__pycache__/``
 is ignored, so neither copy holds one.  In a tree that is not a git
-checkout (no ``.git``, e.g. a ``git archive`` export) every file is
-copied but those under ``SKIPPED_DIRS``; REF cannot be unpacked there,
-and the script stops with one line that says so.  For each workload
-(default: every workload of BENCHMARK.json), ``perfbench/run.py
+checkout (no ``.git``, e.g. a ``git archive`` export) REF cannot be
+unpacked, and the script stops with one line that says so.  For each
+workload (default: every workload of BENCHMARK.json), ``perfbench/run.py
 --trace 0`` runs ``--pairs`` times in each copy, alternating within each
 pair which side runs first.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no
 ``PYTHONPYCACHEPREFIX``, so both sides compile ``knotsig`` and perfbench
@@ -45,9 +44,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# skipped when a tree is copied without git: .git, and what building,
-# testing and running leave in a tree
-SKIPPED_DIRS = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 
 
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
@@ -80,11 +76,7 @@ def _quartiles(values: list[float]) -> list[float]:
 
 def copy_worktree(dest: str) -> None:
     """The working tree's files that git tracks or would track under
-    ``dest``; a tracked file deleted from the tree is skipped.  Outside a
-    checkout, every file but those under ``SKIPPED_DIRS``."""
-    if not (ROOT / ".git").exists():
-        shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*SKIPPED_DIRS), dirs_exist_ok=True)
-        return
+    ``dest``; a tracked file deleted from the tree is skipped."""
     listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
                              "--exclude-standard"], check=True, capture_output=True).stdout
     for name in listed.decode().split("\0"):

@@ -1,7 +1,7 @@
 """Draw the link corpus: self-realizing Seifert forms whose P has two or more
 symmetric factors, and those whose P has a factor not fixed by X -> 1-X.
 
-    python3 scripts/link_corpus.py [--forms 40000] [--out tests/data/link_forms.json]
+    python3 scripts/link_corpus.py [--out tests/data/link_forms.json]
 
 Each draw takes, from ``random.Random(SEED)``, a lattice S of E8, E8 + H
 and E8 + H + H (all of signature 8), then one of the value tuples
@@ -9,14 +9,14 @@ and E8 + H + H (all of signature 8), then one of the value tuples
 from that tuple; the form is A = half_form(S) + K.  A draw with det A = 0
 is skipped.  A + A^T = S, so A realizes sig S = 8 and its own Milnor
 assignment tau(A), and the true answer to both questions at m = 7 is
-REALIZABLE.  Of the first ``--forms`` nonsingular forms, the script keeps
+REALIZABLE.  Of the first ``FORMS`` nonsingular forms, the script keeps
 every one whose report at sig S lists two or more distinct symmetric
 irreducible factors of P (kind ``links``, with tau(A)), every one that is
 OUT_OF_SCOPE for a factor of P not fixed by X -> 1-X (kind
-``nonsymmetric``), and every one whose analysis is refused by a budget
-(kind ``refused``).  It writes them with the seed, the form count and the
-number of draws, one hit per line.  tests/test_link_corpus.py checks the
-file, and redraws its first forms with :func:`forms`.
+``nonsymmetric``); a budget that refuses an analysis stops the script.
+It writes them with the seed, the form count and the number of draws,
+one hit per line.  tests/test_link_corpus.py checks the file, and
+redraws its first forms with :func:`forms`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from knotsig import (  # noqa: E402
     VERDICT_OUT_OF_SCOPE,
     AnalysisRequest,
-    BudgetExceededError,
     alexander_of_form,
     analyze,
     block_diag,
@@ -81,11 +80,8 @@ def signed_delta(a):
 
 
 def kind(a) -> str | None:
-    """``links``, ``nonsymmetric``, ``refused`` or None (see above)."""
-    try:
-        report = analyze(AnalysisRequest(delta=signed_delta(a), m=M, signature=SIGNATURE))
-    except BudgetExceededError:
-        return "refused"
+    """``links``, ``nonsymmetric`` or None (see above)."""
+    report = analyze(AnalysisRequest(delta=signed_delta(a), m=M, signature=SIGNATURE))
     if report.verdict == VERDICT_OUT_OF_SCOPE and report.reason.endswith("of P is not fixed by X -> 1-X"):
         return "nonsymmetric"
     factors = (report.factors or {}).get("factors", [])
@@ -109,17 +105,16 @@ def hits(count: int) -> tuple[int, list[dict]]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--forms", type=int, default=FORMS)
     ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args(argv)
-    draws, found = hits(args.forms)
-    head = {"seed": SEED, "forms": args.forms, "draws": draws, "m": M, "signature": SIGNATURE}
+    draws, found = hits(FORMS)
+    head = {"seed": SEED, "forms": FORMS, "draws": draws, "m": M, "signature": SIGNATURE}
     lines = [json.dumps(hit, separators=(",", ":")) for hit in found]
     text = json.dumps(head)[:-1] + ', "hits": [\n' + ",\n".join(lines) + "\n]}\n"
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(text)
-    counts = {k: sum(hit["kind"] == k for hit in found) for k in ("links", "nonsymmetric", "refused")}
-    print(f"{args.forms} forms from {draws} draws: {counts}")
+    counts = {k: sum(hit["kind"] == k for hit in found) for k in ("links", "nonsymmetric")}
+    print(f"{FORMS} forms from {draws} draws: {counts}")
     return 0
 
 

@@ -123,8 +123,10 @@ def integer_factor(n: int) -> list[int]:
             n //= p
     rng = Random(0)
     budget = [0, RHO_BUDGET]
-    # every entry is >= 2: n > 1, and a composite m is replaced by a
-    # nontrivial factor and its cofactor, or by its square root twice
+    # every entry is >= 2: n > 1, as TRIAL_LIMIT is not prime (the loop
+    # would return on its last p before n could fall to 1), and a composite
+    # m is replaced by a nontrivial factor and its cofactor, or by its
+    # square root twice
     stack = [n]
     while stack:
         m = stack.pop()

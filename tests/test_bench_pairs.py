@@ -105,26 +105,12 @@ def test_a_run_compiles_from_source(bench_pairs, monkeypatch, tmp_path):
         (False, "1")] * 2
 
 
-def test_a_tree_without_git_is_copied_whole(bench_pairs, monkeypatch, tmp_path):
-    """Outside a git checkout (no .git, as in a ``git archive`` export) the
-    change side is a copy of every file but the caches that building,
-    testing and running leave, and the parent cannot be unpacked: the
-    script stops with one line that names the tree."""
-    tree = tmp_path / "export"
-    for name in ("scripts/bench_pairs.py", "src/knotsig/probe.py", "src/knotsig/__pycache__/probe.pyc",
-                 ".pytest_cache/v/cache", ".hypothesis/examples/x", ".benchmarks/run.json",
-                 "tests/__pycache__/conftest.pyc", ".gitignore"):
-        (tree / name).parent.mkdir(parents=True, exist_ok=True)
-        (tree / name).write_text(name)
-    monkeypatch.setattr(bench_pairs, "ROOT", tree)
-    copy = tmp_path / "change"
-    copy.mkdir()
-    bench_pairs.copy_worktree(str(copy))
-    assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file()) == [
-        ".gitignore", "scripts/bench_pairs.py", "src/knotsig/probe.py"]
-    assert (copy / "src" / "knotsig" / "probe.py").read_text() == "src/knotsig/probe.py"
-    with pytest.raises(SystemExit, match=f"^bench_pairs: {tree} is not a git checkout, so HEAD cannot"
-                                         " be unpacked$"):
+def test_unpack_outside_a_checkout_stops_with_one_line(bench_pairs, monkeypatch, tmp_path):
+    """In a tree with no .git, as in a ``git archive`` export, the parent
+    cannot be unpacked: the script stops with one line that names the tree."""
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match=f"^bench_pairs: {tmp_path} is not a git checkout, so HEAD"
+                                         " cannot be unpacked$"):
         bench_pairs.unpack("HEAD", str(tmp_path / "parent"))
 
 
@@ -162,13 +148,15 @@ def test_a_bad_run_fails_the_script(bench_pairs, monkeypatch, tmp_path, capsys, 
     assert not list(tmp_path.glob("bench_pairs_*"))
 
 
-# bench_pairs.main with no git and no perfbench: the parent's tree holds
-# one file, and the run is a child that records its pid and sleeps
+# bench_pairs.main with no perfbench, in a git tree that holds only the
+# script and BENCHMARK.json: the parent's tree holds one file, and the run
+# is a child that records its pid and sleeps
 DRIVER = """
-import importlib.util, os, sys
+import importlib.util, os, pathlib, sys
 spec = importlib.util.spec_from_file_location("bench_pairs", {script!r})
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+bench_pairs.ROOT = pathlib.Path({root!r})
 
 
 def unpack(ref, dest):
@@ -190,7 +178,12 @@ sys.exit(bench_pairs.main(["--parent", "HEAD", "--pairs", "1", "--workload", "sw
 def test_sigterm_removes_the_tree_and_stops_the_run(tmp_path):
     tmpdir, pidfile, driver = tmp_path / "tmp", tmp_path / "run.pid", tmp_path / "driver.py"
     tmpdir.mkdir()
-    driver.write_text(DRIVER.format(script=str(SCRIPT), pidfile=str(pidfile)))
+    tree = tmp_path / "tree"
+    (tree / "scripts").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    for name in ("scripts/bench_pairs.py", "BENCHMARK.json"):
+        (tree / name).write_bytes((SCRIPT.parent.parent / name).read_bytes())
+    driver.write_text(DRIVER.format(script=str(SCRIPT), root=str(tree), pidfile=str(pidfile)))
     proc = subprocess.Popen([sys.executable, str(driver)], env=dict(os.environ, TMPDIR=str(tmpdir)),
                             stderr=subprocess.PIPE, text=True)
     child = None
