@@ -16,10 +16,10 @@ delta2 = parse_poly("3*x^4 - 2*x^3 - x^2 - 2*x + 3")
 for name, delta in (("Delta_1", delta1), ("Delta_2", delta2), ("Delta_1*Delta_2", delta1 * delta2)):
     rep = alexander_check(delta)
     print(f"{name} = {poly_text(delta)}")
-    print(f"  reciprocal of degree 2n (n = {rep.n}): {rep.cond_reciprocal}")
-    print(f"  value (-1)^n at 1:                    {rep.cond_at_one}")
+    print(f"  reciprocal of degree 2n (n = {rep.n}): {rep.reciprocal}")
+    print(f"  value (-1)^n at 1:                    {rep.value_at_one}")
     print(
-        f"  square at -1:                         {rep.cond_at_minus_one}"
+        f"  square at -1:                         {rep.square_at_minus_one}"
         f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)"
     )
 

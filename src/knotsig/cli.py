@@ -3,8 +3,10 @@
 Exit codes: 0 for any successfully computed answer (including negative
 verdicts), 2 for parse or input-validation errors, 3 when an internal
 iteration budget was exhausted before the answer was certain, 4 when an
-internal consistency check failed (a bug: please report the input).
-Every error is one line on stderr, never a traceback.
+internal consistency check failed (a bug: please report the input),
+and 141, as a shell reports a command that SIGPIPE ended, when stdout was
+closed before the output was written (``knotsig ... | head``).  Every
+error is one line on stderr, never a traceback.
 
 The values of --delta, --p, --poly and --tau may begin with '-', as in
 ``knotsig factor --poly -1,0,49``.
@@ -13,9 +15,11 @@ The values of --delta, --p, --poly and --tau may begin with '-', as in
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 
-from .errors import BudgetExceededError, CertificationError, KnotsigError, PolyParseError
+from .errors import BudgetExceededError, KnotsigError, PolyParseError
 from .milnor import enumerate_sign_tuples, expected_count
 from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, report_render
 from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
@@ -39,8 +43,10 @@ DASH_VALUE_OPTIONS = ("--delta", "--p", "--poly", "--tau")
 
 
 def _parse_tau(text: str) -> tuple[int, ...]:
+    """Integers separated by a comma, blanks or both; "" is the empty
+    assignment, and an empty entry is refused."""
     try:
-        return tuple(int(v) for v in text.replace(" ", ",").split(",") if v)
+        return tuple(int(v) for v in re.split(r"\s*,\s*|\s+", text.strip())) if text.strip() else ()
     except ValueError as exc:
         raise PolyParseError(f"bad tau list: {text!r}") from exc
 
@@ -71,10 +77,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     delta = parse_poly(args.delta)
     rep = alexander_check(delta)
     print(f"degree even:        {rep.degree_even} (n = {rep.n})")
-    print(f"(1) reciprocal:     {rep.cond_reciprocal}")
-    print(f"(2) Delta(1)=(-1)^n: {rep.cond_at_one}")
-    wit = f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)" if rep.cond_at_minus_one else f" ({rep.delta_minus_one})"
-    print(f"(3) Delta(-1) square: {rep.cond_at_minus_one}{wit}")
+    print(f"(1) reciprocal:     {rep.reciprocal}")
+    print(f"(2) Delta(1)=(-1)^n: {rep.value_at_one}")
+    wit = f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)" if rep.square_at_minus_one else f" ({rep.delta_minus_one})"
+    print(f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}")
     print(f"all conditions:     {rep.all_pass}")
     return 0
 
@@ -244,11 +250,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, CertificationError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError) as exc:

@@ -107,26 +107,14 @@ class AnalysisReport:
         return dict(vars(self))
 
 
-def _conditions_dict(rep: ConditionReport) -> dict[str, Any]:
-    return {
-        "degree_even": rep.degree_even,
-        "reciprocal": rep.cond_reciprocal,
-        "value_at_one": rep.cond_at_one,
-        "square_at_minus_one": rep.cond_at_minus_one,
-        "n": rep.n,
-        "delta_minus_one": rep.delta_minus_one,
-        "square_root_witness": rep.square_root_witness,
-    }
-
-
 def _condition_failure(delta: IntPoly, rep: ConditionReport) -> str | None:
     if not rep.degree_even:
         return "the degree is odd, so Delta(X) = X^2n * Delta(1/X) fails"
-    if not rep.cond_reciprocal:
+    if not rep.reciprocal:
         return "the coefficients are not palindromic: Delta(X) != X^2n * Delta(1/X)"
-    if not rep.cond_at_one:
+    if not rep.value_at_one:
         return f"Delta(1) = {delta.evaluate(1)} instead of (-1)^n = {(-1) ** rep.n}"
-    if not rep.cond_at_minus_one:
+    if not rep.square_at_minus_one:
         return f"Delta(-1) = {rep.delta_minus_one} is not a perfect square"
     return None
 
@@ -280,7 +268,7 @@ def _analyze_common(req: AnalysisRequest) -> tuple[AnalysisReport, DeltaFacts]:
         m=req.m,
         s=req.signature,
         tool_version=TOOL_VERSION,
-        conditions=_conditions_dict(facts.conditions),
+        conditions=dict(vars(facts.conditions)),
     )
     if facts.factor_set is not None:
         report.p = list(facts.p.coeffs)

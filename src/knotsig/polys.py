@@ -260,6 +260,7 @@ def divides(g: IntPoly, f: IntPoly) -> bool:
 # text syntax
 
 
+MAX_PARSE_DEGREE = 10_000  # the largest exponent parse_poly accepts, checked before it allocates
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?(\*?x(?:\^(\d+))?)?$")
 
 
@@ -290,6 +291,8 @@ def parse_poly(text: str) -> IntPoly:
         if sign_s == "-":
             coeff = -coeff
         power = int(pow_s) if pow_s else (1 if x_s else 0)
+        if power > MAX_PARSE_DEGREE:
+            raise PolyParseError(f"exponent {power} in {text!r} exceeds the degree bound of {MAX_PARSE_DEGREE}")
         coeffs[power] = coeffs.get(power, 0) + coeff
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for k, c in coeffs.items():
@@ -323,12 +326,14 @@ def poly_text(p: IntPoly) -> str:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the three admissibility conditions on Delta."""
+    """Outcome of the three admissibility conditions on Delta: reciprocal
+    of even degree 2n, value (-1)^n at 1 and a square at -1.  The fields,
+    in order and by name, are the ``conditions`` of an analysis report."""
 
     degree_even: bool
-    cond_reciprocal: bool
-    cond_at_one: bool
-    cond_at_minus_one: bool
+    reciprocal: bool
+    value_at_one: bool
+    square_at_minus_one: bool
     n: int
     delta_minus_one: int
     square_root_witness: int | None
@@ -337,9 +342,9 @@ class ConditionReport:
     def all_pass(self) -> bool:
         return (
             self.degree_even
-            and self.cond_reciprocal
-            and self.cond_at_one
-            and self.cond_at_minus_one
+            and self.reciprocal
+            and self.value_at_one
+            and self.square_at_minus_one
         )
 
 
@@ -362,9 +367,9 @@ def alexander_check(delta: IntPoly) -> ConditionReport:
             witness = r
     return ConditionReport(
         degree_even=degree_even,
-        cond_reciprocal=reciprocal,
-        cond_at_one=at_one,
-        cond_at_minus_one=witness is not None,
+        reciprocal=reciprocal,
+        value_at_one=at_one,
+        square_at_minus_one=witness is not None,
         n=n,
         delta_minus_one=d_minus,
         square_root_witness=witness,

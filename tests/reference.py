@@ -552,7 +552,7 @@ def delta_factor_rhos(delta: IntPoly) -> list[int] | None:
     a factor is not reciprocal or has a root at 1 or -1."""
     rhos = []
     for q, _ in factor_z(delta).factors:
-        if not alexander_check(q).cond_reciprocal or q.evaluate(1) == 0 or q.evaluate(-1) == 0:
+        if not alexander_check(q).reciprocal or q.evaluate(1) == 0 or q.evaluate(-1) == 0:
             return None
         rhos.append(rho_delta(q))
     return sorted(rhos)

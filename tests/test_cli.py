@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import knotsig
-from knotsig import IntPoly, delta_to_p, expected_count, poly_text
+from knotsig import IntPoly, delta_to_p, expected_count, parse_poly, poly_text
 from knotsig.cli import MILNOR_COUNT_CAP, main
+from knotsig.polys import MAX_PARSE_DEGREE
 from conftest import make_delta_a
 from reference import sympy_factors
 
@@ -75,6 +76,24 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--delta", "x^4 - x^2 + 1", "--m", "7",
                              "--tau", "2,x")
         assert (code, out, err) == (2, "", "error: bad tau list: '2,x'\n")
+
+    @pytest.mark.parametrize("tau", ["2,,-2", ",2,-2", "2,-2,"])
+    def test_tau_with_an_empty_entry_exit_two(self, capsys, tau):
+        code, out, err = run(capsys, "analyze", "--delta", "x^4 - x^2 + 1", "--m", "7",
+                             "--tau", tau)
+        assert (code, out, err) == (2, "", f"error: bad tau list: {tau!r}\n")
+
+    @pytest.mark.parametrize("delta, tau", [
+        ("x^4 - x^2 + 1", "2 -2"),
+        ("x^4 - x^2 + 1", "2, -2"),
+        ("1", ""),
+    ])
+    def test_tau_separators(self, capsys, delta, tau):
+        """Blanks, or a comma and blanks, separate the entries as a comma
+        does (``test_tau``); "" is the empty assignment, which Delta = 1
+        (rho = 0) realizes."""
+        code, out, _ = run(capsys, "analyze", "--delta", delta, "--m", "7", "--tau", tau)
+        assert code == 0 and out.startswith("verdict: REALIZABLE\n")
 
     def test_not_admissible_still_exit_zero(self, capsys):
         code, out, _ = run(
@@ -374,3 +393,41 @@ def test_module_entry_point_prints_the_version():
     done = subprocess.run([sys.executable, "-m", "knotsig.cli", "--version"], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert (done.returncode, done.stdout, done.stderr) == (0, "knotsig 0.1.0\n", "")
+
+
+@pytest.mark.parametrize("power", [MAX_PARSE_DEGREE + 1, 10**11])
+def test_an_exponent_above_the_degree_bound_exit_two(capsys, power):
+    """The bound is checked before a coefficient list is built."""
+    code, out, err = run(capsys, "analyze", "--delta", f"x^{power}-1", "--m", "7", "--signature", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: exponent {power} in 'x^{power}-1' exceeds the degree bound"
+                   f" of {MAX_PARSE_DEGREE}\n")
+
+
+def test_the_degree_bound_itself_parses():
+    assert parse_poly(f"x^{MAX_PARSE_DEGREE} - 1").degree == MAX_PARSE_DEGREE
+
+
+def _run_with_closed_stdout(*argv):
+    """Run ``python -m knotsig.cli`` with stdout a pipe whose reader is
+    closed before the command writes; return the exit code and stderr."""
+    src = str(Path(knotsig.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "knotsig.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--delta", "x^4-x^2+1", "--m", "7", "--signature", "0"),
+    ("milnor", "--delta", "1," * 40 + "1", "--signature", "0"),  # Phi_41: 184,756 lines
+])
+def test_a_closed_stdout_exits_141_silently(argv):
+    """As ``knotsig ... | head`` does once head has read its lines: the
+    documented exit code, and nothing on stderr."""
+    assert _run_with_closed_stdout(*argv) == (141, "")

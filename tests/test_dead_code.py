@@ -121,6 +121,9 @@ NO_CALLER_NEEDED = {
     "realroots.isolate_roots",
     "realroots.sign_at_root",
     "realroots.sturm_count",
+    "seifert.charpoly",
+    # raised nowhere; perfbench/worker.py counts it as a refusal
+    "errors.CertificationError",
     # the toolkit's constructors of forms and pairs, for its users
     "seifert.block_diag",
     "seifert.charpoly_of_pair",

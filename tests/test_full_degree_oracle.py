@@ -84,7 +84,7 @@ def census() -> list[IntPoly]:
         for head in itertools.product(range(1, 5), *[range(-4, 5)] * (n - 1)):
             delta = IntPoly(head + ((-1) ** n - 2 * sum(head),) + head[::-1])
             rep = alexander_check(delta)
-            if rep.cond_reciprocal and rep.cond_at_one and rep.cond_at_minus_one:
+            if rep.reciprocal and rep.value_at_one and rep.square_at_minus_one:
                 out.append(delta)
     return out
 

@@ -15,6 +15,7 @@ import pytest
 
 from knotsig import (
     AnalysisRequest,
+    ConditionReport,
     IntPoly,
     TOOL_VERSION,
     VERDICT_NOT_ADMISSIBLE,
@@ -411,7 +412,7 @@ def test_conditions_send_p_through_its_v_model():
         half = [rng.choice((-1, 1)) * rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - 1)]
         delta = IntPoly(half + [(-1) ** n - 2 * sum(half)] + half[::-1])
         rep = alexander_check(delta)
-        assert rep.degree_even and rep.cond_reciprocal and rep.cond_at_one
+        assert rep.degree_even and rep.reciprocal and rep.value_at_one
         p = delta_to_p(delta)
         assert symmetric_check(p)
         assert p.lc == 1
@@ -420,6 +421,25 @@ def test_conditions_send_p_through_its_v_model():
         trace: list[str] = []
         assert factor_z(p, trace=trace).product() == p
         assert trace[0].startswith("through the v-model Q = ")
+
+
+@pytest.mark.parametrize("text, failing", [
+    ("x^4 - x^2 + 1", None),
+    ("x^3 + x^2 + x + 1", "degree_even"),
+    ("x^4 - x^3 + 1", "reciprocal"),
+    ("x^4 + x^2 + 1", "value_at_one"),
+    ("x^2 - 3*x + 1", "square_at_minus_one"),
+])
+def test_report_conditions_are_the_condition_report(text, failing):
+    """A report's ``conditions`` are alexander_check's ConditionReport,
+    field by field under the same names and in the same order, for a
+    Delta in scope and for one failing each condition first."""
+    delta = parse_poly(text)
+    conditions = analyze(AnalysisRequest(delta=delta, m=7, signature=0)).conditions
+    assert list(conditions) == [f.name for f in dataclasses.fields(ConditionReport)]
+    assert conditions == dict(vars(alexander_check(delta)))
+    checks = ("degree_even", "reciprocal", "value_at_one", "square_at_minus_one")
+    assert next((name for name in checks if not conditions[name]), None) == failing
 
 
 class TestOneCheckPerFact:

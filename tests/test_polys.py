@@ -286,7 +286,7 @@ class TestAlexanderCheck:
 
     def test_fails_condition_two(self):
         rep = alexander_check(P("x^2 - x + 1"))
-        assert rep.cond_reciprocal and not rep.cond_at_one
+        assert rep.reciprocal and not rep.value_at_one
 
     def test_non_monic_passes(self):
         rep = alexander_check(P("2*x^2 - 5*x + 2"))
@@ -295,11 +295,11 @@ class TestAlexanderCheck:
 
     def test_odd_degree_fails_reciprocity_without_raising(self):
         rep = alexander_check(P("x^3 + 1"))
-        assert not rep.degree_even and not rep.cond_reciprocal
+        assert not rep.degree_even and not rep.reciprocal
 
     def test_negative_value_at_minus_one_fails(self):
         rep = alexander_check(P("-1,1,-1"))
-        assert rep.delta_minus_one < 0 and not rep.cond_at_minus_one
+        assert rep.delta_minus_one < 0 and not rep.square_at_minus_one
 
     def test_zero_poly_raises(self):
         with pytest.raises(ValueError):

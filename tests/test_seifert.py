@@ -447,6 +447,20 @@ class TestUnimodularT:
         with pytest.raises(ValueError, match="determinant 2"):
             unimodular_t(A2)
 
+    def test_wrong_inverse_fails_the_defining_identity(self, monkeypatch, e8_half):
+        """The one check t^T A = -A^T catches an inverse of A that is off
+        in one entry."""
+        original = seifert.mat_inverse_unimodular
+
+        def off_by_one(m):
+            inv = [list(row) for row in original(m)]
+            inv[0][0] += 1
+            return tuple(map(tuple, inv))
+
+        monkeypatch.setattr(seifert, "mat_inverse_unimodular", off_by_one)
+        with pytest.raises(KnotsigError, match=r"^internal error: t\^T A != -A\^T$"):
+            unimodular_t(e8_half)
+
 
 class TestMilnorSignatures:
     def test_no_unit_circle_factors(self):
