@@ -73,15 +73,9 @@ def forms(count: int):
             yield draw, name, tuple(map(tuple, a))
 
 
-def signed_delta(a):
-    """Delta_A, signed so that Delta(1) = (-1)^n."""
-    delta = alexander_of_form(a)
-    return delta if delta.evaluate(1) == (-1) ** (int(delta.degree) // 2) else -delta
-
-
 def kind(a) -> str | None:
     """``links``, ``nonsymmetric`` or None (see above)."""
-    report = analyze(AnalysisRequest(delta=signed_delta(a), m=M, signature=SIGNATURE))
+    report = analyze(AnalysisRequest(delta=alexander_of_form(a), m=M, signature=SIGNATURE))
     if report.verdict == VERDICT_OUT_OF_SCOPE and report.reason.endswith("of P is not fixed by X -> 1-X"):
         return "nonsymmetric"
     factors = (report.factors or {}).get("factors", [])

@@ -10,6 +10,9 @@ error is one line on stderr, never a traceback.
 
 The values of --delta, --p, --poly and --tau may begin with '-', as in
 ``knotsig factor --poly -1,0,49``.
+
+``milnor`` takes rho from Delta as ``rho --delta`` does, so it refuses
+exactly the Delta that ``rho --delta`` refuses, with the same message.
 """
 
 from __future__ import annotations
@@ -63,13 +66,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_delta_or_p(args: argparse.Namespace) -> int:
+    """``transform`` or ``rho``, each on exactly one of Delta and P."""
     if (args.delta is None) == (args.p is None):
-        raise PolyParseError("transform needs exactly one of --delta or --p")
-    if args.delta is not None:
-        print(poly_text(delta_to_p(parse_poly(args.delta))))
-    else:
-        print(poly_text(p_to_delta(parse_poly(args.p))))
+        raise PolyParseError(f"{args.command} needs exactly one of --delta or --p")
+    on_delta, on_p = {"transform": (delta_to_p, p_to_delta), "rho": (rho_delta, rho_p)}[args.command]
+    print(on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p)))
     return 0
 
 
@@ -82,16 +84,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     wit = f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)" if rep.square_at_minus_one else f" ({rep.delta_minus_one})"
     print(f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}")
     print(f"all conditions:     {rep.all_pass}")
-    return 0
-
-
-def _cmd_rho(args: argparse.Namespace) -> int:
-    if (args.delta is None) == (args.p is None):
-        raise PolyParseError("rho needs exactly one of --delta or --p")
-    if args.delta is not None:
-        print(rho_delta(parse_poly(args.delta)))
-    else:
-        print(rho_p(parse_poly(args.p)))
     return 0
 
 
@@ -130,9 +122,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_milnor(args: argparse.Namespace) -> int:
-    delta = parse_poly(args.delta)
-    p_poly = delta_to_p(delta)
-    rho = rho_p(p_poly)
+    rho = rho_delta(parse_poly(args.delta))
     count = expected_count(rho, args.signature)
     if count > MILNOR_COUNT_CAP:
         raise BudgetExceededError(f"{count} assignments exceed the enumeration cap of {MILNOR_COUNT_CAP}")
@@ -194,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="Delta -> P or P -> Delta")
     p_tr.add_argument("--delta")
     p_tr.add_argument("--p")
-    p_tr.set_defaults(func=_cmd_transform)
+    p_tr.set_defaults(func=_cmd_delta_or_p)
 
     p_ch = sub.add_parser("check", help="the three conditions on Delta")
     p_ch.add_argument("--delta", required=True)
@@ -203,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rho = sub.add_parser("rho", help="unit-circle root count")
     p_rho.add_argument("--delta")
     p_rho.add_argument("--p")
-    p_rho.set_defaults(func=_cmd_rho)
+    p_rho.set_defaults(func=_cmd_delta_or_p)
 
     p_fa = sub.add_parser("factor", help="factor an integer polynomial into irreducibles")
     p_fa.add_argument("--poly", required=True)
@@ -257,15 +247,12 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone: what is still buffered goes nowhere, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except PolyParseError as exc:
+    except (PolyParseError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KnotsigError as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)

@@ -233,13 +233,14 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
     automorphism, and the signs multiply as the half degrees add (each f
     is fixed by X -> 1-X, so of even degree).  So
     prod Delta_f = (-1)^n rev(P)(1 - X), which is Delta exactly when
-    `polys._p_to_delta` inverts `polys.delta_to_p`: a fact about two fixed
-    transforms, asserted on every Delta of tests/test_full_degree_oracle.py
-    and of the census.  So the report's rho, the sum of the rho(Delta_f),
-    is rho(Delta): P is squarefree, and so is Delta, a change of variable
-    X -> 1/(1 - X) of P with P(0) != 0, and the roots of
-    Delta = prod Delta_f are then the disjoint union of those of the
-    Delta_f."""
+    `polys._p_to_delta` inverts `polys.delta_to_p`.  It does when
+    Delta(1) != 0 (see `delta_to_p`), and the conditions give
+    Delta(1) = (-1)^n; the inversion is asserted on every Delta of
+    tests/test_full_degree_oracle.py and of the census.  So the report's
+    rho, the sum of the rho(Delta_f), is rho(Delta): P is squarefree, and
+    so is Delta, a change of variable X -> 1/(1 - X) of P with P(0) != 0,
+    and the roots of Delta = prod Delta_f are then the disjoint union of
+    those of the Delta_f."""
     conditions = alexander_check(delta)
     failure = _condition_failure(delta, conditions)
     if failure is not None:

@@ -379,7 +379,10 @@ def alexander_check(delta: IntPoly) -> ConditionReport:
 def delta_to_p(delta: IntPoly) -> IntPoly:
     """Companion polynomial (-1)^n X^{2n} delta(1 - 1/X), computed as
     (-1)^n rev(delta(1 - X)): delta(1 - X) keeps degree 2n, and reversing
-    its coefficients is X^{2n} delta(1 - 1/X)."""
+    its coefficients is X^{2n} delta(1 - 1/X).  Its leading coefficient
+    is (-1)^n delta(1), so deg P = 2n exactly when delta(1) != 0: X ->
+    1/(1 - X) sends a root at X = 1 to infinity.  :func:`p_to_delta`
+    inverts it exactly then."""
     deg = delta.degree
     if delta.is_zero or int(deg) % 2 != 0:
         raise ValueError("delta_to_p needs a nonzero polynomial of even degree")

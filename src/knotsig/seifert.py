@@ -408,7 +408,9 @@ def pair_to_form(s_rows: Sequence[Sequence[int]], a_rows: Sequence[Sequence[int]
 
 
 def alexander_of_form(a_rows: Sequence[Sequence[int]]) -> IntPoly:
-    """det(X*A + A^T), exact."""
+    """det(X*A + A^T), exact.  It needs no sign flip to meet condition
+    (2): Delta_A(1) = det S = (-1)^n for every nonsingular form of size
+    2n, as proved at :attr:`_FormFacts.delta`."""
     return _form_facts(as_matrix(a_rows)).delta
 
 

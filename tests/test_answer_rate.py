@@ -105,8 +105,7 @@ def answers() -> Counter:
     counts = Counter({"singular draws skipped": draws - len(corpus)})
     for sig, a in corpus:
         delta = alexander_of_form(a)
-        if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-            delta = -delta
+        assert delta.evaluate(1) == (-1) ** (len(a) // 2)
         try:
             report = analyze(AnalysisRequest(delta=delta, m=7, signature=sig))
         except BudgetExceededError as exc:

@@ -128,15 +128,16 @@ def test_milnor_signatures(case):
     assert mil.total == TOTALS[exponents]
 
 
-def signed_delta(a) -> IntPoly:
-    """Delta_A, signed so that Delta(1) = (-1)^n."""
+def checked_delta(a) -> IntPoly:
+    """Delta_A, asserted to meet Delta(1) = (-1)^n with no sign flip."""
     delta = alexander_of_form(a)
-    return delta if delta.evaluate(1) == (-1) ** (int(delta.degree) // 2) else -delta
+    assert delta.evaluate(1) == (-1) ** (len(a) // 2)
+    return delta
 
 
 def test_analyze_at_the_total_is_realizable(case):
     exponents, a, _ = case
-    rep = analyze(AnalysisRequest(delta=signed_delta(a), m=7, signature=TOTALS[exponents]))
+    rep = analyze(AnalysisRequest(delta=checked_delta(a), m=7, signature=TOTALS[exponents]))
     assert rep.verdict == VERDICT_REALIZABLE
 
 
@@ -154,7 +155,7 @@ def block_sum_answers() -> Counter:
             a = block_diag(brieskorn_pham(x), second)
             sig = TOTALS[x] + sign * TOTALS[y]
             assert signature_exact(mat_add(a, transpose(a))) == sig
-            delta = signed_delta(a)
+            delta = checked_delta(a)
             report = analyze(AnalysisRequest(delta=delta, m=7, signature=sig))
             counts[f"s: {report.verdict}" + (f" ({report.reason})" if report.reason else "")] += 1
             pair = form_to_pair(a)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -146,8 +147,12 @@ class TestSubcommands:
         assert code == 0 and out.strip() == "x^4 - x^2 + 1"
 
     def test_transform_requires_one(self, capsys):
-        code, _, _ = run(capsys, "transform", "--delta", "x^2+1", "--p", "x^2+1")
-        assert code == 2
+        """``transform`` and ``rho`` share the check, and each refuses both
+        or neither of --delta and --p in its own words."""
+        for command in ("transform", "rho"):
+            for given in (("--delta", "x^2+1", "--p", "x^2+1"), ()):
+                code, out, err = run(capsys, command, *given)
+                assert (code, out, err) == (2, "", f"error: {command} needs exactly one of --delta or --p\n")
 
     def test_check(self, capsys):
         code, out, _ = run(capsys, "check", "--delta", "x^4 - x^2 + 1")
@@ -192,9 +197,9 @@ class TestSubcommands:
         assert "2 assignment(s)" in lines[0]
 
     def test_milnor_counts_rho_once(self, capsys, calls):
-        counts = calls("realroots.rho_p")
+        counts = calls("realroots.rho_delta")
         code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "0")
-        assert code == 0 and counts == {"realroots.rho_p": 1}
+        assert code == 0 and counts == {"realroots.rho_delta": 1}
         assert out == "rho = 4, target s = 0: 2 assignment(s)\n+2 -2\n-2 +2\n"
         code, out, _ = run(capsys, "milnor", "--delta", "x^4 - x^2 + 1", "--signature", "2")
         assert code == 0 and out == "rho = 4, target s = 2: 0 assignment(s)\n"
@@ -214,6 +219,36 @@ class TestSubcommands:
         )
         code, out, _ = run(capsys, "milnor", "--delta", phi61, "--signature", "60")
         assert code == 0 and out == "rho = 60, target s = 60: 1 assignment(s)\n" + "+2 " * 29 + "+2\n"
+
+    @pytest.mark.parametrize("delta", ["x^2-2*x+1", "x^4-3*x^3+4*x^2-3*x+1"])
+    def test_milnor_refuses_a_root_at_one(self, capsys, delta):
+        """(x - 1)^2 and (x - 1)^2 (x^2 - x + 1): X -> 1/(1 - X) sends the
+        root at X = 1 to infinity, so P loses it; rho is taken from Delta,
+        which refuses it as ``rho --delta`` does."""
+        code, out, err = run(capsys, "milnor", "--delta", delta, "--signature", "0")
+        assert (code, out, err) == (2, "", "error: rho excludes roots at X = 1 or X = -1\n")
+
+    def test_milnor_takes_rho_as_rho_delta_does(self, capsys):
+        """On every palindromic Delta of degree 2, 4 or 6 with c_0 in
+        {+-1, +-2} and the other coefficients in [-2, 2], ``milnor`` prints
+        rho = r exactly when ``rho --delta`` prints r, and refuses with its
+        exit code and message when it refuses; 54 of the 620 have
+        Delta(1) = 0."""
+        deltas = [
+            head + head[-2::-1]
+            for half in (1, 2, 3)
+            for c0 in (-2, -1, 1, 2)
+            for head in ((c0, *mid) for mid in product(range(-2, 3), repeat=half))
+        ]
+        assert len(deltas) == 620 and sum(sum(d) == 0 for d in deltas) == 54
+        for d in deltas:
+            text = ",".join(map(str, d))
+            code, out, err = run(capsys, "rho", "--delta", text)
+            got = run(capsys, "milnor", "--delta", text, "--signature", "0")
+            if code == 0:
+                assert got[0] == 0 and got[1].startswith(f"rho = {out.strip()}, "), text
+            else:
+                assert got == (code, "", err), text
 
     def test_rho_refuses_non_squarefree_p(self, capsys):
         code, out, err = run(capsys, "rho", "--p", "1,-4,4")

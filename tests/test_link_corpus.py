@@ -93,7 +93,7 @@ def test_alexander_polynomial_and_tau(corpus):
 def answers(corpus, link_corpus) -> Counter:
     counts = Counter()
     for hit in corpus["hits"]:
-        delta, kind = link_corpus.signed_delta(hit["form"]), hit["kind"]
+        delta, kind = alexander_of_form(hit["form"]), hit["kind"]
         report = analyze(AnalysisRequest(delta=delta, m=corpus["m"], signature=corpus["signature"]))
         counts[f"{kind} s: {report.verdict}"] += 1
         if kind == "links":

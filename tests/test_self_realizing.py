@@ -80,8 +80,7 @@ def test_self_realizing_form(case):
     gram, a = case
     sig = signature_float([list(row) for row in gram])
     delta = alexander_of_form(a)
-    if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-        delta = -delta
+    assert delta.evaluate(1) == (-1) ** (len(a) // 2)
     fz = factor_z(delta)
     assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(delta)
 
