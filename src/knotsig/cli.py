@@ -13,6 +13,10 @@ The values of --delta, --p, --poly and --tau may begin with '-', as in
 
 ``milnor`` takes rho from Delta as ``rho --delta`` does, so it refuses
 exactly the Delta that ``rho --delta`` refuses, with the same message.
+``transform --delta`` refuses, besides what `polys.delta_to_p` refuses,
+every Delta with Delta(1) = 0: X -> 1/(1 - X) sends that root to
+infinity, so P drops degree and ``transform --p`` would not give Delta
+back.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 from .errors import BudgetExceededError, KnotsigError, PolyParseError
 from .milnor import enumerate_sign_tuples, expected_count
 from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, report_render
-from .polys import alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
+from .polys import IntPoly, alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
 from .realroots import rho_delta, rho_p
 from .seifert import (
     _form_facts,
@@ -66,11 +70,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _transform_delta(delta: IntPoly) -> IntPoly:
+    """`polys.delta_to_p`, refused when Delta(1) = 0 (lc P = (-1)^n Delta(1))."""
+    p = delta_to_p(delta)
+    if delta.evaluate(1) == 0:
+        raise ValueError("transform excludes a root at X = 1, which X -> 1/(1 - X) sends to infinity")
+    return p
+
+
 def _cmd_delta_or_p(args: argparse.Namespace) -> int:
     """``transform`` or ``rho``, each on exactly one of Delta and P."""
     if (args.delta is None) == (args.p is None):
         raise PolyParseError(f"{args.command} needs exactly one of --delta or --p")
-    on_delta, on_p = {"transform": (delta_to_p, p_to_delta), "rho": (rho_delta, rho_p)}[args.command]
+    on_delta, on_p = {"transform": (_transform_delta, p_to_delta), "rho": (rho_delta, rho_p)}[args.command]
     print(on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p)))
     return 0
 

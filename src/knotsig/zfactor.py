@@ -31,15 +31,16 @@ irreducible mod p, lifts of v-model factors, certified or split), entered
 once the factor set passed its check.  `_factor` scans it once per input
 and hands each squarefree part the divisors found that divide the part.
 An input whose memoized candidates fill its degree and multiply to it is
-answered from them, and that product is its check (proof at `_factor`):
-no Yun, no division and no second product.  At degree <= 16 no prime is
-drawn, as the cap could not refuse.  Above, the cap is counted part by
-part (proof at `_factor_squarefree`): each known factor and the cofactor
-they leave get a distinct-degree pass of their own at the part's prime (a
-root scan for a cubic v-model factor), so the count, and any refusal, is
-that of a cold run.  `_lift_certified`, memoized per factor with the lift
-it certifies, needs no prime for a v-model factor with a real root below
--1/4.
+its one squarefree part, and that product is its check (proof at
+`_factor`): no Yun, no division and no second product.  A part, from
+either source, that its known factors fill is answered by
+`_factor_squarefree` alone (proof there): at degree <= 16 with no prime,
+as the cap could not refuse; above, once the cap has counted it part by
+part: each known factor and the cofactor they leave get a
+distinct-degree pass of their own at the part's prime (a root scan for a
+cubic v-model factor), so the count, and any refusal, is that of a cold
+run.  `_lift_certified`, memoized per factor with the lift it certifies,
+needs no prime for a v-model factor with a real root below -1/4.
 """
 
 from __future__ import annotations
@@ -256,20 +257,29 @@ def _factor_squarefree(
     g, given ``known``, the memoized ones that divide it; ``lift`` as in
     `_good_primes`.
 
-    The cap counts g's modular factors at its first good prime p part by
-    part.  p does not divide lc g and g is squarefree mod p, so g mod p is
-    the product of the pairwise coprime q mod p (q known) and r mod p, r
-    the cofactor g / prod q: its irreducible factors are the disjoint
-    union of theirs.  The count is the sum of the degrees from each q's
-    own distinct-degree pass (p does not divide lc q, and q is squarefree
-    mod p) and from r's.  That is the count of a pass over all of g, so
-    the prime, the trace line and the cap do not depend on the memo; when
-    the known factors fill g, no pass and no division runs at g's degree."""
+    Known factors that fill g's degree are its factorization: distinct
+    primitive positive-lc irreducibles dividing g multiply to a divisor
+    (Gauss's lemma), at full degree g.  If deg g <= MAX_MODULAR_FACTORS
+    they answer with no prime: g has at most deg g modular factors, so the
+    cap could not refuse it.  Above, the cap counts g's modular factors at
+    its first good prime p part by part.  p does not divide lc g and g is
+    squarefree mod p, so g mod p is the product of the pairwise coprime
+    q mod p (q known) and r mod p, r the cofactor g / prod q: its
+    irreducible factors are the disjoint union of theirs.  The count is
+    the sum of the degrees from each q's own distinct-degree pass (p does
+    not divide lc q, and q is squarefree mod p) and from r's.  That is the
+    count of a pass over all of g, so the prime, the trace line and the cap
+    do not depend on the memo; when the known factors fill g, no pass and
+    no division runs at g's degree."""
     d = int(g.degree)
+    left = d - _degree(known)
+    if not left and d <= MAX_MODULAR_FACTORS:
+        if trace is not None:
+            trace.append(f"{len(known)} known factors, cofactor of degree 0")
+        return known
     if d <= 1:
         return [g]
     p = next(_good_primes(g, lift))
-    left = d - _degree(known)
     degrees = [k for q in known
                for k in _modular_degrees(_distinct_degree(_monic(_reduced(q.coeffs, p), p), p))]
     if left:
@@ -392,18 +402,13 @@ def _factor(f: IntPoly, trace: list[str] | None, lift: bool = False) -> Factoriz
     degree checks P too (proof there).
 
     Known factors first, from one scan of the memo.  When the memo's
-    divisors of prim fill its degree, they are its factorization, each of
-    multiplicity 1, and the product `_KnownFactors` took to find them is
-    its check: distinct primitive positive-lc irreducibles dividing prim
-    multiply to a divisor (Gauss's lemma), at full degree prim, which is
-    then squarefree.  So no Yun runs and no second product is taken; when
-    the entries that pass the memo's tests are these divisors, no
-    `divides` runs either.  If deg(prim) <= MAX_MODULAR_FACTORS, no prime
-    or distinct-degree pass runs: prim has at most deg(prim) modular
-    factors, so the cap could not refuse it.  Above that degree the cap is
-    counted first, from the memo (`_factor_squarefree`), and refuses as it
-    would with the memo empty.  Otherwise each squarefree part gets the
-    known divisors of prim that divide it."""
+    divisors of prim fill its degree, prim is its one squarefree part, and
+    the product `_KnownFactors` took to find them is the check: they
+    multiply to prim, which is then squarefree, so no Yun runs and no
+    second product is taken; when the entries that pass the memo's tests
+    are these divisors, no `divides` runs either.  Otherwise Yun's parts
+    are factored and multiplied out.  Each part gets the known divisors of
+    prim that divide it, and `_factor_squarefree` answers it."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.lc > 0 else -f.content()
@@ -411,20 +416,17 @@ def _factor(f: IntPoly, trace: list[str] | None, lift: bool = False) -> Factoriz
     if prim.degree == 0:
         return FactorizationZ(content, ())
     known = _known_factors(prim)
-    if _degree(known) == prim.degree:  # checked by `_known_factors`
-        if prim.degree > MAX_MODULAR_FACTORS:
-            known = _factor_squarefree(prim, known, trace, lift)
-        elif trace is not None:
-            trace.append(f"{len(known)} known factors, cofactor of degree 0")
-        return _sorted(content, [(q, 1) for q in known])
+    filled = _degree(known) == prim.degree  # checked by `_known_factors`
     out: list[tuple[IntPoly, int]] = []
-    for part, mult in _yun(prim):
+    for part, mult in [(prim, 1)] if filled else _yun(prim):
         part_known = known if part == prim else [q for q in known if divides(q, part)]
         if trace is not None and part != prim:
             trace.append(f"squarefree part of multiplicity {mult}: {part}")
-        for irr in _factor_squarefree(part, part_known, trace, lift):
-            out.append((irr, mult))
-    return _verified(f, _sorted(content, out))
+        out += [(irr, mult) for irr in _factor_squarefree(part, part_known, trace, lift)]
+    result = _sorted(content, out)
+    if not filled and result.product() != f:
+        raise KnotsigError("internal error: factorization failed re-multiplication")
+    return result
 
 
 def _degree(factors: list[IntPoly]) -> int:
@@ -440,13 +442,6 @@ def _sorted(content: int, factors: list[tuple[IntPoly, int]],
     """content * prod(factor^mult), the factors sorted by (degree, coefficients)."""
     factors.sort(key=lambda fe: (int(fe[0].degree), fe[0].coeffs))
     return FactorizationZ(content, tuple(factors), models or {})
-
-
-def _verified(f: IntPoly, result: FactorizationZ) -> FactorizationZ:
-    """``result``, once it multiplies out to f."""
-    if result.product() != f:
-        raise KnotsigError("internal error: factorization failed re-multiplication")
-    return result
 
 
 @memo(PER_FACTOR)
@@ -511,8 +506,8 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     The route is chosen by one integer Horner pass: 4Y + 1 divides Q
     (Gauss's lemma: it is primitive) exactly when 4^d Q(-1/4) = 0.  On
     either route a part that known factors cover is answered from them,
-    above degree 16 once the cap has counted it (`_factor`); no answer or
-    refusal depends on them.
+    above degree 16 once the cap has counted it (`_factor_squarefree`);
+    no answer or refusal depends on them.
 
     The factor set is checked by one re-multiplication: of f on the
     direct route, of Q at half degree on the v-model route, where the

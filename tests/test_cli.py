@@ -250,6 +250,35 @@ class TestSubcommands:
             else:
                 assert got == (code, "", err), text
 
+    @pytest.mark.parametrize("delta", ["x^2-2*x+1", "x^4-3*x^3+4*x^2-3*x+1"])
+    def test_transform_refuses_a_root_at_one(self, capsys, delta):
+        """(x - 1)^2 and (x - 1)^2 (x^2 - x + 1): X -> 1/(1 - X) sends the
+        root at X = 1 to infinity, so P drops degree and ``transform --p``
+        would not give Delta back."""
+        code, out, err = run(capsys, "transform", "--delta", delta)
+        assert (code, out, err) == (
+            2, "", "error: transform excludes a root at X = 1, which X -> 1/(1 - X) sends to infinity\n")
+
+    def test_transform_round_trips_every_delta_it_answers(self, capsys):
+        """On the palindromic Delta of test_milnor_takes_rho_as_rho_delta_does,
+        ``transform --delta`` then ``transform --p`` gives back each of the
+        566 with Delta(1) != 0, and ``transform --delta`` refuses the 54
+        with Delta(1) = 0."""
+        deltas = [
+            head + head[-2::-1]
+            for half in (1, 2, 3)
+            for c0 in (-2, -1, 1, 2)
+            for head in ((c0, *mid) for mid in product(range(-2, 3), repeat=half))
+        ]
+        answered = 0
+        for d in deltas:
+            code, out, _ = run(capsys, "transform", "--delta", ",".join(map(str, d)))
+            assert code == (0 if sum(d) else 2), d
+            if code == 0:
+                assert run(capsys, "transform", "--p", out.strip()) == (0, f"{IntPoly(d)}\n", ""), d
+                answered += 1
+        assert (len(deltas), answered) == (620, 566)
+
     def test_rho_refuses_non_squarefree_p(self, capsys):
         code, out, err = run(capsys, "rho", "--p", "1,-4,4")
         assert code == 2 and out == "" and err == "error: P must be squarefree\n"

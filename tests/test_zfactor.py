@@ -927,6 +927,35 @@ class TestKnownFactors:
         self.check_known_part_above_the_cap_degree(
             calls, delta_a_product_p((0, 2, 4, 5, 7, 9)), taught, 6)
 
+    @pytest.mark.parametrize("f, route, parts", [
+        (delta_to_p(make_delta_a(0) ** 2 * make_delta_a(2)), "v-model",
+         [("x^3 - 4*x - 1", 1, "prime 3: modular degrees [3]"),
+          ("x^3 - 8*x^2 - 6*x - 1", 2, "prime 3: modular degrees [3]")]),
+        (IntPoly((1, 0, 1)) ** 2 * IntPoly((3, 1)), "direct",
+         [("x + 3", 1, None), ("x^2 + 1", 2, "prime 3: modular degrees [2]")]),
+        (IntPoly((1, 1, 1)) ** 2 * IntPoly((5, -1, 0, 1)), "direct",
+         [("x^3 - x + 5", 1, "prime 3: modular degrees [3]"),
+          ("x^2 + x + 1", 2, "prime 5: modular degrees [2]")]),
+    ], ids=["P of Delta_0^2 Delta_2", "(x^2 + 1)^2 (x + 3)", "(x^2 + x + 1)^2 (x^3 - x + 5)"])
+    def test_a_known_squarefree_part_draws_no_prime(self, calls, f, route, parts):
+        """Each squarefree part of a non-squarefree f, once its factor is
+        known, is answered from the memo with no prime, as a whole input
+        would be: the degree-1 part x + 3 too.  The cold trace and the
+        factor set do not change."""
+        cold: list[str] = []
+        expected = factor_z(f, trace=cold)
+        head = cold[:1] if route == "v-model" else []
+        assert cold == head + [line for part, mult, prime in parts
+                               for line in (f"squarefree part of multiplicity {mult}: {part}", prime)
+                               if line is not None]
+        counts = calls("zfactor._good_primes")
+        warm: list[str] = []
+        assert factor_z(f, trace=warm) == expected
+        assert warm == head + [line for part, mult, _ in parts
+                               for line in (f"squarefree part of multiplicity {mult}: {part}",
+                                            "1 known factors, cofactor of degree 0")]
+        assert counts == {}
+
     def test_cap_refusal_after_every_factor_is_known(self):
         """The degree-30 product the cap refuses stays refused, with its
         message, once each of its 8 irreducible factors is memoized."""
