@@ -7,13 +7,16 @@ physical line of each .py file counts once: as docstring when it lies in
 the docstring of the module, a class or a function (by `ast`), else as
 blank when it holds only whitespace, as comment when its only token is a
 comment (by `tokenize`), else as code.  Prints one row per file and the
-total.  Standard library only.
+total; when stdout is closed before the rows are written
+(``... | head -1``), exits 141, as a shell reports SIGPIPE, with nothing
+on stderr.  Standard library only.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -58,15 +61,22 @@ def count(source: str) -> dict[str, int]:
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "knotsig"
     total = dict.fromkeys(KINDS, 0)
-    print(f"{'file':<20}" + "".join(f"{k:>10}" for k in KINDS) + f"{'total':>10}")
+    rows = [f"{'file':<20}" + "".join(f"{k:>10}" for k in KINDS) + f"{'total':>10}"]
     for path in sorted(root.glob("*.py")):
         counts = count(path.read_text(encoding="utf-8"))
         for kind in KINDS:
             total[kind] += counts[kind]
-        print(f"{path.name:<20}" + "".join(f"{counts[k]:>10}" for k in KINDS)
-              + f"{sum(counts.values()):>10}")
-    print(f"{'total':<20}" + "".join(f"{total[k]:>10}" for k in KINDS) + f"{sum(total.values()):>10}")
-    return 0
+        rows.append(f"{path.name:<20}" + "".join(f"{counts[k]:>10}" for k in KINDS)
+                    + f"{sum(counts.values()):>10}")
+    rows.append(f"{'total':<20}" + "".join(f"{total[k]:>10}" for k in KINDS) + f"{sum(total.values()):>10}")
+    try:
+        print("\n".join(rows))
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader is gone (``... | head -1``): exit as a shell reports SIGPIPE, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

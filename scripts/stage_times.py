@@ -10,7 +10,9 @@ around each stage of STAGES, in every module that holds it.  Of
 `_good_primes`, a generator, only the first draw is timed.  Prints, per
 stage, its calls, its inclusive milliseconds (a call inside a call of the
 same stage counts once) and its self milliseconds (less the stages called
-inside it), then the requests' total.  These stages include layers that
+inside it), then the requests' total; when stdout is closed before the
+table is written (``... | head -1``), exits 141, as a shell reports
+SIGPIPE, with nothing on stderr.  These stages include layers that
 perfbench does not trace.  Every patched name is restored in ``finally``.
 Standard library only.
 """
@@ -18,6 +20,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -149,8 +152,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--corpus-seed", type=int, default=workloads.CORPUS_SEED)
     ap.add_argument("--count", type=int, default=20)
     args = ap.parse_args(argv)
-    print(table(*run(args.workload, args.seed, args.corpus_seed, args.count)))
-    return 0
+    text = table(*run(args.workload, args.seed, args.corpus_seed, args.count))
+    try:
+        print(text)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader is gone (``... | head -1``): exit as a shell reports SIGPIPE, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Each subcommand's handler returns its answer, text or a number or
+polynomial, and writes nothing; `main` alone prints it and maps every
+outcome to its exit code (0, 2, 3, 4, 141).  The ops of ``seifert`` are
+the keys of SEIFERT_OPS.
+
 Exit codes: 0 for any successfully computed answer (including negative
 verdicts), 2 for parse or input-validation errors, 3 when an internal
 iteration budget was exhausted before the answer was certain, 4 when an
@@ -32,6 +37,7 @@ from .pipeline import AnalysisRequest, _delta_facts, analyze, analyze_tau, repor
 from .polys import IntPoly, alexander_check, delta_to_p, p_to_delta, parse_poly, poly_text
 from .realroots import rho_delta, rho_p
 from .seifert import (
+    Matrix,
     _form_facts,
     alexander_of_form,
     form_to_pair,
@@ -58,7 +64,7 @@ def _parse_tau(text: str) -> tuple[int, ...]:
         raise PolyParseError(f"bad tau list: {text!r}") from exc
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> str:
     delta = parse_poly(args.delta)
     if args.tau is not None:
         req = AnalysisRequest(delta=delta, m=args.m, tau=_parse_tau(args.tau))
@@ -66,8 +72,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         req = AnalysisRequest(delta=delta, m=args.m, signature=args.signature)
         report = analyze(req)
-    print(report_render(report, args.format))
-    return 0
+    return report_render(report, args.format)
 
 
 def _transform_delta(delta: IntPoly) -> IntPoly:
@@ -78,102 +83,91 @@ def _transform_delta(delta: IntPoly) -> IntPoly:
     return p
 
 
-def _cmd_delta_or_p(args: argparse.Namespace) -> int:
+def _cmd_delta_or_p(args: argparse.Namespace) -> IntPoly | int:
     """``transform`` or ``rho``, each on exactly one of Delta and P."""
     if (args.delta is None) == (args.p is None):
         raise PolyParseError(f"{args.command} needs exactly one of --delta or --p")
     on_delta, on_p = {"transform": (_transform_delta, p_to_delta), "rho": (rho_delta, rho_p)}[args.command]
-    print(on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p)))
-    return 0
+    return on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p))
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> str:
     delta = parse_poly(args.delta)
     rep = alexander_check(delta)
-    print(f"degree even:        {rep.degree_even} (n = {rep.n})")
-    print(f"(1) reciprocal:     {rep.reciprocal}")
-    print(f"(2) Delta(1)=(-1)^n: {rep.value_at_one}")
     wit = f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)" if rep.square_at_minus_one else f" ({rep.delta_minus_one})"
-    print(f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}")
-    print(f"all conditions:     {rep.all_pass}")
-    return 0
+    return (f"degree even:        {rep.degree_even} (n = {rep.n})\n"
+            f"(1) reciprocal:     {rep.reciprocal}\n"
+            f"(2) Delta(1)=(-1)^n: {rep.value_at_one}\n"
+            f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}\n"
+            f"all conditions:     {rep.all_pass}")
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
+def _cmd_factor(args: argparse.Namespace) -> str:
     fz = factor_z(parse_poly(args.poly))
-    if fz.content != 1 or not fz.factors:
-        print(f"content: {fz.content}")
-    for q, e in fz.factors:
-        mult = f" ^{e}" if e > 1 else ""
-        print(f"{poly_text(q)}{mult}")
-    return 0
+    lines = [f"content: {fz.content}"] if fz.content != 1 or not fz.factors else []
+    return "\n".join(lines + [poly_text(q) + (f" ^{e}" if e > 1 else "") for q, e in fz.factors])
 
 
-def _cmd_group(args: argparse.Namespace) -> int:
+def _cmd_group(args: argparse.Namespace) -> str:
     facts = _delta_facts(parse_poly(args.delta))
     if facts.p is None:
-        print("conditions on Delta fail; the obstruction group is not defined")
-        return 0
+        return "conditions on Delta fail; the obstruction group is not defined"
     if facts.reason is not None:
-        print("standing assumptions fail (P must be a squarefree product of symmetric factors)")
-        return 0
-    sfs = facts.factor_set
+        return "standing assumptions fail (P must be a squarefree product of symmetric factors)"
     group, table = facts.obstruction
-    for i, f in enumerate(sfs.factors):
-        print(f"factor {i}: {poly_text(f)}")
+    lines = [f"factor {i}: {poly_text(f)}" for i, f in enumerate(facts.factor_set.factors)]
     for entry in table:
         i, j = entry.pair
-        primes = "{" + ", ".join(map(str, entry.primes)) + "}"
-        print(f"primes({i},{j}) = {primes}")
-        for p, w in entry.witnesses:
-            print(f"  witness mod {p}: coeffs {list(w.coeffs)}")
+        lines.append(f"primes({i},{j}) = {{" + ", ".join(map(str, entry.primes)) + "}")
+        lines += [f"  witness mod {p}: coeffs {list(w.coeffs)}" for p, w in entry.witnesses]
     comps = " | ".join("{" + ", ".join(map(str, c)) + "}" for c in group.components)
-    print(f"components: {comps}")
-    print(f"group rank: {group.rank} (order 2^{group.rank})")
-    return 0
+    return "\n".join(lines + [f"components: {comps}", f"group rank: {group.rank} (order 2^{group.rank})"])
 
 
-def _cmd_milnor(args: argparse.Namespace) -> int:
+def _cmd_milnor(args: argparse.Namespace) -> str:
     rho = rho_delta(parse_poly(args.delta))
     count = expected_count(rho, args.signature)
     if count > MILNOR_COUNT_CAP:
         raise BudgetExceededError(f"{count} assignments exceed the enumeration cap of {MILNOR_COUNT_CAP}")
     tuples = enumerate_sign_tuples(rho // 2, args.signature)
-    print(f"rho = {rho}, target s = {args.signature}: {len(tuples)} assignment(s)")
-    for values in tuples:
-        print(" ".join(f"{v:+d}" for v in values))
-    return 0
+    header = f"rho = {rho}, target s = {args.signature}: {len(tuples)} assignment(s)"
+    return "\n".join([header] + [" ".join(f"{v:+d}" for v in values) for values in tuples])
 
 
-def _cmd_seifert(args: argparse.Namespace) -> int:
-    mat = parse_matrix(args.matrix)
-    op = args.op
-    if op == "validate":
-        val = validate_form(mat)
-        print("valid Seifert form" if val.ok else "invalid: " + "; ".join(val.problems))
-        return 0
-    if op == "alexander":
-        print(poly_text(alexander_of_form(mat)))
-        return 0
-    if op == "signature":
-        print(_form_facts(mat).lattice.signature)
-        return 0
-    if op == "to-pair":
-        pair = form_to_pair(mat)
-        print(f"S = {[list(r) for r in pair.s]}")
-        print(f"a = {[list(r) for r in pair.a]}")
-        return 0
-    if op == "milnor":
-        pair = form_to_pair(mat)
-        ms = milnor_signatures(pair.s, pair.a)
-        for iv, value in zip(ms.intervals, ms.values):
-            print(f"v-root in ({iv.lo}, {iv.hi}): {value:+d}")
-        print(f"total: {ms.total}")
-        return 0
-    # "isometry", the last of the parser's choices
-    t = unimodular_t(mat)
-    print(f"t = {[list(r) for r in t]}")
-    return 0
+def _rows(m: Matrix) -> str:
+    return str([list(r) for r in m])
+
+
+def _validate_text(mat: Matrix) -> str:
+    val = validate_form(mat)
+    return "valid Seifert form" if val.ok else "invalid: " + "; ".join(val.problems)
+
+
+def _pair_text(mat: Matrix) -> str:
+    pair = form_to_pair(mat)
+    return f"S = {_rows(pair.s)}\na = {_rows(pair.a)}"
+
+
+def _milnor_text(mat: Matrix) -> str:
+    pair = form_to_pair(mat)
+    ms = milnor_signatures(pair.s, pair.a)
+    lines = [f"v-root in ({iv.lo}, {iv.hi}): {value:+d}" for iv, value in zip(ms.intervals, ms.values)]
+    return "\n".join(lines + [f"total: {ms.total}"])
+
+
+# what ``seifert --op`` answers for the parsed matrix, by op name
+SEIFERT_OPS = {
+    "validate": _validate_text,
+    "alexander": lambda mat: poly_text(alexander_of_form(mat)),
+    "signature": lambda mat: _form_facts(mat).lattice.signature,
+    "to-pair": _pair_text,
+    "milnor": _milnor_text,
+    "isometry": lambda mat: f"t = {_rows(unimodular_t(mat))}",
+}
+
+
+def _cmd_seifert(args: argparse.Namespace) -> str | int:
+    return SEIFERT_OPS[args.op](parse_matrix(args.matrix))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument(
         "--op",
         required=True,
-        choices=("validate", "alexander", "signature", "to-pair", "milnor", "isometry"),
+        choices=SEIFERT_OPS,
     )
     p_se.set_defaults(func=_cmd_seifert)
     return parser
@@ -252,9 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        code = args.func(args)
+        print(args.func(args))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes nowhere, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

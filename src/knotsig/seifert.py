@@ -424,11 +424,11 @@ def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
     """Signature of a nonsingular symmetric integer matrix, by
     fraction-free congruence diagonalization.  A nonzero diagonal pivot
     d = M_kk contributes sign(d), and the rest becomes
-    M_ij <- |d| M_ij - sign(d) M_ik M_kj; when the whole remaining
-    diagonal is 0, a nonzero M_kl = b gives the block [[0, b], [b, 0]] of
-    signature 0, and the rest becomes
-    M_ij <- |b| M_ij - sign(b) (M_ik M_lj + M_il M_kj).  Both are positive
-    multiples of Schur complements; each is divided by its content."""
+    M_ij <- |d| M_ij - sign(d) M_ik M_kj, a positive multiple of the Schur
+    complement, divided by its content.  When the whole remaining diagonal
+    is 0, adding row and column l to row and column k, for a nonzero M_kl,
+    first makes M_kk = 2 M_kl: a congruence, which keeps the signature
+    (Sylvester's law of inertia)."""
     m = as_matrix(m_rows)
     if m != transpose(m):
         raise ValueError("signature needs a symmetric matrix")
@@ -436,24 +436,20 @@ def signature_exact(m_rows: Sequence[Sequence[int]]) -> int:
     while m:
         size = len(m)
         k = next((k for k in range(size) if m[k][k]), None)
-        if k is not None:
-            d = m[k][k]
-            sig += 1 if d > 0 else -1
-            u = m[k][:k] + m[k][k + 1 :]
-            su = u if d > 0 else [-x for x in u]
-            m = [[abs(d) * z - p * x for z, x in zip(row[:k] + row[k + 1 :], u)]
-                 for row, p in zip(m[:k] + m[k + 1 :], su)]
-        else:
+        if k is None:
             off = next(((k, l) for k in range(size) for l in range(k + 1, size) if m[k][l]), None)
             if off is None:
                 raise ValueError("matrix is singular; signature undefined")
             k, l = off
-            b = m[k][l]
-            keep = [i for i in range(size) if i != k and i != l]
-            u, v = [m[k][i] for i in keep], [m[l][i] for i in keep]
-            su, sv = (u, v) if b > 0 else ([-x for x in u], [-x for x in v])
-            m = [[abs(b) * m[i][j] - p * y - q * x for j, x, y in zip(keep, u, v)]
-                 for i, p, q in zip(keep, su, sv)]
+            # the other rows' column k is not read below: M_ik = M_ki
+            m = [*m[:k], [x + y for x, y in zip(m[k], m[l])], *m[k + 1 :]]
+            m[k][k] = 2 * m[l][k]
+        d = m[k][k]
+        sig += 1 if d > 0 else -1
+        u = m[k][:k] + m[k][k + 1 :]
+        su = u if d > 0 else [-x for x in u]
+        m = [[abs(d) * z - p * x for z, x in zip(row[:k] + row[k + 1 :], u)]
+             for row, p in zip(m[:k] + m[k + 1 :], su)]
         g = math.gcd(*(math.gcd(*row) for row in m))
         if g > 1:
             m = [[x // g for x in row] for row in m]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -47,6 +49,19 @@ def f2() -> IntPoly:
 def g1() -> IntPoly:
     # sextic whose product with delta1 bounds signatures away from +-8
     return parse_poly("x^6 - 3*x^5 - x^4 + 5*x^3 - x^2 - 3*x + 1")
+
+
+def run_with_closed_stdout(*command: str) -> tuple[int, str]:
+    """Run ``command`` with stdout a pipe whose reader is closed before the
+    command writes, as ``command | head`` once head has read its lines;
+    return the exit code and stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
 
 
 def make_delta_a(a: int) -> IntPoly:

@@ -29,7 +29,9 @@ rule over F_p, as the reflections ran before their additions-only shift;
 and the Levine-Tristram route the Milnor signatures took before they
 were read as eigenplane signs: the n x n Hermitian elimination over
 Z[i] at rational sample points t between the roots of Delta_A, with the
-root gaps and the interval refinement that placed those points.
+root gaps and the interval refinement that placed those points.  The
+determinants and characteristic polynomials those routes start from are
+sympy's, not the package's kernels.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from knotsig.realroots import (
     sturm_count,
     sturm_sequence,
 )
-from knotsig.seifert import as_matrix, charpoly, mat_det, mat_mul, transpose
+from knotsig.seifert import as_matrix, mat_mul, transpose
 
 
 @dataclass(frozen=True)
@@ -484,7 +486,7 @@ def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
     the number field Q[Y]/(minpoly of lambda), with the real embedding
     chosen by certified interval signs."""
     s, a = as_matrix(s_rows), as_matrix(a_rows)
-    p = charpoly(a)
+    p = sympy_charpoly(a)
     ivs = isolate_roots(v_polynomial(p), b=Fraction(-1, 4))
     if not ivs:
         return ()
@@ -526,6 +528,22 @@ def milnor_values_number_field(s_rows, a_rows) -> tuple[int, ...]:
         else:
             values.append(2 * sign_at_root(g11.clear_denominators(), q, iv))
     return tuple(values)
+
+
+def sympy_charpoly(rows) -> IntPoly:
+    """det(X - M) by sympy's ``DomainMatrix.charpoly`` over ZZ, not by the
+    package's kernels."""
+    import sympy
+
+    return IntPoly(int(c) for c in reversed(sympy.Matrix(rows).to_DM().charpoly()))
+
+
+def sympy_det(rows) -> int:
+    """det M by sympy's ``DomainMatrix.det`` over ZZ, not by the package's
+    kernels."""
+    import sympy
+
+    return int(sympy.Matrix(rows).to_DM().det())
 
 
 def sympy_factors(f: IntPoly) -> list[tuple[tuple[int, ...], int]]:
@@ -582,7 +600,7 @@ def pencil_det_by_lagrange(m0, m1) -> IntPoly:
     n = len(m0)
     points = range(n + 1)
     values = [
-        mat_det(tuple(tuple(m0[i][j] + x * m1[i][j] for j in range(n)) for i in range(n)))
+        sympy_det(tuple(tuple(m0[i][j] + x * m1[i][j] for j in range(n)) for i in range(n)))
         for x in points
     ]
     acc = RatPoly.zero()
@@ -600,7 +618,7 @@ def inverse_by_fractions(rows) -> tuple[tuple[int, ...], ...]:
     """Inverse of a matrix with determinant +-1 by Gauss-Jordan
     elimination over Fraction."""
     n = len(rows)
-    det = mat_det(rows)
+    det = sympy_det(rows)
     if det not in (1, -1):
         raise ValueError(f"matrix has determinant {det}, not +-1")
     work = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -1093,11 +1111,11 @@ def milnor_values_levine_tristram(s_rows, a_rows) -> tuple[int, ...]:
     consecutive roots of Delta_A and at one above the last (where it is
     0), each by :func:`_hermitian_elimination` on the n x n Hermitian
     dS + i pK over Z[i]; each value is the drop across its root.  P is
-    taken by ``charpoly``, so nothing comes from the form's record.  This
-    is the route ``milnor_signatures`` took before it read eigenplane
-    signs."""
+    taken by :func:`sympy_charpoly`, so nothing comes from the form's
+    record.  This is the route ``milnor_signatures`` took before it read
+    eigenplane signs."""
     s, a = as_matrix(s_rows), as_matrix(a_rows)
-    q = v_polynomial(charpoly(a))
+    q = v_polynomial(sympy_charpoly(a))
     ivs = isolate_roots(q, float("-inf"), Fraction(-1, 4))
     a_form = mat_mul(transpose(a), s)
     k = tuple(tuple(x - y for x, y in zip(ra, rt)) for ra, rt in zip(a_form, transpose(a_form)))

@@ -310,6 +310,49 @@ class TestSubcommands:
         code, _, err = run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", "isometry")
         assert code == 2 and "determinant" in err
 
+    @pytest.mark.parametrize("op, expected", [
+        ("validate", "valid Seifert form\n"),
+        ("alexander", "2*x^2 - 5*x + 2\n"),
+        ("signature", "0\n"),
+        ("to-pair", "S = [[0, 1], [1, 0]]\na = [[2, 0], [0, -1]]\n"),
+        ("milnor", "total: 0\n"),
+    ])
+    def test_seifert_ops_of_a2_in_full(self, capsys, op, expected):
+        """A2 = [[0,2],[-1,0]]: every op's whole stdout; ``isometry`` refuses
+        it (det A = 2), see the next test."""
+        assert run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", op) == (0, expected, "")
+
+    def test_seifert_isometry_refuses_a2_in_full(self, capsys):
+        code, out, err = run(capsys, "seifert", "--matrix", "[[0,2],[-1,0]]", "--op", "isometry")
+        assert (code, out, err) == (2, "", "error: form has determinant 2, not +-1\n")
+
+    @pytest.mark.parametrize("op, expected", [
+        ("validate", "valid Seifert form\n"),
+        ("alexander", "x^8 + x^7 - x^5 - x^4 - x^3 + x + 1\n"),
+        ("signature", "8\n"),
+        ("to-pair",
+         "S = [[2, 0, -1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0, 0],"
+         " [0, -1, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],"
+         " [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]]\n"
+         "a = [[-3, -5, -3, 2, 2, 2, 2, 2], [-5, -7, -5, 3, 3, 3, 3, 3], [-7, -10, -6, 4, 4, 4, 4, 4],"
+         " [-10, -15, -10, 6, 6, 6, 6, 6], [-8, -12, -8, 4, 5, 5, 5, 5], [-6, -9, -6, 3, 3, 4, 4, 4],"
+         " [-4, -6, -4, 2, 2, 2, 3, 3], [-2, -3, -2, 1, 1, 1, 1, 2]]\n"),
+        ("milnor",
+         "v-root in (-749783/32768, -2999021/131072): +2\n"
+         "v-root in (-73283/131072, -18293/32768): +2\n"
+         "v-root in (-39317/131072, -19603/65536): +2\n"
+         "v-root in (-17161/65536, -34211/131072): +2\n"
+         "total: 8\n"),
+        ("isometry",
+         "t = [[-1, 0, 1, 0, 0, 0, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0],"
+         " [-1, -1, 0, 1, 1, 0, 0, 0], [-1, -1, 0, 1, 0, 1, 0, 0], [-1, -1, 0, 1, 0, 0, 1, 0],"
+         " [-1, -1, 0, 1, 0, 0, 0, 1], [-1, -1, 0, 1, 0, 0, 0, 0]]\n"),
+    ])
+    def test_seifert_ops_of_e8_half_in_full(self, capsys, e8_half, op, expected):
+        """E8's half form has det 1, so ``isometry`` prints t as well."""
+        matrix = json.dumps([list(row) for row in e8_half])
+        assert run(capsys, "seifert", "--matrix", matrix, "--op", op) == (0, expected, "")
+
     def test_seifert_bad_matrix(self, capsys):
         """A refusal is one line that names what is wrong, never a traceback."""
         for matrix, reason in (

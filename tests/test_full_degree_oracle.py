@@ -65,9 +65,9 @@ def delta_a_p(a_values) -> IntPoly:
 
 
 def brieskorn_delta(exponents) -> IntPoly:
-    delta = alexander_of_form(brieskorn_pham(exponents))
-    if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-        delta = -delta
+    form = brieskorn_pham(exponents)
+    delta = alexander_of_form(form)
+    assert delta.evaluate(1) == (-1) ** (len(form) // 2)
     return delta
 
 

@@ -379,8 +379,7 @@ def _seifert_texts(corpus_seed: int) -> tuple[str, str, str]:
         pair = form_to_pair(form)
         delta = alexander_of_form(form)
         deltas.append(list(delta.coeffs))
-        if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-            delta = -delta
+        assert delta.evaluate(1) == (-1) ** (len(form) // 2)
         ms = milnor_signatures(pair.s, pair.a)
         milnor.append([list(ms.values), ms.total])
         req = AnalysisRequest(delta=delta, m=7, signature=op["signature"])

@@ -315,8 +315,7 @@ def _seifert_deltas(count: int, seed: int) -> list[IntPoly]:
     out = []
     for a in forms + [block_diag(a, half_form(e8_gram())) for a in forms]:
         delta = alexander_of_form(a)
-        if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-            delta = -delta
+        assert delta.evaluate(1) == (-1) ** (len(a) // 2)
         out.append(delta)
     return out
 

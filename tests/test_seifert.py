@@ -279,7 +279,7 @@ class TestSignature:
             checked += 1
 
     def test_against_float_oracle_zero_diagonal(self):
-        # mostly zero diagonals, so hyperbolic 2x2 pivots occur
+        # mostly zero diagonals, so the step that moves M_kl onto the diagonal occurs
         rng = random.Random(89)
         checked = 0
         while checked < 200:
@@ -624,8 +624,7 @@ class TestFormFacts:
             seifert._form_facts.cache_clear()
             pair = form_to_pair(form)
             delta = alexander_of_form(form)
-            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-                delta = -delta
+            assert delta.evaluate(1) == (-1) ** (len(form) // 2)
             mil = milnor_signatures(pair.s, pair.a)
             reports = (
                 analyze(AnalysisRequest(delta=delta, m=7, signature=signature)).to_dict(),
@@ -692,8 +691,7 @@ class TestFormFacts:
             built.clear()
             pair = form_to_pair(form)
             delta = alexander_of_form(form)
-            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-                delta = -delta
+            assert delta.evaluate(1) == (-1) ** (len(form) // 2)
             mil = milnor_signatures(pair.s, pair.a)
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=op["signature"]))
             analyze_tau(AnalysisRequest(delta=delta, m=7, tau=mil.values))
@@ -973,8 +971,7 @@ class TestNoRatPolyArithmetic:
         done = 0
         for form in self.FORMS:
             delta = alexander_of_form(form)
-            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-                delta = -delta
+            assert delta.evaluate(1) == (-1) ** (len(form) // 2)
             if delta.evaluate(-1) == 0 or not is_squarefree_q(delta):
                 continue
             assert rho_delta(delta) == rho_p(delta_to_p(delta))
@@ -994,8 +991,7 @@ class TestOneCheckPerFact:
         cases = []
         for form in TestNoRatPolyArithmetic.FORMS:
             delta = alexander_of_form(form)
-            if delta.evaluate(1) != (-1) ** (int(delta.degree) // 2):
-                delta = -delta
+            assert delta.evaluate(1) == (-1) ** (len(form) // 2)
             cases.append((form_to_pair(form), delta))
         counts = calls("polys.is_squarefree_q", "polys.alexander_check", "polys.v_polynomial",
                        "zfactor.standing_assumptions")

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_with_closed_stdout
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
 
 
@@ -53,3 +55,9 @@ def test_self_time_leaves_out_nested_stages(stage_times, monkeypatch):
     assert clock.calls == {"outer": 1, "inner": 2}
     assert clock.inclusive == {"outer": 5, "inner": 3}
     assert clock.own == {"outer": 2, "inner": 3}
+
+
+def test_a_closed_stdout_exits_141_silently():
+    """As ``stage_times.py ... | head -1`` does once head has read its line."""
+    command = (sys.executable, str(SCRIPT), "--workload", "sweep_small", "--count", "2")
+    assert run_with_closed_stdout(*command) == (141, "")
