@@ -74,7 +74,8 @@ def main(argv: list[str]) -> int:
         sys.stdout.flush()
         return 0
     except BrokenPipeError:
-        # the reader is gone (``... | head -1``): exit as a shell reports SIGPIPE, silently
+        # the reader is gone (``... | head -1``): exit as a shell reports SIGPIPE, silently;
+        # `knotsig.cli.write_lines` does the same, but this script imports no package
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 

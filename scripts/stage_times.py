@@ -10,9 +10,10 @@ around each stage of STAGES, in every module that holds it.  Of
 `_good_primes`, a generator, only the first draw is timed.  Prints, per
 stage, its calls, its inclusive milliseconds (a call inside a call of the
 same stage counts once) and its self milliseconds (less the stages called
-inside it), then the requests' total; when stdout is closed before the
-table is written (``... | head -1``), exits 141, as a shell reports
-SIGPIPE, with nothing on stderr.  These stages include layers that
+inside it), then the requests' total.  The table goes out through
+`knotsig.cli.write_lines`, the CLI's one writer, so when stdout is closed
+before it is written (``... | head -1``), this exits 141, as a shell
+reports SIGPIPE, with nothing on stderr.  These stages include layers that
 perfbench does not trace.  Every patched name is restored in ``finally``.
 Standard library only.
 """
@@ -20,7 +21,6 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections import Counter
@@ -35,6 +35,7 @@ import knotsig  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 from knotsig import memos  # noqa: E402
+from knotsig.cli import write_lines  # noqa: E402
 
 STAGES = (
     "zfactor._hensel_lift",
@@ -134,7 +135,7 @@ def run(workload: str, seed: int, corpus_seed: int, count: int) -> tuple[Clock, 
     return clock, outcomes, total
 
 
-def table(clock: Clock, outcomes: Counter, total: float) -> str:
+def table(clock: Clock, outcomes: Counter, total: float) -> list[str]:
     rows = [f"{'stage':32} {'calls':>7} {'incl ms':>9} {'self ms':>9}"]
     for stage in STAGES:
         label = stage + (" (first draw)" if stage in FIRST_DRAW else "")
@@ -142,7 +143,7 @@ def table(clock: Clock, outcomes: Counter, total: float) -> str:
                     f" {1e3 * clock.own[stage]:>9.3f}")
     counts = ", ".join(f"{n} {kind}" for kind, n in sorted(outcomes.items()))
     rows.append(f"{sum(outcomes.values())} requests ({counts}): {1e3 * total:.3f} ms")
-    return "\n".join(rows)
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,15 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--corpus-seed", type=int, default=workloads.CORPUS_SEED)
     ap.add_argument("--count", type=int, default=20)
     args = ap.parse_args(argv)
-    text = table(*run(args.workload, args.seed, args.corpus_seed, args.count))
-    try:
-        print(text)
-        sys.stdout.flush()
-        return 0
-    except BrokenPipeError:
-        # the reader is gone (``... | head -1``): exit as a shell reports SIGPIPE, silently
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    return write_lines(table(*run(args.workload, args.seed, args.corpus_seed, args.count)))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,20 @@
 """Command-line interface.
 
-Each subcommand's handler returns its answer, text or a number or
-polynomial, and writes nothing; `main` alone prints it and maps every
-outcome to its exit code (0, 2, 3, 4, 141).  The ops of ``seifert`` are
-the keys of SEIFERT_OPS.
+Each subcommand's handler returns its answer as an iterable of lines (a
+line may be a number or a polynomial, printed as its str) and writes
+nothing.  It computes every fact of its answer, and so makes every
+refusal, before the first line is yielded: only the formatting is lazy,
+and a refused request leaves stdout empty.  `main` hands the lines to
+`write_lines`, the one writer, which prints each as it comes, and maps
+every outcome to its exit code (0, 2, 3, 4, 141).  The ops of
+``seifert`` are the keys of SEIFERT_OPS.
 
 Exit codes: 0 for any successfully computed answer (including negative
 verdicts), 2 for parse or input-validation errors, 3 when an internal
 iteration budget was exhausted before the answer was certain, 4 when an
 internal consistency check failed (a bug: please report the input),
 and 141, as a shell reports a command that SIGPIPE ended, when stdout was
-closed before the output was written (``knotsig ... | head``).  Every
+closed before the whole answer was written (``knotsig ... | head``).  Every
 error is one line on stderr, never a traceback.
 
 The values of --delta, --p, --poly and --tau may begin with '-', as in
@@ -30,6 +34,8 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 from .errors import BudgetExceededError, KnotsigError, PolyParseError
 from .milnor import enumerate_sign_tuples, expected_count
@@ -64,7 +70,7 @@ def _parse_tau(text: str) -> tuple[int, ...]:
         raise PolyParseError(f"bad tau list: {text!r}") from exc
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
+def _cmd_analyze(args: argparse.Namespace) -> list[str]:
     delta = parse_poly(args.delta)
     if args.tau is not None:
         req = AnalysisRequest(delta=delta, m=args.m, tau=_parse_tau(args.tau))
@@ -72,7 +78,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     else:
         req = AnalysisRequest(delta=delta, m=args.m, signature=args.signature)
         report = analyze(req)
-    return report_render(report, args.format)
+    return [report_render(report, args.format)]
 
 
 def _transform_delta(delta: IntPoly) -> IntPoly:
@@ -83,37 +89,37 @@ def _transform_delta(delta: IntPoly) -> IntPoly:
     return p
 
 
-def _cmd_delta_or_p(args: argparse.Namespace) -> IntPoly | int:
+def _cmd_delta_or_p(args: argparse.Namespace) -> list[IntPoly | int]:
     """``transform`` or ``rho``, each on exactly one of Delta and P."""
     if (args.delta is None) == (args.p is None):
         raise PolyParseError(f"{args.command} needs exactly one of --delta or --p")
     on_delta, on_p = {"transform": (_transform_delta, p_to_delta), "rho": (rho_delta, rho_p)}[args.command]
-    return on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p))
+    return [on_delta(parse_poly(args.delta)) if args.delta is not None else on_p(parse_poly(args.p))]
 
 
-def _cmd_check(args: argparse.Namespace) -> str:
+def _cmd_check(args: argparse.Namespace) -> list[str]:
     delta = parse_poly(args.delta)
     rep = alexander_check(delta)
     wit = f" ({rep.delta_minus_one} = {rep.square_root_witness}^2)" if rep.square_at_minus_one else f" ({rep.delta_minus_one})"
-    return (f"degree even:        {rep.degree_even} (n = {rep.n})\n"
-            f"(1) reciprocal:     {rep.reciprocal}\n"
-            f"(2) Delta(1)=(-1)^n: {rep.value_at_one}\n"
-            f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}\n"
-            f"all conditions:     {rep.all_pass}")
+    return [f"degree even:        {rep.degree_even} (n = {rep.n})",
+            f"(1) reciprocal:     {rep.reciprocal}",
+            f"(2) Delta(1)=(-1)^n: {rep.value_at_one}",
+            f"(3) Delta(-1) square: {rep.square_at_minus_one}{wit}",
+            f"all conditions:     {rep.all_pass}"]
 
 
-def _cmd_factor(args: argparse.Namespace) -> str:
+def _cmd_factor(args: argparse.Namespace) -> list[str]:
     fz = factor_z(parse_poly(args.poly))
     lines = [f"content: {fz.content}"] if fz.content != 1 or not fz.factors else []
-    return "\n".join(lines + [poly_text(q) + (f" ^{e}" if e > 1 else "") for q, e in fz.factors])
+    return lines + [poly_text(q) + (f" ^{e}" if e > 1 else "") for q, e in fz.factors]
 
 
-def _cmd_group(args: argparse.Namespace) -> str:
+def _cmd_group(args: argparse.Namespace) -> list[str]:
     facts = _delta_facts(parse_poly(args.delta))
     if facts.p is None:
-        return "conditions on Delta fail; the obstruction group is not defined"
+        return ["conditions on Delta fail; the obstruction group is not defined"]
     if facts.reason is not None:
-        return "standing assumptions fail (P must be a squarefree product of symmetric factors)"
+        return ["standing assumptions fail (P must be a squarefree product of symmetric factors)"]
     group, table = facts.obstruction
     lines = [f"factor {i}: {poly_text(f)}" for i, f in enumerate(facts.factor_set.factors)]
     for entry in table:
@@ -121,17 +127,18 @@ def _cmd_group(args: argparse.Namespace) -> str:
         lines.append(f"primes({i},{j}) = {{" + ", ".join(map(str, entry.primes)) + "}")
         lines += [f"  witness mod {p}: coeffs {list(w.coeffs)}" for p, w in entry.witnesses]
     comps = " | ".join("{" + ", ".join(map(str, c)) + "}" for c in group.components)
-    return "\n".join(lines + [f"components: {comps}", f"group rank: {group.rank} (order 2^{group.rank})"])
+    return lines + [f"components: {comps}", f"group rank: {group.rank} (order 2^{group.rank})"]
 
 
-def _cmd_milnor(args: argparse.Namespace) -> str:
+def _cmd_milnor(args: argparse.Namespace) -> Iterable[str]:
+    """The header, then one line per assignment, formatted as it is written."""
     rho = rho_delta(parse_poly(args.delta))
     count = expected_count(rho, args.signature)
     if count > MILNOR_COUNT_CAP:
         raise BudgetExceededError(f"{count} assignments exceed the enumeration cap of {MILNOR_COUNT_CAP}")
     tuples = enumerate_sign_tuples(rho // 2, args.signature)
-    header = f"rho = {rho}, target s = {args.signature}: {len(tuples)} assignment(s)"
-    return "\n".join([header] + [" ".join(f"{v:+d}" for v in values) for values in tuples])
+    header = f"rho = {rho}, target s = {args.signature}: {count} assignment(s)"
+    return chain([header], (" ".join(f"{v:+d}" for v in values) for values in tuples))
 
 
 def _rows(m: Matrix) -> str:
@@ -166,8 +173,8 @@ SEIFERT_OPS = {
 }
 
 
-def _cmd_seifert(args: argparse.Namespace) -> str | int:
-    return SEIFERT_OPS[args.op](parse_matrix(args.matrix))
+def _cmd_seifert(args: argparse.Namespace) -> list[str | int]:
+    return [SEIFERT_OPS[args.op](parse_matrix(args.matrix))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,17 +249,25 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
+def write_lines(lines: Iterable[object]) -> int:
+    """Print each of ``lines`` as it comes, then flush; return 0, or 141
+    when stdout is closed before all of them are written."""
     try:
-        print(args.func(args))
+        for line in lines:
+            print(line)
         sys.stdout.flush()
         return 0
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes nowhere, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        return write_lines(args.func(args))
     except (PolyParseError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from knotsig import IntPoly, delta_to_p, e8_gram, half_form, memos, parse_poly
+from knotsig import IntPoly, e8_gram, half_form, memos, parse_poly
 
 # the name under which test modules empty every memo mid-test
 clear_facts_memos = memos.clear
@@ -51,14 +51,15 @@ def g1() -> IntPoly:
     return parse_poly("x^6 - 3*x^5 - x^4 + 5*x^3 - x^2 - 3*x + 1")
 
 
-def run_with_closed_stdout(*command: str) -> tuple[int, str]:
-    """Run ``command`` with stdout a pipe whose reader is closed before the
-    command writes, as ``command | head`` once head has read its lines;
-    return the exit code and stderr."""
+def run_with_closed_stdout(*command: str, env: dict[str, str] | None = None) -> tuple[int, str]:
+    """Run ``command`` (in ``env``, else this process's environment) with
+    stdout a pipe whose reader is closed before the command writes, as
+    ``command | head`` once head has read its lines; return the exit code
+    and stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     return done.returncode, done.stderr

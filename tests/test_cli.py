@@ -17,7 +17,7 @@ import knotsig
 from knotsig import IntPoly, delta_to_p, expected_count, parse_poly, poly_text
 from knotsig.cli import MILNOR_COUNT_CAP, main
 from knotsig.polys import MAX_PARSE_DEGREE
-from conftest import make_delta_a
+from conftest import make_delta_a, run_with_closed_stdout
 from reference import sympy_factors
 
 
@@ -493,12 +493,33 @@ def test_internal_error_exit_four(capsys, monkeypatch):
     assert err == "error: internal error: first line second line\n"
 
 
+def test_a_refusal_after_the_facts_leaves_stdout_empty(capsys, monkeypatch):
+    """``group`` on an in-scope Delta computes its obstruction group
+    before it yields a line, so a budget that runs out there leaves
+    stdout empty, as every refusal does."""
+    from knotsig import BudgetExceededError, pipeline
+
+    def refused(*args, **kwargs):
+        raise BudgetExceededError("obstruction budget exhausted")
+
+    monkeypatch.setattr(pipeline, "obstruction_group", refused)
+    delta = poly_text(make_delta_a(0) * make_delta_a(2))
+    code, out, err = run(capsys, "group", "--delta", delta)
+    assert (code, out, err) == (3, "", "error: obstruction budget exhausted\n")
+
+
+def _module_env() -> dict[str, str]:
+    """This process's environment with the directory of the imported
+    ``knotsig`` first on PYTHONPATH, so that a child's
+    ``python -m knotsig.cli`` runs the same package."""
+    src = str(Path(knotsig.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_module_entry_point_prints_the_version():
     """``python -m knotsig.cli`` runs ``main`` and exits with its code."""
-    src = str(Path(knotsig.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "knotsig.cli", "--version"], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=_module_env())
     assert (done.returncode, done.stdout, done.stderr) == (0, "knotsig 0.1.0\n", "")
 
 
@@ -515,21 +536,6 @@ def test_the_degree_bound_itself_parses():
     assert parse_poly(f"x^{MAX_PARSE_DEGREE} - 1").degree == MAX_PARSE_DEGREE
 
 
-def _run_with_closed_stdout(*argv):
-    """Run ``python -m knotsig.cli`` with stdout a pipe whose reader is
-    closed before the command writes; return the exit code and stderr."""
-    src = str(Path(knotsig.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-m", "knotsig.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
-    finally:
-        os.close(write_end)
-    return done.returncode, done.stderr
-
-
 @pytest.mark.parametrize("argv", [
     ("analyze", "--delta", "x^4-x^2+1", "--m", "7", "--signature", "0"),
     ("milnor", "--delta", "1," * 40 + "1", "--signature", "0"),  # Phi_41: 184,756 lines
@@ -537,4 +543,45 @@ def _run_with_closed_stdout(*argv):
 def test_a_closed_stdout_exits_141_silently(argv):
     """As ``knotsig ... | head`` does once head has read its lines: the
     documented exit code, and nothing on stderr."""
-    assert _run_with_closed_stdout(*argv) == (141, "")
+    assert run_with_closed_stdout(sys.executable, "-m", "knotsig.cli", *argv, env=_module_env()) == (141, "")
+
+
+def test_a_stdout_closed_partway_through_the_listing_exits_141_silently():
+    """As ``knotsig milnor ... | head -3`` does: the reader takes the header
+    and two of Phi_41's 184,756 assignments, then goes."""
+    argv = ("milnor", "--delta", "1," * 40 + "1", "--signature", "0")
+    child = subprocess.Popen([sys.executable, "-m", "knotsig.cli", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, env=_module_env())
+    lines = [child.stdout.readline() for _ in range(3)]
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, "")
+    assert lines == ["rho = 40, target s = 0: 184756 assignment(s)\n",
+                     " ".join(["+2"] * 10 + ["-2"] * 10) + "\n",
+                     " ".join(["+2"] * 9 + ["-2", "+2"] + ["-2"] * 9) + "\n"]
+
+
+def _peak_rss_mb(*argv: str) -> float:
+    """The peak RSS of a child that runs ``main(argv)`` with stdout to
+    /dev/null, as the child reads it itself: the high-water mark of its
+    own address space (VmHWM).  Neither RUSAGE_CHILDREN here (the largest
+    of every earlier child) nor the child's RUSAGE_SELF serves: Linux keeps
+    in a process's ru_maxrss the peak of the image it was forked from, so
+    each child would read at least this test process's size."""
+    code = ("import sys\nfrom knotsig.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')).split()[1],"
+            " file=sys.stderr)\nsys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=_module_env(), check=True)
+    return int(done.stderr) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+def test_the_milnor_listing_is_written_as_it_is_formatted():
+    """Phi_41 at s = 0 lists 184,756 assignments.  Its tuples take about
+    38 MB over the one-line answer at s = 40; joining the lines into one
+    string before writing them took about 70."""
+    phi41 = "1," * 40 + "1"
+    one_line = _peak_rss_mb("milnor", "--delta", phi41, "--signature", "40")
+    listing = _peak_rss_mb("milnor", "--delta", phi41, "--signature", "0")
+    assert listing - one_line < 54

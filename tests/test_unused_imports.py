@@ -1,10 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no script, test or demo, imports a name
+it never uses.
 
-No linter runs on the package, so this is its unused-import check: each
-module except ``__init__`` (which re-exports) is parsed with `ast`, and
-every name bound by an import must occur as a name somewhere in the
-module.  An import on a line marked ``# noqa: F401`` is exempt, as are
-``from __future__`` imports.
+No linter runs on the repository, so this is its unused-import check:
+each module of the package except ``__init__`` (which re-exports) and
+each .py file of ``scripts``, ``tests`` and ``demos`` is parsed with
+`ast`, and every name bound by an import must occur as a name somewhere
+in the file.  An import on a line marked ``# noqa: F401`` is exempt, as
+are ``from __future__`` imports.  ``perfbench`` is not scanned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import pytest
 
 import knotsig
 
-MODULES = sorted(p for p in Path(knotsig.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(knotsig.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BESIDE = sorted(p for folder in ("scripts", "tests", "demos") for p in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +40,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + BESIDE,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
