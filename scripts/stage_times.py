@@ -44,8 +44,7 @@ STAGES = (
     "modp._equal_degree_factors",
     "obstruction._pair_primes",
     "obstruction._symmetric_witness",
-    "zfactor._lift_certified",
-    "pipeline._factor_delta",
+    "zfactor._lift_facts",
 )
 FIRST_DRAW = {"zfactor._good_primes"}
 

@@ -15,12 +15,11 @@ The facts about Delta do not depend on the target, so
 :func:`_delta_facts` memoizes them per Delta (see `memos`) as a frozen
 :class:`DeltaFacts`: the conditions (and the OUT_OF_SCOPE reason, if
 any), P, its factor set (by :func:`zfactor.factor_z`, which always takes
-P through its half-degree v-model), the rho of each factor of P, taken
-from its factor Delta_f of Delta, and, on first use, the prime table and
-the obstruction group.  :func:`_factor_delta` memoizes the rho of each
-Delta_f per factor of P, so a Delta whose factors are known builds no
-Sturm sequence.  The checks per target are the gates on m and s (or tau):
-divisibility by 8 or 16, and |s| <= rho.
+P through its half-degree v-model), the rho of each factor of P, read
+from the record of its v-model (`zfactor._lift_facts`), which counted it
+once on its factor Delta_f of Delta, and, on first use, the prime table
+and the obstruction group.  The checks per target are the gates on m and
+s (or tau): divisibility by 8 or 16, and |s| <= rho.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Any, Sequence
 
-from .memos import PER_FACTOR, PER_INPUT, memo
+from .memos import PER_INPUT, memo
 from .milnor import enumerate_sign_tuples, expected_count, first_assignment
-from .polys import (ConditionReport, IntPoly, _integer, _p_to_delta, alexander_check, delta_to_p,
-                    poly_text)
-from .realroots import rho_delta
+from .polys import ConditionReport, IntPoly, _integer, alexander_check, delta_to_p, poly_text
 from .obstruction import ObstructionGroup, PiEntry, obstruction_group
-from .zfactor import SymmetricFactorSet, standing_assumptions
+from .zfactor import SymmetricFactorSet, _lift_facts, standing_assumptions
 from .zfactor import factor_z  # noqa: F401  unused; perfbench's tracer test patches pipeline.factor_z
 from .version import TOOL_VERSION
 
@@ -206,14 +203,6 @@ class DeltaFacts:
         return group, tuple(table)
 
 
-@memo(PER_FACTOR)
-def _factor_delta(f: IntPoly) -> int:
-    """The rho, by its trace model, of the factor Delta_f = (-1)^(deg f / 2)
-    rev(f)(1 - X) of Delta that the irreducible factor f of P, fixed by
-    X -> 1-X, comes from; memoized per f."""
-    return rho_delta(_p_to_delta(f))
-
-
 @memo(PER_INPUT)
 def _delta_facts(delta: IntPoly) -> DeltaFacts:
     """Conditions on Delta, the one factorization of P with its standing
@@ -224,8 +213,10 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
     4^n P(1/2) = (-1)^n Delta(-1) is odd, as Delta(-1) = Delta(1) (mod 2).
 
     The rho of each factor f of P is taken from Delta: f maps back to its
-    factor Delta_f of Delta, whose rho is counted by its trace model
-    (:func:`_factor_delta`).  The Delta_f multiply to Delta, with no
+    factor Delta_f of Delta, whose rho the record of f's v-model q holds
+    (`zfactor._lift_facts`, counted by its trace model; f = q(X^2 - X) is
+    its lift, and q is irreducible, neither Y nor 4Y + 1, as f is
+    irreducible).  The Delta_f multiply to Delta, with no
     product taken here: `factor_z` has checked that the factors of P
     multiply to P (at half degree, on the v-model route), and the map
     f -> Delta_f = (-1)^(deg f / 2) rev(f)(1 - X) is multiplicative.
@@ -254,7 +245,7 @@ def _delta_facts(delta: IntPoly) -> DeltaFacts:
         bad = sfs.factors[sfs.symmetric.index(False)]
         reason = f"irreducible factor {poly_text(bad)} of P is not fixed by X -> 1-X"
         return DeltaFacts(conditions, reason, p_poly, sfs)
-    rhos = tuple(_factor_delta(f) for f in sfs.factors)
+    rhos = tuple(_lift_facts(q)[2] for q in sfs.models)
     return DeltaFacts(conditions, None, p_poly, sfs, rhos)
 
 

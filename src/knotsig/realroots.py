@@ -24,13 +24,12 @@ Each input check runs once, on an object already built for the count:
 - P = Q(X^2 - X) is squarefree exactly when Q is squarefree and
   Q(-1/4) != 0 (each root y != -1/4 of Q gives two roots of X^2 - X = y).
 
-The Sturm sequence of a v-model is built once per process and shared by
-`rho_p`, `zfactor`'s lift certificate and `seifert`'s Milnor root
-isolation: `_v_chain` memoizes it per v-model (see `memos`), checked on
-(-inf, -1/4), with its root count there.  `rho_delta` builds its own
-sequence of the trace model D; the pipeline takes the rho of each factor
-of P from it, by the factor Delta_f of Delta that the factor comes from,
-memoized per factor of P (`pipeline._factor_delta`).
+`rho_p` and `seifert`'s Milnor root isolation (`_v_roots`) take the
+Sturm sequence of a v-model from `_v_chain`, checked on (-inf, -1/4),
+with its root count there.  `rho_delta` builds its own sequence of the
+trace model D; the pipeline takes the rho of each factor of P from it, by
+the factor Delta_f of Delta that the factor comes from, counted once in
+the record of the factor's v-model (`zfactor._lift_facts`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .memos import PER_FACTOR, memo
 from .polys import NEG_INF, IntPoly, _pseudo_rem, trace_polynomial, v_polynomial
 
 Endpoint = Union[Fraction, int, float]  # float only for +-inf
@@ -253,11 +251,10 @@ def rho_delta(delta: IntPoly) -> int:
 _MINUS_QUARTER = Fraction(-1, 4)
 
 
-@memo(PER_FACTOR)
 def _v_chain(q: IntPoly) -> tuple[tuple[IntPoly, ...], int]:
     """The Sturm sequence of the nonzero v-model q, checked on
-    (-inf, -1/4) as by :func:`_checked`, and its count of roots there;
-    memoized per q.  A refusal means P = q(X^2 - X) is not squarefree:
+    (-inf, -1/4) as by :func:`_checked`, and its count of roots there.
+    A refusal means P = q(X^2 - X) is not squarefree:
     q is not squarefree, or q(-1/4) = P(1/2) = 0."""
     try:
         seq = tuple(_checked(sturm_sequence(q), NEG_INF, _MINUS_QUARTER))
@@ -267,8 +264,8 @@ def _v_chain(q: IntPoly) -> tuple[tuple[IntPoly, ...], int]:
 
 
 def v_root_count(q: IntPoly) -> int:
-    """Number of real roots of the v-model q below -1/4, memoized with
-    its Sturm sequence; refuses q as :func:`_v_chain` does."""
+    """Number of real roots of the v-model q below -1/4; refuses q as
+    :func:`_v_chain` does."""
     return _v_chain(q)[1]
 
 

@@ -543,8 +543,7 @@ def milnor_signatures(
     The pair is accepted when it is the companion pair of its form
     A = a^T S, and the v-model Q comes from the memoized record of A
     (:func:`_form_facts`), so after ``form_to_pair`` and
-    ``alexander_of_form`` on A no determinant is taken again; Q's Sturm
-    sequence is memoized too (`realroots._v_chain`).  An input
+    ``alexander_of_form`` on A no determinant is taken again.  An input
     that is not a pair raises the problems of :func:`validate_pair`.
 
     Check that can fail: the values sum to sig S, since the other

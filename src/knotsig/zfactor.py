@@ -39,8 +39,11 @@ as the cap could not refuse; above, once the cap has counted it part by
 part: each known factor and the cofactor they leave get a
 distinct-degree pass of their own at the part's prime (a root scan for a
 cubic v-model factor), so the count, and any refusal, is that of a cold
-run.  `_lift_certified`, memoized per factor with the lift it certifies,
-needs no prime for a v-model factor with a real root below -1/4.
+run.  `_lift_facts` is the one record of each v-model factor q, memoized
+per q: its lift q(X^2 - X), composed once, whether that lift is shown
+irreducible, and its rho, counted once; the pipeline reads each factor's
+rho from it.  A q with rho > 0 (a real root below -1/4) is certified
+with no prime.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ from .modp import (
     _sub,
     _xgcd,
 )
-from .polys import (X2_MINUS_X, IntPoly, _mul_coeffs, divides, exact_div, gcd_z, poly_text,
-                    v_polynomial)
-from .realroots import _sign_hom, v_root_count
+from .polys import (X2_MINUS_X, IntPoly, _mul_coeffs, _p_to_delta, divides, exact_div, gcd_z,
+                    poly_text, v_polynomial)
+from .realroots import _sign_hom, rho_delta
 
 MAX_MODULAR_FACTORS = 16
 # Primes tried per lift certificate of a q with no real root below -1/4: of
@@ -445,25 +448,39 @@ def _sorted(content: int, factors: list[tuple[IntPoly, int]],
 
 
 @memo(PER_FACTOR)
-def _lift_certified(q: IntPoly) -> IntPoly | None:
-    """The lift q(X^2 - X) when it is shown irreducible over Z, else None,
-    for q irreducible over Z other than 4Y + 1: shown at once when q has a
-    real root below -1/4, else when at one of the first LIFT_PRIMES primes
-    p of ``_good_primes(q, lift=True)``, 1 + 4y is a non-square in F_p[y]/r
-    for some monic irreducible factor r of q mod p.  None decides nothing:
-    `factor_z` then factors the lift directly, and factorization over Z
-    is unique, so no factor set depends on the certificate.  The memo
-    keeps the lift, so a known factor is not composed again.
+def _lift_facts(q: IntPoly) -> tuple[IntPoly, bool, int]:
+    """The record of a v-model factor q, irreducible over Z other than
+    4Y + 1: its lift q(X^2 - X), whether that lift is shown irreducible
+    over Z, and the rho of the lift, memoized per q.  The lift is composed
+    once, so a known factor is not composed again.  rho is that of the
+    factor Delta_f of Delta (`polys._p_to_delta`) that f = q(X^2 - X)
+    comes from, counted once by its trace model (`realroots.rho_delta`),
+    and 0 for q = Y, the one irreducible q with q(0) = 0, whose lift
+    X^2 - X would lose degree there.  It is twice the count of q's real
+    roots below -1/4: they give the roots of f on Re z = 1/2
+    (`realroots.rho_p`), which X -> 1 - 1/X carries onto the unit circle.
 
-    A real root lambda < -1/4.  Let K = Q(theta), q(theta) = 0, and alpha a
-    root of X^2 - X - theta.  Were 1 + 4 theta = beta^2 with beta in K, the
-    real embedding theta -> lambda would give 1 + 4 lambda = sigma(beta)^2
-    >= 0.  So X^2 - X - theta is irreducible over K, [Q(alpha) : Q] =
-    2 deg q, and q(X^2 - X) is irreducible over Q; it is primitive, as
-    X^2 - X is monic, so irreducible over Z.  That count is half the
-    factor's rho (`realroots.v_root_count`; q is squarefree, and -1/4 is
-    a root only of 4Y + 1).  So every factor with a Milnor value
-    (rho > 0) is certified with no prime.
+    `rho_delta` never refuses here.  For q != Y, f(0) = q(0) != 0, so
+    Delta_f has degree deg f = 2 deg q and is reciprocal, as f is fixed by
+    X -> 1-X.  Delta_f(1) = +-lc f != 0, and Delta_f(-1) = +-4^(deg q)
+    q(-1/4) != 0, as 4Y + 1 does not divide q.  q is squarefree and
+    q(-1/4) != 0, so f is squarefree, and so is Delta_f, a change of
+    variable X -> 1/(1 - X) of f with f(0) != 0.
+
+    The lift is shown irreducible at once when rho > 0, else when at one
+    of the first LIFT_PRIMES primes p of ``_good_primes(q, lift=True)``,
+    1 + 4y is a non-square in F_p[y]/r for some monic irreducible factor
+    r of q mod p.  False decides nothing: `factor_z` then factors the lift
+    directly, and factorization over Z is unique, so no factor set
+    depends on the certificate.
+
+    rho > 0: a real root lambda < -1/4.  Let K = Q(theta), q(theta) = 0,
+    and alpha a root of X^2 - X - theta.  Were 1 + 4 theta = beta^2 with
+    beta in K, the real embedding theta -> lambda would give
+    1 + 4 lambda = sigma(beta)^2 >= 0.  So X^2 - X - theta is irreducible
+    over K, [Q(alpha) : Q] = 2 deg q, and q(X^2 - X) is irreducible over
+    Q; it is primitive, as X^2 - X is monic, so irreducible over Z.  So
+    every factor with a Milnor value is certified with no prime.
 
     A prime p.  Then X^2 - X - y has no root in that field, so
     r(X^2 - X) is irreducible mod p and fixed by X -> 1-X.  A split lift
@@ -473,13 +490,15 @@ def _lift_certified(q: IntPoly) -> IntPoly | None:
     distinct-degree block B of q mod p: (1 + 4y)^((p^k - 1)/2) mod B is +-1
     modulo each degree-k factor of B, so it differs from 1 exactly when one
     factor has a non-square."""
-    if v_root_count(q):
-        return q.compose(X2_MINUS_X)
+    lift = q.compose(X2_MINUS_X)
+    rho = rho_delta(_p_to_delta(lift)) if q.coeffs[0] else 0
+    if rho:
+        return lift, True, rho
     for p in itertools.islice(_good_primes(q, lift=True), LIFT_PRIMES):
         qp = _monic(_reduced(q.coeffs, p), p)
         if not all(_lifts_split(block, k, p) for block, k in _distinct_degree(qp, p)):
-            return q.compose(X2_MINUS_X)
-    return None
+            return lift, True, 0
+    return lift, False, 0
 
 
 def v_model(f: IntPoly) -> IntPoly | None:
@@ -498,8 +517,8 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
     factored at primes good for f as well (Q squarefree and Q(-1/4) != 0
     mod p), where the cap MAX_MODULAR_FACTORS counts at most f's modular
     factors.  Each irreducible q of Q lifts to q(X^2 - X), one factor of f
-    fixed by X -> 1-X or a pair h(X), h(1-X): kept whole when
-    `_lift_certified` proves it irreducible, else factored directly.  Any
+    fixed by X -> 1-X or a pair h(X), h(1-X): kept whole when its record
+    (`_lift_facts`) shows it irreducible, else factored directly.  Any
     other f is factored directly: it is not symmetric, or (2X - 1)^2
     divides f (4Y + 1 divides Q) and no prime is good for f.
 
@@ -531,12 +550,12 @@ def factor_z(f: IntPoly, trace: list[str] | None = None) -> FactorizationZ:
         fq = _factor(q_poly, trace, lift=True)
         factors, models = [], {}
         for q, e in fq.factors:
-            lifted = _lift_certified(q)
-            if lifted is not None:
+            lifted, certified, _ = _lift_facts(q)
+            if certified:
                 factors.append((lifted, e))
                 models[lifted] = q
             else:
-                factors += [(h, m * e) for h, m in _factor(q.compose(X2_MINUS_X), trace).factors]
+                factors += [(h, m * e) for h, m in _factor(lifted, trace).factors]
         q_factors, result = fq.factors, _sorted(fq.content, factors, models)
     _known_factors.learn([q for q, _ in q_factors + result.factors])
     return result

@@ -66,13 +66,30 @@ def test_tracer_installs_and_restores():
 
 def test_warm_up_traces_the_factor_stage():
     """The warm-up analyze, traced as perfbench traces it, records the
-    analysis, the factorization of P and the rho count as spans."""
+    analysis, the factorization of P and the rho count as spans, the rho
+    count inside the factorization.
+
+    perfbench's own tests need a ``realroots.rho_delta`` span in the
+    warm-up, so each factor's rho is counted by `rho_delta` on the trace
+    model of its Delta_f, once, in the record of its v-model
+    (`zfactor._lift_facts`), which `factor_z` builds.  Once the benchmark
+    no longer needs that span, the record may count rho as
+    ``2 * v_root_count(q)`` instead, and this test changes with it."""
     tracer = tracing.Tracer()
     with tracer:
         with tracer.operation(0):
             worker.warm_up(knotsig)
     names = {s.name for s in tracer.spans}
     assert {"pipeline.analyze", "zfactor.factor_z", "realroots.rho_delta"} <= names
+
+    def ancestors(span):
+        while span.parent >= 0:
+            span = tracer.spans[span.parent]
+            yield span.name
+
+    for span in tracer.spans:
+        if span.name == "realroots.rho_delta":
+            assert "zfactor.factor_z" in ancestors(span)
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

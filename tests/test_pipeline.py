@@ -602,7 +602,7 @@ class TestDeltaFactsMemo:
 
 
 class TestFactorFactsMemo:
-    """The facts of one factor of P (its lift certificate and its rho), of
+    """The facts of one factor of P (its record: lift, certificate and rho), of
     one factor pair (its primes and witnesses) and of one gcd mod p (its
     witness) are computed once per process, whichever Delta they came
     from; reports are unchanged."""
@@ -610,8 +610,7 @@ class TestFactorFactsMemo:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_match_reports_from_empty_memos(self, seed):
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.pipeline import _factor_delta
-        from knotsig.zfactor import _lift_certified
+        from knotsig.zfactor import _lift_facts
 
         rng = random.Random(seed)
         a_values = (-5, -2, 0, 1, 2, 3, 6, 9, 10)
@@ -624,7 +623,7 @@ class TestFactorFactsMemo:
                 reqs.append(AnalysisRequest(delta=delta, m=m, signature=s))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
-        for memo in (_pair_primes, _factor_delta, _lift_certified, _symmetric_witness):
+        for memo in (_pair_primes, _lift_facts, _symmetric_witness):
             assert memo.cache_info().hits > 0
         for req, text in zip(reqs, warm):
             clear_facts_memos()
@@ -632,8 +631,7 @@ class TestFactorFactsMemo:
 
     def test_shared_factors_and_pairs_are_computed_once(self, calls):
         from knotsig.obstruction import _pair_primes
-        from knotsig.realroots import _v_chain
-        from knotsig.zfactor import _lift_certified
+        from knotsig.zfactor import _lift_facts
 
         counts = calls("polys.resultant")
         d0, d1, d2, d3 = (make_delta_a(a) for a in range(4))
@@ -643,19 +641,18 @@ class TestFactorFactsMemo:
         # three pairs, then the two pairs with Delta_3's factor
         assert counts == {"polys.resultant": 5}
         assert _pair_primes.cache_info()[:2] == (1, 5)
-        # one Sturm sequence and root count per new v-model, for its lift
-        # certificate alone
-        assert _v_chain.cache_info()[:2] == (0, 4)
-        assert _lift_certified.cache_info()[:2] == (2, 4)
+        # one record per new v-model, read by factor_z and again for rho:
+        # 3 + 3 reads of the first Delta, 3 + 3 of the second
+        assert _lift_facts.cache_info()[:2] == (8, 4)
 
     def test_one_sturm_sequence_per_new_factor(self, monkeypatch):
-        """A Delta-facts miss builds the Sturm sequence of each new factor's
-        v-model once, for the lift certificate to count its roots below
-        -1/4, and one of the trace model of each new factor f's Delta_f,
-        for its rho, memoized per f: a Delta whose factors are all known
-        builds none."""
+        """A Delta-facts miss builds one Sturm sequence per new factor f of
+        P: that of the trace model of f's Delta_f, for its rho, in the
+        record of f's v-model, which also certifies the lift with it.  A
+        Delta whose factors are all known builds none."""
         from knotsig import realroots
-        from knotsig.polys import p_to_delta, trace_polynomial, v_polynomial
+        from knotsig.polys import p_to_delta, trace_polynomial
+        from knotsig.zfactor import _lift_facts
 
         built = []
         original = realroots.sturm_sequence
@@ -669,17 +666,16 @@ class TestFactorFactsMemo:
         seen = set()
         for delta in (d0 * d1 * d2, d0 * d1 * d3, d0 * d3):
             built.clear()
-            hits, misses = realroots._v_chain.cache_info()[:2]
+            misses = _lift_facts.cache_info().misses
             rep = analyze(AnalysisRequest(delta=delta, m=7, signature=8))
             fs = [IntPoly(f["coeffs"]) for f in rep.factors["factors"]]
             new = [f for f in fs if f not in seen]
             seen.update(fs)
-            expected = [v_polynomial(f) for f in new] + [trace_polynomial(p_to_delta(f)) for f in new]
+            expected = [trace_polynomial(p_to_delta(f)) for f in new]
             assert sorted(built, key=str) == sorted(expected, key=str)
-            # the certificate misses on each new model, and rho reads none
-            assert realroots._v_chain.cache_info()[:2] == (hits, misses + len(new))
+            assert _lift_facts.cache_info().misses == misses + len(new)
         assert not built  # d0 * d3: both factors known
-        assert len(seen) == 4 and realroots._v_chain.cache_info()[:2] == (0, 4)
+        assert len(seen) == 4 and _lift_facts.cache_info().misses == 4
 
     def test_pair_refusal_is_raised_again(self, monkeypatch):
         from knotsig import BudgetExceededError, obstruction
@@ -710,24 +706,20 @@ class TestFactorFactsMemo:
         PER_FACTOR for a part of one."""
         from knotsig.modp import PolyModP
         from knotsig.obstruction import _pair_primes, _symmetric_witness
-        from knotsig.pipeline import _delta_facts, _factor_delta
-        from knotsig.realroots import _v_chain
+        from knotsig.pipeline import _delta_facts
         from knotsig.seifert import _form_facts, _lattice_facts
-        from knotsig.zfactor import _known_factors, _lift_certified
+        from knotsig.zfactor import _known_factors, _lift_facts
 
         v = IntPoly((0, -1, 1))  # X^2 - X
         fills = (
             (_delta_facts, memos.PER_INPUT, lambda c: _delta_facts(IntPoly((c, 1)))),
-            # X^2 - X + c maps back to -c X^2 + (2c - 1) X - c, squarefree with no root at +-1
-            (_factor_delta, memos.PER_FACTOR, lambda c: _factor_delta(v + IntPoly((c,)))),
             (_form_facts, memos.PER_INPUT, lambda c: _form_facts(((0, c), (1 - c, 0)))),
             (_lattice_facts, memos.PER_INPUT, lambda c: _lattice_facts(((0, 1), (1, 2 * c)))),
             (_known_factors, memos.PER_FACTOR, lambda c: _known_factors.learn([IntPoly((-c, 1))])),
-            (_lift_certified, memos.PER_FACTOR, lambda c: _lift_certified(IntPoly((-c, 1)))),
+            (_lift_facts, memos.PER_FACTOR, lambda c: _lift_facts(IntPoly((-c, 1)))),
             (_pair_primes, memos.PER_FACTOR, lambda c: _pair_primes(v, v - IntPoly((c,)))),
             (_symmetric_witness, memos.PER_FACTOR,
              lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)))),
-            (_v_chain, memos.PER_FACTOR, lambda c: _v_chain(IntPoly((c, 1)))),
         )
         assert sorted(map(id, memos.MEMOS)) == sorted(id(memo) for memo, _, _ in fills)
         for memo, bound, call in fills:

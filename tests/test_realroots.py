@@ -22,7 +22,7 @@ from knotsig import (
     sturm_count,
     v_polynomial,
 )
-from knotsig import memos, realroots, seifert
+from knotsig import realroots, seifert
 from knotsig.realroots import (
     NEG_INF,
     IsolatingInterval,
@@ -238,24 +238,13 @@ class TestRefusals:
 
 
 class TestVChainMemo:
-    """One checked Sturm sequence per v-model and process, least recently
-    used first out past memos.PER_FACTOR; a refusal is raised again."""
-
-    def test_bounded(self):
-        memo, bound = realroots._v_chain, memos.PER_FACTOR
-        assert memo.cache_info().maxsize == bound
-        for c in range(1, bound + 2):
-            assert realroots.v_root_count(IntPoly((c, 1))) == 1  # the root -c
-            assert memo.cache_info().currsize == min(c, bound)
-        assert memo.cache_info().misses == bound + 1
+    """`_v_chain` refuses a P that is not squarefree on every call."""
 
     def test_refusal_is_not_memoized(self):
         for p in TestRefusals.NOT_SQUAREFREE_P:
             for _ in range(2):
                 with pytest.raises(ValueError, match="^P must be squarefree$"):
                     rho_p(p)
-        info = realroots._v_chain.cache_info()
-        assert (info.currsize, info.hits) == (0, 0)
 
 
 def irr_r_intervals(p: IntPoly) -> list[IsolatingInterval]:

@@ -673,9 +673,10 @@ class TestFormFacts:
     def test_one_sturm_sequence_of_q_per_benchmark_request(self, monkeypatch, corpus_seed):
         """A seifert_forms request, as perfbench's worker makes it (the
         pair, Delta_A, the Milnor values, then the analyses at s and at
-        tau), builds the Sturm sequence of Q once: the Milnor root
-        isolation, the lift certificate and rho_p share it.  Every other
-        sequence of one polynomial is built once too."""
+        tau), builds the Sturm sequence of Q once, for the Milnor root
+        isolation: the record of each factor of Q (`zfactor._lift_facts`)
+        counts its rho on the trace model of its factor of Delta_A.  Every
+        other sequence of one polynomial is built once too."""
         built = []
         original = realroots.sturm_sequence
 

@@ -23,6 +23,7 @@ from knotsig import (
     symmetric_check,
     zfactor,
 )
+from knotsig.cli import main
 from knotsig.modp import (PolyModP, _distinct_degree, _equal_degree_factors, _monic, _powmod, _reduced,
                           factor_mod_p)
 from knotsig.polys import v_polynomial
@@ -301,7 +302,7 @@ class TestVModelRoute:
 
     def test_split_lift_not_certified(self):
         """X^2 - X - 2 = (X - 2)(X + 1) is the lift of Y - 2."""
-        assert not zfactor._lift_certified(IntPoly((-2, 1)))
+        assert zfactor._lift_facts(IntPoly((-2, 1))) == (parse_poly("x^2 - x - 2"), False, 0)
         sa = standing_assumptions(parse_poly("x^2 - x - 2"))
         assert sa.factors == (parse_poly("x - 2"), parse_poly("x + 1"))
         assert sa.symmetric == (False, False)
@@ -311,7 +312,7 @@ class TestVModelRoute:
         """P of Delta_-1 and Delta_-3 is a split lift h(X) h(1-X)."""
         P = delta_to_p(make_delta_a(a))
         (q, _), = factor_z(v_polynomial(P)).factors
-        assert not zfactor._lift_certified(q)
+        assert zfactor._lift_facts(q) == (P, False, 0)
         sa = standing_assumptions(P)
         assert (sa.factorization.content, sa.factorization.factors, sa.symmetric) == direct_route(P)
         assert len(sa.factors) == 2 and sa.symmetric == (False, False)
@@ -373,9 +374,10 @@ def test_v_model_route_matches_direct_route_and_sympy(P):
     assert (fz.content, fz.factors, sa.symmetric) == direct_route(P)
     assert sorted((q.coeffs, e) for q, e in fz.factors) == sympy_factors(P)
     for q, _ in factor_z(v_polynomial(P)).factors:
-        if q != IntPoly((1, 4)) and zfactor._lift_certified(q):  # 4Y + 1 lifts to a square
-            lifted = q.compose(V)
-            assert direct(lifted).factors == ((lifted, 1),)
+        if q != IntPoly((1, 4)):  # 4Y + 1 lifts to a square
+            lifted, certified, _ = zfactor._lift_facts(q)
+            if certified:
+                assert direct(lifted).factors == ((lifted, 1),)
 
 
 @st.composite
@@ -393,8 +395,8 @@ def real_place_v_models(draw):
 @given(real_place_v_models())
 def test_real_place_certifies_the_lift_without_a_prime(q):
     """An irreducible q with a real root below -1/4 lifts to an irreducible
-    q(X^2 - X) (proof at `_lift_certified`), certified before any prime is
-    drawn; sympy agrees."""
+    q(X^2 - X) (proof at `_lift_facts`), certified before any prime is
+    drawn, with rho twice its count of those roots; sympy agrees."""
     clear_facts_memos()
     drawn = []
     original = zfactor._good_primes
@@ -405,9 +407,10 @@ def test_real_place_certifies_the_lift_without_a_prime(q):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zfactor, "_good_primes", counting)
-        assert zfactor._lift_certified(q)
+        lifted, certified, rho = zfactor._lift_facts(q)
     assert drawn == []
-    lifted = q.compose(V)
+    assert certified and rho == 2 * v_root_count(q)
+    assert lifted == q.compose(V)
     assert sympy_factors(lifted) == [(lifted.coeffs, 1)]
 
 
@@ -431,9 +434,10 @@ class TestLiftCertificate:
             assert all(_powmod([1, 4], (p**k - 1) // 2, block, p) == [1]
                        for block, k in _distinct_degree(qp, p))
         counts = calls("zfactor._good_primes")
-        assert zfactor._lift_certified(q)
+        lifted, certified, rho = zfactor._lift_facts(q)
+        assert (certified, rho) == (True, 8)
         assert counts == {}
-        lifted = q.compose(V)
+        assert lifted == q.compose(V)
         trace: list[str] = []
         fz = factor_z(lifted, trace=trace)
         assert (fz.content, fz.factors) == (1, ((lifted, 1),))
@@ -451,11 +455,69 @@ class TestLiftCertificate:
         split, as h(X) h(1 - X), into 3 + 3 and 1 + 1."""
         assert v_root_count(q) == 0
         counts = calls("zfactor._good_primes")
-        assert not zfactor._lift_certified(q)
+        assert zfactor._lift_facts(q) == (q.compose(V), False, 0)
         assert counts["zfactor._good_primes"] == 1
         fz = factor_z(q.compose(V))
         assert (fz.content, fz.factors) == (1, want)
         assert sorted((h.coeffs, e) for h, e in want) == sympy_factors(q.compose(V))
+
+
+class TestLiftRecord:
+    """The record of a v-model factor (`zfactor._lift_facts`) at the edges
+    of the v-model route: Y, whose lift X^2 - X loses degree under
+    `_p_to_delta`; a split lift; a root below -1/4 (rho > 0, non-monic
+    too); and lifts that only a prime certifies, one of them the two
+    factors of the reducible 5Y^3 + 2Y - 7 = (Y - 1)(5Y^2 + 5Y + 7)."""
+
+    QS = {"Y": (0, 1), "Y - 2": (-2, 1), "2Y + 1": (1, 2), "4Y + 5": (5, 4),
+          "Y^2 + Y + 1": (1, 1, 1), "5Y^3 + 2Y - 7": (-7, 2, 0, 5)}
+
+    @pytest.mark.parametrize("q", QS.values(), ids=QS.keys())
+    def test_factor_z_of_the_lift_matches_sympy(self, q):
+        lift = IntPoly(q).compose(V)
+        fz = factor_z(lift)
+        assert fz.content == 1
+        assert sorted((h.coeffs, e) for h, e in fz.factors) == sympy_factors(lift)
+
+    @pytest.mark.parametrize("q", QS.values(), ids=QS.keys())
+    def test_record_of_each_factor(self, q):
+        """For each irreducible factor r of q: the record's lift is
+        r(X^2 - X); its rho, counted on the trace model of Delta_f, is
+        twice r's count of real roots below -1/4 (by the v-model, an
+        independent route); and it is certified exactly when rho > 0 or,
+        at one of the first LIFT_PRIMES primes good for the lift,
+        r(X^2 - X) has fewer than twice r's irreducible factors mod p
+        (sympy over GF(p)), so that some factor of r mod p lifts whole."""
+        for r, _ in factor_z(IntPoly(q)).factors:
+            lift, certified, rho = zfactor._lift_facts(r)
+            assert lift == r.compose(V)
+            assert rho == 2 * v_root_count(r)
+            primes = itertools.islice(zfactor._good_primes(r, lift=True), zfactor.LIFT_PRIMES)
+            by_prime = any(factor_count_mod_p(lift, p) < 2 * factor_count_mod_p(r, p) for p in primes)
+            assert certified == (rho > 0 or by_prime)
+
+    def test_each_kind_of_record_occurs(self):
+        kinds = {zfactor._lift_facts(r)[1:] for q in self.QS.values()
+                 for r, _ in factor_z(IntPoly(q)).factors}
+        assert sorted(kinds) == [(False, 0), (True, 0), (True, 2)]
+
+    @pytest.mark.parametrize("poly, lines", [
+        ("x^2 - x", ["x - 1", "x"]),
+        ("2*x^2 - 2*x + 1", ["2*x^2 - 2*x + 1"]),
+    ])
+    def test_factor_through_the_cli(self, capsys, poly, lines):
+        """The lift of Y, which the record does not count on Delta_f, and
+        the non-monic lift of 2Y + 1, which rho certifies."""
+        assert main(["factor", "--poly", poly]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (lines, "")
+
+
+def factor_count_mod_p(f: IntPoly, p: int) -> int:
+    """The number of distinct irreducible factors of f mod p, by sympy."""
+    import sympy
+
+    return len(sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), modulus=p).factor_list()[1])
 
 
 class TestNoFractionDivision:
