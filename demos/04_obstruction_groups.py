@@ -3,7 +3,9 @@ mod p.
 
 For each pair of irreducible factors of P, the candidate primes are the
 prime support of their resultant; a prime joins the set when the two
-reductions share a factor h with h(1-X) = h(X).  Factors linked by a
+reductions share a factor h with h(1-X) = h(X).  Every candidate joins:
+the shared factor shown for it is the gcd of the two reductions, which
+X -> 1-X fixes.  Factors linked by a
 nonempty prime set fall into one component; the group is elementary
 abelian of rank (components - 1), and rank 0 is what makes every
 admissible signature realizable.

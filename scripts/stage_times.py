@@ -43,7 +43,6 @@ STAGES = (
     "modp._distinct_degree",
     "modp._equal_degree_factors",
     "obstruction._pair_primes",
-    "obstruction._symmetric_witness",
     "zfactor._lift_facts",
 )
 FIRST_DRAW = {"zfactor._good_primes"}

@@ -16,8 +16,7 @@ The size of one entry (tracemalloc):
     seifert._lattice_facts          lattice S = A + A^T    PER_INPUT   4 / 3 / 7 KB, E8 / +H / +H+H
     zfactor._known_factors          irreducible factor     PER_FACTOR  350 B, degree 6, q and |q(16)|
     zfactor._lift_facts             v-model factor q       PER_FACTOR  380 B, degree 3, lift and rho
-    obstruction._pair_primes        v-models (F, G)        PER_FACTOR  570 B, models not counted
-    obstruction._symmetric_witness  gcd D of F, G mod p    PER_FACTOR  510 B, D included
+    obstruction._pair_primes        v-models (F, G)        PER_FACTOR  440 B, one prime, models not counted
 
 So full memos hold about 1 MB of Delta facts and 0.5 MB of form facts.
 """

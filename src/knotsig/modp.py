@@ -5,8 +5,9 @@ two polynomials acquire a common factor h mod p with h(1-X) = h(X).  The
 involution X -> 1-X acts on monic irreducible factors; a qualifying h
 exists exactly when the gcd contains an orbit pair {q, q~}, an even-degree
 fixed factor, or (p odd) the square of X - 1/2.  The prime table itself
-reads the same witness off the half-degree gcd of two v-models
-(`obstruction._symmetric_witness`).
+factors nothing: its witness is the lift of the half-degree gcd of two
+v-models (`obstruction._pair_primes`), which is symmetric, and on which
+`symmetric_common_factor(w, w)` finds its least symmetric divisor.
 
 All arithmetic runs in the private kernels `_add`, `_sub`, `_mul`,
 `_divrem`, `_rem`, `_powmod`, `_gcd`, `_xgcd` and `_roots` on plain
@@ -29,16 +30,14 @@ table's witnesses: a modulus p >= 2 and reduced, trimmed coefficients,
 with no arithmetic and no primality test (the prime table builds one per
 pair prime).
 
-The pieces factored are mostly small: linear distinct-degree blocks,
-cubic v-model factors and cubic gcds of v-models, at p <= 23 on products
-of the Delta_a sextics (`perfbench/workloads.py`).  Below
-`_SCAN_BELOW` = 256 they are read off their roots, found by `_roots`
-(Horner evaluation at every residue): a linear block splits into its
-X - r (`_equal_degree_factors`), a squarefree f of degree at most 3 is
-classed by its number of roots (`_distinct_degree`), and the prime table's
-gcd of degree at most 3 gives its distinct irreducible factors the same
-way (`_irreducible_factors`).  Factorization mod p is unique and every
-factor list is sorted, so the results are those of splitting.  The bound
+The pieces factored are mostly small: linear distinct-degree blocks and
+cubic v-model factors, at p <= 23 on products of the Delta_a sextics
+(`perfbench/workloads.py`).  Below `_SCAN_BELOW` = 256 they are read off
+their roots, found by `_roots` (Horner evaluation at every residue): a
+linear block splits into its X - r (`_equal_degree_factors`), and a
+squarefree f of degree at most 3 is classed by its number of roots
+(`_distinct_degree`).  Factorization mod p is unique and every factor list
+is sorted, so the results are those of splitting.  The bound
 is the measured crossover (CPython 3.11, 2 vCPUs; 40 random squarefree
 cubics and 20 linear blocks per prime): a cubic's scan against its
 distinct-degree pass took 4.0 against 24 us at p = 23, 29 against 40 us
@@ -48,7 +47,7 @@ p = 251, and one of 2 roots still won at p = 1021.
 Other blocks go through Cantor-Zassenhaus equal-degree splitting, which
 draws from `Random(0)`; it is built only when a block of degree >= 2
 needs splitting, or a linear block at p >= `_SCAN_BELOW`, and no factor
-set or witness depends on the stream.
+set depends on the stream.
 """
 
 from __future__ import annotations
@@ -329,27 +328,6 @@ def _equal_degree_factors(blocks, p: int) -> list[list[int]]:
             out += [list(q) for q in _equal_degree_split(block, d, p, rng)]
     out.sort(key=lambda q: (len(q), q))
     return out
-
-
-def _irreducible_factors(f: Coeffs, p: int) -> list[list[int]]:
-    """The distinct monic irreducible factors of nonzero f, each once.
-    Below `_SCAN_BELOW` an f of degree at most 3 is read off its roots, with
-    no squarefree decomposition: X - r for each root r, and the cofactor
-    left once each X - r is divided out as often as it divides, unless
-    constant.  That cofactor has no root, so it is irreducible: were it a
-    product of two factors of degree >= 1, the degrees, at most 3 in all,
-    would put one factor at degree 1, which has a root."""
-    if len(f) > 4 or p >= _SCAN_BELOW:
-        return [h for part, _ in _squarefree_parts(f, p)
-                for h in _equal_degree_factors(_distinct_degree(part, p), p)]
-    hs, rest = [], f
-    for r in _roots(f, p):
-        hs.append([-r % p, 1])
-        quot, rem = _divrem(rest, hs[-1], p)
-        while not rem:
-            rest = quot
-            quot, rem = _divrem(rest, hs[-1], p)
-    return hs + [_monic(rest, p)] if len(rest) > 1 else hs
 
 
 def _lifts_split(block: Coeffs, k: int, p: int) -> bool:

@@ -114,16 +114,16 @@ def _sha(text: str) -> str:
 
 GOLDEN: dict[str, tuple[str, str]] = {
     "D1D2 m=3 s=0": (
-        "731d1923a2091ea3785323f111977f28034ee6106e7f0b9f6caedc5374b87501",
-        "3acf616e0615a7aa6ecde0d7c5bbbcca5692b13fc201569e49e2863c7041901d",
+        "83be07e66e41731a510974a8f22108376a1c8b956ce23480d0a16cdeb5dc261d",
+        "ce20bd61aacb2ad4c6ca27a68d3a9f3fae091f5e94ddec36fd74d14e439f6b63",
     ),
     "G1D1 m=3 s=0": (
         "3e9131a4becdece0924a0f168aa7b97f7930ba582c29ac3b08a60365d9d709f7",
         "1f3b50cf242a44974fcb6460786756787ca8d042f90b24076d618a31a0da5b45",
     ),
     "D1D2 m=7 s=0": (
-        "94fe2e4644f1a74cd803b273102815a0a99369f50c63ca67ece011b9e7236962",
-        "61245f3e24d4fcf43400a6e4d9d790a626bc0755afd2e57f93dbc6342c85819b",
+        "a6770e659ff1018e8d1d335b083e1e42b859aa9c09b6137d30da69d1d096b83f",
+        "8e72b996610ef70ad9ef5cc7035910043ca31048fc4380d3d1cd65ef775e6b36",
     ),
     "G1D1 m=7 s=0": (
         "8ce435b3ee8a28ea50616641860cd719763af91323964580ac358d2e0b1465c4",
@@ -138,8 +138,8 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "4a8a8c2cadb0b88ed993f1b52e80a30d218c19397d8acc48e7a07ed0a65b83d4",
     ),
     "D1D2 m=7 s=8": (
-        "db84d6db2bb3a038c284c79400c60178be19a10c4c0695528ba22650736cb707",
-        "70639c51cf09ee58a036e935274ab9343c96bcf6b8a17d11d9dd56aca375b049",
+        "6fdde3fbb81557e1916de430a0234ddf6cd34dfe14b5d76925988368ab6db0e0",
+        "3011993fe6f51d44f5c3ef3423a781e11ada1ed64942c953e9fa8e08572f9d91",
     ),
     "G1D1 m=7 s=8": (
         "37127d22b70484e9573064fe19f2c5419e9031cd1e3e3008c9d6a21766cbd25b",
@@ -154,8 +154,8 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "19a16772250a30145eb6b616bda6d44509ad309373199c3a4a44802b3805a03c",
     ),
     "D1D2 m=7 s=-8": (
-        "5b493dea081b50a7bb7dc6098f377891121a2654b3c86e15c6c05f9404d818d5",
-        "d4ccefa5b9c5024880da542bdc4fcde5f451354c47d6ffc41ffad6821ce12ec5",
+        "cae7886ea98c8b8c3b38441c703da412beb3377b5760d44cd290ccd7c222fabc",
+        "97cd440a367334cc05ed37fafd4f1f3905e720aa9669ee5880cbc87e69b1114f",
     ),
     "G1D1 m=7 s=-8": (
         "fd53c952cb3f802ce45d8df7b297796235ac3ee354dcb42f8a2f93ccbeabe794",
@@ -194,8 +194,8 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "a28c49467eec7f4130620892f41baa129161690e625fe45c575036f8661bf59d",
     ),
     "delta_a k=2 m=3 s=0": (
-        "fe373c316f9a30ef84091cec631d7f3be0595c5487196d044da9c447474fa25a",
-        "607afef59bbe319ef842ead05b772585c60a71b7851eaad4d817574896e7d8d5",
+        "366e9487169d530aa54c9d1cb3f9d20b183f4bf30ce6e0387bff87032be8c8a0",
+        "8917021cb8da0668a79c88ebf2d2e26a2e63ec1799d71be6df84f1a1aadc15ed",
     ),
     "delta_a k=2 m=3 s=8": (
         "fa56838881a4a24dfe03f65cfa5d5c01466002caee7c21a6697ad11755fb64c8",
@@ -210,24 +210,24 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "828fe2e61c1eb91eb34d529d94fc63d8b6ca4e6c673453be22a9bc3c05d29c00",
     ),
     "delta_a k=2 m=7 s=0": (
-        "e178291611d6507114da062c6777ed59c7b0f143ee1e3e7a5eece59d06021881",
-        "1505fa019665e8126ed5b345116ea969f70f468fb7fdefb4ddff87c0302bf422",
+        "0b6b1fcbf69c3240e25a25ec7979faa842e75fae42f407b3cf3fa2d05ca7bba3",
+        "e733b68b868e49ab74a903a42c6c8270a0a88734a0a61af0db4b562be69a8d45",
     ),
     "delta_a k=2 m=7 s=8": (
-        "135d408614c37c5bf2b46d7539dae66edadafdc8c97cfbe945b80f7374f5be03",
-        "c712a939cb272c4316d44770889c8580986c09ed2beaa66943c8c5a684db812d",
+        "f7096eef00da093b36200b26ddf1b2285565968a940f3993442ac5ca06bb547d",
+        "b1007e434d4078a9860d89e5ed04077803c24b5734be5422ee98cc7226501520",
     ),
     "delta_a k=2 m=7 s=-8": (
-        "54023b29f79ff8f4087b8ecd501a402916d349510d6804501fa746cc4b00472d",
-        "610d9f93e9b8f105683557bdb30a941b406864ec9c8c5ef779e6dee8185637c5",
+        "25d78f0bfd10720b3483d41e669aaa4d560b6f44d8db329de620cd034961345a",
+        "82150ec9add9e7a8f8bfbfc1529afb50d9b6c5ec55ec9ae4bdfbcb205a2ef719",
     ),
     "delta_a k=2 m=7 s=16": (
         "1eff65fba31ae1407cee9113166cbd31547bd2b636fa7b33bf984e0d0e793387",
         "261b7fe4649cc7f6edb08a5aaee330eb4cfe14f941d063c06f67909a34c715f5",
     ),
     "delta_a k=3 m=3 s=0": (
-        "6541d20514ad983df207c279ea40a848072e724ee78aab22757012c3ebc2dd92",
-        "af8add6b66486fb1646bee7b4852d0a5cefea31cea712d6c9571457f3d7e17e2",
+        "bc1e1c2c5a07697c77a1da8c9a57a6ea89227460b92b4b1df253eec526a3aa3c",
+        "a0166f490aff505717f3bebbdb693dedcfeb639c30a78f526d772b1f5135138e",
     ),
     "delta_a k=3 m=3 s=8": (
         "03f9f7af3c3728740dc436f2381c59d18a265fe52bffa12d2c7d80a5aa3c6a21",
@@ -242,24 +242,24 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "e0abd0a249c6c5a11f8aa9e63dce22cb7a8fd5bc563b844d54f6bd19e519fb6a",
     ),
     "delta_a k=3 m=7 s=0": (
-        "17f2df797a841d96145e03eddd65c2be70220e57fdf1ac22d72987d7816fafd1",
-        "25c9ece9dbd634dd5a584236332da41ffb51429df946034fad847c215c9d7c7c",
+        "db9b986fa90b8ca092bd4f75f2b73ec8acb8151cd05881a933f1279d2c95c675",
+        "5428d90b8b348f655a2112dd8e0428bb3919fe5a87e2db8b067e28f849fb935e",
     ),
     "delta_a k=3 m=7 s=8": (
-        "07a94b6da59f01d587f1813bfbdcae1b15e19998d5afeb2ae309902798505491",
-        "9bf839dd27a0df98cc5666c7cdc6096c4fe5a98cc420a3ca121c1bd6ae45c41b",
+        "dabd445c6dd24383bab0a8c993718e11493470abacb0f9f97b21546cb40cf22d",
+        "5bb0ec1952ddd20cf0700756b7e80794dbb385b8664564dbb5465ae664081ddb",
     ),
     "delta_a k=3 m=7 s=-8": (
-        "01ad1ce3fb4a59b0d1f5e293ad91838667d9d2369622c7835120d744e10a795d",
-        "9af4c6f50e82fa82d732d2be64af8769dc720e590a6f902ceb2f4332705d0e11",
+        "86cbacd0952078bc8f6a8b3ff0490fa605c3ca566b5bc3f0fac4f1667244477a",
+        "3e8cbf966784a6577c9e8651c2e3dfba7cd991651d0e45e372efedd039fbb4e8",
     ),
     "delta_a k=3 m=7 s=16": (
         "0475d4a031ff087568cb334f4232e23fd4c5977a101ec1e9fa7c516aa0f8b296",
         "a4563a4ce99d9fd0f9b69722bea380e08e2152af32345aee498de27a4e489540",
     ),
     "delta_a k=4 m=3 s=0": (
-        "4240858bbd48d23363ca8aea2141878749b1a157da33d44bf699976006ab9cc1",
-        "9ea5817657aa2a51e698d9d4e13fcad90adebe553c399d17f0da420d71831c08",
+        "35594e9c88787c7bfe2265a50d001cc312b82545a2f76b1b5b048c31e6f729bd",
+        "95e5c78a28b55cb9ce04ffad80ac907f81c36a30f98b85ddfdc6674a31fd7dd3",
     ),
     "delta_a k=4 m=3 s=8": (
         "450023fcb571014e6a8de9cb548fd98f6990975245421f38b2f372aeede9bae2",
@@ -274,24 +274,24 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "24fb109a353fbfd684b3f90305fc695ce2eeaef7381e1b17b35ca4c165bc4091",
     ),
     "delta_a k=4 m=7 s=0": (
-        "b4029b5d3554bcd0b26776c1c0c5d4d36c370c1a9f899a901a5a61c0d4aa079f",
-        "e831406786bc847b70cbd3b07516872478ab9ceef0557fa9f384e4183910cdb7",
+        "d5859a92eee73a9493daf4173f4e9de726919f47737b9f20ce676394a43672fa",
+        "8ec07c5d2b5cf5850958a123db6f1c9ef4cc49c2a57bf939b11a831b42ad69fa",
     ),
     "delta_a k=4 m=7 s=8": (
-        "68571efe5d228090cbafbfa373e85ba1047b8a46ad833b5bf63ab8d72be8dbd7",
-        "85828e6b2a4be64a400b41463ef631a8c8db5c54ff8bf67a198474486f3eb4ff",
+        "aa4da125b892562c8659f2d8f73f8f24f8c01f28f4446be0169aead2c4b51375",
+        "7c666f34ec3a011385573858fb8ec3d314b497e137705f96b8cb93efe4590bdc",
     ),
     "delta_a k=4 m=7 s=-8": (
-        "e88ec2fd2e572b0333b0f26b22bc887385f4c7a7e01d2fb9c32c5e42f49d4d48",
-        "a50650e14ce53def928fd9e308d937a17f49660d906d3171e9e6c2de795037b4",
+        "bbd9a61953c7c1e5c591614b04490e757d611db84d259ecc18c3894fdf7f6241",
+        "794ae6139cd71fe3388f36eaec012d8e55bce7a8571900dfd23c417bc0ef721f",
     ),
     "delta_a k=4 m=7 s=16": (
         "f13092f7de89b8e4d2deb5658bef9a33406c9ffd416371533a36d1f63c82de2c",
         "f2098ca5a498cc4e5f6b698805f09756c2d5c482e5084369ef2dd8a4ce655e98",
     ),
     "D1D2 delta_a(0) delta_a(2) m=3 s=16": (
-        "b5849e0f95f587c2c03d8e8cd4995b89d9dd5031b2432b5b8e6520c18bcc2be8",
-        "8e8e028ea236a55024da72f4883f80e9fa7c902de0a80b818e2f06120daffd92",
+        "012b8b9a14594654c6fffff9f9a62db1c3e964aa1ed8f7d9b518213ea06d29a5",
+        "2dfcf44f6499758510d7b6c5f8ccdfad6417af1ce0e9c2bcefae9d777cf27b7b",
     ),
     "Phi15 m=7 s=8": (
         "6def4bdadda771e9a89cff39df63c25a1620f2a1c4d50e27f187b7269cc37b1e",
@@ -306,28 +306,28 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "293e9f45a6ed5d1c57da8e6f597984a5ff04186821c54845361e9e0e38e59185",
     ),
     "D1D2 m=11 s=-8": (
-        "81628a7eec2dc73b2984a4179664a00bc556d1cd3184911cd7e1ffed80ba1d11",
-        "89ae2cd11b9bbe442da717f121ea1467644aefd11bef08898619229aa6980654",
+        "d6ea78af0345382e3bfcfc88ac20c7ebcc1a261f2b720a5c27098a6446b7b547",
+        "3495d0053909240d81790905c4deb4a38dd6908b7bc786d983c6b399cd0fb30b",
     ),
     "tau D1D2 all plus": (
-        "4857c35a47af4e3b0f38f6f0cefb8da77185ad2e9e06f88718d6c7be316ba25f",
-        "e61c2c44ff414f808d44e2882f011114b5b90fb1faf6788e02bc941ce42628d8",
+        "cbeefe49eec4a5da22e0a2e441ebe19f07c2776469872a524964cdba20692233",
+        "6e15484eb498deebecabf8b7a93e1ca6bca5b2809f25169b5a0f086a72c69461",
     ),
     "tau D1D2 sum 4": (
         "c6ecab81e93363071adcc168b5b35b4e6a870fcd03dfaee27d0b66eaa5426d84",
         "c31c8048ec8f39bb134803f3f3ba2c566dbabd8a27b623d86d734e543df590d0",
     ),
     "tau D1D2 m=3 sum 0": (
-        "83ed2a39f356d4d5f87eab11870ebf37c785957696a9093ab74139ff50bd72c8",
-        "c9d7ec35fc95dcdbf8500b293c007ddf6be1ffbe6f96e61197b78b5991fd5092",
+        "f4516883534f283feac9854c3a09065ea820a4a59d32a66f765c09562af3b632",
+        "acf6549dd4625849481b957218b548221b2e267d65a2270f9628bd1e0117e616",
     ),
     "tau G1D1 all plus": (
         "5a9fbee7b331078307b1136e172d5401012c2f35604458c3c4b1fca1db0fc8b3",
         "df641c11b9982a4ad568a9d83ff24cf522b02a4ee160771d4b2f030c74917d97",
     ),
     "tau delta_a k=3": (
-        "4833a50f05b32ddc1b83f903b52483d4bebf0a022b1513b0559acd033f6f1be8",
-        "8e3c100ef591edbe2c2dae86a279330b54d5f7817999e64796d26c0b09c5e535",
+        "0ccd89b36baf4759e25f5a5743e500d9c48c317b5b112949466439f987198cf6",
+        "459b650796936124718d26bbc69c197581aeda3fb2f2d07922c4ceaabd4102e8",
     ),
     "tau out of scope": (
         "0e6a2405381b28c17b16649c9762690ec39eebf7c11b6b15bc5ce6d671d10150",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
@@ -19,10 +18,9 @@ from knotsig import (
     standing_assumptions,
     v_polynomial,
 )
-from knotsig.modp import PolyModP, _gcd, _reduced, factor_mod_p, symmetric_common_factor
-from knotsig.obstruction import _symmetric_witness
+from knotsig.modp import PolyModP, _gcd, _image, _reduced, _rem, symmetric_common_factor
 from knotsig.polys import parse_poly
-from conftest import IN_SCOPE_A, clear_facts_memos, make_delta_a
+from conftest import IN_SCOPE_A, make_delta_a
 from reference import pair_facts_on_lifts, symmetric_mod_p_by_sympy
 
 
@@ -44,10 +42,13 @@ class TestPiSet:
         assert pi_set(f, g).primes == (999_983, 1_000_003)
 
     def test_example_pair(self, f1, f2):
+        """f1 = f2 = (X^2 + X + 1)^2 mod 2: the witness is that gcd, and
+        its least symmetric divisor is X^2 + X + 1."""
         entry = pi_set(f1, f2)
         assert entry.primes == (2,)
-        assert entry.witnesses[0][0] == 2
-        assert entry.witnesses[0][1] == PolyModP(2, (1, 1, 1))
+        assert entry.witnesses == ((2, PolyModP(2, (1, 0, 1, 0, 1))),)
+        w = entry.witnesses[0][1]
+        assert symmetric_common_factor(w, w) == (True, PolyModP(2, (1, 1, 1)))
 
     def test_transformed_pair_empty(self, g1, delta1):
         h1, h2 = delta_to_p(g1), delta_to_p(delta1)
@@ -124,32 +125,52 @@ class TestPiSet:
 class TestHalfDegreeRoute:
     """The prime table reads a pair f = F(X^2 - X), g = G(X^2 - X) off the
     v-models: Res(f, g) = Res(F, G)^2, and gcd(f, g) mod p = D(X^2 - X)
-    mod p for D = gcd(F, G) mod p.  Checked against the route on the
-    factors themselves (`reference.pair_facts_on_lifts`), at every p dividing
-    the resultant, over every pair of the factors of P for Delta1, Delta2
-    and the 17 in-scope Delta_a."""
+    mod p for D = gcd(F, G) mod p, which is the prime's witness, and
+    `symmetric_common_factor` reads a divisor off it that X -> 1-X fixes
+    exactly (as perfbench's oracle checks a witness).  Checked against the
+    route on the factors themselves (`reference.pair_facts_on_lifts`), at
+    every p dividing the resultant, over every pair of the factors of P for
+    Delta1, Delta2 and the 17 in-scope Delta_a: 219 pair primes, 155 of
+    them of the 136 pairs of Delta_a."""
 
     def test_resultant_gcds_and_entries_match_the_lifts(self, delta1, delta2):
         v = IntPoly((0, -1, 1))  # X^2 - X
         deltas = [delta1, delta2] + [make_delta_a(a) for a in IN_SCOPE_A]
         factors = [q for delta in deltas for q, _ in factor_z(delta_to_p(delta)).factors]
-        cases = 0
-        for f, g in itertools.combinations(factors, 2):
+        cases = delta_a_cases = 0
+        for (i, f), (_, g) in itertools.combinations(enumerate(factors), 2):
             F, G = v_polynomial(f), v_polynomial(g)
             res, gcds = pair_facts_on_lifts(f, g)
             assert res == resultant(F, G) ** 2
-            primes, witnesses = [], []
             for p, d in gcds.items():
                 D = _gcd(_reduced(F.coeffs, p), _reduced(G.coeffs, p), p)
                 assert d == PolyModP(p, IntPoly(D).compose(v).coeffs)
-                ok, w = symmetric_common_factor(d, d)
-                if ok:
-                    primes.append(p)
-                    witnesses.append((p, w))
+                ok, h = symmetric_common_factor(d, d)
+                assert ok and h.degree >= 1 and not _rem(d.coeffs, h.coeffs, p), (f, g, p)
+                assert symmetric_mod_p_by_sympy(h), (f, g, p)
                 cases += 1
+                delta_a_cases += i >= 2
             entry = pi_set(f, g)
-            assert (entry.primes, entry.witnesses) == (tuple(primes), tuple(witnesses))
-        assert (len(factors), cases) == (19, 219)
+            assert entry.primes == tuple(gcds)
+            assert entry.witnesses == tuple(gcds.items())
+        assert (len(factors), cases, delta_a_cases) == (19, 219, 155)
+
+
+class TestWitnessIsThePairGcd:
+    """Each prime's witness is gcd(f, g) mod p itself, and nothing is lost:
+    `symmetric_common_factor(w, w)` reads the least symmetric divisor off
+    it."""
+
+    def test_delta_0_delta_2_at_2(self):
+        """D = Y^3 + 1 = (Y + 1)(Y^2 + Y + 1) mod 2: the witness is
+        D(X^2 - X), and its least symmetric divisor is X^2 + X + 1."""
+        from knotsig import AnalysisRequest, analyze, report_render
+
+        rep = analyze(AnalysisRequest(delta=make_delta_a(0) * make_delta_a(2), m=7, signature=8))
+        assert [entry["witnesses"] for entry in rep.pi_table] == [[[2, [1, 0, 0, 1, 1, 1, 1]]]]
+        assert "    witness mod 2: x^6 + x^5 + x^4 + x^3 + 1" in report_render(rep).splitlines()
+        w = PolyModP(2, (1, 0, 0, 1, 1, 1, 1))
+        assert symmetric_common_factor(w, w) == (True, PolyModP(2, (1, 1, 1)))
 
 
 class TestObstructionGroup:
@@ -192,34 +213,11 @@ class TestObstructionGroup:
             obstruction_group(standing_assumptions(parse_poly("x^2 - x - 2")))
 
 
-class TestWitnessMemo:
-    """A witness depends on the prime and the gcd of the pair's v-models mod
-    p alone, so it is computed once per such gcd, whichever pair shares
-    it."""
-
-    def test_one_factorization_per_gcd_mod_p(self):
-        """The factors of P from Delta_a, a in {0, 2, ..., 10}, are
-        congruent mod 2, so their 15 pairs share one gcd mod 2; the 19
-        (pair, prime) entries have 5 distinct gcds mod p."""
-        factors = (delta_to_p(make_delta_a(a)) for a in range(0, 12, 2))
-        fs = standing_assumptions(math.prod(factors, start=IntPoly.one()))
-        group, table = obstruction_group(fs)
-        assert group.rank == 0
-        assert sum(len(entry.primes) for entry in table) == 19
-        assert _symmetric_witness.cache_info().misses == 5
-
-    def test_one_entry_per_gcd_mod_p(self, f1, f2):
-        """f1 and f2 share one gcd mod 2: three calls leave one entry."""
-        entries = [pi_set(f1, f2) for _ in range(3)]
-        assert entries[0] == entries[1] == entries[2]
-        assert entries[0].primes == (2,)
-        assert _symmetric_witness.cache_info()[:2] == (0, 1)
-
-
 class TestHalfDegreeWitness:
-    """The witness of a gcd D of v-models mod p is read off the factors of
-    D, at half degree, and equals `symmetric_common_factor(d, d)` for the
-    lift d = D(X^2 - X)."""
+    """The witness at a pair prime is the lift d = D(X^2 - X) of the gcd D
+    of the v-models mod p.  Every candidate passes: d is fixed by
+    X -> 1-X, and `symmetric_common_factor(d, d)` finds a symmetric
+    divisor of it."""
 
     # every monic D of degree 1 to top over F_p: 1,050 of them, among them
     # non-squarefree ones, and for odd p multiples of Y + 1/4
@@ -231,11 +229,18 @@ class TestHalfDegreeWitness:
             for low in itertools.product(range(p), repeat=n):
                 yield PolyModP(p, low + (1,))
 
+    @staticmethod
+    def assert_symmetric_with_a_symmetric_divisor(d: PolyModP) -> PolyModP:
+        assert _image(d.coeffs, d.p) == d.coeffs, d
+        ok, w = symmetric_common_factor(d, d)
+        assert ok and _image(w.coeffs, d.p) == w.coeffs, d
+        assert w.degree >= 1 and not _rem(d.coeffs, w.coeffs, d.p), d
+        return w
+
     @pytest.mark.parametrize("stream", [None, 7])
     def test_witness_equals_the_one_of_the_lift(self, monkeypatch, stream):
-        """Also with the equal-degree splits of `modp` drawing another
-        stream: a tie broken by factoring the lifts (181 of the cases) takes
-        the smallest factor, whichever one a split finds first."""
+        """Every monic D over the small fields; also with the equal-degree
+        splits of `modp` drawing another stream."""
         from knotsig import modp
 
         if stream is not None:
@@ -244,69 +249,18 @@ class TestHalfDegreeWitness:
         cases = 0
         for p, top in self.FIELDS:
             for D in self.monic(p, top):
-                d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
-                assert (True, _symmetric_witness(D)) == symmetric_common_factor(d, d), D
+                self.assert_symmetric_with_a_symmetric_divisor(
+                    PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs))
                 cases += 1
         assert cases == 1050
-
-    def test_an_irreducible_gcd_is_factored_at_its_degree(self, monkeypatch):
-        """For an irreducible D no factoring routine of `modp` sees a
-        polynomial of degree above deg D, and below `modp._SCAN_BELOW` one
-        of degree at most 3 is read off its roots, with no distinct-degree
-        pass, no equal-degree split and no `_powmod`."""
-        from knotsig import modp
-
-        seen: list[int] = []
-        powers: list[int] = []
-        for name in ("_distinct_degree", "_equal_degree_split"):
-            def recording(f, *args, _original=getattr(modp, name)):
-                seen.append(len(f) - 1)
-                return _original(f, *args)
-
-            monkeypatch.setattr(modp, name, recording)
-
-        def counting_powmod(*args, _original=modp._powmod):
-            powers.append(1)
-            return _original(*args)
-
-        monkeypatch.setattr(modp, "_powmod", counting_powmod)
-        irreducible = 0
-        for p, top in self.FIELDS:
-            assert p < modp._SCAN_BELOW
-            for D in self.monic(p, top):
-                if modp.factor_mod_p(D).factors != ((D, 1),):
-                    continue
-                seen.clear()
-                powers.clear()
-                _symmetric_witness(D)
-                if D.degree <= 3:
-                    assert not seen and not powers, D
-                else:
-                    assert seen and max(seen) <= D.degree, D
-                irreducible += 1
-        assert irreducible == 398
-
-    def test_the_factors_read_off_the_roots(self):
-        """Every monic D of degree 1 to 3 over the small fields, repeated
-        factors among them: its distinct monic irreducible factors, each
-        once, as `modp._irreducible_factors` reads them off the roots."""
-        from knotsig.modp import _irreducible_factors
-
-        cases = 0
-        for p, _ in self.FIELDS:
-            for D in self.monic(p, 3):
-                want = sorted(q.coeffs for q, _ in factor_mod_p(D).factors)
-                assert sorted(tuple(h) for h in _irreducible_factors(D.coeffs, p)) == want, D
-                cases += 1
-        assert cases == sum(p + p**2 + p**3 for p, _ in self.FIELDS)
 
     @pytest.mark.parametrize("p", [241, 251, 257, 263])
     def test_witness_paths_around_the_scan_bound(self, monkeypatch, p):
         """D of degree 1 to 5 built from a few roots, among them repeated
-        ones and -1/4, and a random monic quadratic: below the bound those
-        of degree at most 3 are read off their roots, above it every D is
-        split.  Both equal the witness of the lift, and below the bound the
-        root reading equals the split."""
+        ones and -1/4, and a random monic quadratic.  Each lift is fixed
+        and has a symmetric divisor, and below the bound, where factoring
+        mod p reads small pieces off their roots, the divisor found equals
+        the one found by splitting."""
         from knotsig import modp
 
         v = IntPoly((0, -1, 1))  # X^2 - X
@@ -322,11 +276,9 @@ class TestHalfDegreeWitness:
             D = PolyModP(p, D)
             degrees.add(D.degree)
             d = PolyModP(p, IntPoly(D.coeffs).compose(v).coeffs)
-            want = symmetric_common_factor(d, d)
-            assert (True, _symmetric_witness(D)) == want, D
+            w = self.assert_symmetric_with_a_symmetric_divisor(d)
             if p < modp._SCAN_BELOW:
                 monkeypatch.setattr(modp, "_SCAN_BELOW", 0)
-                clear_facts_memos()
-                assert (True, _symmetric_witness(D)) == want, D
+                assert symmetric_common_factor(d, d) == (True, w), D
                 monkeypatch.undo()
         assert {1, 2, 3} <= degrees and max(degrees) > 3

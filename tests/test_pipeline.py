@@ -602,14 +602,13 @@ class TestDeltaFactsMemo:
 
 
 class TestFactorFactsMemo:
-    """The facts of one factor of P (its record: lift, certificate and rho), of
-    one factor pair (its primes and witnesses) and of one gcd mod p (its
-    witness) are computed once per process, whichever Delta they came
-    from; reports are unchanged."""
+    """The facts of one factor of P (its record: lift, certificate and rho)
+    and of one factor pair (its primes and witnesses) are computed once per
+    process, whichever Delta they came from; reports are unchanged."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_match_reports_from_empty_memos(self, seed):
-        from knotsig.obstruction import _pair_primes, _symmetric_witness
+        from knotsig.obstruction import _pair_primes
         from knotsig.zfactor import _lift_facts
 
         rng = random.Random(seed)
@@ -623,7 +622,7 @@ class TestFactorFactsMemo:
                 reqs.append(AnalysisRequest(delta=delta, m=m, signature=s))
         rng.shuffle(reqs)
         warm = [TestDeltaFactsMemo.run(req) for req in reqs]
-        for memo in (_pair_primes, _lift_facts, _symmetric_witness):
+        for memo in (_pair_primes, _lift_facts):
             assert memo.cache_info().hits > 0
         for req, text in zip(reqs, warm):
             clear_facts_memos()
@@ -704,8 +703,7 @@ class TestFactorFactsMemo:
         """Every memo of `memos.MEMOS`, filled from empty with one new key
         at a time, holds at most its bound: PER_INPUT for a whole input,
         PER_FACTOR for a part of one."""
-        from knotsig.modp import PolyModP
-        from knotsig.obstruction import _pair_primes, _symmetric_witness
+        from knotsig.obstruction import _pair_primes
         from knotsig.pipeline import _delta_facts
         from knotsig.seifert import _form_facts, _lattice_facts
         from knotsig.zfactor import _known_factors, _lift_facts
@@ -718,8 +716,6 @@ class TestFactorFactsMemo:
             (_known_factors, memos.PER_FACTOR, lambda c: _known_factors.learn([IntPoly((-c, 1))])),
             (_lift_facts, memos.PER_FACTOR, lambda c: _lift_facts(IntPoly((-c, 1)))),
             (_pair_primes, memos.PER_FACTOR, lambda c: _pair_primes(v, v - IntPoly((c,)))),
-            (_symmetric_witness, memos.PER_FACTOR,
-             lambda c: _symmetric_witness(PolyModP(1_000_003, (c, 1)))),
         )
         assert sorted(map(id, memos.MEMOS)) == sorted(id(memo) for memo, _, _ in fills)
         for memo, bound, call in fills:
