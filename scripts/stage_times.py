@@ -39,6 +39,7 @@ from knotsig.cli import write_lines  # noqa: E402
 
 STAGES = (
     "zfactor._hensel_lift",
+    "zfactor._hensel_step",
     "zfactor._good_primes",
     "modp._distinct_degree",
     "modp._equal_degree_factors",

@@ -12,13 +12,15 @@ the known factors dividing g and of the cofactor they leave (of g when
 none does); g itself for one, `BudgetExceededError` for more than
 MAX_MODULAR_FACTORS = 16; then the known factors, and the cofactor goes
 on at p: equal-degree splitting, a quadratic Hensel lift past the
-Mignotte bound by recursive splitting (the products of the two halves of
-the factor list lift together, then each half against its lifted product),
-and subset recombination in one pass over subset sizes.  All modular work
-runs on coefficient lists in `modp`'s kernels, over Z/m for the lift.  A
-subset that does not divide the cofactor left divides none of its
-divisors, so the enumeration goes on past an accepted subset and the size
-grows only when none of it divides: a part costs at most
+Mignotte bound (each linear factor X - r as its root r, by p-adic Newton
+steps; the others by recursive splitting of the cofactor the roots leave:
+the products of the two halves of their list lift together, then each
+half against its lifted product), and subset recombination in one pass
+over subset sizes.  All modular work runs on coefficient lists in
+`modp`'s kernels, over Z/m for the lift.  A subset that does not divide
+the cofactor left divides none of its divisors, so the enumeration goes
+on past an accepted subset and the size grows only when none of it
+divides: a part costs at most
 sum_{k<=8} C(16, k) = 39,202 trial divisions (`polys.divides`).  No step
 uses Fractions; results are checked by one re-multiplication, at half
 degree on the v-model route: f = Q(X^2 - X) exactly, and composing with
@@ -72,7 +74,7 @@ from .modp import (
     _xgcd,
 )
 from .polys import (X2_MINUS_X, IntPoly, _mul_coeffs, _p_to_delta, divides, exact_div, gcd_z,
-                    poly_text, v_polynomial)
+                    poly_text, resultant, v_polynomial)
 from .realroots import _sign_hom, rho_delta
 
 MAX_MODULAR_FACTORS = 16
@@ -154,7 +156,7 @@ def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (monic, quadratic, recursive split)
+# Hensel lifting (monic, quadratic: Newton steps on roots, recursive split)
 
 
 def _hensel_step(f, g, h, s, t, m, last=False):
@@ -177,20 +179,40 @@ def _hensel_step(f, g, h, s, t, m, last=False):
     return g2, h2, s2, t2
 
 
+def _value_and_slope(c, x: int, m: int) -> tuple[int, int]:
+    """(c(x), c'(x)) mod m, for ascending coefficients c, by one Horner pass."""
+    value = slope = 0
+    for a in reversed(c):
+        slope = (slope * x + value) % m
+        value = (value * x + a) % m
+    return value, slope
+
+
 def _hensel_lift(F: IntPoly, factors: list[list[int]], p: int, target: int):
     """Lift the monic factors mod p of monic F, coefficient lists, until the
-    modulus reaches ``target``; returns (lifted factors, modulus).  The
-    products g, h of the two halves of the list lift against F, then each
-    half against its lifted product.  The monic lift of a coprime
-    factorization mod p is unique, so the order of the splits does not
-    change the factors."""
+    modulus reaches ``target``; returns (lifted factors, modulus), in the
+    order of ``factors``.
+
+    A linear factor X - r lifts as its root, by Newton's step
+    r <- r - F(r)/F'(r) mod m^2 from a root r mod m, over the moduli p,
+    p^2, p^4, ...: r is a simple root, as F is squarefree mod p, so F'(r)
+    is a unit, and F(r - F(r)u) = F(r)(1 - F'(r)u) = 0 mod m^2 for
+    u = 1/F'(r), since F(r) = 0 mod m.  One exact division mod the final
+    modulus gives the cofactor N = F / prod(X - r~), and the other
+    factors lift against N by recursive splitting: the products g, h of
+    the two halves of their list lift against N, then each half against
+    its lifted product; one factor is N itself.  The monic lift of a
+    coprime factorization mod p is unique, so X - r~ is the split tree's
+    lift of X - r, N is the product of the other lifts, and neither the
+    roots nor the order of the splits change any factor."""
     moduli = [p]
     while moduli[-1] < target:
         moduli.append(moduli[-1] ** 2)
+    final = moduli[-1]
 
     def split(f, factors):
         if len(factors) == 1:
-            return [_reduced(f, moduli[-1])]
+            return [_reduced(f, final)]
         mid = len(factors) // 2
         g, h = (reduce(lambda a, b: _mul(a, b, p), half) for half in (factors[:mid], factors[mid:]))
         d, u = _xgcd(g, h, p)
@@ -203,7 +225,23 @@ def _hensel_lift(F: IntPoly, factors: list[list[int]], p: int, target: int):
             g, h, s, t = _hensel_step(f, g, h, s, t, m, m == moduli[-2])
         return split(g, factors[:mid]) + split(h, factors[mid:])
 
-    return split(F.coeffs, factors), moduli[-1]
+    lifted = list(factors)
+    linear = [i for i, q in enumerate(factors) if len(q) == 2]
+    for i in linear:
+        r = -factors[i][0]
+        for m in moduli[1:]:
+            value, slope = _value_and_slope(F.coeffs, r, m)
+            if not slope % p:
+                raise KnotsigError("modular factors are not coprime")
+            r = (r - value * pow(slope, -1, m)) % m
+        lifted[i] = [-r % final, 1]
+    rest = [i for i, q in enumerate(factors) if len(q) > 2]
+    if rest:
+        roots = reduce(lambda a, b: _mul(a, b, final), (lifted[i] for i in linear), [1])
+        N = _divrem(F.coeffs, roots, final)[0]
+        for i, leaf in zip(rest, split(N, [factors[i] for i in rest])):
+            lifted[i] = leaf
+    return lifted, final
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +266,30 @@ def certified_squarefree(f: IntPoly) -> bool:
 
 
 def _good_primes(g: IntPoly, lift: bool = False) -> Iterator[int]:
-    """The odd primes p, ascending, that pass `_squarefree_mod` (so g's
-    monic model is squarefree mod p too).  With ``lift`` also
-    g(-1/4) != 0 mod p, which makes g(X^2 - X) squarefree mod p too."""
-    p, dg = 1, g.derivative().coeffs
+    """The odd primes p, ascending, that divide neither Res(g, g') nor,
+    with ``lift``, 4^d g(-1/4) (d = deg g): those that pass
+    `_squarefree_mod`, so g's monic model is squarefree mod p too, and
+    with ``lift`` also have g(-1/4) != 0 mod p, which makes g(X^2 - X)
+    squarefree mod p too.  The integers are taken once; each candidate
+    costs one remainder.
+
+    The same primes as a gcd mod p per candidate.  Res(g, g') =
+    +-lc(g) disc(g), so p does not divide lc g, and g mod p keeps degree
+    d; the Sylvester determinant of g and g' (formal degrees d and d - 1)
+    reduces mod p to that of g mod p and g' mod p.  Where p divides d and
+    g' mod p drops k degrees, expanding along the first k columns, where
+    lc(g) is each one's only nonzero entry, leaves
+    +-lc(g)^k Res(g mod p, g' mod p), with lc(g) a unit; where g' = 0
+    mod p the determinant is 0 and the gcd is g.  So p divides
+    Res(g, g') exactly when g mod p and g' mod p share a factor."""
+    bad = resultant(g, g.derivative())
+    if lift:
+        d = len(g.coeffs) - 1
+        bad *= sum(c * (-1) ** k * 4 ** (d - k) for k, c in enumerate(g.coeffs))
+    p = 1
     while True:
         p += 2
-        # with lift, g(-1/4) mod p: the remainder mod X + 1/4, by Horner's rule
-        if (is_probable_prime(p) and _squarefree_mod(g, dg, p)
-                and (not lift or _rem(g.coeffs, [pow(4, -1, p), 1], p))):
+        if bad % p and is_probable_prime(p):
             yield p
 
 

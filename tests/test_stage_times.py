@@ -42,6 +42,17 @@ def test_two_requests_of_each_workload(stage_times, capsys, workload):
         assert all(int(rows[stage][0]) > 0 for stage in stage_times.STAGES)
 
 
+@pytest.mark.parametrize("workload, count, steps", [
+    ("factor_heavy", 20, 25), ("sweep_small", 320, 24), ("seifert_forms", 8, 11)])
+def test_hensel_steps_of_a_cold_pass(stage_times, workload, count, steps):
+    """One 20 s perfbench pass of each workload (seed 1, corpus 0) takes
+    this many quadratic steps of the split tree: the linear modular
+    factors lift as roots and take none (85, 59 and 30 when every factor
+    was a leaf of the tree)."""
+    clock, _, _ = stage_times.run(workload, 1, 0, count)
+    assert clock.calls["zfactor._hensel_step"] == steps
+
+
 def test_self_time_leaves_out_nested_stages(stage_times, monkeypatch):
     ticks = iter(range(100))
     monkeypatch.setattr(stage_times.time, "perf_counter", lambda: next(ticks))

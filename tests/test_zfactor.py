@@ -535,13 +535,13 @@ class TestNoFractionDivision:
 
 
 class TestHenselLift:
-    """The last lifting round skips the Bezout cofactors; the lifted
-    factors are sympy's multifactor Hensel lift (tests/reference.py)."""
+    """Linear factors lift as roots by Newton steps, the others by the
+    split tree against the cofactor the roots leave, whose last round
+    skips the Bezout cofactors; the lifted factors are sympy's multifactor
+    Hensel lift (tests/reference.py), in the input order."""
 
     @staticmethod
     def setup_lift(k: int):
-        from knotsig import zfactor
-
         G = IntPoly.one()
         for a in range(k):
             G = G * delta_to_p(make_delta_a(a))
@@ -549,24 +549,28 @@ class TestHenselLift:
         modular = [list(q.coeffs) for q, _ in factor_mod_p(PolyModP.from_int_poly(G, p)).factors]
         return G, modular, p, 2 * zfactor._mignotte_bound(G) + 1
 
-    @pytest.mark.parametrize("k", [6, 7])
-    def test_leaves_unchanged(self, k):
-        from knotsig import zfactor
-        from knotsig.modp import _mul, _reduced
+    @staticmethod
+    def checked_lift(F, modular, p, target):
+        """The lift, checked against sympy's, for its product mod the
+        modulus and for its reduction mod p."""
+        from knotsig.modp import _mul
 
-        G, modular, p, target = self.setup_lift(k)
-        leaves, m = zfactor._hensel_lift(G, modular, p, target)
-        assert leaves == hensel_lift_by_sympy(G.coeffs, modular, p, m)
-        assert len(leaves) == len(modular) >= 2 * k
+        leaves, m = zfactor._hensel_lift(F, modular, p, target)
+        assert leaves == hensel_lift_by_sympy(F.coeffs, modular, p, m)
         prod = [1]
         for leaf in leaves:
             prod = _mul(prod, leaf, m)
-        assert prod == [c % m for c in G.coeffs]
+        assert prod == [c % m for c in F.coeffs]
         assert [_reduced(leaf, p) for leaf in leaves] == modular
+        return leaves, m
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_leaves_unchanged(self, k):
+        G, modular, p, target = self.setup_lift(k)
+        leaves, _ = self.checked_lift(G, modular, p, target)
+        assert len(leaves) == len(modular) >= 2 * k
 
     def test_only_the_last_round_skips(self, monkeypatch):
-        from knotsig import zfactor
-
         G, modular, p, target = self.setup_lift(6)
         flags: list[tuple[int, bool]] = []
         original = zfactor._hensel_step
@@ -580,7 +584,46 @@ class TestHenselLift:
         final = max(m for m, _ in flags)
         assert final * final == modulus and final < target <= modulus
         assert all(last == (m == final) for m, last in flags)
-        assert sum(last for _, last in flags) == len(modular) - 1
+        # one split per node of the tree over the nonlinear factors
+        assert sum(last for _, last in flags) == sum(len(q) > 2 for q in modular) - 1
+
+    def test_every_factor_linear(self, calls):
+        """Roots alone: no split tree, no Bezout cofactors, no division."""
+        F = product(IntPoly([-r, 1]) for r in (3, -7, 11, 0, 25))
+        p = 13
+        modular = [[-r % p, 1] for r in (3, -7, 11, 0, 25)]
+        counts = calls("zfactor._hensel_step", "modp._xgcd", "modp._divrem")
+        leaves, m = self.checked_lift(F, modular, p, 2 * zfactor._mignotte_bound(F) + 1)
+        assert m > p and leaves == [[-r % m, 1] for r in (3, -7, 11, 0, 25)]
+        assert counts == {}
+
+    def test_one_nonlinear_factor_is_the_cofactor(self, calls):
+        """X^2 + 1 is irreducible mod 7; it is F / ((X - 1)(X + 2)) mod the
+        final modulus, found by one division, with no _xgcd.  The input
+        order stays."""
+        F = product(IntPoly(c) for c in ([-1, 1], [1, 0, 1], [2, 1]))
+        modular = [[6, 1], [1, 0, 1], [2, 1]]
+        counts = calls("zfactor._hensel_step", "modp._xgcd", "modp._divrem")
+        leaves, m = self.checked_lift(F, modular, 7, 2 * zfactor._mignotte_bound(F) + 1)
+        assert leaves == [[m - 1, 1], [1, 0, 1], [2, 1]]
+        assert counts == {"modp._divrem": 1}
+
+    def test_no_linear_factor(self, calls):
+        """With no root to lift, the split tree runs over every factor
+        against F itself: one split per inner node, each on every round."""
+        G, modular, p, target = self.setup_lift(3)
+        assert all(len(q) > 2 for q in modular) and len(modular) == 6
+        counts = calls("zfactor._hensel_step")
+        _, m = self.checked_lift(G, modular, p, target)
+        rounds = round(math.log2(math.log(m, p)))
+        assert counts["zfactor._hensel_step"] == (len(modular) - 1) * rounds
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_target_within_p_takes_no_step(self, calls, k):
+        G, modular, p, _ = self.setup_lift(k)
+        counts = calls("zfactor._hensel_step")
+        leaves, m = self.checked_lift(G, modular, p, p)
+        assert m == p and leaves == modular and not counts
 
 
 @st.composite
@@ -609,6 +652,46 @@ def test_hensel_lift_of_a_monic_product(case):
     leaves, m = zfactor._hensel_lift(F, modular, p, 2 * zfactor._mignotte_bound(F) + 1)
     assert leaves == [[c % m for c in f] for f in factors]
     assert leaves == hensel_lift_by_sympy(F.coeffs, modular, p, m)
+
+
+def scanned_primes(g: IntPoly, lift: bool):
+    """The odd primes at which `_squarefree_mod` passes and, with ``lift``,
+    g(-1/4) != 0 mod p: one gcd mod p and one Horner pass per candidate."""
+    dg = g.derivative().coeffs
+    for p in itertools.count(3, 2):
+        if (intfactor.is_probable_prime(p) and zfactor._squarefree_mod(g, dg, p)
+                and (not lift or modp._rem(g.coeffs, [pow(4, -1, p), 1], p))):
+            yield p
+
+
+class TestGoodPrimes:
+    def test_the_discriminant_gives_the_scanned_primes(self):
+        """On seeded squarefree g of degree 1-9, some with lc divisible by
+        small primes and some of degree divisible by their first primes,
+        the first six primes agree with a gcd mod p per candidate, with
+        and without ``lift``."""
+        from knotsig.polys import gcd_z
+        from knotsig.realroots import _sign_hom
+
+        rng = random.Random(51)
+        seen = 0
+        while seen < 300:
+            d = rng.randint(1, 9)
+            lc = rng.choice((1, 1, -1, 2, 3, 5, 6, 9, 15, 21, 35))
+            g = IntPoly([rng.randint(-12, 12) for _ in range(d)] + [lc])
+            if g.degree != d or gcd_z(g, g.derivative()).degree > 0:
+                continue
+            seen += 1
+            for lift in (False, True) if _sign_hom(g, -1, 4) else (False,):
+                new = list(itertools.islice(zfactor._good_primes(g, lift), 6))
+                assert new == list(itertools.islice(scanned_primes(g, lift), 6)), (g, lift)
+
+    def test_a_prime_dividing_the_degree(self):
+        """X^3 - X + 1 mod 3 has derivative -1: squarefree, and 3 is its
+        first good prime; X^3 + 2 mod 3 is (X + 2)^3, with derivative 0."""
+        assert next(zfactor._good_primes(IntPoly([1, -1, 0, 1]))) == 3
+        assert next(zfactor._good_primes(IntPoly([2, 0, 0, 1]))) == 5 == next(
+            scanned_primes(IntPoly([2, 0, 0, 1]), False))
 
 
 class TestModularWork:
